@@ -1,0 +1,461 @@
+/*
+ * Native Hogwild training kernel for sentvec.
+ *
+ * One call of sv_train_chunk trains on a run of sentences of a flat CSR
+ * corpus (int32 unigram ids plus int64 sentence offsets).  It does, per
+ * sentence, what the numpy reference loop in trainer.py does: hash the
+ * n-gram windows, draw the subsampling gate of every token, and for each
+ * kept target draw a fresh n-gram dropout and negatives, read the learning
+ * rate from the shared progress counter, and take one SGD step on the
+ * masked context.  The step mirrors model.train_step (and the L1 prox of
+ * model.apply_l1_after_step), which tests use as its oracle.
+ *
+ * Workers share the matrices without locks (Hogwild); only the progress
+ * counter is updated atomically.  Randomness comes from a per-worker
+ * xoshiro256** state owned by the caller.  Python calls this library
+ * through ctypes, which releases the interpreter lock for the call.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* must equal the constants of sentvec.corpus.ngram_hash */
+#define FNV_OFFSET_BASIS 2166136261u
+#define FNV_PRIME 16777619u
+#define NGRAM_CHAIN_MULTIPLIER 116049371u
+
+/* must equal sentvec.model.LR_FLOOR_FRACTION */
+#define LR_FLOOR_FRACTION 1e-5
+
+/* rejected draws after which the table is scanned for a non-target entry */
+#define NEGATIVE_RETRY_SCAN 64
+
+enum { SV_OK = 0, SV_ONLY_TARGET = 1, SV_NO_MEMORY = 2 };
+
+/* Field order and types are mirrored by sentvec._native.Model. */
+typedef struct {
+    const int32_t *tokens;    /* CSR unigram ids */
+    const int64_t *offsets;   /* sentence s spans tokens[offsets[s]:offsets[s+1]] */
+    const double *gate_prob;  /* per word: keep probability if target-eligible, else 0 */
+    const int32_t *table;     /* negative table entries */
+    float *source;            /* (vocab_size + buckets) x dim */
+    float *target;            /* vocab_size x dim */
+    int64_t *progress;        /* shared count of processed targets */
+    int64_t table_size;
+    int64_t vocab_size;
+    int64_t buckets;
+    double base_lr;
+    double total_expected;
+    double l1_tau;
+    int32_t dim;
+    int32_t order;
+    int32_t dropout_k;
+    int32_t negatives;
+} sv_model;
+
+/* ---- xoshiro256** (Blackman and Vigna) ---- */
+
+static inline uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+static inline uint64_t next_u64(uint64_t *s)
+{
+    const uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+}
+
+/* uniform in [0, 1) with 53 random bits */
+static inline double next_double(uint64_t *s) { return (double)(next_u64(s) >> 11) * 0x1.0p-53; }
+
+/* uniform in [0, n), unbiased (Lemire's multiply-and-reject) */
+static inline uint64_t next_below(uint64_t *s, uint64_t n)
+{
+    unsigned __int128 m = (unsigned __int128)next_u64(s) * n;
+    uint64_t low = (uint64_t)m;
+    if (low < n) {
+        const uint64_t floor = -n % n;
+        while (low < floor) {
+            m = (unsigned __int128)next_u64(s) * n;
+            low = (uint64_t)m;
+        }
+    }
+    return (uint64_t)(m >> 64);
+}
+
+/* ---- features ---- */
+
+static inline int64_t ngram_count(int64_t len, int32_t order)
+{
+    int64_t n = 0;
+    for (int32_t k = 2; k <= order; k++)
+        if (len >= k)
+            n += len - k + 1;
+    return n;
+}
+
+/* Hashed n-gram rows of one sentence with their inclusive token spans, in
+ * the order of corpus.extract_ngrams: by order, then by window start. */
+static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, int64_t vocab_size,
+                               int64_t buckets, int64_t *grams, int32_t *first, int32_t *last)
+{
+    int64_t n = 0;
+    for (int32_t k = 2; k <= order; k++) {
+        for (int64_t i = 0; i + k <= len; i++) {
+            uint32_t h = FNV_OFFSET_BASIS;
+            const uint32_t head = (uint32_t)ids[i];
+            for (int b = 0; b < 4; b++)
+                h = (h ^ ((head >> (8 * b)) & 0xFFu)) * FNV_PRIME;
+            for (int32_t j = 1; j < k; j++)
+                h = h * NGRAM_CHAIN_MULTIPLIER + (uint32_t)ids[i + j];
+            grams[n] = vocab_size + (int64_t)(h % (uint64_t)buckets);
+            first[n] = (int32_t)i;
+            last[n] = (int32_t)(i + k - 1);
+            n++;
+        }
+    }
+    return n;
+}
+
+/* Feature list with the target at pos held out, in the order of
+ * model.masked_context; n-grams flagged in dropped (may be NULL) are left out. */
+static int64_t masked_context(const int32_t *ids, int64_t len, int64_t pos, const int64_t *grams,
+                              const int32_t *first, const int32_t *last, int64_t n_grams,
+                              const uint8_t *dropped, int64_t *ctx)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < len; i++)
+        if (i != pos)
+            ctx[n++] = ids[i];
+    for (int64_t g = 0; g < n_grams; g++)
+        if ((dropped == NULL || !dropped[g]) && (first[g] > pos || last[g] < pos))
+            ctx[n++] = grams[g];
+    return n;
+}
+
+/* ---- sampling ---- */
+
+/* Positions whose gate draw falls below their word's gate probability;
+ * one draw per token, in token order. */
+static int64_t gate_positions(const int32_t *ids, int64_t len, const double *gate_prob,
+                              uint64_t *rng, int64_t *positions)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < len; i++)
+        if (next_double(rng) < gate_prob[ids[i]])
+            positions[n++] = i;
+    return n;
+}
+
+/* count draws from the table, each redrawn while it equals target */
+static int draw_negatives(const int32_t *table, int64_t table_size, int64_t target, int64_t count,
+                          uint64_t *rng, int64_t *out)
+{
+    for (int64_t j = 0; j < count; j++) {
+        int64_t entry;
+        int rejected = 0;
+        for (;;) {
+            entry = table[next_below(rng, (uint64_t)table_size)];
+            if (entry != target)
+                break;
+            if (++rejected == NEGATIVE_RETRY_SCAN) {
+                int64_t i = 0;
+                while (i < table_size && table[i] == target)
+                    i++;
+                if (i == table_size)
+                    return SV_ONLY_TARGET;
+            }
+        }
+        out[j] = entry;
+    }
+    return SV_OK;
+}
+
+/* ---- the SGD step ---- */
+
+/* Four-float vectors of the baseline instruction set (SSE2 on x86-64):
+ * explicit lanes fix the summation order in this source, so the build
+ * needs no -ffast-math or -march flags to vectorize. */
+typedef float v4f __attribute__((vector_size(16)));
+
+static inline v4f load4(const float *p)
+{
+    v4f x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static inline float dot(const float *a, const float *b, int32_t n)
+{
+    v4f acc0 = {0.0f, 0.0f, 0.0f, 0.0f}, acc1 = acc0;
+    int32_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        acc0 += load4(a + i) * load4(b + i);
+        acc1 += load4(a + i + 4) * load4(b + i + 4);
+    }
+    if (i + 4 <= n) {
+        acc0 += load4(a + i) * load4(b + i);
+        i += 4;
+    }
+    const v4f acc = acc0 + acc1;
+    float sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (; i < n; i++)
+        sum += a[i] * b[i];
+    return sum;
+}
+
+/* y += a * x */
+static inline void add_scaled(float *y, const float *x, float a, int32_t n)
+{
+    const v4f va = {a, a, a, a};
+    int32_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const v4f r = load4(y + i) + va * load4(x + i);
+        memcpy(y + i, &r, sizeof r);
+    }
+    for (; i < n; i++)
+        y[i] += a * x[i];
+}
+
+static int compare_i64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* soft-threshold each distinct row of rows[0:n] once; rows is reordered */
+static void l1_prox_rows(float *matrix, int32_t dim, int64_t *rows, int64_t n, double threshold)
+{
+    const float t = (float)threshold;
+    qsort(rows, (size_t)n, sizeof(int64_t), compare_i64);
+    for (int64_t r = 0; r < n; r++) {
+        if (r > 0 && rows[r] == rows[r - 1])
+            continue;
+        float *row = matrix + rows[r] * dim;
+        for (int32_t i = 0; i < dim; i++) {
+            const float shrunk = fabsf(row[i]) - t;
+            row[i] = shrunk > 0.0f ? copysignf(shrunk, row[i]) : 0.0f;
+        }
+    }
+}
+
+/* Scratch space for sentences of up to max_len tokens. */
+typedef struct {
+    int64_t *positions; /* max_len: gated target positions */
+    int64_t *grams;     /* max_grams: n-gram rows */
+    int64_t *perm;      /* max_grams: dropout permutation */
+    int64_t *ctx;       /* max_len + max_grams: masked context */
+    int64_t *scored;    /* 1 + negatives: target, then negatives */
+    int64_t *rows;      /* max(context, 1 + negatives), for the L1 dedupe */
+    int32_t *first;     /* max_grams: n-gram span starts */
+    int32_t *last;      /* max_grams: n-gram span ends */
+    uint8_t *dropped;   /* max_grams: dropout flags, all zero between targets */
+    float *v;           /* dim */
+    float *grad;        /* dim */
+    float *coeff;       /* 1 + negatives */
+} workspace;
+
+static void workspace_free(workspace *w)
+{
+    free(w->positions);
+    free(w->first);
+    free(w->dropped);
+    free(w->v);
+}
+
+/* 0 on success; on failure nothing stays allocated */
+static int workspace_alloc(workspace *w, const sv_model *m, int64_t max_len)
+{
+    const int64_t max_grams = ngram_count(max_len, m->order);
+    const int64_t max_ctx = max_len + max_grams;
+    const int64_t n_scored = 1 + (int64_t)m->negatives;
+    const int64_t max_rows = max_ctx > n_scored ? max_ctx : n_scored;
+    w->positions = malloc(sizeof(int64_t) * (size_t)(max_len + 2 * max_grams + max_ctx + n_scored + max_rows + 1));
+    w->first = malloc(sizeof(int32_t) * (size_t)(2 * max_grams + 1));
+    w->dropped = calloc((size_t)max_grams + 1, 1);
+    w->v = malloc(sizeof(float) * (size_t)(2 * m->dim + n_scored));
+    if (!w->positions || !w->first || !w->dropped || !w->v) {
+        workspace_free(w);
+        return -1;
+    }
+    w->grams = w->positions + max_len;
+    w->perm = w->grams + max_grams;
+    w->ctx = w->perm + max_grams;
+    w->scored = w->ctx + max_ctx;
+    w->rows = w->scored + n_scored;
+    w->last = w->first + max_grams;
+    w->grad = w->v + m->dim;
+    w->coeff = w->grad + m->dim;
+    return 0;
+}
+
+/* One step on a non-empty context against scored[0] (the target) and the
+ * negatives scored[1:]; returns the loss in 64-bit.  Duplicate rows in
+ * either list receive one update per occurrence, and every gradient uses
+ * the pre-update target rows, as in model.train_step. */
+static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, const int64_t *scored,
+                       int64_t n_scored, double lr, workspace *w)
+{
+    const int32_t dim = m->dim;
+    float *const source = m->source, *const target = m->target;
+    float *const v = w->v, *const grad = w->grad, *const coeff = w->coeff;
+
+    memset(v, 0, sizeof(float) * (size_t)dim);
+    for (int64_t c = 0; c < n_ctx; c++)
+        add_scaled(v, source + ctx[c] * dim, 1.0f, dim);
+    const float count = (float)n_ctx;
+    for (int32_t i = 0; i < dim; i++)
+        v[i] /= count;
+
+    double loss = 0.0;
+    memset(grad, 0, sizeof(float) * (size_t)dim);
+    for (int64_t j = 0; j < n_scored; j++) {
+        const float *u = target + scored[j] * dim;
+        const float score = dot(u, v, dim);
+        /* label +1 for the target, -1 for negatives; loss log(1 + exp(-x)),
+         * and p = sigmoid(score), both stable on either tail */
+        const double x = j == 0 ? (double)score : -(double)score;
+        const double z = exp(-fabs(x));
+        loss += log1p(z) + fmax(-x, 0.0);
+        const double p = score >= 0.0f ? 1.0 / (1.0 + z) : z / (1.0 + z);
+        coeff[j] = (float)(j == 0 ? p - 1.0 : p);
+        add_scaled(grad, u, coeff[j], dim);
+    }
+    const float flr = (float)lr;
+    for (int64_t j = 0; j < n_scored; j++)
+        add_scaled(target + scored[j] * dim, v, -(flr * coeff[j]), dim);
+    const float scale = -(float)(lr / (double)n_ctx);
+    for (int64_t c = 0; c < n_ctx; c++)
+        add_scaled(source + ctx[c] * dim, grad, scale, dim);
+
+    if (m->l1_tau > 0.0) {
+        memcpy(w->rows, ctx, sizeof(int64_t) * (size_t)n_ctx);
+        l1_prox_rows(source, dim, w->rows, n_ctx, m->l1_tau * lr / (double)n_ctx);
+        memcpy(w->rows, scored, sizeof(int64_t) * (size_t)n_scored);
+        l1_prox_rows(target, dim, w->rows, n_scored, m->l1_tau * lr);
+    }
+    return loss;
+}
+
+static inline double current_lr(const sv_model *m)
+{
+    double progress = (double)__atomic_load_n(m->progress, __ATOMIC_RELAXED) / m->total_expected;
+    progress = progress < 0.0 ? 0.0 : (progress > 1.0 ? 1.0 : progress);
+    const double lr = m->base_lr * (1.0 - progress);
+    const double floor = LR_FLOOR_FRACTION * m->base_lr;
+    return lr > floor ? lr : floor;
+}
+
+/* ---- entry points ---- */
+
+/* Train on sentences[0:n] of the corpus.  Writes each sentence's loss sum
+ * and step count, and adds the step count to the shared progress counter
+ * once the sentence is done.  Returns SV_OK, SV_ONLY_TARGET when the
+ * negative table holds nothing but a target word, or SV_NO_MEMORY. */
+int sv_train_chunk(const sv_model *m, const int64_t *sentences, int64_t n, uint64_t *rng,
+                   double *loss_sums, int64_t *steps)
+{
+    int64_t max_len = 0;
+    for (int64_t s = 0; s < n; s++) {
+        const int64_t len = m->offsets[sentences[s] + 1] - m->offsets[sentences[s]];
+        max_len = len > max_len ? len : max_len;
+    }
+    workspace w;
+    if (workspace_alloc(&w, m, max_len) != 0)
+        return SV_NO_MEMORY;
+    const int64_t n_scored = 1 + (int64_t)m->negatives;
+
+    int status = SV_OK;
+    for (int64_t s = 0; s < n && status == SV_OK; s++) {
+        const int32_t *ids = m->tokens + m->offsets[sentences[s]];
+        const int64_t len = m->offsets[sentences[s] + 1] - m->offsets[sentences[s]];
+        const int64_t n_grams = sentence_ngrams(ids, len, m->order, m->vocab_size, m->buckets,
+                                                w.grams, w.first, w.last);
+        const int64_t n_pos = gate_positions(ids, len, m->gate_prob, rng, w.positions);
+        const int64_t n_drop = m->dropout_k < n_grams ? m->dropout_k : n_grams;
+        for (int64_t g = 0; g < n_grams; g++)
+            w.perm[g] = g;
+        double loss_sum = 0.0;
+        int64_t done = 0;
+        for (int64_t p = 0; p < n_pos; p++) {
+            const int64_t pos = w.positions[p];
+            /* partial Fisher-Yates: perm[0:n_drop] is a uniform n_drop-subset */
+            for (int64_t j = 0; j < n_drop; j++) {
+                const int64_t r = j + (int64_t)next_below(rng, (uint64_t)(n_grams - j));
+                const int64_t swap = w.perm[j];
+                w.perm[j] = w.perm[r];
+                w.perm[r] = swap;
+                w.dropped[w.perm[j]] = 1;
+            }
+            w.scored[0] = ids[pos];
+            status = draw_negatives(m->table, m->table_size, ids[pos], m->negatives, rng,
+                                    w.scored + 1);
+            if (status != SV_OK)
+                break;
+            const double lr = current_lr(m);
+            const int64_t n_ctx = masked_context(ids, len, pos, w.grams, w.first, w.last, n_grams,
+                                                 w.dropped, w.ctx);
+            for (int64_t j = 0; j < n_drop; j++)
+                w.dropped[w.perm[j]] = 0;
+            if (n_ctx == 0)
+                continue;
+            loss_sum += sgd_step(m, w.ctx, n_ctx, w.scored, n_scored, lr, &w);
+            done++;
+        }
+        __atomic_fetch_add(m->progress, done, __ATOMIC_RELAXED);
+        loss_sums[s] = loss_sum;
+        steps[s] = done;
+    }
+    workspace_free(&w);
+    return status;
+}
+
+/* The n-gram rows and spans of one sentence; returns their number. */
+int64_t sv_sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, int64_t vocab_size,
+                           int64_t buckets, int64_t *grams, int32_t *first, int32_t *last)
+{
+    return sentence_ngrams(ids, len, order, vocab_size, buckets, grams, first, last);
+}
+
+/* One SGD step on the sentence ids[0:len] with the target at pos, the given
+ * negatives and lr; n-grams flagged in dropped (may be NULL) are left out.
+ * Stores the loss and returns 1, returns 0 for an empty context, or -1
+ * when out of memory. */
+int sv_step(const sv_model *m, const int32_t *ids, int64_t len, int64_t pos, const uint8_t *dropped,
+            const int64_t *negatives, double lr, double *loss)
+{
+    workspace w;
+    if (workspace_alloc(&w, m, len) != 0)
+        return -1;
+    const int64_t n_grams = sentence_ngrams(ids, len, m->order, m->vocab_size, m->buckets,
+                                            w.grams, w.first, w.last);
+    const int64_t n_ctx = masked_context(ids, len, pos, w.grams, w.first, w.last, n_grams,
+                                         dropped, w.ctx);
+    w.scored[0] = ids[pos];
+    memcpy(w.scored + 1, negatives, sizeof(int64_t) * (size_t)m->negatives);
+    if (n_ctx > 0)
+        *loss = sgd_step(m, w.ctx, n_ctx, w.scored, 1 + (int64_t)m->negatives, lr, &w);
+    workspace_free(&w);
+    return n_ctx > 0;
+}
+
+/* count negatives for target drawn as in training; SV_OK or SV_ONLY_TARGET */
+int sv_draw_negatives(const int32_t *table, int64_t table_size, int64_t target, int64_t count,
+                      uint64_t *rng, int64_t *out)
+{
+    return draw_negatives(table, table_size, target, count, rng, out);
+}
+
+/* The gated positions of ids[0:len] drawn as in training; returns their number. */
+int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_prob, uint64_t *rng,
+                          int64_t *positions)
+{
+    return gate_positions(ids, len, gate_prob, rng, positions);
+}

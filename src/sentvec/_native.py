@@ -1,0 +1,308 @@
+"""Build, cache and bind the native training kernel (``_kernel.c``).
+
+The first ``load()`` in a process compiles the kernel with the local C
+compiler, unless a build of the same source and flags is already cached
+under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
+``ctypes``.  The shared object is written in a temporary directory and
+moved into place with ``os.replace``, so concurrent builders never expose
+a half-written file.  ``ctypes`` releases the interpreter lock for every
+call, which lets worker threads train in parallel.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["Kernel", "KernelUnavailable", "library_path", "load", "rng_state"]
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+COMPILE_FLAGS = ("-O2", "-fPIC", "-shared")
+
+# status codes of sv_train_chunk and sv_draw_negatives
+_OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
+
+_i64 = ctypes.c_int64
+_ptr = ctypes.c_void_p
+
+
+class KernelUnavailable(RuntimeError):
+    """The kernel could not be compiled or loaded on this machine."""
+
+
+class Model(ctypes.Structure):
+    """Mirror of ``sv_model`` in ``_kernel.c``: the arrays and settings of one run."""
+
+    _fields_ = [
+        ("tokens", _ptr),
+        ("offsets", _ptr),
+        ("gate_prob", _ptr),
+        ("table", _ptr),
+        ("source", _ptr),
+        ("target", _ptr),
+        ("progress", _ptr),
+        ("table_size", _i64),
+        ("vocab_size", _i64),
+        ("buckets", _i64),
+        ("base_lr", ctypes.c_double),
+        ("total_expected", ctypes.c_double),
+        ("l1_tau", ctypes.c_double),
+        ("dim", ctypes.c_int32),
+        ("order", ctypes.c_int32),
+        ("dropout_k", ctypes.c_int32),
+        ("negatives", ctypes.c_int32),
+    ]
+
+
+def _pointer(array: np.ndarray, dtype, name: str) -> int:
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array")
+    return array.ctypes.data
+
+
+class Kernel:
+    """Typed entry points of the loaded kernel.
+
+    Every method checks dtype, contiguity and sizes of the arrays it is
+    given before their pointers reach native code.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib
+        lib.sv_train_chunk.argtypes = [ctypes.POINTER(Model), _ptr, _i64, _ptr, _ptr, _ptr]
+        lib.sv_train_chunk.restype = ctypes.c_int
+        lib.sv_sentence_ngrams.argtypes = [_ptr, _i64, ctypes.c_int32, _i64, _i64, _ptr, _ptr, _ptr]
+        lib.sv_sentence_ngrams.restype = _i64
+        lib.sv_step.argtypes = [
+            ctypes.POINTER(Model), _ptr, _i64, _i64, _ptr, _ptr, ctypes.c_double,
+            ctypes.POINTER(ctypes.c_double),
+        ]
+        lib.sv_step.restype = ctypes.c_int
+        lib.sv_draw_negatives.argtypes = [_ptr, _i64, _i64, _i64, _ptr, _ptr]
+        lib.sv_draw_negatives.restype = ctypes.c_int
+        lib.sv_gate_positions.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
+        lib.sv_gate_positions.restype = _i64
+
+    @staticmethod
+    def model(
+        source: np.ndarray,
+        target: np.ndarray,
+        order: int,
+        buckets: int,
+        negatives: int,
+        l1_tau: float = 0.0,
+        dropout_k: int = 0,
+        base_lr: float = 0.0,
+        total_expected: float = 1.0,
+        tokens: np.ndarray | None = None,
+        offsets: np.ndarray | None = None,
+        gate_prob: np.ndarray | None = None,
+        table: np.ndarray | None = None,
+        progress: np.ndarray | None = None,
+    ) -> Model:
+        """Bind matrices, settings and (for ``train_chunk``) the corpus to a ``Model``.
+
+        The returned object keeps every array it points to alive.  The
+        corpus arrays may be omitted for ``step``.
+        """
+        vocab_size, dim = target.shape
+        if source.shape != (vocab_size + buckets, dim):
+            raise ValueError(
+                f"source shape {source.shape} does not match target {target.shape} "
+                f"plus {buckets} buckets"
+            )
+        if order < 1 or (order >= 2) != (buckets > 0) or negatives < 1:
+            raise ValueError(
+                f"invalid order={order}, buckets={buckets}, negatives={negatives}"
+            )
+        m = Model(
+            source=_pointer(source, np.float32, "source"),
+            target=_pointer(target, np.float32, "target"),
+            vocab_size=vocab_size, buckets=buckets, dim=dim, order=order,
+            negatives=negatives, l1_tau=l1_tau, dropout_k=dropout_k,
+            base_lr=base_lr, total_expected=total_expected,
+        )
+        keep = [source, target]
+        m.n_sentences = 0
+        if tokens is not None:
+            if offsets[0] != 0 or offsets[-1] != len(tokens) or np.any(np.diff(offsets) < 0):
+                raise ValueError("offsets do not delimit the token array")
+            if len(tokens) and (tokens.min() < 0 or tokens.max() >= vocab_size):
+                raise ValueError("token id out of range")
+            if gate_prob.shape != (vocab_size,) or progress.shape != (1,):
+                raise ValueError("gate_prob or progress has the wrong shape")
+            if len(table) == 0 or table.min() < 0 or table.max() >= vocab_size:
+                raise ValueError("negative table is empty or out of range")
+            m.tokens = _pointer(tokens, np.int32, "tokens")
+            m.offsets = _pointer(offsets, np.int64, "offsets")
+            m.gate_prob = _pointer(gate_prob, np.float64, "gate_prob")
+            m.table = _pointer(table, np.int32, "table")
+            m.table_size = len(table)
+            m.progress = _pointer(progress, np.int64, "progress")
+            m.n_sentences = len(offsets) - 1
+            keep += [tokens, offsets, gate_prob, table, progress]
+        m.keepalive = keep
+        return m
+
+    def train_chunk(
+        self, model: Model, sentences: np.ndarray, rng_state: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Train on the given sentence indices; returns per-sentence loss sums and steps."""
+        if len(sentences) and (sentences.min() < 0 or sentences.max() >= model.n_sentences):
+            raise ValueError("sentence index out of range")
+        loss_sums = np.empty(len(sentences), dtype=np.float64)
+        steps = np.empty(len(sentences), dtype=np.int64)
+        status = self._lib.sv_train_chunk(
+            ctypes.byref(model), _pointer(sentences, np.int64, "sentences"), len(sentences),
+            _pointer(rng_state, np.uint64, "rng_state"), loss_sums.ctypes.data,
+            steps.ctypes.data,
+        )
+        _check(status)
+        return loss_sums, steps
+
+    def sentence_ngrams(
+        self, ids: np.ndarray, order: int, vocab_size: int, buckets: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """N-gram row ids and inclusive (start, end) spans of one sentence."""
+        if order >= 2 and buckets < 1:
+            raise ValueError("buckets must be >= 1 when n-gram order >= 2")
+        length = len(ids)
+        capacity = sum(max(0, length - k + 1) for k in range(2, order + 1))
+        grams = np.empty(capacity, dtype=np.int64)
+        spans = np.empty((2, capacity), dtype=np.int32)
+        n = self._lib.sv_sentence_ngrams(
+            _pointer(ids, np.int32, "ids"), length, order, vocab_size, buckets,
+            grams.ctypes.data, spans[0].ctypes.data, spans[1].ctypes.data,
+        )
+        return grams[:n], spans[:, :n].T
+
+    def step(
+        self,
+        model: Model,
+        ids: np.ndarray,
+        pos: int,
+        negatives: np.ndarray,
+        lr: float,
+        dropped: np.ndarray | None = None,
+    ) -> float | None:
+        """One SGD step in place; the loss, or None for an empty context."""
+        if not 0 <= pos < len(ids) or len(negatives) != model.negatives:
+            raise ValueError("position or negative count out of range")
+        for name, rows in (("ids", ids), ("negatives", negatives)):
+            if rows.min() < 0 or rows.max() >= model.vocab_size:
+                raise ValueError(f"{name} out of range")
+        grams = sum(max(0, len(ids) - k + 1) for k in range(2, model.order + 1))
+        if dropped is not None and len(dropped) != grams:
+            raise ValueError(f"dropped mask needs {grams} entries")
+        loss = ctypes.c_double()
+        stepped = self._lib.sv_step(
+            ctypes.byref(model), _pointer(ids, np.int32, "ids"), len(ids), pos,
+            None if dropped is None else _pointer(dropped, np.uint8, "dropped"),
+            _pointer(negatives, np.int64, "negatives"), lr, ctypes.byref(loss),
+        )
+        if stepped < 0:
+            raise MemoryError("native step could not allocate its scratch space")
+        return loss.value if stepped else None
+
+    def draw_negatives(
+        self, table: np.ndarray, target: int, count: int, rng_state: np.ndarray
+    ) -> np.ndarray:
+        """``count`` negatives for ``target``, drawn as training draws them."""
+        if len(table) == 0:
+            raise ValueError("empty negative table")
+        out = np.empty(count, dtype=np.int64)
+        _check(self._lib.sv_draw_negatives(
+            _pointer(table, np.int32, "table"), len(table), target, count,
+            _pointer(rng_state, np.uint64, "rng_state"), out.ctypes.data,
+        ))
+        return out
+
+    def gate_positions(
+        self, ids: np.ndarray, gate_prob: np.ndarray, rng_state: np.ndarray
+    ) -> np.ndarray:
+        """Token positions kept by the subsampling gate, drawn as training draws them."""
+        if len(ids) and (ids.min() < 0 or ids.max() >= len(gate_prob)):
+            raise ValueError("token id out of range")
+        positions = np.empty(len(ids), dtype=np.int64)
+        n = self._lib.sv_gate_positions(
+            _pointer(ids, np.int32, "ids"), len(ids),
+            _pointer(gate_prob, np.float64, "gate_prob"),
+            _pointer(rng_state, np.uint64, "rng_state"), positions.ctypes.data,
+        )
+        return positions[:n]
+
+
+def _check(status: int) -> None:
+    if status == _ONLY_TARGET:
+        raise ValueError("negative table contains only the target word")
+    if status == _NO_MEMORY:
+        raise MemoryError("native kernel could not allocate its scratch space")
+
+
+def rng_state(rng: np.random.Generator) -> np.ndarray:
+    """A kernel PRNG state drawn from ``rng`` (never all zero)."""
+    state = rng.integers(0, 2**64, size=4, dtype=np.uint64)
+    if not state.any():
+        state[0] = 1
+    return state
+
+
+def library_path() -> Path:
+    """Where the build of the current source and flags is cached."""
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update(" ".join(COMPILE_FLAGS).encode())
+    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(cache) / "sentvec" / f"kernel-{digest.hexdigest()[:32]}.so"
+
+
+def _build(path: Path) -> None:
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        raise KernelUnavailable("no C compiler (gcc or cc) on PATH")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+            built = Path(tmp) / path.name
+            proc = subprocess.run(
+                [compiler, *COMPILE_FLAGS, "-o", str(built), str(SOURCE), "-lm"],
+                capture_output=True, text=True, check=False,
+            )
+            if proc.returncode != 0:
+                raise KernelUnavailable(
+                    f"{compiler} exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
+                )
+            os.replace(built, path)
+    except OSError as err:
+        raise KernelUnavailable(f"cannot build the kernel in {path.parent}: {err}") from err
+
+
+_lock = threading.Lock()
+_loaded: list = []  # the process's one load() outcome: a Kernel or a KernelUnavailable
+
+
+def load() -> Kernel:
+    """The process-wide kernel, built on first use; raises ``KernelUnavailable``."""
+    with _lock:
+        if not _loaded:
+            try:
+                path = library_path()
+                if not path.is_file():
+                    _build(path)
+                try:
+                    _loaded.append(Kernel(ctypes.CDLL(str(path))))
+                except (OSError, AttributeError) as err:
+                    raise KernelUnavailable(f"cannot load {path}: {err}") from err
+            except KernelUnavailable as err:
+                _loaded.append(err)
+        outcome = _loaded[0]
+    if isinstance(outcome, KernelUnavailable):
+        raise outcome
+    return outcome

@@ -213,6 +213,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ModelFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"error: out of memory {err}".rstrip(), file=sys.stderr)
+        return 1
 
 
 def run() -> None:

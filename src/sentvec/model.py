@@ -31,6 +31,9 @@ __all__ = [
     "apply_l1_after_step",
 ]
 
+# float64 draws per block when initializing source rows (2 MiB of temporaries)
+INIT_BLOCK_VALUES = 1 << 18
+
 # relative learning-rate floor; keeps late updates alive when the shared
 # progress counter overshoots in parallel runs
 LR_FLOOR_FRACTION = 1e-5
@@ -76,11 +79,20 @@ class EmbeddingMatrices:
         rng: np.random.Generator,
         dtype=np.float32,
     ) -> "EmbeddingMatrices":
-        """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero."""
+        """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
+
+        The rows are drawn in blocks straight into the ``dtype`` matrix;
+        the values equal one ``rng.uniform`` draw of the whole matrix.
+        """
         bound = 1.0 / (2.0 * dim)
-        source = rng.uniform(-bound, bound, size=(vocab_size + buckets, dim))
+        rows = vocab_size + buckets
+        source = np.empty((rows, dim), dtype=dtype)
+        block = max(1, INIT_BLOCK_VALUES // dim)
+        for start in range(0, rows, block):
+            stop = min(rows, start + block)
+            source[start:stop] = rng.uniform(-bound, bound, size=(stop - start, dim))
         return cls(
-            source=source.astype(dtype),
+            source=source,
             target=np.zeros((vocab_size, dim), dtype=dtype),
             dim=dim,
         )

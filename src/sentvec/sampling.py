@@ -69,16 +69,15 @@ def build_negative_table(
     vocab: Vocabulary,
     table_size: int = DEFAULT_TABLE_SIZE,
     min_target_count: int | None = None,
-    seed: int = 0,
 ) -> NegativeTable:
     """Pre-compute the flat sampling table over target-eligible words.
 
     Only words with count >= ``min_target_count`` (defaulting to the
     vocabulary's threshold) participate; each receives
     ``max(1, round(p * table_size))`` slots with ``p`` renormalized over
-    the eligible set.  The table is shuffled once with ``seed`` so that
-    block draws are unbiased.  Construction is deterministic given
-    (vocab, table_size, seed).
+    the eligible set.  Entries are grouped by word; draws pick uniform
+    indices, so their order does not change the law.  Construction is
+    deterministic given (vocab, table_size).
     """
     if min_target_count is None:
         min_target_count = vocab.min_target_count
@@ -95,10 +94,7 @@ def build_negative_table(
     probs = negative_prob(counts[eligible])
     # round half up; every eligible word keeps at least one slot
     slots = np.maximum(1, np.floor(probs * table_size + 0.5).astype(np.int64))
-    entries = np.repeat(eligible.astype(np.int32), slots)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(entries)
-    return NegativeTable(entries=entries)
+    return NegativeTable(entries=np.repeat(eligible.astype(np.int32), slots))
 
 
 def sample_negatives(

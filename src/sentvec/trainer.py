@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import (
-    SentenceIndices,
     Vocabulary,
     build_vocab,
     extract_ngrams,
@@ -165,17 +164,25 @@ class TrainedModel:
 
 
 class _Progress:
-    """Shared processed-target counter; reads are lock-free."""
+    """Shared processed-target counter; reads are lock-free.
 
-    __slots__ = ("value", "_lock")
+    The count lives in a one-element int64 array so that the native
+    kernel can advance it atomically from several threads.
+    """
+
+    __slots__ = ("counter", "_lock")
 
     def __init__(self) -> None:
-        self.value = 0
+        self.counter = np.zeros(1, dtype=np.int64)
         self._lock = threading.Lock()
+
+    @property
+    def value(self) -> int:
+        return int(self.counter[0])
 
     def add(self, n: int) -> None:
         with self._lock:
-            self.value += n
+            self.counter[0] += n
 
 
 class _LossReporter:
@@ -213,19 +220,30 @@ class _LossReporter:
             return self.window_means
 
 
-def _encode_corpus(path, vocab, order, buckets, lowercase):
-    """Second pass: map sentences to index form, skipping those with < 2 known tokens."""
-    sentences = []
-    for tokens in iter_corpus(path, lowercase=lowercase):
-        ids = vocab.encode(tokens)
+# sentences per native call: long enough to amortize the call, short
+# enough that loss windows and worker threads interleave finely
+_CHUNK_SENTENCES = 1024
+
+
+def _encode_corpus(path, vocab, lowercase):
+    """Second pass: the corpus as CSR (int32 ids, int64 sentence offsets).
+
+    Sentences with fewer than 2 known tokens are skipped.
+    """
+    tokens: list[int] = []
+    lengths = [0]
+    for words in iter_corpus(path, lowercase=lowercase):
+        ids = vocab.encode(words)
         if len(ids) < 2:
             continue
-        sentences.append(extract_ngrams(ids, order, len(vocab), buckets))
-    return sentences
+        tokens.extend(ids)
+        lengths.append(len(ids))
+    return np.array(tokens, dtype=np.int32), np.cumsum(np.array(lengths, dtype=np.int64))
 
 
 def _run_shard(
-    sentences: list[SentenceIndices],
+    tokens: np.ndarray,
+    offsets: np.ndarray,
     shard: np.ndarray,
     keep_prob: np.ndarray,
     eligible: np.ndarray,
@@ -237,13 +255,16 @@ def _run_shard(
     rng: np.random.Generator,
     total_expected: float,
 ) -> None:
+    """The numpy training loop: the fallback when the native kernel is unavailable."""
     base_lr = config.lr
     n_neg = config.negatives
-    drop_k = config.dropout_k if config.word_ngrams >= 2 else 0
+    order = config.word_ngrams
+    vocab_size, buckets = len(matrices.target), len(matrices.source) - len(matrices.target)
+    drop_k = config.dropout_k if order >= 2 else 0
     tau = config.l1_tau
     for si in shard:
-        sent = sentences[si]
-        ids = sent.unigram_ids
+        ids = tokens[offsets[si] : offsets[si + 1]]
+        sent = extract_ngrams(ids, order, vocab_size, buckets)
         gates = rng.random(len(ids))
         positions = np.nonzero((gates < keep_prob[ids]) & eligible[ids])[0]
         if len(positions) == 0:
@@ -267,14 +288,37 @@ def _run_shard(
         reporter.add(loss_sum, done)
 
 
+def _run_shard_native(kernel, model, shard, rng_state, reporter) -> None:
+    """Train one shard in native chunks; the kernel advances the shared progress."""
+    for start in range(0, len(shard), _CHUNK_SENTENCES):
+        loss_sums, steps = kernel.train_chunk(
+            model, shard[start : start + _CHUNK_SENTENCES], rng_state
+        )
+        for loss_sum, done in zip(loss_sums.tolist(), steps.tolist()):
+            reporter.add(loss_sum, done)
+
+
+def _load_kernel():
+    """The native kernel, or None (with a warning) when it cannot be built."""
+    from . import _native
+
+    try:
+        return _native.load()
+    except _native.KernelUnavailable as err:
+        logger.warning("native kernel unavailable, training with numpy: %s", err)
+        return None
+
+
 def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     """Train a model over ``config.epochs`` shuffled passes of the corpus.
 
     Per epoch the shuffled sentence order is split into one contiguous
     shard per worker.  Each kept token position (Bernoulli gate with its
     word's keep probability, restricted to target-eligible words) yields
-    one SGD step with freshly sampled n-gram dropout and negatives.  With
-    ``threads=1`` the run is bit-deterministic in the seed.
+    one SGD step with freshly sampled n-gram dropout and negatives.  The
+    steps run in the native kernel, or in the numpy loop when the kernel
+    cannot be built.  With ``threads=1`` the run is bit-deterministic in
+    the seed.
     """
     config.validate()
     started = time.perf_counter()
@@ -285,14 +329,13 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         config.min_target_count,
     )
     buckets = config.bucket_count if config.word_ngrams >= 2 else 0
-    sentences = _encode_corpus(
-        corpus_path, vocab, config.word_ngrams, buckets, config.lowercase
-    )
-    if not sentences:
+    tokens, offsets = _encode_corpus(corpus_path, vocab, config.lowercase)
+    n_sentences = len(offsets) - 1
+    if not n_sentences:
         raise ValueError("corpus has no trainable sentences after vocabulary thresholds")
     logger.info(
         "vocabulary %d words, %d tokens, %d trainable sentences",
-        len(vocab), vocab.total_tokens, len(sentences),
+        len(vocab), vocab.total_tokens, n_sentences,
     )
 
     freqs = vocab.frequencies()
@@ -304,7 +347,7 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
     table = build_negative_table(
-        vocab, config.negative_table_size, config.min_target_count, seed=config.seed
+        vocab, config.negative_table_size, config.min_target_count
     )
     matrices = EmbeddingMatrices.initialize(
         len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0])
@@ -323,31 +366,42 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     worker_rngs = [
         np.random.default_rng([config.seed, 1, w]) for w in range(config.threads)
     ]
+    kernel = _load_kernel()
+    if kernel is not None:
+        from ._native import rng_state
+
+        native_model = kernel.model(
+            matrices.source, matrices.target, config.word_ngrams, buckets,
+            config.negatives, l1_tau=config.l1_tau,
+            dropout_k=config.dropout_k if config.word_ngrams >= 2 else 0,
+            base_lr=config.lr, total_expected=total_expected,
+            tokens=tokens, offsets=offsets, gate_prob=keep_prob * eligible,
+            table=table.entries, progress=progress.counter,
+        )
+        worker_states = [rng_state(rng) for rng in worker_rngs]
+
+        def run_shard(w: int, shard: np.ndarray) -> None:
+            _run_shard_native(kernel, native_model, shard, worker_states[w], reporter)
+    else:
+        def run_shard(w: int, shard: np.ndarray) -> None:
+            _run_shard(
+                tokens, offsets, shard, keep_prob, eligible, table, config,
+                matrices, progress, reporter, worker_rngs[w], total_expected,
+            )
 
     for epoch in range(config.epochs):
-        perm = np.random.default_rng([config.seed, 2, epoch]).permutation(
-            len(sentences)
-        )
-        bounds = np.linspace(0, len(sentences), config.threads + 1).astype(np.int64)
-        shard_args = [
-            (
-                sentences, perm[bounds[w] : bounds[w + 1]], keep_prob, eligible,
-                table, config, matrices, progress, reporter, worker_rngs[w],
-                total_expected,
-            )
-            for w in range(config.threads)
-        ]
+        perm = np.random.default_rng([config.seed, 2, epoch]).permutation(n_sentences)
+        bounds = np.linspace(0, n_sentences, config.threads + 1).astype(np.int64)
+        shards = [perm[bounds[w] : bounds[w + 1]] for w in range(config.threads)]
         if config.threads == 1:
-            _run_shard(*shard_args[0])
+            run_shard(0, shards[0])
         else:
-            workers = [
-                threading.Thread(target=_run_shard, args=args, daemon=True)
-                for args in shard_args
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                futures = [pool.submit(run_shard, w, shard) for w, shard in enumerate(shards)]
+                for future in futures:
+                    future.result()
         logger.info("epoch %d/%d done, %d targets", epoch + 1, config.epochs, progress.value)
         if config.checkpoint_path:
             save_model(model, config.checkpoint_path)
@@ -391,7 +445,14 @@ def save_model(model: TrainedModel, path: str) -> None:
         raise
 
 
-def _read_exact(fh, n: int, section: str) -> bytes:
+def _read_exact(fh, n: int, section: str, limit: int) -> bytes:
+    # ``limit`` bounds the bytes left in the file, so a size claimed by a
+    # corrupt header is rejected before it is allocated
+    if n > limit:
+        raise ModelFormatError(
+            f"truncated model file in {section} section: "
+            f"expected {n} bytes, at most {limit} remain"
+        )
     data = fh.read(n)
     if len(data) != n:
         raise ModelFormatError(
@@ -404,7 +465,8 @@ def _read_exact(fh, n: int, section: str) -> bytes:
 def load_model(path: str) -> TrainedModel:
     """Read a model file back; matrices round-trip bit-exactly."""
     with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size, "header")
+        size = os.fstat(fh.fileno()).st_size
+        header = _read_exact(fh, _HEADER.size, "header", size)
         magic, version, dim, vocab_size, buckets, order, t, total_tokens = (
             _HEADER.unpack(header)
         )
@@ -416,11 +478,16 @@ def load_model(path: str) -> TrainedModel:
             raise ModelFormatError(
                 f"unsupported model format version {version}, expected {FORMAT_VERSION}"
             )
+        if dim < 1 or order < 1 or (buckets > 0) != (order >= 2):
+            raise ModelFormatError(
+                f"inconsistent model header: dim={dim}, order={order}, buckets={buckets} "
+                "(need dim >= 1, order >= 1, and buckets > 0 exactly when order >= 2)"
+            )
         words: list[tuple[str, int]] = []
         for _ in range(vocab_size):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, "vocabulary"))
-            surface = _read_exact(fh, length, "vocabulary").decode("utf-8")
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary"))
+            (length,) = struct.unpack("<I", _read_exact(fh, 4, "vocabulary", size))
+            surface = _read_exact(fh, length, "vocabulary", size).decode("utf-8")
+            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary", size))
             words.append((surface, count))
         # wire format carries no thresholds; loaded models use the weakest ones
         vocab = Vocabulary(
@@ -431,11 +498,14 @@ def load_model(path: str) -> TrainedModel:
             min_target_count=1,
         )
         source = np.frombuffer(
-            _read_exact(fh, 4 * dim * (vocab_size + buckets), "source matrix"),
+            _read_exact(
+                fh, 4 * dim * (vocab_size + buckets), "source matrix", size - fh.tell()
+            ),
             dtype="<f4",
         ).reshape(vocab_size + buckets, dim).copy()
         target = np.frombuffer(
-            _read_exact(fh, 4 * dim * vocab_size, "target matrix"), dtype="<f4"
+            _read_exact(fh, 4 * dim * vocab_size, "target matrix", size - fh.tell()),
+            dtype="<f4",
         ).reshape(vocab_size, dim).copy()
     return TrainedModel(
         vocab=vocab,

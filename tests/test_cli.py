@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, output formats."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -146,6 +147,36 @@ class TestEmbedCommand:
     def test_unreadable_model_is_runtime_error(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main(["embed", "--model", "/no/such/model.bin"]) == 1
+
+
+    @pytest.mark.parametrize(
+        "patches,message",
+        [
+            ([(8, "<I", 0)], "dim=0"),
+            ([(20, "<Q", 2**40), (28, "<I", 2)], "source matrix"),  # buckets, order
+        ],
+    )
+    def test_hostile_header_is_runtime_error(
+        self, model_path, tmp_path, capsys, monkeypatch, patches, message
+    ):
+        with open(model_path, "rb") as fh:
+            data = bytearray(fh.read())
+        for offset, fmt, value in patches:
+            struct.pack_into(fmt, data, offset, value)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        monkeypatch.setattr("sys.stdin", io.StringIO("a0001\n"))
+        assert main(["embed", "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_memory_error_is_runtime_error(self, model_path, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr("sentvec.cli.load_model", exhausted)
+        assert main(["export-vec", "--model", model_path]) == 1
+        assert capsys.readouterr().err.strip() == "error: out of memory"
 
 
 class TestEvalSimCommand:

@@ -1,0 +1,264 @@
+"""The native training kernel against its numpy oracle, and the numpy fallback."""
+
+import logging
+import math
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from sentvec import _native
+from sentvec.corpus import SentenceIndices, Vocabulary, extract_ngrams, ngram_hash
+from sentvec.model import EmbeddingMatrices, apply_l1_after_step, train_step
+from sentvec.sampling import build_negative_table, discard_keep_prob, negative_prob
+from sentvec.trainer import TrainConfig, save_model, train
+
+from conftest import write_corpus, zipf_topic_sentences
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    try:
+        return _native.load()
+    except _native.KernelUnavailable as err:
+        pytest.skip(f"native kernel unavailable: {err}")
+
+
+def make_vocab(counts):
+    items = sorted(counts.items(), key=lambda kv: -kv[1])
+    return Vocabulary(
+        words=items,
+        word_index={w: i for i, (w, _) in enumerate(items)},
+        total_tokens=sum(counts.values()),
+        min_count=1,
+        min_target_count=1,
+    )
+
+
+def state(seed):
+    return _native.rng_state(np.random.default_rng(seed))
+
+
+def oracle_step(ids, order, vocab_size, buckets, pos, negatives, lr, tau, dropped, matrices):
+    indices = extract_ngrams(ids, order, vocab_size, buckets)
+    if dropped is not None:
+        keep = dropped == 0
+        indices = SentenceIndices(
+            unigram_ids=indices.unigram_ids,
+            ngram_ids=indices.ngram_ids[keep],
+            token_spans=indices.token_spans[keep],
+        )
+    outcome = train_step(indices, pos, negatives, lr, matrices)
+    if outcome is not None and tau:
+        apply_l1_after_step(outcome, tau, lr, outcome.source_touch_count, matrices)
+    return None if outcome is None else outcome.loss
+
+
+class TestStepAgreesWithOracle:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.0, 0.01])
+    def test_random_steps(self, kernel, order, tau):
+        rng = np.random.default_rng(1000 * order + int(tau * 100))
+        vocab_size, dim = 40, 13
+        buckets = 32 if order >= 2 else 0
+        for case in range(150):
+            length = int(rng.integers(2, 12))
+            # a narrow id range forces repeated context words
+            ids = rng.integers(0, 6 if case % 2 else vocab_size, size=length).astype(np.int32)
+            pos = int(rng.integers(0, length))
+            n_neg = int(rng.integers(1, 8))
+            # a narrow range forces duplicate negatives
+            negatives = rng.integers(0, 4 if case % 3 == 0 else vocab_size, size=n_neg)
+            negatives = np.where(negatives == ids[pos], (negatives + 1) % vocab_size, negatives)
+            n_grams = sum(max(0, length - k + 1) for k in range(2, order + 1))
+            dropped = None
+            if n_grams and case % 4 == 0:
+                dropped = (rng.random(n_grams) < 0.3).astype(np.uint8)
+            lr = float(rng.uniform(0.01, 0.5))
+            source = rng.normal(0.0, 0.5, size=(vocab_size + buckets, dim)).astype(np.float32)
+            target = rng.normal(0.0, 0.5, size=(vocab_size, dim)).astype(np.float32)
+
+            expected = EmbeddingMatrices(source.copy(), target.copy(), dim)
+            want = oracle_step(ids, order, vocab_size, buckets, pos, negatives, lr, tau,
+                               dropped, expected)
+            got_source, got_target = source.copy(), target.copy()
+            model = kernel.model(got_source, got_target, order, buckets, n_neg, l1_tau=tau)
+            got = kernel.step(model, ids, pos, negatives.astype(np.int64), lr, dropped)
+
+            assert got == pytest.approx(want, rel=1e-5)
+            np.testing.assert_allclose(got_source, expected.source, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(got_target, expected.target, rtol=1e-5, atol=1e-6)
+
+    def test_zero_parameters_fixed_point(self, kernel):
+        ids = np.arange(5, dtype=np.int32)
+        for n_neg in (1, 3, 10):
+            source = np.zeros((30, 7), dtype=np.float32)
+            target = np.zeros((20, 7), dtype=np.float32)
+            model = kernel.model(source, target, 2, 10, n_neg, l1_tau=0.1)
+            negatives = np.arange(5, 5 + n_neg, dtype=np.int64)
+            loss = kernel.step(model, ids, 2, negatives, 0.25)
+            assert abs(loss - (1 + n_neg) * math.log(2.0)) < 1e-12
+            assert not source.view(np.uint32).any()
+            assert not target.view(np.uint32).any()
+
+
+class TestNgramHash:
+    def test_matches_golden_hash_on_every_window(self, kernel):
+        rng = np.random.default_rng(31)
+        vocab_size = 2**31 - 1
+        windows = 0
+        for sentence in range(400):
+            length = int(rng.integers(1, 16))
+            # half the sentences use ids >= 2**24, whose high bytes enter the FNV seed
+            high = 2**31 - 1 if sentence % 2 else 2**24
+            ids = rng.integers(0, high, size=length).astype(np.int32)
+            for order, buckets in ((2, 2_000_003), (3, 97), (4, 1)):
+                grams, spans = kernel.sentence_ngrams(ids, order, vocab_size, buckets)
+                reference = extract_ngrams(ids, order, vocab_size, buckets)
+                np.testing.assert_array_equal(spans, reference.token_spans)
+                for gram, (start, end) in zip(grams.tolist(), spans.tolist()):
+                    assert gram == ngram_hash(ids[start : end + 1], vocab_size, buckets)
+                windows += len(grams)
+        assert windows > 5_000
+
+
+class TestDraws:
+    def test_negatives_follow_sqrt_law(self, kernel):
+        rng = np.random.default_rng(7)
+        counts = {f"w{i:02d}": int(c) for i, c in enumerate(rng.integers(1, 2000, size=50))}
+        vocab = make_vocab(counts)
+        table = build_negative_table(vocab, table_size=1_000_000)
+        # a sentinel target never collides, so draws realize the raw distribution
+        draws = kernel.draw_negatives(table.entries, -1, 1_000_000, state(1))
+        observed = np.bincount(draws, minlength=50) / len(draws)
+        tv_distance = 0.5 * np.abs(observed - negative_prob(vocab.counts())).sum()
+        assert tv_distance < 0.01
+
+    def test_target_rejected_and_law_renormalized(self, kernel):
+        rng = np.random.default_rng(11)
+        counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 400, size=30))}
+        vocab = make_vocab(counts)
+        table = build_negative_table(vocab, table_size=500_000)
+        draws = kernel.draw_negatives(table.entries, 0, 200_000, state(2))
+        assert not np.any(draws == 0)
+        expected = negative_prob(vocab.counts())
+        expected[0] = 0.0
+        expected /= expected.sum()
+        observed = np.bincount(draws, minlength=len(vocab)) / len(draws)
+        assert 0.5 * np.abs(observed - expected).sum() < 0.01
+
+    def test_only_target_in_table_errors(self, kernel):
+        table = np.zeros(5, dtype=np.int32)
+        with pytest.raises(ValueError, match="only the target"):
+            kernel.draw_negatives(table, 0, 1, state(3))
+
+    def test_gate_keep_rates(self, kernel):
+        probs = [discard_keep_prob(f, t)
+                 for f, t in [(0.5, 1e-3), (0.02, 1e-4), (1e-4, 1e-5), (1e-6, 1e-5)]]
+        gate_prob = np.array(probs + [0.0], dtype=np.float64)  # last word ineligible
+        n = 200_000
+        ids = np.repeat(np.arange(len(gate_prob), dtype=np.int32), n)
+        kept = np.bincount(ids[kernel.gate_positions(ids, gate_prob, state(4))],
+                           minlength=len(gate_prob)) / n
+        np.testing.assert_allclose(kept, gate_prob, atol=0.01)
+        assert kept[-1] == 0.0
+
+
+def quick_config(**overrides):
+    base = dict(
+        dim=16, min_count=1, min_target_count=1, lr=0.2, epochs=2,
+        subsample_t=1e-3, word_ngrams=2, bucket_count=256, dropout_k=1,
+        negatives=3, threads=1, seed=5, negative_table_size=10_000,
+        report_every=500,
+    )
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+class TestTraining:
+    def test_fallback_warns_and_stays_deterministic(
+        self, small_corpus, tmp_path, monkeypatch, caplog
+    ):
+        def unavailable():
+            raise _native.KernelUnavailable("disabled for this test")
+
+        monkeypatch.setattr(_native, "load", unavailable)
+        blobs = []
+        for run in range(2):
+            with caplog.at_level(logging.WARNING, logger="sentvec.trainer"):
+                model = train(small_corpus, quick_config(epochs=1))
+            path = tmp_path / f"run{run}.bin"
+            save_model(model, str(path))
+            blobs.append(path.read_bytes())
+        warnings = [r for r in caplog.records if "native kernel unavailable" in r.message]
+        assert len(warnings) == 2  # one per train call
+        assert blobs[0] == blobs[1]
+
+    def test_kernel_and_fallback_learn_alike(self, kernel, small_corpus, monkeypatch):
+        config = quick_config(epochs=1, report_every=10**9)
+        native = train(small_corpus, config)
+
+        def unavailable():
+            raise _native.KernelUnavailable("disabled for this test")
+
+        monkeypatch.setattr(_native, "load", unavailable)
+        fallback = train(small_corpus, config)
+        # same gate, dropout and negative laws: equal work and loss up to noise
+        assert native.stats.targets_processed == pytest.approx(
+            fallback.stats.targets_processed, rel=0.02
+        )
+        assert native.stats.loss_windows[0] == pytest.approx(
+            fallback.stats.loss_windows[0], rel=0.02
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_single_eligible_word_raises(self, tmp_path, threads):
+        corpus = write_corpus(tmp_path / "one.txt", [["a", "b"], ["a", "c"], ["a", "d"]] * 5)
+        config = quick_config(min_target_count=10, word_ngrams=1, subsample_t=1.0,
+                              threads=threads)
+        with pytest.raises(ValueError, match="only the target"):
+            train(corpus, config)
+
+    def test_shared_progress_loses_no_update(self, kernel, tmp_path, monkeypatch):
+        sentences = zipf_topic_sentences(3_000, vocab_size=400, n_function=20,
+                                         n_topics=5, seed=61)
+        corpus = write_corpus(tmp_path / "stress.txt", sentences)
+        reported = []
+        lock = threading.Lock()
+        train_chunk = _native.Kernel.train_chunk
+
+        def counted(self, *args):
+            losses, steps = train_chunk(self, *args)
+            with lock:
+                reported.append(int(steps.sum()))
+            return losses, steps
+
+        monkeypatch.setattr(_native.Kernel, "train_chunk", counted)
+        monkeypatch.setattr("sentvec.trainer._CHUNK_SENTENCES", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            model = train(corpus, quick_config(threads=6, epochs=3, subsample_t=1e-2))
+            elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert model.stats.targets_processed == sum(reported) > 0
+        assert np.all(np.isfinite(model.matrices.source))
+        assert elapsed < 60.0
+
+
+class TestBuild:
+    def test_cache_path_honours_xdg(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        path = _native.library_path()
+        assert path.parent == tmp_path / "sentvec"
+        assert path.suffix == ".so"
+
+    def test_build_leaves_only_the_library(self, kernel, tmp_path):
+        path = tmp_path / "sentvec" / "kernel-test.so"
+        _native._build(path)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert path.stat().st_size > 0

@@ -7,6 +7,7 @@ import pytest
 
 from sentvec.corpus import extract_ngrams
 from sentvec.model import (
+    INIT_BLOCK_VALUES,
     EmbeddingMatrices,
     apply_l1_after_step,
     compose_sentence,
@@ -28,6 +29,22 @@ def matrices_of(source, target):
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     return EmbeddingMatrices(source=source, target=target, dim=source.shape[1])
+
+
+class TestInitialize:
+    def test_blocked_draw_equals_one_shot(self):
+        vocab_size, buckets, dim = 6_000, 5_001, 100  # many blocks, a ragged last one
+        assert (vocab_size + buckets) * dim > 3 * INIT_BLOCK_VALUES
+        matrices = EmbeddingMatrices.initialize(
+            vocab_size, buckets, dim, np.random.default_rng(17)
+        )
+        bound = 1.0 / (2.0 * dim)
+        one_shot = np.random.default_rng(17).uniform(
+            -bound, bound, size=(vocab_size + buckets, dim)
+        ).astype(np.float32)
+        assert matrices.source.dtype == np.float32
+        np.testing.assert_array_equal(matrices.source, one_shot)
+        assert not matrices.target.any()
 
 
 class TestLogisticLoss:

@@ -95,25 +95,25 @@ class TestNegativeProb:
 class TestBuildNegativeTable:
     def test_slots_from_sqrt_counts(self):
         vocab = make_vocab({"b": 4, "a": 1})
-        table = build_negative_table(vocab, table_size=9, seed=0)
+        table = build_negative_table(vocab, table_size=9)
         counts = np.bincount(table.entries, minlength=2)
         assert counts[vocab.word_index["b"]] == 6
         assert counts[vocab.word_index["a"]] == 3
 
     def test_single_eligible_word(self):
         vocab = make_vocab({"a": 10, "b": 1}, min_target_count=5)
-        table = build_negative_table(vocab, table_size=20, seed=0)
+        table = build_negative_table(vocab, table_size=20)
         assert set(table.entries.tolist()) == {vocab.word_index["a"]}
 
     def test_eligibility_threshold_filters(self):
         vocab = make_vocab({"a": 10, "b": 3, "c": 8}, min_target_count=5)
-        table = build_negative_table(vocab, table_size=100, seed=1)
+        table = build_negative_table(vocab, table_size=100)
         assert vocab.word_index["b"] not in set(table.entries.tolist())
 
     def test_deterministic_given_seed(self):
         vocab = make_vocab({"a": 5, "b": 9, "c": 2})
-        t1 = build_negative_table(vocab, table_size=50, seed=7)
-        t2 = build_negative_table(vocab, table_size=50, seed=7)
+        t1 = build_negative_table(vocab, table_size=50)
+        t2 = build_negative_table(vocab, table_size=50)
         np.testing.assert_array_equal(t1.entries, t2.entries)
 
     def test_composition_approximates_distribution(self):
@@ -121,7 +121,7 @@ class TestBuildNegativeTable:
         counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 500, size=40))}
         vocab = make_vocab(counts)
         size = 100_000
-        table = build_negative_table(vocab, table_size=size, seed=3)
+        table = build_negative_table(vocab, table_size=size)
         probs = negative_prob(vocab.counts())
         in_table = np.bincount(table.entries, minlength=len(vocab)) / table.size
         # per-entry rounding bounds the per-word error by ~1/size
@@ -138,14 +138,14 @@ class TestBuildNegativeTable:
 
 class TestSampleNegatives:
     def test_single_candidate_table(self):
-        table = build_negative_table(make_vocab({"b": 3}), table_size=3, seed=0)
+        table = build_negative_table(make_vocab({"b": 3}), table_size=3)
         rng = np.random.default_rng(0)
         out = sample_negatives(table, target=1, count=2, rng=rng)
         assert out.tolist() == [0, 0]
 
     def test_target_never_sampled(self):
         vocab = make_vocab({"a": 100, "b": 1})
-        table = build_negative_table(vocab, table_size=101, seed=0)
+        table = build_negative_table(vocab, table_size=101)
         target = vocab.word_index["a"]  # ~99% of table slots
         rng = np.random.default_rng(8)
         draws = np.concatenate(
@@ -155,14 +155,14 @@ class TestSampleNegatives:
 
     def test_exact_count_and_duplicates_allowed(self):
         vocab = make_vocab({"a": 4, "b": 4, "c": 4})
-        table = build_negative_table(vocab, table_size=30, seed=0)
+        table = build_negative_table(vocab, table_size=30)
         rng = np.random.default_rng(9)
         out = sample_negatives(table, target=0, count=50, rng=rng)
         assert len(out) == 50
         assert len(set(out.tolist())) <= 2  # only b and c remain
 
     def test_only_target_in_table_errors(self):
-        table = build_negative_table(make_vocab({"a": 3}), table_size=5, seed=0)
+        table = build_negative_table(make_vocab({"a": 3}), table_size=5)
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="only the target"):
             sample_negatives(table, target=0, count=1, rng=rng)
@@ -172,7 +172,7 @@ class TestSampleNegatives:
         rng = np.random.default_rng(11)
         counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 400, size=30))}
         vocab = make_vocab(counts)
-        table = build_negative_table(vocab, table_size=500_000, seed=12)
+        table = build_negative_table(vocab, table_size=500_000)
         target = 0
         n_draws = 200_000
         draws = sample_negatives(table, target, n_draws, rng)

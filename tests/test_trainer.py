@@ -283,6 +283,37 @@ class TestSerialization:
             load_model(str(path))
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(dim=0), dict(order=0), dict(order=1, buckets=5), dict(order=2, buckets=0)],
+    )
+    def test_inconsistent_header_rejected(self, tiny_corpus, tmp_path, fields):
+        model = train(tiny_corpus, quick_config())
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        patch_header(path, **fields)
+        with pytest.raises(ModelFormatError, match="header"):
+            load_model(str(path))
+
+    def test_huge_bucket_claim_rejected_before_allocation(self, tiny_corpus, tmp_path):
+        model = train(tiny_corpus, quick_config())
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        patch_header(path, order=2, buckets=2**40)
+        with pytest.raises(ModelFormatError, match="source matrix"):
+            load_model(str(path))
+
+
+def patch_header(path, **fields) -> None:
+    """Overwrite model-header fields in place (offsets of the 48-byte layout)."""
+    layout = {"dim": (8, "<I"), "buckets": (20, "<Q"), "order": (28, "<I")}
+    data = bytearray(path.read_bytes())
+    for name, value in fields.items():
+        offset, fmt = layout[name]
+        struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+
+
 class TestExportTextVectors:
     def test_header_and_line_count(self, tmp_path):
         from sentvec.corpus import build_vocab
