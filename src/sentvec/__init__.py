@@ -11,13 +11,16 @@ from .corpus import (
     build_vocab,
     extract_ngrams,
     iter_corpus,
+    ngram_bucket_ids,
     ngram_hash,
     tokenize,
 )
 from .evaluation import (
+    OovStats,
     SimilarityRecord,
     arora_weight,
     cosine,
+    embed_batch,
     embed_sentence,
     evaluate_similarity,
     norm_profile,
@@ -65,6 +68,7 @@ __all__ = [
     "EmbeddingMatrices",
     "ModelFormatError",
     "NegativeTable",
+    "OovStats",
     "PRESETS",
     "SentenceIndices",
     "SimilarityRecord",
@@ -80,6 +84,7 @@ __all__ = [
     "compose_sentence",
     "cosine",
     "discard_keep_prob",
+    "embed_batch",
     "embed_sentence",
     "evaluate_similarity",
     "export_text_vectors",
@@ -91,6 +96,7 @@ __all__ = [
     "lr_schedule",
     "masked_context",
     "negative_prob",
+    "ngram_bucket_ids",
     "ngram_dropout",
     "ngram_hash",
     "norm_profile",

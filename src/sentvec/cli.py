@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import logging
 import math
 import os
 import sys
 
 from .evaluation import (
+    OovStats,
     arora_weight,
-    embed_sentence,
+    embed_batch,
     evaluate_similarity,
+    format_rows,
     norm_profile,
     read_similarity_tsv,
 )
@@ -31,6 +34,11 @@ from .trainer import (
 )
 
 THREADS_ENV_VAR = "SENTVEC_THREADS"
+
+# stdin lines embedded and written per batch; embed streams its input
+_EMBED_CHUNK_LINES = 1024
+
+logger = logging.getLogger(__name__)
 
 _DEFAULTS = TrainConfig()
 
@@ -152,28 +160,39 @@ def cmd_train(args) -> int:
     model = train(args.input, config)
     save_model(model, args.output)
     stats = model.stats
-    logging.getLogger(__name__).info(
+    logger.info(
         "trained %d targets in %.1fs, wrote %s",
         stats.targets_processed, stats.elapsed_seconds, args.output,
     )
     return 0
 
 
+def _log_oov(stats: OovStats) -> None:
+    logger.info(
+        "embedded %d lines, %d all-OOV, OOV token rate %.4f (%d of %d tokens)",
+        stats.lines, stats.all_oov_lines, stats.oov_token_rate,
+        stats.oov_tokens, stats.tokens,
+    )
+
+
 def cmd_embed(args) -> int:
     model = load_model(args.model)
-    for line in sys.stdin:
-        vector, oov = embed_sentence(model, line.rstrip("\n"))
-        fields = " ".join(format(x, ".6g") for x in vector)
-        if args.oov_flag:
-            fields = f"{fields} {int(oov)}"
-        print(fields)
+    stats = OovStats()
+    while chunk := list(itertools.islice(sys.stdin, _EMBED_CHUNK_LINES)):
+        vectors, flags = embed_batch(model, [line.rstrip("\n") for line in chunk], stats)
+        sys.stdout.write(format_rows(vectors, " ", flags if args.oov_flag else None))
+    _log_oov(stats)
     return 0
 
 
 def cmd_eval_sim(args) -> int:
     model = load_model(args.model)
     records = read_similarity_tsv(args.dataset)
-    r, rho, n_used = evaluate_similarity(model, records)
+    stats = OovStats()
+    try:
+        r, rho, n_used = evaluate_similarity(model, records, stats)
+    finally:
+        _log_oov(stats)
     print(f"pearson={r:.6f} spearman={rho:.6f} n={n_used} "
           f"excluded={len(records) - n_used}")
     return 0

@@ -12,6 +12,7 @@ across implementations.
 from __future__ import annotations
 
 import gzip
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -23,6 +24,7 @@ __all__ = [
     "tokenize",
     "build_vocab",
     "ngram_hash",
+    "ngram_bucket_ids",
     "extract_ngrams",
     "iter_corpus",
 ]
@@ -114,18 +116,17 @@ def build_vocab(
     if min_target_count < 1:
         raise ValueError(f"min_target_count must be >= 1, got {min_target_count}")
 
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for tokens in sentences:
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
+        counts.update(tokens)
     if not counts:
         raise ValueError("no tokens in corpus")
 
-    # dict insertion order records first occurrence, which breaks count ties
-    order = {w: i for i, w in enumerate(counts)}
+    # Counter keeps first-occurrence order and the sort is stable, so
+    # count ties stay in first-occurrence order
     kept = sorted(
         ((w, c) for w, c in counts.items() if c >= min_count),
-        key=lambda item: (-item[1], order[item[0]]),
+        key=lambda item: -item[1],
     )
     if not kept:
         raise ValueError(
@@ -177,6 +178,34 @@ def ngram_hash(window_ids, vocab_size: int, buckets: int) -> int:
     return vocab_size + (h % buckets)
 
 
+def ngram_bucket_ids(tokens, offsets, k: int, vocab_size: int, buckets: int) -> np.ndarray:
+    """Bucket row ids of every length-``k`` window of a CSR batch, as int64.
+
+    ``tokens`` holds the unigram ids of all sentences back to back and
+    sentence ``s`` spans ``tokens[offsets[s]:offsets[s + 1]]``.  Windows
+    never cross a sentence boundary; they come out by sentence, then by
+    start position, and each equals ``ngram_hash`` of its window.
+    """
+    if k < 2:
+        raise ValueError(f"n-gram order must be >= 2, got {k}")
+    ids = np.asarray(tokens).astype(np.uint32)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    windows = np.maximum(np.diff(offsets) - (k - 1), 0)
+    first = np.cumsum(windows) - windows
+    starts = np.repeat(offsets[:-1] - first, windows) + np.arange(int(windows.sum()))
+    # the same chain as ``ngram_hash`` in wrapping uint32 arithmetic; every
+    # operand is a uint32 so numpy 1.x and 2.x pick the same loop
+    h = np.full(len(starts), FNV_OFFSET_BASIS, dtype=np.uint32)
+    head = ids[starts]
+    for shift in (0, 8, 16, 24):
+        h ^= (head >> np.uint32(shift)) & np.uint32(0xFF)
+        h *= np.uint32(FNV_PRIME)
+    for j in range(1, k):
+        h *= np.uint32(NGRAM_CHAIN_MULTIPLIER)
+        h += ids[starts + j]
+    return int(vocab_size) + h.astype(np.int64) % int(buckets)
+
+
 def extract_ngrams(
     unigram_ids,
     order: int,
@@ -195,16 +224,17 @@ def extract_ngrams(
         raise ValueError("buckets must be >= 1 when n-gram order >= 2")
 
     uni = np.asarray(unigram_ids, dtype=np.int32)
-    gram_ids: list[int] = []
-    spans: list[tuple[int, int]] = []
+    bounds = np.array([0, len(uni)], dtype=np.int64)
+    gram_ids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    spans: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
     for k in range(2, order + 1):
-        for i in range(len(uni) - k + 1):
-            gram_ids.append(ngram_hash(uni[i : i + k], vocab_size, buckets))
-            spans.append((i, i + k - 1))
+        gram_ids.append(ngram_bucket_ids(uni, bounds, k, vocab_size, buckets))
+        starts = np.arange(len(gram_ids[-1]), dtype=np.int32)
+        spans.append(np.column_stack([starts, starts + (k - 1)]))
     return SentenceIndices(
         unigram_ids=uni,
-        ngram_ids=np.asarray(gram_ids, dtype=np.int64),
-        token_spans=np.asarray(spans, dtype=np.int32).reshape(-1, 2),
+        ngram_ids=np.concatenate(gram_ids),
+        token_spans=np.concatenate(spans),
     )
 
 

@@ -1,7 +1,8 @@
 """Inference-time composition, similarity scoring, and diagnostics.
 
 Sentence embedding at inference uses the full feature list (no dropout,
-no masking, no subsampling).  Similarity datasets are tab-separated
+no masking, no subsampling) and always runs in batches through
+``embed_batch``.  Similarity datasets are tab-separated
 ``score<TAB>sentence_a<TAB>sentence_b`` lines; predicted cosine
 similarities are correlated against the gold scores with Pearson's r and
 Spearman's rho.
@@ -9,16 +10,21 @@ Spearman's rho.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import extract_ngrams, tokenize
+from .corpus import ngram_bucket_ids
 from .trainer import TrainedModel
 
 __all__ = [
     "SimilarityRecord",
+    "OovStats",
+    "embed_batch",
     "embed_sentence",
+    "format_rows",
     "cosine",
     "pearson",
     "spearman",
@@ -39,26 +45,171 @@ class SimilarityRecord:
     gold: float
 
 
+class OovStats:
+    """Running out-of-vocabulary counts of the lines ``embed_batch`` composed."""
+
+    # a plain class: a dataclass generates and compiles methods at import
+    __slots__ = ("lines", "all_oov_lines", "tokens", "oov_tokens")
+
+    def __init__(self) -> None:
+        self.lines = 0
+        self.all_oov_lines = 0
+        self.tokens = 0
+        self.oov_tokens = 0
+
+    @property
+    def oov_token_rate(self) -> float:
+        return self.oov_tokens / self.tokens if self.tokens else 0.0
+
+
+# byte budget of the gathered (rows, dim) float32 temporary: composition
+# works through the feature rows in pieces of at most this size, cut at
+# line boundaries unless one line alone is longer
+_GATHER_BUDGET_BYTES = 4 << 20
+# segments of more rows than this are summed one at a time
+_LONG_SEGMENT_ROWS = 64
+
+
+def _segment_sums(gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of ``gathered[s : s + n]`` for every segment (s, n), added row by row in order.
+
+    Each sum equals ``gathered[s : s + n].sum(axis=0)`` bit for bit.
+    Short segments advance together, longest first, one row position per
+    step, so the loop runs once per position and not once per segment.
+    (``np.add.reduceat`` over axis 0 reduces each column separately over
+    strided memory, which is several times slower.)
+    """
+    order = np.argsort(-lengths, kind="stable")
+    starts = starts[order]
+    lengths = lengths[order]
+    sums = gathered[starts]
+    n_long = int(np.count_nonzero(lengths > _LONG_SEGMENT_ROWS))
+    for i in range(n_long):
+        sums[i] = gathered[starts[i] : starts[i] + lengths[i]].sum(axis=0)
+    short = lengths[n_long:]
+    if len(short):
+        positions = np.arange(1, int(short[0]))
+        # segments still longer than each position; ``short`` is descending
+        active = n_long + np.searchsorted(-short, -positions)
+        for j, end in zip(positions.tolist(), active.tolist()):
+            sums[n_long:end] += gathered[starts[n_long:end] + j]
+    unsorted = np.empty_like(sums)
+    unsorted[order] = sums
+    return unsorted
+
+
+def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
+    """CSR batch of source rows: (flat row ids, rows per line).
+
+    ``unigrams`` holds the known ids of all lines back to back, ``known``
+    their count per line.  Each line's rows are contiguous: its unigrams,
+    then its windows of order 2, 3, ..., as in ``extract_ngrams``.
+    """
+    offsets = np.concatenate([[0], np.cumsum(known)])
+    parts = [(unigrams, known)]
+    for k in range(2, model.word_ngrams + 1):
+        parts.append((
+            ngram_bucket_ids(unigrams, offsets, k, len(model.vocab), model.buckets),
+            np.maximum(known - (k - 1), 0),
+        ))
+    counts = sum(per_line for _, per_line in parts)
+    line_start = np.cumsum(counts) - counts
+    rows = np.empty(int(counts.sum()), dtype=np.int64)
+    placed = np.zeros_like(counts)
+    for values, per_line in parts:
+        first = np.cumsum(per_line) - per_line
+        rows[np.repeat(line_start + placed - first, per_line) + np.arange(len(values))] = values
+        placed += per_line
+    return rows, counts
+
+
+def embed_batch(
+    model: TrainedModel, lines, stats: OovStats | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compose the embeddings of many lines; returns (vectors, all_oov flags).
+
+    Each line is split on whitespace.  Tokens are looked up verbatim,
+    then lowercased as a fallback, and skipped when still unknown.  A
+    line's vector is the mean of its unigram rows and of the bucket rows
+    of its n-grams of order 2..``word_ngrams`` (duplicates count per
+    occurrence).  A line with no in-vocabulary token gets the zero vector
+    and its flag set.  ``stats``, when given, accumulates the batch's
+    line and token counts.
+    """
+    get = model.vocab.word_index.get
+    line_tokens = [text.split() for text in lines]
+    flat = list(itertools.chain.from_iterable(line_tokens))
+    found = list(map(get, flat))
+    for i in [i for i, wid in enumerate(found) if wid is None]:
+        found[i] = get(flat[i].lower(), -1)
+    ids = np.array(found, dtype=np.int64)
+    known_token = ids >= 0
+    line_of_token = np.repeat(
+        np.arange(len(line_tokens)), [len(tokens) for tokens in line_tokens]
+    )
+    known = np.bincount(line_of_token[known_token], minlength=len(line_tokens))
+
+    source = model.matrices.source
+    vectors = np.zeros((len(known), model.matrices.dim), dtype=source.dtype)
+    flags = known == 0
+    unigrams = ids[known_token]
+    if stats is not None:
+        stats.lines += len(known)
+        stats.all_oov_lines += int(flags.sum())
+        stats.tokens += len(ids)
+        stats.oov_tokens += len(ids) - len(unigrams)
+    if not len(unigrams):
+        return vectors, flags
+
+    rows, counts = _feature_rows(model, unigrams, known)
+    used = np.nonzero(~flags)[0]
+    ends = np.cumsum(counts[used])
+    starts = ends - counts[used]
+    piece = max(1, _GATHER_BUDGET_BYTES // (source.itemsize * source.shape[1]))
+    lo = 0
+    while lo < len(rows):
+        hi = min(lo + piece, len(rows))
+        cut = starts[np.searchsorted(starts, hi, side="right") - 1]
+        if hi < len(rows) and cut > lo:
+            hi = cut
+        a = np.searchsorted(ends, lo, side="right")
+        b = np.searchsorted(starts, hi)
+        first = np.maximum(starts[a:b], lo)
+        sums = _segment_sums(
+            source[rows[lo:hi]], first - lo, np.minimum(ends[a:b], hi) - first
+        )
+        if starts[a] < lo:
+            # one line longer than a piece: add this part to the earlier ones
+            vectors[used[a]] += sums[0]
+            a, sums = a + 1, sums[1:]
+        vectors[used[a:b]] = sums
+        lo = hi
+    vectors[used] /= counts[used, None].astype(np.float32)
+    return vectors, flags
+
+
 def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
     """Compose the embedding of one sentence; returns (vector, all_oov flag).
 
-    Tokens are looked up verbatim, then lowercased as a fallback, and
-    skipped when still unknown.  A sentence with no in-vocabulary token
-    yields the zero vector with the flag set.
+    A batch of one line through ``embed_batch``.
     """
-    index = model.vocab.word_index
-    ids = []
-    for token in tokenize(text):
-        wid = index.get(token)
-        if wid is None:
-            wid = index.get(token.lower())
-        if wid is not None:
-            ids.append(wid)
-    if not ids:
-        return np.zeros(model.matrices.dim, dtype=model.matrices.source.dtype), True
-    indices = extract_ngrams(ids, model.word_ngrams, len(model.vocab), model.buckets)
-    rows = np.concatenate([indices.unigram_ids, indices.ngram_ids])
-    return model.matrices.source[rows].mean(axis=0), False
+    vectors, flags = embed_batch(model, [text])
+    return vectors[0], bool(flags[0])
+
+
+def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> str:
+    """Text of a matrix, one line per row: ``%.6g`` values joined by ``sep``.
+
+    With ``flags``, each line ends in a space and the row's flag as 0/1.
+    The values are the same text as ``format(x, ".6g")`` gives.
+    """
+    line = sep.join(["%.6g"] * rows.shape[1])
+    values = rows.tolist()
+    if flags is not None:
+        line += " %d"
+        values = [row + [flag] for row, flag in zip(values, flags.tolist())]
+    line += "\n"
+    return "".join([line % tuple(row) for row in values])
 
 
 def cosine(u, v) -> float:
@@ -116,37 +267,48 @@ def spearman(xs, ys) -> float:
 def evaluate_similarity(
     model: TrainedModel,
     records: list[SimilarityRecord],
+    stats: OovStats | None = None,
 ) -> tuple[float, float, int]:
     """Correlate predicted pair cosines against gold scores.
 
     Records where either side has no in-vocabulary token are excluded (a
     constant zero prediction would poison the correlation); the number of
-    used records is returned alongside (pearson, spearman).
+    used records is returned alongside (pearson, spearman).  A side whose
+    vector has zero norm scores cosine 0, as in ``cosine``.  ``stats``,
+    when given, accumulates the OOV counts of both sides.
     """
-    golds: list[float] = []
-    preds: list[float] = []
-    for record in records:
-        va, oov_a = embed_sentence(model, record.sentence_a)
-        vb, oov_b = embed_sentence(model, record.sentence_b)
-        if oov_a or oov_b:
-            continue
-        golds.append(record.gold)
-        preds.append(cosine(va, vb))
-    if len(golds) < 2:
+    va, oov_a = embed_batch(model, [record.sentence_a for record in records], stats)
+    vb, oov_b = embed_batch(model, [record.sentence_b for record in records], stats)
+    used = ~(oov_a | oov_b)
+    n_used = int(used.sum())
+    if n_used < 2:
         raise ValueError(
-            f"need >=2 usable record pairs, got {len(golds)} "
-            f"({len(records) - len(golds)} excluded as out-of-vocabulary)"
+            f"need >=2 usable record pairs, got {n_used} "
+            f"({len(records) - n_used} excluded as out-of-vocabulary)"
         )
-    return pearson(golds, preds), spearman(golds, preds), len(golds)
+    golds = np.array([record.gold for record in records], dtype=np.float64)[used]
+    va = va[used].astype(np.float64)
+    vb = vb[used].astype(np.float64)
+    norm_a = np.linalg.norm(va, axis=1)
+    norm_b = np.linalg.norm(vb, axis=1)
+    preds = np.zeros(n_used)
+    np.divide(
+        np.einsum("ij,ij->i", va, vb), norm_a * norm_b,
+        out=preds, where=(norm_a != 0.0) & (norm_b != 0.0),
+    )
+    return pearson(golds, preds), spearman(golds, preds), n_used
 
 
 def pair_features(v1, v2) -> np.ndarray:
-    """Classifier features for a sentence pair: |v1 - v2| then v1 * v2."""
+    """Classifier features for a sentence pair: |v1 - v2| then v1 * v2.
+
+    Also takes two (n, dim) batches and returns (n, 2*dim) rows.
+    """
     v1 = np.asarray(v1)
     v2 = np.asarray(v2)
     if v1.shape != v2.shape:
         raise ValueError(f"dimension mismatch: {v1.shape} vs {v2.shape}")
-    return np.concatenate([np.abs(v1 - v2), v1 * v2])
+    return np.concatenate([np.abs(v1 - v2), v1 * v2], axis=-1)
 
 
 def write_pair_features(
@@ -160,19 +322,15 @@ def write_pair_features(
     vector); returns the number of rows written.  ``destination`` is a
     path or an open text file.
     """
-
-    def _write(fh) -> int:
-        for record in records:
-            va, _ = embed_sentence(model, record.sentence_a)
-            vb, _ = embed_sentence(model, record.sentence_b)
-            features = pair_features(va, vb)
-            fh.write("\t".join(format(x, ".6g") for x in features) + "\n")
-        return len(records)
-
+    va, _ = embed_batch(model, [record.sentence_a for record in records])
+    vb, _ = embed_batch(model, [record.sentence_b for record in records])
+    text = format_rows(pair_features(va, vb), "\t")
     if hasattr(destination, "write"):
-        return _write(destination)
-    with open(destination, "w", encoding="utf-8") as fh:
-        return _write(fh)
+        destination.write(text)
+    else:
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return len(records)
 
 
 def norm_profile(model: TrainedModel) -> np.ndarray:
@@ -213,5 +371,9 @@ def read_similarity_tsv(path: str) -> list[SimilarityRecord]:
                 raise ValueError(
                     f"{path}: line {lineno}: bad score {parts[0]!r}"
                 ) from err
+            if not math.isfinite(gold):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite score {parts[0]!r}"
+                )
             records.append(SimilarityRecord(parts[1], parts[2], gold))
     return records

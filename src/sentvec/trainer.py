@@ -445,7 +445,7 @@ def save_model(model: TrainedModel, path: str) -> None:
         raise
 
 
-def _read_exact(fh, n: int, section: str, limit: int) -> bytes:
+def _check_remaining(n: int, section: str, limit: int) -> None:
     # ``limit`` bounds the bytes left in the file, so a size claimed by a
     # corrupt header is rejected before it is allocated
     if n > limit:
@@ -453,13 +453,31 @@ def _read_exact(fh, n: int, section: str, limit: int) -> bytes:
             f"truncated model file in {section} section: "
             f"expected {n} bytes, at most {limit} remain"
         )
+
+
+def _short_read(n: int, got: int, section: str) -> ModelFormatError:
+    return ModelFormatError(
+        f"truncated model file in {section} section: expected {n} bytes, got {got}"
+    )
+
+
+def _read_exact(fh, n: int, section: str, limit: int) -> bytes:
+    _check_remaining(n, section, limit)
     data = fh.read(n)
     if len(data) != n:
-        raise ModelFormatError(
-            f"truncated model file in {section} section: "
-            f"expected {n} bytes, got {len(data)}"
-        )
+        raise _short_read(n, len(data), section)
     return data
+
+
+def _read_matrix(fh, rows: int, dim: int, section: str, limit: int) -> np.ndarray:
+    """Read a little-endian float32 matrix straight into its own array."""
+    n = 4 * rows * dim
+    _check_remaining(n, section, limit)
+    matrix = np.empty((rows, dim), dtype="<f4")
+    got = fh.readinto(matrix)
+    if got != n:
+        raise _short_read(n, got, section)
+    return matrix
 
 
 def load_model(path: str) -> TrainedModel:
@@ -497,16 +515,10 @@ def load_model(path: str) -> TrainedModel:
             min_count=1,
             min_target_count=1,
         )
-        source = np.frombuffer(
-            _read_exact(
-                fh, 4 * dim * (vocab_size + buckets), "source matrix", size - fh.tell()
-            ),
-            dtype="<f4",
-        ).reshape(vocab_size + buckets, dim).copy()
-        target = np.frombuffer(
-            _read_exact(fh, 4 * dim * vocab_size, "target matrix", size - fh.tell()),
-            dtype="<f4",
-        ).reshape(vocab_size, dim).copy()
+        source = _read_matrix(
+            fh, vocab_size + buckets, dim, "source matrix", size - fh.tell()
+        )
+        target = _read_matrix(fh, vocab_size, dim, "target matrix", size - fh.tell())
     return TrainedModel(
         vocab=vocab,
         matrices=EmbeddingMatrices(source=source, target=target, dim=dim),

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, output formats."""
 
 import io
+import logging
 import struct
 
 import numpy as np
@@ -144,6 +145,28 @@ class TestEmbedCommand:
         np.testing.assert_allclose(printed, direct.astype(np.float64), rtol=1e-5,
                                    atol=1e-30)
 
+    def test_chunked_output_matches_line_by_line(self, model_path, capsys, monkeypatch):
+        lines = ["a0001 a0002 b0003", "zzz", "", "A0004 a0005", "b0001 qqq b0002",
+                 "a0003", "b0004 b0004 b0004", "a0001 b0001"]
+        separate = []
+        for line in lines:
+            monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+            assert main(["embed", "--model", model_path, "--oov-flag"]) == 0
+            separate.append(capsys.readouterr().out)
+        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 3)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["embed", "--model", model_path, "--oov-flag"]) == 0
+        assert capsys.readouterr().out == "".join(separate)
+
+    def test_oov_report_logged(self, model_path, caplog, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a0001 zzz a0002\nqqq\n"))
+        with caplog.at_level(logging.INFO, logger="sentvec.cli"):
+            assert main(["embed", "--model", model_path]) == 0
+        assert (
+            "embedded 2 lines, 1 all-OOV, OOV token rate 0.5000 (2 of 4 tokens)"
+            in caplog.messages
+        )
+
     def test_unreadable_model_is_runtime_error(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main(["embed", "--model", "/no/such/model.bin"]) == 1
@@ -219,6 +242,17 @@ class TestEvalSimCommand:
         out = capsys.readouterr().out.strip()
         assert "n=2" in out
         assert "excluded=2" in out
+
+    def test_oov_report_logged(self, model_path, tmp_path, caplog):
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("0.5\ta0001 zzz\tb0001\n0.1\tqqq\ta0001\n"
+                           "0.9\ta0003\tb0002\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="sentvec.cli"):
+            assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
+        assert (
+            "embedded 6 lines, 1 all-OOV, OOV token rate 0.2857 (2 of 7 tokens)"
+            in caplog.messages
+        )
 
     def test_single_usable_pair_fails(self, model_path, tmp_path, capsys):
         dataset = tmp_path / "sim.tsv"

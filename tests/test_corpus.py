@@ -10,6 +10,7 @@ from sentvec.corpus import (
     build_vocab,
     extract_ngrams,
     iter_corpus,
+    ngram_bucket_ids,
     ngram_hash,
     tokenize,
 )
@@ -135,6 +136,45 @@ class TestNgramHash:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             ngram_hash([], 0, 16)
+
+
+class TestNgramBucketIds:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_scalar_hash_on_every_window(self, k):
+        rng = np.random.default_rng(31 + k)
+        lengths = rng.integers(0, 16, size=2_000)
+        lengths[:50] = 0
+        lengths[50:100] = 1
+        rng.shuffle(lengths)
+        # small ids, ids beyond 2**24 and ids up to 2**31 - 1
+        scale = rng.choice([2**12, 2**26, 2**31], size=int(lengths.sum()))
+        tokens = (rng.random(len(scale)) * scale).astype(np.int64)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        vocab_size, buckets = 123_457, 2_000_003
+        expected = [
+            ngram_hash(tokens[start + i : start + i + k], vocab_size, buckets)
+            for start, end in zip(offsets[:-1], offsets[1:])
+            for i in range(end - start - k + 1)
+        ]
+        got = ngram_bucket_ids(tokens, offsets, k, vocab_size, buckets)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+    def test_buckets_beyond_32_bits(self):
+        tokens = np.array([5, 2**30, 7, 2**31 - 1], dtype=np.int64)
+        offsets = np.array([0, 4])
+        got = ngram_bucket_ids(tokens, offsets, 2, 10, 2**33)
+        assert got.tolist() == [
+            ngram_hash(tokens[i : i + 2], 10, 2**33) for i in range(3)
+        ]
+
+    def test_no_windows(self):
+        assert ngram_bucket_ids([], [0], 2, 10, 16).tolist() == []
+        assert ngram_bucket_ids([4, 5], [0, 1, 2], 2, 10, 16).tolist() == []
+
+    def test_order_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            ngram_bucket_ids([1, 2], [0, 2], 1, 10, 16)
 
 
 class TestExtractNgrams:

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from sentvec.corpus import Vocabulary
+from sentvec import evaluation
+from sentvec.corpus import Vocabulary, extract_ngrams, ngram_hash
 from sentvec.evaluation import (
+    OovStats,
     SimilarityRecord,
     arora_weight,
     cosine,
+    embed_batch,
     embed_sentence,
     evaluate_similarity,
+    format_rows,
     norm_profile,
     pair_features,
     pearson,
@@ -85,6 +89,137 @@ class TestEmbedSentence:
         model = toy_model(["a", "b"], [[3.0], [0.0]])
         vec, _ = embed_sentence(model, "a a b")
         np.testing.assert_allclose(vec, [2.0])
+
+
+def known_ids(model, text):
+    """Vocabulary ids of a line: verbatim lookup, then lowercase, else skipped."""
+    index = model.vocab.word_index
+    ids = [index.get(token, index.get(token.lower())) for token in text.split()]
+    return [wid for wid in ids if wid is not None]
+
+
+def reference_mean(model, text):
+    """Per-line float64 mean of unigram and hashed n-gram rows, or None if all-OOV."""
+    ids = known_ids(model, text)
+    if not ids:
+        return None
+    rows = list(ids)
+    for k in range(2, model.word_ngrams + 1):
+        rows += [
+            ngram_hash(ids[i : i + k], len(model.vocab), model.buckets)
+            for i in range(len(ids) - k + 1)
+        ]
+    return model.matrices.source[rows].astype(np.float64).mean(axis=0)
+
+
+def seeded_ngram_model(order, seed=61, n_words=300, buckets=997, dim=24):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    source = rng.normal(size=(n_words + buckets, dim))
+    return toy_model(words, source, word_ngrams=order, buckets=buckets), words
+
+
+def seeded_lines(words, n, seed=62):
+    """Lines with unknown, capitalised and missing tokens, and empty lines."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        tokens = []
+        for _ in range(int(rng.integers(0, 30))):
+            roll = rng.random()
+            word = words[int(rng.integers(len(words)))]
+            if roll < 0.05:
+                tokens.append(f"unk{int(rng.integers(1000))}")
+            elif roll < 0.1:
+                tokens.append(word.upper())
+            else:
+                tokens.append(word)
+        lines.append(" ".join(tokens))
+    long_line = " ".join(words[int(i)] for i in rng.integers(len(words), size=150))
+    return lines + ["", "zzz qqq", long_line]
+
+
+class TestEmbedBatch:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_float64_reference(self, order):
+        model, words = seeded_ngram_model(order)
+        lines = seeded_lines(words, 400)
+        stats = OovStats()
+        vectors, flags = embed_batch(model, lines, stats)
+        assert vectors.dtype == np.float32
+        assert vectors.shape == (len(lines), 24)
+        for text, vector, flag in zip(lines, vectors, flags):
+            expected = reference_mean(model, text)
+            assert flag == (expected is None)
+            if expected is None:
+                np.testing.assert_array_equal(vector, 0.0)
+            else:
+                np.testing.assert_allclose(vector, expected, rtol=1e-5, atol=1e-6)
+        tokens = [t for text in lines for t in text.split()]
+        index = model.vocab.word_index
+        oov_tokens = sum(t not in index and t.lower() not in index for t in tokens)
+        assert (stats.lines, stats.all_oov_lines, stats.tokens, stats.oov_tokens) == (
+            len(lines), int(flags.sum()), len(tokens), oov_tokens
+        )
+        assert stats.oov_token_rate == oov_tokens / len(tokens)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_per_line_mean_bit_for_bit(self, order):
+        model, words = seeded_ngram_model(order)
+        lines = seeded_lines(words, 300)
+        vectors, _ = embed_batch(model, lines)
+        for text, vector in zip(lines, vectors):
+            ids = known_ids(model, text)
+            if not ids:
+                continue
+            sent = extract_ngrams(ids, order, len(model.vocab), model.buckets)
+            rows = np.concatenate([sent.unigram_ids, sent.ngram_ids])
+            np.testing.assert_array_equal(vector, model.matrices.source[rows].mean(axis=0))
+
+    # 7 rows: most lines span several pieces and their parts are added;
+    # 500 rows: every line fits, so pieces end at line starts
+    @pytest.mark.parametrize("piece_rows,exact", [(7, False), (500, True)])
+    def test_pieces(self, monkeypatch, piece_rows, exact):
+        model, words = seeded_ngram_model(3)
+        lines = seeded_lines(words, 200)
+        whole, whole_flags = embed_batch(model, lines)
+        monkeypatch.setattr(evaluation, "_GATHER_BUDGET_BYTES", piece_rows * 4 * 24)
+        pieces, piece_flags = embed_batch(model, lines)
+        np.testing.assert_array_equal(piece_flags, whole_flags)
+        if exact:
+            np.testing.assert_array_equal(pieces, whole)
+        else:
+            np.testing.assert_allclose(pieces, whole, rtol=1e-5, atol=1e-6)
+
+    def test_empty_batch(self):
+        model = toy_model(["cat"], [[1.0, 2.0]])
+        vectors, flags = embed_batch(model, [])
+        assert vectors.shape == (0, 2) and flags.shape == (0,)
+
+    def test_embed_sentence_is_a_batch_of_one(self):
+        model, words = seeded_ngram_model(2)
+        lines = seeded_lines(words, 20)
+        vectors, flags = embed_batch(model, lines)
+        for text, vector, flag in zip(lines, vectors, flags):
+            single, oov = embed_sentence(model, text)
+            assert oov == flag
+            np.testing.assert_allclose(single, vector, rtol=1e-6, atol=1e-7)
+
+
+class TestFormatRows:
+    def test_matches_format_g6(self):
+        values = [0.0, -0.0, 1e-45, np.inf, -np.inf, np.nan, 1e-8, -3.14159265,
+                  0.1, 123.456789, 999.9995, 1e3, 2.5e-5, 7.0]
+        values += list(np.geomspace(1e-8, 1e3, 50))
+        row = np.array([values], dtype=np.float32)
+        expected = " ".join(format(x, ".6g") for x in row[0]) + "\n"
+        assert format_rows(row, " ") == expected
+
+    def test_separator_and_flags(self):
+        rows = np.array([[1.5, -2.0], [0.0, 3.25]], dtype=np.float32)
+        assert format_rows(rows, "\t") == "1.5\t-2\n0\t3.25\n"
+        assert format_rows(rows, " ", np.array([False, True])) == "1.5 -2 0\n0 3.25 1\n"
+        assert format_rows(rows[:0], " ") == ""
 
 
 class TestCosine:
@@ -238,6 +373,20 @@ class TestEvaluateSimilarity:
         assert abs(r) < 0.1
 
 
+    def test_zero_norm_known_vector_scores_zero(self):
+        # "z" is in the vocabulary but its row is zero: cosine 0, not nan
+        model = toy_model(["a", "b", "z"], [[1.0, 0.0], [0.6, 0.8], [0.0, 0.0]])
+        records = [
+            SimilarityRecord("a", "b", 0.6),
+            SimilarityRecord("z", "a", 0.0),
+            SimilarityRecord("a", "a", 1.0),
+            SimilarityRecord("b", "z z", 0.0),
+        ]
+        r, _, n_used = evaluate_similarity(model, records)
+        assert n_used == 4
+        assert r == pytest.approx(1.0, abs=1e-12)
+
+
 class TestPairFeatures:
     def test_hand_computed(self):
         np.testing.assert_array_equal(
@@ -324,6 +473,13 @@ class TestReadSimilarityTsv:
         path = tmp_path / "sim.tsv"
         path.write_text("3.5\ta\tb\nonly one field\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            read_similarity_tsv(str(path))
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_cites_number(self, tmp_path, score):
+        path = tmp_path / "sim.tsv"
+        path.write_text(f"0.5\ta\tb\n{score}\ta\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line 2: non-finite"):
             read_similarity_tsv(str(path))
 
     def test_bad_score_cites_number(self, tmp_path):

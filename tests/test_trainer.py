@@ -1,5 +1,6 @@
 """Training orchestration, serialization, and the text export."""
 
+import os
 import struct
 
 import numpy as np
@@ -282,6 +283,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="source matrix"):
             load_model(str(path))
 
+
+    def test_short_matrix_read_names_section(self, tiny_corpus, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: the read itself comes up short
+        model = train(tiny_corpus, quick_config())
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        claimed = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-20])
+        real_fstat = os.fstat
+        monkeypatch.setattr(
+            "sentvec.trainer.os.fstat",
+            lambda fd: os.stat_result(real_fstat(fd)[:6] + (claimed,) + real_fstat(fd)[7:]),
+        )
+        with pytest.raises(ModelFormatError, match="target matrix.*got"):
+            load_model(str(path))
 
     @pytest.mark.parametrize(
         "fields",
