@@ -44,7 +44,7 @@ from .model import (
     train_step,
 )
 from .sampling import (
-    NegativeTable,
+    AliasTable,
     build_negative_table,
     discard_keep_prob,
     negative_prob,
@@ -65,9 +65,9 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AliasTable",
     "EmbeddingMatrices",
     "ModelFormatError",
-    "NegativeTable",
     "OovStats",
     "PRESETS",
     "SentenceIndices",

@@ -29,21 +29,32 @@
 /* must equal sentvec.model.LR_FLOOR_FRACTION */
 #define LR_FLOOR_FRACTION 1e-5
 
-/* rejected draws after which the table is scanned for a non-target entry */
-#define NEGATIVE_RETRY_SCAN 64
+/* 2^ALIAS_COIN_BITS must equal sentvec.sampling.COIN_SCALE */
+#define ALIAS_COIN_BITS 53
 
 enum { SV_OK = 0, SV_ONLY_TARGET = 1, SV_NO_MEMORY = 2 };
+
+/* The negative sampler, a Walker alias table (sentvec.sampling.AliasTable);
+ * mirrored by sentvec._native.Alias.  Column k yields words[k] when its coin
+ * is below threshold[k], else alias[k].  Columns hold distinct words with
+ * positive thresholds, so with two or more columns every target leaves a
+ * drawable word. */
+typedef struct {
+    const int32_t *words;
+    const int64_t *threshold; /* in [1, 2^ALIAS_COIN_BITS] */
+    const int32_t *alias;
+    int64_t columns;
+} sv_alias;
 
 /* Field order and types are mirrored by sentvec._native.Model. */
 typedef struct {
     const int32_t *tokens;    /* CSR unigram ids */
     const int64_t *offsets;   /* sentence s spans tokens[offsets[s]:offsets[s+1]] */
     const double *gate_prob;  /* per word: keep probability if target-eligible, else 0 */
-    const int32_t *table;     /* negative table entries */
+    sv_alias sampler;         /* negative draws */
     float *source;            /* (vocab_size + buckets) x dim */
     float *target;            /* vocab_size x dim */
     int64_t *progress;        /* shared count of processed targets */
-    int64_t table_size;
     int64_t vocab_size;
     int64_t buckets;
     double base_lr;
@@ -154,26 +165,21 @@ static int64_t gate_positions(const int32_t *ids, int64_t len, const double *gat
     return n;
 }
 
-/* count draws from the table, each redrawn while it equals target */
-static int draw_negatives(const int32_t *table, int64_t table_size, int64_t target, int64_t count,
-                          uint64_t *rng, int64_t *out)
+/* count draws from the alias table (one uniform column and one coin each),
+ * each redrawn while it equals target */
+static int draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint64_t *rng,
+                          int64_t *out)
 {
+    if (a->columns == 1 && a->words[0] == target)
+        return SV_ONLY_TARGET;
     for (int64_t j = 0; j < count; j++) {
-        int64_t entry;
-        int rejected = 0;
-        for (;;) {
-            entry = table[next_below(rng, (uint64_t)table_size)];
-            if (entry != target)
-                break;
-            if (++rejected == NEGATIVE_RETRY_SCAN) {
-                int64_t i = 0;
-                while (i < table_size && table[i] == target)
-                    i++;
-                if (i == table_size)
-                    return SV_ONLY_TARGET;
-            }
-        }
-        out[j] = entry;
+        int64_t word;
+        do {
+            const uint64_t k = next_below(rng, (uint64_t)a->columns);
+            const int64_t coin = (int64_t)(next_u64(rng) >> (64 - ALIAS_COIN_BITS));
+            word = coin < a->threshold[k] ? a->words[k] : a->alias[k];
+        } while (word == target);
+        out[j] = word;
     }
     return SV_OK;
 }
@@ -395,7 +401,7 @@ int sv_train_chunk(const sv_model *m, const int64_t *sentences, int64_t n, uint6
                 w.dropped[w.perm[j]] = 1;
             }
             w.scored[0] = ids[pos];
-            status = draw_negatives(m->table, m->table_size, ids[pos], m->negatives, rng,
+            status = draw_negatives(&m->sampler, ids[pos], m->negatives, rng,
                                     w.scored + 1);
             if (status != SV_OK)
                 break;
@@ -447,10 +453,10 @@ int sv_step(const sv_model *m, const int32_t *ids, int64_t len, int64_t pos, con
 }
 
 /* count negatives for target drawn as in training; SV_OK or SV_ONLY_TARGET */
-int sv_draw_negatives(const int32_t *table, int64_t table_size, int64_t target, int64_t count,
-                      uint64_t *rng, int64_t *out)
+int sv_draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint64_t *rng,
+                      int64_t *out)
 {
-    return draw_negatives(table, table_size, target, count, rng, out);
+    return draw_negatives(a, target, count, rng, out);
 }
 
 /* The gated positions of ids[0:len] drawn as in training; returns their number. */

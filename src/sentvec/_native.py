@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .sampling import COIN_SCALE
+
 __all__ = ["Kernel", "KernelUnavailable", "library_path", "load", "rng_state"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -38,6 +40,17 @@ class KernelUnavailable(RuntimeError):
     """The kernel could not be compiled or loaded on this machine."""
 
 
+class Alias(ctypes.Structure):
+    """Mirror of ``sv_alias`` in ``_kernel.c``: the arrays of an ``AliasTable``."""
+
+    _fields_ = [
+        ("words", _ptr),
+        ("threshold", _ptr),
+        ("alias", _ptr),
+        ("columns", _i64),
+    ]
+
+
 class Model(ctypes.Structure):
     """Mirror of ``sv_model`` in ``_kernel.c``: the arrays and settings of one run."""
 
@@ -45,11 +58,10 @@ class Model(ctypes.Structure):
         ("tokens", _ptr),
         ("offsets", _ptr),
         ("gate_prob", _ptr),
-        ("table", _ptr),
+        ("sampler", Alias),
         ("source", _ptr),
         ("target", _ptr),
         ("progress", _ptr),
-        ("table_size", _i64),
         ("vocab_size", _i64),
         ("buckets", _i64),
         ("base_lr", ctypes.c_double),
@@ -66,6 +78,35 @@ def _pointer(array: np.ndarray, dtype, name: str) -> int:
     if array.dtype != dtype or not array.flags.c_contiguous:
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array")
     return array.ctypes.data
+
+
+def _alias(table, vocab_size: int) -> Alias:
+    """Bind an ``AliasTable`` after checking what the kernel relies on.
+
+    Word ids must lie in [0, vocab_size) and thresholds in [1, COIN_SCALE],
+    and columns must hold distinct words: then a draw indexes only valid
+    memory, and with two or more columns no target can leave nothing to
+    draw, so a redraw loop always ends.
+    """
+    words, threshold, alias = table.entries, table.threshold, table.alias
+    n = len(words)
+    if n == 0 or threshold.shape != (n,) or alias.shape != (n,):
+        raise ValueError("negative table is empty or its arrays differ in length")
+    if min(words.min(), alias.min()) < 0 or max(words.max(), alias.max()) >= vocab_size:
+        raise ValueError("negative table word id out of range")
+    if threshold.min() < 1 or threshold.max() > COIN_SCALE:
+        raise ValueError(f"negative table threshold outside [1, {COIN_SCALE}]")
+    ordered = np.sort(words)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("negative table columns repeat a word")
+    bound = Alias(
+        words=_pointer(words, np.int32, "entries"),
+        threshold=_pointer(threshold, np.int64, "threshold"),
+        alias=_pointer(alias, np.int32, "alias"),
+        columns=n,
+    )
+    bound.keepalive = (words, threshold, alias)
+    return bound
 
 
 class Kernel:
@@ -86,7 +127,7 @@ class Kernel:
             ctypes.POINTER(ctypes.c_double),
         ]
         lib.sv_step.restype = ctypes.c_int
-        lib.sv_draw_negatives.argtypes = [_ptr, _i64, _i64, _i64, _ptr, _ptr]
+        lib.sv_draw_negatives.argtypes = [ctypes.POINTER(Alias), _i64, _i64, _ptr, _ptr]
         lib.sv_draw_negatives.restype = ctypes.c_int
         lib.sv_gate_positions.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
         lib.sv_gate_positions.restype = _i64
@@ -105,13 +146,14 @@ class Kernel:
         tokens: np.ndarray | None = None,
         offsets: np.ndarray | None = None,
         gate_prob: np.ndarray | None = None,
-        table: np.ndarray | None = None,
+        table=None,
         progress: np.ndarray | None = None,
     ) -> Model:
         """Bind matrices, settings and (for ``train_chunk``) the corpus to a ``Model``.
 
-        The returned object keeps every array it points to alive.  The
-        corpus arrays may be omitted for ``step``.
+        ``table`` is the ``AliasTable`` negatives are drawn from.  The
+        returned object keeps every array it points to alive.  The corpus
+        arrays and the table may be omitted for ``step``.
         """
         vocab_size, dim = target.shape
         if source.shape != (vocab_size + buckets, dim):
@@ -139,16 +181,14 @@ class Kernel:
                 raise ValueError("token id out of range")
             if gate_prob.shape != (vocab_size,) or progress.shape != (1,):
                 raise ValueError("gate_prob or progress has the wrong shape")
-            if len(table) == 0 or table.min() < 0 or table.max() >= vocab_size:
-                raise ValueError("negative table is empty or out of range")
+            sampler = _alias(table, vocab_size)
             m.tokens = _pointer(tokens, np.int32, "tokens")
             m.offsets = _pointer(offsets, np.int64, "offsets")
             m.gate_prob = _pointer(gate_prob, np.float64, "gate_prob")
-            m.table = _pointer(table, np.int32, "table")
-            m.table_size = len(table)
+            m.sampler = sampler
             m.progress = _pointer(progress, np.int64, "progress")
             m.n_sentences = len(offsets) - 1
-            keep += [tokens, offsets, gate_prob, table, progress]
+            keep += [tokens, offsets, gate_prob, sampler, progress]
         m.keepalive = keep
         return m
 
@@ -213,14 +253,13 @@ class Kernel:
         return loss.value if stepped else None
 
     def draw_negatives(
-        self, table: np.ndarray, target: int, count: int, rng_state: np.ndarray
+        self, table, target: int, count: int, rng_state: np.ndarray
     ) -> np.ndarray:
-        """``count`` negatives for ``target``, drawn as training draws them."""
-        if len(table) == 0:
-            raise ValueError("empty negative table")
+        """``count`` negatives for ``target`` from an ``AliasTable``, drawn as training draws them."""
+        sampler = _alias(table, 2**31)
         out = np.empty(count, dtype=np.int64)
         _check(self._lib.sv_draw_negatives(
-            _pointer(table, np.int32, "table"), len(table), target, count,
+            ctypes.byref(sampler), target, count,
             _pointer(rng_state, np.uint64, "rng_state"), out.ctypes.data,
         ))
         return out

@@ -64,8 +64,6 @@ _TRAIN_FLAGS = [
     ("--l1", "l1_tau", float,
      f"L1 regularization strength, 0 disables [default: {_DEFAULTS.l1_tau}]"),
     ("--seed", "seed", int, f"random seed [default: {_DEFAULTS.seed}]"),
-    ("--table-size", "negative_table_size", int,
-     f"negative table entries [default: {_DEFAULTS.negative_table_size}]"),
 ]
 
 

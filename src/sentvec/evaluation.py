@@ -107,7 +107,8 @@ def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
     """
     offsets = np.concatenate([[0], np.cumsum(known)])
     parts = [(unigrams, known)]
-    for k in range(2, model.word_ngrams + 1):
+    # no line has a window longer than itself, whatever order the header claims
+    for k in range(2, min(model.word_ngrams, int(known.max(initial=0))) + 1):
         parts.append((
             ngram_bucket_ids(unigrams, offsets, k, len(model.vocab), model.buckets),
             np.maximum(known - (k - 1), 0),

@@ -1,9 +1,12 @@
 """Target subsampling and the square-root-frequency negative sampler.
 
 Frequent words are demoted from targethood with keep probability
-``min(1, sqrt(t/f) + t/f)``; negatives are drawn from a pre-computed flat
-table whose per-word multiplicities are proportional to sqrt(f_w), giving
-O(1) draws.
+``min(1, sqrt(t/f) + t/f)``.  Negatives are drawn from the exact
+sqrt(f_w) law over the target-eligible words with Walker's alias method,
+built in O(n) by Vose's algorithm: n columns, each holding its own word
+up to an integer threshold and an alias word above it.  A draw is one
+uniform column plus one 53-bit coin; the table takes O(n) memory, and the
+native kernel reads the same three arrays.
 """
 
 from __future__ import annotations
@@ -16,14 +19,15 @@ import numpy as np
 from .corpus import Vocabulary
 
 __all__ = [
-    "NegativeTable",
+    "AliasTable",
     "discard_keep_prob",
     "negative_prob",
     "build_negative_table",
     "sample_negatives",
 ]
 
-DEFAULT_TABLE_SIZE = 10_000_000
+# a column's coin is uniform in [0, COIN_SCALE); must equal 2^ALIAS_COIN_BITS in _kernel.c
+COIN_SCALE = 1 << 53
 
 
 def discard_keep_prob(f_w: float, t: float) -> float:
@@ -54,11 +58,19 @@ def negative_prob(counts) -> np.ndarray:
     return weights / weights.sum()
 
 
-@dataclass
-class NegativeTable:
-    """Flat array of word ids with multiplicities realizing the negative distribution."""
+@dataclass(frozen=True)
+class AliasTable:
+    """Walker alias table over the target-eligible words.
 
-    entries: np.ndarray
+    A draw picks a uniform column ``k`` and yields ``entries[k]`` when its
+    coin is below ``threshold[k]`` (out of ``COIN_SCALE``), else
+    ``alias[k]``.  Every column holds a distinct word with a positive
+    threshold, so every eligible word has non-zero probability.
+    """
+
+    entries: np.ndarray  # int32 word id of each column
+    threshold: np.ndarray  # int64 in [1, COIN_SCALE]
+    alias: np.ndarray  # int32 word drawn above the threshold
 
     @property
     def size(self) -> int:
@@ -67,17 +79,15 @@ class NegativeTable:
 
 def build_negative_table(
     vocab: Vocabulary,
-    table_size: int = DEFAULT_TABLE_SIZE,
     min_target_count: int | None = None,
-) -> NegativeTable:
-    """Pre-compute the flat sampling table over target-eligible words.
+) -> AliasTable:
+    """The alias table of the sqrt-frequency law over target-eligible words.
 
     Only words with count >= ``min_target_count`` (defaulting to the
-    vocabulary's threshold) participate; each receives
-    ``max(1, round(p * table_size))`` slots with ``p`` renormalized over
-    the eligible set.  Entries are grouped by word; draws pick uniform
-    indices, so their order does not change the law.  Construction is
-    deterministic given (vocab, table_size).
+    vocabulary's threshold) participate, with ``negative_prob``
+    renormalized over them.  Vose's algorithm fills each column whose
+    scaled mass is below 1 from one word whose mass is at least 1, in O(n)
+    time and memory; the result is deterministic given the vocabulary.
     """
     if min_target_count is None:
         min_target_count = vocab.min_target_count
@@ -87,36 +97,54 @@ def build_negative_table(
         raise ValueError(
             f"no words with count >= min_target_count={min_target_count}"
         )
-    if table_size < eligible.size:
-        raise ValueError(
-            f"table_size={table_size} smaller than {eligible.size} eligible words"
-        )
-    probs = negative_prob(counts[eligible])
-    # round half up; every eligible word keeps at least one slot
-    slots = np.maximum(1, np.floor(probs * table_size + 0.5).astype(np.int64))
-    return NegativeTable(entries=np.repeat(eligible.astype(np.int32), slots))
+    n = eligible.size
+    mass = (negative_prob(counts[eligible]) * n).tolist()  # mean 1 per column
+    threshold = [COIN_SCALE] * n
+    alias = list(range(n))
+    small = [k for k, m in enumerate(mass) if m < 1.0]
+    large = [k for k, m in enumerate(mass) if m >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        # a float residue can leave a mass at or below 0; 1 keeps it drawable
+        threshold[s] = max(1, round(mass[s] * COIN_SCALE))
+        alias[s] = big
+        mass[big] = (mass[big] + mass[s]) - 1.0
+        if mass[big] < 1.0:
+            small.append(large.pop())
+    # columns left in either list carry mass 1 up to float rounding
+    entries = eligible.astype(np.int32)
+    return AliasTable(
+        entries=entries,
+        threshold=np.array(threshold, dtype=np.int64),
+        alias=entries[alias],
+    )
+
+
+def _draw(table: AliasTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    columns = rng.integers(0, table.size, size=count)
+    coins = rng.integers(0, COIN_SCALE, size=count)
+    return np.where(
+        coins < table.threshold[columns], table.entries[columns], table.alias[columns]
+    )
 
 
 def sample_negatives(
-    table: NegativeTable,
+    table: AliasTable,
     target: int,
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``count`` negative word ids uniformly from the table, excluding the target.
+    """Draw ``count`` negative word ids from the alias table, excluding the target.
 
     Collisions with the target are rejected and redrawn; duplicates among
     the negatives are permitted.  Raises ``ValueError`` if the table holds
     nothing but the target.
     """
-    entries = table.entries
-    out = entries[rng.integers(0, len(entries), size=count)]
-    retry = out == target
-    attempts = 0
-    while retry.any():
-        out[retry] = entries[rng.integers(0, len(entries), size=int(retry.sum()))]
-        retry = out == target
-        attempts += 1
-        if attempts >= 64 and not (entries != target).any():
-            raise ValueError("negative table contains only the target word")
+    if table.size == 1 and table.entries[0] == target:
+        raise ValueError("negative table contains only the target word")
+    out = _draw(table, count, rng)
+    retry = np.nonzero(out == target)[0]
+    while retry.size:
+        out[retry] = _draw(table, retry.size, rng)
+        retry = retry[out[retry] == target]
     return out

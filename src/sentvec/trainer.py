@@ -32,8 +32,7 @@ from .model import (
     train_step,
 )
 from .sampling import (
-    DEFAULT_TABLE_SIZE,
-    NegativeTable,
+    AliasTable,
     build_negative_table,
     discard_keep_prob,
     sample_negatives,
@@ -80,7 +79,6 @@ class TrainConfig:
     threads: int = 1
     seed: int = 42
     lowercase: bool = False
-    negative_table_size: int = DEFAULT_TABLE_SIZE
     checkpoint_path: str | None = None
     report_every: int = 1_000_000
 
@@ -107,8 +105,6 @@ class TrainConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.dropout_k < 0:
             raise ValueError(f"dropout_k must be >= 0, got {self.dropout_k}")
-        if self.negative_table_size < 1:
-            raise ValueError("negative_table_size must be >= 1")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
 
@@ -247,7 +243,7 @@ def _run_shard(
     shard: np.ndarray,
     keep_prob: np.ndarray,
     eligible: np.ndarray,
-    table: NegativeTable,
+    table: AliasTable,
     config: TrainConfig,
     matrices: EmbeddingMatrices,
     progress: _Progress,
@@ -346,9 +342,7 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     expected_per_epoch = float((vocab.counts() * keep_prob * eligible).sum())
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
-    table = build_negative_table(
-        vocab, config.negative_table_size, config.min_target_count
-    )
+    table = build_negative_table(vocab, config.min_target_count)
     matrices = EmbeddingMatrices.initialize(
         len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0])
     )
@@ -376,7 +370,7 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
             dropout_k=config.dropout_k if config.word_ngrams >= 2 else 0,
             base_lr=config.lr, total_expected=total_expected,
             tokens=tokens, offsets=offsets, gate_prob=keep_prob * eligible,
-            table=table.entries, progress=progress.counter,
+            table=table, progress=progress.counter,
         )
         worker_states = [rng_state(rng) for rng in worker_rngs]
 
@@ -436,8 +430,9 @@ def save_model(model: TrainedModel, path: str) -> None:
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)
                 fh.write(struct.pack("<Q", count))
-            fh.write(np.ascontiguousarray(model.matrices.source, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(model.matrices.target, dtype="<f4").tobytes())
+            # the array's own buffer: no bytes copy of the matrix
+            fh.write(np.ascontiguousarray(model.matrices.source, dtype="<f4"))
+            fh.write(np.ascontiguousarray(model.matrices.target, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -502,15 +497,31 @@ def load_model(path: str) -> TrainedModel:
                 "(need dim >= 1, order >= 1, and buckets > 0 exactly when order >= 2)"
             )
         words: list[tuple[str, int]] = []
-        for _ in range(vocab_size):
+        word_index: dict[str, int] = {}
+        for wid in range(vocab_size):
             (length,) = struct.unpack("<I", _read_exact(fh, 4, "vocabulary", size))
-            surface = _read_exact(fh, length, "vocabulary", size).decode("utf-8")
+            raw = _read_exact(fh, length, "vocabulary", size)
             (count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary", size))
+            try:
+                surface = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ModelFormatError(
+                    f"vocabulary section: word {wid} is not UTF-8 ({err.reason})"
+                ) from None
+            if word_index.setdefault(surface, wid) != wid:
+                raise ModelFormatError(
+                    f"vocabulary section: word {wid} repeats word {word_index[surface]} "
+                    f"({surface!r})"
+                )
+            if not 1 <= count < 2**63:
+                raise ModelFormatError(
+                    f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
+                )
             words.append((surface, count))
         # wire format carries no thresholds; loaded models use the weakest ones
         vocab = Vocabulary(
             words=words,
-            word_index={w: i for i, (w, _) in enumerate(words)},
+            word_index=word_index,
             total_tokens=total_tokens,
             min_count=1,
             min_target_count=1,
@@ -519,6 +530,10 @@ def load_model(path: str) -> TrainedModel:
             fh, vocab_size + buckets, dim, "source matrix", size - fh.tell()
         )
         target = _read_matrix(fh, vocab_size, dim, "target matrix", size - fh.tell())
+        if fh.tell() != size:
+            raise ModelFormatError(
+                f"{size - fh.tell()} trailing bytes after the target matrix"
+            )
     return TrainedModel(
         vocab=vocab,
         matrices=EmbeddingMatrices(source=source, target=target, dim=dim),
@@ -528,20 +543,29 @@ def load_model(path: str) -> TrainedModel:
     )
 
 
+# vocabulary rows formatted per write, which bounds the text held at once
+_EXPORT_CHUNK_ROWS = 1024
+
+
 def export_text_vectors(model: TrainedModel, destination) -> None:
     """Write unigram source vectors as text: "<count> <dim>" header, then one word per line.
 
     ``destination`` is a path or an open text file; floats carry 6
     significant digits.
     """
-    rows = model.matrices.source
-    vocab = model.vocab
+    from .evaluation import format_rows  # evaluation imports this module
+
+    words = model.vocab.words
+    rows = model.matrices.source[: len(words)]
 
     def _write(fh) -> None:
-        fh.write(f"{len(vocab)} {model.matrices.dim}\n")
-        for wid, (word, _) in enumerate(vocab.words):
-            values = " ".join(format(x, ".6g") for x in rows[wid])
-            fh.write(f"{word} {values}\n")
+        fh.write(f"{len(words)} {model.matrices.dim}\n")
+        for start in range(0, len(words), _EXPORT_CHUNK_ROWS):
+            stop = start + _EXPORT_CHUNK_ROWS
+            lines = format_rows(rows[start:stop], " ").splitlines(True)
+            fh.write("".join(
+                [f"{word} {line}" for (word, _), line in zip(words[start:stop], lines)]
+            ))
 
     if hasattr(destination, "write"):
         _write(destination)

@@ -136,7 +136,7 @@ def test_criterion_02_sampler_fidelity():
         min_count=1,
         min_target_count=1,
     )
-    table = build_negative_table(vocab, table_size=1_000_000)
+    table = build_negative_table(vocab)
     # a sentinel target never collides, so draws realize the raw distribution
     draws = sample_negatives(table, target=-1, count=1_000_000, rng=rng)
     observed = np.bincount(draws, minlength=50) / 1_000_000
@@ -193,8 +193,7 @@ def test_criterion_04_single_thread_determinism(tmp_path):
     config = TrainConfig(
         dim=24, min_count=2, min_target_count=2, lr=0.2, epochs=2,
         subsample_t=1e-3, word_ngrams=2, bucket_count=4_096, dropout_k=2,
-        negatives=5, threads=1, seed=31, negative_table_size=200_000,
-        report_every=10**9,
+        negatives=5, threads=1, seed=31, report_every=10**9,
     )
     blobs = []
     for run in range(2):
@@ -219,7 +218,7 @@ def test_criterion_05_two_topic_learning_signal(tmp_path):
     config = TrainConfig(
         dim=50, min_count=5, min_target_count=8, lr=0.2, epochs=5,
         subsample_t=1e-5, word_ngrams=1, negatives=10, threads=1, seed=9,
-        negative_table_size=1_000_000, report_every=10**9,
+        report_every=10**9,
     )
     model = train(corpus, config)
 
@@ -262,7 +261,7 @@ def test_criterion_06_norm_profile_shape(tmp_path):
     config = TrainConfig(
         dim=100, min_count=5, min_target_count=8, lr=0.2, epochs=8,
         subsample_t=1e-5, word_ngrams=1, negatives=10, threads=1, seed=42,
-        negative_table_size=1_000_000, report_every=500_000,
+        report_every=500_000,
     )
     model = train(corpus, config)
     profile = norm_profile(model)
@@ -326,7 +325,7 @@ def test_criterion_07b_linear_wall_clock(tmp_path):
     config = TrainConfig(
         dim=32, min_count=2, min_target_count=2, lr=0.2, epochs=2,
         subsample_t=1e-2, word_ngrams=1, negatives=5, threads=1, seed=3,
-        negative_table_size=100_000, report_every=10**9,
+        report_every=10**9,
     )
     multiples = (1, 2, 4)
     times = []
@@ -367,7 +366,7 @@ def test_criterion_08_l1_sparsity_and_prox_laws(tmp_path):
         config = TrainConfig(
             dim=50, min_count=2, min_target_count=2, lr=0.2, epochs=3,
             subsample_t=1e-3, word_ngrams=1, negatives=5, threads=1, seed=13,
-            l1_tau=tau, negative_table_size=200_000, report_every=10**9,
+            l1_tau=tau, report_every=10**9,
         )
         model = train(corpus, config)
         zero_fractions[tau] = float((model.matrices.source == 0.0).mean())

@@ -29,7 +29,7 @@ def model_path(tmp_path_factory, corpus_path):
             "train", "--input", corpus_path, "--output", str(path),
             "--dim", "12", "--min-count", "1", "--min-target-count", "1",
             "--epochs", "2", "--t", "1e-2", "--neg", "3",
-            "--table-size", "5000", "--seed", "3",
+            "--seed", "3",
         ]
     )
     assert code == 0
@@ -61,7 +61,6 @@ class TestTrainCommand:
                 "train", "--preset", "books-uni", "--input", corpus_path,
                 "--output", str(out), "--dim", "8", "--min-count", "1",
                 "--min-target-count", "1", "--epochs", "1",
-                "--table-size", "5000",
             ]
         )
         assert code == 0
@@ -77,7 +76,7 @@ class TestTrainCommand:
                 "train", "--preset", "twitter-bi", "--input", corpus_path,
                 "--output", str(out), "--dim", "8", "--min-count", "1",
                 "--min-target-count", "1", "--epochs", "1", "--t", "1e-2",
-                "--buckets", "256", "--table-size", "5000",
+                "--buckets", "256",
             ]
         )
         assert code == 0
@@ -92,7 +91,7 @@ class TestTrainCommand:
             [
                 "train", "--input", corpus_path, "--output", str(out),
                 "--dim", "8", "--min-count", "1", "--min-target-count", "1",
-                "--epochs", "1", "--t", "1e-2", "--table-size", "5000",
+                "--epochs", "1", "--t", "1e-2",
             ]
         )
         assert code == 0

@@ -1,5 +1,6 @@
 """Inference embedding, correlation statistics, pair features, diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,15 @@ class TestEmbedBatch:
             np.testing.assert_array_equal(pieces, whole)
         else:
             np.testing.assert_allclose(pieces, whole, rtol=1e-5, atol=1e-6)
+
+    def test_order_beyond_every_line_is_capped(self):
+        # a header may claim any order; windows longer than a line never exist
+        model, words = seeded_ngram_model(3)
+        lines = seeded_lines(words, 100)
+        longest = max(len(known_ids(model, text)) for text in lines)
+        capped, _ = embed_batch(dataclasses.replace(model, word_ngrams=longest), lines)
+        huge, _ = embed_batch(dataclasses.replace(model, word_ngrams=2**32 - 1), lines)
+        np.testing.assert_array_equal(huge, capped)
 
     def test_empty_batch(self):
         model = toy_model(["cat"], [[1.0, 2.0]])

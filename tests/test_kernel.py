@@ -2,6 +2,8 @@
 
 import logging
 import math
+import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -12,7 +14,13 @@ import pytest
 from sentvec import _native
 from sentvec.corpus import SentenceIndices, Vocabulary, extract_ngrams, ngram_hash
 from sentvec.model import EmbeddingMatrices, apply_l1_after_step, train_step
-from sentvec.sampling import build_negative_table, discard_keep_prob, negative_prob
+from sentvec.sampling import (
+    COIN_SCALE,
+    AliasTable,
+    build_negative_table,
+    discard_keep_prob,
+    negative_prob,
+)
 from sentvec.trainer import TrainConfig, save_model, train
 
 from conftest import write_corpus, zipf_topic_sentences
@@ -129,9 +137,9 @@ class TestDraws:
         rng = np.random.default_rng(7)
         counts = {f"w{i:02d}": int(c) for i, c in enumerate(rng.integers(1, 2000, size=50))}
         vocab = make_vocab(counts)
-        table = build_negative_table(vocab, table_size=1_000_000)
+        table = build_negative_table(vocab)
         # a sentinel target never collides, so draws realize the raw distribution
-        draws = kernel.draw_negatives(table.entries, -1, 1_000_000, state(1))
+        draws = kernel.draw_negatives(table, -1, 1_000_000, state(1))
         observed = np.bincount(draws, minlength=50) / len(draws)
         tv_distance = 0.5 * np.abs(observed - negative_prob(vocab.counts())).sum()
         assert tv_distance < 0.01
@@ -140,8 +148,8 @@ class TestDraws:
         rng = np.random.default_rng(11)
         counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 400, size=30))}
         vocab = make_vocab(counts)
-        table = build_negative_table(vocab, table_size=500_000)
-        draws = kernel.draw_negatives(table.entries, 0, 200_000, state(2))
+        table = build_negative_table(vocab)
+        draws = kernel.draw_negatives(table, 0, 200_000, state(2))
         assert not np.any(draws == 0)
         expected = negative_prob(vocab.counts())
         expected[0] = 0.0
@@ -150,9 +158,35 @@ class TestDraws:
         assert 0.5 * np.abs(observed - expected).sum() < 0.01
 
     def test_only_target_in_table_errors(self, kernel):
-        table = np.zeros(5, dtype=np.int32)
+        table = build_negative_table(make_vocab({"a": 3}))
         with pytest.raises(ValueError, match="only the target"):
             kernel.draw_negatives(table, 0, 1, state(3))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("entries", [0, 5], "out of range"),
+            ("alias", [0, -1], "out of range"),
+            ("threshold", [0, COIN_SCALE], "threshold"),
+            ("threshold", [1, COIN_SCALE + 1], "threshold"),
+            ("entries", [1, 1], "repeat"),
+            ("alias", [0], "length"),
+        ],
+    )
+    def test_malformed_table_rejected(self, kernel, field, value, message):
+        arrays = dict(entries=[0, 1], threshold=[COIN_SCALE // 2, COIN_SCALE], alias=[1, 1])
+        arrays[field] = value
+        table = AliasTable(
+            entries=np.array(arrays["entries"], np.int32),
+            threshold=np.array(arrays["threshold"], np.int64),
+            alias=np.array(arrays["alias"], np.int32),
+        )
+        with pytest.raises(ValueError, match=message):
+            kernel.model(
+                np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32), 1, 0, 1,
+                tokens=np.zeros(2, np.int32), offsets=np.array([0, 2]),
+                gate_prob=np.ones(2), table=table, progress=np.zeros(1, np.int64),
+            )
 
     def test_gate_keep_rates(self, kernel):
         probs = [discard_keep_prob(f, t)
@@ -170,8 +204,7 @@ def quick_config(**overrides):
     base = dict(
         dim=16, min_count=1, min_target_count=1, lr=0.2, epochs=2,
         subsample_t=1e-3, word_ngrams=2, bucket_count=256, dropout_k=1,
-        negatives=3, threads=1, seed=5, negative_table_size=10_000,
-        report_every=500,
+        negatives=3, threads=1, seed=5, report_every=500,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -262,3 +295,14 @@ class TestBuild:
         _native._build(path)
         assert [p.name for p in path.parent.iterdir()] == [path.name]
         assert path.stat().st_size > 0
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        compiler = shutil.which("gcc") or shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler (gcc or cc) on PATH")
+        proc = subprocess.run(
+            [compiler, *_native.COMPILE_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernel.so"), str(_native.SOURCE), "-lm"],
+            capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr

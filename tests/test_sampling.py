@@ -1,4 +1,4 @@
-"""Subsampling gate and negative-sampling table."""
+"""Subsampling gate and the alias negative sampler."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from sentvec.corpus import Vocabulary, build_vocab
 from sentvec.sampling import (
+    COIN_SCALE,
     build_negative_table,
     discard_keep_prob,
     negative_prob,
@@ -92,61 +93,91 @@ class TestNegativeProb:
             negative_prob([1, 0])
 
 
+def alias_probs(table, vocab_size: int) -> np.ndarray:
+    """Per-word draw probability implied by the table's columns."""
+    own = table.threshold / COIN_SCALE
+    probs = np.bincount(table.entries, weights=own, minlength=vocab_size)
+    probs += np.bincount(table.alias, weights=1.0 - own, minlength=vocab_size)
+    return probs / table.size
+
+
 class TestBuildNegativeTable:
     def test_slots_from_sqrt_counts(self):
         vocab = make_vocab({"b": 4, "a": 1})
-        table = build_negative_table(vocab, table_size=9)
-        counts = np.bincount(table.entries, minlength=2)
-        assert counts[vocab.word_index["b"]] == 6
-        assert counts[vocab.word_index["a"]] == 3
+        table = build_negative_table(vocab)
+        probs = alias_probs(table, 2)
+        assert probs[vocab.word_index["b"]] == pytest.approx(2 / 3, abs=1e-15)
+        assert probs[vocab.word_index["a"]] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_single_eligible_word(self):
         vocab = make_vocab({"a": 10, "b": 1}, min_target_count=5)
-        table = build_negative_table(vocab, table_size=20)
-        assert set(table.entries.tolist()) == {vocab.word_index["a"]}
+        table = build_negative_table(vocab)
+        a = vocab.word_index["a"]
+        assert table.entries.tolist() == [a]
+        assert table.threshold.tolist() == [COIN_SCALE]
+        assert table.alias.tolist() == [a]
 
     def test_eligibility_threshold_filters(self):
         vocab = make_vocab({"a": 10, "b": 3, "c": 8}, min_target_count=5)
-        table = build_negative_table(vocab, table_size=100)
-        assert vocab.word_index["b"] not in set(table.entries.tolist())
+        table = build_negative_table(vocab)
+        drawable = set(table.entries.tolist()) | set(table.alias.tolist())
+        assert drawable == {vocab.word_index["a"], vocab.word_index["c"]}
+        assert alias_probs(table, 3)[vocab.word_index["b"]] == 0.0
 
     def test_deterministic_given_seed(self):
         vocab = make_vocab({"a": 5, "b": 9, "c": 2})
-        t1 = build_negative_table(vocab, table_size=50)
-        t2 = build_negative_table(vocab, table_size=50)
-        np.testing.assert_array_equal(t1.entries, t2.entries)
+        t1 = build_negative_table(vocab)
+        t2 = build_negative_table(vocab)
+        for name in ("entries", "threshold", "alias"):
+            np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_composition_approximates_distribution(self):
         rng = np.random.default_rng(6)
         counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 500, size=40))}
         vocab = make_vocab(counts)
-        size = 100_000
-        table = build_negative_table(vocab, table_size=size)
+        table = build_negative_table(vocab)
         probs = negative_prob(vocab.counts())
-        in_table = np.bincount(table.entries, minlength=len(vocab)) / table.size
-        # per-entry rounding bounds the per-word error by ~1/size
-        np.testing.assert_allclose(in_table, probs, atol=2.0 / size + 1e-9)
+        # exact up to float arithmetic, not up to table-slot rounding
+        np.testing.assert_allclose(alias_probs(table, len(vocab)), probs, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "low,high,size,min_target_count",
+        [(1, 2, 7, 1), (1, 10**12, 300, 1), (1, 50, 5_000, 3), (10**6, 10**6 + 1, 64, 1)],
+    )
+    def test_exact_law_and_invariants(self, low, high, size, min_target_count):
+        rng = np.random.default_rng(size)
+        counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(low, high, size=size))}
+        vocab = make_vocab(counts, min_target_count)
+        table = build_negative_table(vocab)
+        eligible = np.nonzero(vocab.counts() >= min_target_count)[0]
+        np.testing.assert_array_equal(table.entries, eligible)
+        assert table.entries.dtype == table.alias.dtype == np.int32
+        assert table.threshold.dtype == np.int64
+        assert table.threshold.min() >= 1 and table.threshold.max() <= COIN_SCALE
+        assert np.isin(table.alias, eligible).all()
+        expected = np.zeros(len(vocab))
+        expected[eligible] = negative_prob(vocab.counts()[eligible])
+        probs = alias_probs(table, len(vocab))
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-9)
+        assert (probs[eligible] > 0).all()
 
     def test_errors(self):
         vocab = make_vocab({"a": 1, "b": 1}, min_target_count=10)
         with pytest.raises(ValueError, match="no words"):
-            build_negative_table(vocab, table_size=100)
-        vocab2 = make_vocab({"a": 1, "b": 1, "c": 1})
-        with pytest.raises(ValueError, match="smaller"):
-            build_negative_table(vocab2, table_size=2)
+            build_negative_table(vocab)
 
 
 class TestSampleNegatives:
     def test_single_candidate_table(self):
-        table = build_negative_table(make_vocab({"b": 3}), table_size=3)
+        table = build_negative_table(make_vocab({"b": 3}))
         rng = np.random.default_rng(0)
         out = sample_negatives(table, target=1, count=2, rng=rng)
         assert out.tolist() == [0, 0]
 
     def test_target_never_sampled(self):
         vocab = make_vocab({"a": 100, "b": 1})
-        table = build_negative_table(vocab, table_size=101)
-        target = vocab.word_index["a"]  # ~99% of table slots
+        table = build_negative_table(vocab)
+        target = vocab.word_index["a"]  # ~91% of the mass
         rng = np.random.default_rng(8)
         draws = np.concatenate(
             [sample_negatives(table, target, 1000, rng) for _ in range(50)]
@@ -155,14 +186,14 @@ class TestSampleNegatives:
 
     def test_exact_count_and_duplicates_allowed(self):
         vocab = make_vocab({"a": 4, "b": 4, "c": 4})
-        table = build_negative_table(vocab, table_size=30)
+        table = build_negative_table(vocab)
         rng = np.random.default_rng(9)
         out = sample_negatives(table, target=0, count=50, rng=rng)
         assert len(out) == 50
         assert len(set(out.tolist())) <= 2  # only b and c remain
 
     def test_only_target_in_table_errors(self):
-        table = build_negative_table(make_vocab({"a": 3}), table_size=5)
+        table = build_negative_table(make_vocab({"a": 3}))
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="only the target"):
             sample_negatives(table, target=0, count=1, rng=rng)
@@ -172,7 +203,7 @@ class TestSampleNegatives:
         rng = np.random.default_rng(11)
         counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 400, size=30))}
         vocab = make_vocab(counts)
-        table = build_negative_table(vocab, table_size=500_000)
+        table = build_negative_table(vocab)
         target = 0
         n_draws = 200_000
         draws = sample_negatives(table, target, n_draws, rng)

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from sentvec.trainer import (
     train,
 )
 
+from conftest import two_topic_sentences
+
 
 def quick_config(**overrides) -> TrainConfig:
     base = dict(
@@ -31,7 +34,6 @@ def quick_config(**overrides) -> TrainConfig:
         negatives=3,
         threads=1,
         seed=5,
-        negative_table_size=10_000,
         report_every=500,
     )
     base.update(overrides)
@@ -56,7 +58,6 @@ class TestTrainConfig:
             ("min_target_count", 0),
             ("threads", 0),
             ("dropout_k", -1),
-            ("negative_table_size", 0),
             ("report_every", 0),
         ],
     )
@@ -189,6 +190,16 @@ class TestTrain:
         with pytest.raises(OSError):
             train("/nonexistent/corpus.txt", quick_config())
 
+    def test_peak_allocation_far_below_a_flat_negative_table(self, tiny_corpus):
+        # a 10M-entry int32 sampling table alone would take 40 MB
+        tracemalloc.start()
+        try:
+            train(tiny_corpus, quick_config(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_checkpoint_written_each_epoch(self, tiny_corpus, tmp_path):
         ckpt = tmp_path / "ckpt.bin"
         config = quick_config(epochs=2, checkpoint_path=str(ckpt))
@@ -320,6 +331,177 @@ class TestSerialization:
             load_model(str(path))
 
 
+    def test_save_writes_matrices_without_copying(self, tmp_path):
+        from sentvec.corpus import build_vocab
+        from sentvec.model import EmbeddingMatrices
+
+        vocab = build_vocab([["a", "b", "a"]], 1, 1)
+        rng = np.random.default_rng(2)
+        model = TrainedModel(
+            vocab=vocab,
+            matrices=EmbeddingMatrices.initialize(2, 2**15, 32, rng),  # a 4 MiB source
+            word_ngrams=2,
+            buckets=2**15,
+            subsample_t=1e-5,
+        )
+        path = tmp_path / "big.bin"
+        tracemalloc.start()
+        try:
+            save_model(model, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+        restored = load_model(str(path))
+        np.testing.assert_array_equal(restored.matrices.source, model.matrices.source)
+        np.testing.assert_array_equal(restored.matrices.target, model.matrices.target)
+
+    def test_empty_vocabulary_round_trips(self, tmp_path):
+        from sentvec.corpus import Vocabulary
+        from sentvec.model import EmbeddingMatrices
+
+        vocab = Vocabulary(words=[], word_index={}, total_tokens=0, min_count=1,
+                           min_target_count=1)
+        model = TrainedModel(
+            vocab=vocab,
+            matrices=EmbeddingMatrices.initialize(0, 0, 4, np.random.default_rng(0)),
+            word_ngrams=1,
+            buckets=0,
+            subsample_t=1e-5,
+        )
+        path = tmp_path / "empty.bin"
+        save_model(model, str(path))
+        restored = load_model(str(path))
+        assert len(restored.vocab) == 0
+        assert restored.matrices.source.shape == restored.matrices.target.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda words: words[:1] + [b"\xff\xfe"] + words[2:], "not UTF-8"),
+            (lambda words: words[:1] + words[:1] + words[2:], "repeats word 0"),
+        ],
+        ids=["non-utf8", "duplicate"],
+    )
+    def test_bad_vocabulary_word_rejected(self, tmp_path, mutate, message):
+        path = tmp_path / "m.bin"
+        save_model(toy_model(), str(path))
+        words, offsets = vocabulary_fields(path.read_bytes())
+        data = bytearray(path.read_bytes())
+        new_words = mutate(words)
+        # rewrite the vocabulary section with the mutated surfaces
+        start, end = offsets[0], offsets[-1]
+        section = b"".join(
+            struct.pack("<I", len(w)) + w + struct.pack("<Q", 1) for w in new_words
+        )
+        data[start:end] = section
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=f"vocabulary.*{message}"):
+            load_model(str(path))
+
+    def test_zero_count_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(toy_model(), str(path))
+        good = path.read_bytes()
+        words, offsets = vocabulary_fields(good)
+        count_at = offsets[1] - 8
+        path.write_bytes(good[:count_at] + bytes(8) + good[count_at + 8 :])
+        with pytest.raises(ModelFormatError, match="vocabulary.*count 0"):
+            load_model(str(path))
+        path.write_bytes(good + b"\0")
+        with pytest.raises(ModelFormatError, match="1 trailing bytes"):
+            load_model(str(path))
+
+    def test_mutated_files_fail_cleanly_or_load_consistently(self, tmp_path):
+        from sentvec.evaluation import embed_batch
+
+        model = small_bigram_model()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        good = path.read_bytes()
+        rng = np.random.default_rng(2024)
+        fields = {"dim": (8, "<I"), "vocab": (12, "<Q"), "buckets": (20, "<Q"),
+                  "order": (28, "<I")}
+        outcomes = {"rejected": 0, "loaded": 0}
+        for case in range(1_000):
+            data = bytearray(good)
+            kind = case % 3
+            if kind == 0:
+                data = data[: int(rng.integers(0, len(good)))]
+            elif kind == 1:
+                for _ in range(int(rng.integers(1, 4))):
+                    bit = int(rng.integers(0, 8 * len(good)))
+                    data[bit // 8] ^= 1 << (bit % 8)
+            else:
+                name = list(fields)[case // 3 % len(fields)]
+                offset, fmt = fields[name]
+                (value,) = struct.unpack_from(fmt, data, offset)
+                limit = 2**32 if fmt == "<I" else 2**64
+                value = int(rng.choice([0, 1, value - 1, value + 1, 2 * value,
+                                        int(rng.integers(0, 2**31)) * 7, limit - 1])) % limit
+                struct.pack_into(fmt, data, offset, value)
+            path.write_bytes(bytes(data))
+            try:
+                loaded = load_model(str(path))
+            except ModelFormatError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            vocab, matrices = loaded.vocab, loaded.matrices
+            assert len(vocab.word_index) == len(vocab.words)
+            assert all(vocab.word_index[w] == i for i, (w, _) in enumerate(vocab.words))
+            assert vocab.counts().min(initial=1) >= 1
+            assert matrices.dim >= 1 and loaded.word_ngrams >= 1
+            assert (loaded.buckets > 0) == (loaded.word_ngrams >= 2)
+            assert matrices.target.shape == (len(vocab), matrices.dim)
+            assert matrices.source.shape == (len(vocab) + loaded.buckets, matrices.dim)
+            vectors, _ = embed_batch(loaded, [" ".join(w for w, _ in vocab.words[:5])])
+            assert vectors.shape == (1, matrices.dim)
+        # both outcomes occur: bit flips inside the matrices still load
+        assert outcomes["rejected"] > 300 and outcomes["loaded"] > 100, outcomes
+
+
+def toy_model() -> TrainedModel:
+    from sentvec.corpus import build_vocab
+    from sentvec.model import EmbeddingMatrices
+
+    vocab = build_vocab([["aa", "b", "aa", "ccc"]], 1, 1)
+    return TrainedModel(
+        vocab=vocab,
+        matrices=EmbeddingMatrices.initialize(len(vocab), 0, 3, np.random.default_rng(0)),
+        word_ngrams=1,
+        buckets=0,
+        subsample_t=1e-5,
+    )
+
+
+def small_bigram_model() -> TrainedModel:
+    from sentvec.corpus import build_vocab
+    from sentvec.model import EmbeddingMatrices
+
+    sentences, _ = two_topic_sentences(40, words_per_topic=12, seed=5)
+    vocab = build_vocab(sentences, 1, 1)
+    return TrainedModel(
+        vocab=vocab,
+        matrices=EmbeddingMatrices.initialize(len(vocab), 16, 4, np.random.default_rng(1)),
+        word_ngrams=2,
+        buckets=16,
+        subsample_t=1e-4,
+    )
+
+
+def vocabulary_fields(data: bytes) -> tuple[list[bytes], list[int]]:
+    """Surfaces of a model file's vocabulary and the offsets of its entries (plus the end)."""
+    (vocab_size,) = struct.unpack_from("<Q", data, 12)
+    words, offsets, at = [], [48], 48
+    for _ in range(vocab_size):
+        (length,) = struct.unpack_from("<I", data, at)
+        words.append(data[at + 4 : at + 4 + length])
+        at += 4 + length + 8
+        offsets.append(at)
+    return words, offsets
+
+
 def patch_header(path, **fields) -> None:
     """Overwrite model-header fields in place (offsets of the 48-byte layout)."""
     layout = {"dim": (8, "<I"), "buckets": (20, "<Q"), "order": (28, "<I")}
@@ -350,6 +532,34 @@ class TestExportTextVectors:
         assert lines[0] == "2 3"
         assert len(lines) == 3
         assert lines[1].split()[0] == "x"
+
+    def test_text_equals_per_value_format(self):
+        import io
+
+        from sentvec.corpus import build_vocab
+        from sentvec.model import EmbeddingMatrices
+
+        words = [f"w{i}" for i in range(2_100)]  # more rows than one write holds
+        vocab = build_vocab([words], 1, 1)
+        rng = np.random.default_rng(3)
+        source = (rng.standard_normal((len(vocab), 4)) * 10.0 ** rng.integers(
+            -8, 4, size=(len(vocab), 4))).astype(np.float32)
+        source[0] = [0.0, -0.0, np.float32(1e-45), -np.float32(3e-39)]  # zeros, subnormals
+        model = TrainedModel(
+            vocab=vocab,
+            matrices=EmbeddingMatrices(source=source, target=source.copy(), dim=4),
+            word_ngrams=1,
+            buckets=0,
+            subsample_t=1e-5,
+        )
+        out = io.StringIO()
+        export_text_vectors(model, out)
+        expected = [f"{len(vocab)} 4"] + [
+            f"{word} " + " ".join(format(x, ".6g") for x in source[wid])
+            for wid, (word, _) in enumerate(vocab.words)
+        ]
+        assert out.getvalue() == "\n".join(expected) + "\n"
+        assert out.getvalue().splitlines()[1].split()[1:] == ["0", "-0", "1.4013e-45", "-3e-39"]
 
     def test_reparse_within_relative_tolerance(self, tiny_corpus, tmp_path):
         model = train(tiny_corpus, quick_config())
