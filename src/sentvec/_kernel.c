@@ -14,10 +14,14 @@
  * counter is updated atomically.  Randomness comes from a per-worker
  * xoshiro256** state owned by the caller.  Python calls this library
  * through ctypes, which releases the interpreter lock for the call.
+ *
+ * sv_format_rows writes float32 rows as the %.6g text of evaluation.format_rows,
+ * which sentvec embed, export-vec and the pair features print.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -464,4 +468,145 @@ int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_pr
                           int64_t *positions)
 {
     return gate_positions(ids, len, gate_prob, rng, positions);
+}
+
+/* ---- %.6g text ---- */
+
+/* bytes one %.6g value of a float32 takes at most, plus its separator:
+ * "-1.17549e-38" and one byte; must equal sentvec._native._VALUE_BYTES */
+#define G6_VALUE_BYTES 13
+
+static const double POW10[23] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* a * 10^k with at most three roundings: every factor is exact in double */
+static double scale10(double a, int k)
+{
+    for (; k > 22; k -= 22)
+        a *= 1e22;
+    for (; k < -22; k += 22)
+        a /= 1e22;
+    return k >= 0 ? a * POW10[k] : a / POW10[-k];
+}
+
+/* The six significant digits of a finite a > 0 rounded to nearest, and the
+ * decimal exponent of their leading digit; 0 when the scaled value lies too
+ * close to a rounding tie for its error (at most 3.4e-10 here) to be ruled out. */
+static int g6_digits(double a, int64_t *digits, int *exp10)
+{
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    /* floor(log10(a)), or one less: a lies in [2^b, 2^(b+1)) for this b, and
+     * 78913 / 2^18 is log10(2) to within 3e-8 */
+    const int b = (int)(bits >> 52) - 1023;
+    int e = (b * 78913) >> 18;
+    double y = scale10(a, 5 - e);
+    if (y >= 1e6)
+        y = scale10(a, 5 - ++e);
+    if (y < 1e5 || y >= 1e6)
+        return 0;
+    const int64_t whole = (int64_t)y;
+    const double fraction = y - (double)whole;
+    if (fabs(fraction - 0.5) < 1e-6)
+        return 0;
+    *digits = whole + (fraction > 0.5);
+    if (*digits == 1000000) {
+        *digits = 100000;
+        e++;
+    }
+    *exp10 = e;
+    return 1;
+}
+
+/* x as "%.6g" formats it, with NaN as "nan" whatever its sign (as Python
+ * prints it); returns the end of the text, at most 12 bytes on */
+static char *put_g6(char *p, float x)
+{
+    const double a = fabs((double)x);
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (signbit(x))
+        *p++ = '-';
+    if (isinf(x)) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (a == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+    int64_t digits;
+    int e;
+    if (!g6_digits(a, &digits, &e)) {
+        /* glibc rounds exactly, ties to even, as CPython does */
+        char text[32];
+        const int n = snprintf(text, sizeof text, "%.6g", a);
+        memcpy(p, text, (size_t)n);
+        return p + n;
+    }
+    char d[6];
+    for (int i = 5; i >= 0; i--, digits /= 10)
+        d[i] = (char)('0' + digits % 10);
+    int last = 5; /* the last digit kept: %g drops trailing zeros */
+    while (last > 0 && d[last] == '0')
+        last--;
+    if (e < -4 || e >= 6) {
+        *p++ = d[0];
+        if (last > 0) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)last);
+            p += last;
+        }
+        const int ae = e < 0 ? -e : e;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        *p++ = (char)('0' + ae / 10);
+        *p++ = (char)('0' + ae % 10);
+    } else if (e >= 0) {
+        memcpy(p, d, (size_t)e + 1);
+        p += e + 1;
+        if (last > e) {
+            *p++ = '.';
+            memcpy(p, d + e + 1, (size_t)(last - e));
+            p += last - e;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > e; i--)
+            *p++ = '0';
+        memcpy(p, d, (size_t)last + 1);
+        p += last + 1;
+    }
+    return p;
+}
+
+/* The text of rows[0:n_rows] (n_rows x dim, row-major), one line per row:
+ * %.6g values joined by sep, then, when flags is not NULL, a space and the
+ * row's flag as 0 or 1.  Returns the bytes written, or -1 when a row might
+ * not fit in the capacity left (each takes at most G6_VALUE_BYTES * dim + 3). */
+int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
+                       const uint8_t *flags, char *out, int64_t capacity)
+{
+    char *p = out;
+    for (int64_t r = 0; r < n_rows; r++) {
+        if (capacity - (p - out) < G6_VALUE_BYTES * dim + 3)
+            return -1;
+        const float *row = rows + r * dim;
+        for (int64_t j = 0; j < dim; j++) {
+            if (j > 0)
+                *p++ = sep;
+            p = put_g6(p, row[j]);
+        }
+        if (flags != NULL) {
+            *p++ = ' ';
+            *p++ = flags[r] ? '1' : '0';
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -1,4 +1,4 @@
-"""Build, cache and bind the native training kernel (``_kernel.c``).
+"""Build, cache and bind the native kernel (``_kernel.c``): training and row text.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags is already cached
@@ -14,9 +14,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 
@@ -31,6 +28,9 @@ COMPILE_FLAGS = ("-O2", "-fPIC", "-shared")
 
 # status codes of sv_train_chunk and sv_draw_negatives
 _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
+
+# most bytes one %.6g float32 value and its separator take; G6_VALUE_BYTES in _kernel.c
+_VALUE_BYTES = 13
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -131,6 +131,8 @@ class Kernel:
         lib.sv_draw_negatives.restype = ctypes.c_int
         lib.sv_gate_positions.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
         lib.sv_gate_positions.restype = _i64
+        lib.sv_format_rows.argtypes = [_ptr, _i64, _i64, ctypes.c_char, _ptr, _ptr, _i64]
+        lib.sv_format_rows.restype = _i64
 
     @staticmethod
     def model(
@@ -278,6 +280,30 @@ class Kernel:
         )
         return positions[:n]
 
+    def format_rows(
+        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
+    ) -> str:
+        """Text of float32 ``rows``, one line each: ``%.6g`` values joined by ``sep``.
+
+        With boolean ``flags``, each line ends in a space and the row's
+        flag as 0/1.  The text equals ``evaluation.format_rows``' Python path.
+        """
+        n_rows, dim = rows.shape
+        if flags is not None and flags.shape != (n_rows,):
+            raise ValueError(f"flags has shape {flags.shape}, expected ({n_rows},)")
+        if len(sep) != 1 or not sep.isascii():
+            raise ValueError(f"separator must be one ASCII character, got {sep!r}")
+        capacity = n_rows * (_VALUE_BYTES * dim + 3)
+        out = np.empty(capacity, dtype=np.uint8)
+        n = self._lib.sv_format_rows(
+            _pointer(rows, np.float32, "rows"), n_rows, dim, sep.encode(),
+            None if flags is None else _pointer(flags, np.bool_, "flags"),
+            out.ctypes.data, capacity,
+        )
+        if n < 0:
+            raise RuntimeError("native row text overflowed its buffer")
+        return str(memoryview(out)[:n], "ascii")
+
 
 def _check(status: int) -> None:
     if status == _ONLY_TARGET:
@@ -303,6 +329,11 @@ def library_path() -> Path:
 
 
 def _build(path: Path) -> None:
+    # only a build needs these; a cached kernel costs ``import ctypes`` alone
+    import shutil
+    import subprocess
+    import tempfile
+
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         raise KernelUnavailable("no C compiler (gcc or cc) on PATH")

@@ -202,8 +202,25 @@ def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> 
     """Text of a matrix, one line per row: ``%.6g`` values joined by ``sep``.
 
     With ``flags``, each line ends in a space and the row's flag as 0/1.
-    The values are the same text as ``format(x, ".6g")`` gives.
+    The values are the same text as ``format(x, ".6g")`` gives.  Float32
+    rows with a one-character ASCII ``sep`` and boolean or no flags are
+    formatted by the native kernel when it loads; otherwise, and as the
+    reference for the kernel, by Python's ``%`` operator.
     """
+    if (
+        rows.dtype == np.float32
+        and len(sep) == 1
+        and sep.isascii()
+        and (flags is None or flags.dtype == np.bool_)
+    ):
+        from . import _native  # imported on first use: ``import sentvec`` stays light
+
+        try:
+            kernel = _native.load()
+        except _native.KernelUnavailable:
+            pass
+        else:
+            return kernel.format_rows(np.ascontiguousarray(rows), sep, flags)
     line = sep.join(["%.6g"] * rows.shape[1])
     values = rows.tolist()
     if flags is not None:
@@ -312,6 +329,10 @@ def pair_features(v1, v2) -> np.ndarray:
     return np.concatenate([np.abs(v1 - v2), v1 * v2], axis=-1)
 
 
+# feature values formatted per write, which bounds the text held at once
+_PAIR_CHUNK_VALUES = 1 << 16
+
+
 def write_pair_features(
     model: TrainedModel,
     records: list[SimilarityRecord],
@@ -325,12 +346,18 @@ def write_pair_features(
     """
     va, _ = embed_batch(model, [record.sentence_a for record in records])
     vb, _ = embed_batch(model, [record.sentence_b for record in records])
-    text = format_rows(pair_features(va, vb), "\t")
+    features = pair_features(va, vb)
+    step = max(1, _PAIR_CHUNK_VALUES // max(1, features.shape[1]))
+
+    def _write(fh) -> None:
+        for start in range(0, len(features), step):
+            fh.write(format_rows(features[start : start + step], "\t"))
+
     if hasattr(destination, "write"):
-        destination.write(text)
+        _write(destination)
     else:
         with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh)
     return len(records)
 
 

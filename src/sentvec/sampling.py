@@ -3,7 +3,7 @@
 Frequent words are demoted from targethood with keep probability
 ``min(1, sqrt(t/f) + t/f)``.  Negatives are drawn from the exact
 sqrt(f_w) law over the target-eligible words with Walker's alias method,
-built in O(n) by Vose's algorithm: n columns, each holding its own word
+in the table Vose's algorithm builds: n columns, each holding its own word
 up to an integer threshold and an alias word above it.  A draw is one
 uniform column plus one 53-bit coin; the table takes O(n) memory, and the
 native kernel reads the same three arrays.
@@ -26,8 +26,9 @@ __all__ = [
     "sample_negatives",
 ]
 
-# a column's coin is uniform in [0, COIN_SCALE); must equal 2^ALIAS_COIN_BITS in _kernel.c
-COIN_SCALE = 1 << 53
+# a column's coin is uniform in [0, COIN_SCALE); COIN_BITS must equal ALIAS_COIN_BITS in _kernel.c
+COIN_BITS = 53
+COIN_SCALE = 1 << COIN_BITS
 
 
 def discard_keep_prob(f_w: float, t: float) -> float:
@@ -85,9 +86,13 @@ def build_negative_table(
 
     Only words with count >= ``min_target_count`` (defaulting to the
     vocabulary's threshold) participate, with ``negative_prob``
-    renormalized over them.  Vose's algorithm fills each column whose
-    scaled mass is below 1 from one word whose mass is at least 1, in O(n)
-    time and memory; the result is deterministic given the vocabulary.
+    renormalized over them.  The table is the one Vose's algorithm builds:
+    each column whose scaled mass is below 1 is filled from one word whose
+    mass is at least 1, and a large column that gives away more than its
+    excess is filled from the next large one.  Cumulative sums of deficits
+    and surpluses, matched by binary search, find every donor at once, in
+    O(n log n) time without a Python loop; the result is deterministic
+    given the vocabulary.
     """
     if min_target_count is None:
         min_target_count = vocab.min_target_count
@@ -98,26 +103,38 @@ def build_negative_table(
             f"no words with count >= min_target_count={min_target_count}"
         )
     n = eligible.size
-    mass = (negative_prob(counts[eligible]) * n).tolist()  # mean 1 per column
-    threshold = [COIN_SCALE] * n
-    alias = list(range(n))
-    small = [k for k, m in enumerate(mass) if m < 1.0]
-    large = [k for k, m in enumerate(mass) if m >= 1.0]
-    while small and large:
-        s, big = small.pop(), large[-1]
-        # a float residue can leave a mass at or below 0; 1 keeps it drawable
-        threshold[s] = max(1, round(mass[s] * COIN_SCALE))
-        alias[s] = big
-        mass[big] = (mass[big] + mass[s]) - 1.0
-        if mass[big] < 1.0:
-            small.append(large.pop())
-    # columns left in either list carry mass 1 up to float rounding
+    # column masses in fixed point, ``unit`` to a column, so that every sum
+    # below is exact in int64; thresholds shift them up to COIN_SCALE.  The
+    # masses' rounding residue, at most n/2 units, lands on the last large
+    # column, which moves its word's probability by at most 2^-(bits + 1).
+    bits = min(COIN_BITS, 62 - n.bit_length())
+    unit, shift = 1 << bits, COIN_BITS - bits
+    mass = np.rint(negative_prob(counts[eligible]) * n * unit).astype(np.int64)
+    threshold = np.full(n, COIN_SCALE, dtype=np.int64)
+    alias = np.arange(n)
+    # Vose's order: the last small column first, filled by the last large one
+    small = np.nonzero(mass < unit)[0][::-1]
+    large = np.nonzero(mass >= unit)[0][::-1]
+    deficit = np.cumsum(unit - mass[small])
+    surplus = np.cumsum(mass[large] - unit)
+    # a small column's donor is the first large one whose cumulative surplus
+    # covers the deficits before it; past the last one, rounding residue is left
+    donor = np.searchsorted(surplus, np.concatenate([[0], deficit])[:-1])
+    filled = donor < large.size
+    threshold[small[filled]] = mass[small[filled]] << shift
+    alias[small[filled]] = large[donor[filled]]
+    # a large column is overdrawn by the first small one whose cumulative
+    # deficit passes its cumulative surplus; it keeps what is left of its
+    # mass, and the next large column fills the rest
+    over = np.searchsorted(deficit, surplus[:-1], side="right")
+    spent = np.nonzero(over < small.size)[0]
+    threshold[large[spent]] = (unit + surplus[spent] - deficit[over[spent]]) << shift
+    alias[large[spent]] = large[spent + 1]
+    # columns with no donor keep mass 1 up to that residue; a mass rounded
+    # to 0 gets threshold 1, so every column stays drawable
+    np.maximum(threshold, 1, out=threshold)
     entries = eligible.astype(np.int32)
-    return AliasTable(
-        entries=entries,
-        threshold=np.array(threshold, dtype=np.int64),
-        alias=entries[alias],
-    )
+    return AliasTable(entries=entries, threshold=threshold, alias=entries[alias])
 
 
 def _draw(table: AliasTable, count: int, rng: np.random.Generator) -> np.ndarray:

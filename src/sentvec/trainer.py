@@ -518,6 +518,12 @@ def load_model(path: str) -> TrainedModel:
                     f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
                 )
             words.append((surface, count))
+        counted = sum(count for _, count in words)
+        if total_tokens != counted:
+            raise ModelFormatError(
+                f"inconsistent model header: total_tokens={total_tokens}, but the "
+                f"vocabulary counts sum to {counted}"
+            )
         # wire format carries no thresholds; loaded models use the weakest ones
         vocab = Vocabulary(
             words=words,

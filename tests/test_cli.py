@@ -1,12 +1,18 @@
 """Command-line surface: flags, exit codes, output formats."""
 
+import ast
 import io
 import logging
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentvec
 from sentvec.cli import main
 from sentvec.evaluation import cosine, embed_sentence
 from sentvec.trainer import load_model
@@ -310,6 +316,22 @@ class TestExportVecCommand:
 
 
 class TestTopLevel:
+    def test_import_loads_no_kernel_binding(self):
+        # the kernel binding and the thread pool load on first use, so every
+        # command starts without them; numpy itself may import ctypes
+        probe = (
+            "import sys, numpy; before = set(sys.modules); import sentvec, sentvec.cli; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sentvec.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        added = ast.literal_eval(proc.stdout)
+        assert "sentvec.cli" in added
+        for name in ("sentvec._native", "ctypes", "concurrent.futures", "subprocess"):
+            assert name not in added, name
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exit_info:
             main([])

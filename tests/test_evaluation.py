@@ -1,6 +1,7 @@
 """Inference embedding, correlation statistics, pair features, diagnostics."""
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -232,6 +233,78 @@ class TestFormatRows:
         assert format_rows(rows[:0], " ") == ""
 
 
+@pytest.fixture
+def without_kernel(monkeypatch):
+    """Patch ``_native.load`` to fail, so formatting takes the Python path."""
+    from sentvec import _native
+
+    def unavailable():
+        raise _native.KernelUnavailable("disabled for this test")
+
+    def patch():
+        monkeypatch.setattr(_native, "load", unavailable)
+
+    return patch
+
+
+@pytest.fixture
+def kernel():
+    from sentvec import _native
+
+    try:
+        return _native.load()
+    except _native.KernelUnavailable as err:
+        pytest.skip(f"native kernel unavailable: {err}")
+
+
+class TestFormatDispatch:
+    """The native formatter and the Python path print the same text."""
+
+    def test_format_rows(self, kernel, without_kernel):
+        rng = np.random.default_rng(8)
+        rows = (rng.standard_normal((300, 9)) * 10.0 ** rng.integers(-40, 30, size=(300, 9)))
+        rows = rows.astype(np.float32)
+        rows[0, :4] = [np.nan, -np.inf, -0.0, 1234565.0]
+        flags = rng.random(300) < 0.5
+        cases = [(" ", None), ("\t", None), (" ", flags), (", ", None)]
+        native = [format_rows(rows, sep, f) for sep, f in cases]
+        without_kernel()
+        assert [format_rows(rows, sep, f) for sep, f in cases] == native
+
+    def test_cli_embed_and_export(self, kernel, without_kernel, tmp_path, capsys, monkeypatch):
+        from sentvec.cli import main
+        from sentvec.trainer import save_model
+
+        model, words = seeded_ngram_model(2, dim=50)
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        stdin = "\n".join(seeded_lines(words, 300)) + "\n"
+
+        def outputs():
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(["embed", "--model", path, "--oov-flag"]) == 0
+            assert main(["export-vec", "--model", path]) == 0
+            return capsys.readouterr().out
+
+        native = outputs()
+        without_kernel()
+        assert outputs() == native
+        assert native.count(" 1\n") >= 2  # all-OOV lines are flagged
+
+    def test_other_rows_take_the_python_path(self, monkeypatch):
+        from sentvec import _native
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel formatted rows it should not")
+
+        monkeypatch.setattr(_native.Kernel, "format_rows", refuse)
+        # 0.1234565 prints 0.123456 in float64 but 0.123457 once rounded to float32
+        rows = np.array([[0.1234565, -2.5]])
+        assert format_rows(rows, " ") == "0.123456 -2.5\n"
+        assert format_rows(rows.astype(np.float32), ", ") == "0.123457, -2.5\n"
+        assert format_rows(rows.astype(np.float32), " ", np.array([2])) == "0.123457 -2.5 2\n"
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 4.0])
@@ -441,6 +514,33 @@ class TestWritePairFeatures:
         va, _ = embed_sentence(model, "a")
         vb, _ = embed_sentence(model, "b")
         np.testing.assert_allclose(row, pair_features(va, vb), rtol=1e-5)
+
+    def test_dim_700_text_equals_per_value_format(self):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        rng = np.random.default_rng(70)
+        words = [f"w{i}" for i in range(40)]
+        source = rng.standard_normal((40, 700)) * 10.0 ** rng.integers(-20, 15, size=(40, 700))
+        model = toy_model(words, source)
+        records = [
+            SimilarityRecord(" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
+            for _ in range(120)
+        ] + [SimilarityRecord("zzz", "w1", 0.0)]
+        out = Recorder()
+        assert write_pair_features(model, records, out) == len(records)
+        va, _ = embed_batch(model, [r.sentence_a for r in records])
+        vb, _ = embed_batch(model, [r.sentence_b for r in records])
+        expected = "".join(
+            "\t".join(format(float(x), ".6g") for x in row) + "\n"
+            for row in pair_features(va, vb)
+        )
+        assert len(out.writes) > 1
+        assert "".join(out.writes) == expected
 
 
 class TestNormProfile:

@@ -306,3 +306,86 @@ class TestBuild:
             capture_output=True, text=True, check=False,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def g6(values) -> list[str]:
+    return [format(float(x), ".6g") for x in values]
+
+
+def float32_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint32).view(np.float32)
+
+
+def tie_and_boundary_values() -> np.ndarray:
+    """float32 values at and around every rounding decision of ``%.6g``."""
+    rng = np.random.default_rng(55)
+    near = []
+    for exponent in range(-46, 40):
+        # the rounding ties of six digits (1234565 -> 123456|5), of five
+        # digits, and of rounding up into the next decade
+        heads = [100000, 123456, 999999, *rng.integers(100000, 1000000, size=8)]
+        near += [(head + 0.5) * 10.0 ** (exponent - 5) for head in heads]
+        near += [99999.5 * 10.0 ** (exponent - 4), 10.0**exponent]
+    with np.errstate(over="ignore"):
+        near = np.array(near, dtype=np.float32)
+    near = np.concatenate([
+        near, np.nextafter(near, np.float32(np.inf)), np.nextafter(near, np.float32(0))
+    ])
+    # exact ties: odd m / 2^k whose decimal form m * 5^k has seven digits
+    exact = [1234565.0, 123456.5, 1.953125]
+    for k in range(11):
+        low, high = -(-(10**6) // 5**k), 10**7 // 5**k
+        odd = np.arange(low | 1, high, 2)
+        if k == 0:
+            odd = odd[odd % 10 == 5]
+        exact += (rng.choice(odd, size=min(200, len(odd)), replace=False) / 2.0**k).tolist()
+    exact = np.array(exact, dtype=np.float32)
+    special = float32_bits(
+        [1 << i for i in range(23)]  # one subnormal of every exponent
+        + [(1 << i) - 1 for i in range(1, 24)]  # and the largest below each
+        + [0x00800000, 0x007FFFFF, 0x7F7FFFFF, 0x00000000]  # normal edge, max, +0
+        + [0x7F800000, 0x7FC00000, 0x7F800001, 0x7FFFFFFF]  # inf and NaNs
+    )
+    values = np.concatenate([near, exact, special])
+    return np.concatenate([values, -values])
+
+
+class TestFormatRows:
+    def test_random_bit_patterns_match_python(self, kernel):
+        rows = float32_bits(
+            np.random.default_rng(404).integers(0, 2**32, size=2_000_000)
+        ).reshape(-1, 100)
+        assert kernel.format_rows(rows, " ").split() == g6(rows.ravel())
+
+    def test_ties_and_boundaries_match_python(self, kernel):
+        values = tie_and_boundary_values()
+        assert np.isnan(values).sum() == 6 and np.signbit(values[np.isnan(values)]).sum() == 3
+        text = kernel.format_rows(values.reshape(-1, 1), " ")
+        assert text.splitlines() == g6(values)
+        assert "nan" in text and "-nan" not in text and "-0\n" in text
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    @pytest.mark.parametrize("with_flags", [False, True])
+    @pytest.mark.parametrize("dim", [0, 1, 7])
+    def test_separator_and_flags(self, kernel, sep, with_flags, dim):
+        rng = np.random.default_rng(dim)
+        rows = (rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-9, 9, size=(40, dim)))
+        rows = rows.astype(np.float32)
+        flags = rng.random(40) < 0.3 if with_flags else None
+        expected = "".join(
+            sep.join(g6(row)) + (f" {int(flags[i])}" if with_flags else "") + "\n"
+            for i, row in enumerate(rows)
+        )
+        assert kernel.format_rows(rows, sep, flags) == expected
+        assert kernel.format_rows(rows[:0], sep, None if flags is None else flags[:0]) == ""
+
+    def test_bad_arguments_rejected(self, kernel):
+        rows = np.ones((4, 6), dtype=np.float32)
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            kernel.format_rows(rows[:, ::2], " ")
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            kernel.format_rows(rows.astype(np.float64), " ")
+        with pytest.raises(ValueError, match="flags has shape"):
+            kernel.format_rows(rows, " ", np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="one ASCII character"):
+            kernel.format_rows(rows, ", ")

@@ -26,6 +26,25 @@ def make_vocab(counts: dict[str, int], min_target_count: int = 1) -> Vocabulary:
     )
 
 
+def vose_reference(counts):
+    """Vose's loop over all words: (entries, threshold, alias), small columns
+    popped from the end and filled by the last large one."""
+    n = len(counts)
+    mass = (negative_prob(counts) * n).tolist()
+    threshold = [COIN_SCALE] * n
+    alias = list(range(n))
+    small = [k for k, m in enumerate(mass) if m < 1.0]
+    large = [k for k, m in enumerate(mass) if m >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        threshold[s] = max(1, round(mass[s] * COIN_SCALE))
+        alias[s] = big
+        mass[big] = (mass[big] + mass[s]) - 1.0
+        if mass[big] < 1.0:
+            small.append(large.pop())
+    return np.arange(n), np.array(threshold), np.array(alias)
+
+
 class TestDiscardKeepProb:
     def test_boundary_frequency_equals_t(self):
         assert discard_keep_prob(1e-4, 1e-4) == 1.0
@@ -160,6 +179,23 @@ class TestBuildNegativeTable:
         probs = alias_probs(table, len(vocab))
         np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-9)
         assert (probs[eligible] > 0).all()
+
+    @pytest.mark.parametrize(
+        "low,high,size",
+        [(1, 2, 7), (1, 10**12, 300), (1, 50, 5_000), (10**6, 10**6 + 1, 64), (1, 10**4, 40_000)],
+    )
+    def test_same_table_as_vose_loop(self, low, high, size):
+        counts = np.random.default_rng(size).integers(low, high, size=size)
+        vocab = make_vocab({f"w{i}": int(c) for i, c in enumerate(counts)})
+        table = build_negative_table(vocab)
+        entries, threshold, alias = vose_reference(vocab.counts())
+        np.testing.assert_array_equal(table.entries, entries)
+        np.testing.assert_array_equal(table.alias, alias)
+        # the loop carries float64 masses through up to n steps, and
+        # build_negative_table exact fixed point: columns agree to n float64
+        # roundings of mass 1
+        tolerance = COIN_SCALE * size * np.finfo(np.float64).eps
+        np.testing.assert_allclose(table.threshold, threshold, rtol=0, atol=tolerance)
 
     def test_errors(self):
         vocab = make_vocab({"a": 1, "b": 1}, min_target_count=10)

@@ -412,6 +412,18 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="1 trailing bytes"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("claimed", [0, 3, 5], ids=["zero", "one-less", "one-more"])
+    def test_total_tokens_must_equal_the_count_sum(self, tmp_path, claimed):
+        model = toy_model()
+        assert model.vocab.total_tokens == 4
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 40, claimed)  # the header's last field
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=f"total_tokens={claimed}, but .* sum to 4"):
+            load_model(str(path))
+
     def test_mutated_files_fail_cleanly_or_load_consistently(self, tmp_path):
         from sentvec.evaluation import embed_batch
 
@@ -451,6 +463,7 @@ class TestSerialization:
             assert len(vocab.word_index) == len(vocab.words)
             assert all(vocab.word_index[w] == i for i, (w, _) in enumerate(vocab.words))
             assert vocab.counts().min(initial=1) >= 1
+            assert vocab.total_tokens == sum(count for _, count in vocab.words)
             assert matrices.dim >= 1 and loaded.word_ngrams >= 1
             assert (loaded.buckets > 0) == (loaded.word_ngrams >= 2)
             assert matrices.target.shape == (len(vocab), matrices.dim)
