@@ -15,8 +15,13 @@
  * xoshiro256** state owned by the caller.  Python calls this library
  * through ctypes, which releases the interpreter lock for the call.
  *
+ * sv_segment_means composes sentence vectors for evaluation.embed_batch, and
  * sv_format_rows writes float32 rows as the %.6g text of evaluation.format_rows,
  * which sentvec embed, export-vec and the pair features print.
+ *
+ * Every float pointer an entry point takes must be 4-byte aligned, except
+ * the source matrix of sv_segment_means: a mapped model file places it at
+ * any byte offset, so that entry reads it with memcpy loads only.
  */
 
 #include <math.h>
@@ -195,7 +200,8 @@ static int draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint
  * needs no -ffast-math or -march flags to vectorize. */
 typedef float v4f __attribute__((vector_size(16)));
 
-static inline v4f load4(const float *p)
+/* four floats from any address, aligned or not */
+static inline v4f load4(const void *p)
 {
     v4f x;
     memcpy(&x, p, sizeof x);
@@ -468,6 +474,44 @@ int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_pr
                           int64_t *positions)
 {
     return gate_positions(ids, len, gate_prob, rng, positions);
+}
+
+/* ---- sentence composition ---- */
+
+/* The mean of each line's source rows.  Line i averages the rows
+ * rows[start_i : start_i + counts[i]], start_i being the sum of the earlier
+ * counts: it adds them in order to a zero float32 sum and divides by the
+ * count, as numpy's source[rows].sum(axis=0) / count does for dim >= 2.  A
+ * line with no rows gets the zero vector.  source is byte-addressed (no
+ * alignment assumed); out is an aligned n_lines x dim matrix. */
+void sv_segment_means(const char *source, int64_t dim, const int64_t *rows, const int64_t *counts,
+                      int64_t n_lines, float *out)
+{
+    const size_t row_bytes = sizeof(float) * (size_t)dim;
+    for (int64_t line = 0; line < n_lines; line++) {
+        float *const v = out + line * dim;
+        memset(v, 0, row_bytes);
+        const int64_t n = counts[line];
+        for (int64_t r = 0; r < n; r++) {
+            const char *row = source + (size_t)rows[r] * row_bytes;
+            int64_t i = 0;
+            for (; i + 4 <= dim; i += 4) {
+                const v4f sum = load4(v + i) + load4(row + 4 * i);
+                memcpy(v + i, &sum, sizeof sum);
+            }
+            for (; i < dim; i++) {
+                float x;
+                memcpy(&x, row + 4 * i, sizeof x);
+                v[i] += x;
+            }
+        }
+        if (n > 0) {
+            const float count = (float)n;
+            for (int64_t i = 0; i < dim; i++)
+                v[i] /= count;
+        }
+        rows += n;
+    }
 }
 
 /* ---- %.6g text ---- */

@@ -1,12 +1,15 @@
-"""Build, cache and bind the native kernel (``_kernel.c``): training and row text.
+"""Build, cache and bind the native kernel (``_kernel.c``): training, composition and row text.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags is already cached
 under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
-``ctypes``.  The shared object is written in a temporary directory and
-moved into place with ``os.replace``, so concurrent builders never expose
-a half-written file.  ``ctypes`` releases the interpreter lock for every
-call, which lets worker threads train in parallel.
+``ctypes``.  The shared object is written and opened in a temporary
+directory and then moved into place with ``os.replace``, so concurrent
+builders never expose a half-written file.  Once its own build is open,
+``load()`` deletes the cached builds of other sources and flags; a process
+that has one of them open keeps its mapping.  ``ctypes`` releases the
+interpreter lock for every call, which lets worker threads train in
+parallel.
 """
 
 from __future__ import annotations
@@ -74,9 +77,18 @@ class Model(ctypes.Structure):
     ]
 
 
-def _pointer(array: np.ndarray, dtype, name: str) -> int:
+def _pointer(array: np.ndarray, dtype, name: str, byte_addressed: bool = False) -> int:
+    """The address of ``array``'s data after checking its dtype and layout.
+
+    The kernel dereferences typed pointers, so the data must be aligned to
+    its element size, unless the entry point reads it by bytes
+    (``byte_addressed``): a mapped model file can place a matrix at any
+    offset.
+    """
     if array.dtype != dtype or not array.flags.c_contiguous:
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array")
+    if not (byte_addressed or array.flags.aligned):
+        raise ValueError(f"{name} is not aligned to its {array.itemsize}-byte elements")
     return array.ctypes.data
 
 
@@ -112,8 +124,8 @@ def _alias(table, vocab_size: int) -> Alias:
 class Kernel:
     """Typed entry points of the loaded kernel.
 
-    Every method checks dtype, contiguity and sizes of the arrays it is
-    given before their pointers reach native code.
+    Every method checks dtype, contiguity, alignment and sizes of the
+    arrays it is given before their pointers reach native code.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -133,6 +145,8 @@ class Kernel:
         lib.sv_gate_positions.restype = _i64
         lib.sv_format_rows.argtypes = [_ptr, _i64, _i64, ctypes.c_char, _ptr, _ptr, _i64]
         lib.sv_format_rows.restype = _i64
+        lib.sv_segment_means.argtypes = [_ptr, _i64, _ptr, _ptr, _i64, _ptr]
+        lib.sv_segment_means.restype = None
 
     @staticmethod
     def model(
@@ -280,6 +294,31 @@ class Kernel:
         )
         return positions[:n]
 
+    def segment_means(
+        self, source: np.ndarray, rows: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Float32 mean of each line's ``source`` rows; zero for a line with none.
+
+        Line i averages ``source[rows[s : s + counts[i]]]``, where s is the
+        sum of the earlier counts: the rows are added in order to a zero
+        sum, then divided by the count.  That equals
+        ``source[rows[s : s + counts[i]]].sum(axis=0) / counts[i]`` bit for
+        bit at dim >= 2 (numpy sums a single column pairwise).  ``source``
+        may sit at any byte offset, as a mapped model file leaves it.
+        """
+        n_rows, dim = source.shape
+        if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != len(rows):
+            raise ValueError("counts must be non-negative and sum to the number of rows")
+        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError("source row id out of range")
+        out = np.empty((len(counts), dim), dtype=np.float32)
+        self._lib.sv_segment_means(
+            _pointer(source, np.float32, "source", byte_addressed=True), dim,
+            _pointer(rows, np.int64, "rows"), _pointer(counts, np.int64, "counts"),
+            len(counts), out.ctypes.data,
+        )
+        return out
+
     def format_rows(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
     ) -> str:
@@ -328,7 +367,8 @@ def library_path() -> Path:
     return Path(cache) / "sentvec" / f"kernel-{digest.hexdigest()[:32]}.so"
 
 
-def _build(path: Path) -> None:
+def _build(path: Path) -> ctypes.CDLL:
+    """Compile the kernel to ``path`` and return the library, opened before it is moved there."""
     # only a build needs these; a cached kernel costs ``import ctypes`` alone
     import shutil
     import subprocess
@@ -349,9 +389,33 @@ def _build(path: Path) -> None:
                 raise KernelUnavailable(
                     f"{compiler} exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
                 )
+            # open first: another version's pruning may delete ``path`` at any time
+            lib = ctypes.CDLL(str(built))
             os.replace(built, path)
     except OSError as err:
         raise KernelUnavailable(f"cannot build the kernel in {path.parent}: {err}") from err
+    return lib
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """The cached build at ``path``, or a new build when there is none."""
+    try:
+        return ctypes.CDLL(str(path))
+    except OSError as err:
+        if path.is_file():
+            raise KernelUnavailable(f"cannot load {path}: {err}") from err
+    # never built, or removed by another version's pruning since
+    return _build(path)
+
+
+def _prune(keep: Path) -> None:
+    """Delete the cached builds of other kernel sources and flags."""
+    for stale in keep.parent.glob("kernel-*.so"):
+        if stale.name != keep.name:
+            try:
+                stale.unlink()
+            except OSError:  # already gone, or not ours to delete
+                pass
 
 
 _lock = threading.Lock()
@@ -364,12 +428,12 @@ def load() -> Kernel:
         if not _loaded:
             try:
                 path = library_path()
-                if not path.is_file():
-                    _build(path)
+                lib = _open(path)
                 try:
-                    _loaded.append(Kernel(ctypes.CDLL(str(path))))
-                except (OSError, AttributeError) as err:
+                    _loaded.append(Kernel(lib))
+                except AttributeError as err:
                     raise KernelUnavailable(f"cannot load {path}: {err}") from err
+                _prune(path)
             except KernelUnavailable as err:
                 _loaded.append(err)
         outcome = _loaded[0]

@@ -62,40 +62,31 @@ class OovStats:
         return self.oov_tokens / self.tokens if self.tokens else 0.0
 
 
-# byte budget of the gathered (rows, dim) float32 temporary: composition
-# works through the feature rows in pieces of at most this size, cut at
-# line boundaries unless one line alone is longer
-_GATHER_BUDGET_BYTES = 4 << 20
-# segments of more rows than this are summed one at a time
-_LONG_SEGMENT_ROWS = 64
+def _kernel():
+    """The native kernel, or None when it cannot be built here."""
+    from . import _native  # imported on first use: ``import sentvec`` stays light
+
+    try:
+        return _native.load()
+    except _native.KernelUnavailable:
+        return None
 
 
-def _segment_sums(gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum of ``gathered[s : s + n]`` for every segment (s, n), added row by row in order.
+def _segment_means(source: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each line's source rows (CSR ``rows`` with ``counts`` per line); zero when none.
 
-    Each sum equals ``gathered[s : s + n].sum(axis=0)`` bit for bit.
-    Short segments advance together, longest first, one row position per
-    step, so the loop runs once per position and not once per segment.
-    (``np.add.reduceat`` over axis 0 reduces each column separately over
-    strided memory, which is several times slower.)
+    The native kernel composes float32 matrices; otherwise, and as its
+    reference, each line is summed by numpy and divided by its count.
     """
-    order = np.argsort(-lengths, kind="stable")
-    starts = starts[order]
-    lengths = lengths[order]
-    sums = gathered[starts]
-    n_long = int(np.count_nonzero(lengths > _LONG_SEGMENT_ROWS))
-    for i in range(n_long):
-        sums[i] = gathered[starts[i] : starts[i] + lengths[i]].sum(axis=0)
-    short = lengths[n_long:]
-    if len(short):
-        positions = np.arange(1, int(short[0]))
-        # segments still longer than each position; ``short`` is descending
-        active = n_long + np.searchsorted(-short, -positions)
-        for j, end in zip(positions.tolist(), active.tolist()):
-            sums[n_long:end] += gathered[starts[n_long:end] + j]
-    unsorted = np.empty_like(sums)
-    unsorted[order] = sums
-    return unsorted
+    kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
+    if kernel is not None:
+        return kernel.segment_means(source, rows, counts)
+    vectors = np.zeros((len(counts), source.shape[1]), dtype=source.dtype)
+    ends = np.cumsum(counts)
+    for line, (a, b) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        if b > a:
+            vectors[line] = source[rows[a:b]].sum(axis=0) / (b - a)
+    return vectors
 
 
 def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
@@ -150,8 +141,6 @@ def embed_batch(
     )
     known = np.bincount(line_of_token[known_token], minlength=len(line_tokens))
 
-    source = model.matrices.source
-    vectors = np.zeros((len(known), model.matrices.dim), dtype=source.dtype)
     flags = known == 0
     unigrams = ids[known_token]
     if stats is not None:
@@ -159,34 +148,8 @@ def embed_batch(
         stats.all_oov_lines += int(flags.sum())
         stats.tokens += len(ids)
         stats.oov_tokens += len(ids) - len(unigrams)
-    if not len(unigrams):
-        return vectors, flags
-
     rows, counts = _feature_rows(model, unigrams, known)
-    used = np.nonzero(~flags)[0]
-    ends = np.cumsum(counts[used])
-    starts = ends - counts[used]
-    piece = max(1, _GATHER_BUDGET_BYTES // (source.itemsize * source.shape[1]))
-    lo = 0
-    while lo < len(rows):
-        hi = min(lo + piece, len(rows))
-        cut = starts[np.searchsorted(starts, hi, side="right") - 1]
-        if hi < len(rows) and cut > lo:
-            hi = cut
-        a = np.searchsorted(ends, lo, side="right")
-        b = np.searchsorted(starts, hi)
-        first = np.maximum(starts[a:b], lo)
-        sums = _segment_sums(
-            source[rows[lo:hi]], first - lo, np.minimum(ends[a:b], hi) - first
-        )
-        if starts[a] < lo:
-            # one line longer than a piece: add this part to the earlier ones
-            vectors[used[a]] += sums[0]
-            a, sums = a + 1, sums[1:]
-        vectors[used[a:b]] = sums
-        lo = hi
-    vectors[used] /= counts[used, None].astype(np.float32)
-    return vectors, flags
+    return _segment_means(model.matrices.source, rows, counts), flags
 
 
 def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
@@ -213,14 +176,10 @@ def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> 
         and sep.isascii()
         and (flags is None or flags.dtype == np.bool_)
     ):
-        from . import _native  # imported on first use: ``import sentvec`` stays light
-
-        try:
-            kernel = _native.load()
-        except _native.KernelUnavailable:
-            pass
-        else:
-            return kernel.format_rows(np.ascontiguousarray(rows), sep, flags)
+        kernel = _kernel()
+        if kernel is not None:
+            # an aligned copy of rows a mapped model file left misaligned
+            return kernel.format_rows(np.require(rows, requirements="CA"), sep, flags)
     line = sep.join(["%.6g"] * rows.shape[1])
     values = rows.tolist()
     if flags is not None:
@@ -264,15 +223,12 @@ def pearson(xs, ys) -> float:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; ties receive the mean of their rank range."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # first sorted position of every run of equal values, then the end
+    bounds = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1], [True]]))
+    first, stop = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((first + stop - 1) / 2.0 + 1.0, stop - first)
     return ranks
 
 

@@ -10,6 +10,7 @@ interop with word-vector tooling.
 from __future__ import annotations
 
 import logging
+import mmap
 import os
 import struct
 import threading
@@ -464,19 +465,28 @@ def _read_exact(fh, n: int, section: str, limit: int) -> bytes:
     return data
 
 
-def _read_matrix(fh, rows: int, dim: int, section: str, limit: int) -> np.ndarray:
-    """Read a little-endian float32 matrix straight into its own array."""
+def _map_matrix(mapped, offset: int, rows: int, dim: int, section: str) -> np.ndarray:
+    """A (rows, dim) little-endian float32 view of ``mapped`` at byte ``offset``."""
     n = 4 * rows * dim
-    _check_remaining(n, section, limit)
-    matrix = np.empty((rows, dim), dtype="<f4")
-    got = fh.readinto(matrix)
+    if n == 0:
+        return np.zeros((rows, dim), dtype="<f4")
+    got = min(n, max(0, len(mapped) - offset))
     if got != n:
+        # the file shrank after its size was checked
         raise _short_read(n, got, section)
-    return matrix
+    return np.frombuffer(mapped, dtype="<f4", count=rows * dim, offset=offset).reshape(rows, dim)
 
 
 def load_model(path: str) -> TrainedModel:
-    """Read a model file back; matrices round-trip bit-exactly."""
+    """Read a model file back; matrices round-trip bit-exactly.
+
+    After every header and size check, the file is mapped copy-on-write
+    and the matrices are views of the mapping: a page is read when first
+    touched.  They stay writable, and writes never reach the file.
+    Replacing the file (as ``save_model`` does) leaves a loaded model
+    intact, but rewriting or truncating it in place while it is mapped
+    can kill the process with ``SIGBUS``.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = _read_exact(fh, _HEADER.size, "header", size)
@@ -532,14 +542,18 @@ def load_model(path: str) -> TrainedModel:
             min_count=1,
             min_target_count=1,
         )
-        source = _read_matrix(
-            fh, vocab_size + buckets, dim, "source matrix", size - fh.tell()
-        )
-        target = _read_matrix(fh, vocab_size, dim, "target matrix", size - fh.tell())
-        if fh.tell() != size:
-            raise ModelFormatError(
-                f"{size - fh.tell()} trailing bytes after the target matrix"
-            )
+        source_at = fh.tell()
+        source_rows = vocab_size + buckets
+        target_at = source_at + 4 * source_rows * dim
+        end = target_at + 4 * vocab_size * dim
+        _check_remaining(target_at - source_at, "source matrix", size - source_at)
+        _check_remaining(end - target_at, "target matrix", size - target_at)
+        if end != size:
+            raise ModelFormatError(f"{size - end} trailing bytes after the target matrix")
+        # both matrices empty: nothing to map
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if end > source_at else b""
+        source = _map_matrix(mapped, source_at, source_rows, dim, "source matrix")
+        target = _map_matrix(mapped, target_at, vocab_size, dim, "target matrix")
     return TrainedModel(
         vocab=vocab,
         matrices=EmbeddingMatrices(source=source, target=target, dim=dim),

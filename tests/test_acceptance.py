@@ -328,18 +328,16 @@ def test_criterion_07b_linear_wall_clock(tmp_path):
         report_every=10**9,
     )
     multiples = (1, 2, 4)
-    times = []
-    for mult in multiples:
-        corpus = write_corpus(tmp_path / f"lin{mult}.txt", base * mult)
-        if mult == 1:
-            train(corpus, config)  # warmup: page/alloc caches
-        # best of two suppresses transient system-load noise
-        best = math.inf
-        for _ in range(2):
+    corpora = [write_corpus(tmp_path / f"lin{mult}.txt", base * mult) for mult in multiples]
+    train(corpora[0], config)  # warmup: page/alloc caches
+    # each run takes 0.05-0.2 s: the best of five rounds, each timing every
+    # size in turn, so a burst of host load slows one round, not one size
+    times = [math.inf] * len(multiples)
+    for _ in range(5):
+        for i, corpus in enumerate(corpora):
             started = time.perf_counter()
             train(corpus, config)
-            best = min(best, time.perf_counter() - started)
-        times.append(best)
+            times[i] = min(times[i], time.perf_counter() - started)
     x = np.asarray(multiples, dtype=np.float64)
     y = np.asarray(times)
     design = np.column_stack([np.ones_like(x), x])

@@ -141,6 +141,18 @@ def seeded_lines(words, n, seed=62):
     return lines + ["", "zzz qqq", long_line]
 
 
+def assert_per_line_means(model, lines):
+    """``embed_batch`` equals each line's ``source[rows].mean(axis=0)`` bit for bit."""
+    vectors, _ = embed_batch(model, lines)
+    for text, vector in zip(lines, vectors):
+        ids = known_ids(model, text)
+        if not ids:
+            continue
+        sent = extract_ngrams(ids, model.word_ngrams, len(model.vocab), model.buckets)
+        rows = np.concatenate([sent.unigram_ids, sent.ngram_ids])
+        np.testing.assert_array_equal(vector, model.matrices.source[rows].mean(axis=0))
+
+
 class TestEmbedBatch:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_float64_reference(self, order):
@@ -166,32 +178,49 @@ class TestEmbedBatch:
         assert stats.oov_token_rate == oov_tokens / len(tokens)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_equals_per_line_mean_bit_for_bit(self, order):
+    def test_equals_per_line_mean_bit_for_bit(self, order, without_kernel):
         model, words = seeded_ngram_model(order)
         lines = seeded_lines(words, 300)
-        vectors, _ = embed_batch(model, lines)
-        for text, vector in zip(lines, vectors):
-            ids = known_ids(model, text)
-            if not ids:
-                continue
-            sent = extract_ngrams(ids, order, len(model.vocab), model.buckets)
-            rows = np.concatenate([sent.unigram_ids, sent.ngram_ids])
-            np.testing.assert_array_equal(vector, model.matrices.source[rows].mean(axis=0))
+        assert_per_line_means(model, lines)
+        without_kernel()
+        assert_per_line_means(model, lines)
 
-    # 7 rows: most lines span several pieces and their parts are added;
-    # 500 rows: every line fits, so pieces end at line starts
-    @pytest.mark.parametrize("piece_rows,exact", [(7, False), (500, True)])
-    def test_pieces(self, monkeypatch, piece_rows, exact):
+    # embed cuts its input into batches: a line's vector and flag do not
+    # depend on the batch it lands in, through the numpy path or the kernel
+    @pytest.mark.parametrize(
+        "piece_lines,native", [(7, False), (500, True), (7, True), (500, False)]
+    )
+    def test_pieces(self, without_kernel, piece_lines, native):
+        if not native:
+            without_kernel()
         model, words = seeded_ngram_model(3)
-        lines = seeded_lines(words, 200)
-        whole, whole_flags = embed_batch(model, lines)
-        monkeypatch.setattr(evaluation, "_GATHER_BUDGET_BYTES", piece_rows * 4 * 24)
-        pieces, piece_flags = embed_batch(model, lines)
-        np.testing.assert_array_equal(piece_flags, whole_flags)
-        if exact:
-            np.testing.assert_array_equal(pieces, whole)
-        else:
-            np.testing.assert_allclose(pieces, whole, rtol=1e-5, atol=1e-6)
+        lines = seeded_lines(words, 1200)
+        stats = OovStats()
+        whole, whole_flags = embed_batch(model, lines, stats)
+        piece_stats = OovStats()
+        parts = [
+            embed_batch(model, lines[i : i + piece_lines], piece_stats)
+            for i in range(0, len(lines), piece_lines)
+        ]
+        np.testing.assert_array_equal(np.concatenate([v for v, _ in parts]), whole)
+        np.testing.assert_array_equal(np.concatenate([f for _, f in parts]), whole_flags)
+        for name in OovStats.__slots__:
+            assert getattr(piece_stats, name) == getattr(stats, name)
+
+    def test_batch_beyond_the_old_gather_budget(self, without_kernel):
+        # 200 lines of 70-150 tokens at order 3: every line has over 64 rows,
+        # and the batch gathers more than 4 MiB of rows
+        model, words = seeded_ngram_model(3, n_words=2000, buckets=50_000)
+        rng = np.random.default_rng(63)
+        lines = [
+            " ".join(words[int(i)] for i in rng.integers(len(words), size=int(n)))
+            for n in rng.integers(70, 151, size=200)
+        ]
+        rows = sum(3 * len(line.split()) - 3 for line in lines)
+        assert rows * 24 * 4 > 4 << 20
+        assert_per_line_means(model, lines)
+        without_kernel()
+        assert_per_line_means(model, lines)
 
     def test_order_beyond_every_line_is_capped(self):
         # a header may claim any order; windows longer than a line never exist
@@ -258,7 +287,7 @@ def kernel():
 
 
 class TestFormatDispatch:
-    """The native formatter and the Python path print the same text."""
+    """The kernel and the Python paths compose and print the same text."""
 
     def test_format_rows(self, kernel, without_kernel):
         rng = np.random.default_rng(8)
@@ -290,6 +319,36 @@ class TestFormatDispatch:
         without_kernel()
         assert outputs() == native
         assert native.count(" 1\n") >= 2  # all-OOV lines are flagged
+
+    def test_cli_on_misaligned_matrices(
+        self, kernel, without_kernel, tmp_path, capsys, monkeypatch
+    ):
+        from sentvec.cli import main
+        from sentvec.trainer import load_model, save_model
+
+        model, words = seeded_ngram_model(2, dim=30)
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        # the matrices follow a 48-byte header and 12 + len(word) bytes per word
+        assert (48 + sum(12 + len(w) for w in words)) % 4 == 2
+        assert not load_model(path).matrices.source.flags.aligned
+        lines = seeded_lines(words, 300)
+        dataset = tmp_path / "pairs.tsv"
+        dataset.write_text("".join(
+            f"{i % 5}\t{a}\t{b}\n" for i, (a, b) in enumerate(zip(lines, lines[1:]))
+        ))
+
+        def outputs():
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+            assert main(["embed", "--model", path, "--oov-flag"]) == 0
+            assert main(["eval-sim", "--model", path, "--dataset", str(dataset)]) == 0
+            assert main(["export-vec", "--model", path]) == 0
+            return capsys.readouterr().out
+
+        native = outputs()
+        without_kernel()
+        assert outputs() == native
+        assert "pearson=" in native
 
     def test_other_rows_take_the_python_path(self, monkeypatch):
         from sentvec import _native
@@ -401,6 +460,35 @@ class TestSpearman:
                 brute_force_ranks(xs.tolist()), brute_force_ranks(ys.tolist())
             )
             assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
+
+    def test_midranks_equal_the_run_loop(self):
+        def loop_midranks(values):
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(len(values), dtype=np.float64)
+            sorted_vals = values[order]
+            i = 0
+            while i < len(values):
+                j = i
+                while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(53)
+        cases = [
+            rng.integers(0, 2, size=4002).astype(float),  # 0/1 golds: two long runs
+            rng.integers(0, 6, size=999).astype(float),
+            rng.standard_normal(5000),
+            np.array([3.0, np.nan, 1.0, np.nan, 3.0, -0.0, 0.0]),
+            np.array([7.0]),
+            np.array([]),
+        ]
+        for values in cases:
+            np.testing.assert_array_equal(
+                evaluation._midranks(values).view(np.uint64),
+                loop_midranks(values).view(np.uint64),
+            )
 
 
 class TestEvaluateSimilarity:

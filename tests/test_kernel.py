@@ -308,6 +308,126 @@ class TestBuild:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestCache:
+    """``load`` deletes other versions' builds, and survives their deleting its own."""
+
+    def seeded_cache(self, kernel, monkeypatch, tmp_path, names):
+        """A cache under ``tmp_path`` holding the current build under ``names``."""
+        built = _native.library_path()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_native, "_loaded", [])  # a fresh process's first load
+        own = _native.library_path()
+        own.parent.mkdir()
+        for name in names:
+            shutil.copyfile(built, own.with_name(name.format(own=own.name)))
+        return own
+
+    def test_load_prunes_other_builds(self, kernel, monkeypatch, tmp_path):
+        names = ["{own}", "kernel-0123.so", "kernel-4567.so", "notes.so"]
+        own = self.seeded_cache(kernel, monkeypatch, tmp_path, names)
+        _native.load()
+        assert sorted(p.name for p in own.parent.iterdir()) == sorted([own.name, "notes.so"])
+
+    @pytest.mark.parametrize("window", ["cached", "built"])
+    def test_load_racing_another_versions_prune(self, kernel, monkeypatch, tmp_path, window):
+        # another version's load, in a thread, prunes this version's build
+        # just before this load opens it (a cached build) or just after it is
+        # moved into place (a new build)
+        other = "kernel-0123.so"
+        own = self.seeded_cache(
+            kernel, monkeypatch, tmp_path, [other, "{own}"] if window == "cached" else [other]
+        )
+
+        def other_version_prunes():
+            worker = threading.Thread(target=_native._prune, args=(own.with_name(other),))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+
+        if window == "cached":
+            real_cdll = _native.ctypes.CDLL
+
+            def cdll(name, *args, **kwargs):
+                if name == str(own):
+                    other_version_prunes()
+                return real_cdll(name, *args, **kwargs)
+
+            monkeypatch.setattr(_native.ctypes, "CDLL", cdll)
+        else:
+            real_replace = _native.os.replace
+
+            def replace(src, dst):
+                real_replace(src, dst)
+                other_version_prunes()
+
+            monkeypatch.setattr(_native.os, "replace", replace)
+        loaded = _native.load()
+        monkeypatch.undo()
+        rows = np.arange(12, dtype=np.float32).reshape(4, 3)
+        means = loaded.segment_means(rows, np.array([0, 3, 1]), np.array([2, 0, 1]))
+        np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [0, 0, 0], [3, 4, 5]])
+        # the other version's prune removed a new build after it was moved in
+        left = [own.name] if window == "cached" else []
+        assert [p.name for p in own.parent.iterdir()] == left
+
+
+class TestSegmentMeans:
+    def test_equals_numpy_sums_bit_for_bit(self, kernel):
+        rng = np.random.default_rng(71)
+        for dim in (2, 3, 4, 7, 24, 101):
+            source = rng.standard_normal((500, dim)).astype(np.float32)
+            source[:50] = -0.0  # a sum of negative zeros is +0 in numpy's reduction
+            counts = rng.integers(0, 90, size=60)
+            counts[:3] = [0, 1, 130]
+            rows = rng.integers(0, 500, size=int(counts.sum()))
+            rows[:131] = rng.integers(0, 50, size=131)
+            means = kernel.segment_means(source, rows, counts)
+            ends = np.cumsum(counts)
+            for line, (a, b) in enumerate(zip(ends - counts, ends)):
+                expected = source[rows[a:b]].sum(axis=0) / (b - a) if b > a else np.zeros(dim)
+                np.testing.assert_array_equal(
+                    means[line].view(np.uint32), expected.astype(np.float32).view(np.uint32)
+                )
+
+    def test_byte_addressed_source(self, kernel):
+        rng = np.random.default_rng(72)
+        aligned = rng.standard_normal((40, 9)).astype(np.float32)
+        for shift in (1, 2, 3):
+            raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
+            raw[shift : shift + aligned.nbytes] = aligned.view(np.uint8).ravel()
+            moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=shift).reshape(40, 9)
+            assert not moved.flags.aligned
+            rows, counts = rng.integers(0, 40, size=100), np.array([30, 0, 70])
+            np.testing.assert_array_equal(
+                kernel.segment_means(moved, rows, counts),
+                kernel.segment_means(aligned, rows, counts),
+            )
+
+    def test_bad_arguments_rejected(self, kernel):
+        source = np.ones((5, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="out of range"):
+            kernel.segment_means(source, np.array([0, 5]), np.array([2]))
+        with pytest.raises(ValueError, match="out of range"):
+            kernel.segment_means(source, np.array([-1]), np.array([1]))
+        with pytest.raises(ValueError, match="sum to the number of rows"):
+            kernel.segment_means(source, np.array([0, 1]), np.array([1]))
+        with pytest.raises(ValueError, match="non-negative"):
+            kernel.segment_means(source, np.array([0]), np.array([2, -1]))
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            kernel.segment_means(source[:, ::2], np.array([0]), np.array([1]))
+        empty = kernel.segment_means(source, np.array([], dtype=np.int64), np.array([0, 0]))
+        np.testing.assert_array_equal(empty, np.zeros((2, 4)))
+
+    def test_misaligned_float_pointers_rejected(self, kernel):
+        raw = np.zeros(4 * 12 + 2, dtype=np.uint8)
+        rows = np.frombuffer(raw, "<f4", count=12, offset=2).reshape(3, 4)
+        with pytest.raises(ValueError, match="not aligned"):
+            kernel.format_rows(rows, " ")
+        target = np.frombuffer(raw, "<f4", count=8, offset=2).reshape(2, 4)
+        with pytest.raises(ValueError, match="not aligned"):
+            kernel.model(rows, target, order=2, buckets=1, negatives=1)
+
+
 def g6(values) -> list[str]:
     return [format(float(x), ".6g") for x in values]
 

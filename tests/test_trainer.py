@@ -225,6 +225,33 @@ class TestSerialization:
         np.testing.assert_array_equal(restored.matrices.source, model.matrices.source)
         np.testing.assert_array_equal(restored.matrices.target, model.matrices.target)
 
+    def test_loaded_matrices_are_private_writable_copies(self, tiny_corpus, tmp_path):
+        model = train(tiny_corpus, quick_config(word_ngrams=2, bucket_count=64))
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        written = path.read_bytes()
+        restored = load_model(str(path))
+        for matrix in (restored.matrices.source, restored.matrices.target):
+            assert type(matrix) is np.ndarray and matrix.flags.writeable
+            matrix[0] += 1.0
+            matrix[-1] = 0.0
+        np.testing.assert_array_equal(restored.matrices.source[0], model.matrices.source[0] + 1.0)
+        assert path.read_bytes() == written
+        np.testing.assert_array_equal(load_model(str(path)).matrices.source, model.matrices.source)
+
+    def test_loaded_model_survives_save_replacing_its_file(self, tiny_corpus, tmp_path):
+        first = train(tiny_corpus, quick_config(seed=5))
+        second = train(tiny_corpus, quick_config(seed=6))
+        path = tmp_path / "m.bin"
+        save_model(first, str(path))
+        loaded = load_model(str(path))
+        save_model(second, str(path))  # a new inode; the mapped one stays readable
+        np.testing.assert_array_equal(loaded.matrices.source, first.matrices.source)
+        np.testing.assert_array_equal(loaded.matrices.target, first.matrices.target)
+        reloaded = load_model(str(path))
+        np.testing.assert_array_equal(reloaded.matrices.source, second.matrices.source)
+        assert not np.array_equal(first.matrices.source, second.matrices.source)
+
     def test_file_size_matches_layout(self, tmp_path):
         # header is 48 bytes: 4s + u32 + u32 + u64 + u64 + u32 + f64 + u64
         from sentvec.corpus import build_vocab
