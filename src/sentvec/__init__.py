@@ -6,13 +6,12 @@ by plain averaging, making inference a single sparse matrix lookup.
 """
 
 from .corpus import (
-    SentenceIndices,
     Vocabulary,
     build_vocab,
-    extract_ngrams,
     iter_corpus,
     ngram_bucket_ids,
     ngram_hash,
+    sentence_ngrams,
     tokenize,
 )
 from .evaluation import (
@@ -34,7 +33,6 @@ from .model import (
     EmbeddingMatrices,
     StepOutcome,
     apply_l1_after_step,
-    compose_sentence,
     l1_prox,
     logistic_loss,
     lr_schedule,
@@ -70,7 +68,6 @@ __all__ = [
     "ModelFormatError",
     "OovStats",
     "PRESETS",
-    "SentenceIndices",
     "SimilarityRecord",
     "StepOutcome",
     "TrainConfig",
@@ -81,14 +78,12 @@ __all__ = [
     "arora_weight",
     "build_negative_table",
     "build_vocab",
-    "compose_sentence",
     "cosine",
     "discard_keep_prob",
     "embed_batch",
     "embed_sentence",
     "evaluate_similarity",
     "export_text_vectors",
-    "extract_ngrams",
     "iter_corpus",
     "l1_prox",
     "load_model",
@@ -105,6 +100,7 @@ __all__ = [
     "read_similarity_tsv",
     "sample_negatives",
     "save_model",
+    "sentence_ngrams",
     "sigmoid",
     "spearman",
     "tokenize",

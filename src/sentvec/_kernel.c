@@ -122,7 +122,7 @@ static inline int64_t ngram_count(int64_t len, int32_t order)
 }
 
 /* Hashed n-gram rows of one sentence with their inclusive token spans, in
- * the order of corpus.extract_ngrams: by order, then by window start. */
+ * the order of corpus.sentence_ngrams: by order, then by window start. */
 static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, int64_t vocab_size,
                                int64_t buckets, int64_t *grams, int32_t *first, int32_t *last)
 {

@@ -301,10 +301,9 @@ class Kernel:
 
         Line i averages ``source[rows[s : s + counts[i]]]``, where s is the
         sum of the earlier counts: the rows are added in order to a zero
-        sum, then divided by the count.  That equals
-        ``source[rows[s : s + counts[i]]].sum(axis=0) / counts[i]`` bit for
-        bit at dim >= 2 (numpy sums a single column pairwise).  ``source``
-        may sit at any byte offset, as a mapped model file leaves it.
+        sum, then divided by the count, as ``evaluation``'s numpy fallback
+        does too.  ``source`` may sit at any byte offset, as a mapped model
+        file leaves it.
         """
         n_rows, dim = source.shape
         if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != len(rows):

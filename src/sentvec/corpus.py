@@ -1,4 +1,4 @@
-"""Tokenization, streaming vocabulary construction, and n-gram index extraction.
+"""Tokenization, streaming vocabulary construction, and n-gram hashing.
 
 A corpus is newline-delimited UTF-8 text, one sentence per line (gzip
 accepted when the filename ends in ".gz").  Sentences are tokenized by
@@ -20,12 +20,11 @@ import numpy as np
 
 __all__ = [
     "Vocabulary",
-    "SentenceIndices",
     "tokenize",
     "build_vocab",
     "ngram_hash",
     "ngram_bucket_ids",
-    "extract_ngrams",
+    "sentence_ngrams",
     "iter_corpus",
 ]
 
@@ -141,25 +140,6 @@ def build_vocab(
     )
 
 
-@dataclass
-class SentenceIndices:
-    """Index form of one sentence: unigram rows plus hashed n-gram rows.
-
-    ``unigram_ids`` holds vocabulary ids in token order.  ``ngram_ids``
-    holds bucket row ids, each offset by the vocabulary size, and
-    ``token_spans[k] = (start, end)`` is the inclusive token-position span
-    covered by ``ngram_ids[k]``.  Duplicates are retained throughout: the
-    combined list is a bag of features, not a set.
-    """
-
-    unigram_ids: np.ndarray
-    ngram_ids: np.ndarray
-    token_spans: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.unigram_ids) + len(self.ngram_ids)
-
-
 def ngram_hash(window_ids, vocab_size: int, buckets: int) -> int:
     """Hash a window of unigram ids to a bucket row id in [vocab_size, vocab_size + buckets).
 
@@ -206,36 +186,28 @@ def ngram_bucket_ids(tokens, offsets, k: int, vocab_size: int, buckets: int) -> 
     return int(vocab_size) + h.astype(np.int64) % int(buckets)
 
 
-def extract_ngrams(
-    unigram_ids,
-    order: int,
-    vocab_size: int,
-    buckets: int,
-) -> SentenceIndices:
-    """Build the full feature list of a sentence: unigrams plus hashed n-grams.
+def sentence_ngrams(
+    ids, order: int, vocab_size: int, buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket row ids and token spans of one sentence's n-grams of order 2..``order``.
 
-    Unigrams are kept verbatim.  For each order 2..``order``, every
-    contiguous window contributes one hashed bucket id together with its
-    token span.  ``order=1`` disables n-grams entirely.
+    The numpy twin of the kernel's ``sentence_ngrams``: the int64 row ids
+    come out by order, then by window start, and ``spans[k] = (first,
+    last)`` (int32, inclusive) are the token positions gram ``k`` covers.
+    ``order=1`` yields none.
     """
     if order < 1:
         raise ValueError(f"n-gram order must be >= 1, got {order}")
     if order >= 2 and buckets < 1:
         raise ValueError("buckets must be >= 1 when n-gram order >= 2")
-
-    uni = np.asarray(unigram_ids, dtype=np.int32)
-    bounds = np.array([0, len(uni)], dtype=np.int64)
-    gram_ids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    spans: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
-    for k in range(2, order + 1):
-        gram_ids.append(ngram_bucket_ids(uni, bounds, k, vocab_size, buckets))
-        starts = np.arange(len(gram_ids[-1]), dtype=np.int32)
-        spans.append(np.column_stack([starts, starts + (k - 1)]))
-    return SentenceIndices(
-        unigram_ids=uni,
-        ngram_ids=np.concatenate(gram_ids),
-        token_spans=np.concatenate(spans),
-    )
+    bounds = [0, len(ids)]
+    grams = [np.empty(0, dtype=np.int64)]
+    spans = [np.empty((0, 2), dtype=np.int32)]
+    for k in range(2, min(order, len(ids)) + 1):
+        grams.append(ngram_bucket_ids(ids, bounds, k, vocab_size, buckets))
+        first = np.arange(len(ids) - k + 1, dtype=np.int32)
+        spans.append(np.column_stack([first, first + (k - 1)]))
+    return np.concatenate(grams), np.concatenate(spans)
 
 
 def iter_corpus(path: str, lowercase: bool = False) -> Iterator[list[str]]:

@@ -75,8 +75,9 @@ def _kernel():
 def _segment_means(source: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Mean of each line's source rows (CSR ``rows`` with ``counts`` per line); zero when none.
 
-    The native kernel composes float32 matrices; otherwise, and as its
-    reference, each line is summed by numpy and divided by its count.
+    The native kernel composes float32 matrices; otherwise numpy adds
+    each line's rows in order to a zero sum, as the kernel does, and
+    divides by their count: the two agree bit for bit at every dimension.
     """
     kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
     if kernel is not None:
@@ -85,7 +86,10 @@ def _segment_means(source: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> 
     ends = np.cumsum(counts)
     for line, (a, b) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
         if b > a:
-            vectors[line] = source[rows[a:b]].sum(axis=0) / (b - a)
+            # ``accumulate`` adds in row order (``sum`` adds a single column
+            # pairwise); ``+ 0.0`` is the kernel's zero start, which makes -0 +0
+            total = np.add.accumulate(source[rows[a:b]], axis=0)[-1] + 0.0
+            vectors[line] = total / (b - a)
     return vectors
 
 
@@ -94,7 +98,7 @@ def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
 
     ``unigrams`` holds the known ids of all lines back to back, ``known``
     their count per line.  Each line's rows are contiguous: its unigrams,
-    then its windows of order 2, 3, ..., as in ``extract_ngrams``.
+    then its windows of order 2, 3, ..., as in ``sentence_ngrams``.
     """
     offsets = np.concatenate([[0], np.cumsum(known)])
     parts = [(unigrams, known)]

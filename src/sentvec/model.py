@@ -1,4 +1,4 @@
-"""Parameter matrices, sentence composition, and the per-target SGD step.
+"""Parameter matrices, the masked context, and the per-target SGD step.
 
 A sentence vector is the arithmetic mean of the source rows of its
 feature list (unigrams plus hashed n-grams, duplicates counted).  One
@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SentenceIndices
-
 __all__ = [
     "EmbeddingMatrices",
     "StepOutcome",
     "logistic_loss",
     "sigmoid",
-    "compose_sentence",
     "masked_context",
     "train_step",
     "ngram_dropout",
@@ -114,48 +111,45 @@ class StepOutcome:
     target_touch_count: int
 
 
-def compose_sentence(row_ids, source: np.ndarray) -> np.ndarray:
-    """Mean of the referenced source rows; duplicates weigh in per occurrence."""
-    if len(row_ids) == 0:
-        raise ValueError("empty context")
-    return source[np.asarray(row_ids)].mean(axis=0)
+def masked_context(ids, grams, spans, pos: int, dropped=None) -> np.ndarray:
+    """Source rows of a sentence with the target at ``pos`` held out.
 
-
-def masked_context(indices: SentenceIndices, target_pos: int) -> np.ndarray:
-    """Feature list of the sentence with the target held out.
-
-    Drops the unigram occurrence at ``target_pos`` (other occurrences of
-    the same word stay) and every n-gram whose span covers that position.
+    ``grams`` and ``spans`` are the sentence's n-grams as
+    ``corpus.sentence_ngrams`` returns them.  Drops the unigram occurrence
+    at ``pos`` (other occurrences of the same word stay), every n-gram
+    whose span covers ``pos`` and every n-gram flagged in ``dropped``.
     """
-    uni = indices.unigram_ids
-    parts = [uni[:target_pos], uni[target_pos + 1 :]]
-    if len(indices.ngram_ids):
-        spans = indices.token_spans
-        keep = (spans[:, 0] > target_pos) | (spans[:, 1] < target_pos)
-        parts.append(indices.ngram_ids[keep])
-    return np.concatenate(parts)
+    ids = np.asarray(ids)
+    keep = (spans[:, 0] > pos) | (spans[:, 1] < pos)
+    if dropped is not None:
+        keep &= dropped == 0
+    return np.concatenate([ids[:pos], ids[pos + 1 :], grams[keep]])
 
 
 def train_step(
-    indices: SentenceIndices,
-    target_pos: int,
+    ids,
+    grams,
+    spans,
+    pos: int,
     negatives,
     lr: float,
     matrices: EmbeddingMatrices,
+    dropped=None,
 ) -> StepOutcome | None:
     """One SGD step on a single (sentence, target) pair.
 
-    Scores the target and each negative against the masked sentence
-    vector v.  With g = sigmoid(score) - label, each scored target row
-    receives ``u -= lr * g * v`` and every source row in the masked
-    context receives ``v_row -= lr * grad_v / context_size`` where
-    ``grad_v`` accumulates g-weighted pre-update target rows.
+    The sentence is given as in ``masked_context``.  Scores the target
+    and each negative against the masked sentence vector v.  With
+    g = sigmoid(score) - label, each scored target row receives
+    ``u -= lr * g * v`` and every source row in the masked context
+    receives ``v_row -= lr * grad_v / context_size`` where ``grad_v``
+    accumulates g-weighted pre-update target rows.
 
     Returns None when the masked context is empty (a skipped step, as for
     one-token sentences), otherwise the loss and touched rows.  The loss
     is accumulated in 64-bit regardless of the parameter dtype.
     """
-    context = masked_context(indices, target_pos)
+    context = masked_context(ids, grams, spans, pos, dropped)
     if len(context) == 0:
         return None
     source, target_mat = matrices.source, matrices.target
@@ -164,7 +158,7 @@ def train_step(
     v = ctx_rows.mean(axis=0)
 
     scored = np.empty(1 + len(negatives), dtype=np.int64)
-    scored[0] = indices.unigram_ids[target_pos]
+    scored[0] = ids[pos]
     scored[1:] = negatives
     u_rows = target_mat[scored]
     scores = u_rows @ v
@@ -203,29 +197,19 @@ def train_step(
     )
 
 
-def ngram_dropout(
-    indices: SentenceIndices,
-    k: int,
-    rng: np.random.Generator,
-) -> SentenceIndices:
-    """Remove min(k, #ngrams) n-gram entries uniformly without replacement.
+def ngram_dropout(n_grams: int, k: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Flags dropping min(k, ``n_grams``) n-grams uniformly without replacement.
 
-    Unigrams are never dropped.  Returns the input unchanged when there is
-    nothing to drop.
+    Returns a uint8 mask over the n-grams (1 = dropped), as the kernel
+    takes it, or None when there is nothing to drop.
     """
     if k < 0:
         raise ValueError(f"dropout count must be >= 0, got {k}")
-    n_grams = len(indices.ngram_ids)
     if k == 0 or n_grams == 0:
-        return indices
-    drop = rng.choice(n_grams, size=min(k, n_grams), replace=False)
-    keep = np.ones(n_grams, dtype=bool)
-    keep[drop] = False
-    return SentenceIndices(
-        unigram_ids=indices.unigram_ids,
-        ngram_ids=indices.ngram_ids[keep],
-        token_spans=indices.token_spans[keep],
-    )
+        return None
+    dropped = np.zeros(n_grams, dtype=np.uint8)
+    dropped[rng.choice(n_grams, size=min(k, n_grams), replace=False)] = 1
+    return dropped
 
 
 def lr_schedule(base_lr: float, progress: float) -> float:

@@ -22,8 +22,8 @@ import numpy as np
 from .corpus import (
     Vocabulary,
     build_vocab,
-    extract_ngrams,
     iter_corpus,
+    sentence_ngrams,
 )
 from .model import (
     EmbeddingMatrices,
@@ -55,6 +55,7 @@ logger = logging.getLogger(__name__)
 
 MAGIC = b"S2VM"
 FORMAT_VERSION = 1
+INT32_MAX = 2**31 - 1
 _HEADER = struct.Struct("<4sIIQQIdQ")  # magic, version, dim, |V|, buckets, order, t, tokens
 
 
@@ -84,6 +85,11 @@ class TrainConfig:
     report_every: int = 1_000_000
 
     def validate(self) -> None:
+        # ``_native.Model`` holds these in int32 fields, which ctypes fills
+        # with larger values silently truncated
+        for name in ("dim", "word_ngrams", "negatives", "dropout_k"):
+            if getattr(self, name) > INT32_MAX:
+                raise ValueError(f"{name} must be <= {INT32_MAX}, got {getattr(self, name)}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.epochs < 1:
@@ -257,11 +263,10 @@ def _run_shard(
     n_neg = config.negatives
     order = config.word_ngrams
     vocab_size, buckets = len(matrices.target), len(matrices.source) - len(matrices.target)
-    drop_k = config.dropout_k if order >= 2 else 0
     tau = config.l1_tau
     for si in shard:
         ids = tokens[offsets[si] : offsets[si + 1]]
-        sent = extract_ngrams(ids, order, vocab_size, buckets)
+        grams, spans = sentence_ngrams(ids, order, vocab_size, buckets)
         gates = rng.random(len(ids))
         positions = np.nonzero((gates < keep_prob[ids]) & eligible[ids])[0]
         if len(positions) == 0:
@@ -269,10 +274,10 @@ def _run_shard(
         loss_sum = 0.0
         done = 0
         for pos in positions:
-            features = ngram_dropout(sent, drop_k, rng) if drop_k else sent
+            dropped = ngram_dropout(len(grams), config.dropout_k, rng)
             negatives = sample_negatives(table, int(ids[pos]), n_neg, rng)
             lr = lr_schedule(base_lr, progress.value / total_expected)
-            outcome = train_step(features, int(pos), negatives, lr, matrices)
+            outcome = train_step(ids, grams, spans, int(pos), negatives, lr, matrices, dropped)
             if outcome is None:
                 continue
             if tau:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from sentvec.corpus import Vocabulary, build_vocab, extract_ngrams
+from sentvec.corpus import Vocabulary, build_vocab, sentence_ngrams
 from sentvec.evaluation import (
     cosine,
     embed_sentence,
@@ -62,9 +62,9 @@ def test_criterion_01_gradient_oracle():
     rng = np.random.default_rng(2024)
     dim, vocab_size, buckets, eps = 5, 12, 8, 1e-3
 
-    def loss_at(indices, pos, negatives, source, target):
+    def loss_at(sentence, pos, negatives, source, target):
         probe = EmbeddingMatrices(source.copy(), target.copy(), dim)
-        return train_step(indices, pos, negatives, 1.0, probe).loss
+        return train_step(*sentence, pos, negatives, 1.0, probe).loss
 
     worst = 0.0
     checked = 0
@@ -73,7 +73,7 @@ def test_criterion_01_gradient_oracle():
         length = int(rng.integers(2, 8))
         ids = rng.integers(0, vocab_size, size=length).tolist()
         order = int(rng.integers(1, 3))
-        indices = extract_ngrams(ids, order, vocab_size, buckets)
+        sentence = (ids, *sentence_ngrams(ids, order, vocab_size, buckets))
         pos = int(rng.integers(0, length))
         negatives = rng.integers(0, vocab_size, size=int(rng.integers(1, 6)))
         negatives = np.where(
@@ -82,7 +82,7 @@ def test_criterion_01_gradient_oracle():
         source = rng.normal(0.0, 0.5, size=(vocab_size + buckets, dim))
         target = rng.normal(0.0, 0.5, size=(vocab_size, dim))
         matrices = EmbeddingMatrices(source.copy(), target.copy(), dim)
-        if train_step(indices, pos, negatives, 1.0, matrices) is None:
+        if train_step(*sentence, pos, negatives, 1.0, matrices) is None:
             continue
         instances += 1
         for before, after, which in (
@@ -98,13 +98,13 @@ def test_criterion_01_gradient_oracle():
                     minus[row, col] -= eps
                     if which == "source":
                         fd = (
-                            loss_at(indices, pos, negatives, plus, target)
-                            - loss_at(indices, pos, negatives, minus, target)
+                            loss_at(sentence, pos, negatives, plus, target)
+                            - loss_at(sentence, pos, negatives, minus, target)
                         ) / (2 * eps)
                     else:
                         fd = (
-                            loss_at(indices, pos, negatives, source, plus)
-                            - loss_at(indices, pos, negatives, source, minus)
+                            loss_at(sentence, pos, negatives, source, plus)
+                            - loss_at(sentence, pos, negatives, source, minus)
                         ) / (2 * eps)
                     ana = analytic[row, col]
                     rel = abs(ana - fd) / max(abs(ana), abs(fd), 1e-10)
@@ -171,9 +171,10 @@ def test_criterion_03_zero_fixed_point():
             target=np.zeros((20, 7), dtype=np.float32),
             dim=7,
         )
-        indices = extract_ngrams([0, 1, 2, 3, 4], 2, 20, 10)
+        ids = [0, 1, 2, 3, 4]
+        grams, spans = sentence_ngrams(ids, 2, 20, 10)
         negatives = list(range(5, 5 + n_negatives))
-        outcome = train_step(indices, 2, negatives, lr=0.25, matrices=matrices)
+        outcome = train_step(ids, grams, spans, 2, negatives, lr=0.25, matrices=matrices)
         assert outcome.loss == (1 + n_negatives) * math.log(2.0)
         assert not matrices.source.any()
         assert not matrices.target.any()
@@ -294,7 +295,7 @@ def test_criterion_07a_touched_rows_exact():
         length = int(rng.integers(2, 12))
         ids = rng.integers(0, vocab_size, size=length).tolist()
         order = int(rng.integers(1, 4))
-        indices = extract_ngrams(ids, order, vocab_size, buckets)
+        grams, spans = sentence_ngrams(ids, order, vocab_size, buckets)
         pos = int(rng.integers(0, length))
         n_neg = int(rng.integers(1, 11))
         negatives = rng.integers(0, vocab_size, size=n_neg)
@@ -306,14 +307,13 @@ def test_criterion_07a_touched_rows_exact():
             target=rng.normal(size=(vocab_size, 6)).astype(np.float32),
             dim=6,
         )
-        outcome = train_step(indices, pos, negatives, 0.05, matrices)
+        outcome = train_step(ids, grams, spans, pos, negatives, 0.05, matrices)
         # independent recount of the masked feature list
-        spans = indices.token_spans
         surviving_ngrams = int(((spans[:, 0] > pos) | (spans[:, 1] < pos)).sum())
         expected_context = (length - 1) + surviving_ngrams
         assert outcome.source_touch_count == expected_context
         assert outcome.target_touch_count == 1 + n_neg
-        assert len(masked_context(indices, pos)) == expected_context
+        assert len(masked_context(ids, grams, spans, pos)) == expected_context
         checked += 1
     announce(7, "efficiency: touched rows", f"{checked} steps exact")
 

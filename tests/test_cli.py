@@ -59,6 +59,20 @@ class TestTrainCommand:
                      str(tmp_path / "m.bin"), "--min-count", "1"])
         assert code == 1
 
+    def test_int32_overflow_fails_before_training(
+        self, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("sentvec.trainer.build_vocab", no_training)
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", corpus_path, "--output", str(out),
+                     "--word-ngrams", "4294967298"])
+        assert code == 1
+        assert "error: word_ngrams must be <=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_values_land_in_model(self, corpus_path, tmp_path):
         out = tmp_path / "preset.bin"
         # books-uni preset, overriding the knobs that need desk scale

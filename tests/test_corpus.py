@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary construction, and n-gram extraction."""
+"""Tokenization, vocabulary construction, and n-gram hashing."""
 
 import gzip
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from sentvec.corpus import (
-    SentenceIndices,
     build_vocab,
-    extract_ngrams,
     iter_corpus,
     ngram_bucket_ids,
     ngram_hash,
+    sentence_ngrams,
     tokenize,
 )
 
@@ -177,23 +176,22 @@ class TestNgramBucketIds:
             ngram_bucket_ids([1, 2], [0, 2], 1, 10, 16)
 
 
-class TestExtractNgrams:
+class TestSentenceNgrams:
     def test_unigram_order_disables_ngrams(self):
-        indices = extract_ngrams([3, 5], 1, 10, 0)
-        assert indices.unigram_ids.tolist() == [3, 5]
-        assert indices.ngram_ids.tolist() == []
+        grams, spans = sentence_ngrams([3, 5], 1, 10, 0)
+        assert grams.tolist() == []
+        assert spans.shape == (0, 2)
 
     def test_bigram_windows_and_spans(self):
-        indices = extract_ngrams([3, 5, 9], 2, 10, 16)
-        assert indices.unigram_ids.tolist() == [3, 5, 9]
-        assert len(indices.ngram_ids) == 2
-        assert indices.token_spans.tolist() == [[0, 1], [1, 2]]
-        assert all(10 <= g < 26 for g in indices.ngram_ids)
+        grams, spans = sentence_ngrams([3, 5, 9], 2, 10, 16)
+        assert grams.dtype == np.int64 and spans.dtype == np.int32
+        assert len(grams) == 2
+        assert spans.tolist() == [[0, 1], [1, 2]]
+        assert all(10 <= g < 26 for g in grams)
 
     def test_duplicates_retained(self):
-        indices = extract_ngrams([3, 3], 2, 10, 16)
-        assert indices.unigram_ids.tolist() == [3, 3]
-        assert len(indices.ngram_ids) == 1
+        grams, _ = sentence_ngrams([3, 3], 2, 10, 16)
+        assert len(grams) == 1
 
     def test_feature_count_formula(self):
         rng = np.random.default_rng(29)
@@ -201,22 +199,19 @@ class TestExtractNgrams:
             length = int(rng.integers(1, 15))
             order = int(rng.integers(1, 4))
             ids = rng.integers(0, 50, size=length).tolist()
-            indices = extract_ngrams(ids, order, 50, 128)
-            expected = length + sum(
-                max(0, length - k + 1) for k in range(2, order + 1)
-            )
-            assert len(indices) == expected
+            grams, spans = sentence_ngrams(ids, order, 50, 128)
+            expected = sum(max(0, length - k + 1) for k in range(2, order + 1))
+            assert len(grams) == len(spans) == expected
 
     def test_trigram_spans_cover_three_positions(self):
-        indices = extract_ngrams([1, 2, 3, 4], 3, 10, 32)
-        spans = indices.token_spans.tolist()
-        assert spans == [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3]]
+        _, spans = sentence_ngrams([1, 2, 3, 4], 3, 10, 32)
+        assert spans.tolist() == [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3]]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            extract_ngrams([1], 0, 10, 16)
+            sentence_ngrams([1], 0, 10, 16)
         with pytest.raises(ValueError):
-            extract_ngrams([1, 2], 2, 10, 0)
+            sentence_ngrams([1, 2], 2, 10, 0)
 
 
 class TestIterCorpus:

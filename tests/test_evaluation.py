@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sentvec import evaluation
-from sentvec.corpus import Vocabulary, extract_ngrams, ngram_hash
+from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.evaluation import (
     OovStats,
     SimilarityRecord,
@@ -148,8 +148,8 @@ def assert_per_line_means(model, lines):
         ids = known_ids(model, text)
         if not ids:
             continue
-        sent = extract_ngrams(ids, model.word_ngrams, len(model.vocab), model.buckets)
-        rows = np.concatenate([sent.unigram_ids, sent.ngram_ids])
+        grams, _ = sentence_ngrams(ids, model.word_ngrams, len(model.vocab), model.buckets)
+        rows = np.concatenate([ids, grams])
         np.testing.assert_array_equal(vector, model.matrices.source[rows].mean(axis=0))
 
 
@@ -299,6 +299,21 @@ class TestFormatDispatch:
         native = [format_rows(rows, sep, f) for sep, f in cases]
         without_kernel()
         assert [format_rows(rows, sep, f) for sep, f in cases] == native
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_segment_means(self, kernel, without_kernel, dim):
+        # at dim 1 numpy's ``sum(axis=0)`` adds the single column pairwise
+        rng = np.random.default_rng(9)
+        source = rng.standard_normal((300, dim)).astype(np.float32)
+        source[:30] = -0.0  # lines of only -0 rows average to +0 in the kernel
+        counts = rng.integers(0, 200, size=40)
+        counts[:3] = [0, 1, 5]
+        rows = rng.integers(0, 300, size=int(counts.sum()))
+        rows[:6] = rng.integers(0, 30, size=6)
+        native = evaluation._segment_means(source, rows, counts)
+        without_kernel()
+        fallback = evaluation._segment_means(source, rows, counts)
+        np.testing.assert_array_equal(native.view(np.uint32), fallback.view(np.uint32))
 
     def test_cli_embed_and_export(self, kernel, without_kernel, tmp_path, capsys, monkeypatch):
         from sentvec.cli import main

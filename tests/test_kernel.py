@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sentvec import _native
-from sentvec.corpus import SentenceIndices, Vocabulary, extract_ngrams, ngram_hash
+from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.model import EmbeddingMatrices, apply_l1_after_step, train_step
 from sentvec.sampling import (
     COIN_SCALE,
@@ -50,15 +50,8 @@ def state(seed):
 
 
 def oracle_step(ids, order, vocab_size, buckets, pos, negatives, lr, tau, dropped, matrices):
-    indices = extract_ngrams(ids, order, vocab_size, buckets)
-    if dropped is not None:
-        keep = dropped == 0
-        indices = SentenceIndices(
-            unigram_ids=indices.unigram_ids,
-            ngram_ids=indices.ngram_ids[keep],
-            token_spans=indices.token_spans[keep],
-        )
-    outcome = train_step(indices, pos, negatives, lr, matrices)
+    grams, spans = sentence_ngrams(ids, order, vocab_size, buckets)
+    outcome = train_step(ids, grams, spans, pos, negatives, lr, matrices, dropped)
     if outcome is not None and tau:
         apply_l1_after_step(outcome, tau, lr, outcome.source_touch_count, matrices)
     return None if outcome is None else outcome.loss
@@ -124,8 +117,9 @@ class TestNgramHash:
             ids = rng.integers(0, high, size=length).astype(np.int32)
             for order, buckets in ((2, 2_000_003), (3, 97), (4, 1)):
                 grams, spans = kernel.sentence_ngrams(ids, order, vocab_size, buckets)
-                reference = extract_ngrams(ids, order, vocab_size, buckets)
-                np.testing.assert_array_equal(spans, reference.token_spans)
+                want_grams, want_spans = sentence_ngrams(ids, order, vocab_size, buckets)
+                np.testing.assert_array_equal(grams, want_grams)
+                np.testing.assert_array_equal(spans, want_spans)
                 for gram, (start, end) in zip(grams.tolist(), spans.tolist()):
                     assert gram == ngram_hash(ids[start : end + 1], vocab_size, buckets)
                 windows += len(grams)

@@ -1,16 +1,15 @@
-"""Loss, composition, the SGD step, dropout, schedule, and the L1 operator."""
+"""Loss, the masked context, the SGD step, dropout, schedule, and the L1 operator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sentvec.corpus import extract_ngrams
+from sentvec.corpus import sentence_ngrams
 from sentvec.model import (
     INIT_BLOCK_VALUES,
     EmbeddingMatrices,
     apply_l1_after_step,
-    compose_sentence,
     l1_prox,
     logistic_loss,
     lr_schedule,
@@ -21,8 +20,9 @@ from sentvec.model import (
 )
 
 
-def indices_of(ids, order=1, vocab_size=100, buckets=64):
-    return extract_ngrams(ids, order, vocab_size, buckets)
+def sentence_of(ids, order=1, vocab_size=100, buckets=64):
+    """The ``(ids, grams, spans)`` arguments of ``masked_context`` and ``train_step``."""
+    return (ids, *sentence_ngrams(ids, order, vocab_size, buckets))
 
 
 def matrices_of(source, target):
@@ -82,84 +82,52 @@ class TestSigmoid:
         assert float(sigmoid(-1000.0)) == 0.0
 
 
-class TestComposeSentence:
-    def test_single_row_identity(self):
-        source = np.array([[1.0, 2.0], [5.0, -3.0]])
-        np.testing.assert_array_equal(compose_sentence([1], source), [5.0, -3.0])
-
-    def test_opposite_rows_cancel(self):
-        source = np.array([[1.0, -4.0], [-1.0, 4.0]])
-        np.testing.assert_array_equal(compose_sentence([0, 1], source), [0.0, 0.0])
-
-    def test_mean_per_coordinate(self):
-        source = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_allclose(compose_sentence([0, 1, 2], source), [3.0, 4.0])
-
-    def test_duplicates_weigh_per_occurrence(self):
-        source = np.array([[3.0], [0.0]])
-        np.testing.assert_allclose(compose_sentence([0, 0, 1], source), [2.0])
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(21)
-        source = rng.normal(size=(20, 6))
-        ids = rng.integers(0, 20, size=9)
-        base = compose_sentence(ids, source)
-        for _ in range(10):
-            np.testing.assert_allclose(
-                compose_sentence(rng.permutation(ids), source), base, rtol=1e-12
-            )
-
-    def test_empty_context_error(self):
-        with pytest.raises(ValueError, match="empty context"):
-            compose_sentence([], np.zeros((3, 2)))
-
-
 class TestMaskedContext:
     def test_removes_only_the_target_occurrence(self):
-        indices = indices_of([5, 7, 5])
-        assert masked_context(indices, 0).tolist() == [7, 5]
-        assert masked_context(indices, 2).tolist() == [5, 7]
+        sentence = sentence_of([5, 7, 5])
+        assert masked_context(*sentence, 0).tolist() == [7, 5]
+        assert masked_context(*sentence, 2).tolist() == [5, 7]
 
     def test_removes_ngrams_covering_position(self):
-        indices = indices_of([1, 2, 3], order=2)
-        ctx = masked_context(indices, 1).tolist()
+        sentence = sentence_of([1, 2, 3], order=2)
+        ctx = masked_context(*sentence, 1).tolist()
         # both bigrams cover position 1; only the other unigrams remain
         assert ctx == [1, 3]
-        ctx0 = masked_context(indices, 0).tolist()
+        ctx0 = masked_context(*sentence, 0).tolist()
         assert len(ctx0) == 3  # unigrams 2,3 plus the (1,2)-span-free bigram over (2,3)
 
     def test_single_token_sentence_has_empty_context(self):
-        indices = indices_of([4])
-        assert len(masked_context(indices, 0)) == 0
+        sentence = sentence_of([4])
+        assert len(masked_context(*sentence, 0)) == 0
 
 
 class TestTrainStep:
     def test_hand_worked_single_context(self):
         # one context row with value 1.0, zero target row, no negatives
         matrices = matrices_of([[1.0], [0.0]], [[0.0], [0.0]])
-        indices = indices_of([0, 1])
-        outcome = train_step(indices, 1, [], lr=0.2, matrices=matrices)
+        sentence = sentence_of([0, 1])
+        outcome = train_step(*sentence, 1, [], lr=0.2, matrices=matrices)
         assert outcome.loss == math.log(2.0)
         np.testing.assert_allclose(matrices.target[1], [0.1], rtol=1e-15)
 
     def test_zero_parameters_fixed_point(self):
         matrices = matrices_of(np.zeros((6, 4)), np.zeros((6, 4)))
-        indices = indices_of([0, 1, 2])
-        outcome = train_step(indices, 0, [3, 4, 5], lr=0.3, matrices=matrices)
+        sentence = sentence_of([0, 1, 2])
+        outcome = train_step(*sentence, 0, [3, 4, 5], lr=0.3, matrices=matrices)
         assert outcome.loss == 4 * math.log(2.0)
         assert not matrices.source.any()
         assert not matrices.target.any()
 
     def test_skipped_on_empty_context(self):
         matrices = matrices_of(np.ones((3, 2)), np.ones((3, 2)))
-        outcome = train_step(indices_of([1]), 0, [2], lr=0.1, matrices=matrices)
+        outcome = train_step(*sentence_of([1]), 0, [2], lr=0.1, matrices=matrices)
         assert outcome is None
         np.testing.assert_array_equal(matrices.source, np.ones((3, 2)))
 
     def test_touched_rows_and_counts(self):
         matrices = matrices_of(np.zeros((40, 3)), np.zeros((40, 3)))
-        indices = indices_of([1, 2, 1, 3], order=2, vocab_size=10, buckets=20)
-        outcome = train_step(indices, 1, [7, 7, 8], lr=0.1, matrices=matrices)
+        sentence = sentence_of([1, 2, 1, 3], order=2, vocab_size=10, buckets=20)
+        outcome = train_step(*sentence, 1, [7, 7, 8], lr=0.1, matrices=matrices)
         # context: unigrams 1,1,3 plus the bigram over positions (2,3)
         assert outcome.source_touch_count == 4
         assert outcome.target_touch_count == 4
@@ -173,10 +141,10 @@ class TestTrainStep:
         target = rng.normal(size=(10, 4))
         m_dup = matrices_of(source.copy(), target.copy())
         m_two = matrices_of(source.copy(), target.copy())
-        indices = indices_of([0, 1, 2])
-        train_step(indices, 0, [5, 5], lr=0.1, matrices=m_dup)
+        sentence = sentence_of([0, 1, 2])
+        train_step(*sentence, 0, [5, 5], lr=0.1, matrices=m_dup)
         # a duplicated negative must move its row twice as far as a single one
-        train_step(indices, 0, [5], lr=0.2, matrices=m_two)
+        train_step(*sentence, 0, [5], lr=0.2, matrices=m_two)
         np.testing.assert_allclose(m_dup.target[5], m_two.target[5], rtol=1e-12)
 
     def test_duplicate_context_rows_move_per_occurrence(self):
@@ -184,8 +152,8 @@ class TestTrainStep:
         source = rng.normal(size=(10, 4))
         target = rng.normal(size=(10, 4))
         matrices = matrices_of(source.copy(), target.copy())
-        indices = indices_of([3, 3, 6, 7])  # context of target 7: [3, 3, 6]
-        train_step(indices, 3, [1], lr=0.1, matrices=matrices)
+        sentence = sentence_of([3, 3, 6, 7])  # context of target 7: [3, 3, 6]
+        train_step(*sentence, 3, [1], lr=0.1, matrices=matrices)
         moved_3 = source[3] - matrices.source[3]
         moved_6 = source[6] - matrices.source[6]
         assert np.abs(moved_6).sum() > 0
@@ -194,9 +162,9 @@ class TestTrainStep:
     def test_loss_decreases_on_repetition(self):
         rng = np.random.default_rng(33)
         matrices = matrices_of(rng.normal(0, 0.1, (8, 5)), np.zeros((8, 5)))
-        indices = indices_of([0, 1, 2, 3])
+        sentence = sentence_of([0, 1, 2, 3])
         losses = [
-            train_step(indices, 0, [6, 7], lr=0.5, matrices=matrices).loss
+            train_step(*sentence, 0, [6, 7], lr=0.5, matrices=matrices).loss
             for _ in range(30)
         ]
         assert losses[-1] < losses[0]
@@ -213,16 +181,16 @@ def _finite_difference_check(rng, trials, dim=5, eps=1e-3):
     vocab_size, buckets = 12, 8
     worst = 0.0
 
-    def loss_at(indices, pos, negatives, source, target):
+    def loss_at(sentence, pos, negatives, source, target):
         probe = EmbeddingMatrices(source.copy(), target.copy(), dim)
-        return train_step(indices, pos, negatives, 1.0, probe).loss
+        return train_step(*sentence, pos, negatives, 1.0, probe).loss
 
     trial = 0
     while trial < trials:
         length = int(rng.integers(2, 8))
         ids = rng.integers(0, vocab_size, size=length).tolist()
         order = int(rng.integers(1, 3))
-        indices = extract_ngrams(ids, order, vocab_size, buckets)
+        sentence = sentence_of(ids, order, vocab_size, buckets)
         pos = int(rng.integers(0, length))
         negatives = rng.integers(0, vocab_size, size=int(rng.integers(0, 6)))
         negatives = np.where(
@@ -231,7 +199,7 @@ def _finite_difference_check(rng, trials, dim=5, eps=1e-3):
         source = rng.normal(0.0, 0.5, size=(vocab_size + buckets, dim))
         target = rng.normal(0.0, 0.5, size=(vocab_size, dim))
         matrices = EmbeddingMatrices(source.copy(), target.copy(), dim)
-        if train_step(indices, pos, negatives, 1.0, matrices) is None:
+        if train_step(*sentence, pos, negatives, 1.0, matrices) is None:
             continue
         trial += 1
         grad_source = source - matrices.source
@@ -248,13 +216,13 @@ def _finite_difference_check(rng, trials, dim=5, eps=1e-3):
                     minus[row, col] -= eps
                     if which == "source":
                         fd = (
-                            loss_at(indices, pos, negatives, plus, target)
-                            - loss_at(indices, pos, negatives, minus, target)
+                            loss_at(sentence, pos, negatives, plus, target)
+                            - loss_at(sentence, pos, negatives, minus, target)
                         ) / (2 * eps)
                     else:
                         fd = (
-                            loss_at(indices, pos, negatives, source, plus)
-                            - loss_at(indices, pos, negatives, source, minus)
+                            loss_at(sentence, pos, negatives, source, plus)
+                            - loss_at(sentence, pos, negatives, source, minus)
                         ) / (2 * eps)
                     analytic = grad[row, col]
                     rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-10)
@@ -264,51 +232,51 @@ def _finite_difference_check(rng, trials, dim=5, eps=1e-3):
 
 class TestNgramDropout:
     def test_zero_k_is_identity(self):
-        indices = indices_of([1, 2, 3], order=2)
         rng = np.random.default_rng(0)
-        assert ngram_dropout(indices, 0, rng) is indices
+        assert ngram_dropout(2, 0, rng) is None
 
     def test_k_clamps_to_available(self):
-        indices = indices_of([1, 2, 3], order=2)
         rng = np.random.default_rng(1)
-        dropped = ngram_dropout(indices, 99, rng)
-        assert dropped.ngram_ids.tolist() == []
-        assert dropped.unigram_ids.tolist() == [1, 2, 3]
+        dropped = ngram_dropout(2, 99, rng)
+        assert dropped.dtype == np.uint8
+        assert dropped.tolist() == [1, 1]
 
     def test_unigrams_never_dropped(self):
-        indices = indices_of(list(range(10)), order=3)
+        # the flags cover the n-grams alone, so every unigram stays in the context
+        ids, grams, spans = sentence_of(list(range(10)), order=3)
         rng = np.random.default_rng(2)
         for k in (1, 3, 7):
-            dropped = ngram_dropout(indices, k, rng)
-            assert dropped.unigram_ids.tolist() == list(range(10))
-            assert len(dropped.ngram_ids) == len(indices.ngram_ids) - k
+            dropped = ngram_dropout(len(grams), k, rng)
+            assert len(dropped) == len(grams) and int(dropped.sum()) == k
+            context = masked_context(ids, grams, spans, 0, dropped)
+            assert context[:9].tolist() == list(range(1, 10))
 
     def test_spans_stay_aligned(self):
-        indices = indices_of([4, 5, 6, 7], order=2, vocab_size=10, buckets=1000)
-        pairs = set(zip(indices.ngram_ids.tolist(),
-                        map(tuple, indices.token_spans.tolist())))
+        ids, grams, spans = sentence_of([4, 5, 6, 7], order=2, vocab_size=10, buckets=1000)
         rng = np.random.default_rng(3)
-        dropped = ngram_dropout(indices, 2, rng)
-        kept = set(zip(dropped.ngram_ids.tolist(),
-                       map(tuple, dropped.token_spans.tolist())))
-        assert kept <= pairs
+        dropped = ngram_dropout(len(grams), 2, rng)
+        # position 0 masks only the bigram over (0, 1); the flags remove their own grams
+        free = (spans[:, 0] > 0) & (dropped == 0)
+        context = masked_context(ids, grams, spans, 0, dropped)
+        assert context[3:].tolist() == grams[free].tolist()
 
     def test_selection_roughly_uniform(self):
-        indices = indices_of([1, 2, 3, 4, 5], order=2)  # 4 bigrams
         rng = np.random.default_rng(4)
-        survival = np.zeros(4)
+        survival = np.zeros(4)  # the 4 bigrams of a 5-token sentence
         n_rounds = 4000
-        spans = [tuple(s) for s in indices.token_spans.tolist()]
         for _ in range(n_rounds):
-            dropped = ngram_dropout(indices, 1, rng)
-            kept = {tuple(s) for s in dropped.token_spans.tolist()}
-            for j, span in enumerate(spans):
-                survival[j] += span in kept
+            survival += ngram_dropout(4, 1, rng) == 0
         np.testing.assert_allclose(survival / n_rounds, 0.75, atol=0.03)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            ngram_dropout(indices_of([1, 2], order=2), -1, np.random.default_rng(0))
+            ngram_dropout(1, -1, np.random.default_rng(0))
+
+    def test_draw_is_one_choice_without_replacement(self):
+        # the numpy fallback's model files depend on this exact draw
+        dropped = ngram_dropout(9, 4, np.random.default_rng(5))
+        chosen = np.random.default_rng(5).choice(9, size=4, replace=False)
+        assert np.flatnonzero(dropped).tolist() == sorted(chosen.tolist())
 
 
 class TestLrSchedule:
@@ -355,8 +323,8 @@ class TestApplyL1AfterStep:
         rng = np.random.default_rng(42)
         matrices = matrices_of(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
         before_source = matrices.source.copy()
-        indices = indices_of([0, 1, 2])
-        outcome = train_step(indices, 0, [3], lr=0.0, matrices=matrices)
+        sentence = sentence_of([0, 1, 2])
+        outcome = train_step(*sentence, 0, [3], lr=0.0, matrices=matrices)
         apply_l1_after_step(outcome, 0.0, 0.5, outcome.source_touch_count, matrices)
         np.testing.assert_array_equal(matrices.source, before_source)
 

@@ -66,6 +66,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             config.validate()
 
+    @pytest.mark.parametrize("field", ["dim", "word_ngrams", "negatives", "dropout_k"])
+    def test_int32_overflow_rejected(self, field):
+        # the kernel would receive these truncated to 32 bits
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 2**31}).validate()
+        TrainConfig(**{field: 2**31 - 1}).validate()
+
     def test_bucketless_ngrams_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(word_ngrams=2, bucket_count=0).validate()
