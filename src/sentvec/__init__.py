@@ -8,6 +8,7 @@ by plain averaging, making inference a single sparse matrix lookup.
 from .corpus import (
     Vocabulary,
     build_vocab,
+    encode_corpus,
     iter_corpus,
     ngram_bucket_ids,
     ngram_hash,
@@ -82,6 +83,7 @@ __all__ = [
     "discard_keep_prob",
     "embed_batch",
     "embed_sentence",
+    "encode_corpus",
     "evaluate_similarity",
     "export_text_vectors",
     "iter_corpus",

@@ -1,19 +1,21 @@
-"""Tokenization, streaming vocabulary construction, and n-gram hashing.
+"""Tokenization, one-pass corpus encoding, and n-gram hashing.
 
 A corpus is newline-delimited UTF-8 text, one sentence per line (gzip
 accepted when the filename ends in ".gz").  Sentences are tokenized by
 splitting on Unicode whitespace; there is no internal sentence splitting.
-Words surviving the frequency threshold get dense ids ordered by
-descending count, and word n-grams are mapped to a fixed number of bucket
-rows through a deterministic 32-bit hash so that models remain portable
-across implementations.
+One pass gives both the vocabulary, whose frequent words get dense ids by
+descending count, and the corpus as CSR ids.  Word n-grams are mapped to
+a fixed number of bucket rows through a deterministic 32-bit hash so that
+models remain portable across implementations.
 """
 
 from __future__ import annotations
 
 import gzip
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "Vocabulary",
     "tokenize",
     "build_vocab",
+    "encode_corpus",
     "ngram_hash",
     "ngram_bucket_ids",
     "sentence_ngrams",
@@ -69,15 +72,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_index
-
-    def id_of(self, word: str) -> int | None:
-        return self.word_index.get(word)
-
-    def word_of(self, word_id: int) -> str:
-        return self.words[word_id][0]
-
     def counts(self) -> np.ndarray:
         """Per-id occurrence counts as an int64 vector."""
         if self._counts is None:
@@ -92,21 +86,19 @@ class Vocabulary:
         """Boolean mask of words usable as prediction targets."""
         return self.counts() >= self.min_target_count
 
-    def encode(self, tokens: list[str]) -> list[int]:
-        """Map tokens to ids, silently skipping out-of-vocabulary tokens."""
-        index = self.word_index
-        return [index[t] for t in tokens if t in index]
 
-
-def build_vocab(
+def encode_corpus(
     sentences: Iterable[list[str]],
     min_count: int,
     min_target_count: int,
-) -> Vocabulary:
-    """Count tokens in a single streaming pass and keep the frequent ones.
+) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The vocabulary and the corpus as CSR ids, from one pass over ``sentences``.
 
     Words with fewer than ``min_count`` occurrences are dropped.  Ids are
     assigned in descending count order, ties broken by first occurrence.
+    Sentence ``s`` of the result spans ``tokens[offsets[s]:offsets[s + 1]]``
+    (int32 ids, int64 offsets); out-of-vocabulary tokens are skipped, and
+    sentences left with fewer than 2 known tokens are dropped.
 
     Raises ``ValueError`` for an empty corpus or invalid thresholds.
     """
@@ -115,29 +107,52 @@ def build_vocab(
     if min_target_count < 1:
         raise ValueError(f"min_target_count must be >= 1, got {min_target_count}")
 
-    counts: Counter[str] = Counter()
+    # a token's first occurrence gives it the next provisional id
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    provisional = array("i")
+    lengths = array("q")
     for tokens in sentences:
-        counts.update(tokens)
-    if not counts:
+        provisional.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    if not index:
         raise ValueError("no tokens in corpus")
 
-    # Counter keeps first-occurrence order and the sort is stable, so
-    # count ties stay in first-occurrence order
-    kept = sorted(
-        ((w, c) for w, c in counts.items() if c >= min_count),
-        key=lambda item: -item[1],
-    )
-    if not kept:
-        raise ValueError(
-            f"no words survive min_count={min_count}; corpus too small"
-        )
-    return Vocabulary(
+    ids = np.frombuffer(provisional, dtype=np.intc)
+    counts = np.bincount(ids, minlength=len(index))
+    # the sort is stable, so count ties stay in first-occurrence order
+    order = np.argsort(-counts, kind="stable")
+    order = order[counts[order] >= min_count]
+    if not order.size:
+        raise ValueError(f"no words survive min_count={min_count}; corpus too small")
+    surfaces = list(index)
+    kept = [(surfaces[i], c) for i, c in zip(order.tolist(), counts[order].tolist())]
+    vocab = Vocabulary(
         words=kept,
         word_index={w: i for i, (w, _) in enumerate(kept)},
         total_tokens=sum(c for _, c in kept),
         min_count=min_count,
         min_target_count=min_target_count,
     )
+
+    remap = np.full(len(index), -1, dtype=np.int32)
+    remap[order] = np.arange(order.size, dtype=np.int32)
+    ids = remap[ids]
+    del provisional, index  # freed before the per-token masks below
+    lengths = np.frombuffer(lengths, dtype=np.int64)
+    # only the dropped tokens are mapped to their sentences: no per-token sentence index
+    oov_sentence = np.searchsorted(np.cumsum(lengths), np.flatnonzero(ids < 0), side="right")
+    known = lengths - np.bincount(oov_sentence, minlength=len(lengths))
+    trainable = known >= 2
+    tokens = ids[(ids >= 0) & np.repeat(trainable, lengths)]
+    offsets = np.concatenate([[0], np.cumsum(known[trainable])])
+    return vocab, tokens, offsets
+
+
+def build_vocab(
+    sentences: Iterable[list[str]], min_count: int, min_target_count: int
+) -> Vocabulary:
+    """The vocabulary ``encode_corpus`` builds from ``sentences``, with its errors."""
+    return encode_corpus(sentences, min_count, min_target_count)[0]
 
 
 def ngram_hash(window_ids, vocab_size: int, buckets: int) -> int:
@@ -210,6 +225,16 @@ def sentence_ngrams(
     return np.concatenate(grams), np.concatenate(spans)
 
 
+def _decode_line(raw: bytes, path, lineno: int) -> str:
+    """Line ``lineno`` of file ``path`` as text; invalid UTF-8 raises ``ValueError``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(
+            f"{path}: line {lineno}: invalid UTF-8 at byte offset {err.start}: {err.reason}"
+        ) from err
+
+
 def iter_corpus(path: str, lowercase: bool = False) -> Iterator[list[str]]:
     """Yield one token list per input line; transparently reads .gz files.
 
@@ -219,10 +244,4 @@ def iter_corpus(path: str, lowercase: bool = False) -> Iterator[list[str]]:
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            try:
-                yield tokenize(raw, lowercase=lowercase)
-            except UnicodeDecodeError as err:
-                raise ValueError(
-                    f"{path}: line {lineno}: invalid UTF-8 at byte offset "
-                    f"{err.start}: {err.reason}"
-                ) from err
+            yield tokenize(_decode_line(raw, path, lineno), lowercase=lowercase)

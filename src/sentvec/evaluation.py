@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ngram_bucket_ids
+from .corpus import _decode_line, ngram_bucket_ids
 from .trainer import TrainedModel
 
 __all__ = [
@@ -341,27 +341,29 @@ def arora_weight(f_w: float, a: float) -> float:
 
 def read_similarity_tsv(path: str) -> list[SimilarityRecord]:
     """Parse ``score<TAB>sentence_a<TAB>sentence_b`` lines; errors cite the line number."""
+    with open(path, "rb") as fh:
+        # split at \n, \r\n and \r as text mode does; no multi-byte character holds them
+        lines = fh.read().splitlines()
     records: list[SimilarityRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                gold = float(parts[0])
-            except ValueError as err:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad score {parts[0]!r}"
-                ) from err
-            if not math.isfinite(gold):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite score {parts[0]!r}"
-                )
-            records.append(SimilarityRecord(parts[1], parts[2], gold))
+    for lineno, raw in enumerate(lines, start=1):
+        line = _decode_line(raw, path, lineno)
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
+                f"got {len(parts)}"
+            )
+        try:
+            gold = float(parts[0])
+        except ValueError as err:
+            raise ValueError(
+                f"{path}: line {lineno}: bad score {parts[0]!r}"
+            ) from err
+        if not math.isfinite(gold):
+            raise ValueError(
+                f"{path}: line {lineno}: non-finite score {parts[0]!r}"
+            )
+        records.append(SimilarityRecord(parts[1], parts[2], gold))
     return records

@@ -74,23 +74,22 @@ class EmbeddingMatrices:
         buckets: int,
         dim: int,
         rng: np.random.Generator,
-        dtype=np.float32,
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
-        The rows are drawn in blocks straight into the ``dtype`` matrix;
+        The rows are drawn in blocks straight into the float32 matrix;
         the values equal one ``rng.uniform`` draw of the whole matrix.
         """
         bound = 1.0 / (2.0 * dim)
         rows = vocab_size + buckets
-        source = np.empty((rows, dim), dtype=dtype)
+        source = np.empty((rows, dim), dtype=np.float32)
         block = max(1, INIT_BLOCK_VALUES // dim)
         for start in range(0, rows, block):
             stop = min(rows, start + block)
             source[start:stop] = rng.uniform(-bound, bound, size=(stop - start, dim))
         return cls(
             source=source,
-            target=np.zeros((vocab_size, dim), dtype=dtype),
+            target=np.zeros((vocab_size, dim), dtype=np.float32),
             dim=dim,
         )
 

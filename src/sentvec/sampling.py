@@ -78,29 +78,23 @@ class AliasTable:
         return len(self.entries)
 
 
-def build_negative_table(
-    vocab: Vocabulary,
-    min_target_count: int | None = None,
-) -> AliasTable:
+def build_negative_table(vocab: Vocabulary) -> AliasTable:
     """The alias table of the sqrt-frequency law over target-eligible words.
 
-    Only words with count >= ``min_target_count`` (defaulting to the
-    vocabulary's threshold) participate, with ``negative_prob``
-    renormalized over them.  The table is the one Vose's algorithm builds:
-    each column whose scaled mass is below 1 is filled from one word whose
-    mass is at least 1, and a large column that gives away more than its
-    excess is filled from the next large one.  Cumulative sums of deficits
-    and surpluses, matched by binary search, find every donor at once, in
-    O(n log n) time without a Python loop; the result is deterministic
-    given the vocabulary.
+    Only words with count >= ``vocab.min_target_count`` participate, with
+    ``negative_prob`` renormalized over them.  The table is the one Vose's
+    algorithm builds: each column whose scaled mass is below 1 is filled
+    from one word whose mass is at least 1, and a large column that gives
+    away more than its excess is filled from the next large one.
+    Cumulative sums of deficits and surpluses, matched by binary search,
+    find every donor at once, in O(n log n) time without a Python loop;
+    the result is deterministic given the vocabulary.
     """
-    if min_target_count is None:
-        min_target_count = vocab.min_target_count
     counts = vocab.counts()
-    eligible = np.nonzero(counts >= min_target_count)[0]
+    eligible = np.nonzero(vocab.target_eligible())[0]
     if eligible.size == 0:
         raise ValueError(
-            f"no words with count >= min_target_count={min_target_count}"
+            f"no words with count >= min_target_count={vocab.min_target_count}"
         )
     n = eligible.size
     # column masses in fixed point, ``unit`` to a column, so that every sum

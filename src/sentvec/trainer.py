@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import (
     Vocabulary,
-    build_vocab,
+    encode_corpus,
     iter_corpus,
     sentence_ngrams,
 )
@@ -228,22 +228,6 @@ class _LossReporter:
 _CHUNK_SENTENCES = 1024
 
 
-def _encode_corpus(path, vocab, lowercase):
-    """Second pass: the corpus as CSR (int32 ids, int64 sentence offsets).
-
-    Sentences with fewer than 2 known tokens are skipped.
-    """
-    tokens: list[int] = []
-    lengths = [0]
-    for words in iter_corpus(path, lowercase=lowercase):
-        ids = vocab.encode(words)
-        if len(ids) < 2:
-            continue
-        tokens.extend(ids)
-        lengths.append(len(ids))
-    return np.array(tokens, dtype=np.int32), np.cumsum(np.array(lengths, dtype=np.int64))
-
-
 def _run_shard(
     tokens: np.ndarray,
     offsets: np.ndarray,
@@ -325,13 +309,12 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     config.validate()
     started = time.perf_counter()
 
-    vocab = build_vocab(
+    vocab, tokens, offsets = encode_corpus(
         iter_corpus(corpus_path, lowercase=config.lowercase),
         config.min_count,
         config.min_target_count,
     )
     buckets = config.bucket_count if config.word_ngrams >= 2 else 0
-    tokens, offsets = _encode_corpus(corpus_path, vocab, config.lowercase)
     n_sentences = len(offsets) - 1
     if not n_sentences:
         raise ValueError("corpus has no trainable sentences after vocabulary thresholds")
@@ -348,7 +331,7 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     expected_per_epoch = float((vocab.counts() * keep_prob * eligible).sum())
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
-    table = build_negative_table(vocab, config.min_target_count)
+    table = build_negative_table(vocab)
     matrices = EmbeddingMatrices.initialize(
         len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0])
     )

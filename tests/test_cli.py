@@ -65,13 +65,23 @@ class TestTrainCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr("sentvec.trainer.build_vocab", no_training)
+        monkeypatch.setattr("sentvec.trainer.encode_corpus", no_training)
         out = tmp_path / "m.bin"
         code = main(["train", "--input", corpus_path, "--output", str(out),
                      "--word-ngrams", "4294967298"])
         assert code == 1
         assert "error: word_ngrams must be <=" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_invalid_utf8_names_line_and_writes_no_model(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.txt"
+        corpus.write_bytes(b"a b c\nb c a\nc a \xff b\na b c\n")
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", str(corpus), "--output", str(out),
+                     "--min-count", "1", "--min-target-count", "1", "--dim", "4"])
+        assert code == 1
+        assert "line 3: invalid UTF-8 at byte offset 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]
 
     def test_preset_values_land_in_model(self, corpus_path, tmp_path):
         out = tmp_path / "preset.bin"
@@ -286,6 +296,16 @@ class TestEvalSimCommand:
         code = main(["eval-sim", "--model", model_path, "--dataset", str(dataset)])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_invalid_utf8_past_the_first_chunk_cites_line(self, model_path, tmp_path, capsys):
+        dataset = tmp_path / "sim.tsv"
+        good = b"0.5\ta0001 a0002\tb0001\n" * 5000
+        dataset.write_bytes(good + b"0.5\ta0001 \xff\tb0001\n")
+        assert len(good) > 8192
+        code = main(["eval-sim", "--model", model_path, "--dataset", str(dataset)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{dataset}: line 5001: invalid UTF-8 at byte offset 10: invalid start byte" in err
 
 
 class TestNormProfileCommand:

@@ -1,18 +1,22 @@
 """Tokenization, vocabulary construction, and n-gram hashing."""
 
 import gzip
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sentvec.corpus import (
     build_vocab,
+    encode_corpus,
     iter_corpus,
     ngram_bucket_ids,
     ngram_hash,
     sentence_ngrams,
     tokenize,
 )
+
+from conftest import zipf_topic_sentences
 
 
 class TestTokenize:
@@ -94,9 +98,86 @@ class TestBuildVocab:
         with pytest.raises(ValueError):
             build_vocab([["a"]], min_count=1, min_target_count=0)
 
-    def test_encode_skips_oov(self):
-        vocab = build_vocab([["a", "a", "b"]], min_count=2, min_target_count=1)
-        assert vocab.encode(["a", "b", "a", "zzz"]) == [0, 0]
+
+def two_pass_oracle(sentences, min_count):
+    """The two-pass encoding: a Counter, a stable sort, then a per-sentence encode."""
+    counts = Counter()
+    for tokens in sentences:
+        counts.update(tokens)
+    kept = sorted(
+        ((w, c) for w, c in counts.items() if c >= min_count), key=lambda item: -item[1]
+    )
+    index = {w: i for i, (w, _) in enumerate(kept)}
+    tokens, offsets = [], [0]
+    for sentence in sentences:
+        ids = [index[t] for t in sentence if t in index]
+        if len(ids) >= 2:
+            tokens.extend(ids)
+            offsets.append(offsets[-1] + len(ids))
+    return kept, np.array(tokens, dtype=np.int32), np.array(offsets, dtype=np.int64)
+
+
+class TestEncodeCorpus:
+    CORPORA = {
+        "ties": [["x", "y", "y", "z", "x", "q"], ["q", "z", "p"]],
+        "min_count_drops": [["a", "a", "b"], ["c", "a", "b", "d"], ["e", "f"]],
+        "blank_lines": [[], ["a", "b"], [], [], ["b", "a", "a"], []],
+        "zero_or_one_known": [["a", "r1"], ["r2", "r3"], ["a", "b", "r4"], ["b"], ["a", "a"]],
+        "all_dropped": [["a"], ["b", "r1"], ["a", "r2"], ["b"], []],
+    }
+
+    def check(self, sentences, min_count, min_target_count=1):
+        vocab, tokens, offsets = encode_corpus(iter(sentences), min_count, min_target_count)
+        words, want_tokens, want_offsets = two_pass_oracle(sentences, min_count)
+        assert vocab.words == words
+        assert vocab.word_index == {w: i for i, (w, _) in enumerate(words)}
+        assert vocab.total_tokens == sum(c for _, c in words)
+        assert (vocab.min_count, vocab.min_target_count) == (min_count, min_target_count)
+        assert tokens.dtype == np.int32 and offsets.dtype == np.int64
+        np.testing.assert_array_equal(tokens, want_tokens)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        return tokens, offsets
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_equals_two_pass_oracle(self, name, min_count):
+        self.check(self.CORPORA[name], min_count)
+
+    def test_oov_tokens_skipped_and_short_sentences_dropped(self):
+        tokens, offsets = self.check(self.CORPORA["zero_or_one_known"], 2)
+        # kept words: a (4), b (2); only ["a", "b", "r4"] and ["a", "a"] survive
+        assert tokens.tolist() == [0, 1, 0, 0]
+        assert offsets.tolist() == [0, 2, 4]
+
+    def test_every_sentence_dropped(self):
+        tokens, offsets = self.check(self.CORPORA["all_dropped"], 2)
+        assert tokens.size == 0 and offsets.tolist() == [0]
+
+    @pytest.mark.parametrize("seed,min_count", [(31, 1), (32, 5)])
+    def test_zipf_corpora(self, seed, min_count):
+        sentences = zipf_topic_sentences(
+            600, vocab_size=900, n_function=20, n_topics=6, seed=seed
+        )
+        # short sentences of rare words exercise the sentence drop
+        sentences += [s[:2] for s in sentences[::7]]
+        self.check(sentences, min_count, min_target_count=3)
+
+    @pytest.mark.parametrize("min_count", [1, 3])
+    def test_build_vocab_is_its_vocabulary(self, min_count):
+        sentences = zipf_topic_sentences(300, vocab_size=400, seed=33)
+        assert build_vocab(sentences, min_count, 2) == encode_corpus(sentences, min_count, 2)[0]
+
+    def test_errors_match_build_vocab(self):
+        for args, message in [
+            (([["a"]], 0, 1), "min_count must be >= 1"),
+            (([["a"]], 1, 0), "min_target_count must be >= 1"),
+            (([[], []], 1, 1), "no tokens in corpus"),
+            (([["a", "b"]], 2, 1), "no words survive min_count=2"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                encode_corpus(*args)
+            with pytest.raises(ValueError, match=message):
+                build_vocab(*args)
 
 
 class TestNgramHash:

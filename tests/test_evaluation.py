@@ -695,6 +695,23 @@ class TestReadSimilarityTsv:
         with pytest.raises(ValueError, match=f"{path}: line 2: non-finite"):
             read_similarity_tsv(str(path))
 
+    def test_universal_newlines(self, tmp_path):
+        path = tmp_path / "sim.tsv"
+        path.write_bytes(b"1\ta\tb\r\n2\tc\td\r\r3\te\tf\n4\tg\x0bh\ti")
+        records = read_similarity_tsv(str(path))
+        assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == [
+            (1.0, "a", "b"), (2.0, "c", "d"), (3.0, "e", "f"), (4.0, "g\x0bh", "i"),
+        ]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_cites_line_and_offset(self, tmp_path, newline):
+        path = tmp_path / "sim.tsv"
+        path.write_bytes(newline.join([b"1\ta\tb", b"", b"2\tc \xe2\x82\td", b""]))
+        with pytest.raises(ValueError, match=(
+            f"{path}: line 3: invalid UTF-8 at byte offset 4: invalid continuation byte"
+        )):
+            read_similarity_tsv(str(path))
+
     def test_bad_score_cites_number(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("x\ta\tb\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Training orchestration, serialization, and the text export."""
 
+import gzip
 import os
 import struct
 import tracemalloc
@@ -192,6 +193,50 @@ class TestTrain:
         path.write_text("a b c\nd e f\n", encoding="utf-8")
         with pytest.raises(ValueError):
             train(str(path), quick_config(min_count=2))
+
+    def test_every_sentence_dropped_errors(self, tmp_path):
+        path = tmp_path / "short.txt"
+        # a and b survive min_count=2, but no line keeps 2 known tokens
+        path.write_text("a\nb r1\n\na r2\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no trainable sentences"):
+            train(str(path), quick_config(min_count=2))
+
+    @pytest.mark.parametrize("engine", ["kernel", "fallback"])
+    def test_corpus_read_once(self, tiny_corpus, monkeypatch, engine):
+        from sentvec import _native, trainer
+
+        if engine == "fallback":
+            def unavailable():
+                raise _native.KernelUnavailable("disabled for this test")
+
+            monkeypatch.setattr(_native, "load", unavailable)
+        else:
+            try:
+                _native.load()
+            except _native.KernelUnavailable as err:
+                pytest.skip(f"native kernel unavailable: {err}")
+        real_iter_corpus = trainer.iter_corpus
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_iter_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "iter_corpus", counted)
+        train(tiny_corpus, quick_config(epochs=2))
+        assert calls == [(tiny_corpus,)]
+
+    def test_gzip_corpus_trains_the_same_model(self, tiny_corpus, tmp_path):
+        packed = tmp_path / "tiny.txt.gz"
+        with open(tiny_corpus, "rb") as src, gzip.open(packed, "wb") as dst:
+            dst.write(src.read())
+        config = quick_config(word_ngrams=2, bucket_count=256, dropout_k=2)
+        blobs = []
+        for path in (tiny_corpus, str(packed)):
+            out = tmp_path / "model.bin"
+            save_model(train(path, config), str(out))
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_corpus_errors(self):
         with pytest.raises(OSError):
