@@ -72,9 +72,12 @@ def _default_threads() -> int:
     if value is None:
         return _DEFAULTS.threads
     try:
-        return max(1, int(value))
+        threads = int(value)
     except ValueError:
-        return _DEFAULTS.threads
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
+    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,24 +74,66 @@ class EmbeddingMatrices:
         buckets: int,
         dim: int,
         rng: np.random.Generator,
+        workers: int = 1,
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
         The rows are drawn in blocks straight into the float32 matrix;
-        the values equal one ``rng.uniform`` draw of the whole matrix.
+        the values equal one ``rng.uniform`` draw of the whole matrix, and
+        ``rng`` ends in the state that draw leaves.  With ``workers > 1``
+        and a PCG64 generator (``np.random.default_rng``'s), the rows are
+        split into ``workers`` contiguous slabs drawn on as many threads.
+        Each slab draws from a copy of ``rng`` advanced past the values
+        before it: a double draw takes exactly one 64-bit output, so the
+        matrix is the same for any worker count.
         """
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         bound = 1.0 / (2.0 * dim)
         rows = vocab_size + buckets
         source = np.empty((rows, dim), dtype=np.float32)
-        block = max(1, INIT_BLOCK_VALUES // dim)
-        for start in range(0, rows, block):
-            stop = min(rows, start + block)
-            source[start:stop] = rng.uniform(-bound, bound, size=(stop - start, dim))
+        bits = rng.bit_generator
+        if workers == 1 or not isinstance(bits, np.random.PCG64):
+            _fill_rows(source, 0, rows, bound, rng)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            state = bits.state
+            slabs = [rows * w // workers for w in range(workers + 1)]
+
+            def fill_slab(w: int) -> None:
+                copy = np.random.PCG64()
+                copy.state = state
+                copy.advance(slabs[w] * dim)
+                _fill_rows(source, slabs[w], slabs[w + 1], bound, np.random.Generator(copy))
+
+            # numpy releases the GIL in ``uniform`` and in the float32 cast
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for future in [pool.submit(fill_slab, w) for w in range(workers)]:
+                    future.result()
+            bits.advance(rows * dim)
+            # advance() drops a buffered 32-bit half, which double draws keep
+            bits.state = {
+                **bits.state,
+                "has_uint32": state["has_uint32"],
+                "uinteger": state["uinteger"],
+            }
         return cls(
             source=source,
             target=np.zeros((vocab_size, dim), dtype=np.float32),
             dim=dim,
         )
+
+
+def _fill_rows(
+    source: np.ndarray, start: int, stop: int, bound: float, rng: np.random.Generator
+) -> None:
+    """Draws rows ``start:stop`` of ``source`` in blocks of float64 temporaries."""
+    dim = source.shape[1]
+    block = max(1, INIT_BLOCK_VALUES // dim)
+    for first in range(start, stop, block):
+        last = min(stop, first + block)
+        source[first:last] = rng.uniform(-bound, bound, size=(last - first, dim))
 
 
 @dataclass

@@ -11,7 +11,6 @@ native kernel reads the same three arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,25 @@ COIN_BITS = 53
 COIN_SCALE = 1 << COIN_BITS
 
 
-def discard_keep_prob(f_w: float, t: float) -> float:
+def discard_keep_prob(f_w, t: float):
     """Probability of keeping a word as a prediction target.
 
-    ``f_w`` is the word's normalized corpus frequency in (0, 1] and ``t``
-    the subsampling hyperparameter.  Words with f_w <= t are always kept.
+    ``f_w`` is a word's normalized corpus frequency in (0, 1], or an array
+    of them, and ``t`` the subsampling hyperparameter.  Words with
+    f_w <= t are always kept.  Returns a float for a scalar ``f_w``, else
+    a float64 array of the same shape.
     """
-    if not 0.0 < f_w <= 1.0:
-        raise ValueError(f"normalized frequency must be in (0, 1], got {f_w}")
+    freqs = np.asarray(f_w, dtype=np.float64)
+    bad = np.flatnonzero(~((freqs > 0.0) & (freqs <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"normalized frequency must be in (0, 1], got {freqs.flat[bad[0]]}"
+        )
     if t <= 0.0:
         raise ValueError(f"subsampling parameter must be > 0, got {t}")
-    ratio = t / f_w
-    return min(1.0, math.sqrt(ratio) + ratio)
+    ratio = t / freqs
+    keep = np.minimum(1.0, np.sqrt(ratio) + ratio)
+    return float(keep) if keep.ndim == 0 else keep
 
 
 def negative_prob(counts) -> np.ndarray:

@@ -323,17 +323,15 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         len(vocab), vocab.total_tokens, n_sentences,
     )
 
-    freqs = vocab.frequencies()
-    keep_prob = np.array(
-        [discard_keep_prob(f, config.subsample_t) for f in freqs], dtype=np.float64
-    )
+    keep_prob = discard_keep_prob(vocab.frequencies(), config.subsample_t)
     eligible = vocab.target_eligible()
     expected_per_epoch = float((vocab.counts() * keep_prob * eligible).sum())
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
     table = build_negative_table(vocab)
     matrices = EmbeddingMatrices.initialize(
-        len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0])
+        len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0]),
+        workers=config.threads,
     )
     model = TrainedModel(
         vocab=vocab,

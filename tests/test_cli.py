@@ -126,6 +126,35 @@ class TestTrainCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_invalid_threads_env_fails_before_training(
+        self, value, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("sentvec.cli.train", no_training)
+        monkeypatch.setenv("SENTVEC_THREADS", value)
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", corpus_path, "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: SENTVEC_THREADS must be a positive integer, got '{value}'\n"
+        )
+        assert not out.exists()
+
+    def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("SENTVEC_THREADS", "abc")
+        out = tmp_path / "flag.bin"
+        code = main(
+            [
+                "train", "--input", corpus_path, "--output", str(out), "--threads", "1",
+                "--dim", "8", "--min-count", "1", "--min-target-count", "1",
+                "--epochs", "1", "--t", "1e-2",
+            ]
+        )
+        assert code == 0
+
     def test_help_exits_zero_and_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["train", "--help"])

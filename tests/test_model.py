@@ -46,6 +46,44 @@ class TestInitialize:
         np.testing.assert_array_equal(matrices.source, one_shot)
         assert not matrices.target.any()
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "vocab_size,buckets,dim",
+        [
+            (6_000, 5_001, 100),
+            (2, 1, 3),  # fewer rows than workers
+            (0, 0, 4),
+            (3, 2, 1),
+            (3, 2, INIT_BLOCK_VALUES + 5),  # one row per block
+        ],
+    )
+    def test_slabs_equal_one_shot(self, vocab_size, buckets, dim, workers):
+        rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+        # leave a buffered 32-bit half in both, which double draws must keep
+        rng.integers(0, 9, dtype=np.int32)
+        reference.integers(0, 9, dtype=np.int32)
+        matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers)
+        bound = 1.0 / (2.0 * dim)
+        one_shot = reference.uniform(
+            -bound, bound, size=(vocab_size + buckets, dim)
+        ).astype(np.float32)
+        assert matrices.source.tobytes() == one_shot.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        np.testing.assert_array_equal(rng.random(5), reference.random(5))
+
+    def test_generator_without_pcg64_draws_serially(self):
+        matrices = EmbeddingMatrices.initialize(
+            40, 9, 5, np.random.Generator(np.random.Philox(4)), workers=3
+        )
+        one_shot = np.random.Generator(np.random.Philox(4)).uniform(
+            -0.1, 0.1, size=(49, 5)
+        ).astype(np.float32)
+        assert matrices.source.tobytes() == one_shot.tobytes()
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            EmbeddingMatrices.initialize(2, 0, 3, np.random.default_rng(0), workers=0)
+
 
 class TestLogisticLoss:
     def test_zero_is_log_two(self):

@@ -79,6 +79,23 @@ class TestDiscardKeepProb:
         with pytest.raises(ValueError):
             discard_keep_prob(0.5, 0.0)
 
+    def test_array_equals_scalar_loop(self):
+        t = 1e-4
+        rng = np.random.default_rng(3)
+        # both sides of t, t itself and 1
+        freqs = np.concatenate([t * 10.0 ** rng.uniform(-3, 4, size=500), [t, 1.0]])
+        assert (freqs < t).any() and (freqs > t).any()
+        expected = np.array([discard_keep_prob(float(f), t) for f in freqs])
+        keep = discard_keep_prob(freqs, t)
+        assert keep.dtype == np.float64
+        assert keep.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, np.nan])
+    def test_array_names_first_bad_frequency(self, bad):
+        freqs = np.array([0.25, bad, 0.5, 2.0])
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            discard_keep_prob(freqs, 1e-5)
+
 
 class TestNegativeProb:
     def test_sqrt_ratio(self):

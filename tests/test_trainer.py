@@ -163,6 +163,20 @@ class TestTrain:
         assert np.all(np.isfinite(model.matrices.source))
         assert model.stats.targets_processed > 0
 
+    def test_initial_rows_drawn_on_the_training_threads(self, tiny_corpus, monkeypatch):
+        from sentvec import trainer
+
+        real_initialize = trainer.EmbeddingMatrices.initialize
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("workers"))
+            return real_initialize(*args, **kwargs)
+
+        monkeypatch.setattr(trainer.EmbeddingMatrices, "initialize", spy)
+        train(tiny_corpus, quick_config(threads=2, epochs=1))
+        assert calls == [2]
+
     def test_l1_run_produces_exact_zeros(self, small_corpus):
         dense = train(small_corpus, quick_config(seed=3))
         sparse = train(small_corpus, quick_config(seed=3, l1_tau=0.01))
