@@ -1,4 +1,4 @@
-"""Build, cache and bind the native kernel (``_kernel.c``): training, composition and row text.
+"""Build, cache and bind the native kernel (``_kernel.c``): init, training, composition, row text.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags is already cached
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import threading
 from pathlib import Path
@@ -27,7 +28,8 @@ from .sampling import COIN_SCALE
 __all__ = ["Kernel", "KernelUnavailable", "library_path", "load", "rng_state"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-COMPILE_FLAGS = ("-O2", "-fPIC", "-shared")
+# no fused multiply-add contraction: the uniform fill must round as numpy does
+COMPILE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # status codes of sv_train_chunk and sv_draw_negatives
 _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
@@ -147,6 +149,8 @@ class Kernel:
         lib.sv_format_rows.restype = _i64
         lib.sv_segment_means.argtypes = [_ptr, _i64, _ptr, _ptr, _i64, _ptr]
         lib.sv_segment_means.restype = None
+        lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
+        lib.sv_fill_uniform.restype = None
 
     @staticmethod
     def model(
@@ -293,6 +297,29 @@ class Kernel:
             _pointer(rng_state, np.uint64, "rng_state"), positions.ctypes.data,
         )
         return positions[:n]
+
+    def fill_uniform(self, out: np.ndarray, pcg64_state: dict, low: float, high: float) -> None:
+        """Fill ``out`` as ``Generator(PCG64).uniform(low, high, out.shape).astype(float32)``.
+
+        ``pcg64_state`` is a ``PCG64.state`` dict; the values are the ones a
+        generator in that state draws next, bit for bit, and the state is
+        not changed.  ``high - low`` is the range numpy computes.
+        """
+        if pcg64_state.get("bit_generator") != "PCG64":
+            raise ValueError("pcg64_state is not a PCG64 state")
+        if not out.flags.writeable:
+            raise ValueError("out is read-only")
+        pointer = _pointer(out, np.float32, "out")
+        if not math.isfinite(high - low):
+            raise ValueError(f"range of [{low}, {high}) is not finite")
+        halves = []
+        for name in ("state", "inc"):
+            value = pcg64_state["state"][name]
+            if not 0 <= value < 2**128:
+                raise ValueError(f"PCG64 {name} outside [0, 2^128)")
+            halves += [value >> 64, value & (2**64 - 1)]
+        state = np.array(halves, dtype=np.uint64)
+        self._lib.sv_fill_uniform(pointer, out.size, state.ctypes.data, low, high - low)
 
     def segment_means(
         self, source: np.ndarray, rows: np.ndarray, counts: np.ndarray

@@ -265,13 +265,16 @@ def evaluate_similarity(
             f"({len(records) - n_used} excluded as out-of-vocabulary)"
         )
     golds = np.array([record.gold for record in records], dtype=np.float64)[used]
-    va = va[used].astype(np.float64)
-    vb = vb[used].astype(np.float64)
-    norm_a = np.linalg.norm(va, axis=1)
-    norm_b = np.linalg.norm(vb, axis=1)
+
+    def row_dots(x, y):
+        # accumulated in float64 straight from the float32 rows: no float64 copies
+        return np.einsum("ij,ij->i", x, y, dtype=np.float64)[used]
+
+    norm_a = np.sqrt(row_dots(va, va))
+    norm_b = np.sqrt(row_dots(vb, vb))
     preds = np.zeros(n_used)
     np.divide(
-        np.einsum("ij,ij->i", va, vb), norm_a * norm_b,
+        row_dots(va, vb), norm_a * norm_b,
         out=preds, where=(norm_a != 0.0) & (norm_b != 0.0),
     )
     return pearson(golds, preds), spearman(golds, preds), n_used

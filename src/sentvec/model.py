@@ -75,17 +75,21 @@ class EmbeddingMatrices:
         dim: int,
         rng: np.random.Generator,
         workers: int = 1,
+        kernel=None,
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
-        The rows are drawn in blocks straight into the float32 matrix;
-        the values equal one ``rng.uniform`` draw of the whole matrix, and
-        ``rng`` ends in the state that draw leaves.  With ``workers > 1``
-        and a PCG64 generator (``np.random.default_rng``'s), the rows are
-        split into ``workers`` contiguous slabs drawn on as many threads.
-        Each slab draws from a copy of ``rng`` advanced past the values
-        before it: a double draw takes exactly one 64-bit output, so the
-        matrix is the same for any worker count.
+        The values equal one ``rng.uniform`` draw of the whole matrix cast
+        to float32, and ``rng`` ends in the state that draw leaves.  With a
+        PCG64 generator (``np.random.default_rng``'s), the rows are split
+        into ``workers`` contiguous slabs, drawn on as many threads when
+        there are several.  Each slab draws from a copy of ``rng`` advanced
+        past the values before it: a double draw takes exactly one 64-bit
+        output, so the matrix is the same for any worker count.  A slab is
+        filled by ``kernel`` (a loaded ``_native.Kernel``), which steps
+        PCG64 and rounds as numpy does, or by numpy in blocks of float64
+        temporaries when ``kernel`` is None.  Other generators draw with
+        numpy on one thread.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -93,11 +97,9 @@ class EmbeddingMatrices:
         rows = vocab_size + buckets
         source = np.empty((rows, dim), dtype=np.float32)
         bits = rng.bit_generator
-        if workers == 1 or not isinstance(bits, np.random.PCG64):
-            _fill_rows(source, 0, rows, bound, rng)
+        if not isinstance(bits, np.random.PCG64):
+            _fill_rows(source, bound, rng)
         else:
-            from concurrent.futures import ThreadPoolExecutor
-
             state = bits.state
             slabs = [rows * w // workers for w in range(workers + 1)]
 
@@ -105,12 +107,20 @@ class EmbeddingMatrices:
                 copy = np.random.PCG64()
                 copy.state = state
                 copy.advance(slabs[w] * dim)
-                _fill_rows(source, slabs[w], slabs[w + 1], bound, np.random.Generator(copy))
+                slab = source[slabs[w] : slabs[w + 1]]
+                if kernel is None:
+                    _fill_rows(slab, bound, np.random.Generator(copy))
+                else:
+                    kernel.fill_uniform(slab, copy.state, -bound, bound)
 
-            # numpy releases the GIL in ``uniform`` and in the float32 cast
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(fill_slab, w) for w in range(workers)]:
-                    future.result()
+            if workers == 1:
+                fill_slab(0)
+            else:
+                from concurrent.futures import ThreadPoolExecutor
+
+                # the kernel, and numpy's ``uniform`` and float32 cast, release the GIL
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    list(pool.map(fill_slab, range(workers)))
             bits.advance(rows * dim)
             # advance() drops a buffered 32-bit half, which double draws keep
             bits.state = {
@@ -125,15 +135,13 @@ class EmbeddingMatrices:
         )
 
 
-def _fill_rows(
-    source: np.ndarray, start: int, stop: int, bound: float, rng: np.random.Generator
-) -> None:
-    """Draws rows ``start:stop`` of ``source`` in blocks of float64 temporaries."""
-    dim = source.shape[1]
+def _fill_rows(rows: np.ndarray, bound: float, rng: np.random.Generator) -> None:
+    """Draws ``rows`` in place in blocks of float64 temporaries."""
+    n_rows, dim = rows.shape
     block = max(1, INIT_BLOCK_VALUES // dim)
-    for first in range(start, stop, block):
-        last = min(stop, first + block)
-        source[first:last] = rng.uniform(-bound, bound, size=(last - first, dim))
+    for first in range(0, n_rows, block):
+        last = min(n_rows, first + block)
+        rows[first:last] = rng.uniform(-bound, bound, size=(last - first, dim))
 
 
 @dataclass

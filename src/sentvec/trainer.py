@@ -10,6 +10,7 @@ interop with word-vector tooling.
 from __future__ import annotations
 
 import logging
+import math
 import mmap
 import os
 import struct
@@ -100,6 +101,12 @@ class TrainConfig:
             raise ValueError("bucket_count must be >= 1 for n-gram models")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+        # NaN passes the sign checks below: every comparison with it is false
+        for name in ("lr", "l1_tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.subsample_t):  # inf is valid: no subsampling
+            raise ValueError(f"subsample_t must not be NaN, got {self.subsample_t}")
         if self.l1_tau < 0:
             raise ValueError(f"l1_tau must be >= 0, got {self.l1_tau}")
         if self.lr <= 0:
@@ -329,9 +336,18 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
     table = build_negative_table(vocab)
+    kernel = _load_kernel()
+    # distinct, stable RNG streams: [seed, 0] init, [seed, 1, w] workers, [seed, 2, e] shuffles
+    init_rng = np.random.default_rng([config.seed, 0])
+    init_started = time.perf_counter()
     matrices = EmbeddingMatrices.initialize(
-        len(vocab), buckets, config.dim, np.random.default_rng([config.seed, 0]),
-        workers=config.threads,
+        len(vocab), buckets, config.dim, init_rng, workers=config.threads, kernel=kernel
+    )
+    logger.info(
+        "initialized %d x %d source rows in %.0f ms (%s, %d slab%s)",
+        len(vocab) + buckets, config.dim, 1e3 * (time.perf_counter() - init_started),
+        "numpy" if kernel is None else "kernel", config.threads,
+        "" if config.threads == 1 else "s",
     )
     model = TrainedModel(
         vocab=vocab,
@@ -343,11 +359,9 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
 
     progress = _Progress()
     reporter = _LossReporter(config.report_every)
-    # distinct, stable RNG streams: [seed, 0] init, [seed, 1, w] workers, [seed, 2, e] shuffles
     worker_rngs = [
         np.random.default_rng([config.seed, 1, w]) for w in range(config.threads)
     ]
-    kernel = _load_kernel()
     if kernel is not None:
         from ._native import rng_state
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic corpora with controlled statistics."""
+"""Shared fixtures: synthetic corpora with controlled statistics, and the two engines."""
 
 from __future__ import annotations
 
@@ -109,3 +109,28 @@ def small_corpus(tmp_path_factory):
     sentences = zipf_topic_sentences(2_000, vocab_size=800, n_function=30,
                                      n_topics=8, seed=23)
     return write_corpus(path, sentences)
+
+
+@pytest.fixture(scope="session")
+def kernel():
+    """The native kernel; skips the test where it cannot be built."""
+    from sentvec import _native
+
+    try:
+        return _native.load()
+    except _native.KernelUnavailable as err:
+        pytest.skip(f"native kernel unavailable: {err}")
+
+
+@pytest.fixture
+def without_kernel(monkeypatch):
+    """A call that makes ``_native.load`` fail from then on, so code takes its numpy path."""
+    from sentvec import _native
+
+    def unavailable():
+        raise _native.KernelUnavailable("disabled for this test")
+
+    def patch():
+        monkeypatch.setattr(_native, "load", unavailable)
+
+    return patch

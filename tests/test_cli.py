@@ -143,6 +143,30 @@ class TestTrainCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--lr", "nan", "lr"),
+            ("--lr", "inf", "lr"),
+            ("--t", "nan", "subsample_t"),
+            ("--l1", "nan", "l1_tau"),
+            ("--l1", "inf", "l1_tau"),
+        ],
+    )
+    def test_non_finite_float_fails_before_reading_the_corpus(
+        self, flag, value, field, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("corpus read")
+
+        monkeypatch.setattr("sentvec.trainer.encode_corpus", no_reading)
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", corpus_path, "--output", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must " in err
+        assert not out.exists()
+
     def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SENTVEC_THREADS", "abc")
         out = tmp_path / "flag.bin"

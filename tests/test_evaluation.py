@@ -262,30 +262,6 @@ class TestFormatRows:
         assert format_rows(rows[:0], " ") == ""
 
 
-@pytest.fixture
-def without_kernel(monkeypatch):
-    """Patch ``_native.load`` to fail, so formatting takes the Python path."""
-    from sentvec import _native
-
-    def unavailable():
-        raise _native.KernelUnavailable("disabled for this test")
-
-    def patch():
-        monkeypatch.setattr(_native, "load", unavailable)
-
-    return patch
-
-
-@pytest.fixture
-def kernel():
-    from sentvec import _native
-
-    try:
-        return _native.load()
-    except _native.KernelUnavailable as err:
-        pytest.skip(f"native kernel unavailable: {err}")
-
-
 class TestFormatDispatch:
     """The kernel and the Python paths compose and print the same text."""
 

@@ -26,14 +26,6 @@ from sentvec.trainer import TrainConfig, save_model, train
 from conftest import write_corpus, zipf_topic_sentences
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    try:
-        return _native.load()
-    except _native.KernelUnavailable as err:
-        pytest.skip(f"native kernel unavailable: {err}")
-
-
 def make_vocab(counts):
     items = sorted(counts.items(), key=lambda kv: -kv[1])
     return Vocabulary(
@@ -194,6 +186,66 @@ class TestDraws:
         assert kept[-1] == 0.0
 
 
+def numpy_uniform(bits: np.random.PCG64, low: float, high: float, n: int) -> np.ndarray:
+    """What ``fill_uniform`` must write: numpy's own draw from a copy of ``bits``."""
+    copy = np.random.PCG64()
+    copy.state = bits.state
+    return np.random.Generator(copy).uniform(low, high, size=n).astype(np.float32)
+
+
+class TestFillUniform:
+    """The kernel's PCG64 fill against ``Generator.uniform(...).astype(np.float32)``."""
+
+    # four lanes: below, at and past one round, and every remainder of a long run
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 4_000, 4_001, 4_002, 4_003, 100_003])
+    def test_equals_numpy_bit_for_bit(self, kernel, n):
+        bits = np.random.PCG64(n)
+        before = bits.state
+        out = np.empty(n, dtype=np.float32)
+        kernel.fill_uniform(out, bits.state, -0.005, 0.005)
+        assert out.tobytes() == numpy_uniform(bits, -0.005, 0.005, n).tobytes()
+        assert bits.state == before
+
+    @pytest.mark.parametrize("delta", [1, 7, 2**40 + 3, 2**127 + 11])
+    def test_state_moved_by_advance(self, kernel, delta):
+        bits = np.random.PCG64(99)
+        bits.advance(delta)
+        out = np.empty((37, 11), dtype=np.float32)
+        kernel.fill_uniform(out, bits.state, -0.5, 0.5)
+        assert out.tobytes() == numpy_uniform(bits, -0.5, 0.5, out.size).tobytes()
+
+    @pytest.mark.parametrize("low,high", [(0.1, 0.3), (-3.0, 7.25), (2.0, 2.0), (-1e38, 3e38)])
+    def test_bounds_round_as_numpy(self, kernel, low, high):
+        # high - low is inexact for (0.1, 0.3): the range must be numpy's
+        bits = np.random.PCG64(5)
+        out = np.empty(1_001, dtype=np.float32)
+        kernel.fill_uniform(out, bits.state, low, high)
+        assert out.tobytes() == numpy_uniform(bits, low, high, out.size).tobytes()
+
+    def test_rejects_bad_arguments(self, kernel):
+        state = np.random.PCG64(1).state
+        raw = np.zeros(65, dtype=np.uint8)
+        read_only = np.zeros(8, dtype=np.float32)
+        read_only.flags.writeable = False
+        for out, message in [
+            (np.zeros(8), "float32"),
+            (np.zeros(16, dtype=np.float32)[::2], "C-contiguous"),
+            (raw[1:].view(np.float32), "aligned"),
+            (read_only, "read-only"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                kernel.fill_uniform(out, state, -1.0, 1.0)
+        out = np.zeros(8, dtype=np.float32)
+        with pytest.raises(ValueError, match="PCG64"):
+            kernel.fill_uniform(out, np.random.Philox(1).state, -1.0, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            kernel.fill_uniform(out, state, -1e308, 1e308)
+        bad = {**state, "state": {**state["state"], "inc": 2**128}}
+        with pytest.raises(ValueError, match="inc"):
+            kernel.fill_uniform(out, bad, -1.0, 1.0)
+        assert not out.any()
+
+
 def quick_config(**overrides):
     base = dict(
         dim=16, min_count=1, min_target_count=1, lr=0.2, epochs=2,
@@ -206,12 +258,9 @@ def quick_config(**overrides):
 
 class TestTraining:
     def test_fallback_warns_and_stays_deterministic(
-        self, small_corpus, tmp_path, monkeypatch, caplog
+        self, small_corpus, tmp_path, without_kernel, caplog
     ):
-        def unavailable():
-            raise _native.KernelUnavailable("disabled for this test")
-
-        monkeypatch.setattr(_native, "load", unavailable)
+        without_kernel()
         blobs = []
         for run in range(2):
             with caplog.at_level(logging.WARNING, logger="sentvec.trainer"):
@@ -223,14 +272,10 @@ class TestTraining:
         assert len(warnings) == 2  # one per train call
         assert blobs[0] == blobs[1]
 
-    def test_kernel_and_fallback_learn_alike(self, kernel, small_corpus, monkeypatch):
+    def test_kernel_and_fallback_learn_alike(self, kernel, small_corpus, without_kernel):
         config = quick_config(epochs=1, report_every=10**9)
         native = train(small_corpus, config)
-
-        def unavailable():
-            raise _native.KernelUnavailable("disabled for this test")
-
-        monkeypatch.setattr(_native, "load", unavailable)
+        without_kernel()
         fallback = train(small_corpus, config)
         # same gate, dropout and negative laws: equal work and loss up to noise
         assert native.stats.targets_processed == pytest.approx(

@@ -31,6 +31,37 @@ def matrices_of(source, target):
     return EmbeddingMatrices(source=source, target=target, dim=source.shape[1])
 
 
+SLAB_CASES = pytest.mark.parametrize(
+    "vocab_size,buckets,dim,workers",
+    [
+        (*shape, workers)
+        for shape in [
+            (6_000, 5_001, 100),
+            (2, 1, 3),  # fewer rows than workers
+            (0, 0, 4),
+            (3, 2, 1),
+            (3, 2, INIT_BLOCK_VALUES + 5),  # one row per block
+        ]
+        for workers in [1, 2, 3, 4, 7]
+    ],
+)
+
+
+def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel):
+    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+    # leave a buffered 32-bit half in both, which double draws must keep
+    rng.integers(0, 9, dtype=np.int32)
+    reference.integers(0, 9, dtype=np.int32)
+    matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers, kernel)
+    bound = 1.0 / (2.0 * dim)
+    one_shot = reference.uniform(
+        -bound, bound, size=(vocab_size + buckets, dim)
+    ).astype(np.float32)
+    assert matrices.source.tobytes() == one_shot.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_array_equal(rng.random(5), reference.random(5))
+
+
 class TestInitialize:
     def test_blocked_draw_equals_one_shot(self):
         vocab_size, buckets, dim = 6_000, 5_001, 100  # many blocks, a ragged last one
@@ -46,30 +77,14 @@ class TestInitialize:
         np.testing.assert_array_equal(matrices.source, one_shot)
         assert not matrices.target.any()
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
-    @pytest.mark.parametrize(
-        "vocab_size,buckets,dim",
-        [
-            (6_000, 5_001, 100),
-            (2, 1, 3),  # fewer rows than workers
-            (0, 0, 4),
-            (3, 2, 1),
-            (3, 2, INIT_BLOCK_VALUES + 5),  # one row per block
-        ],
-    )
+    @SLAB_CASES
     def test_slabs_equal_one_shot(self, vocab_size, buckets, dim, workers):
-        rng, reference = np.random.default_rng(23), np.random.default_rng(23)
-        # leave a buffered 32-bit half in both, which double draws must keep
-        rng.integers(0, 9, dtype=np.int32)
-        reference.integers(0, 9, dtype=np.int32)
-        matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers)
-        bound = 1.0 / (2.0 * dim)
-        one_shot = reference.uniform(
-            -bound, bound, size=(vocab_size + buckets, dim)
-        ).astype(np.float32)
-        assert matrices.source.tobytes() == one_shot.tobytes()
-        assert rng.bit_generator.state == reference.bit_generator.state
-        np.testing.assert_array_equal(rng.random(5), reference.random(5))
+        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel=None)
+
+    # the same cases filled by the kernel; a sibling keeps the numpy cases' ids
+    @SLAB_CASES
+    def test_kernel_slabs_equal_one_shot(self, kernel, vocab_size, buckets, dim, workers):
+        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel=kernel)
 
     def test_generator_without_pcg64_draws_serially(self):
         matrices = EmbeddingMatrices.initialize(

@@ -1,7 +1,9 @@
 """Training orchestration, serialization, and the text export."""
 
 import gzip
+import logging
 import os
+import re
 import struct
 import tracemalloc
 
@@ -66,6 +68,24 @@ class TestTrainConfig:
         config = TrainConfig(**{field: value})
         with pytest.raises(ValueError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("l1_tau", float("nan")),
+            ("l1_tau", float("inf")),
+            ("subsample_t", float("nan")),
+        ],
+    )
+    def test_non_finite_floats_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_infinite_subsample_t_is_valid(self):
+        # t = inf keeps every token: no subsampling
+        TrainConfig(subsample_t=float("inf")).validate()
 
     @pytest.mark.parametrize("field", ["dim", "word_ngrams", "negatives", "dropout_k"])
     def test_int32_overflow_rejected(self, field):
@@ -215,20 +235,29 @@ class TestTrain:
         with pytest.raises(ValueError, match="no trainable sentences"):
             train(str(path), quick_config(min_count=2))
 
+    @pytest.mark.parametrize("threads,slabs", [(1, "1 slab"), (2, "2 slabs")])
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_init_logs_its_time_and_engine(
+        self, tiny_corpus, request, without_kernel, caplog, engine, threads, slabs
+    ):
+        if engine == "numpy":
+            without_kernel()
+        else:
+            request.getfixturevalue("kernel")
+        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+            model = train(tiny_corpus, quick_config(threads=threads, word_ngrams=2, bucket_count=64))
+        rows, dim = model.matrices.source.shape
+        pattern = rf"initialized {rows} x {dim} source rows in \d+ ms \({engine}, {slabs}\)"
+        assert [r for r in caplog.records if re.fullmatch(pattern, r.getMessage())]
+
     @pytest.mark.parametrize("engine", ["kernel", "fallback"])
-    def test_corpus_read_once(self, tiny_corpus, monkeypatch, engine):
-        from sentvec import _native, trainer
+    def test_corpus_read_once(self, tiny_corpus, monkeypatch, request, without_kernel, engine):
+        from sentvec import trainer
 
         if engine == "fallback":
-            def unavailable():
-                raise _native.KernelUnavailable("disabled for this test")
-
-            monkeypatch.setattr(_native, "load", unavailable)
+            without_kernel()
         else:
-            try:
-                _native.load()
-            except _native.KernelUnavailable as err:
-                pytest.skip(f"native kernel unavailable: {err}")
+            request.getfixturevalue("kernel")
         real_iter_corpus = trainer.iter_corpus
         calls = []
 
