@@ -79,46 +79,6 @@ typedef struct {
     int32_t negatives;
 } sv_model;
 
-/* ---- 128-bit products, with or without unsigned __int128 ---- */
-
-/* a 128-bit integer as two halves */
-typedef struct {
-    uint64_t hi, lo;
-} u128;
-
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 wide;
-
-static inline wide to_wide(u128 x) { return (wide)x.hi << 64 | x.lo; }
-
-static inline u128 from_wide(wide x) { return (u128){(uint64_t)(x >> 64), (uint64_t)x}; }
-
-/* a * b in full */
-static inline u128 mul_64x64(uint64_t a, uint64_t b) { return from_wide((wide)a * b); }
-
-/* a * s + c modulo 2^128 */
-static inline u128 mul_add_128(u128 a, u128 s, u128 c)
-{
-    return from_wide(to_wide(a) * to_wide(s) + to_wide(c));
-}
-#else
-static inline u128 mul_64x64(uint64_t a, uint64_t b)
-{
-    const uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
-    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
-    const uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
-    return (u128){a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32),
-                  (mid << 32) | (p00 & 0xFFFFFFFFu)};
-}
-
-static inline u128 mul_add_128(u128 a, u128 s, u128 c)
-{
-    const u128 p = mul_64x64(a.lo, s.lo);
-    const uint64_t lo = p.lo + c.lo;
-    return (u128){p.hi + a.hi * s.lo + a.lo * s.hi + c.hi + (lo < p.lo), lo};
-}
-#endif
-
 /* ---- xoshiro256** (Blackman and Vigna) ---- */
 
 static inline uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
@@ -142,32 +102,34 @@ static inline double next_double(uint64_t *s) { return (double)(next_u64(s) >> 1
 /* uniform in [0, n), unbiased (Lemire's multiply-and-reject) */
 static inline uint64_t next_below(uint64_t *s, uint64_t n)
 {
-    u128 m = mul_64x64(next_u64(s), n);
-    if (m.lo < n) {
+    unsigned __int128 m = (unsigned __int128)next_u64(s) * n;
+    uint64_t low = (uint64_t)m;
+    if (low < n) {
         const uint64_t floor = -n % n;
-        while (m.lo < floor)
-            m = mul_64x64(next_u64(s), n);
+        while (low < floor) {
+            m = (unsigned __int128)next_u64(s) * n;
+            low = (uint64_t)m;
+        }
     }
-    return m.hi;
+    return (uint64_t)(m >> 64);
 }
 
 /* ---- numpy's PCG64 (O'Neill's PCG XSL RR 128/64) ---- */
 
 /* numpy's PCG_DEFAULT_MULTIPLIER_128 */
-#define PCG_MULTIPLIER_HI 2549297995355413924u
-#define PCG_MULTIPLIER_LO 4865540595714422341u
+#define PCG_MULTIPLIER ((unsigned __int128)2549297995355413924u << 64 | 4865540595714422341u)
 
 /* the XSL RR output of a state, as numpy's pcg_output_xsl_rr_128_64 */
-static inline uint64_t pcg_output(u128 s)
+static inline uint64_t pcg_output(unsigned __int128 s)
 {
-    const uint64_t x = s.hi ^ s.lo;
-    const unsigned rot = (unsigned)(s.hi >> 58);
+    const uint64_t hi = (uint64_t)(s >> 64), x = hi ^ (uint64_t)s;
+    const unsigned rot = (unsigned)(hi >> 58);
     return (x >> rot) | (x << ((64u - rot) & 63u));
 }
 
 /* numpy's random_uniform of the draw of state s, rounded to float32; the int64
  * cast of the 53 bits is exact, and converts in one instruction */
-static inline float pcg_uniform(u128 s, double low, double range)
+static inline float pcg_uniform(unsigned __int128 s, double low, double range)
 {
     return (float)(low + range * ((double)(int64_t)(pcg_output(s) >> 11) * 0x1.0p-53));
 }
@@ -549,27 +511,26 @@ int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_pr
  * their multiplies do not wait on each other; the values are the same. */
 void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, double range)
 {
-    const u128 zero = {0, 0}, a = {PCG_MULTIPLIER_HI, PCG_MULTIPLIER_LO};
-    const u128 c = {state[2], state[3]};
-    u128 a4 = {0, 1}, c4 = zero;
+    const unsigned __int128 a = PCG_MULTIPLIER, c = (unsigned __int128)state[2] << 64 | state[3];
+    unsigned __int128 a4 = 1, c4 = 0;
     for (int j = 0; j < 4; j++) {
-        a4 = mul_add_128(a, a4, zero);
-        c4 = mul_add_128(a, c4, c);
+        a4 *= a;
+        c4 = a * c4 + c;
     }
-    u128 s0 = mul_add_128(a, (u128){state[0], state[1]}, c);
-    u128 s1 = mul_add_128(a, s0, c), s2 = mul_add_128(a, s1, c), s3 = mul_add_128(a, s2, c);
+    unsigned __int128 s0 = a * ((unsigned __int128)state[0] << 64 | state[1]) + c;
+    unsigned __int128 s1 = a * s0 + c, s2 = a * s1 + c, s3 = a * s2 + c;
     int64_t i = 0;
     for (; i + 4 <= n; i += 4) {
         out[i] = pcg_uniform(s0, low, range);
         out[i + 1] = pcg_uniform(s1, low, range);
         out[i + 2] = pcg_uniform(s2, low, range);
         out[i + 3] = pcg_uniform(s3, low, range);
-        s0 = mul_add_128(a4, s0, c4);
-        s1 = mul_add_128(a4, s1, c4);
-        s2 = mul_add_128(a4, s2, c4);
-        s3 = mul_add_128(a4, s3, c4);
+        s0 = a4 * s0 + c4;
+        s1 = a4 * s1 + c4;
+        s2 = a4 * s2 + c4;
+        s3 = a4 * s3 + c4;
     }
-    const u128 tail[3] = {s0, s1, s2};
+    const unsigned __int128 tail[3] = {s0, s1, s2};
     for (int j = 0; i < n; i++, j++)
         out[i] = pcg_uniform(tail[j], low, range);
 }
