@@ -23,6 +23,12 @@
  * sv_format_rows writes float32 rows as the %.6g text of evaluation.format_rows,
  * which sentvec embed, export-vec and the pair features print.
  *
+ * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
+ * splits corpus lines on the ASCII whitespace of str.split() and interns
+ * their tokens (corpus.encode_corpus); sv_lookup_lines splits the ASCII
+ * lines evaluation.embed_batch composes and looks their tokens up in a
+ * table of the model's vocabulary.
+ *
  * Every float pointer an entry point takes must be 4-byte aligned, except
  * the source matrix of sv_segment_means: a mapped model file places it at
  * any byte offset, so that entry reads it with memcpy loads only.
@@ -712,4 +718,398 @@ int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* ---- corpus text ---- */
+
+/* the ASCII whitespace of str.split(): \t \n \v \f \r, \x1c-\x1f and space.
+ * No byte >= 0x80 is whitespace here; Python splits the lines that hold one. */
+static const unsigned char SPACE[256] = {
+    ['\t'] = 1, ['\n'] = 1, ['\v'] = 1, ['\f'] = 1, ['\r'] = 1,
+    [0x1c] = 1, [0x1d] = 1, [0x1e] = 1, [0x1f] = 1, [' '] = 1,
+};
+
+#define BYTE_ONES 0x0101010101010101u
+#define HASH_MULTIPLIER 0x9e3779b97f4a7c15u
+
+static int all_ascii(const unsigned char *s, int64_t len)
+{
+    uint64_t bits = 0;
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t word;
+        memcpy(&word, s + i, sizeof word);
+        bits |= word;
+    }
+    for (; i < len; i++)
+        bits |= s[i];
+    return (bits & 0x80 * BYTE_ONES) == 0;
+}
+
+/* s[0:n], n <= 8, as the low bytes of a word; each ASCII capital lowercased
+ * when fold, which only ASCII text may ask for */
+static inline uint64_t load_word(const unsigned char *s, int64_t n, int fold)
+{
+    uint64_t x = 0;
+    if (n == 8)
+        memcpy(&x, s, sizeof x);
+    else
+        for (int64_t i = 0; i < n; i++)
+            x |= (uint64_t)s[i] << (8 * i);
+    if (fold) {
+        /* the high bit of each byte of these sums: byte >= 'A', byte > 'Z' */
+        const uint64_t from_a = x + (0x80 - 'A') * BYTE_ONES, past_z = x + (0x7f - 'Z') * BYTE_ONES;
+        x |= (from_a & ~past_z & 0x80 * BYTE_ONES) >> 2;
+    }
+    return x;
+}
+
+/* a hash of s[0:len] (ASCII-lowercased when fold), eight bytes at a time,
+ * mixed so that its low bits, which pick the slot, depend on all of it */
+static uint64_t hash_bytes(const unsigned char *s, int64_t len, int fold)
+{
+    uint64_t h = (uint64_t)len * HASH_MULTIPLIER;
+    for (int64_t i = 0; i < len; i += 8) {
+        h = (h ^ load_word(s + i, len - i < 8 ? len - i : 8, fold)) * HASH_MULTIPLIER;
+        h ^= h >> 29;
+    }
+    h *= 0xbf58476d1ce4e5b9u;
+    return h ^ (h >> 32);
+}
+
+#define TABLE_SLOTS 1024
+#define INITIAL_ITEMS 4096
+
+/* A slot of sv_table: a string's first eight bytes as a word, its tag, and
+ * its id + 1, 0 when the slot is empty.  The tag is the high 24 bits of the
+ * string's hash above its length (up to 255), so strings of at most eight
+ * bytes are compared within their slot. */
+typedef struct {
+    uint64_t head;
+    uint32_t tag;
+    uint32_t id1;
+} sv_slot;
+
+/* A set of byte strings with dense ids in order of first insertion: open
+ * addressing with linear probing over a power-of-two slot array at most half
+ * full. */
+typedef struct {
+    sv_slot *slots;
+    unsigned char *bytes; /* the strings back to back */
+    int64_t *ends;        /* string i is bytes[i ? ends[i - 1] : 0 : ends[i]] */
+    int64_t capacity;     /* slots */
+    int64_t n_strings;
+    int64_t strings_cap;
+    int64_t n_bytes;
+    int64_t bytes_cap;
+} sv_table;
+
+/* array (of *cap elements of size bytes) grown to hold need elements, or NULL
+ * when out of memory, which leaves array and *cap as they were */
+static void *grown(void *array, int64_t *cap, int64_t need, size_t size)
+{
+    int64_t n = *cap;
+    while (n < need)
+        n *= 2;
+    if (n == *cap)
+        return array;
+    void *larger = realloc(array, (size_t)n * size);
+    if (larger != NULL)
+        *cap = n;
+    return larger;
+}
+
+static inline sv_slot make_slot(const unsigned char *s, int64_t len, uint64_t hash, int fold)
+{
+    const sv_slot slot = {
+        load_word(s, len < 8 ? len : 8, fold),
+        (uint32_t)(hash >> 40) << 8 | (uint32_t)(len < 255 ? len : 255),
+        0,
+    };
+    return slot;
+}
+
+static int table_same(const sv_table *t, int64_t id, const unsigned char *s, int64_t len, int fold)
+{
+    const int64_t start = id > 0 ? t->ends[id - 1] : 0;
+    if (t->ends[id] - start != len)
+        return 0;
+    const unsigned char *stored = t->bytes + start;
+    for (int64_t i = 0; i < len; i += 8) {
+        const int64_t n = len - i < 8 ? len - i : 8;
+        if (load_word(stored + i, n, 0) != load_word(s + i, n, fold))
+            return 0;
+    }
+    return 1;
+}
+
+/* the slot of s[0:len] (ASCII-lowercased when fold), or the empty slot where
+ * it would go; key is make_slot of it */
+static uint64_t table_slot(const sv_table *t, const unsigned char *s, int64_t len, uint64_t hash,
+                           sv_slot key, int fold)
+{
+    const uint64_t mask = (uint64_t)t->capacity - 1;
+    for (uint64_t i = hash & mask;; i = (i + 1) & mask) {
+        const sv_slot *slot = t->slots + i;
+        if (slot->id1 == 0 ||
+            (slot->tag == key.tag && slot->head == key.head &&
+             (len <= 8 || table_same(t, slot->id1 - 1, s, len, fold))))
+            return i;
+    }
+}
+
+static int table_resize(sv_table *t, int64_t capacity)
+{
+    sv_slot *slots = calloc((size_t)capacity, sizeof *slots);
+    if (slots == NULL)
+        return -1;
+    const uint64_t mask = (uint64_t)capacity - 1;
+    for (int64_t id = 0; id < t->n_strings; id++) {
+        const int64_t start = id > 0 ? t->ends[id - 1] : 0, len = t->ends[id] - start;
+        const uint64_t hash = hash_bytes(t->bytes + start, len, 0);
+        uint64_t i = hash & mask;
+        while (slots[i].id1 != 0)
+            i = (i + 1) & mask;
+        slots[i] = make_slot(t->bytes + start, len, hash, 0);
+        slots[i].id1 = (uint32_t)(id + 1);
+    }
+    free(t->slots);
+    t->slots = slots;
+    t->capacity = capacity;
+    return 0;
+}
+
+static void table_release(sv_table *t)
+{
+    free(t->slots);
+    free(t->bytes);
+    free(t->ends);
+}
+
+/* 0 on success; on failure nothing stays allocated */
+static int table_init(sv_table *t)
+{
+    memset(t, 0, sizeof *t);
+    t->bytes = malloc(INITIAL_ITEMS);
+    t->ends = malloc(sizeof(int64_t) * INITIAL_ITEMS);
+    t->bytes_cap = t->strings_cap = INITIAL_ITEMS;
+    if (t->bytes == NULL || t->ends == NULL || table_resize(t, TABLE_SLOTS) != 0) {
+        table_release(t);
+        return -1;
+    }
+    return 0;
+}
+
+/* the id of s[0:len] (ASCII-lowercased first when fold), or -1 */
+static int64_t table_find(const sv_table *t, const unsigned char *s, int64_t len, int fold)
+{
+    const uint64_t hash = hash_bytes(s, len, fold);
+    const sv_slot key = make_slot(s, len, hash, fold);
+    return (int64_t)t->slots[table_slot(t, s, len, hash, key, fold)].id1 - 1;
+}
+
+/* the id of s[0:len], added when new; -1 when out of memory or of int32 ids */
+static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len)
+{
+    const uint64_t hash = hash_bytes(s, len, 0);
+    sv_slot key = make_slot(s, len, hash, 0);
+    uint64_t i = table_slot(t, s, len, hash, key, 0);
+    if (t->slots[i].id1 != 0)
+        return (int64_t)t->slots[i].id1 - 1;
+    if (t->n_strings == INT32_MAX)
+        return -1;
+    if (2 * (t->n_strings + 1) > t->capacity) {
+        if (table_resize(t, 2 * t->capacity) != 0)
+            return -1;
+        i = table_slot(t, s, len, hash, key, 0);
+    }
+    unsigned char *bytes = grown(t->bytes, &t->bytes_cap, t->n_bytes + len, 1);
+    if (bytes == NULL)
+        return -1;
+    t->bytes = bytes;
+    int64_t *ends = grown(t->ends, &t->strings_cap, t->n_strings + 1, sizeof *ends);
+    if (ends == NULL)
+        return -1;
+    t->ends = ends;
+    memcpy(t->bytes + t->n_bytes, s, (size_t)len);
+    t->n_bytes += len;
+    t->ends[t->n_strings] = t->n_bytes;
+    key.id1 = (uint32_t)(t->n_strings + 1);
+    t->slots[i] = key;
+    return t->n_strings++;
+}
+
+/* A corpus being read: its distinct tokens, each token's id, each line's length. */
+typedef struct {
+    sv_table words;
+    int32_t *ids;     /* n_ids: the id of each token, in corpus order */
+    int64_t *lengths; /* n_lines: the tokens of each line */
+    int64_t n_ids;
+    int64_t ids_cap;
+    int64_t n_lines;
+    int64_t lines_cap;
+} sv_encoder;
+
+void sv_encoder_free(sv_encoder *e)
+{
+    if (e == NULL)
+        return;
+    table_release(&e->words);
+    free(e->ids);
+    free(e->lengths);
+    free(e);
+}
+
+/* An empty encoder, or NULL when out of memory. */
+sv_encoder *sv_encoder_new(void)
+{
+    sv_encoder *e = calloc(1, sizeof *e);
+    if (e == NULL)
+        return NULL;
+    if (table_init(&e->words) != 0) {
+        free(e);
+        return NULL;
+    }
+    e->ids = malloc(sizeof(int32_t) * INITIAL_ITEMS);
+    e->lengths = malloc(sizeof(int64_t) * INITIAL_ITEMS);
+    e->ids_cap = e->lines_cap = INITIAL_ITEMS;
+    if (e->ids == NULL || e->lengths == NULL) {
+        sv_encoder_free(e);
+        return NULL;
+    }
+    return e;
+}
+
+/* intern the whitespace-separated tokens of line s[0:len]; 0, or -1 when out of memory */
+static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < len;) {
+        if (SPACE[s[i]]) {
+            i++;
+            continue;
+        }
+        int64_t j = i + 1;
+        while (j < len && !SPACE[s[j]])
+            j++;
+        const int64_t id = table_intern(&e->words, s + i, j - i);
+        if (id < 0)
+            return -1;
+        if (e->n_ids == e->ids_cap) {
+            int32_t *ids = grown(e->ids, &e->ids_cap, e->n_ids + 1, sizeof *ids);
+            if (ids == NULL)
+                return -1;
+            e->ids = ids;
+        }
+        e->ids[e->n_ids++] = (int32_t)id;
+        count++;
+        i = j;
+    }
+    if (e->n_lines == e->lines_cap) {
+        int64_t *lengths = grown(e->lengths, &e->lines_cap, e->n_lines + 1, sizeof *lengths);
+        if (lengths == NULL)
+            return -1;
+        e->lengths = lengths;
+    }
+    e->lengths[e->n_lines++] = count;
+    return 0;
+}
+
+/* Intern the tokens of the lines of data[start:stop), in order.  A line ends
+ * at '\n' or at stop.  With ascii_only, stops at the first line that holds a
+ * byte >= 0x80.  Returns where it stopped (stop when every line was taken),
+ * or -1 when out of memory. */
+int64_t sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t start, int64_t stop,
+                        int32_t ascii_only)
+{
+    if (ascii_only && all_ascii(data + start, stop - start))
+        ascii_only = 0;
+    for (int64_t p = start; p < stop;) {
+        const unsigned char *newline = memchr(data + p, '\n', (size_t)(stop - p));
+        const int64_t end = newline != NULL ? newline - data : stop;
+        if (ascii_only && !all_ascii(data + p, end - p))
+            return p;
+        if (encode_line(e, data + p, end - p) != 0)
+            return -1;
+        p = end + 1;
+    }
+    return stop;
+}
+
+/* sizes = {tokens, lines, distinct tokens, their bytes} */
+void sv_encoder_sizes(const sv_encoder *e, int64_t *sizes)
+{
+    sizes[0] = e->n_ids;
+    sizes[1] = e->n_lines;
+    sizes[2] = e->words.n_strings;
+    sizes[3] = e->words.n_bytes;
+}
+
+/* copy out the arrays sv_encoder_sizes counts: token ids, line lengths, and
+ * the distinct tokens' bytes and ends */
+void sv_encoder_copy(const sv_encoder *e, int32_t *ids, int64_t *lengths, unsigned char *bytes,
+                     int64_t *ends)
+{
+    memcpy(ids, e->ids, sizeof *ids * (size_t)e->n_ids);
+    memcpy(lengths, e->lengths, sizeof *lengths * (size_t)e->n_lines);
+    memcpy(bytes, e->words.bytes, (size_t)e->words.n_bytes);
+    memcpy(ends, e->words.ends, sizeof *ends * (size_t)e->words.n_strings);
+}
+
+void sv_table_free(sv_table *t)
+{
+    if (t != NULL)
+        table_release(t);
+    free(t);
+}
+
+/* The table of the n distinct strings data[ends[i - 1] (0 for i = 0) :
+ * ends[i]], string i with id i; NULL when out of memory. */
+sv_table *sv_table_new(const unsigned char *data, const int64_t *ends, int64_t n)
+{
+    sv_table *t = malloc(sizeof *t);
+    if (t == NULL)
+        return NULL;
+    if (table_init(t) != 0) {
+        free(t);
+        return NULL;
+    }
+    for (int64_t i = 0, start = 0; i < n; start = ends[i++]) {
+        if (table_intern(t, data + start, ends[i] - start) < 0) {
+            sv_table_free(t);
+            return NULL;
+        }
+    }
+    return t;
+}
+
+/* Split the lines data[line_ends[i - 1] (0 for i = 0) : line_ends[i]] into
+ * tokens as sv_encode_lines does, and look each one up in t: as it is, then
+ * ASCII-lowercased when it holds a capital.  Writes values[id] of each token
+ * found, -1 for the others, and each line's token count; returns the number
+ * of tokens. */
+int64_t sv_lookup_lines(const sv_table *t, const int64_t *values, const unsigned char *data,
+                        const int64_t *line_ends, int64_t n_lines, int64_t *ids, int64_t *counts)
+{
+    int64_t n = 0;
+    for (int64_t line = 0, p = 0; line < n_lines; line++) {
+        const int64_t end = line_ends[line], first = n;
+        while (p < end) {
+            if (SPACE[data[p]]) {
+                p++;
+                continue;
+            }
+            int64_t q = p;
+            int capital = 0;
+            for (; q < end && !SPACE[data[q]]; q++)
+                capital |= data[q] >= 'A' && data[q] <= 'Z';
+            int64_t id = table_find(t, data + p, q - p, 0);
+            if (id < 0 && capital)
+                id = table_find(t, data + p, q - p, 1);
+            ids[n++] = id < 0 ? -1 : values[id];
+            p = q;
+        }
+        counts[line] = n - first;
+    }
+    return n;
 }

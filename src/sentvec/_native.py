@@ -1,4 +1,4 @@
-"""Build, cache and bind the native kernel (``_kernel.c``): init, training, composition, row text.
+"""Build, cache and bind the native kernel (``_kernel.c``): init, training, text, composition.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags is already cached
@@ -19,13 +19,16 @@ import hashlib
 import math
 import os
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .sampling import COIN_SCALE
 
-__all__ = ["Kernel", "KernelUnavailable", "library_path", "load", "rng_state"]
+__all__ = [
+    "Encoder", "Kernel", "KernelUnavailable", "LookupTable", "library_path", "load", "rng_state",
+]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no fused multiply-add contraction: the uniform fill must round as numpy does
@@ -151,6 +154,22 @@ class Kernel:
         lib.sv_segment_means.restype = None
         lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
         lib.sv_fill_uniform.restype = None
+        lib.sv_encoder_new.argtypes = []
+        lib.sv_encoder_new.restype = _ptr
+        lib.sv_encoder_free.argtypes = [_ptr]
+        lib.sv_encoder_free.restype = None
+        lib.sv_encode_lines.argtypes = [_ptr, _ptr, _i64, _i64, ctypes.c_int32]
+        lib.sv_encode_lines.restype = _i64
+        lib.sv_encoder_sizes.argtypes = [_ptr, _ptr]
+        lib.sv_encoder_sizes.restype = None
+        lib.sv_encoder_copy.argtypes = [_ptr, _ptr, _ptr, _ptr, _ptr]
+        lib.sv_encoder_copy.restype = None
+        lib.sv_table_new.argtypes = [_ptr, _ptr, _i64]
+        lib.sv_table_new.restype = _ptr
+        lib.sv_table_free.argtypes = [_ptr]
+        lib.sv_table_free.restype = None
+        lib.sv_lookup_lines.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _ptr, _ptr]
+        lib.sv_lookup_lines.restype = _i64
 
     @staticmethod
     def model(
@@ -353,21 +372,154 @@ class Kernel:
         With boolean ``flags``, each line ends in a space and the row's
         flag as 0/1.  The text equals ``evaluation.format_rows``' Python path.
         """
+        return str(self.format_rows_into(rows, sep, flags, None), "ascii")
+
+    def format_rows_into(
+        self, rows: np.ndarray, sep: str, flags: np.ndarray | None, out: np.ndarray | None
+    ) -> memoryview:
+        """``format_rows``' text as ASCII bytes, written into the uint8 array ``out``.
+
+        A new buffer replaces ``out`` when it is None or too small for
+        the worst case of this shape; the returned view is the text, and
+        its ``obj`` is the buffer, to pass as ``out`` next time.
+        """
         n_rows, dim = rows.shape
         if flags is not None and flags.shape != (n_rows,):
             raise ValueError(f"flags has shape {flags.shape}, expected ({n_rows},)")
         if len(sep) != 1 or not sep.isascii():
             raise ValueError(f"separator must be one ASCII character, got {sep!r}")
         capacity = n_rows * (_VALUE_BYTES * dim + 3)
-        out = np.empty(capacity, dtype=np.uint8)
+        if out is None or len(out) < capacity:
+            out = np.empty(capacity, dtype=np.uint8)
         n = self._lib.sv_format_rows(
             _pointer(rows, np.float32, "rows"), n_rows, dim, sep.encode(),
             None if flags is None else _pointer(flags, np.bool_, "flags"),
-            out.ctypes.data, capacity,
+            _pointer(out, np.uint8, "out"), len(out),
         )
         if n < 0:
             raise RuntimeError("native row text overflowed its buffer")
-        return str(memoryview(out)[:n], "ascii")
+        return memoryview(out)[:n]
+
+    def encoder(self) -> "Encoder":
+        """An empty ``Encoder``; use it as a context manager, which frees it."""
+        return Encoder(self._lib)
+
+    def lookup_table(self, words: list[str], values: np.ndarray) -> "LookupTable":
+        """A ``LookupTable`` that maps ``words[i]`` (distinct ASCII strings) to ``values[i]``."""
+        return LookupTable(self._lib, words, values)
+
+
+def _address(data) -> tuple[np.ndarray, int]:
+    """A uint8 view of a bytes-like object and its address; keep the view while it is used."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    return view, view.ctypes.data
+
+
+class Encoder:
+    """The tokens of a corpus being read (``sv_encoder`` in ``_kernel.c``).
+
+    Each distinct token, compared by its bytes, gets the next id at its
+    first occurrence; the encoder keeps every token's id and every line's
+    token count.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib
+        self._handle = lib.sv_encoder_new()
+        if not self._handle:
+            raise MemoryError("native encoder could not allocate its tables")
+
+    def __enter__(self) -> "Encoder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._handle:
+            self._lib.sv_encoder_free(self._handle)
+            self._handle = None
+
+    def encode_lines(self, data, start: int, stop: int, ascii_only: bool) -> int:
+        """Intern the tokens of the lines of ``data[start:stop]``, in order.
+
+        A line ends at ``\\n`` or at ``stop``, and its tokens are the runs
+        between ASCII whitespace bytes (``str.split``'s, ``\\x1c``-``\\x1f``
+        included).  With ``ascii_only``, stops at the first line that holds
+        a byte >= 0x80 and returns its offset; else returns ``stop``.
+        """
+        if not 0 <= start <= stop <= len(data):
+            raise ValueError(f"lines [{start}, {stop}) outside {len(data)} bytes")
+        view, address = _address(data)
+        end = self._lib.sv_encode_lines(self._handle, address, start, stop, ascii_only)
+        del view
+        if end < 0:
+            raise MemoryError("native encoder ran out of memory or of int32 token ids")
+        return end
+
+    def _sizes(self) -> list[int]:
+        sizes = np.empty(4, dtype=np.int64)
+        self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
+        return sizes.tolist()
+
+    @property
+    def lines(self) -> int:
+        """Lines encoded so far."""
+        return self._sizes()[1]
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
+        """Copies of: the int32 id of every token, the int64 token count of
+        every line, and the distinct tokens' bytes back to back with the
+        int64 end of each."""
+        n_ids, n_lines, n_words, n_bytes = self._sizes()
+        ids = np.empty(n_ids, dtype=np.int32)
+        lengths = np.empty(n_lines, dtype=np.int64)
+        words = np.empty(n_bytes, dtype=np.uint8)
+        ends = np.empty(n_words, dtype=np.int64)
+        self._lib.sv_encoder_copy(
+            self._handle, ids.ctypes.data, lengths.ctypes.data, words.ctypes.data,
+            ends.ctypes.data,
+        )
+        return ids, lengths, words.tobytes(), ends
+
+
+class LookupTable:
+    """ASCII words and their values, looked up by the tokens of ASCII lines (``sv_table``)."""
+
+    def __init__(self, lib: ctypes.CDLL, words: list[str], values: np.ndarray) -> None:
+        if values.shape != (len(words),):
+            raise ValueError("need one value per word")
+        blob = "".join(words).encode("ascii")
+        ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+        self._lib = lib
+        self._values = np.require(values, np.int64, "CA")
+        self._handle = lib.sv_table_new(blob, ends.ctypes.data, len(words))
+        if not self._handle:
+            raise MemoryError("native lookup table could not be allocated")
+        weakref.finalize(self, lib.sv_table_free, self._handle)
+
+    def lookup(self, data, line_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The value of every token of the lines ``data[line_ends[i - 1]:line_ends[i]]``
+        (0 for the start of line 0), and each line's token count.
+
+        Tokens split as in ``Encoder.encode_lines``; a token absent from the
+        table is looked up ASCII-lowercased, and gets -1 when still absent.
+        """
+        if len(line_ends) and (
+            line_ends[0] < 0 or line_ends[-1] != len(data) or np.any(np.diff(line_ends) < 0)
+        ):
+            raise ValueError("line ends do not delimit the data")
+        # a token takes a byte and a separator, but the last of a line needs none
+        ids = np.empty(len(data) // 2 + len(line_ends), dtype=np.int64)
+        counts = np.empty(len(line_ends), dtype=np.int64)
+        view, address = _address(data)
+        n = self._lib.sv_lookup_lines(
+            self._handle, self._values.ctypes.data, address,
+            _pointer(line_ends, np.int64, "line_ends"), len(line_ends), ids.ctypes.data,
+            counts.ctypes.data,
+        )
+        del view
+        return ids[:n], counts
 
 
 def _check(status: int) -> None:

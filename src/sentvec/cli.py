@@ -14,12 +14,13 @@ import math
 import os
 import sys
 
+from .corpus import _decode_line
 from .evaluation import (
     OovStats,
+    RowText,
     arora_weight,
     embed_batch,
     evaluate_similarity,
-    format_rows,
     norm_profile,
     read_similarity_tsv,
 )
@@ -176,12 +177,46 @@ def _log_oov(stats: OovStats) -> None:
     )
 
 
+def _stdin_batches():
+    """Stdin as lists of up to ``_EMBED_CHUNK_LINES`` lines, split at ``\\n``.
+
+    Stdin's bytes are read when it has them: ASCII lines stay bytes, and
+    the others are decoded as UTF-8, which names the line and byte offset
+    of invalid input.  A text stdin without bytes gives ``str`` lines.
+    """
+    if sys.stdin is None:
+        raise ValueError("no standard input to read sentences from (stdin is closed)")
+    source = getattr(sys.stdin, "buffer", None)
+    if source is None:
+        while chunk := list(itertools.islice(sys.stdin, _EMBED_CHUNK_LINES)):
+            yield [line.rstrip("\n") for line in chunk]
+        return
+    lineno = 0
+    while chunk := list(itertools.islice(source, _EMBED_CHUNK_LINES)):
+        lines = [line.rstrip(b"\n") for line in chunk]
+        if not all(line.isascii() for line in lines):
+            lines = [
+                line if line.isascii() else _decode_line(line, "stdin", lineno + i)
+                for i, line in enumerate(lines, start=1)
+            ]
+        lineno += len(lines)
+        yield lines
+
+
 def cmd_embed(args) -> int:
     model = load_model(args.model)
     stats = OovStats()
-    while chunk := list(itertools.islice(sys.stdin, _EMBED_CHUNK_LINES)):
-        vectors, flags = embed_batch(model, [line.rstrip("\n") for line in chunk], stats)
-        sys.stdout.write(format_rows(vectors, " ", flags if args.oov_flag else None))
+    text = RowText()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is not None:
+        sys.stdout.flush()  # text written before goes first
+    for lines in _stdin_batches():
+        vectors, flags = embed_batch(model, lines, stats)
+        rows = text(vectors, " ", flags if args.oov_flag else None)
+        if out is not None:
+            out.write(rows)
+        else:
+            sys.stdout.write(str(rows, "ascii"))
     _log_oov(stats)
     return 0
 

@@ -4,7 +4,10 @@ A corpus is newline-delimited UTF-8 text, one sentence per line (gzip
 accepted when the filename ends in ".gz").  Sentences are tokenized by
 splitting on Unicode whitespace; there is no internal sentence splitting.
 One pass gives both the vocabulary, whose frequent words get dense ids by
-descending count, and the corpus as CSR ids.  Word n-grams are mapped to
+descending count, and the corpus as CSR ids.  A corpus file is read in raw
+blocks, and the native kernel splits and interns its ASCII lines; the
+other lines, and every line when lowercasing, are decoded and split in
+Python.  Word n-grams are mapped to
 a fixed number of bucket rows through a deterministic 32-bit hash so that
 models remain portable across implementations.
 """
@@ -21,6 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "CorpusFile",
     "Vocabulary",
     "tokenize",
     "build_vocab",
@@ -37,6 +41,19 @@ FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
 NGRAM_CHAIN_MULTIPLIER = 116049371
 _U32 = 0xFFFFFFFF
+
+# bytes read from a corpus file at a time
+_BLOCK_BYTES = 1 << 20
+
+
+def _kernel():
+    """The native kernel, or None when it cannot be built here."""
+    from . import _native  # imported on first use: ``import sentvec`` stays light
+
+    try:
+        return _native.load()
+    except _native.KernelUnavailable:
+        return None
 
 
 def tokenize(text: str | bytes, lowercase: bool = False) -> list[str]:
@@ -68,6 +85,8 @@ class Vocabulary:
     min_count: int
     min_target_count: int
     _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the kernel's table of the ASCII words, built by the first ``embed_batch``
+    _lookup: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -98,7 +117,9 @@ def encode_corpus(
     assigned in descending count order, ties broken by first occurrence.
     Sentence ``s`` of the result spans ``tokens[offsets[s]:offsets[s + 1]]``
     (int32 ids, int64 offsets); out-of-vocabulary tokens are skipped, and
-    sentences left with fewer than 2 known tokens are dropped.
+    sentences left with fewer than 2 known tokens are dropped.  A
+    ``CorpusFile`` (``iter_corpus``) is read by the native kernel when it
+    loads, with the same result.
 
     Raises ``ValueError`` for an empty corpus or invalid thresholds.
     """
@@ -107,25 +128,34 @@ def encode_corpus(
     if min_target_count < 1:
         raise ValueError(f"min_target_count must be >= 1, got {min_target_count}")
 
-    # a token's first occurrence gives it the next provisional id
-    index: defaultdict[str, int] = defaultdict(count().__next__)
-    provisional = array("i")
-    lengths = array("q")
-    for tokens in sentences:
-        provisional.extend(map(index.__getitem__, tokens))
-        lengths.append(len(tokens))
-    if not index:
-        raise ValueError("no tokens in corpus")
+    kernel = _kernel() if isinstance(sentences, CorpusFile) else None
+    if kernel is not None:
+        ids, lengths, n_words, surfaces = _encode_natively(kernel, sentences)
+    else:
+        # a token's first occurrence gives it the next provisional id
+        index: defaultdict[str, int] = defaultdict(count().__next__)
+        provisional = array("i")
+        line_lengths = array("q")
+        for tokens in sentences:
+            provisional.extend(map(index.__getitem__, tokens))
+            line_lengths.append(len(tokens))
+        ids = np.frombuffer(provisional, dtype=np.intc)
+        lengths = np.frombuffer(line_lengths, dtype=np.int64)
+        n_words, words = len(index), list(index)
+        del index, provisional  # the ids' buffer goes with them, below
 
-    ids = np.frombuffer(provisional, dtype=np.intc)
-    counts = np.bincount(ids, minlength=len(index))
+        def surfaces(which):
+            return [words[i] for i in which]
+
+    if not n_words:
+        raise ValueError("no tokens in corpus")
+    counts = np.bincount(ids, minlength=n_words)
     # the sort is stable, so count ties stay in first-occurrence order
     order = np.argsort(-counts, kind="stable")
     order = order[counts[order] >= min_count]
     if not order.size:
         raise ValueError(f"no words survive min_count={min_count}; corpus too small")
-    surfaces = list(index)
-    kept = [(surfaces[i], c) for i, c in zip(order.tolist(), counts[order].tolist())]
+    kept = list(zip(surfaces(order.tolist()), counts[order].tolist()))
     vocab = Vocabulary(
         words=kept,
         word_index={w: i for i, (w, _) in enumerate(kept)},
@@ -134,11 +164,9 @@ def encode_corpus(
         min_target_count=min_target_count,
     )
 
-    remap = np.full(len(index), -1, dtype=np.int32)
+    remap = np.full(n_words, -1, dtype=np.int32)
     remap[order] = np.arange(order.size, dtype=np.int32)
-    ids = remap[ids]
-    del provisional, index  # freed before the per-token masks below
-    lengths = np.frombuffer(lengths, dtype=np.int64)
+    ids = remap[ids]  # frees the provisional ids before the per-token masks below
     # only the dropped tokens are mapped to their sentences: no per-token sentence index
     oov_sentence = np.searchsorted(np.cumsum(lengths), np.flatnonzero(ids < 0), side="right")
     known = lengths - np.bincount(oov_sentence, minlength=len(lengths))
@@ -148,6 +176,60 @@ def encode_corpus(
     return vocab, tokens, offsets
 
 
+def _encode_natively(kernel, corpus: CorpusFile):
+    """Read ``corpus`` into a kernel ``Encoder``: token ids, line lengths, word count, surfaces.
+
+    Blocks of ``_BLOCK_BYTES`` are split at ``\\n`` only, as iterating a
+    binary file splits them, and a block's last, unfinished line waits for
+    the next block.
+    """
+    with kernel.encoder() as encoder:
+        pending = bytearray()
+        with corpus.open() as handle:
+            while block := handle.read(_BLOCK_BYTES):
+                pending += block
+                cut = block.rfind(b"\n") + 1
+                if cut:
+                    cut += len(pending) - len(block)
+                    _encode_lines(encoder, pending, cut, corpus)
+                    del pending[:cut]
+        if pending:
+            _encode_lines(encoder, pending, len(pending), corpus)
+        ids, lengths, words, ends = encoder.result()
+
+    def surfaces(which):
+        bounds = [0, *ends.tolist()]
+        return [words[bounds[i] : bounds[i + 1]].decode("utf-8") for i in which]
+
+    return ids, lengths, len(ends), surfaces
+
+
+def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile) -> None:
+    """Encode the lines of ``data[:stop]`` in order: ASCII lines in the kernel, the rest in Python.
+
+    A line with a byte >= 0x80, and every line when lowercasing, is
+    decoded and split by ``str.split``, which knows the non-ASCII
+    whitespace too; the kernel then interns the tokens of each run of
+    such lines, joined by spaces, in one call.
+    """
+    start = 0
+    while start < stop:
+        if not corpus.lowercase:
+            start = encoder.encode_lines(data, start, stop, ascii_only=True)
+        run: list[str] = []
+        while start < stop:
+            end = data.find(b"\n", start, stop) + 1 or stop
+            raw = data[start:end]
+            if raw.isascii() and not corpus.lowercase:
+                break
+            if not run:
+                first_line = encoder.lines + 1
+            text = _decode_line(raw, corpus.path, first_line + len(run))
+            run.append(" ".join(tokenize(text, lowercase=corpus.lowercase)) + "\n")
+            start = end
+        if run:
+            text = "".join(run).encode("utf-8")
+            encoder.encode_lines(text, 0, len(text), ascii_only=False)
 def build_vocab(
     sentences: Iterable[list[str]], min_count: int, min_target_count: int
 ) -> Vocabulary:
@@ -235,13 +317,31 @@ def _decode_line(raw: bytes, path, lineno: int) -> str:
         ) from err
 
 
-def iter_corpus(path: str, lowercase: bool = False) -> Iterator[list[str]]:
-    """Yield one token list per input line; transparently reads .gz files.
+class CorpusFile:
+    """The lines of a corpus file as token lists; see ``iter_corpus``."""
 
-    Decoding failures are re-raised with the line number and byte offset
-    of the first invalid byte.
+    __slots__ = ("path", "lowercase")
+
+    def __init__(self, path, lowercase: bool = False) -> None:
+        self.path = path
+        self.lowercase = lowercase
+
+    def open(self):
+        """The file as a binary stream, decompressed when its name ends in ".gz"."""
+        opener = gzip.open if str(self.path).endswith(".gz") else open
+        return opener(self.path, "rb")
+
+    def __iter__(self) -> Iterator[list[str]]:
+        with self.open() as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                yield tokenize(_decode_line(raw, self.path, lineno), lowercase=self.lowercase)
+
+
+def iter_corpus(path: str, lowercase: bool = False) -> CorpusFile:
+    """One token list per input line, each time it is iterated; transparently reads .gz files.
+
+    Decoding failures are raised as ``ValueError`` with the line number
+    and byte offset of the first invalid byte.  ``encode_corpus`` reads
+    the returned ``CorpusFile`` in raw blocks through the native kernel.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            yield tokenize(_decode_line(raw, path, lineno), lowercase=lowercase)
+    return CorpusFile(path, lowercase)

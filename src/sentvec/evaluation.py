@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _decode_line, ngram_bucket_ids
+from .corpus import Vocabulary, _decode_line, _kernel, ngram_bucket_ids
 from .trainer import TrainedModel
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "embed_batch",
     "embed_sentence",
     "format_rows",
+    "RowText",
     "cosine",
     "pearson",
     "spearman",
@@ -60,16 +61,6 @@ class OovStats:
     @property
     def oov_token_rate(self) -> float:
         return self.oov_tokens / self.tokens if self.tokens else 0.0
-
-
-def _kernel():
-    """The native kernel, or None when it cannot be built here."""
-    from . import _native  # imported on first use: ``import sentvec`` stays light
-
-    try:
-        return _native.load()
-    except _native.KernelUnavailable:
-        return None
 
 
 def _segment_means(source: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -119,31 +110,83 @@ def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
     return rows, counts
 
 
+def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
+    """``_token_ids`` through ``str.split`` and the word index; the reference path."""
+    get = vocab.word_index.get
+    line_tokens = [
+        (text.decode("utf-8") if isinstance(text, bytes) else text).split() for text in lines
+    ]
+    flat = list(itertools.chain.from_iterable(line_tokens))
+    found = list(map(get, flat))
+    for i in [i for i, wid in enumerate(found) if wid is None]:
+        found[i] = get(flat[i].lower(), -1)
+    counts = np.array([len(tokens) for tokens in line_tokens], dtype=np.int64)
+    return np.array(found, dtype=np.int64), counts
+
+
+def _kernel_ids(kernel, vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
+    """``_token_ids`` of ASCII lines, split and looked up in the kernel."""
+    if vocab._lookup is None:
+        # ASCII tokens never match other words; ASCII lowercasing equals str.lower() on them
+        words = [w for w in vocab.word_index if w.isascii()]
+        ids = np.array([vocab.word_index[w] for w in words], dtype=np.int64)
+        vocab._lookup = kernel.lookup_table(words, ids)
+    pieces = [text.encode("ascii") if isinstance(text, str) else text for text in lines]
+    ends = np.cumsum([len(piece) for piece in pieces], dtype=np.int64)
+    return vocab._lookup.lookup(b"".join(pieces), ends)
+
+
+def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary id of every token of ``lines`` (-1 when unknown) and each line's token count.
+
+    Lines split on whitespace.  A token is looked up verbatim, then
+    lowercased.  The kernel splits and looks up ASCII lines, and the
+    rest go through ``str.split`` and the word index, with the same ids.
+    """
+    kernel = _kernel()
+    fast = [text.isascii() for text in lines] if kernel is not None else []
+    if not any(fast):
+        return _python_ids(vocab, lines)
+    if all(fast):
+        return _kernel_ids(kernel, vocab, lines)
+    parts = []
+    for ascii_ in (True, False):
+        which = np.array([i for i, flag in enumerate(fast) if flag == ascii_], dtype=np.int64)
+        subset = [lines[i] for i in which.tolist()]
+        ids, counts = (_kernel_ids(kernel, vocab, subset) if ascii_
+                       else _python_ids(vocab, subset))
+        parts.append((which, ids, counts))
+    counts = np.zeros(len(lines), dtype=np.int64)
+    for which, _, part_counts in parts:
+        counts[which] = part_counts
+    starts = np.cumsum(counts) - counts
+    ids = np.empty(int(counts.sum()), dtype=np.int64)
+    for which, part_ids, part_counts in parts:
+        part_starts = np.cumsum(part_counts) - part_counts
+        ids[np.repeat(starts[which] - part_starts, part_counts) + np.arange(len(part_ids))] = (
+            part_ids
+        )
+    return ids, counts
+
+
 def embed_batch(
     model: TrainedModel, lines, stats: OovStats | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compose the embeddings of many lines; returns (vectors, all_oov flags).
 
-    Each line is split on whitespace.  Tokens are looked up verbatim,
-    then lowercased as a fallback, and skipped when still unknown.  A
-    line's vector is the mean of its unigram rows and of the bucket rows
-    of its n-grams of order 2..``word_ngrams`` (duplicates count per
-    occurrence).  A line with no in-vocabulary token gets the zero vector
-    and its flag set.  ``stats``, when given, accumulates the batch's
-    line and token counts.
+    Each line, a ``str`` or UTF-8 ``bytes``, is split on whitespace.
+    Tokens are looked up verbatim, then lowercased as a fallback, and
+    skipped when still unknown.  A line's vector is the mean of its
+    unigram rows and of the bucket rows of its n-grams of order
+    2..``word_ngrams`` (duplicates count per occurrence).  A line with no
+    in-vocabulary token gets the zero vector and its flag set.  ``stats``,
+    when given, accumulates the batch's line and token counts.
     """
-    get = model.vocab.word_index.get
-    line_tokens = [text.split() for text in lines]
-    flat = list(itertools.chain.from_iterable(line_tokens))
-    found = list(map(get, flat))
-    for i in [i for i, wid in enumerate(found) if wid is None]:
-        found[i] = get(flat[i].lower(), -1)
-    ids = np.array(found, dtype=np.int64)
+    lines = list(lines)
+    ids, per_line = _token_ids(model.vocab, lines)
     known_token = ids >= 0
-    line_of_token = np.repeat(
-        np.arange(len(line_tokens)), [len(tokens) for tokens in line_tokens]
-    )
-    known = np.bincount(line_of_token[known_token], minlength=len(line_tokens))
+    line_of_token = np.repeat(np.arange(len(lines)), per_line)
+    known = np.bincount(line_of_token[known_token], minlength=len(lines))
 
     flags = known == 0
     unigrams = ids[known_token]
@@ -165,6 +208,28 @@ def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
     return vectors[0], bool(flags[0])
 
 
+def _row_kernel(rows: np.ndarray, sep: str, flags: np.ndarray | None):
+    """The kernel, when it loads and can format these rows; else None."""
+    if (
+        rows.dtype == np.float32
+        and len(sep) == 1
+        and sep.isascii()
+        and (flags is None or flags.dtype == np.bool_)
+    ):
+        return _kernel()
+    return None
+
+
+def _python_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None) -> str:
+    line = sep.join(["%.6g"] * rows.shape[1])
+    values = rows.tolist()
+    if flags is not None:
+        line += " %d"
+        values = [row + [flag] for row, flag in zip(values, flags.tolist())]
+    line += "\n"
+    return "".join([line % tuple(row) for row in values])
+
+
 def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> str:
     """Text of a matrix, one line per row: ``%.6g`` values joined by ``sep``.
 
@@ -174,23 +239,31 @@ def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> 
     formatted by the native kernel when it loads; otherwise, and as the
     reference for the kernel, by Python's ``%`` operator.
     """
-    if (
-        rows.dtype == np.float32
-        and len(sep) == 1
-        and sep.isascii()
-        and (flags is None or flags.dtype == np.bool_)
-    ):
-        kernel = _kernel()
-        if kernel is not None:
-            # an aligned copy of rows a mapped model file left misaligned
-            return kernel.format_rows(np.require(rows, requirements="CA"), sep, flags)
-    line = sep.join(["%.6g"] * rows.shape[1])
-    values = rows.tolist()
-    if flags is not None:
-        line += " %d"
-        values = [row + [flag] for row, flag in zip(values, flags.tolist())]
-    line += "\n"
-    return "".join([line % tuple(row) for row in values])
+    kernel = _row_kernel(rows, sep, flags)
+    if kernel is None:
+        return _python_rows(rows, sep, flags)
+    # an aligned copy of rows a mapped model file left misaligned
+    return kernel.format_rows(np.require(rows, requirements="CA"), sep, flags)
+
+
+class RowText:
+    """``format_rows``' text as ASCII bytes, written into one buffer reused across calls."""
+
+    def __init__(self) -> None:
+        self._buffer = None
+
+    def __call__(
+        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
+    ) -> bytes | memoryview:
+        """The text of ``rows``; a view that the next call overwrites."""
+        kernel = _row_kernel(rows, sep, flags)
+        if kernel is None:
+            return _python_rows(rows, sep, flags).encode("ascii")
+        text = kernel.format_rows_into(
+            np.require(rows, requirements="CA"), sep, flags, self._buffer
+        )
+        self._buffer = text.obj
+        return text
 
 
 def cosine(u, v) -> float:

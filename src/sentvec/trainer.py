@@ -205,13 +205,23 @@ class _LossReporter:
         self._count = 0
         self._lock = threading.Lock()
 
-    def add(self, loss_sum: float, count: int) -> None:
-        if count == 0:
-            return
+    def add(self, loss_sums: np.ndarray, steps: np.ndarray) -> None:
+        """Fold in the loss sums and step counts of consecutive sentences.
+
+        A window closes at the first sentence that brings its step count
+        to ``report_every``, and the next one starts after it.  Losses add
+        up in sentence order (``cumsum``, not the pairwise ``sum``), so the
+        means equal those of adding one sentence at a time.
+        """
         with self._lock:
-            self._sum += loss_sum
-            self._count += count
-            if self._count >= self.report_every:
+            while len(steps):
+                counts = self._count + np.cumsum(steps)
+                close = int(np.searchsorted(counts, self.report_every))
+                taken = slice(0, close + 1)
+                sums = np.cumsum(np.concatenate([[self._sum], loss_sums[taken]]))
+                self._sum, self._count = float(sums[-1]), int(counts[taken][-1])
+                if close == len(steps):
+                    return
                 mean = self._sum / self._count
                 self.window_means.append(mean)
                 logger.info(
@@ -220,6 +230,7 @@ class _LossReporter:
                 )
                 self._sum = 0.0
                 self._count = 0
+                loss_sums, steps = loss_sums[close + 1 :], steps[close + 1 :]
 
     def finalize(self) -> list[float]:
         with self._lock:
@@ -278,17 +289,15 @@ def _run_shard(
             loss_sum += outcome.loss
             done += 1
         progress.add(done)
-        reporter.add(loss_sum, done)
+        reporter.add(np.array([loss_sum]), np.array([done]))
 
 
 def _run_shard_native(kernel, model, shard, rng_state, reporter) -> None:
     """Train one shard in native chunks; the kernel advances the shared progress."""
     for start in range(0, len(shard), _CHUNK_SENTENCES):
-        loss_sums, steps = kernel.train_chunk(
+        reporter.add(*kernel.train_chunk(
             model, shard[start : start + _CHUNK_SENTENCES], rng_state
-        )
-        for loss_sum, done in zip(loss_sums.tolist(), steps.tolist()):
-            reporter.add(loss_sum, done)
+        ))
 
 
 def _load_kernel():
