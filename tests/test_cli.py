@@ -284,6 +284,68 @@ class TestEmbedCommand:
         assert capsys.readouterr().err.strip() == "error: out of memory"
 
 
+EMBED_INPUT = (
+    "a0001 a0002 b0003\nzzz\n\nA0004 a0005\nB0001 qqq b0002\r\n"
+    "a0003 ça b0002\n\u3000a0001\u00a0b0004\n\x1ca0002\x1fb0001\nİ K a0003"
+)
+
+
+class TestEmbedStreams:
+    """``embed`` reads and writes bytes when stdin and stdout have them, and text otherwise."""
+
+    def run_embed(self, model_path, stdin, stdout, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", stdout)
+        return main(["embed", "--model", model_path, "--oov-flag"])
+
+    def test_files_and_string_streams_print_the_same_bytes(
+        self, model_path, tmp_path, monkeypatch
+    ):
+        source = tmp_path / "in.txt"
+        source.write_bytes(EMBED_INPUT.encode())
+        out = tmp_path / "out.txt"
+        with open(source, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
+            fout.write("before\n")
+            assert self.run_embed(model_path, fin, fout, monkeypatch) == 0
+        text = io.StringIO()
+        stdin = io.StringIO(EMBED_INPUT, newline="\n")  # split at \n only, as sys.stdin does
+        assert self.run_embed(model_path, stdin, text, monkeypatch) == 0
+        printed = out.read_bytes()
+        assert printed == ("before\n" + text.getvalue()).encode()
+        assert printed.count(b"\n") == EMBED_INPUT.count("\n") + 2
+
+    def test_invalid_utf8_names_the_line(self, model_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
+        source = tmp_path / "in.txt"
+        source.write_bytes("a0001\nb0002\nça va\n".encode() + b"ok \xff a0001\n")
+        out = tmp_path / "out.txt"
+        with open(source, "rb") as raw, open(out, "w", encoding="utf-8") as fout:
+            stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+            assert self.run_embed(model_path, stdin, fout, monkeypatch) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: stdin: line 4: invalid UTF-8 at byte offset 3: invalid start byte"
+        )
+        # the batches before the bad line were written
+        assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    def test_invalid_utf8_exits_one_under_every_locale(self, model_path, locale):
+        env = {
+            **os.environ, "LC_ALL": locale, "PYTHONPATH": str(Path(sentvec.__file__).parents[1])
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "sentvec.cli", "embed", "--model", model_path],
+            input=b"a0001\n\xff\n", capture_output=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert b"error: stdin: line 2: invalid UTF-8 at byte offset 0" in proc.stderr
+
+    def test_closed_stdin_is_runtime_error(self, model_path, monkeypatch, capsys):
+        assert self.run_embed(model_path, None, sys.stdout, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stdin" in err and "Traceback" not in err
+
+
 class TestEvalSimCommand:
     def _identity_dataset(self, model_path, path, n=6):
         model = load_model(model_path)

@@ -317,3 +317,124 @@ class TestIterCorpus:
         path.write_bytes(b"fine line\nbad \xff here\n")
         with pytest.raises(ValueError, match=r"line 2.*byte offset 4"):
             list(iter_corpus(str(path)))
+
+
+# the ASCII bytes ``str.split`` splits on; ``bytes.split`` misses \x1c-\x1f
+SPLIT_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+class TestNativeEncoding:
+    """``encode_corpus`` of a corpus file: the kernel's reading against the Python path."""
+
+    @staticmethod
+    def both(kernel, without_kernel, path, min_count=1, lowercase=False):
+        """(kernel result, Python result), each an ``encode_corpus`` output or its ValueError."""
+        results = []
+        for native in (True, False):
+            if not native:
+                without_kernel()
+            try:
+                results.append(encode_corpus(iter_corpus(str(path), lowercase), min_count, 1))
+            except ValueError as err:
+                results.append(err)
+        return results
+
+    def assert_same(self, kernel, without_kernel, path, min_count=1, lowercase=False):
+        native, python = self.both(kernel, without_kernel, path, min_count, lowercase)
+        if isinstance(python, ValueError):
+            assert isinstance(native, ValueError) and str(native) == str(python)
+            return python
+        assert native[0] == python[0]
+        for got, want in zip(native[1:], python[1:]):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        return python
+
+    def write(self, tmp_path, data: bytes, name="c.txt"):
+        path = tmp_path / name
+        if name.endswith(".gz"):
+            with gzip.open(path, "wb") as fh:
+                fh.write(data)
+        else:
+            path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("fixture", ["tiny_corpus", "small_corpus"])
+    @pytest.mark.parametrize("min_count", [1, 5])
+    def test_conftest_corpora(self, kernel, without_kernel, request, fixture, min_count):
+        path = request.getfixturevalue(fixture)
+        vocab, _, _ = self.assert_same(kernel, without_kernel, path, min_count)
+        assert len(vocab) > 10
+
+    @pytest.mark.parametrize("space", list(SPLIT_WHITESPACE), ids=hex)
+    def test_each_whitespace_byte(self, kernel, without_kernel, tmp_path, space):
+        sep = bytes([space])
+        data = b"a" + sep + b"b" + sep + sep + b"c\n" + sep + b"b a" + sep + b"\nc c\n"
+        vocab, tokens, _ = self.assert_same(kernel, without_kernel, self.write(tmp_path, data))
+        assert {w for w, _ in vocab.words} == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("data", [
+        b"a b\r\nb c a\r\n\r\nc a\r\n",
+        b"a b\n\n\nb a c\n\n",
+        b"a b c\nc b",
+        b"\n\n",
+        b"",
+        b"a\x00b a\x00b c\nc a\x00b\n",
+    ], ids=["crlf", "empty-lines", "no-final-newline", "only-newlines", "empty", "nul"])
+    @pytest.mark.parametrize("name", ["c.txt", "c.txt.gz"])
+    def test_line_ends(self, kernel, without_kernel, tmp_path, data, name):
+        self.assert_same(kernel, without_kernel, self.write(tmp_path, data, name))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_lines_straddle_blocks(self, kernel, without_kernel, tmp_path, monkeypatch, block):
+        from sentvec import corpus
+
+        monkeypatch.setattr(corpus, "_BLOCK_BYTES", block)
+        data = "aa bbb c\ncafé aa\n\nbbb  c aa c\r\nÄpfel c\nlast aa".encode()
+        self.assert_same(kernel, without_kernel, self.write(tmp_path, data))
+
+    def test_non_ascii_lines_keep_first_occurrence_order(self, kernel, without_kernel, tmp_path):
+        # U+00A0 and U+3000 separate tokens for str.split, and are no ASCII bytes
+        text = (
+            "z y\n" "x y　w z\n" "v x\n" "Äpfel u z\n" "　\n" "u v w t\n"
+            "t s\u0085r\n" "s r q\n"
+        )
+        vocab, _, _ = self.assert_same(
+            kernel, without_kernel, self.write(tmp_path, text.encode())
+        )
+        words = [w for w, c in vocab.words if c == 1]
+        assert words == ["Äpfel", "q"]
+
+    @pytest.mark.parametrize("name", ["c.txt", "c.txt.gz"])
+    def test_lowercase(self, kernel, without_kernel, tmp_path, name):
+        text = "The Cat\nthe CAT sat\nÄpfel ÄPFEL äpfel İ\nSAT the\n"
+        vocab, _, _ = self.assert_same(
+            kernel, without_kernel, self.write(tmp_path, text.encode(), name), lowercase=True
+        )
+        assert vocab.word_index.keys() >= {"the", "cat", "äpfel", "i̇"}
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    @pytest.mark.parametrize("data,where", [
+        (b"fine line\nbad \xff here\n", r"line 2: invalid UTF-8 at byte offset 4"),
+        ("café ok\na b\n".encode() + b"a \xc3\n", r"line 3: invalid UTF-8 at byte offset 2"),
+        (b"a b\n" * 5 + b"\xe2\x82", r"line 6: invalid UTF-8 at byte offset 0"),
+    ])
+    def test_invalid_utf8_gives_the_same_message(
+        self, kernel, without_kernel, tmp_path, monkeypatch, data, where, lowercase
+    ):
+        from sentvec import corpus
+
+        monkeypatch.setattr(corpus, "_BLOCK_BYTES", 5)
+        path = self.write(tmp_path, data)
+        native, python = self.both(kernel, without_kernel, path, lowercase=lowercase)
+        assert isinstance(python, ValueError)
+        assert str(native) == str(python)
+        assert str(python).startswith(f"{path}: ") and where in str(python)
+
+    def test_errors_match(self, kernel, without_kernel, tmp_path):
+        self.assert_same(kernel, without_kernel, self.write(tmp_path, b" \n\t\n"))
+        self.assert_same(kernel, without_kernel, self.write(tmp_path, b"a b\n"), min_count=2)
+
+    def test_iterating_a_corpus_file_twice_reads_it_twice(self, tmp_path):
+        corpus = iter_corpus(str(self.write(tmp_path, b"a b\nc\n")))
+        assert list(corpus) == list(corpus) == [["a", "b"], ["c"]]

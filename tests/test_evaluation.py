@@ -693,3 +693,64 @@ class TestReadSimilarityTsv:
         path.write_text("x\ta\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             read_similarity_tsv(str(path))
+
+
+class TestNativeLookup:
+    """``embed_batch`` with the kernel's lookup of ASCII lines against the Python lookup."""
+
+    WORDS = ["the", "cat", "sat", "on", "mat", "k", "i̇", "äpfel", "Dog", "a b", "x\x1cy"]
+    LINES = [
+        "The cat SAT on the Mat",
+        "unknown words only",
+        "",
+        "   ",
+        "İ cat",  # str.lower() gives "i̇"; ASCII "I" lowers to "i"
+        "I cat",
+        "K the",  # the Kelvin sign lowers to ASCII "k"
+        "K the",
+        "Äpfel cat",
+        "ÄPFEL cat the",
+        "Dog dog DOG",
+        "\x1cthe\x1fcat\x0bsat\x0con\rmat\tthe",
+        "the cat　sat mat",
+        "a b x\x1cy",
+        "cAt The MAT mAt the cat sat on",
+    ]
+
+    def model(self, order):
+        rng = np.random.default_rng(order)
+        buckets = 31 if order > 1 else 0
+        source = rng.normal(size=(len(self.WORDS) + buckets, 7))
+        return toy_model(self.WORDS, source, word_ngrams=order, buckets=buckets)
+
+    def embedded(self, model, lines):
+        stats = OovStats()
+        vectors, flags = embed_batch(model, lines, stats)
+        return vectors, flags, [getattr(stats, name) for name in OovStats.__slots__]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_the_python_lookup(self, kernel, without_kernel, order):
+        model = self.model(order)
+        as_bytes = [line.encode() for line in self.LINES]
+        mixed = [b if i % 2 else s for i, (s, b) in enumerate(zip(self.LINES, as_bytes))]
+        cases = [self.LINES, as_bytes, mixed, self.LINES[:1], self.LINES[4:5]]
+        native = [self.embedded(model, lines) for lines in cases]
+        without_kernel()
+        for lines, (vectors, flags, stats) in zip(cases, native):
+            want_vectors, want_flags, want_stats = self.embedded(model, lines)
+            np.testing.assert_array_equal(vectors.view(np.uint32), want_vectors.view(np.uint32))
+            np.testing.assert_array_equal(flags, want_flags)
+            assert stats == want_stats
+        flags = native[0][1]
+        assert flags.tolist() == [
+            False, True, True, True, False, False, False, False, False, False, False,
+            False, False, True, False,
+        ]
+
+    def test_table_built_once_per_vocabulary(self, kernel):
+        model = self.model(1)
+        embed_batch(model, ["the cat"])
+        table = model.vocab._lookup
+        assert table is not None
+        embed_batch(model, ["Cat sat"])
+        assert model.vocab._lookup is table

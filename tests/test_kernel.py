@@ -340,7 +340,7 @@ class TestBuild:
         if compiler is None:
             pytest.skip("no C compiler (gcc or cc) on PATH")
         proc = subprocess.run(
-            [compiler, *_native.COMPILE_FLAGS, "-Wall", "-Wextra", "-Werror",
+            [compiler, *_native.COMPILE_FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror",
              "-o", str(tmp_path / "kernel.so"), str(_native.SOURCE), "-lm"],
             capture_output=True, text=True, check=False,
         )
@@ -548,3 +548,70 @@ class TestFormatRows:
             kernel.format_rows(rows, " ", np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="one ASCII character"):
             kernel.format_rows(rows, ", ")
+
+
+class TestText:
+    """The kernel's line splitter, interning table and lookup table."""
+
+    def encode(self, kernel, data, ascii_only=False, start=0, stop=None):
+        with kernel.encoder() as encoder:
+            end = encoder.encode_lines(data, start, len(data) if stop is None else stop, ascii_only)
+            ids, lengths, words, ends = encoder.result()
+        bounds = [0, *ends.tolist()]
+        return end, ids.tolist(), lengths.tolist(), [
+            words[a:b] for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def test_splits_as_str_split_on_ascii(self, kernel):
+        rng = np.random.default_rng(71)
+        alphabet = np.frombuffer(b"ab\x00\x1b\x7f \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", np.uint8)
+        data = alphabet[rng.integers(len(alphabet), size=5000)].tobytes()
+        _, ids, lengths, words = self.encode(kernel, data)
+        lines = data.split(b"\n")
+        tokens = [line.decode("ascii").split() for line in lines]
+        assert lengths == [len(t) for t in tokens]
+        flat = [t.encode() for line in tokens for t in line]
+        assert [words[i] for i in ids] == flat
+        assert words == list(dict.fromkeys(flat))  # ids in first-occurrence order
+
+    def test_lines_end_at_newline_or_stop(self, kernel):
+        assert self.encode(kernel, b"a b\n\nc")[2] == [2, 0, 1]
+        assert self.encode(kernel, b"a b\n\n")[2] == [2, 0]
+        assert self.encode(kernel, b"xx a b\nc\n", start=3, stop=6)[2] == [2]
+
+    def test_ascii_only_stops_at_a_non_ascii_line(self, kernel):
+        data = "a b\nc\nd é\ne\n".encode()
+        end, ids, lengths, words = self.encode(kernel, data, ascii_only=True)
+        assert (end, lengths, words) == (6, [2, 1], [b"a", b"b", b"c"])
+        assert self.encode(kernel, data, ascii_only=False)[0] == len(data)
+
+    def test_many_distinct_tokens_grow_the_table(self, kernel):
+        words = [f"t{i}x{'y' * (i % 11)}" for i in range(20_000)]
+        data = (" ".join(words) + "\n" + " ".join(reversed(words)) + "\n").encode()
+        _, ids, lengths, got = self.encode(kernel, data)
+        assert lengths == [20_000, 20_000]
+        assert got == [w.encode() for w in words]
+        assert ids == list(range(20_000)) + list(range(19_999, -1, -1))
+
+    def test_encoder_checks_its_range(self, kernel):
+        with kernel.encoder() as encoder:
+            with pytest.raises(ValueError, match="outside"):
+                encoder.encode_lines(b"ab", 1, 3, False)
+            assert encoder.lines == 0
+
+    def test_lookup(self, kernel):
+        words = ["the", "cat", "Dog", "longer-than-eight", "k", ""]
+        values = np.array([10, 11, 12, 13, 14, 15], dtype=np.int64)
+        table = kernel.lookup_table(words, values)
+        lines = [b"the CAT dog Dog", b"", b"LONGER-than-EIGHT\x1ck zebra", b"K the\t"]
+        ends = np.cumsum([len(line) for line in lines])
+        ids, counts = table.lookup(b"".join(lines), ends)
+        assert counts.tolist() == [4, 0, 3, 2]
+        assert ids.tolist() == [10, 11, -1, 12, 13, 14, -1, 14, 10]
+
+    def test_lookup_checks_line_ends(self, kernel):
+        table = kernel.lookup_table(["a"], np.array([0]))
+        with pytest.raises(ValueError, match="delimit"):
+            table.lookup(b"a a", np.array([2], dtype=np.int64))
+        with pytest.raises(ValueError, match="delimit"):
+            table.lookup(b"a a", np.array([2, 1, 3], dtype=np.int64))

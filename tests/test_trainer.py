@@ -305,6 +305,44 @@ class TestTrain:
         )
 
 
+class TestLossWindows:
+    """The per-chunk fold of ``_LossReporter`` against adding one sentence at a time."""
+
+    @staticmethod
+    def one_at_a_time(loss_sums, steps, report_every):
+        """The windows of the former per-sentence loop: (mean, targets) each, then the rest."""
+        windows, total, count = [], 0.0, 0
+        for loss_sum, done in zip(loss_sums.tolist(), steps.tolist()):
+            if done == 0:
+                continue
+            total += loss_sum
+            count += done
+            if count >= report_every:
+                windows.append((total / count, count))
+                total, count = 0.0, 0
+        return windows, (total, count)
+
+    @pytest.mark.parametrize("report_every", [1, 7, 50, 1_000, 10**9])
+    def test_equals_the_per_sentence_loop(self, report_every, caplog):
+        from sentvec.trainer import _LossReporter
+
+        rng = np.random.default_rng(report_every)
+        steps = rng.integers(0, 12, size=3000) * (rng.random(3000) < 0.8)
+        loss_sums = np.where(steps > 0, rng.random(3000) * steps * 7.3, 0.0)
+        reporter = _LossReporter(report_every)
+        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+            for start in range(0, 3000, 1024):
+                reporter.add(loss_sums[start : start + 1024], steps[start : start + 1024])
+        windows, (rest_sum, rest_count) = self.one_at_a_time(loss_sums, steps, report_every)
+        assert reporter.window_means == [mean for mean, _ in windows]  # bit for bit
+        assert [r.getMessage() for r in caplog.records] == [
+            f"window {i}: mean loss {mean:.6f} over {count} targets"
+            for i, (mean, count) in enumerate(windows, start=1)
+        ]
+        finals = reporter.finalize()
+        assert finals[len(windows):] == ([rest_sum / rest_count] if rest_count else [])
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tiny_corpus, tmp_path):
         model = train(tiny_corpus, quick_config(word_ngrams=2, bucket_count=64,
