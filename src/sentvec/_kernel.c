@@ -1045,12 +1045,13 @@ void sv_encoder_sizes(const sv_encoder *e, int64_t *sizes)
     sizes[3] = e->words.n_bytes;
 }
 
-/* copy out the arrays sv_encoder_sizes counts: token ids, line lengths, and
- * the distinct tokens' bytes and ends */
-void sv_encoder_copy(const sv_encoder *e, int32_t *ids, int64_t *lengths, unsigned char *bytes,
-                     int64_t *ends)
+/* the token ids, valid until the encoder changes or is freed */
+const int32_t *sv_encoder_ids(const sv_encoder *e) { return e->ids; }
+
+/* copy out the other arrays sv_encoder_sizes counts: line lengths, and the
+ * distinct tokens' bytes and ends */
+void sv_encoder_copy(const sv_encoder *e, int64_t *lengths, unsigned char *bytes, int64_t *ends)
 {
-    memcpy(ids, e->ids, sizeof *ids * (size_t)e->n_ids);
     memcpy(lengths, e->lengths, sizeof *lengths * (size_t)e->n_lines);
     memcpy(bytes, e->words.bytes, (size_t)e->words.n_bytes);
     memcpy(ends, e->words.ends, sizeof *ends * (size_t)e->words.n_strings);

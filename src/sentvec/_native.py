@@ -162,7 +162,9 @@ class Kernel:
         lib.sv_encode_lines.restype = _i64
         lib.sv_encoder_sizes.argtypes = [_ptr, _ptr]
         lib.sv_encoder_sizes.restype = None
-        lib.sv_encoder_copy.argtypes = [_ptr, _ptr, _ptr, _ptr, _ptr]
+        lib.sv_encoder_ids.argtypes = [_ptr]
+        lib.sv_encoder_ids.restype = ctypes.POINTER(ctypes.c_int32)
+        lib.sv_encoder_copy.argtypes = [_ptr, _ptr, _ptr, _ptr]
         lib.sv_encoder_copy.restype = None
         lib.sv_table_new.argtypes = [_ptr, _ptr, _i64]
         lib.sv_table_new.restype = _ptr
@@ -468,17 +470,19 @@ class Encoder:
         return self._sizes()[1]
 
     def result(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
-        """Copies of: the int32 id of every token, the int64 token count of
-        every line, and the distinct tokens' bytes back to back with the
-        int64 end of each."""
+        """The int32 id of every token, the int64 token count of every line,
+        and the distinct tokens' bytes back to back with the int64 end of each.
+
+        The ids are a view of the encoder's own buffer: they are valid
+        until the encoder is closed or encodes more lines.  The rest are copies.
+        """
         n_ids, n_lines, n_words, n_bytes = self._sizes()
-        ids = np.empty(n_ids, dtype=np.int32)
+        ids = np.ctypeslib.as_array(self._lib.sv_encoder_ids(self._handle), (n_ids,))
         lengths = np.empty(n_lines, dtype=np.int64)
         words = np.empty(n_bytes, dtype=np.uint8)
         ends = np.empty(n_words, dtype=np.int64)
         self._lib.sv_encoder_copy(
-            self._handle, ids.ctypes.data, lengths.ctypes.data, words.ctypes.data,
-            ends.ctypes.data,
+            self._handle, lengths.ctypes.data, words.ctypes.data, ends.ctypes.data
         )
         return ids, lengths, words.tobytes(), ends
 

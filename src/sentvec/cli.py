@@ -193,8 +193,9 @@ def _stdin_batches():
         return
     lineno = 0
     while chunk := list(itertools.islice(source, _EMBED_CHUNK_LINES)):
-        lines = [line.rstrip(b"\n") for line in chunk]
-        if not all(line.isascii() for line in lines):
+        data = b"".join(chunk)
+        lines = data.split(b"\n")[: len(chunk)]
+        if not data.isascii():
             lines = [
                 line if line.isascii() else _decode_line(line, "stdin", lineno + i)
                 for i, line in enumerate(lines, start=1)

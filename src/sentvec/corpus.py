@@ -14,6 +14,7 @@ models remain portable across implementations.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 from array import array
 from collections import defaultdict
@@ -129,32 +130,26 @@ def encode_corpus(
         raise ValueError(f"min_target_count must be >= 1, got {min_target_count}")
 
     kernel = _kernel() if isinstance(sentences, CorpusFile) else None
-    if kernel is not None:
-        ids, lengths, n_words, surfaces = _encode_natively(kernel, sentences)
-    else:
-        # a token's first occurrence gives it the next provisional id
-        index: defaultdict[str, int] = defaultdict(count().__next__)
-        provisional = array("i")
-        line_lengths = array("q")
-        for tokens in sentences:
-            provisional.extend(map(index.__getitem__, tokens))
-            line_lengths.append(len(tokens))
-        ids = np.frombuffer(provisional, dtype=np.intc)
-        lengths = np.frombuffer(line_lengths, dtype=np.int64)
-        n_words, words = len(index), list(index)
-        del index, provisional  # the ids' buffer goes with them, below
+    with contextlib.ExitStack() as native:
+        if kernel is not None:
+            encoder = native.enter_context(kernel.encoder())
+            ids, lengths, n_words, surfaces = _encode_natively(encoder, sentences)
+        else:
+            ids, lengths, n_words, surfaces = _encode_in_python(sentences)
 
-        def surfaces(which):
-            return [words[i] for i in which]
+        if not n_words:
+            raise ValueError("no tokens in corpus")
+        counts = np.bincount(ids, minlength=n_words)
+        # the sort is stable, so count ties stay in first-occurrence order
+        order = np.argsort(-counts, kind="stable")
+        order = order[counts[order] >= min_count]
+        if not order.size:
+            raise ValueError(f"no words survive min_count={min_count}; corpus too small")
+        remap = np.full(n_words, -1, dtype=np.int32)
+        remap[order] = np.arange(order.size, dtype=np.int32)
+        ids = remap[ids]
+    # the provisional ids are freed here, before the per-token masks below
 
-    if not n_words:
-        raise ValueError("no tokens in corpus")
-    counts = np.bincount(ids, minlength=n_words)
-    # the sort is stable, so count ties stay in first-occurrence order
-    order = np.argsort(-counts, kind="stable")
-    order = order[counts[order] >= min_count]
-    if not order.size:
-        raise ValueError(f"no words survive min_count={min_count}; corpus too small")
     kept = list(zip(surfaces(order.tolist()), counts[order].tolist()))
     vocab = Vocabulary(
         words=kept,
@@ -163,10 +158,6 @@ def encode_corpus(
         min_count=min_count,
         min_target_count=min_target_count,
     )
-
-    remap = np.full(n_words, -1, dtype=np.int32)
-    remap[order] = np.arange(order.size, dtype=np.int32)
-    ids = remap[ids]  # frees the provisional ids before the per-token masks below
     # only the dropped tokens are mapped to their sentences: no per-token sentence index
     oov_sentence = np.searchsorted(np.cumsum(lengths), np.flatnonzero(ids < 0), side="right")
     known = lengths - np.bincount(oov_sentence, minlength=len(lengths))
@@ -176,26 +167,46 @@ def encode_corpus(
     return vocab, tokens, offsets
 
 
-def _encode_natively(kernel, corpus: CorpusFile):
+def _encode_in_python(sentences: Iterable[list[str]]):
+    """Intern the tokens of ``sentences`` in a dict: token ids, line lengths, word count, surfaces."""
+    # a token's first occurrence gives it the next provisional id
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    provisional = array("i")
+    lengths = array("q")
+    for tokens in sentences:
+        provisional.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    words = list(index)
+
+    def surfaces(which):
+        return [words[i] for i in which]
+
+    # the arrays live as long as their views
+    return (
+        np.frombuffer(provisional, dtype=np.intc), np.frombuffer(lengths, dtype=np.int64),
+        len(words), surfaces,
+    )
+
+
+def _encode_natively(encoder, corpus: CorpusFile):
     """Read ``corpus`` into a kernel ``Encoder``: token ids, line lengths, word count, surfaces.
 
     Blocks of ``_BLOCK_BYTES`` are split at ``\\n`` only, as iterating a
     binary file splits them, and a block's last, unfinished line waits for
-    the next block.
+    the next block.  The ids are a view of the encoder's buffer.
     """
-    with kernel.encoder() as encoder:
-        pending = bytearray()
-        with corpus.open() as handle:
-            while block := handle.read(_BLOCK_BYTES):
-                pending += block
-                cut = block.rfind(b"\n") + 1
-                if cut:
-                    cut += len(pending) - len(block)
-                    _encode_lines(encoder, pending, cut, corpus)
-                    del pending[:cut]
-        if pending:
-            _encode_lines(encoder, pending, len(pending), corpus)
-        ids, lengths, words, ends = encoder.result()
+    pending = bytearray()
+    with corpus.open() as handle:
+        while block := handle.read(_BLOCK_BYTES):
+            pending += block
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                cut += len(pending) - len(block)
+                _encode_lines(encoder, pending, cut, corpus)
+                del pending[:cut]
+    if pending:
+        _encode_lines(encoder, pending, len(pending), corpus)
+    ids, lengths, words, ends = encoder.result()
 
     def surfaces(which):
         bounds = [0, *ends.tolist()]

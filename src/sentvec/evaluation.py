@@ -124,16 +124,26 @@ def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
     return np.array(found, dtype=np.int64), counts
 
 
-def _kernel_ids(kernel, vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
-    """``_token_ids`` of ASCII lines, split and looked up in the kernel."""
+def _ascii_data(lines) -> bytes | None:
+    """``lines`` back to back as bytes when every one is ASCII, else None."""
+    try:
+        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
+    except TypeError:  # str and bytes lines mixed
+        data = b"".join([t.encode("utf-8", "surrogatepass") if isinstance(t, str) else t
+                         for t in lines])
+    if not data.isascii():
+        return None
+    return data.encode("ascii") if isinstance(data, str) else data
+
+
+def _kernel_ids(kernel, vocab: Vocabulary, lines, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``_token_ids`` of ASCII ``lines``, whose bytes back to back are ``data``, in the kernel."""
     if vocab._lookup is None:
         # ASCII tokens never match other words; ASCII lowercasing equals str.lower() on them
         words = [w for w in vocab.word_index if w.isascii()]
         ids = np.array([vocab.word_index[w] for w in words], dtype=np.int64)
         vocab._lookup = kernel.lookup_table(words, ids)
-    pieces = [text.encode("ascii") if isinstance(text, str) else text for text in lines]
-    ends = np.cumsum([len(piece) for piece in pieces], dtype=np.int64)
-    return vocab._lookup.lookup(b"".join(pieces), ends)
+    return vocab._lookup.lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
 
 
 def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +154,17 @@ def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
     rest go through ``str.split`` and the word index, with the same ids.
     """
     kernel = _kernel()
-    fast = [text.isascii() for text in lines] if kernel is not None else []
-    if not any(fast):
+    if kernel is None:
         return _python_ids(vocab, lines)
-    if all(fast):
-        return _kernel_ids(kernel, vocab, lines)
+    data = _ascii_data(lines)
+    if data is not None:
+        return _kernel_ids(kernel, vocab, lines, data)
+    fast = [text.isascii() for text in lines]
     parts = []
     for ascii_ in (True, False):
         which = np.array([i for i, flag in enumerate(fast) if flag == ascii_], dtype=np.int64)
         subset = [lines[i] for i in which.tolist()]
-        ids, counts = (_kernel_ids(kernel, vocab, subset) if ascii_
+        ids, counts = (_kernel_ids(kernel, vocab, subset, _ascii_data(subset)) if ascii_
                        else _python_ids(vocab, subset))
         parts.append((which, ids, counts))
     counts = np.zeros(len(lines), dtype=np.int64)

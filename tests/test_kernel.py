@@ -557,8 +557,9 @@ class TestText:
         with kernel.encoder() as encoder:
             end = encoder.encode_lines(data, start, len(data) if stop is None else stop, ascii_only)
             ids, lengths, words, ends = encoder.result()
+            ids = ids.tolist()  # a view of the encoder's buffer
         bounds = [0, *ends.tolist()]
-        return end, ids.tolist(), lengths.tolist(), [
+        return end, ids, lengths.tolist(), [
             words[a:b] for a, b in zip(bounds, bounds[1:])
         ]
 
