@@ -732,20 +732,6 @@ static const unsigned char SPACE[256] = {
 #define BYTE_ONES 0x0101010101010101u
 #define HASH_MULTIPLIER 0x9e3779b97f4a7c15u
 
-static int all_ascii(const unsigned char *s, int64_t len)
-{
-    uint64_t bits = 0;
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        uint64_t word;
-        memcpy(&word, s + i, sizeof word);
-        bits |= word;
-    }
-    for (; i < len; i++)
-        bits |= s[i];
-    return (bits & 0x80 * BYTE_ONES) == 0;
-}
-
 /* s[0:n], n <= 8, as the low bytes of a word; each ASCII capital lowercased
  * when fold, which only ASCII text may ask for */
 static inline uint64_t load_word(const unsigned char *s, int64_t n, int fold)
@@ -1015,25 +1001,34 @@ static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
     return 0;
 }
 
-/* Intern the tokens of the lines of data[start:stop), in order.  A line ends
- * at '\n' or at stop.  With ascii_only, stops at the first line that holds a
- * byte >= 0x80.  Returns where it stopped (stop when every line was taken),
- * or -1 when out of memory. */
-int64_t sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t start, int64_t stop,
-                        int32_t ascii_only)
+/* Intern the tokens of the lines of data[0:len), in order; a line ends at
+ * '\n' or at len.  The lines that start at the n_replaced increasing offsets
+ * replaced[] are split from texts[0:texts_len) instead, which holds their
+ * texts in turn, each ended by '\n'.  Returns 0, or -1 when out of memory. */
+int sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t len,
+                    const int64_t *replaced, int64_t n_replaced, const unsigned char *texts,
+                    int64_t texts_len)
 {
-    if (ascii_only && all_ascii(data + start, stop - start))
-        ascii_only = 0;
-    for (int64_t p = start; p < stop;) {
-        const unsigned char *newline = memchr(data + p, '\n', (size_t)(stop - p));
-        const int64_t end = newline != NULL ? newline - data : stop;
-        if (ascii_only && !all_ascii(data + p, end - p))
-            return p;
-        if (encode_line(e, data + p, end - p) != 0)
+    int64_t r = 0, q = 0;
+    for (int64_t p = 0; p < len;) {
+        const unsigned char *newline = memchr(data + p, '\n', (size_t)(len - p));
+        const int64_t end = newline != NULL ? newline - data : len;
+        int status;
+        if (r < n_replaced && replaced[r] == p) {
+            const int64_t left = texts_len > q ? texts_len - q : 0;
+            const unsigned char *text_end = memchr(texts + q, '\n', (size_t)left);
+            const int64_t stop = text_end != NULL ? text_end - texts : q + left;
+            status = encode_line(e, texts + q, stop - q);
+            q = stop + 1;
+            r++;
+        } else {
+            status = encode_line(e, data + p, end - p);
+        }
+        if (status != 0)
             return -1;
         p = end + 1;
     }
-    return stop;
+    return 0;
 }
 
 /* sizes = {tokens, lines, distinct tokens, their bytes} */

@@ -158,8 +158,8 @@ class Kernel:
         lib.sv_encoder_new.restype = _ptr
         lib.sv_encoder_free.argtypes = [_ptr]
         lib.sv_encoder_free.restype = None
-        lib.sv_encode_lines.argtypes = [_ptr, _ptr, _i64, _i64, ctypes.c_int32]
-        lib.sv_encode_lines.restype = _i64
+        lib.sv_encode_lines.argtypes = [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64]
+        lib.sv_encode_lines.restype = ctypes.c_int
         lib.sv_encoder_sizes.argtypes = [_ptr, _ptr]
         lib.sv_encoder_sizes.restype = None
         lib.sv_encoder_ids.argtypes = [_ptr]
@@ -442,32 +442,33 @@ class Encoder:
             self._lib.sv_encoder_free(self._handle)
             self._handle = None
 
-    def encode_lines(self, data, start: int, stop: int, ascii_only: bool) -> int:
-        """Intern the tokens of the lines of ``data[start:stop]``, in order.
+    def encode_lines(self, data, stop: int, replaced: list[int], texts: list[str]) -> None:
+        """Intern the tokens of the lines of ``data[:stop]``, in order.
 
         A line ends at ``\\n`` or at ``stop``, and its tokens are the runs
         between ASCII whitespace bytes (``str.split``'s, ``\\x1c``-``\\x1f``
-        included).  With ``ascii_only``, stops at the first line that holds
-        a byte >= 0x80 and returns its offset; else returns ``stop``.
+        included).  The line that starts at ``replaced[i]`` (increasing
+        offsets) is split from ``texts[i]`` instead, which holds no
+        ``\\n``.
         """
-        if not 0 <= start <= stop <= len(data):
-            raise ValueError(f"lines [{start}, {stop}) outside {len(data)} bytes")
+        starts = np.array(replaced, dtype=np.int64)
+        if not 0 <= stop <= len(data) or len(starts) != len(texts):
+            raise ValueError(f"bad line range {stop} of {len(data)} bytes, or texts")
+        if len(starts) and (starts[0] < 0 or starts[-1] >= stop or np.any(np.diff(starts) <= 0)):
+            raise ValueError("replaced lines must start at increasing offsets within the lines")
+        blob = "".join([text + "\n" for text in texts]).encode("utf-8")
         view, address = _address(data)
-        end = self._lib.sv_encode_lines(self._handle, address, start, stop, ascii_only)
+        status = self._lib.sv_encode_lines(
+            self._handle, address, stop, starts.ctypes.data, len(starts), blob, len(blob)
+        )
         del view
-        if end < 0:
+        if status != 0:
             raise MemoryError("native encoder ran out of memory or of int32 token ids")
-        return end
 
     def _sizes(self) -> list[int]:
         sizes = np.empty(4, dtype=np.int64)
         self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
         return sizes.tolist()
-
-    @property
-    def lines(self) -> int:
-        """Lines encoded so far."""
-        return self._sizes()[1]
 
     def result(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
         """The int32 id of every token, the int64 token count of every line,

@@ -196,16 +196,18 @@ def _encode_natively(encoder, corpus: CorpusFile):
     the next block.  The ids are a view of the encoder's buffer.
     """
     pending = bytearray()
+    lines = 0
     with corpus.open() as handle:
         while block := handle.read(_BLOCK_BYTES):
             pending += block
             cut = block.rfind(b"\n") + 1
             if cut:
                 cut += len(pending) - len(block)
-                _encode_lines(encoder, pending, cut, corpus)
+                _encode_lines(encoder, pending, cut, corpus, lines)
+                lines += pending.count(b"\n", 0, cut)
                 del pending[:cut]
     if pending:
-        _encode_lines(encoder, pending, len(pending), corpus)
+        _encode_lines(encoder, pending, len(pending), corpus, lines)
     ids, lengths, words, ends = encoder.result()
 
     def surfaces(which):
@@ -215,32 +217,36 @@ def _encode_natively(encoder, corpus: CorpusFile):
     return ids, lengths, len(ends), surfaces
 
 
-def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile) -> None:
-    """Encode the lines of ``data[:stop]`` in order: ASCII lines in the kernel, the rest in Python.
+def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, before: int) -> None:
+    """Encode the lines of ``data[:stop]``, which follow line ``before`` of the corpus.
 
-    A line with a byte >= 0x80, and every line when lowercasing, is
-    decoded and split by ``str.split``, which knows the non-ASCII
-    whitespace too; the kernel then interns the tokens of each run of
-    such lines, joined by spaces, in one call.
+    The kernel splits ASCII lines itself.  A line with a byte >= 0x80,
+    and every line when lowercasing, is decoded and split by
+    ``str.split``, which knows the non-ASCII whitespace too, and the
+    kernel interns its tokens joined by spaces in its place.
     """
-    start = 0
-    while start < stop:
-        if not corpus.lowercase:
-            start = encoder.encode_lines(data, start, stop, ascii_only=True)
-        run: list[str] = []
-        while start < stop:
-            end = data.find(b"\n", start, stop) + 1 or stop
-            raw = data[start:end]
-            if raw.isascii() and not corpus.lowercase:
-                break
-            if not run:
-                first_line = encoder.lines + 1
-            text = _decode_line(raw, corpus.path, first_line + len(run))
-            run.append(" ".join(tokenize(text, lowercase=corpus.lowercase)) + "\n")
-            start = end
-        if run:
-            text = "".join(run).encode("utf-8")
-            encoder.encode_lines(text, 0, len(text), ascii_only=False)
+    starts, texts = [], []
+    lowercase = corpus.lowercase
+    if lowercase or not data.isascii():
+        lines = bytes(data[:stop]).split(b"\n")
+        if not lines[-1]:
+            lines.pop()  # the piece after the last line end
+        start = 0
+        for i, line in enumerate(lines):
+            if lowercase or not line.isascii():
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    # the message of the line with its end, as iterating the file reads it
+                    raw = data[start : start + len(line) + 1]
+                    _decode_line(raw, corpus.path, before + 1 + i)
+                    raise
+                starts.append(start)
+                texts.append(" ".join((text.lower() if lowercase else text).split()))
+            start += len(line) + 1
+    encoder.encode_lines(data, stop, starts, texts)
+
+
 def build_vocab(
     sentences: Iterable[list[str]], min_count: int, min_target_count: int
 ) -> Vocabulary:

@@ -418,6 +418,7 @@ class TestNativeEncoding:
         (b"fine line\nbad \xff here\n", r"line 2: invalid UTF-8 at byte offset 4"),
         ("café ok\na b\n".encode() + b"a \xc3\n", r"line 3: invalid UTF-8 at byte offset 2"),
         (b"a b\n" * 5 + b"\xe2\x82", r"line 6: invalid UTF-8 at byte offset 0"),
+        (b"a b\n\xe2\x82\nc\n", r"line 2: invalid UTF-8 at byte offset 0: invalid continuation"),
     ])
     def test_invalid_utf8_gives_the_same_message(
         self, kernel, without_kernel, tmp_path, monkeypatch, data, where, lowercase

@@ -553,21 +553,19 @@ class TestFormatRows:
 class TestText:
     """The kernel's line splitter, interning table and lookup table."""
 
-    def encode(self, kernel, data, ascii_only=False, start=0, stop=None):
+    def encode(self, kernel, data, stop=None, replaced=(), texts=()):
         with kernel.encoder() as encoder:
-            end = encoder.encode_lines(data, start, len(data) if stop is None else stop, ascii_only)
+            encoder.encode_lines(data, len(data) if stop is None else stop, replaced, texts)
             ids, lengths, words, ends = encoder.result()
             ids = ids.tolist()  # a view of the encoder's buffer
         bounds = [0, *ends.tolist()]
-        return end, ids, lengths.tolist(), [
-            words[a:b] for a, b in zip(bounds, bounds[1:])
-        ]
+        return ids, lengths.tolist(), [words[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def test_splits_as_str_split_on_ascii(self, kernel):
         rng = np.random.default_rng(71)
         alphabet = np.frombuffer(b"ab\x00\x1b\x7f \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", np.uint8)
         data = alphabet[rng.integers(len(alphabet), size=5000)].tobytes()
-        _, ids, lengths, words = self.encode(kernel, data)
+        ids, lengths, words = self.encode(kernel, data)
         lines = data.split(b"\n")
         tokens = [line.decode("ascii").split() for line in lines]
         assert lengths == [len(t) for t in tokens]
@@ -576,29 +574,36 @@ class TestText:
         assert words == list(dict.fromkeys(flat))  # ids in first-occurrence order
 
     def test_lines_end_at_newline_or_stop(self, kernel):
-        assert self.encode(kernel, b"a b\n\nc")[2] == [2, 0, 1]
-        assert self.encode(kernel, b"a b\n\n")[2] == [2, 0]
-        assert self.encode(kernel, b"xx a b\nc\n", start=3, stop=6)[2] == [2]
+        assert self.encode(kernel, b"a b\n\nc")[1] == [2, 0, 1]
+        assert self.encode(kernel, b"a b\n\n")[1] == [2, 0]
+        assert self.encode(kernel, b"a b\nc\nd e f", stop=6)[1] == [2, 1]
 
-    def test_ascii_only_stops_at_a_non_ascii_line(self, kernel):
-        data = "a b\nc\nd é\ne\n".encode()
-        end, ids, lengths, words = self.encode(kernel, data, ascii_only=True)
-        assert (end, lengths, words) == (6, [2, 1], [b"a", b"b", b"c"])
-        assert self.encode(kernel, data, ascii_only=False)[0] == len(data)
+    def test_replaced_lines_are_split_from_their_texts(self, kernel):
+        data = "a b\nc é\n\nd\nf g\n".encode()
+        ids, lengths, words = self.encode(
+            kernel, data, replaced=[4, 10, 12], texts=["c é", "x y z", ""]
+        )
+        assert lengths == [2, 2, 0, 3, 0]
+        assert words == [b"a", b"b", b"c", "é".encode(), b"x", b"y", b"z"]
+        with pytest.raises(ValueError, match="increasing"):
+            self.encode(kernel, data, replaced=[4, 4], texts=["c", "d"])
+        with pytest.raises(ValueError, match="texts"):
+            self.encode(kernel, data, replaced=[4], texts=[])
 
     def test_many_distinct_tokens_grow_the_table(self, kernel):
         words = [f"t{i}x{'y' * (i % 11)}" for i in range(20_000)]
         data = (" ".join(words) + "\n" + " ".join(reversed(words)) + "\n").encode()
-        _, ids, lengths, got = self.encode(kernel, data)
+        ids, lengths, got = self.encode(kernel, data)
         assert lengths == [20_000, 20_000]
         assert got == [w.encode() for w in words]
         assert ids == list(range(20_000)) + list(range(19_999, -1, -1))
 
     def test_encoder_checks_its_range(self, kernel):
         with kernel.encoder() as encoder:
-            with pytest.raises(ValueError, match="outside"):
-                encoder.encode_lines(b"ab", 1, 3, False)
-            assert encoder.lines == 0
+            with pytest.raises(ValueError, match="line range"):
+                encoder.encode_lines(b"ab", 3, [], [])
+            with pytest.raises(ValueError, match="within the lines"):
+                encoder.encode_lines(b"ab\ncd", 3, [3], ["cd"])
 
     def test_lookup(self, kernel):
         words = ["the", "cat", "Dog", "longer-than-eight", "k", ""]
