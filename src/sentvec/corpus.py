@@ -43,8 +43,10 @@ FNV_PRIME = 16777619
 NGRAM_CHAIN_MULTIPLIER = 116049371
 _U32 = 0xFFFFFFFF
 
-# bytes read from a corpus file at a time
-_BLOCK_BYTES = 1 << 20
+# bytes read from a corpus file at a time: blocks below glibc's default mmap
+# threshold (128 KiB) come from the heap, so freeing them does not raise the
+# threshold and leave later large temporaries resident in the heap
+_BLOCK_BYTES = 1 << 16
 
 
 def _kernel():
