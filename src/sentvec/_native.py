@@ -465,11 +465,6 @@ class Encoder:
         if status != 0:
             raise MemoryError("native encoder ran out of memory or of int32 token ids")
 
-    def _sizes(self) -> list[int]:
-        sizes = np.empty(4, dtype=np.int64)
-        self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
-        return sizes.tolist()
-
     def result(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
         """The int32 id of every token, the int64 token count of every line,
         and the distinct tokens' bytes back to back with the int64 end of each.
@@ -477,7 +472,9 @@ class Encoder:
         The ids are a view of the encoder's own buffer: they are valid
         until the encoder is closed or encodes more lines.  The rest are copies.
         """
-        n_ids, n_lines, n_words, n_bytes = self._sizes()
+        sizes = np.empty(4, dtype=np.int64)
+        self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
+        n_ids, n_lines, n_words, n_bytes = sizes.tolist()
         ids = np.ctypeslib.as_array(self._lib.sv_encoder_ids(self._handle), (n_ids,))
         lengths = np.empty(n_lines, dtype=np.int64)
         words = np.empty(n_bytes, dtype=np.uint8)
