@@ -21,7 +21,11 @@
  *
  * sv_segment_means composes sentence vectors for evaluation.embed_batch, and
  * sv_format_rows writes float32 rows as the %.6g text of evaluation.format_rows,
- * which sentvec embed, export-vec and the pair features print.
+ * which sentvec embed, export-vec and the pair features print.  It scales each
+ * value by a power of ten in double; when the result is clearly away from a
+ * rounding tie it builds the six digits in one 64-bit word and stores whole
+ * 8-byte words, moving on by the text's true length, and otherwise it calls
+ * snprintf, which rounds exactly.
  *
  * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
  * splits corpus lines on the ASCII whitespace of str.split() and interns
@@ -582,7 +586,10 @@ void sv_segment_means(const char *source, int64_t dim, const int64_t *rows, cons
 /* ---- %.6g text ---- */
 
 /* bytes one %.6g value of a float32 takes at most, plus its separator:
- * "-1.17549e-38" and one byte; must equal sentvec._native._VALUE_BYTES */
+ * "-1.17549e-38" and one byte; must equal sentvec._native._VALUE_BYTES.
+ * put_g6 stores whole words and may write up to 14 bytes from where a value
+ * starts, two past its longest text; the 3 bytes each row keeps for its
+ * flag and newline cover that after the row's last value. */
 #define G6_VALUE_BYTES 13
 
 static const double POW10[23] = {
@@ -603,7 +610,7 @@ static double scale10(double a, int k)
 /* The six significant digits of a finite a > 0 rounded to nearest, and the
  * decimal exponent of their leading digit; 0 when the scaled value lies too
  * close to a rounding tie for its error (at most 3.4e-10 here) to be ruled out. */
-static int g6_digits(double a, int64_t *digits, int *exp10)
+static inline int g6_digits(double a, uint32_t *digits, int *exp10)
 {
     uint64_t bits;
     memcpy(&bits, &a, sizeof bits);
@@ -611,44 +618,69 @@ static int g6_digits(double a, int64_t *digits, int *exp10)
      * 78913 / 2^18 is log10(2) to within 3e-8 */
     const int b = (int)(bits >> 52) - 1023;
     int e = (b * 78913) >> 18;
-    double y = scale10(a, 5 - e);
-    if (y >= 1e6)
-        y = scale10(a, 5 - ++e);
-    if (y < 1e5 || y >= 1e6)
-        return 0;
-    const int64_t whole = (int64_t)y;
-    const double fraction = y - (double)whole;
-    if (fabs(fraction - 0.5) < 1e-6)
-        return 0;
-    *digits = whole + (fraction > 0.5);
-    if (*digits == 1000000) {
-        *digits = 100000;
-        e++;
+    /* both scalings, by 10^(5-e) and, for when that gives seven digits,
+     * 10^(4-e); a single product each for |a| in about [1e-17, 1e5) */
+    const int k = 5 - e;
+    double y0, y1;
+    if ((unsigned)(k - 1) < 22u) {
+        y0 = a * POW10[k];
+        y1 = a * POW10[k - 1];
+    } else {
+        y0 = scale10(a, k);
+        y1 = scale10(a, k - 1);
     }
-    *exp10 = e;
+    const int up = y0 >= 1e6;
+    const double y = up ? y1 : y0;
+    /* y rounded to an integer in the low bits of t, and what that moved it by:
+     * |fraction - 0.5| for the fraction of y is 0.5 - |moved|, both exact */
+    const double t = y + 0x1p52;
+    const double moved = y - (t - 0x1p52);
+    if (!(y >= 1e5 && y < 1e6) || 0.5 - fabs(moved) < 1e-6)
+        return 0;
+    uint64_t t_bits;
+    memcpy(&t_bits, &t, sizeof t_bits);
+    const uint32_t rounded = (uint32_t)t_bits;
+    const int carry = rounded == 1000000; /* 999999.5 and up: 100000 of the next power */
+    *digits = rounded - 900000u * (uint32_t)carry;
+    *exp10 = e + up + carry;
     return 1;
 }
 
+/* the low n bytes of v at p, lowest first, whatever the host's byte order */
+static inline void store_le(char *p, uint64_t v, size_t n)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    memcpy(p, &v, n);
+}
+
 /* x as "%.6g" formats it, with NaN as "nan" whatever its sign (as Python
- * prints it); returns the end of the text, at most 12 bytes on */
+ * prints it); returns the end of the text, at most 12 bytes on.  The common
+ * case stores 8-byte words and moves p by the text's length: bytes past the
+ * end are left for the next value or the row's end to overwrite. */
 static char *put_g6(char *p, float x)
 {
-    const double a = fabs((double)x);
-    if (isnan(x)) {
-        memcpy(p, "nan", 3);
-        return p + 3;
-    }
-    if (signbit(x))
-        *p++ = '-';
-    if (isinf(x)) {
+    uint32_t xbits;
+    memcpy(&xbits, &x, sizeof xbits);
+    if ((xbits & 0x7fffffffu) - 1u >= 0x7f7fffffu) { /* zero, inf or nan */
+        if (isnan(x)) {
+            memcpy(p, "nan", 3);
+            return p + 3;
+        }
+        *p = '-';
+        p += xbits >> 31;
+        if (x == 0.0f) {
+            *p = '0';
+            return p + 1;
+        }
         memcpy(p, "inf", 3);
         return p + 3;
     }
-    if (a == 0.0) {
-        *p++ = '0';
-        return p;
-    }
-    int64_t digits;
+    *p = '-';
+    p += xbits >> 31;
+    const double a = fabs((double)x);
+    uint32_t digits;
     int e;
     if (!g6_digits(a, &digits, &e)) {
         /* glibc rounds exactly, ties to even, as CPython does */
@@ -657,41 +689,33 @@ static char *put_g6(char *p, float x)
         memcpy(p, text, (size_t)n);
         return p + n;
     }
-    char d[6];
-    for (int i = 5; i >= 0; i--, digits /= 10)
-        d[i] = (char)('0' + digits % 10);
-    int last = 5; /* the last digit kept: %g drops trailing zeros */
-    while (last > 0 && d[last] == '0')
-        last--;
+    /* the digits as byte values of one word, the leading digit lowest: three
+     * two-digit pairs in 16-bit lanes, each split by tens = pair * 103 >> 10 */
+    const uint32_t q2 = digits / 100, q4 = digits / 10000;
+    const uint64_t pairs = q4 | (uint64_t)(q2 - 100 * q4) << 16 | (uint64_t)(digits - 100 * q2) << 32;
+    const uint64_t tens = (pairs * 103 >> 10) & 0x000f000f000fu;
+    const uint64_t values = tens | (pairs - 10 * tens) << 8;
+    /* the last digit kept (%g drops trailing zeros) is the highest nonzero byte */
+    const int last = (63 - __builtin_clzll(values)) >> 3;
+    const uint64_t text = values | 0x303030303030u;
     if (e < -4 || e >= 6) {
-        *p++ = d[0];
-        if (last > 0) {
-            *p++ = '.';
-            memcpy(p, d + 1, (size_t)last);
-            p += last;
-        }
-        const int ae = e < 0 ? -e : e;
-        *p++ = 'e';
-        *p++ = e < 0 ? '-' : '+';
-        *p++ = (char)('0' + ae / 10);
-        *p++ = (char)('0' + ae % 10);
-    } else if (e >= 0) {
-        memcpy(p, d, (size_t)e + 1);
-        p += e + 1;
-        if (last > e) {
-            *p++ = '.';
-            memcpy(p, d + e + 1, (size_t)(last - e));
-            p += last - e;
-        }
-    } else {
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > e; i--)
-            *p++ = '0';
-        memcpy(p, d, (size_t)last + 1);
-        p += last + 1;
+        /* d.ddddde-dd: the point after the leading digit, then the exponent */
+        store_le(p, (text & 0xff) | (uint64_t)'.' << 8 | (text >> 8) << 16, 8);
+        p += last > 0 ? last + 2 : 1;
+        const uint32_t ae = (uint32_t)(e < 0 ? -e : e), sign = e < 0 ? '-' : '+';
+        store_le(p, 'e' | sign << 8 | ('0' + ae / 10) << 16 | ('0' + ae % 10) << 24, 4);
+        return p + 4;
     }
-    return p;
+    if (e >= 0) {
+        /* the e + 1 digits of the integer part, then the point and the rest */
+        const int s = 8 * (e + 1);
+        store_le(p, (text & ((1ull << s) - 1)) | (uint64_t)'.' << s | (text >> s) << (s + 8), 8);
+        return p + (last > e ? last + 2 : e + 1);
+    }
+    /* "0." and -e - 1 zeros, then the digits */
+    store_le(p, 0x3030303030302e30u, 8);
+    store_le(p + 1 - e, text, 8);
+    return p + 2 - e + last;
 }
 
 /* The text of rows[0:n_rows] (n_rows x dim, row-major), one line per row:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import zlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -199,7 +200,7 @@ def _encode_natively(encoder, corpus: CorpusFile):
     """
     pending = bytearray()
     lines = 0
-    with corpus.open() as handle:
+    with corpus.open() as handle, _gzip_errors(corpus.path):
         while block := handle.read(_BLOCK_BYTES):
             pending += block
             cut = block.rfind(b"\n") + 1
@@ -336,6 +337,15 @@ def _decode_line(raw: bytes, path, lineno: int) -> str:
         ) from err
 
 
+@contextlib.contextmanager
+def _gzip_errors(path):
+    """Raise a truncated, corrupt or non-gzip stream's error as a ``ValueError`` naming ``path``."""
+    try:
+        yield
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise ValueError(f"{path}: invalid gzip data: {err}") from err
+
+
 class CorpusFile:
     """The lines of a corpus file as token lists; see ``iter_corpus``."""
 
@@ -351,7 +361,7 @@ class CorpusFile:
         return opener(self.path, "rb")
 
     def __iter__(self) -> Iterator[list[str]]:
-        with self.open() as handle:
+        with self.open() as handle, _gzip_errors(self.path):
             for lineno, raw in enumerate(handle, start=1):
                 yield tokenize(_decode_line(raw, self.path, lineno), lowercase=self.lowercase)
 

@@ -582,16 +582,17 @@ def export_text_vectors(model: TrainedModel, destination) -> None:
     ``destination`` is a path or an open text file; floats carry 6
     significant digits.
     """
-    from .evaluation import format_rows  # evaluation imports this module
+    from .evaluation import RowText  # evaluation imports this module
 
     words = model.vocab.words
     rows = model.matrices.source[: len(words)]
+    text = RowText()  # one buffer for every chunk
 
     def _write(fh) -> None:
         fh.write(f"{len(words)} {model.matrices.dim}\n")
         for start in range(0, len(words), _EXPORT_CHUNK_ROWS):
             stop = start + _EXPORT_CHUNK_ROWS
-            lines = format_rows(rows[start:stop], " ").splitlines(True)
+            lines = str(text(rows[start:stop], " "), "ascii").splitlines(True)
             fh.write("".join(
                 [f"{word} {line}" for (word, _), line in zip(words[start:stop], lines)]
             ))

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, output formats."""
 
 import ast
+import gzip
 import io
 import logging
 import os
@@ -81,6 +82,32 @@ class TestTrainCommand:
                      "--min-count", "1", "--min-target-count", "1", "--dim", "4"])
         assert code == 1
         assert "line 3: invalid UTF-8 at byte offset 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
+    def test_bad_gzip_corpus_is_one_error_line(
+        self, tmp_path, capsys, request, without_kernel, native, damage
+    ):
+        if native:
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        data = bytearray(gzip.compress(b"a b c\nb c a\n" * 50, mtime=0))
+        if damage == "truncated":
+            data = data[:20]
+        elif damage == "corrupt":
+            data[10] |= 0x06  # the first deflate block's type becomes the reserved 11
+        else:
+            data = bytearray(b"no\n")
+        corpus = tmp_path / "bad.txt.gz"
+        corpus.write_bytes(data)
+        code = main(["train", "--input", str(corpus), "--output", str(tmp_path / "m.bin"),
+                     "--min-count", "1", "--min-target-count", "1", "--dim", "4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: invalid gzip data: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [corpus]
 
     def test_preset_values_land_in_model(self, corpus_path, tmp_path):

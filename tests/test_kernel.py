@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -522,6 +523,42 @@ class TestFormatRows:
         text = kernel.format_rows(values.reshape(-1, 1), " ")
         assert text.splitlines() == g6(values)
         assert "nan" in text and "-nan" not in text and "-0\n" in text
+
+    def test_embedding_range_matches_python(self, kernel):
+        # every 97th pattern of magnitude in [1e-7, 1e3): "0.000ddd", integer
+        # parts of one to three digits, and the exponent form below 1e-4
+        low = int(np.float32(1e-7).view(np.uint32)) + int(np.float32(1e-7) < 1e-7)
+        high = int(np.float32(1e3).view(np.uint32))
+        bits = np.arange(low, high, 97, dtype=np.uint32)
+        for sign in (0, 1 << 31):
+            for chunk in np.array_split(bits | np.uint32(sign), 12):
+                values = float32_bits(chunk)
+                assert kernel.format_rows(values.reshape(-1, 1), " ").split() == g6(values)
+
+    @pytest.mark.parametrize("with_flags", [False, True])
+    @pytest.mark.parametrize("dim", [1, 7, 700])
+    def test_text_stays_within_capacity(self, kernel, with_flags, dim):
+        # the longest texts, and the one whose word stores reach furthest past it;
+        # rows of one value fill all but a few bytes of their share of the buffer
+        worst = np.array([-1.17549e-38, -123457, -0.000123457], dtype=np.float32)
+        flags = np.array([True, False, True]) if with_flags else None
+        for rows in [np.resize(worst, (3, dim)), *(np.full((3, dim), x) for x in worst)]:
+            capacity = len(rows) * (_native._VALUE_BYTES * dim + 3)
+            canary = np.arange(capacity + 64, dtype=np.int64).astype(np.uint8)
+            buffer = canary.copy()
+            text = kernel.format_rows_into(rows, " ", flags, buffer[:capacity])
+            assert text.obj.ctypes.data == buffer.ctypes.data  # written in place
+            np.testing.assert_array_equal(buffer[capacity:], canary[capacity:])
+            expected = "".join(
+                " ".join(g6(row)) + (f" {int(flags[i])}" if with_flags else "") + "\n"
+                for i, row in enumerate(rows)
+            )
+            assert str(text, "ascii") == expected
+
+    def test_value_bytes_agree_with_the_kernel_source(self):
+        source = _native.SOURCE.read_text()
+        match = re.search(r"^#define G6_VALUE_BYTES (\d+)$", source, re.MULTILINE)
+        assert match is not None and int(match.group(1)) == _native._VALUE_BYTES
 
     @pytest.mark.parametrize("sep", [" ", "\t"])
     @pytest.mark.parametrize("with_flags", [False, True])

@@ -734,6 +734,44 @@ class TestExportTextVectors:
         assert out.getvalue() == "\n".join(expected) + "\n"
         assert out.getvalue().splitlines()[1].split()[1:] == ["0", "-0", "1.4013e-45", "-3e-39"]
 
+    @pytest.mark.parametrize("dim,n_words", [(3, 2_100), (700, 1_100)])
+    def test_chunks_share_one_text_buffer(self, kernel, monkeypatch, dim, n_words):
+        import io
+
+        from sentvec import _native
+        from sentvec.corpus import build_vocab
+        from sentvec.model import EmbeddingMatrices
+
+        vocab = build_vocab([[f"w{i}" for i in range(n_words)]], 1, 1)
+        rng = np.random.default_rng(dim)
+        source = (rng.standard_normal((n_words, dim)) * 10.0 ** rng.integers(
+            -8, 4, size=(n_words, dim))).astype(np.float32)
+        model = TrainedModel(
+            vocab=vocab,
+            matrices=EmbeddingMatrices(source=source, target=source[:1], dim=dim),
+            word_ngrams=1,
+            buckets=0,
+            subsample_t=1e-5,
+        )
+        buffers = []
+        format_rows_into = _native.Kernel.format_rows_into
+
+        def recording(self, rows, sep, flags, out):
+            text = format_rows_into(self, rows, sep, flags, out)
+            buffers.append((out, text.obj))
+            return text
+
+        monkeypatch.setattr(_native.Kernel, "format_rows_into", recording)
+        out = io.StringIO()
+        export_text_vectors(model, out)
+        expected = [f"{n_words} {dim}"] + [
+            f"{word} " + " ".join(format(x, ".6g") for x in source[wid])
+            for wid, (word, _) in enumerate(vocab.words)
+        ]
+        assert out.getvalue() == "\n".join(expected) + "\n"
+        assert len(buffers) == -(-n_words // 1024) and buffers[0][0] is None
+        assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
+
     def test_reparse_within_relative_tolerance(self, tiny_corpus, tmp_path):
         model = train(tiny_corpus, quick_config())
         path = tmp_path / "vec.txt"
