@@ -229,9 +229,11 @@ static int draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint
 
 /* ---- the SGD step ---- */
 
-/* Four-float vectors of the baseline instruction set (SSE2 on x86-64):
- * explicit lanes fix the summation order in this source, so the build
- * needs no -ffast-math or -march flags to vectorize. */
+/* Four-float vectors of the baseline instruction set (SSE2 on x86-64), and
+ * eight-float ones where the build targets AVX (-march=native on an AVX
+ * host).  Explicit lanes fix the summation order in this source, so both
+ * widths give the same bits and no -ffast-math is needed to vectorize.
+ * Without AVX no eight-float vector is compiled: GCC would split it in two. */
 typedef float v4f __attribute__((vector_size(16)));
 
 /* four floats from any address, aligned or not */
@@ -242,14 +244,36 @@ static inline v4f load4(const void *p)
     return x;
 }
 
+#ifdef __AVX__
+typedef float v8f __attribute__((vector_size(32)));
+
+static inline v8f load8(const void *p)
+{
+    v8f x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+#endif
+
+/* Lane k of the partial sums adds the products of elements i = k mod 8 in
+ * order; a 4-float tail adds to lanes 0-3, then the lanes are summed in
+ * one fixed tree and the last n mod 4 products are added one by one. */
 static inline float dot(const float *a, const float *b, int32_t n)
 {
     v4f acc0 = {0.0f, 0.0f, 0.0f, 0.0f}, acc1 = acc0;
     int32_t i = 0;
+#ifdef __AVX__
+    v8f acc8 = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+    for (; i + 8 <= n; i += 8)
+        acc8 += load8(a + i) * load8(b + i);
+    memcpy(&acc0, &acc8, sizeof acc0);
+    memcpy(&acc1, (const char *)&acc8 + sizeof acc0, sizeof acc1);
+#else
     for (; i + 8 <= n; i += 8) {
         acc0 += load4(a + i) * load4(b + i);
         acc1 += load4(a + i + 4) * load4(b + i + 4);
     }
+#endif
     if (i + 4 <= n) {
         acc0 += load4(a + i) * load4(b + i);
         i += 4;
@@ -261,17 +285,29 @@ static inline float dot(const float *a, const float *b, int32_t n)
     return sum;
 }
 
-/* y += a * x */
-static inline void add_scaled(float *y, const float *x, float a, int32_t n)
+/* y += a * x, elementwise, so every width rounds alike; x may sit at any
+ * byte address, as a mapped model file leaves its rows */
+static inline void add_scaled(float *y, const void *x, float a, int64_t n)
 {
-    const v4f va = {a, a, a, a};
-    int32_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const v4f r = load4(y + i) + va * load4(x + i);
+    const char *const xb = x;
+    int64_t i = 0;
+#ifdef __AVX__
+    const v8f va8 = {a, a, a, a, a, a, a, a};
+    for (; i + 8 <= n; i += 8) {
+        const v8f r = load8(y + i) + va8 * load8(xb + 4 * i);
         memcpy(y + i, &r, sizeof r);
     }
-    for (; i < n; i++)
-        y[i] += a * x[i];
+#endif
+    const v4f va = {a, a, a, a};
+    for (; i + 4 <= n; i += 4) {
+        const v4f r = load4(y + i) + va * load4(xb + 4 * i);
+        memcpy(y + i, &r, sizeof r);
+    }
+    for (; i < n; i++) {
+        float xi;
+        memcpy(&xi, xb + 4 * i, sizeof xi);
+        y[i] += a * xi;
+    }
 }
 
 static int compare_i64(const void *a, const void *b)
@@ -346,6 +382,9 @@ static int workspace_alloc(workspace *w, const sv_model *m, int64_t max_len)
     return 0;
 }
 
+/* factors of the loss product per log: 2^1000 is finite in double */
+#define LOSS_FACTORS 1000
+
 /* One step on a non-empty context against scored[0] (the target) and the
  * negatives scored[1:]; returns the loss in 64-bit.  Duplicate rows in
  * either list receive one update per occurrence, and every gradient uses
@@ -364,7 +403,11 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
     for (int32_t i = 0; i < dim; i++)
         v[i] /= count;
 
-    double loss = 0.0;
+    /* the loss of each row is log(1 + z) + max(-x, 0); the log terms are
+     * taken as the log of the product of the factors 1 + z, each in (1, 2],
+     * restarted every LOSS_FACTORS factors so the product stays finite */
+    double loss = 0.0, product = 1.0;
+    int factors = 0;
     memset(grad, 0, sizeof(float) * (size_t)dim);
     for (int64_t j = 0; j < n_scored; j++) {
         const float *u = target + scored[j] * dim;
@@ -373,7 +416,13 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
          * and p = sigmoid(score), both stable on either tail */
         const double x = j == 0 ? (double)score : -(double)score;
         const double z = exp(-fabs(x));
-        loss += log1p(z) + fmax(-x, 0.0);
+        loss += fmax(-x, 0.0);
+        product *= 1.0 + z;
+        if (++factors == LOSS_FACTORS) {
+            loss += log(product);
+            product = 1.0;
+            factors = 0;
+        }
         const double p = score >= 0.0f ? 1.0 / (1.0 + z) : z / (1.0 + z);
         coeff[j] = (float)(j == 0 ? p - 1.0 : p);
         add_scaled(grad, u, coeff[j], dim);
@@ -391,7 +440,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
         memcpy(w->rows, scored, sizeof(int64_t) * (size_t)n_scored);
         l1_prox_rows(target, dim, w->rows, n_scored, m->l1_tau * lr);
     }
-    return loss;
+    return loss + log(product);
 }
 
 static inline double current_lr(const sv_model *m)
@@ -561,19 +610,8 @@ void sv_segment_means(const char *source, int64_t dim, const int64_t *rows, cons
         float *const v = out + line * dim;
         memset(v, 0, row_bytes);
         const int64_t n = counts[line];
-        for (int64_t r = 0; r < n; r++) {
-            const char *row = source + (size_t)rows[r] * row_bytes;
-            int64_t i = 0;
-            for (; i + 4 <= dim; i += 4) {
-                const v4f sum = load4(v + i) + load4(row + 4 * i);
-                memcpy(v + i, &sum, sizeof sum);
-            }
-            for (; i < dim; i++) {
-                float x;
-                memcpy(&x, row + 4 * i, sizeof x);
-                v[i] += x;
-            }
-        }
+        for (int64_t r = 0; r < n; r++)
+            add_scaled(v, source + (size_t)rows[r] * row_bytes, 1.0f, dim);
         if (n > 0) {
             const float count = (float)n;
             for (int64_t i = 0; i < dim; i++)

@@ -1,13 +1,13 @@
 """Build, cache and bind the native kernel (``_kernel.c``): init, training, text, composition.
 
 The first ``load()`` in a process compiles the kernel with the local C
-compiler, unless a build of the same source and flags is already cached
-under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
+compiler, unless a build of the same source and flags for the same CPU is
+already cached under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
 ``ctypes``.  The shared object is written and opened in a temporary
 directory and then moved into place with ``os.replace``, so concurrent
 builders never expose a half-written file.  Once its own build is open,
-``load()`` deletes the cached builds of other sources and flags; a process
-that has one of them open keeps its mapping.  ``ctypes`` releases the
+``load()`` deletes the cached builds of other sources, flags and CPUs; a
+process that has one of them open keeps its mapping.  ``ctypes`` releases the
 interpreter lock for every call, which lets worker threads train in
 parallel.
 """
@@ -18,6 +18,7 @@ import ctypes
 import hashlib
 import math
 import os
+import platform
 import threading
 import weakref
 from pathlib import Path
@@ -32,7 +33,11 @@ __all__ = [
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no fused multiply-add contraction: the uniform fill must round as numpy does
-COMPILE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+PORTABLE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# on x86-64 the build targets the host CPU, whose AVX widens the step's row
+# loops from four floats to eight; the kernel's bits are the same either way
+HOST_FLAGS = ("-march=native",) if platform.machine().lower() in ("x86_64", "amd64") else ()
+COMPILE_FLAGS = PORTABLE_FLAGS + HOST_FLAGS
 
 # status codes of sv_train_chunk and sv_draw_negatives
 _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
@@ -539,15 +544,36 @@ def rng_state(rng: np.random.Generator) -> np.ndarray:
     return state
 
 
+def cpu_identity() -> str:
+    """The instruction sets of the host CPU, as text.
+
+    On Linux this is the first ``flags`` (x86) or ``Features`` (Arm) line of
+    ``/proc/cpuinfo``; elsewhere, the machine and processor names.
+    """
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
 def library_path() -> Path:
-    """Where the build of the current source and flags is cached."""
+    """Where the build of the current source and flags for this CPU is cached.
+
+    ``-march=native`` builds for the CPU that compiles, so a cache shared by
+    machines with other CPUs must not hand one of them another's build.
+    """
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update(" ".join(COMPILE_FLAGS).encode())
+    digest.update(cpu_identity().encode())
     cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(cache) / "sentvec" / f"kernel-{digest.hexdigest()[:32]}.so"
 
 
-def _build(path: Path) -> ctypes.CDLL:
+def _build(path: Path, flags: tuple[str, ...] = COMPILE_FLAGS) -> ctypes.CDLL:
     """Compile the kernel to ``path`` and return the library, opened before it is moved there."""
     # only a build needs these; a cached kernel costs ``import ctypes`` alone
     import shutil
@@ -562,7 +588,7 @@ def _build(path: Path) -> ctypes.CDLL:
         with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
             built = Path(tmp) / path.name
             proc = subprocess.run(
-                [compiler, *COMPILE_FLAGS, "-o", str(built), str(SOURCE), "-lm"],
+                [compiler, *flags, "-o", str(built), str(SOURCE), "-lm"],
                 capture_output=True, text=True, check=False,
             )
             if proc.returncode != 0:
@@ -589,7 +615,7 @@ def _open(path: Path) -> ctypes.CDLL:
 
 
 def _prune(keep: Path) -> None:
-    """Delete the cached builds of other kernel sources and flags."""
+    """Delete the cached builds of other kernel sources, flags and CPUs."""
     for stale in keep.parent.glob("kernel-*.so"):
         if stale.name != keep.name:
             try:

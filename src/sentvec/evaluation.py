@@ -395,10 +395,11 @@ def write_pair_features(
     vb, _ = embed_batch(model, [record.sentence_b for record in records])
     features = pair_features(va, vb)
     step = max(1, _PAIR_CHUNK_VALUES // max(1, features.shape[1]))
+    text = RowText()  # one buffer for every chunk
 
     def _write(fh) -> None:
         for start in range(0, len(features), step):
-            fh.write(format_rows(features[start : start + step], "\t"))
+            fh.write(str(text(features[start : start + step], "\t"), "ascii"))
 
     if hasattr(destination, "write"):
         _write(destination)

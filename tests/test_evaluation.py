@@ -621,6 +621,39 @@ class TestWritePairFeatures:
         assert len(out.writes) > 1
         assert "".join(out.writes) == expected
 
+    def test_chunks_share_one_text_buffer(self, kernel, monkeypatch):
+        from sentvec import _native
+
+        rng = np.random.default_rng(71)
+        words = [f"w{i}" for i in range(30)]
+        source = rng.standard_normal((30, 100)) * 10.0 ** rng.integers(-8, 4, size=(30, 100))
+        model = toy_model(words, source)
+        records = [
+            SimilarityRecord(" ".join(rng.choice(words, 4)), " ".join(rng.choice(words, 2)), 0.0)
+            for _ in range(1_000)
+        ]
+        buffers = []
+        format_rows_into = _native.Kernel.format_rows_into
+
+        def recording(self, rows, sep, flags, out):
+            text = format_rows_into(self, rows, sep, flags, out)
+            buffers.append((out, text.obj))
+            return text
+
+        monkeypatch.setattr(_native.Kernel, "format_rows_into", recording)
+        out = io.StringIO()
+        assert write_pair_features(model, records, out) == len(records)
+        va, _ = embed_batch(model, [r.sentence_a for r in records])
+        vb, _ = embed_batch(model, [r.sentence_b for r in records])
+        expected = "".join(
+            "\t".join(format(float(x), ".6g") for x in row) + "\n"
+            for row in pair_features(va, vb)
+        )
+        assert out.getvalue() == expected
+        # 200-value rows: 327 to a chunk
+        assert len(buffers) == 4 and buffers[0][0] is None
+        assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
+
 
 class TestNormProfile:
     def test_one_record_per_word_with_zero_norms(self):

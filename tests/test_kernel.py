@@ -98,6 +98,26 @@ class TestStepAgreesWithOracle:
             assert not target.view(np.uint32).any()
 
 
+    def test_loss_of_many_large_and_zero_scores_stays_finite(self, kernel):
+        # the kernel takes the log of the product of the factors 1 + exp(-|x|):
+        # 1,100 factors of 2 (score 0) overflow a double unless it restarts
+        scores = [2.0, 0.0, 0.5, -3.0, 40.0, -40.0, 800.0, -800.0]  # rows 0 and 2 onwards
+        vocab_size, dim = len(scores) + 1, 8
+        source = np.zeros((vocab_size, dim), dtype=np.float32)
+        source[1, 0] = 1.0  # the context row: every score is exact
+        target = np.zeros((vocab_size, dim), dtype=np.float32)
+        target[[0, *range(2, vocab_size)], 0] = scores
+        rng = np.random.default_rng(1500)
+        negatives = np.concatenate([np.full(1_100, 2), rng.integers(3, vocab_size, size=400)])
+        rng.shuffle(negatives)
+        model = kernel.model(source, target, 1, 0, len(negatives))
+        loss = kernel.step(model, np.array([0, 1], dtype=np.int32), 0, negatives, 0.01)
+        labelled = [scores[0]] + [-scores[0 if n == 0 else n - 1] for n in negatives.tolist()]
+        want = math.fsum(math.log1p(math.exp(-abs(x))) + max(-x, 0.0) for x in labelled)
+        assert math.isfinite(loss)
+        assert loss == pytest.approx(want, rel=1e-12)
+
+
 class TestNgramHash:
     def test_matches_golden_hash_on_every_window(self, kernel):
         rng = np.random.default_rng(31)
@@ -336,12 +356,23 @@ class TestBuild:
         assert [p.name for p in path.parent.iterdir()] == [path.name]
         assert path.stat().st_size > 0
 
-    def test_kernel_compiles_without_warnings(self, tmp_path):
+    def test_cache_path_names_the_cpu(self, monkeypatch):
+        # a build for one CPU's features must never open on another CPU
+        monkeypatch.setattr(_native, "cpu_identity", lambda: "flags\t: fpu sse2 avx")
+        path = _native.library_path()
+        monkeypatch.setattr(_native, "cpu_identity", lambda: "flags\t: fpu sse2 avx")
+        assert _native.library_path() == path
+        monkeypatch.setattr(_native, "cpu_identity", lambda: "flags\t: fpu sse2")
+        assert _native.library_path() != path
+
+    @pytest.mark.parametrize("flags", ["host", "portable"])
+    def test_kernel_compiles_without_warnings(self, tmp_path, flags):
         compiler = shutil.which("gcc") or shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler (gcc or cc) on PATH")
+        chosen = _native.COMPILE_FLAGS if flags == "host" else _native.PORTABLE_FLAGS
         proc = subprocess.run(
-            [compiler, *_native.COMPILE_FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror",
+            [compiler, *chosen, "-Wall", "-Wextra", "-Wconversion", "-Werror",
              "-o", str(tmp_path / "kernel.so"), str(_native.SOURCE), "-lm"],
             capture_output=True, text=True, check=False,
         )
@@ -585,6 +616,81 @@ class TestFormatRows:
             kernel.format_rows(rows, " ", np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="one ASCII character"):
             kernel.format_rows(rows, ", ")
+
+
+@pytest.fixture(scope="module")
+def portable(kernel, tmp_path_factory):
+    """The kernel built with the portable flags (four lanes), beside the host build (eight)."""
+    if not _native.HOST_FLAGS:
+        pytest.skip("off x86-64 the host build is the portable build")
+    if "avx" not in _native.cpu_identity().split():
+        pytest.skip("no AVX on this host: both builds run four lanes")
+    path = tmp_path_factory.mktemp("portable") / "kernel-portable.so"
+    return _native.Kernel(_native._build(path, _native.PORTABLE_FLAGS))
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestWidthsAgree:
+    """The host build, eight lanes wide under AVX, gives the portable build's bits."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 7, 13, 100, 700])
+    def test_train_chunk(self, kernel, portable, dim, order):
+        rng = np.random.default_rng(10 * dim + order)
+        vocab_size, buckets = 60, 97 if order == 2 else 0
+        lengths = rng.integers(2, 16, size=150)
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        tokens = rng.integers(0, vocab_size, size=int(offsets[-1])).astype(np.int32)
+        counts = rng.integers(1, 500, size=vocab_size)
+        table = build_negative_table(make_vocab({f"w{i:02d}": int(c) for i, c in enumerate(counts)}))
+        gate_prob = rng.uniform(0.5, 1.0, size=vocab_size)
+        scale = 1.0 / math.sqrt(dim)
+        source = rng.normal(0.0, scale, size=(vocab_size + buckets, dim)).astype(np.float32)
+        target = rng.normal(0.0, scale, size=(vocab_size, dim)).astype(np.float32)
+        runs = []
+        for build in (kernel, portable):
+            run = [source.copy(), target.copy()]
+            model = build.model(
+                *run, order, buckets, 5, l1_tau=1e-3, dropout_k=2, base_lr=0.1,
+                total_expected=float(offsets[-1]), tokens=tokens, offsets=offsets,
+                gate_prob=gate_prob, table=table, progress=np.zeros(1, dtype=np.int64),
+            )
+            run += build.train_chunk(model, np.arange(len(lengths), dtype=np.int64), state(dim))
+            runs.append(run)
+        for host, four_lanes in zip(*runs):
+            assert_same_bits(host, four_lanes)
+        assert runs[0][3].sum() > 100 and not np.array_equal(runs[0][0], source)
+
+    def test_segment_means(self, kernel, portable):
+        rng = np.random.default_rng(73)
+        for dim in (1, 7, 13, 100, 700):
+            aligned = rng.standard_normal((300, dim)).astype(np.float32)
+            raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
+            raw[1 : 1 + aligned.nbytes] = aligned.view(np.uint8).ravel()
+            moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=1).reshape(300, dim)
+            counts = rng.integers(0, 40, size=50)
+            rows = rng.integers(0, 300, size=int(counts.sum()))
+            for source in (aligned, moved):
+                assert_same_bits(kernel.segment_means(source, rows, counts),
+                                 portable.segment_means(source, rows, counts))
+
+    def test_fill_uniform(self, kernel, portable):
+        for n in (0, 1, 5, 4_003, 100_003):
+            bits = np.random.PCG64(n)
+            host, four_lanes = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
+            kernel.fill_uniform(host, bits.state, -0.005, 0.005)
+            portable.fill_uniform(four_lanes, bits.state, -0.005, 0.005)
+            assert_same_bits(host, four_lanes)
+
+    def test_format_rows(self, kernel, portable):
+        random = float32_bits(np.random.default_rng(405).integers(0, 2**32, size=200_000))
+        for rows in (random.reshape(-1, 100), tie_and_boundary_values().reshape(-1, 1)):
+            flags = np.arange(len(rows)) % 3 == 0
+            assert kernel.format_rows(rows, " ", flags) == portable.format_rows(rows, " ", flags)
 
 
 class TestText:
