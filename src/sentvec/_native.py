@@ -547,13 +547,13 @@ def rng_state(rng: np.random.Generator) -> np.ndarray:
 def cpu_identity() -> str:
     """The instruction sets of the host CPU, as text.
 
-    On Linux this is the first ``flags`` (x86) or ``Features`` (Arm) line of
-    ``/proc/cpuinfo``; elsewhere, the machine and processor names.
+    On Linux x86 this is the first ``flags`` line of ``/proc/cpuinfo``;
+    elsewhere, the machine and processor names.
     """
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
             for line in fh:
-                if line.startswith(("flags", "Features")):
+                if line.startswith("flags"):
                     return line.strip()
     except OSError:
         pass

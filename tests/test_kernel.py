@@ -97,7 +97,6 @@ class TestStepAgreesWithOracle:
             assert not source.view(np.uint32).any()
             assert not target.view(np.uint32).any()
 
-
     def test_loss_of_many_large_and_zero_scores_stays_finite(self, kernel):
         # the kernel takes the log of the product of the factors 1 + exp(-|x|):
         # 1,100 factors of 2 (score 0) overflow a double unless it restarts
@@ -112,7 +111,7 @@ class TestStepAgreesWithOracle:
         rng.shuffle(negatives)
         model = kernel.model(source, target, 1, 0, len(negatives))
         loss = kernel.step(model, np.array([0, 1], dtype=np.int32), 0, negatives, 0.01)
-        labelled = [scores[0]] + [-scores[0 if n == 0 else n - 1] for n in negatives.tolist()]
+        labelled = [scores[0]] + [-scores[n - 1] for n in negatives.tolist()]
         want = math.fsum(math.log1p(math.exp(-abs(x))) + max(-x, 0.0) for x in labelled)
         assert math.isfinite(loss)
         assert loss == pytest.approx(want, rel=1e-12)
@@ -645,8 +644,8 @@ class TestWidthsAgree:
         lengths = rng.integers(2, 16, size=150)
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         tokens = rng.integers(0, vocab_size, size=int(offsets[-1])).astype(np.int32)
-        counts = rng.integers(1, 500, size=vocab_size)
-        table = build_negative_table(make_vocab({f"w{i:02d}": int(c) for i, c in enumerate(counts)}))
+        counts = {f"w{i:02d}": int(c) for i, c in enumerate(rng.integers(1, 500, size=vocab_size))}
+        table = build_negative_table(make_vocab(counts))
         gate_prob = rng.uniform(0.5, 1.0, size=vocab_size)
         scale = 1.0 / math.sqrt(dim)
         source = rng.normal(0.0, scale, size=(vocab_size + buckets, dim)).astype(np.float32)
