@@ -19,13 +19,14 @@
  * model.EmbeddingMatrices.initialize: numpy's PCG64 stream, turned into
  * float32 values exactly as Generator.uniform(...).astype(float32) does.
  *
- * sv_segment_means composes sentence vectors for evaluation.embed_batch, and
- * sv_format_rows writes float32 rows as the %.6g text of evaluation.format_rows,
- * which sentvec embed, export-vec and the pair features print.  It scales each
- * value by a power of ten in double; when the result is clearly away from a
- * rounding tie it builds the six digits in one 64-bit word and stores whole
- * 8-byte words, moving on by the text's true length, and otherwise it calls
- * snprintf, which rounds exactly.
+ * sv_embed_lines composes sentence vectors for evaluation.embed_batch from
+ * each line's word ids, hashing its n-grams with the training step's own
+ * ngram_row, and sv_format_rows writes float32 rows as the %.6g text of
+ * evaluation.RowText, which sentvec embed, export-vec and the pair features
+ * print.  It scales each value by a power of ten in double; when the result
+ * is clearly away from a rounding tie it builds the six digits in one 64-bit
+ * word and stores whole 8-byte words, moving on by the text's true length,
+ * and otherwise it calls snprintf, which rounds exactly.
  *
  * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
  * splits corpus lines on the ASCII whitespace of str.split() and interns
@@ -34,7 +35,7 @@
  * table of the model's vocabulary.
  *
  * Every float pointer an entry point takes must be 4-byte aligned, except
- * the source matrix of sv_segment_means: a mapped model file places it at
+ * the source matrix of sv_embed_lines: a mapped model file places it at
  * any byte offset, so that entry reads it with memcpy loads only.
  */
 
@@ -155,6 +156,18 @@ static inline int64_t ngram_count(int64_t len, int32_t order)
     return n;
 }
 
+/* The bucket row of the window ids[0:k], hashed as corpus.ngram_hash does */
+static inline int64_t ngram_row(const int32_t *ids, int32_t k, int64_t vocab_size, int64_t buckets)
+{
+    uint32_t h = FNV_OFFSET_BASIS;
+    const uint32_t head = (uint32_t)ids[0];
+    for (int b = 0; b < 4; b++)
+        h = (h ^ ((head >> (8 * b)) & 0xFFu)) * FNV_PRIME;
+    for (int32_t j = 1; j < k; j++)
+        h = h * NGRAM_CHAIN_MULTIPLIER + (uint32_t)ids[j];
+    return vocab_size + (int64_t)(h % (uint64_t)buckets);
+}
+
 /* Hashed n-gram rows of one sentence with their inclusive token spans, in
  * the order of corpus.sentence_ngrams: by order, then by window start. */
 static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, int64_t vocab_size,
@@ -163,13 +176,7 @@ static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, i
     int64_t n = 0;
     for (int32_t k = 2; k <= order; k++) {
         for (int64_t i = 0; i + k <= len; i++) {
-            uint32_t h = FNV_OFFSET_BASIS;
-            const uint32_t head = (uint32_t)ids[i];
-            for (int b = 0; b < 4; b++)
-                h = (h ^ ((head >> (8 * b)) & 0xFFu)) * FNV_PRIME;
-            for (int32_t j = 1; j < k; j++)
-                h = h * NGRAM_CHAIN_MULTIPLIER + (uint32_t)ids[i + j];
-            grams[n] = vocab_size + (int64_t)(h % (uint64_t)buckets);
+            grams[n] = ngram_row(ids + i, k, vocab_size, buckets);
             first[n] = (int32_t)i;
             last[n] = (int32_t)(i + k - 1);
             n++;
@@ -596,28 +603,35 @@ void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, d
 
 /* ---- sentence composition ---- */
 
-/* The mean of each line's source rows.  Line i averages the rows
- * rows[start_i : start_i + counts[i]], start_i being the sum of the earlier
- * counts: it adds them in order to a zero float32 sum and divides by the
- * count, as numpy's source[rows].sum(axis=0) / count does for dim >= 2.  A
- * line with no rows gets the zero vector.  source is byte-addressed (no
- * alignment assumed); out is an aligned n_lines x dim matrix. */
-void sv_segment_means(const char *source, int64_t dim, const int64_t *rows, const int64_t *counts,
-                      int64_t n_lines, float *out)
+/* The mean of each line's source rows.  Line i holds the counts[i] ids after
+ * the earlier lines' in ids; its unigram rows, then the rows of its windows of
+ * order 2..order in the order of sentence_ngrams, are added in order to a zero
+ * float32 sum, which is divided by their count (a line with no ids gets the
+ * zero vector).  source is byte-addressed (no alignment assumed); out is an
+ * aligned n_lines x dim matrix. */
+void sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t buckets,
+                    int32_t order, const int32_t *ids, const int64_t *counts, int64_t n_lines,
+                    float *out)
 {
     const size_t row_bytes = sizeof(float) * (size_t)dim;
     for (int64_t line = 0; line < n_lines; line++) {
         float *const v = out + line * dim;
         memset(v, 0, row_bytes);
-        const int64_t n = counts[line];
-        for (int64_t r = 0; r < n; r++)
-            add_scaled(v, source + (size_t)rows[r] * row_bytes, 1.0f, dim);
+        const int64_t len = counts[line];
+        int64_t n = 0;
+        for (; n < len; n++)
+            add_scaled(v, source + (size_t)ids[n] * row_bytes, 1.0f, dim);
+        for (int32_t k = 2; k <= order && k <= len; k++)
+            for (int64_t i = 0; i + k <= len; i++, n++) {
+                const int64_t row = ngram_row(ids + i, k, vocab_size, buckets);
+                add_scaled(v, source + (size_t)row * row_bytes, 1.0f, dim);
+            }
         if (n > 0) {
             const float count = (float)n;
             for (int64_t i = 0; i < dim; i++)
                 v[i] /= count;
         }
-        rows += n;
+        ids += len;
     }
 }
 

@@ -1,5 +1,10 @@
 """Build, cache and bind the native kernel (``_kernel.c``): init, training, text, composition.
 
+Inference hashes n-grams with the training step's own code:
+``Kernel.embed_lines`` composes each line from its word ids, and
+``Kernel.format_rows`` writes the ``%.6g`` text that ``evaluation.RowText``
+prints.
+
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags for the same CPU is
 already cached under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
@@ -155,8 +160,10 @@ class Kernel:
         lib.sv_gate_positions.restype = _i64
         lib.sv_format_rows.argtypes = [_ptr, _i64, _i64, ctypes.c_char, _ptr, _ptr, _i64]
         lib.sv_format_rows.restype = _i64
-        lib.sv_segment_means.argtypes = [_ptr, _i64, _ptr, _ptr, _i64, _ptr]
-        lib.sv_segment_means.restype = None
+        lib.sv_embed_lines.argtypes = [
+            _ptr, _i64, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _i64, _ptr
+        ]
+        lib.sv_embed_lines.restype = None
         lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
         lib.sv_fill_uniform.restype = None
         lib.sv_encoder_new.argtypes = []
@@ -347,44 +354,43 @@ class Kernel:
         state = np.array(halves, dtype=np.uint64)
         self._lib.sv_fill_uniform(pointer, out.size, state.ctypes.data, low, high - low)
 
-    def segment_means(
-        self, source: np.ndarray, rows: np.ndarray, counts: np.ndarray
+    def embed_lines(
+        self, source: np.ndarray, vocab_size: int, buckets: int, order: int,
+        ids: np.ndarray, counts: np.ndarray,
     ) -> np.ndarray:
-        """Float32 mean of each line's ``source`` rows; zero for a line with none.
+        """Float32 mean of each line's unigram and n-gram ``source`` rows; zero for none.
 
-        Line i averages ``source[rows[s : s + counts[i]]]``, where s is the
-        sum of the earlier counts: the rows are added in order to a zero
-        sum, then divided by the count, as ``evaluation``'s numpy fallback
-        does too.  ``source`` may sit at any byte offset, as a mapped model
-        file leaves it.
+        Line i holds ``counts[i]`` of the int32 word ``ids``, after the
+        earlier lines'.  Its unigram rows, then the rows of its windows of
+        order 2..``order`` in ``corpus.sentence_ngrams``' order, are added in
+        order to a zero sum and divided by their count, as ``evaluation``'s
+        numpy fallback does.  ``source`` may sit at any byte offset.
         """
         n_rows, dim = source.shape
-        if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != len(rows):
-            raise ValueError("counts must be non-negative and sum to the number of rows")
-        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError("source row id out of range")
+        if n_rows != vocab_size + buckets:
+            raise ValueError(f"source has {n_rows} rows, not {vocab_size} + {buckets} buckets")
+        if order < 1 or (order >= 2 and buckets < 1):
+            raise ValueError(f"invalid order={order} with buckets={buckets}")
+        if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != len(ids):
+            raise ValueError("counts must be non-negative and sum to the number of ids")
+        if len(ids) and (ids.min() < 0 or ids.max() >= vocab_size):
+            raise ValueError("word id out of range")
+        # no window is longer than the longest line; and ctypes would wrap an
+        # order past int32 silently, which would drop every n-gram
+        order = min(order, max(int(counts.max(initial=0)), 1))
         out = np.empty((len(counts), dim), dtype=np.float32)
-        self._lib.sv_segment_means(
-            _pointer(source, np.float32, "source", byte_addressed=True), dim,
-            _pointer(rows, np.int64, "rows"), _pointer(counts, np.int64, "counts"),
+        self._lib.sv_embed_lines(
+            _pointer(source, np.float32, "source", byte_addressed=True), dim, vocab_size,
+            buckets, order, _pointer(ids, np.int32, "ids"), _pointer(counts, np.int64, "counts"),
             len(counts), out.ctypes.data,
         )
         return out
 
     def format_rows(
-        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
-    ) -> str:
-        """Text of float32 ``rows``, one line each: ``%.6g`` values joined by ``sep``.
-
-        With boolean ``flags``, each line ends in a space and the row's
-        flag as 0/1.  The text equals ``evaluation.format_rows``' Python path.
-        """
-        return str(self.format_rows_into(rows, sep, flags, None), "ascii")
-
-    def format_rows_into(
-        self, rows: np.ndarray, sep: str, flags: np.ndarray | None, out: np.ndarray | None
+        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> memoryview:
-        """``format_rows``' text as ASCII bytes, written into the uint8 array ``out``.
+        """``evaluation.RowText``'s text of float32 ``rows``, written into the uint8 array ``out``.
 
         A new buffer replaces ``out`` when it is None or too small for
         the worst case of this shape; the returned view is the text, and

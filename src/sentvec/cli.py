@@ -238,6 +238,8 @@ def cmd_eval_sim(args) -> int:
 def cmd_norm_profile(args) -> int:
     model = load_model(args.model)
     profile = norm_profile(model)
+    if args.a is not None:
+        arora_weight(1.0, args.a)  # a bad --a fails before --output is created
     with _open_out(args.output) as fh:
         for log_freq, norm in profile:
             line = f"{log_freq:.6g} {norm:.6g}"

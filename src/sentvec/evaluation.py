@@ -24,7 +24,6 @@ __all__ = [
     "OovStats",
     "embed_batch",
     "embed_sentence",
-    "format_rows",
     "RowText",
     "cosine",
     "pearson",
@@ -63,51 +62,42 @@ class OovStats:
         return self.oov_tokens / self.tokens if self.tokens else 0.0
 
 
-def _segment_means(source: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each line's source rows (CSR ``rows`` with ``counts`` per line); zero when none.
+def _compose(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Mean of each line's unigram and n-gram source rows; zero for a line with none.
 
-    The native kernel composes float32 matrices; otherwise numpy adds
-    each line's rows in order to a zero sum, as the kernel does, and
-    divides by their count: the two agree bit for bit at every dimension.
+    ``unigrams`` holds the known ids of all lines back to back, ``known``
+    their count per line.  A line's rows are its unigrams, then its windows
+    of order 2, 3, ..., as in ``sentence_ngrams``.  The native kernel
+    composes float32 matrices; otherwise numpy adds each line's rows in
+    order to a zero sum, as the kernel does, and divides by their count:
+    the two agree bit for bit at every dimension.
     """
+    source = model.matrices.source
+    vocab_size, buckets = len(model.vocab), model.buckets
     kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
     if kernel is not None:
-        return kernel.segment_means(source, rows, counts)
-    vectors = np.zeros((len(counts), source.shape[1]), dtype=source.dtype)
-    ends = np.cumsum(counts)
-    for line, (a, b) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        return kernel.embed_lines(
+            source, vocab_size, buckets, model.word_ngrams, unigrams.astype(np.int32), known
+        )
+    offsets = np.concatenate([[0], np.cumsum(known)])
+    lines = np.arange(len(known))
+    parts, owners = [unigrams], [np.repeat(lines, known)]
+    # no line has a window longer than itself, whatever order the header claims
+    for k in range(2, min(model.word_ngrams, int(known.max(initial=0))) + 1):
+        parts.append(ngram_bucket_ids(unigrams, offsets, k, vocab_size, buckets))
+        owners.append(np.repeat(lines, np.maximum(known - (k - 1), 0)))
+    # a stable sort by line puts each line's rows together in the kernel's order
+    owners = np.concatenate(owners)
+    rows = np.concatenate(parts)[np.argsort(owners, kind="stable")]
+    ends = np.cumsum(np.bincount(owners, minlength=len(known))).tolist()
+    vectors = np.zeros((len(known), source.shape[1]), dtype=source.dtype)
+    for line, (a, b) in enumerate(zip([0, *ends], ends)):
         if b > a:
             # ``accumulate`` adds in row order (``sum`` adds a single column
             # pairwise); ``+ 0.0`` is the kernel's zero start, which makes -0 +0
             total = np.add.accumulate(source[rows[a:b]], axis=0)[-1] + 0.0
             vectors[line] = total / (b - a)
     return vectors
-
-
-def _feature_rows(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray):
-    """CSR batch of source rows: (flat row ids, rows per line).
-
-    ``unigrams`` holds the known ids of all lines back to back, ``known``
-    their count per line.  Each line's rows are contiguous: its unigrams,
-    then its windows of order 2, 3, ..., as in ``sentence_ngrams``.
-    """
-    offsets = np.concatenate([[0], np.cumsum(known)])
-    parts = [(unigrams, known)]
-    # no line has a window longer than itself, whatever order the header claims
-    for k in range(2, min(model.word_ngrams, int(known.max(initial=0))) + 1):
-        parts.append((
-            ngram_bucket_ids(unigrams, offsets, k, len(model.vocab), model.buckets),
-            np.maximum(known - (k - 1), 0),
-        ))
-    counts = sum(per_line for _, per_line in parts)
-    line_start = np.cumsum(counts) - counts
-    rows = np.empty(int(counts.sum()), dtype=np.int64)
-    placed = np.zeros_like(counts)
-    for values, per_line in parts:
-        first = np.cumsum(per_line) - per_line
-        rows[np.repeat(line_start + placed - first, per_line) + np.arange(len(values))] = values
-        placed += per_line
-    return rows, counts
 
 
 def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +196,7 @@ def embed_batch(
         stats.all_oov_lines += int(flags.sum())
         stats.tokens += len(ids)
         stats.oov_tokens += len(ids) - len(unigrams)
-    rows, counts = _feature_rows(model, unigrams, known)
-    return _segment_means(model.matrices.source, rows, counts), flags
+    return _compose(model, unigrams, known), flags
 
 
 def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
@@ -217,18 +206,6 @@ def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
     """
     vectors, flags = embed_batch(model, [text])
     return vectors[0], bool(flags[0])
-
-
-def _row_kernel(rows: np.ndarray, sep: str, flags: np.ndarray | None):
-    """The kernel, when it loads and can format these rows; else None."""
-    if (
-        rows.dtype == np.float32
-        and len(sep) == 1
-        and sep.isascii()
-        and (flags is None or flags.dtype == np.bool_)
-    ):
-        return _kernel()
-    return None
 
 
 def _python_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None) -> str:
@@ -241,24 +218,8 @@ def _python_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None) -> str:
     return "".join([line % tuple(row) for row in values])
 
 
-def format_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None = None) -> str:
-    """Text of a matrix, one line per row: ``%.6g`` values joined by ``sep``.
-
-    With ``flags``, each line ends in a space and the row's flag as 0/1.
-    The values are the same text as ``format(x, ".6g")`` gives.  Float32
-    rows with a one-character ASCII ``sep`` and boolean or no flags are
-    formatted by the native kernel when it loads; otherwise, and as the
-    reference for the kernel, by Python's ``%`` operator.
-    """
-    kernel = _row_kernel(rows, sep, flags)
-    if kernel is None:
-        return _python_rows(rows, sep, flags)
-    # an aligned copy of rows a mapped model file left misaligned
-    return kernel.format_rows(np.require(rows, requirements="CA"), sep, flags)
-
-
 class RowText:
-    """``format_rows``' text as ASCII bytes, written into one buffer reused across calls."""
+    """Text of float32 matrices as ASCII bytes, written into one buffer reused across calls."""
 
     def __init__(self) -> None:
         self._buffer = None
@@ -266,13 +227,24 @@ class RowText:
     def __call__(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
     ) -> bytes | memoryview:
-        """The text of ``rows``; a view that the next call overwrites."""
-        kernel = _row_kernel(rows, sep, flags)
+        """The text of ``rows``, one line per row: ``%.6g`` values joined by ``sep``.
+
+        The rows must be float32, ``sep`` one ASCII character and
+        ``flags``, when given, boolean: each line then ends in a space and
+        the row's flag as 0/1.  The values are the same text as
+        ``format(x, ".6g")`` gives.  The native kernel writes the text when
+        it loads, as a view that the next call overwrites; otherwise, and as
+        the reference for the kernel, Python's ``%`` operator does.
+        """
+        if not (rows.dtype == np.float32 and len(sep) == 1 and sep.isascii()
+                and (flags is None or flags.dtype == np.bool_)):
+            raise ValueError("row text needs float32 rows, a one-character ASCII "
+                             f"separator and boolean flags; got {rows.dtype} and {sep!r}")
+        kernel = _kernel()
         if kernel is None:
             return _python_rows(rows, sep, flags).encode("ascii")
-        text = kernel.format_rows_into(
-            np.require(rows, requirements="CA"), sep, flags, self._buffer
-        )
+        # an aligned copy of rows a mapped model file left misaligned
+        text = kernel.format_rows(np.require(rows, requirements="CA"), sep, flags, self._buffer)
         self._buffer = text.obj
         return text
 
@@ -420,10 +392,10 @@ def norm_profile(model: TrainedModel) -> np.ndarray:
 
 def arora_weight(f_w: float, a: float) -> float:
     """Static frequency down-weighting a / (a + f_w), for diagnostic comparison."""
-    if f_w <= 0:
-        raise ValueError(f"frequency must be > 0, got {f_w}")
-    if a <= 0:
-        raise ValueError(f"weighting parameter must be > 0, got {a}")
+    if not 0 < f_w < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {f_w}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"weighting parameter must be finite and > 0, got {a}")
     return a / (a + f_w)
 
 

@@ -474,6 +474,15 @@ class TestNormProfileCommand:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("a", ["nan", "inf", "-1", "0"])
+    def test_bad_weight_parameter_leaves_no_output(self, model_path, tmp_path, capsys, a):
+        out = tmp_path / "profile.txt"
+        code = main(["norm-profile", "--model", model_path, "--a", a, "--output", str(out)])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: weighting parameter")
+        assert not out.exists()
+
 
 class TestExportVecCommand:
     def test_header_to_stdout(self, model_path, capsys):

@@ -11,13 +11,13 @@ from sentvec import evaluation
 from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.evaluation import (
     OovStats,
+    RowText,
     SimilarityRecord,
     arora_weight,
     cosine,
     embed_batch,
     embed_sentence,
     evaluate_similarity,
-    format_rows,
     norm_profile,
     pair_features,
     pearson,
@@ -222,14 +222,21 @@ class TestEmbedBatch:
         without_kernel()
         assert_per_line_means(model, lines)
 
-    def test_order_beyond_every_line_is_capped(self):
-        # a header may claim any order; windows longer than a line never exist
+    @pytest.mark.parametrize("native", [True, False])
+    def test_order_beyond_every_line_is_capped(self, request, without_kernel, native):
+        # a header may claim any order; windows longer than a line never exist.
+        # An int32 argument would wrap 2^31 to -2^31 and 2^32 - 1 to -1
+        if native:
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
         model, words = seeded_ngram_model(3)
         lines = seeded_lines(words, 100)
         longest = max(len(known_ids(model, text)) for text in lines)
         capped, _ = embed_batch(dataclasses.replace(model, word_ngrams=longest), lines)
-        huge, _ = embed_batch(dataclasses.replace(model, word_ngrams=2**32 - 1), lines)
-        np.testing.assert_array_equal(huge, capped)
+        for order in (2**31, 2**32 - 1):
+            huge, _ = embed_batch(dataclasses.replace(model, word_ngrams=order), lines)
+            np.testing.assert_array_equal(huge, capped)
 
     def test_empty_batch(self):
         model = toy_model(["cat"], [[1.0, 2.0]])
@@ -246,6 +253,10 @@ class TestEmbedBatch:
             np.testing.assert_allclose(single, vector, rtol=1e-6, atol=1e-7)
 
 
+def row_text(rows, sep, flags=None) -> str:
+    return str(RowText()(rows, sep, flags), "ascii")
+
+
 class TestFormatRows:
     def test_matches_format_g6(self):
         values = [0.0, -0.0, 1e-45, np.inf, -np.inf, np.nan, 1e-8, -3.14159265,
@@ -253,13 +264,13 @@ class TestFormatRows:
         values += list(np.geomspace(1e-8, 1e3, 50))
         row = np.array([values], dtype=np.float32)
         expected = " ".join(format(x, ".6g") for x in row[0]) + "\n"
-        assert format_rows(row, " ") == expected
+        assert row_text(row, " ") == expected
 
     def test_separator_and_flags(self):
         rows = np.array([[1.5, -2.0], [0.0, 3.25]], dtype=np.float32)
-        assert format_rows(rows, "\t") == "1.5\t-2\n0\t3.25\n"
-        assert format_rows(rows, " ", np.array([False, True])) == "1.5 -2 0\n0 3.25 1\n"
-        assert format_rows(rows[:0], " ") == ""
+        assert row_text(rows, "\t") == "1.5\t-2\n0\t3.25\n"
+        assert row_text(rows, " ", np.array([False, True])) == "1.5 -2 0\n0 3.25 1\n"
+        assert row_text(rows[:0], " ") == ""
 
 
 class TestFormatDispatch:
@@ -271,25 +282,31 @@ class TestFormatDispatch:
         rows = rows.astype(np.float32)
         rows[0, :4] = [np.nan, -np.inf, -0.0, 1234565.0]
         flags = rng.random(300) < 0.5
-        cases = [(" ", None), ("\t", None), (" ", flags), (", ", None)]
-        native = [format_rows(rows, sep, f) for sep, f in cases]
+        cases = [(" ", None), ("\t", None), (" ", flags)]
+        native = [row_text(rows, sep, f) for sep, f in cases]
         without_kernel()
-        assert [format_rows(rows, sep, f) for sep, f in cases] == native
+        assert [row_text(rows, sep, f) for sep, f in cases] == native
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_segment_means(self, kernel, without_kernel, dim):
+    def test_compose(self, kernel, without_kernel, dim):
         # at dim 1 numpy's ``sum(axis=0)`` adds the single column pairwise
         rng = np.random.default_rng(9)
-        source = rng.standard_normal((300, dim)).astype(np.float32)
+        words = [f"w{i}" for i in range(300)]
+        source = rng.standard_normal((350, dim)).astype(np.float32)
         source[:30] = -0.0  # lines of only -0 rows average to +0 in the kernel
-        counts = rng.integers(0, 200, size=40)
-        counts[:3] = [0, 1, 5]
-        rows = rng.integers(0, 300, size=int(counts.sum()))
-        rows[:6] = rng.integers(0, 30, size=6)
-        native = evaluation._segment_means(source, rows, counts)
+        source[300:325] = -0.0
+        known = rng.integers(0, 200, size=40)
+        known[:4] = [0, 1, 2, 5]  # empty, and shorter than the order
+        unigrams = rng.integers(0, 300, size=int(known.sum()))
+        unigrams[:8] = rng.integers(0, 30, size=8)
+        models = [toy_model(words, source[:300], word_ngrams=1)] + [
+            toy_model(words, source, word_ngrams=order, buckets=50) for order in (2, 3)
+        ]
+        native = [evaluation._compose(model, unigrams, known) for model in models]
         without_kernel()
-        fallback = evaluation._segment_means(source, rows, counts)
-        np.testing.assert_array_equal(native.view(np.uint32), fallback.view(np.uint32))
+        for model, vectors in zip(models, native):
+            fallback = evaluation._compose(model, unigrams, known)
+            np.testing.assert_array_equal(vectors.view(np.uint32), fallback.view(np.uint32))
 
     def test_cli_embed_and_export(self, kernel, without_kernel, tmp_path, capsys, monkeypatch):
         from sentvec.cli import main
@@ -341,18 +358,23 @@ class TestFormatDispatch:
         assert outputs() == native
         assert "pearson=" in native
 
-    def test_other_rows_take_the_python_path(self, monkeypatch):
-        from sentvec import _native
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the kernel formatted rows it should not")
-
-        monkeypatch.setattr(_native.Kernel, "format_rows", refuse)
-        # 0.1234565 prints 0.123456 in float64 but 0.123457 once rounded to float32
-        rows = np.array([[0.1234565, -2.5]])
-        assert format_rows(rows, " ") == "0.123456 -2.5\n"
-        assert format_rows(rows.astype(np.float32), ", ") == "0.123457, -2.5\n"
-        assert format_rows(rows.astype(np.float32), " ", np.array([2])) == "0.123457 -2.5 2\n"
+    @pytest.mark.parametrize("native", [True, False])
+    def test_other_rows_rejected(self, request, without_kernel, native):
+        if native:
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        rows = np.array([[0.1234565, -2.5]], dtype=np.float32)
+        text = RowText()
+        with pytest.raises(ValueError, match="float32 rows"):
+            text(rows.astype(np.float64), " ")
+        with pytest.raises(ValueError, match="one-character ASCII"):
+            text(rows, ", ")
+        with pytest.raises(ValueError, match="one-character ASCII"):
+            text(rows, "\u00a0")
+        with pytest.raises(ValueError, match="boolean flags"):
+            text(rows, " ", np.array([2]))
+        assert bytes(text(rows, " ")) == b"0.123457 -2.5\n"
 
 
 class TestCosine:
@@ -633,14 +655,14 @@ class TestWritePairFeatures:
             for _ in range(1_000)
         ]
         buffers = []
-        format_rows_into = _native.Kernel.format_rows_into
+        format_rows = _native.Kernel.format_rows
 
         def recording(self, rows, sep, flags, out):
-            text = format_rows_into(self, rows, sep, flags, out)
+            text = format_rows(self, rows, sep, flags, out)
             buffers.append((out, text.obj))
             return text
 
-        monkeypatch.setattr(_native.Kernel, "format_rows_into", recording)
+        monkeypatch.setattr(_native.Kernel, "format_rows", recording)
         out = io.StringIO()
         assert write_pair_features(model, records, out) == len(records)
         va, _ = embed_batch(model, [r.sentence_a for r in records])
@@ -675,10 +697,11 @@ class TestAroraWeight:
         assert arora_weight(0.01, 0.001) == pytest.approx(1 / 11, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            arora_weight(0.0, 1e-3)
-        with pytest.raises(ValueError):
-            arora_weight(1e-3, 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="frequency"):
+                arora_weight(bad, 1e-3)
+            with pytest.raises(ValueError, match="weighting parameter"):
+                arora_weight(1e-3, bad)
 
 
 class TestReadSimilarityTsv:

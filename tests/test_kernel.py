@@ -1,5 +1,6 @@
 """The native training kernel against its numpy oracle, and the numpy fallback."""
 
+import itertools
 import logging
 import math
 import re
@@ -377,6 +378,14 @@ class TestBuild:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_every_binding_resolves(self, tmp_path):
+        # without the ``kernel`` fixture: a binding the library lacks fails
+        # here instead of turning every kernel test into a skip
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler (gcc or cc) on PATH")
+        for name, flags in (("host", _native.COMPILE_FLAGS), ("portable", _native.PORTABLE_FLAGS)):
+            _native.Kernel(_native._build(tmp_path / f"kernel-{name}.so", flags))
+
 
 class TestCache:
     """``load`` deletes other versions' builds, and survives their deleting its own."""
@@ -434,59 +443,83 @@ class TestCache:
         loaded = _native.load()
         monkeypatch.undo()
         rows = np.arange(12, dtype=np.float32).reshape(4, 3)
-        means = loaded.segment_means(rows, np.array([0, 3, 1]), np.array([2, 0, 1]))
+        ids = np.array([0, 3, 1], dtype=np.int32)
+        means = loaded.embed_lines(rows, 4, 0, 1, ids, np.array([2, 0, 1]))
         np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [0, 0, 0], [3, 4, 5]])
         # the other version's prune removed a new build after it was moved in
         left = [own.name] if window == "cached" else []
         assert [p.name for p in own.parent.iterdir()] == left
 
 
-class TestSegmentMeans:
+def line_sums(source, vocab_size, buckets, order, ids, counts):
+    """Each line's unigram then ``sentence_ngrams`` rows, summed by numpy and divided."""
+    out = np.zeros((len(counts), source.shape[1]), dtype=np.float32)
+    ends = np.cumsum(counts)
+    for line, (a, b) in enumerate(zip(ends - counts, ends)):
+        if b > a:
+            grams, _ = sentence_ngrams(ids[a:b], order, vocab_size, buckets)
+            rows = np.concatenate([ids[a:b], grams])
+            # numpy adds the rows in order for dim >= 2, and a sum of -0 rows is +0
+            out[line] = source[rows].sum(axis=0) / len(rows)
+    return out
+
+
+class TestEmbedLines:
     def test_equals_numpy_sums_bit_for_bit(self, kernel):
         rng = np.random.default_rng(71)
-        for dim in (2, 3, 4, 7, 24, 101):
-            source = rng.standard_normal((500, dim)).astype(np.float32)
-            source[:50] = -0.0  # a sum of negative zeros is +0 in numpy's reduction
-            counts = rng.integers(0, 90, size=60)
-            counts[:3] = [0, 1, 130]
-            rows = rng.integers(0, 500, size=int(counts.sum()))
-            rows[:131] = rng.integers(0, 50, size=131)
-            means = kernel.segment_means(source, rows, counts)
-            ends = np.cumsum(counts)
-            for line, (a, b) in enumerate(zip(ends - counts, ends)):
-                expected = source[rows[a:b]].sum(axis=0) / (b - a) if b > a else np.zeros(dim)
-                np.testing.assert_array_equal(
-                    means[line].view(np.uint32), expected.astype(np.float32).view(np.uint32)
-                )
+        vocab_size = 400
+        for order, dim in itertools.product((1, 2, 3), (2, 3, 4, 7, 24, 101)):
+            buckets = 0 if order == 1 else 97
+            source = rng.standard_normal((vocab_size + buckets, dim)).astype(np.float32)
+            source[:50] = -0.0
+            counts = rng.integers(0, 40, size=60)
+            counts[:4] = [0, 1, 2, 30]  # empty, and shorter than the order
+            ids = rng.integers(0, vocab_size, size=int(counts.sum())).astype(np.int32)
+            ids[:33] = rng.integers(0, 50, size=33)  # lines of -0 unigram rows
+            for zero_buckets in (False, True):
+                if zero_buckets:
+                    source[vocab_size:] = -0.0  # and of -0 n-gram rows
+                args = (source, vocab_size, buckets, order, ids, counts)
+                assert_same_bits(kernel.embed_lines(*args), line_sums(*args))
 
     def test_byte_addressed_source(self, kernel):
         rng = np.random.default_rng(72)
         aligned = rng.standard_normal((40, 9)).astype(np.float32)
+        ids, counts = rng.integers(0, 30, size=100).astype(np.int32), np.array([30, 0, 70])
+        want = line_sums(aligned, 30, 10, 3, ids, counts)
         for shift in (1, 2, 3):
             raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
             raw[shift : shift + aligned.nbytes] = aligned.view(np.uint8).ravel()
             moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=shift).reshape(40, 9)
             assert not moved.flags.aligned
-            rows, counts = rng.integers(0, 40, size=100), np.array([30, 0, 70])
-            np.testing.assert_array_equal(
-                kernel.segment_means(moved, rows, counts),
-                kernel.segment_means(aligned, rows, counts),
-            )
+            assert_same_bits(kernel.embed_lines(moved, 30, 10, 3, ids, counts), want)
 
     def test_bad_arguments_rejected(self, kernel):
         source = np.ones((5, 4), dtype=np.float32)
+
+        def embed(ids, counts, vocab_size=3, buckets=2, order=2, matrix=source):
+            ids = np.array(ids, dtype=np.int32)
+            return kernel.embed_lines(matrix, vocab_size, buckets, order, ids, np.array(counts))
+
         with pytest.raises(ValueError, match="out of range"):
-            kernel.segment_means(source, np.array([0, 5]), np.array([2]))
+            embed([0, 3], [2])
         with pytest.raises(ValueError, match="out of range"):
-            kernel.segment_means(source, np.array([-1]), np.array([1]))
-        with pytest.raises(ValueError, match="sum to the number of rows"):
-            kernel.segment_means(source, np.array([0, 1]), np.array([1]))
+            embed([-1], [1])
+        with pytest.raises(ValueError, match="sum to the number of ids"):
+            embed([0, 1], [1])
         with pytest.raises(ValueError, match="non-negative"):
-            kernel.segment_means(source, np.array([0]), np.array([2, -1]))
+            embed([0], [2, -1])
+        with pytest.raises(ValueError, match="5 rows"):
+            embed([0], [1], vocab_size=2)
+        with pytest.raises(ValueError, match="invalid order"):
+            embed([0], [1], vocab_size=5, buckets=0)
+        with pytest.raises(ValueError, match="invalid order"):
+            embed([0], [1], order=0)
         with pytest.raises(ValueError, match="C-contiguous float32"):
-            kernel.segment_means(source[:, ::2], np.array([0]), np.array([1]))
-        empty = kernel.segment_means(source, np.array([], dtype=np.int64), np.array([0, 0]))
-        np.testing.assert_array_equal(empty, np.zeros((2, 4)))
+            embed([0], [1], matrix=np.ones((5, 8), dtype=np.float32)[:, ::2])
+        with pytest.raises(ValueError, match="C-contiguous int32"):
+            kernel.embed_lines(source, 3, 2, 2, np.array([0]), np.array([1]))
+        np.testing.assert_array_equal(embed([], [0, 0]), np.zeros((2, 4)))
 
     def test_misaligned_float_pointers_rejected(self, kernel):
         raw = np.zeros(4 * 12 + 2, dtype=np.uint8)
@@ -540,17 +573,21 @@ def tie_and_boundary_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
+def row_text(build, rows, sep=" ", flags=None) -> str:
+    return str(build.format_rows(rows, sep, flags), "ascii")
+
+
 class TestFormatRows:
     def test_random_bit_patterns_match_python(self, kernel):
         rows = float32_bits(
             np.random.default_rng(404).integers(0, 2**32, size=2_000_000)
         ).reshape(-1, 100)
-        assert kernel.format_rows(rows, " ").split() == g6(rows.ravel())
+        assert row_text(kernel, rows).split() == g6(rows.ravel())
 
     def test_ties_and_boundaries_match_python(self, kernel):
         values = tie_and_boundary_values()
         assert np.isnan(values).sum() == 6 and np.signbit(values[np.isnan(values)]).sum() == 3
-        text = kernel.format_rows(values.reshape(-1, 1), " ")
+        text = row_text(kernel, values.reshape(-1, 1))
         assert text.splitlines() == g6(values)
         assert "nan" in text and "-nan" not in text and "-0\n" in text
 
@@ -563,7 +600,7 @@ class TestFormatRows:
         for sign in (0, 1 << 31):
             for chunk in np.array_split(bits | np.uint32(sign), 12):
                 values = float32_bits(chunk)
-                assert kernel.format_rows(values.reshape(-1, 1), " ").split() == g6(values)
+                assert row_text(kernel, values.reshape(-1, 1)).split() == g6(values)
 
     @pytest.mark.parametrize("with_flags", [False, True])
     @pytest.mark.parametrize("dim", [1, 7, 700])
@@ -576,7 +613,7 @@ class TestFormatRows:
             capacity = len(rows) * (_native._VALUE_BYTES * dim + 3)
             canary = np.arange(capacity + 64, dtype=np.int64).astype(np.uint8)
             buffer = canary.copy()
-            text = kernel.format_rows_into(rows, " ", flags, buffer[:capacity])
+            text = kernel.format_rows(rows, " ", flags, buffer[:capacity])
             assert text.obj.ctypes.data == buffer.ctypes.data  # written in place
             np.testing.assert_array_equal(buffer[capacity:], canary[capacity:])
             expected = "".join(
@@ -602,8 +639,8 @@ class TestFormatRows:
             sep.join(g6(row)) + (f" {int(flags[i])}" if with_flags else "") + "\n"
             for i, row in enumerate(rows)
         )
-        assert kernel.format_rows(rows, sep, flags) == expected
-        assert kernel.format_rows(rows[:0], sep, None if flags is None else flags[:0]) == ""
+        assert row_text(kernel, rows, sep, flags) == expected
+        assert row_text(kernel, rows[:0], sep, None if flags is None else flags[:0]) == ""
 
     def test_bad_arguments_rejected(self, kernel):
         rows = np.ones((4, 6), dtype=np.float32)
@@ -664,7 +701,7 @@ class TestWidthsAgree:
             assert_same_bits(host, four_lanes)
         assert runs[0][3].sum() > 100 and not np.array_equal(runs[0][0], source)
 
-    def test_segment_means(self, kernel, portable):
+    def test_embed_lines(self, kernel, portable):
         rng = np.random.default_rng(73)
         for dim in (1, 7, 13, 100, 700):
             aligned = rng.standard_normal((300, dim)).astype(np.float32)
@@ -672,10 +709,10 @@ class TestWidthsAgree:
             raw[1 : 1 + aligned.nbytes] = aligned.view(np.uint8).ravel()
             moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=1).reshape(300, dim)
             counts = rng.integers(0, 40, size=50)
-            rows = rng.integers(0, 300, size=int(counts.sum()))
+            ids = rng.integers(0, 200, size=int(counts.sum())).astype(np.int32)
             for source in (aligned, moved):
-                assert_same_bits(kernel.segment_means(source, rows, counts),
-                                 portable.segment_means(source, rows, counts))
+                assert_same_bits(kernel.embed_lines(source, 200, 100, 3, ids, counts),
+                                 portable.embed_lines(source, 200, 100, 3, ids, counts))
 
     def test_fill_uniform(self, kernel, portable):
         for n in (0, 1, 5, 4_003, 100_003):
@@ -689,7 +726,7 @@ class TestWidthsAgree:
         random = float32_bits(np.random.default_rng(405).integers(0, 2**32, size=200_000))
         for rows in (random.reshape(-1, 100), tie_and_boundary_values().reshape(-1, 1)):
             flags = np.arange(len(rows)) % 3 == 0
-            assert kernel.format_rows(rows, " ", flags) == portable.format_rows(rows, " ", flags)
+            assert row_text(kernel, rows, " ", flags) == row_text(portable, rows, " ", flags)
 
 
 class TestText:

@@ -754,14 +754,14 @@ class TestExportTextVectors:
             subsample_t=1e-5,
         )
         buffers = []
-        format_rows_into = _native.Kernel.format_rows_into
+        format_rows = _native.Kernel.format_rows
 
         def recording(self, rows, sep, flags, out):
-            text = format_rows_into(self, rows, sep, flags, out)
+            text = format_rows(self, rows, sep, flags, out)
             buffers.append((out, text.obj))
             return text
 
-        monkeypatch.setattr(_native.Kernel, "format_rows_into", recording)
+        monkeypatch.setattr(_native.Kernel, "format_rows", recording)
         out = io.StringIO()
         export_text_vectors(model, out)
         expected = [f"{n_words} {dim}"] + [
