@@ -236,11 +236,12 @@ static int draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint
 
 /* ---- the SGD step ---- */
 
-/* Four-float vectors of the baseline instruction set (SSE2 on x86-64), and
- * eight-float ones where the build targets AVX (-march=native on an AVX
- * host).  Explicit lanes fix the summation order in this source, so both
- * widths give the same bits and no -ffast-math is needed to vectorize.
- * Without AVX no eight-float vector is compiled: GCC would split it in two. */
+/* Four-float vectors of the baseline instruction set (SSE2 on x86-64),
+ * eight-float ones where the build targets AVX and sixteen-float ones where
+ * it targets AVX-512F (-march=native on such a host).  Explicit lanes fix the
+ * summation order in this source, so every width gives the same bits and no
+ * -ffast-math is needed to vectorize.  No vector wider than the target's
+ * registers is compiled: GCC would split it. */
 typedef float v4f __attribute__((vector_size(16)));
 
 /* four floats from any address, aligned or not */
@@ -257,6 +258,17 @@ typedef float v8f __attribute__((vector_size(32)));
 static inline v8f load8(const void *p)
 {
     v8f x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+#endif
+
+#ifdef __AVX512F__
+typedef float v16f __attribute__((vector_size(64)));
+
+static inline v16f load16(const void *p)
+{
+    v16f x;
     memcpy(&x, p, sizeof x);
     return x;
 }
@@ -298,16 +310,20 @@ static inline void add_scaled(float *y, const void *x, float a, int64_t n)
 {
     const char *const xb = x;
     int64_t i = 0;
-#ifdef __AVX__
-    const v8f va8 = {a, a, a, a, a, a, a, a};
-    for (; i + 8 <= n; i += 8) {
-        const v8f r = load8(y + i) + va8 * load8(xb + 4 * i);
+#ifdef __AVX512F__
+    for (; i + 16 <= n; i += 16) {
+        const v16f r = load16(y + i) + a * load16(xb + 4 * i);
         memcpy(y + i, &r, sizeof r);
     }
 #endif
-    const v4f va = {a, a, a, a};
+#ifdef __AVX__
+    for (; i + 8 <= n; i += 8) {
+        const v8f r = load8(y + i) + a * load8(xb + 4 * i);
+        memcpy(y + i, &r, sizeof r);
+    }
+#endif
     for (; i + 4 <= n; i += 4) {
-        const v4f r = load4(y + i) + va * load4(xb + 4 * i);
+        const v4f r = load4(y + i) + a * load4(xb + 4 * i);
         memcpy(y + i, &r, sizeof r);
     }
     for (; i < n; i++) {
@@ -315,6 +331,30 @@ static inline void add_scaled(float *y, const void *x, float a, int64_t n)
         memcpy(&xi, xb + 4 * i, sizeof xi);
         y[i] += a * xi;
     }
+}
+
+/* v /= d, elementwise: IEEE division rounds alike at every width */
+static inline void divide(float *v, float d, int64_t n)
+{
+    int64_t i = 0;
+#ifdef __AVX512F__
+    for (; i + 16 <= n; i += 16) {
+        const v16f r = load16(v + i) / d;
+        memcpy(v + i, &r, sizeof r);
+    }
+#endif
+#ifdef __AVX__
+    for (; i + 8 <= n; i += 8) {
+        const v8f r = load8(v + i) / d;
+        memcpy(v + i, &r, sizeof r);
+    }
+#endif
+    for (; i + 4 <= n; i += 4) {
+        const v4f r = load4(v + i) / d;
+        memcpy(v + i, &r, sizeof r);
+    }
+    for (; i < n; i++)
+        v[i] /= d;
 }
 
 static int compare_i64(const void *a, const void *b)
@@ -406,9 +446,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
     memset(v, 0, sizeof(float) * (size_t)dim);
     for (int64_t c = 0; c < n_ctx; c++)
         add_scaled(v, source + ctx[c] * dim, 1.0f, dim);
-    const float count = (float)n_ctx;
-    for (int32_t i = 0; i < dim; i++)
-        v[i] /= count;
+    divide(v, (float)n_ctx, dim);
 
     /* the loss of each row is log(1 + z) + max(-x, 0); the log terms are
      * taken as the log of the product of the factors 1 + z, each in (1, 2],
@@ -423,7 +461,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
          * and p = sigmoid(score), both stable on either tail */
         const double x = j == 0 ? (double)score : -(double)score;
         const double z = exp(-fabs(x));
-        loss += fmax(-x, 0.0);
+        loss += x < 0.0 ? -x : 0.0; /* fmax(-x, 0.0) for NaN too, without a call */
         product *= 1.0 + z;
         if (++factors == LOSS_FACTORS) {
             loss += log(product);
@@ -568,37 +606,91 @@ int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_pr
 
 /* ---- the initial source matrix ---- */
 
+/* The lanes of sv_fill_uniform: eight where the build targets AVX-512F and
+ * AVX-512DQ, whose 64-bit lane multiplies and int64 -> double conversions the
+ * vector path needs, and four scalar 128-bit states elsewhere. */
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#define FILL_LANES 8
+
+typedef uint64_t v8u64 __attribute__((vector_size(64)));
+typedef int64_t v8i64 __attribute__((vector_size(64)));
+typedef double v8d __attribute__((vector_size(64)));
+
+/* the high 64 bits of x * y in each lane, from four 32 x 32-bit products */
+static inline v8u64 mul_high(v8u64 x, v8u64 y)
+{
+    const v8u64 x0 = x & 0xffffffffu, x1 = x >> 32, y0 = y & 0xffffffffu, y1 = y >> 32;
+    const v8u64 p00 = x0 * y0, p01 = x0 * y1, p10 = x1 * y0, p11 = x1 * y1;
+    const v8u64 mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+#else
+#define FILL_LANES 4
+#endif
+
+/* The lanes sv_fill_uniform runs: 8 or 4. */
+int sv_fill_lanes(void) { return FILL_LANES; }
+
 /* out[0:n] = the next n values of numpy's Generator(PCG64).uniform(low,
  * low + range), cast to float32; state holds the generator's 128-bit state
  * and increment as {state_hi, state_lo, inc_hi, inc_lo} and is not changed.
  * numpy steps the state, then outputs the new one: value i (from 0) comes
- * from s_{i+1} = a s_i + c.  Four lanes hold s_{j+1}, s_{j+5}, ... and
- * leap four steps at once, s_{i+4} = a^4 s_i + c (a^3 + a^2 + a + 1), so
- * their multiplies do not wait on each other; the values are the same. */
+ * from s_{i+1} = a s_i + c.  FILL_LANES = L lanes hold s_{j+1}, s_{j+L+1},
+ * ... and leap L steps at once, s_{i+L} = a^L s_i + c (a^(L-1) + ... + 1), so
+ * their multiplies do not wait on each other; the values are the same.  The
+ * last n mod L values come from the lanes' states one by one. */
 void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, double range)
 {
     const unsigned __int128 a = PCG_MULTIPLIER, c = (unsigned __int128)state[2] << 64 | state[3];
-    unsigned __int128 a4 = 1, c4 = 0;
-    for (int j = 0; j < 4; j++) {
-        a4 *= a;
-        c4 = a * c4 + c;
+    unsigned __int128 aL = 1, cL = 0, s[FILL_LANES];
+    unsigned __int128 x = (unsigned __int128)state[0] << 64 | state[1];
+    for (int j = 0; j < FILL_LANES; j++) {
+        aL *= a;
+        cL = a * cL + c;
+        x = a * x + c;
+        s[j] = x;
     }
-    unsigned __int128 s0 = a * ((unsigned __int128)state[0] << 64 | state[1]) + c;
-    unsigned __int128 s1 = a * s0 + c, s2 = a * s1 + c, s3 = a * s2 + c;
     int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        out[i] = pcg_uniform(s0, low, range);
-        out[i + 1] = pcg_uniform(s1, low, range);
-        out[i + 2] = pcg_uniform(s2, low, range);
-        out[i + 3] = pcg_uniform(s3, low, range);
-        s0 = a4 * s0 + c4;
-        s1 = a4 * s1 + c4;
-        s2 = a4 * s2 + c4;
-        s3 = a4 * s3 + c4;
+#if FILL_LANES == 8
+    /* each lane's state as its high and low halves: (hi, lo) * (a_hi, a_lo)
+     * mod 2^128 is lo * a_lo, with its high half and the cross products
+     * lo * a_hi and hi * a_lo added to the high word; a compare gives the
+     * carry of adding c_lo */
+    v8u64 hi, lo;
+    for (int j = 0; j < 8; j++) {
+        hi[j] = (uint64_t)(s[j] >> 64);
+        lo[j] = (uint64_t)s[j];
     }
-    const unsigned __int128 tail[3] = {s0, s1, s2};
+    const uint64_t a_hi = (uint64_t)(aL >> 64), a_lo = (uint64_t)aL;
+    const uint64_t c_hi = (uint64_t)(cL >> 64), c_lo = (uint64_t)cL;
+    const v8u64 va_lo = (v8u64){0} + a_lo;
+    for (; i + 8 <= n; i += 8) {
+        /* pcg_uniform, lane by lane */
+        const v8u64 xsl = hi ^ lo, rot = hi >> 58;
+        const v8u64 drawn = (xsl >> rot) | (xsl << ((64u - rot) & 63u));
+        const v8d unit = __builtin_convertvector((v8i64)(drawn >> 11), v8d) * 0x1.0p-53;
+        const v8f values = __builtin_convertvector(low + range * unit, v8f);
+        memcpy(out + i, &values, sizeof values);
+        const v8u64 next_lo = lo * a_lo + c_lo;
+        hi = mul_high(lo, va_lo) + lo * a_hi + hi * a_lo + c_hi - (v8u64)(next_lo < c_lo);
+        lo = next_lo;
+    }
+    for (int j = 0; j < 8; j++)
+        s[j] = (unsigned __int128)hi[j] << 64 | lo[j];
+#else
+    for (; i + 4 <= n; i += 4) {
+        out[i] = pcg_uniform(s[0], low, range);
+        out[i + 1] = pcg_uniform(s[1], low, range);
+        out[i + 2] = pcg_uniform(s[2], low, range);
+        out[i + 3] = pcg_uniform(s[3], low, range);
+        s[0] = aL * s[0] + cL;
+        s[1] = aL * s[1] + cL;
+        s[2] = aL * s[2] + cL;
+        s[3] = aL * s[3] + cL;
+    }
+#endif
     for (int j = 0; i < n; i++, j++)
-        out[i] = pcg_uniform(tail[j], low, range);
+        out[i] = pcg_uniform(s[j], low, range);
 }
 
 /* ---- sentence composition ---- */
@@ -626,11 +718,8 @@ void sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t
                 const int64_t row = ngram_row(ids + i, k, vocab_size, buckets);
                 add_scaled(v, source + (size_t)row * row_bytes, 1.0f, dim);
             }
-        if (n > 0) {
-            const float count = (float)n;
-            for (int64_t i = 0; i < dim; i++)
-                v[i] /= count;
-        }
+        if (n > 0)
+            divide(v, (float)n, dim);
         ids += len;
     }
 }

@@ -39,8 +39,10 @@ __all__ = [
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no fused multiply-add contraction: the uniform fill must round as numpy does
 PORTABLE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# on x86-64 the build targets the host CPU, whose AVX widens the step's row
-# loops from four floats to eight; the kernel's bits are the same either way
+# on x86-64 the build targets the host CPU: AVX widens the step's elementwise
+# row loops from four floats to eight and AVX-512F to sixteen, and AVX-512F
+# with AVX-512DQ draws the uniform fill in eight PCG64 lanes instead of four;
+# the kernel's bits are the same at every width
 HOST_FLAGS = ("-march=native",) if platform.machine().lower() in ("x86_64", "amd64") else ()
 COMPILE_FLAGS = PORTABLE_FLAGS + HOST_FLAGS
 
@@ -166,6 +168,10 @@ class Kernel:
         lib.sv_embed_lines.restype = None
         lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
         lib.sv_fill_uniform.restype = None
+        lib.sv_fill_lanes.argtypes = []
+        lib.sv_fill_lanes.restype = ctypes.c_int
+        # the PCG64 lanes fill_uniform runs: 8 on an AVX-512F and -DQ build, else 4
+        self.fill_lanes: int = lib.sv_fill_lanes()
         lib.sv_encoder_new.argtypes = []
         lib.sv_encoder_new.restype = _ptr
         lib.sv_encoder_free.argtypes = [_ptr]

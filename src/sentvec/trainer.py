@@ -355,7 +355,7 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     logger.info(
         "initialized %d x %d source rows in %.0f ms (%s, %d slab%s)",
         len(vocab) + buckets, config.dim, 1e3 * (time.perf_counter() - init_started),
-        "numpy" if kernel is None else "kernel", config.threads,
+        "numpy" if kernel is None else f"kernel, {kernel.fill_lanes} lanes", config.threads,
         "" if config.threads == 1 else "s",
     )
     model = TrainedModel(

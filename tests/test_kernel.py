@@ -217,8 +217,12 @@ def numpy_uniform(bits: np.random.PCG64, low: float, high: float, n: int) -> np.
 class TestFillUniform:
     """The kernel's PCG64 fill against ``Generator.uniform(...).astype(np.float32)``."""
 
-    # four lanes: below, at and past one round, and every remainder of a long run
-    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 4_000, 4_001, 4_002, 4_003, 100_003])
+    # four or eight lanes: below, at and past one round, and every remainder
+    # mod 8 of a long run
+    @pytest.mark.parametrize("n", [
+        0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17,
+        4_000, 4_001, 4_002, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003,
+    ])
     def test_equals_numpy_bit_for_bit(self, kernel, n):
         bits = np.random.PCG64(n)
         before = bits.state
@@ -365,12 +369,19 @@ class TestBuild:
         monkeypatch.setattr(_native, "cpu_identity", lambda: "flags\t: fpu sse2")
         assert _native.library_path() != path
 
-    @pytest.mark.parametrize("flags", ["host", "portable"])
+    @pytest.mark.parametrize("flags", ["host", "portable", "avx512"])
     def test_kernel_compiles_without_warnings(self, tmp_path, flags):
         compiler = shutil.which("gcc") or shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler (gcc or cc) on PATH")
-        chosen = _native.COMPILE_FLAGS if flags == "host" else _native.PORTABLE_FLAGS
+        if flags == "avx512" and not _native.HOST_FLAGS:
+            pytest.skip("the AVX-512 paths compile on x86-64 only")
+        # x86-64-v4 compiles the AVX-512 paths even on a CPU that cannot run them
+        chosen = {
+            "host": _native.COMPILE_FLAGS,
+            "portable": _native.PORTABLE_FLAGS,
+            "avx512": _native.PORTABLE_FLAGS + ("-march=x86-64-v4",),
+        }[flags]
         proc = subprocess.run(
             [compiler, *chosen, "-Wall", "-Wextra", "-Wconversion", "-Werror",
              "-o", str(tmp_path / "kernel.so"), str(_native.SOURCE), "-lm"],
@@ -385,6 +396,14 @@ class TestBuild:
             pytest.skip("no C compiler (gcc or cc) on PATH")
         for name, flags in (("host", _native.COMPILE_FLAGS), ("portable", _native.PORTABLE_FLAGS)):
             _native.Kernel(_native._build(tmp_path / f"kernel-{name}.so", flags))
+
+    def test_fill_lanes_follow_the_cpu(self, kernel, tmp_path):
+        # a typo in the fill's guard would quietly run the four-lane loop
+        flags = set(_native.cpu_identity().split())
+        wide = bool(_native.HOST_FLAGS) and {"avx512f", "avx512dq"} <= flags
+        assert kernel.fill_lanes == (8 if wide else 4)
+        path = tmp_path / "kernel-portable.so"
+        assert _native.Kernel(_native._build(path, _native.PORTABLE_FLAGS)).fill_lanes == 4
 
 
 class TestCache:
@@ -656,11 +675,16 @@ class TestFormatRows:
 
 @pytest.fixture(scope="module")
 def portable(kernel, tmp_path_factory):
-    """The kernel built with the portable flags (four lanes), beside the host build (eight)."""
+    """The kernel built with the portable flags, beside the host build.
+
+    The portable build runs its row loops four floats wide and its fill in
+    four PCG64 lanes; the host build, eight and sixteen floats wide under
+    AVX and AVX-512F, and eight lanes under AVX-512F with AVX-512DQ.
+    """
     if not _native.HOST_FLAGS:
         pytest.skip("off x86-64 the host build is the portable build")
     if "avx" not in _native.cpu_identity().split():
-        pytest.skip("no AVX on this host: both builds run four lanes")
+        pytest.skip("no AVX on this host: both builds run four floats and four PCG64 lanes")
     path = tmp_path_factory.mktemp("portable") / "kernel-portable.so"
     return _native.Kernel(_native._build(path, _native.PORTABLE_FLAGS))
 
@@ -671,10 +695,13 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 
 
 class TestWidthsAgree:
-    """The host build, eight lanes wide under AVX, gives the portable build's bits."""
+    """The host build gives the portable build's bits: its row loops run eight
+    floats wide under AVX and sixteen under AVX-512F, and its fill eight
+    PCG64 lanes under AVX-512F with AVX-512DQ, against four of each."""
 
+    # 17 = 16 + 1 and 31 = 16 + 8 + 4 + 3 run the sixteen-float body and each tail
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("dim", [1, 7, 13, 100, 700])
+    @pytest.mark.parametrize("dim", [1, 7, 13, 17, 31, 100, 700])
     def test_train_chunk(self, kernel, portable, dim, order):
         rng = np.random.default_rng(10 * dim + order)
         vocab_size, buckets = 60, 97 if order == 2 else 0
@@ -703,7 +730,7 @@ class TestWidthsAgree:
 
     def test_embed_lines(self, kernel, portable):
         rng = np.random.default_rng(73)
-        for dim in (1, 7, 13, 100, 700):
+        for dim in (1, 7, 13, 17, 31, 100, 700):
             aligned = rng.standard_normal((300, dim)).astype(np.float32)
             raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
             raw[1 : 1 + aligned.nbytes] = aligned.view(np.uint8).ravel()
@@ -715,12 +742,15 @@ class TestWidthsAgree:
                                  portable.embed_lines(source, 200, 100, 3, ids, counts))
 
     def test_fill_uniform(self, kernel, portable):
-        for n in (0, 1, 5, 4_003, 100_003):
-            bits = np.random.PCG64(n)
-            host, four_lanes = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
-            kernel.fill_uniform(host, bits.state, -0.005, 0.005)
-            portable.fill_uniform(four_lanes, bits.state, -0.005, 0.005)
-            assert_same_bits(host, four_lanes)
+        lengths = (0, 1, 5, 7, 8, 9, 15, 16, 17, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003)
+        for n in lengths:
+            for delta in (0, 2**127 + 11):
+                bits = np.random.PCG64(n)
+                bits.advance(delta)
+                host, four_lanes = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
+                kernel.fill_uniform(host, bits.state, -0.005, 0.005)
+                portable.fill_uniform(four_lanes, bits.state, -0.005, 0.005)
+                assert_same_bits(host, four_lanes)
 
     def test_format_rows(self, kernel, portable):
         random = float32_bits(np.random.default_rng(405).integers(0, 2**32, size=200_000))

@@ -242,12 +242,13 @@ class TestTrain:
     ):
         if engine == "numpy":
             without_kernel()
+            label = engine
         else:
-            request.getfixturevalue("kernel")
+            label = f"kernel, {request.getfixturevalue('kernel').fill_lanes} lanes"
         with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
             model = train(tiny_corpus, quick_config(threads=threads, word_ngrams=2, bucket_count=64))
         rows, dim = model.matrices.source.shape
-        pattern = rf"initialized {rows} x {dim} source rows in \d+ ms \({engine}, {slabs}\)"
+        pattern = rf"initialized {rows} x {dim} source rows in \d+ ms \({label}, {slabs}\)"
         assert [r for r in caplog.records if re.fullmatch(pattern, r.getMessage())]
 
     @pytest.mark.parametrize("engine", ["kernel", "fallback"])
