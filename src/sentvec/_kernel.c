@@ -26,7 +26,9 @@
  * print.  It scales each value by a power of ten in double; when the result
  * is clearly away from a rounding tie it builds the six digits in one 64-bit
  * word and stores whole 8-byte words, moving on by the text's true length,
- * and otherwise it calls snprintf, which rounds exactly.
+ * and otherwise it calls snprintf, which rounds exactly.  Under AVX-512 it
+ * takes those steps for eight values at once and leaves the values the
+ * lanes do not cover to the one-value writer, so the bytes never differ.
  *
  * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
  * splits corpus lines on the ASCII whitespace of str.split() and interns
@@ -264,6 +266,8 @@ static inline v8f load8(const void *p)
 #endif
 
 #ifdef __AVX512F__
+#include <immintrin.h>
+
 typedef float v16f __attribute__((vector_size(64)));
 
 static inline v16f load16(const void *p)
@@ -330,6 +334,52 @@ static inline void add_scaled(float *y, const void *x, float a, int64_t n)
         float xi;
         memcpy(&xi, xb + 4 * i, sizeof xi);
         y[i] += a * xi;
+    }
+}
+
+/* y[0:n] = the sum of weights[r] * matrix[rows[r]][0:n] over r (each weight
+ * 1 when weights is NULL), every element added in row order to +0, as
+ * add_scaled adds the rows one by one; each block of y stays in a register
+ * across the rows */
+static inline void sum_rows(float *y, const float *matrix, const int64_t *rows,
+                            const float *weights, int64_t n_rows, int32_t n)
+{
+    int32_t i = 0;
+#ifdef __AVX512F__
+    for (; i + 16 <= n; i += 16) {
+        v16f acc = {0.0f};
+        for (int64_t r = 0; r < n_rows; r++) {
+            const v16f x = load16(matrix + rows[r] * n + i);
+            acc += weights ? weights[r] * x : x;
+        }
+        memcpy(y + i, &acc, sizeof acc);
+    }
+#endif
+#ifdef __AVX__
+    for (; i + 8 <= n; i += 8) {
+        v8f acc = {0.0f};
+        for (int64_t r = 0; r < n_rows; r++) {
+            const v8f x = load8(matrix + rows[r] * n + i);
+            acc += weights ? weights[r] * x : x;
+        }
+        memcpy(y + i, &acc, sizeof acc);
+    }
+#endif
+    for (; i + 4 <= n; i += 4) {
+        v4f acc = {0.0f};
+        for (int64_t r = 0; r < n_rows; r++) {
+            const v4f x = load4(matrix + rows[r] * n + i);
+            acc += weights ? weights[r] * x : x;
+        }
+        memcpy(y + i, &acc, sizeof acc);
+    }
+    for (; i < n; i++) {
+        float acc = 0.0f;
+        for (int64_t r = 0; r < n_rows; r++) {
+            const float x = matrix[rows[r] * n + i];
+            acc += weights ? weights[r] * x : x;
+        }
+        y[i] = acc;
     }
 }
 
@@ -443,9 +493,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
     float *const source = m->source, *const target = m->target;
     float *const v = w->v, *const grad = w->grad, *const coeff = w->coeff;
 
-    memset(v, 0, sizeof(float) * (size_t)dim);
-    for (int64_t c = 0; c < n_ctx; c++)
-        add_scaled(v, source + ctx[c] * dim, 1.0f, dim);
+    sum_rows(v, source, ctx, NULL, n_ctx, dim);
     divide(v, (float)n_ctx, dim);
 
     /* the loss of each row is log(1 + z) + max(-x, 0); the log terms are
@@ -453,10 +501,10 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
      * restarted every LOSS_FACTORS factors so the product stays finite */
     double loss = 0.0, product = 1.0;
     int factors = 0;
-    memset(grad, 0, sizeof(float) * (size_t)dim);
+    for (int64_t j = 0; j < n_scored; j++)
+        coeff[j] = dot(target + scored[j] * dim, v, dim);
     for (int64_t j = 0; j < n_scored; j++) {
-        const float *u = target + scored[j] * dim;
-        const float score = dot(u, v, dim);
+        const float score = coeff[j];
         /* label +1 for the target, -1 for negatives; loss log(1 + exp(-x)),
          * and p = sigmoid(score), both stable on either tail */
         const double x = j == 0 ? (double)score : -(double)score;
@@ -470,8 +518,8 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
         }
         const double p = score >= 0.0f ? 1.0 / (1.0 + z) : z / (1.0 + z);
         coeff[j] = (float)(j == 0 ? p - 1.0 : p);
-        add_scaled(grad, u, coeff[j], dim);
     }
+    sum_rows(grad, target, scored, coeff, n_scored, dim);
     const float flr = (float)lr;
     for (int64_t j = 0; j < n_scored; j++)
         add_scaled(target + scored[j] * dim, v, -(flr * coeff[j]), dim);
@@ -607,8 +655,10 @@ int64_t sv_gate_positions(const int32_t *ids, int64_t len, const double *gate_pr
 /* ---- the initial source matrix ---- */
 
 /* The lanes of sv_fill_uniform: eight where the build targets AVX-512F and
- * AVX-512DQ, whose 64-bit lane multiplies and int64 -> double conversions the
- * vector path needs, and four scalar 128-bit states elsewhere. */
+ * AVX-512DQ, whose int64 -> double conversions the vector path needs, and
+ * four scalar 128-bit states elsewhere.  The vector path builds its 64-bit
+ * products from 32 x 32-bit ones (mul32), which issue as one micro-op each
+ * where a 64-bit lane multiply takes three. */
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 #define FILL_LANES 8
 
@@ -616,13 +666,26 @@ typedef uint64_t v8u64 __attribute__((vector_size(64)));
 typedef int64_t v8i64 __attribute__((vector_size(64)));
 typedef double v8d __attribute__((vector_size(64)));
 
-/* the high 64 bits of x * y in each lane, from four 32 x 32-bit products */
-static inline v8u64 mul_high(v8u64 x, v8u64 y)
+/* the products of the low 32 bits of each lane of x and y, one vpmuludq;
+ * GCC never makes that instruction from a 64-bit lane multiply */
+static inline v8u64 mul32(v8u64 x, v8u64 y)
 {
-    const v8u64 x0 = x & 0xffffffffu, x1 = x >> 32, y0 = y & 0xffffffffu, y1 = y >> 32;
-    const v8u64 p00 = x0 * y0, p01 = x0 * y1, p10 = x1 * y0, p11 = x1 * y1;
+    return (v8u64)_mm512_mul_epu32((__m512i)x, (__m512i)y);
+}
+
+/* x * y mod 2^64 in each lane: the low product and the two cross products */
+static inline v8u64 mul_low(v8u64 x, v8u64 y)
+{
+    return mul32(x, y) + ((mul32(x, y >> 32) + mul32(x >> 32, y)) << 32);
+}
+
+/* x * y in each lane as its high and low 64 bits, from four 32 x 32-bit products */
+static inline v8u64 mul_wide(v8u64 x, v8u64 y, v8u64 *high)
+{
+    const v8u64 p00 = mul32(x, y), p01 = mul32(x, y >> 32), p10 = mul32(x >> 32, y);
     const v8u64 mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    *high = mul32(x >> 32, y >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return mid << 32 | (p00 & 0xffffffffu);
 }
 #else
 #define FILL_LANES 4
@@ -661,9 +724,8 @@ void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, d
         hi[j] = (uint64_t)(s[j] >> 64);
         lo[j] = (uint64_t)s[j];
     }
-    const uint64_t a_hi = (uint64_t)(aL >> 64), a_lo = (uint64_t)aL;
+    const v8u64 a_hi = (v8u64){0} + (uint64_t)(aL >> 64), a_lo = (v8u64){0} + (uint64_t)aL;
     const uint64_t c_hi = (uint64_t)(cL >> 64), c_lo = (uint64_t)cL;
-    const v8u64 va_lo = (v8u64){0} + a_lo;
     for (; i + 8 <= n; i += 8) {
         /* pcg_uniform, lane by lane */
         const v8u64 xsl = hi ^ lo, rot = hi >> 58;
@@ -671,8 +733,9 @@ void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, d
         const v8d unit = __builtin_convertvector((v8i64)(drawn >> 11), v8d) * 0x1.0p-53;
         const v8f values = __builtin_convertvector(low + range * unit, v8f);
         memcpy(out + i, &values, sizeof values);
-        const v8u64 next_lo = lo * a_lo + c_lo;
-        hi = mul_high(lo, va_lo) + lo * a_hi + hi * a_lo + c_hi - (v8u64)(next_lo < c_lo);
+        v8u64 high;
+        const v8u64 next_lo = mul_wide(lo, a_lo, &high) + c_lo;
+        hi = high + mul_low(lo, a_hi) + mul_low(hi, a_lo) + c_hi - (v8u64)(next_lo < c_lo);
         lo = next_lo;
     }
     for (int j = 0; j < 8; j++)
@@ -729,8 +792,9 @@ void sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t
 /* bytes one %.6g value of a float32 takes at most, plus its separator:
  * "-1.17549e-38" and one byte; must equal sentvec._native._VALUE_BYTES.
  * put_g6 stores whole words and may write up to 14 bytes from where a value
- * starts, two past its longest text; the 3 bytes each row keeps for its
- * flag and newline cover that after the row's last value. */
+ * starts, two past its longest text, and put_g6_lanes 12 and the separator
+ * after; the 3 bytes each row keeps for its flag and newline cover that
+ * after the row's last value. */
 #define G6_VALUE_BYTES 13
 
 static const double POW10[23] = {
@@ -859,10 +923,139 @@ static char *put_g6(char *p, float x)
     return p + 2 - e + last;
 }
 
+/* The vector writer: eight values per pass where the build targets
+ * AVX-512F, CD (vplzcntq) and BW (16-bit lane multiplies), and put_g6 alone
+ * elsewhere. */
+#if defined(__AVX512F__) && defined(__AVX512CD__) && defined(__AVX512BW__)
+#define G6_LANES 8
+
+static inline __m512i splat(int64_t c) { return _mm512_set1_epi64(c); }
+
+/* The texts of x[0:8] as put_g6 writes them, as words: lane i of lo, hi and
+ * bytes holds text i's first 8 and next 4 bytes and its length.  The lanes
+ * take the steps of g6_digits and put_g6 in double and 64-bit integer lanes
+ * for |x| in [2^-16, 2^17), where one product by 10^(5-e), e in [-5, 4],
+ * scales x.  Bit i of the result is clear when put_g6 must write value i
+ * itself: it lies outside that range (zero, subnormal, inf and NaN
+ * included), near a rounding tie, or takes the exponent form (below 1e-4).
+ * The variable shifts give 0 for counts past 63, so those lanes need no
+ * clamping. */
+static inline unsigned g6_lanes(const float *x, uint64_t *lo, uint64_t *hi, uint64_t *bytes)
+{
+    const __m256 xf = _mm256_loadu_ps(x);
+    const __m512i bits = _mm512_cvtepu32_epi64(_mm256_castps_si256(xf));
+    const __m512d a = _mm512_abs_pd(_mm512_cvtps_pd(xf));
+    /* b = field - 127 and e = floor(b log10(2)) of g6_digits, from the float's
+     * exponent field, which lies in [111, 143] exactly when e lies in [-5, 4] */
+    const __m512i field = _mm512_and_si512(_mm512_srli_epi64(bits, 23), splat(0xff));
+    __mmask8 fast = _mm512_cmplt_epu64_mask(_mm512_sub_epi64(field, splat(111)), splat(33));
+    const __m512i b = _mm512_sub_epi64(field, splat(127));
+    const __m512i e = _mm512_srai_epi64(_mm512_mul_epi32(b, splat(78913)), 18);
+    /* 10^k and 10^(k - 1) for k = 5 - e in [1, 10], from the first 16 powers */
+    const __m512d low = _mm512_loadu_pd(POW10), high = _mm512_loadu_pd(POW10 + 8);
+    const __m512i k = _mm512_sub_epi64(splat(5), e);
+    const __m512d y0 = _mm512_mul_pd(a, _mm512_permutex2var_pd(low, k, high));
+    const __m512d y1 = _mm512_mul_pd(a, _mm512_permutex2var_pd(low, _mm512_sub_epi64(k, splat(1)), high));
+    const __mmask8 up = _mm512_cmp_pd_mask(y0, _mm512_set1_pd(1e6), _CMP_GE_OQ);
+    const __m512d y = _mm512_mask_blend_pd(up, y0, y1);
+    const __m512d t = _mm512_add_pd(y, _mm512_set1_pd(0x1p52));
+    const __m512d moved = _mm512_sub_pd(y, _mm512_sub_pd(t, _mm512_set1_pd(0x1p52)));
+    fast = _mm512_mask_cmp_pd_mask(fast, y, _mm512_set1_pd(1e5), _CMP_GE_OQ);
+    fast = _mm512_mask_cmp_pd_mask(fast, y, _mm512_set1_pd(1e6), _CMP_LT_OQ);
+    fast = _mm512_mask_cmp_pd_mask(fast, _mm512_sub_pd(_mm512_set1_pd(0.5), _mm512_abs_pd(moved)),
+                                   _mm512_set1_pd(1e-6), _CMP_GE_OQ);
+    const __m512i rounded = _mm512_and_si512(_mm512_castpd_si512(t), splat(0xffffffff));
+    const __mmask8 carry = _mm512_cmpeq_epi64_mask(rounded, splat(1000000));
+    const __m512i digits = _mm512_mask_sub_epi64(rounded, carry, rounded, splat(900000));
+    __m512i e10 = _mm512_mask_add_epi64(e, up, e, splat(1));
+    e10 = _mm512_mask_add_epi64(e10, carry, e10, splat(1));
+    fast = _mm512_mask_cmpge_epi64_mask(fast, e10, splat(-4));
+
+    /* the digit word of put_g6: three pairs from the quotients by 100 and
+     * 10000 (multiply and shift, exact below 2^32), each split in its 16-bit
+     * lane into tens = pair * 6554 >> 16 and ones */
+    const __m512i q2 = _mm512_srli_epi64(_mm512_mul_epu32(digits, splat(0x51eb851f)), 37);
+    const __m512i q4 = _mm512_srli_epi64(_mm512_mul_epu32(digits, splat(0xd1b71759)), 45);
+    const __m512i pairs = _mm512_or_si512(
+        _mm512_or_si512(q4, _mm512_slli_epi64(_mm512_sub_epi64(q2, _mm512_mul_epu32(q4, splat(100))), 16)),
+        _mm512_slli_epi64(_mm512_sub_epi64(digits, _mm512_mul_epu32(q2, splat(100))), 32));
+    const __m512i tens = _mm512_mulhi_epu16(pairs, _mm512_set1_epi16(6554));
+    const __m512i values = /* tens | ones << 8 = (pair << 8) - 2559 tens */
+        _mm512_sub_epi16(_mm512_slli_epi16(pairs, 8), _mm512_mullo_epi16(tens, _mm512_set1_epi16(2559)));
+    const __m512i last = _mm512_srli_epi64(_mm512_sub_epi64(splat(63), _mm512_lzcnt_epi64(values)), 3);
+    const __m512i text = _mm512_or_si512(values, splat(0x303030303030));
+
+    /* e in [0, 5]: the text up to digit e + 1, the point, then the rest one
+     * byte up */
+    const __m512i f = _mm512_max_epi64(e10, _mm512_setzero_si512());
+    const __m512i s = _mm512_add_epi64(_mm512_slli_epi64(f, 3), splat(8));
+    const __m512i below = _mm512_sub_epi64(_mm512_sllv_epi64(splat(1), s), splat(1));
+    __m512i w0 = _mm512_or_si512(
+        _mm512_or_si512(_mm512_and_si512(text, below), _mm512_sllv_epi64(splat('.'), s)),
+        _mm512_slli_epi64(_mm512_andnot_si512(below, text), 8));
+    __m512i n = _mm512_mask_blend_epi64(_mm512_cmpgt_epi64_mask(last, f), _mm512_add_epi64(f, splat(1)),
+                                        _mm512_add_epi64(last, splat(2)));
+    /* e in [-4, -1]: "0.", -e - 1 zeros and the digits, whose bytes hold the
+     * zeros' bits too */
+    const __mmask8 small = _mm512_cmplt_epi64_mask(e10, _mm512_setzero_si512());
+    const __m512i zeros = _mm512_sub_epi64(splat(1), e10), shift = _mm512_slli_epi64(zeros, 3);
+    w0 = _mm512_mask_or_epi64(w0, small, splat(0x3030303030302e30), _mm512_sllv_epi64(text, shift));
+    __m512i w1 = _mm512_maskz_srlv_epi64(small, text, _mm512_sub_epi64(splat(64), shift));
+    n = _mm512_mask_add_epi64(n, small, zeros, _mm512_add_epi64(last, splat(1)));
+    /* the sign, a byte before the text */
+    const __mmask8 negative = _mm512_test_epi64_mask(bits, splat(1u << 31));
+    w1 = _mm512_mask_or_epi64(w1, negative, _mm512_slli_epi64(w1, 8), _mm512_srli_epi64(w0, 56));
+    w0 = _mm512_mask_or_epi64(w0, negative, _mm512_slli_epi64(w0, 8), splat('-'));
+    n = _mm512_mask_add_epi64(n, negative, n, splat(1));
+
+    _mm512_storeu_si512(lo, w0);
+    _mm512_storeu_si512(hi, w1);
+    _mm512_storeu_si512(bytes, n);
+    return fast;
+}
+
+/* the values of a block of put_g6_lanes: a multiple of 8 */
+#define G6_BLOCK 64
+
+/* x[0:n] (n a multiple of 8) as put_g6 writes them, each followed by sep;
+ * returns the end.  The words of a block's texts come first, from a loop
+ * with no call, which keeps its constants in registers; then each text is
+ * stored in turn, 8 and 4 bytes from where it starts. */
+static char *put_g6_lanes(char *p, const float *x, int64_t n, char sep)
+{
+    uint64_t lo[G6_BLOCK], hi[G6_BLOCK], bytes[G6_BLOCK];
+    for (int64_t start = 0; start < n; start += G6_BLOCK) {
+        const int m = n - start < G6_BLOCK ? (int)(n - start) : G6_BLOCK;
+        uint64_t fast = 0;
+        for (int g = 0; g < m; g += 8)
+            fast |= (uint64_t)g6_lanes(x + start + g, lo + g, hi + g, bytes + g) << g;
+        for (int i = 0; i < m; i++) {
+            if (fast >> i & 1) {
+                store_le(p, lo[i], 8);
+                store_le(p + 8, hi[i], 4);
+                p += bytes[i];
+            } else {
+                p = put_g6(p, x[start + i]);
+            }
+            *p++ = sep;
+        }
+    }
+    return p;
+}
+#endif
+
+#ifndef G6_LANES
+#define G6_LANES 1
+#endif
+
+/* The values sv_format_rows writes per pass: 8, or 1 where put_g6 writes each. */
+int sv_format_lanes(void) { return G6_LANES; }
+
 /* The text of rows[0:n_rows] (n_rows x dim, row-major), one line per row:
  * %.6g values joined by sep, then, when flags is not NULL, a space and the
  * row's flag as 0 or 1.  Returns the bytes written, or -1 when a row might
- * not fit in the capacity left (each takes at most G6_VALUE_BYTES * dim + 3). */
+ * not fit in the capacity left (each takes at most G6_VALUE_BYTES * dim + 3).
+ * Each value is followed by sep, and the row's last one is overwritten. */
 int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
                        const uint8_t *flags, char *out, int64_t capacity)
 {
@@ -871,11 +1064,16 @@ int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
         if (capacity - (p - out) < G6_VALUE_BYTES * dim + 3)
             return -1;
         const float *row = rows + r * dim;
-        for (int64_t j = 0; j < dim; j++) {
-            if (j > 0)
-                *p++ = sep;
+        int64_t j = 0;
+#if G6_LANES == 8
+        j = dim - dim % 8;
+        p = put_g6_lanes(p, row, j, sep);
+#endif
+        for (; j < dim; j++) {
             p = put_g6(p, row[j]);
+            *p++ = sep;
         }
+        p -= dim > 0;
         if (flags != NULL) {
             *p++ = ' ';
             *p++ = flags[r] ? '1' : '0';

@@ -40,9 +40,10 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no fused multiply-add contraction: the uniform fill must round as numpy does
 PORTABLE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # on x86-64 the build targets the host CPU: AVX widens the step's elementwise
-# row loops from four floats to eight and AVX-512F to sixteen, and AVX-512F
-# with AVX-512DQ draws the uniform fill in eight PCG64 lanes instead of four;
-# the kernel's bits are the same at every width
+# row loops from four floats to eight and AVX-512F to sixteen, AVX-512F
+# with AVX-512DQ draws the uniform fill in eight PCG64 lanes instead of four,
+# and AVX-512F, -CD and -BW write the %.6g text eight values per pass; the
+# kernel's bits and bytes are the same at every width
 HOST_FLAGS = ("-march=native",) if platform.machine().lower() in ("x86_64", "amd64") else ()
 COMPILE_FLAGS = PORTABLE_FLAGS + HOST_FLAGS
 
@@ -162,6 +163,10 @@ class Kernel:
         lib.sv_gate_positions.restype = _i64
         lib.sv_format_rows.argtypes = [_ptr, _i64, _i64, ctypes.c_char, _ptr, _ptr, _i64]
         lib.sv_format_rows.restype = _i64
+        lib.sv_format_lanes.argtypes = []
+        lib.sv_format_lanes.restype = ctypes.c_int
+        # the values format_rows writes per pass: 8 on an AVX-512F, -CD and -BW build, else 1
+        self.format_lanes: int = lib.sv_format_lanes()
         lib.sv_embed_lines.argtypes = [
             _ptr, _i64, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _i64, _ptr
         ]

@@ -537,6 +537,15 @@ def load_model(path: str) -> TrainedModel:
                     f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
                 )
             words.append((surface, count))
+        # no tokenizer yields an empty word or one holding whitespace, and the
+        # text formats (export-vec) would misread one; the joined words split
+        # back into themselves exactly when there is none
+        surfaces = [surface for surface, _ in words]
+        if " ".join(surfaces).split() != surfaces:
+            wid = next(i for i, w in enumerate(surfaces) if w.split() != [w])
+            raise ModelFormatError(
+                f"vocabulary section: word {wid} ({surfaces[wid]!r}) is empty or holds whitespace"
+            )
         counted = sum(count for _, count in words)
         if total_tokens != counted:
             raise ModelFormatError(

@@ -592,8 +592,51 @@ def tie_and_boundary_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
+def embedding_range_values() -> np.ndarray:
+    """Every 97th float32 pattern of magnitude in [1e-7, 1e3), of both signs:
+    "0.000ddd", integer parts of one to three digits, and the exponent form
+    below 1e-4."""
+    low = int(np.float32(1e-7).view(np.uint32)) + int(np.float32(1e-7) < 1e-7)
+    high = int(np.float32(1e3).view(np.uint32))
+    bits = np.arange(low, high, 97, dtype=np.uint32)
+    return float32_bits(np.concatenate([bits, bits | np.uint32(1 << 31)]))
+
+
+# values the eight-lane writer leaves to put_g6 (a tie, subnormals, zeros,
+# inf, NaN, magnitudes outside [2^-16, 2^17) and the exponent form below
+# 1e-4), and some it writes itself beside them: 123457, 0.0001 and
+# -0.000123457 (its longest text), and 99999.95, which rounds up to 100000
+EXACT_LANE_VALUES = [1.953125, 1e-40, -1.4e-45, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                     -math.nan, 654321.0, 3.4e38, 1.5e-7, -9.99999e-5, -1e-20, 6.5e25,
+                     123457.0, 0.0001, -0.000123457, 99999.95]
+
+
+def exact_lane_rows() -> np.ndarray:
+    """Rows of 17 embedding-sized values, each with one of ``EXACT_LANE_VALUES``
+    at one position: every lane of both eight-value passes, and the tail."""
+    ordinary = (np.random.default_rng(57).standard_normal(17) * 0.1).astype(np.float32)
+    rows = np.tile(ordinary, (17 * len(EXACT_LANE_VALUES), 1))
+    for n, value in enumerate(EXACT_LANE_VALUES):
+        for i in range(17):
+            rows[17 * n + i, i] = value
+    return rows
+
+
+def random_rows(rng, n_rows, dim) -> np.ndarray:
+    """float32 rows of standard normal values times powers of ten in [1e-9, 1e8]."""
+    rows = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-9, 9, size=(n_rows, dim))
+    return rows.astype(np.float32)
+
+
 def row_text(build, rows, sep=" ", flags=None) -> str:
     return str(build.format_rows(rows, sep, flags), "ascii")
+
+
+def expected_text(rows, sep=" ", flags=None) -> str:
+    return "".join(
+        sep.join(g6(row)) + ("" if flags is None else f" {int(flags[i])}") + "\n"
+        for i, row in enumerate(rows)
+    )
 
 
 class TestFormatRows:
@@ -611,22 +654,33 @@ class TestFormatRows:
         assert "nan" in text and "-nan" not in text and "-0\n" in text
 
     def test_embedding_range_matches_python(self, kernel):
-        # every 97th pattern of magnitude in [1e-7, 1e3): "0.000ddd", integer
-        # parts of one to three digits, and the exponent form below 1e-4
-        low = int(np.float32(1e-7).view(np.uint32)) + int(np.float32(1e-7) < 1e-7)
-        high = int(np.float32(1e3).view(np.uint32))
-        bits = np.arange(low, high, 97, dtype=np.uint32)
-        for sign in (0, 1 << 31):
-            for chunk in np.array_split(bits | np.uint32(sign), 12):
-                values = float32_bits(chunk)
-                assert row_text(kernel, values.reshape(-1, 1)).split() == g6(values)
+        for values in np.array_split(embedding_range_values(), 24):
+            assert row_text(kernel, values.reshape(-1, 1)).split() == g6(values)
 
     @pytest.mark.parametrize("with_flags", [False, True])
-    @pytest.mark.parametrize("dim", [1, 7, 700])
+    def test_exact_lanes_at_every_position(self, kernel, with_flags):
+        rows = exact_lane_rows()
+        flags = np.arange(len(rows)) % 2 == 1 if with_flags else None
+        assert row_text(kernel, rows, " ", flags) == expected_text(rows, " ", flags)
+        # the same values, eight to a row: rows end at a pass
+        eights = rows[:, :16].reshape(-1, 8)
+        assert row_text(kernel, eights) == expected_text(eights)
+
+    def test_lanes_follow_the_cpu(self, kernel, portable):
+        # a typo in the writer's guard would quietly write every value alone
+        flags = set(_native.cpu_identity().split())
+        wide = {"avx512f", "avx512cd", "avx512bw"} <= flags
+        assert kernel.format_lanes == (8 if wide else 1)
+        assert portable.format_lanes == 1
+
+    @pytest.mark.parametrize("with_flags", [False, True])
+    @pytest.mark.parametrize("dim", [1, 7, 8, 16, 700])
     def test_text_stays_within_capacity(self, kernel, with_flags, dim):
         # the longest texts, and the one whose word stores reach furthest past it;
-        # rows of one value fill all but a few bytes of their share of the buffer
-        worst = np.array([-1.17549e-38, -123457, -0.000123457], dtype=np.float32)
+        # rows of one value fill all but a few bytes of their share of the buffer.
+        # -0.000123457 is also the longest text of the eight-lane writer's own
+        # stores, and rows of 8 and 16 end on its pass
+        worst = np.array([-1.17549e-38, -123457, -0.000123457, -1.23457e-05], dtype=np.float32)
         flags = np.array([True, False, True]) if with_flags else None
         for rows in [np.resize(worst, (3, dim)), *(np.full((3, dim), x) for x in worst)]:
             capacity = len(rows) * (_native._VALUE_BYTES * dim + 3)
@@ -635,11 +689,7 @@ class TestFormatRows:
             text = kernel.format_rows(rows, " ", flags, buffer[:capacity])
             assert text.obj.ctypes.data == buffer.ctypes.data  # written in place
             np.testing.assert_array_equal(buffer[capacity:], canary[capacity:])
-            expected = "".join(
-                " ".join(g6(row)) + (f" {int(flags[i])}" if with_flags else "") + "\n"
-                for i, row in enumerate(rows)
-            )
-            assert str(text, "ascii") == expected
+            assert str(text, "ascii") == expected_text(rows, " ", flags)
 
     def test_value_bytes_agree_with_the_kernel_source(self):
         source = _native.SOURCE.read_text()
@@ -648,17 +698,12 @@ class TestFormatRows:
 
     @pytest.mark.parametrize("sep", [" ", "\t"])
     @pytest.mark.parametrize("with_flags", [False, True])
-    @pytest.mark.parametrize("dim", [0, 1, 7])
+    @pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 15, 16, 17, 100, 700])
     def test_separator_and_flags(self, kernel, sep, with_flags, dim):
         rng = np.random.default_rng(dim)
-        rows = (rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-9, 9, size=(40, dim)))
-        rows = rows.astype(np.float32)
+        rows = random_rows(rng, 40, dim)
         flags = rng.random(40) < 0.3 if with_flags else None
-        expected = "".join(
-            sep.join(g6(row)) + (f" {int(flags[i])}" if with_flags else "") + "\n"
-            for i, row in enumerate(rows)
-        )
-        assert row_text(kernel, rows, sep, flags) == expected
+        assert row_text(kernel, rows, sep, flags) == expected_text(rows, sep, flags)
         assert row_text(kernel, rows[:0], sep, None if flags is None else flags[:0]) == ""
 
     def test_bad_arguments_rejected(self, kernel):
@@ -754,9 +799,18 @@ class TestWidthsAgree:
 
     def test_format_rows(self, kernel, portable):
         random = float32_bits(np.random.default_rng(405).integers(0, 2**32, size=200_000))
-        for rows in (random.reshape(-1, 100), tie_and_boundary_values().reshape(-1, 1)):
+        embedding = embedding_range_values()
+        batches = [
+            random.reshape(-1, 100), tie_and_boundary_values().reshape(-1, 1),
+            embedding[: len(embedding) // 100 * 100].reshape(-1, 100), exact_lane_rows(),
+            *(random_rows(np.random.default_rng(dim), 40, dim)
+              for dim in (1, 7, 8, 9, 15, 16, 17, 100, 700)),
+        ]
+        for rows in batches:
             flags = np.arange(len(rows)) % 3 == 0
-            assert row_text(kernel, rows, " ", flags) == row_text(portable, rows, " ", flags)
+            for sep in (" ", "\t"):
+                assert row_text(kernel, rows, sep, flags) == row_text(portable, rows, sep, flags)
+                assert row_text(kernel, rows, sep) == row_text(portable, rows, sep)
 
 
 class TestText:

@@ -541,8 +541,11 @@ class TestSerialization:
         [
             (lambda words: words[:1] + [b"\xff\xfe"] + words[2:], "not UTF-8"),
             (lambda words: words[:1] + words[:1] + words[2:], "repeats word 0"),
+            (lambda words: words[:1] + [b""] + words[2:], r"word 1 \(''\) is empty"),
+            (lambda words: words[:1] + [b"a b"] + words[2:], r"word 1 \('a b'\) .* whitespace"),
+            (lambda words: words[:2] + [b"\xe3\x80\x80c"] + words[3:], r"word 2 .* whitespace"),
         ],
-        ids=["non-utf8", "duplicate"],
+        ids=["non-utf8", "duplicate", "empty", "space", "unicode-space"],
     )
     def test_bad_vocabulary_word_rejected(self, tmp_path, mutate, message):
         path = tmp_path / "m.bin"
