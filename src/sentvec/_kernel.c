@@ -10,6 +10,12 @@
  * masked context.  The step mirrors model.train_step (and the L1 prox of
  * model.apply_l1_after_step), which tests use as its oracle.
  *
+ * The step's row loops run one vector width per build: 16 floats where the
+ * build targets AVX-512F, 8 where it targets AVX and 4 otherwise, then
+ * 4-float blocks and single floats for a row's tail.  Every element of a sum
+ * adds in the same order at any width, and the dot product keeps eight
+ * partial sums at every width, so every build gives the same bits.
+ *
  * Workers share the matrices without locks (Hogwild); only the progress
  * counter is updated atomically.  Randomness comes from a per-worker
  * xoshiro256** state owned by the caller.  Python calls this library
@@ -20,15 +26,17 @@
  * float32 values exactly as Generator.uniform(...).astype(float32) does.
  *
  * sv_embed_lines composes sentence vectors for evaluation.embed_batch from
- * each line's word ids, hashing its n-grams with the training step's own
- * ngram_row, and sv_format_rows writes float32 rows as the %.6g text of
- * evaluation.RowText, which sentvec embed, export-vec and the pair features
- * print.  It scales each value by a power of ten in double; when the result
- * is clearly away from a rounding tie it builds the six digits in one 64-bit
- * word and stores whole 8-byte words, moving on by the text's true length,
- * and otherwise it calls snprintf, which rounds exactly.  Under AVX-512 it
- * takes those steps for eight values at once and leaves the values the
- * lanes do not cover to the one-value writer, so the bytes never differ.
+ * each line's word ids: it hashes the n-grams with the training step's own
+ * ngram_row and takes the mean of the rows with sum_rows, which builds every
+ * step's context mean.  sv_format_rows writes float32 rows as the %.6g text
+ * of evaluation.RowText, which sentvec embed, export-vec and the pair
+ * features print.  It scales each value by a power of ten in double; when
+ * the result is clearly away from a rounding tie it builds the six digits
+ * in one 64-bit word and stores whole 8-byte words, moving on by the text's
+ * true length, and otherwise it calls snprintf, which rounds exactly.  Under
+ * AVX-512 it takes those steps for eight values at once and leaves the
+ * values the lanes do not cover to the one-value writer, so the bytes never
+ * differ.
  *
  * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
  * splits corpus lines on the ASCII whitespace of str.split() and interns
@@ -238,12 +246,13 @@ static int draw_negatives(const sv_alias *a, int64_t target, int64_t count, uint
 
 /* ---- the SGD step ---- */
 
-/* Four-float vectors of the baseline instruction set (SSE2 on x86-64),
- * eight-float ones where the build targets AVX and sixteen-float ones where
- * it targets AVX-512F (-march=native on such a host).  Explicit lanes fix the
- * summation order in this source, so every width gives the same bits and no
- * -ffast-math is needed to vectorize.  No vector wider than the target's
- * registers is compiled: GCC would split it. */
+/* Explicit lanes fix the summation order in this source, so no -ffast-math is
+ * needed to vectorize and every width gives the same bits.  v4f is the
+ * baseline instruction set's vector (SSE2 on x86-64) and v8f AVX's.  vf is
+ * the widest vector the build targets, the one width of the elementwise row
+ * loops: 64 bytes under AVX-512F (-march=native on such a host), 32 under
+ * AVX and 16 otherwise.  No vector wider than the target's registers is
+ * compiled: GCC would split it. */
 typedef float v4f __attribute__((vector_size(16)));
 
 /* four floats from any address, aligned or not */
@@ -265,18 +274,24 @@ static inline v8f load8(const void *p)
 }
 #endif
 
-#ifdef __AVX512F__
+#if defined(__AVX512F__)
 #include <immintrin.h>
+typedef float vf __attribute__((vector_size(64)));
+#elif defined(__AVX__)
+typedef float vf __attribute__((vector_size(32)));
+#else
+typedef float vf __attribute__((vector_size(16)));
+#endif
 
-typedef float v16f __attribute__((vector_size(64)));
+/* the floats of one vf */
+#define VF ((int64_t)(sizeof(vf) / sizeof(float)))
 
-static inline v16f load16(const void *p)
+static inline vf loadv(const void *p)
 {
-    v16f x;
+    vf x;
     memcpy(&x, p, sizeof x);
     return x;
 }
-#endif
 
 /* Lane k of the partial sums adds the products of elements i = k mod 8 in
  * order; a 4-float tail adds to lanes 0-3, then the lanes are summed in
@@ -308,103 +323,62 @@ static inline float dot(const float *a, const float *b, int32_t n)
     return sum;
 }
 
-/* y += a * x, elementwise, so every width rounds alike; x may sit at any
- * byte address, as a mapped model file leaves its rows */
-static inline void add_scaled(float *y, const void *x, float a, int64_t n)
+/* y += a * x, elementwise, so every width rounds alike */
+static inline void add_scaled(float *y, const float *x, float a, int64_t n)
 {
-    const char *const xb = x;
     int64_t i = 0;
-#ifdef __AVX512F__
-    for (; i + 16 <= n; i += 16) {
-        const v16f r = load16(y + i) + a * load16(xb + 4 * i);
+    for (; i + VF <= n; i += VF) {
+        const vf r = loadv(y + i) + a * loadv(x + i);
         memcpy(y + i, &r, sizeof r);
     }
-#endif
-#ifdef __AVX__
-    for (; i + 8 <= n; i += 8) {
-        const v8f r = load8(y + i) + a * load8(xb + 4 * i);
-        memcpy(y + i, &r, sizeof r);
-    }
-#endif
     for (; i + 4 <= n; i += 4) {
-        const v4f r = load4(y + i) + a * load4(xb + 4 * i);
+        const v4f r = load4(y + i) + a * load4(x + i);
         memcpy(y + i, &r, sizeof r);
     }
-    for (; i < n; i++) {
-        float xi;
-        memcpy(&xi, xb + 4 * i, sizeof xi);
-        y[i] += a * xi;
-    }
+    for (; i < n; i++)
+        y[i] += a * x[i];
 }
 
-/* y[0:n] = the sum of weights[r] * matrix[rows[r]][0:n] over r (each weight
- * 1 when weights is NULL), every element added in row order to +0, as
- * add_scaled adds the rows one by one; each block of y stays in a register
- * across the rows */
-static inline void sum_rows(float *y, const float *matrix, const int64_t *rows,
-                            const float *weights, int64_t n_rows, int32_t n)
+/* y[0:n] = the sum of weights[r] * row rows[r] of matrix over r, or, when
+ * weights is NULL, the mean of the rows: each element adds the rows in order
+ * to +0 and is then divided by n_rows (n_rows >= 1), as IEEE division rounds
+ * alike at every width.  Each block of y stays in a register across the rows.
+ * matrix is read as bytes: a mapped model file places its rows at any offset. */
+static inline void sum_rows(float *y, const char *matrix, const int64_t *rows,
+                            const float *weights, int64_t n_rows, int64_t n)
 {
-    int32_t i = 0;
-#ifdef __AVX512F__
-    for (; i + 16 <= n; i += 16) {
-        v16f acc = {0.0f};
+    const size_t row_bytes = sizeof(float) * (size_t)n;
+    const float count = (float)n_rows;
+    int64_t i = 0;
+    for (; i + VF <= n; i += VF) {
+        vf acc = {0.0f};
         for (int64_t r = 0; r < n_rows; r++) {
-            const v16f x = load16(matrix + rows[r] * n + i);
+            const vf x = loadv(matrix + (size_t)rows[r] * row_bytes + sizeof(float) * (size_t)i);
             acc += weights ? weights[r] * x : x;
         }
+        if (!weights)
+            acc /= count;
         memcpy(y + i, &acc, sizeof acc);
     }
-#endif
-#ifdef __AVX__
-    for (; i + 8 <= n; i += 8) {
-        v8f acc = {0.0f};
-        for (int64_t r = 0; r < n_rows; r++) {
-            const v8f x = load8(matrix + rows[r] * n + i);
-            acc += weights ? weights[r] * x : x;
-        }
-        memcpy(y + i, &acc, sizeof acc);
-    }
-#endif
     for (; i + 4 <= n; i += 4) {
         v4f acc = {0.0f};
         for (int64_t r = 0; r < n_rows; r++) {
-            const v4f x = load4(matrix + rows[r] * n + i);
+            const v4f x = load4(matrix + (size_t)rows[r] * row_bytes + sizeof(float) * (size_t)i);
             acc += weights ? weights[r] * x : x;
         }
+        if (!weights)
+            acc /= count;
         memcpy(y + i, &acc, sizeof acc);
     }
     for (; i < n; i++) {
         float acc = 0.0f;
         for (int64_t r = 0; r < n_rows; r++) {
-            const float x = matrix[rows[r] * n + i];
+            float x;
+            memcpy(&x, matrix + (size_t)rows[r] * row_bytes + sizeof(float) * (size_t)i, sizeof x);
             acc += weights ? weights[r] * x : x;
         }
-        y[i] = acc;
+        y[i] = weights ? acc : acc / count;
     }
-}
-
-/* v /= d, elementwise: IEEE division rounds alike at every width */
-static inline void divide(float *v, float d, int64_t n)
-{
-    int64_t i = 0;
-#ifdef __AVX512F__
-    for (; i + 16 <= n; i += 16) {
-        const v16f r = load16(v + i) / d;
-        memcpy(v + i, &r, sizeof r);
-    }
-#endif
-#ifdef __AVX__
-    for (; i + 8 <= n; i += 8) {
-        const v8f r = load8(v + i) / d;
-        memcpy(v + i, &r, sizeof r);
-    }
-#endif
-    for (; i + 4 <= n; i += 4) {
-        const v4f r = load4(v + i) / d;
-        memcpy(v + i, &r, sizeof r);
-    }
-    for (; i < n; i++)
-        v[i] /= d;
 }
 
 static int compare_i64(const void *a, const void *b)
@@ -493,8 +467,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
     float *const source = m->source, *const target = m->target;
     float *const v = w->v, *const grad = w->grad, *const coeff = w->coeff;
 
-    sum_rows(v, source, ctx, NULL, n_ctx, dim);
-    divide(v, (float)n_ctx, dim);
+    sum_rows(v, (const char *)source, ctx, NULL, n_ctx, dim);
 
     /* the loss of each row is log(1 + z) + max(-x, 0); the log terms are
      * taken as the log of the product of the factors 1 + z, each in (1, 2],
@@ -519,7 +492,7 @@ static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, con
         const double p = score >= 0.0f ? 1.0 / (1.0 + z) : z / (1.0 + z);
         coeff[j] = (float)(j == 0 ? p - 1.0 : p);
     }
-    sum_rows(grad, target, scored, coeff, n_scored, dim);
+    sum_rows(grad, (const char *)target, scored, coeff, n_scored, dim);
     const float flr = (float)lr;
     for (int64_t j = 0; j < n_scored; j++)
         add_scaled(target + scored[j] * dim, v, -(flr * coeff[j]), dim);
@@ -760,31 +733,38 @@ void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, d
 
 /* The mean of each line's source rows.  Line i holds the counts[i] ids after
  * the earlier lines' in ids; its unigram rows, then the rows of its windows of
- * order 2..order in the order of sentence_ngrams, are added in order to a zero
- * float32 sum, which is divided by their count (a line with no ids gets the
- * zero vector).  source is byte-addressed (no alignment assumed); out is an
- * aligned n_lines x dim matrix. */
-void sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t buckets,
-                    int32_t order, const int32_t *ids, const int64_t *counts, int64_t n_lines,
-                    float *out)
+ * order 2..order in the order of sentence_ngrams, go into one row list whose
+ * mean sum_rows writes, as the training step's context mean (a line with no
+ * ids gets the zero vector).  source is byte-addressed (no alignment
+ * assumed); out is an aligned n_lines x dim matrix.  Returns SV_OK, or
+ * SV_NO_MEMORY when the row list cannot be allocated. */
+int sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t buckets,
+                   int32_t order, const int32_t *ids, const int64_t *counts, int64_t n_lines,
+                   float *out)
 {
-    const size_t row_bytes = sizeof(float) * (size_t)dim;
+    int64_t max_len = 0;
+    for (int64_t line = 0; line < n_lines; line++)
+        max_len = counts[line] > max_len ? counts[line] : max_len;
+    int64_t *rows = malloc(sizeof(int64_t) * (size_t)(max_len + ngram_count(max_len, order) + 1));
+    if (!rows)
+        return SV_NO_MEMORY;
     for (int64_t line = 0; line < n_lines; line++) {
         float *const v = out + line * dim;
-        memset(v, 0, row_bytes);
         const int64_t len = counts[line];
         int64_t n = 0;
         for (; n < len; n++)
-            add_scaled(v, source + (size_t)ids[n] * row_bytes, 1.0f, dim);
-        for (int32_t k = 2; k <= order && k <= len; k++)
-            for (int64_t i = 0; i + k <= len; i++, n++) {
-                const int64_t row = ngram_row(ids + i, k, vocab_size, buckets);
-                add_scaled(v, source + (size_t)row * row_bytes, 1.0f, dim);
-            }
+            rows[n] = ids[n];
+        for (int32_t k = 2; k <= order; k++)
+            for (int64_t i = 0; i + k <= len; i++)
+                rows[n++] = ngram_row(ids + i, k, vocab_size, buckets);
         if (n > 0)
-            divide(v, (float)n, dim);
+            sum_rows(v, source, rows, NULL, n, dim);
+        else
+            memset(v, 0, sizeof(float) * (size_t)dim);
         ids += len;
     }
+    free(rows);
+    return SV_OK;
 }
 
 /* ---- %.6g text ---- */

@@ -47,7 +47,7 @@ PORTABLE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 HOST_FLAGS = ("-march=native",) if platform.machine().lower() in ("x86_64", "amd64") else ()
 COMPILE_FLAGS = PORTABLE_FLAGS + HOST_FLAGS
 
-# status codes of sv_train_chunk and sv_draw_negatives
+# status codes of sv_train_chunk, sv_draw_negatives and sv_embed_lines
 _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
 
 # most bytes one %.6g float32 value and its separator take; G6_VALUE_BYTES in _kernel.c
@@ -170,7 +170,7 @@ class Kernel:
         lib.sv_embed_lines.argtypes = [
             _ptr, _i64, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _i64, _ptr
         ]
-        lib.sv_embed_lines.restype = None
+        lib.sv_embed_lines.restype = ctypes.c_int
         lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
         lib.sv_fill_uniform.restype = None
         lib.sv_fill_lanes.argtypes = []
@@ -390,11 +390,11 @@ class Kernel:
         # order past int32 silently, which would drop every n-gram
         order = min(order, max(int(counts.max(initial=0)), 1))
         out = np.empty((len(counts), dim), dtype=np.float32)
-        self._lib.sv_embed_lines(
+        _check(self._lib.sv_embed_lines(
             _pointer(source, np.float32, "source", byte_addressed=True), dim, vocab_size,
             buckets, order, _pointer(ids, np.int32, "ids"), _pointer(counts, np.int64, "counts"),
             len(counts), out.ctypes.data,
-        )
+        ))
         return out
 
     def format_rows(

@@ -25,6 +25,7 @@ from .evaluation import (
     read_similarity_tsv,
 )
 from .trainer import (
+    MAX_THREADS,
     PRESETS,
     ModelFormatError,
     TrainConfig,
@@ -97,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, _, ftype, helptext in _TRAIN_FLAGS:
         p_train.add_argument(flag, type=ftype, default=None, help=helptext)
     p_train.add_argument("--threads", type=int, default=None,
-                         help=f"worker threads [default: ${THREADS_ENV_VAR} or "
-                              f"{_DEFAULTS.threads}]")
+                         help=f"worker threads, at most {MAX_THREADS} "
+                              f"[default: ${THREADS_ENV_VAR} or {_DEFAULTS.threads}]")
     p_train.add_argument("--lowercase", action="store_true",
                          help="lowercase all tokens [default: off]")
     p_train.add_argument("--checkpoint", default=None,

@@ -57,6 +57,10 @@ logger = logging.getLogger(__name__)
 MAGIC = b"S2VM"
 FORMAT_VERSION = 1
 INT32_MAX = 2**31 - 1
+# most worker threads a run takes, well above any CPU count this code targets:
+# each worker is one OS thread with its own slab of the initial matrix, so a
+# mistyped count would otherwise start thousands of threads or hang listing slabs
+MAX_THREADS = 1024
 _HEADER = struct.Struct("<4sIIQQIdQ")  # magic, version, dim, |V|, buckets, order, t, tokens
 
 
@@ -117,6 +121,8 @@ class TrainConfig:
             raise ValueError("min_count and min_target_count must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if self.dropout_k < 0:
             raise ValueError(f"dropout_k must be >= 0, got {self.dropout_k}")
         if self.report_every < 1:

@@ -194,6 +194,26 @@ class TestTrainCommand:
         assert f"error: {field} must " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_too_many_threads_fail_before_reading_the_corpus(
+        self, source, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("corpus read")
+
+        monkeypatch.setattr("sentvec.trainer.encode_corpus", no_reading)
+        value = "100000000000000000000000"
+        argv = ["train", "--input", corpus_path, "--output", str(tmp_path / "m.bin")]
+        if source == "flag":
+            argv += ["--threads", value]
+        else:
+            monkeypatch.setenv("SENTVEC_THREADS", value)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith(f"error: threads must be <= 1024, got {value}\n")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SENTVEC_THREADS", "abc")
         out = tmp_path / "flag.bin"

@@ -369,17 +369,19 @@ class TestBuild:
         monkeypatch.setattr(_native, "cpu_identity", lambda: "flags\t: fpu sse2")
         assert _native.library_path() != path
 
-    @pytest.mark.parametrize("flags", ["host", "portable", "avx512"])
+    @pytest.mark.parametrize("flags", ["host", "portable", "avx2", "avx512"])
     def test_kernel_compiles_without_warnings(self, tmp_path, flags):
         compiler = shutil.which("gcc") or shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler (gcc or cc) on PATH")
-        if flags == "avx512" and not _native.HOST_FLAGS:
-            pytest.skip("the AVX-512 paths compile on x86-64 only")
-        # x86-64-v4 compiles the AVX-512 paths even on a CPU that cannot run them
+        if flags in ("avx2", "avx512") and not _native.HOST_FLAGS:
+            pytest.skip("the AVX2 and AVX-512 paths compile on x86-64 only")
+        # x86-64-v3 and -v4 compile the eight- and sixteen-float paths even on
+        # a CPU that cannot run them
         chosen = {
             "host": _native.COMPILE_FLAGS,
             "portable": _native.PORTABLE_FLAGS,
+            "avx2": V3_FLAGS,
             "avx512": _native.PORTABLE_FLAGS + ("-march=x86-64-v4",),
         }[flags]
         proc = subprocess.run(
@@ -487,7 +489,8 @@ class TestEmbedLines:
     def test_equals_numpy_sums_bit_for_bit(self, kernel):
         rng = np.random.default_rng(71)
         vocab_size = 400
-        for order, dim in itertools.product((1, 2, 3), (2, 3, 4, 7, 24, 101)):
+        # 8, 16, 24 and 33 end on a vector block of some build, or one float past it
+        for order, dim in itertools.product((1, 2, 3), (2, 3, 4, 7, 8, 16, 24, 33, 101)):
             buckets = 0 if order == 1 else 97
             source = rng.standard_normal((vocab_size + buckets, dim)).astype(np.float32)
             source[:50] = -0.0
@@ -639,32 +642,55 @@ def expected_text(rows, sep=" ", flags=None) -> str:
     )
 
 
+def assert_same_text(got, want) -> None:
+    """Assert that two texts, or two lists of value texts, are equal.
+
+    A failure shows the first differing value alone, with its index (a byte
+    offset, for texts): pytest's own diff of millions of values or of
+    megabytes of text can take many minutes.
+    """
+    if got == want:
+        return
+    # the first differing index, or the shorter length: a block, then an item
+    n = min(len(got), len(want))
+    block = next((k for k in range(0, n, 4096) if got[k : k + 4096] != want[k : k + 4096]), n)
+    i = next((k for k in range(block, n) if got[k] != want[k]), n)
+    if isinstance(got, str):
+        # from the start of the value holding offset i, which both texts share
+        start = max(got.rfind(sep, 0, i) for sep in " \t\n") + 1
+        where = f"byte offset {i} of texts of {len(got)} and {len(want)} bytes"
+        assert got[start : i + 24] == want[start : i + 24], where
+    else:
+        where = f"value {i} of {len(got)} and {len(want)} values"
+        assert got[i : i + 1] == want[i : i + 1], where
+
+
 class TestFormatRows:
     def test_random_bit_patterns_match_python(self, kernel):
         rows = float32_bits(
             np.random.default_rng(404).integers(0, 2**32, size=2_000_000)
         ).reshape(-1, 100)
-        assert row_text(kernel, rows).split() == g6(rows.ravel())
+        assert_same_text(row_text(kernel, rows).split(), g6(rows.ravel()))
 
     def test_ties_and_boundaries_match_python(self, kernel):
         values = tie_and_boundary_values()
         assert np.isnan(values).sum() == 6 and np.signbit(values[np.isnan(values)]).sum() == 3
         text = row_text(kernel, values.reshape(-1, 1))
-        assert text.splitlines() == g6(values)
+        assert_same_text(text.splitlines(), g6(values))
         assert "nan" in text and "-nan" not in text and "-0\n" in text
 
     def test_embedding_range_matches_python(self, kernel):
         for values in np.array_split(embedding_range_values(), 24):
-            assert row_text(kernel, values.reshape(-1, 1)).split() == g6(values)
+            assert_same_text(row_text(kernel, values.reshape(-1, 1)).split(), g6(values))
 
     @pytest.mark.parametrize("with_flags", [False, True])
     def test_exact_lanes_at_every_position(self, kernel, with_flags):
         rows = exact_lane_rows()
         flags = np.arange(len(rows)) % 2 == 1 if with_flags else None
-        assert row_text(kernel, rows, " ", flags) == expected_text(rows, " ", flags)
+        assert_same_text(row_text(kernel, rows, " ", flags), expected_text(rows, " ", flags))
         # the same values, eight to a row: rows end at a pass
         eights = rows[:, :16].reshape(-1, 8)
-        assert row_text(kernel, eights) == expected_text(eights)
+        assert_same_text(row_text(kernel, eights), expected_text(eights))
 
     def test_lanes_follow_the_cpu(self, kernel, portable):
         # a typo in the writer's guard would quietly write every value alone
@@ -689,7 +715,7 @@ class TestFormatRows:
             text = kernel.format_rows(rows, " ", flags, buffer[:capacity])
             assert text.obj.ctypes.data == buffer.ctypes.data  # written in place
             np.testing.assert_array_equal(buffer[capacity:], canary[capacity:])
-            assert str(text, "ascii") == expected_text(rows, " ", flags)
+            assert_same_text(str(text, "ascii"), expected_text(rows, " ", flags))
 
     def test_value_bytes_agree_with_the_kernel_source(self):
         source = _native.SOURCE.read_text()
@@ -703,7 +729,7 @@ class TestFormatRows:
         rng = np.random.default_rng(dim)
         rows = random_rows(rng, 40, dim)
         flags = rng.random(40) < 0.3 if with_flags else None
-        assert row_text(kernel, rows, sep, flags) == expected_text(rows, sep, flags)
+        assert_same_text(row_text(kernel, rows, sep, flags), expected_text(rows, sep, flags))
         assert row_text(kernel, rows[:0], sep, None if flags is None else flags[:0]) == ""
 
     def test_bad_arguments_rejected(self, kernel):
@@ -716,6 +742,10 @@ class TestFormatRows:
             kernel.format_rows(rows, " ", np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="one ASCII character"):
             kernel.format_rows(rows, ", ")
+
+
+# the x86-64-v3 build: AVX2 and FMA, so eight-float row loops, and no AVX-512
+V3_FLAGS = _native.PORTABLE_FLAGS + ("-march=x86-64-v3",)
 
 
 @pytest.fixture(scope="module")
@@ -734,20 +764,39 @@ def portable(kernel, tmp_path_factory):
     return _native.Kernel(_native._build(path, _native.PORTABLE_FLAGS))
 
 
+@pytest.fixture(scope="module")
+def avx2(kernel, tmp_path_factory):
+    """The kernel built for x86-64-v3: row loops eight floats wide, four PCG64
+    lanes and the one-value %.6g writer."""
+    if not _native.HOST_FLAGS:
+        pytest.skip("x86-64-v3 is an x86-64 target")
+    if not {"avx2", "fma", "bmi2", "movbe"} <= set(_native.cpu_identity().split()):
+        pytest.skip("this CPU cannot run an x86-64-v3 build")
+    path = tmp_path_factory.mktemp("avx2") / "kernel-avx2.so"
+    return _native.Kernel(_native._build(path, V3_FLAGS))
+
+
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
     assert a.dtype == b.dtype and a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 class TestWidthsAgree:
-    """The host build gives the portable build's bits: its row loops run eight
-    floats wide under AVX and sixteen under AVX-512F, and its fill eight
-    PCG64 lanes under AVX-512F with AVX-512DQ, against four of each."""
+    """The host build gives the bits of the portable build, whose row loops
+    run four floats wide and whose fill runs four PCG64 lanes.  The host
+    build's loops run eight floats wide under AVX and sixteen under
+    AVX-512F, and its fill eight lanes under AVX-512F with AVX-512DQ."""
 
-    # 17 = 16 + 1 and 31 = 16 + 8 + 4 + 3 run the sixteen-float body and each tail
+    @pytest.fixture
+    def other(self, portable):
+        return portable
+
+    # each build's one vector width, then 4-float blocks and single floats:
+    # 8, 16, 24 and 33 end on a block of some build or one float past it,
+    # and 31 runs every tail of the sixteen-float build
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("dim", [1, 7, 13, 17, 31, 100, 700])
-    def test_train_chunk(self, kernel, portable, dim, order):
+    @pytest.mark.parametrize("dim", [1, 7, 8, 13, 16, 17, 24, 31, 33, 100, 700])
+    def test_train_chunk(self, kernel, other, dim, order):
         rng = np.random.default_rng(10 * dim + order)
         vocab_size, buckets = 60, 97 if order == 2 else 0
         lengths = rng.integers(2, 16, size=150)
@@ -760,7 +809,7 @@ class TestWidthsAgree:
         source = rng.normal(0.0, scale, size=(vocab_size + buckets, dim)).astype(np.float32)
         target = rng.normal(0.0, scale, size=(vocab_size, dim)).astype(np.float32)
         runs = []
-        for build in (kernel, portable):
+        for build in (kernel, other):
             run = [source.copy(), target.copy()]
             model = build.model(
                 *run, order, buckets, 5, l1_tau=1e-3, dropout_k=2, base_lr=0.1,
@@ -769,13 +818,13 @@ class TestWidthsAgree:
             )
             run += build.train_chunk(model, np.arange(len(lengths), dtype=np.int64), state(dim))
             runs.append(run)
-        for host, four_lanes in zip(*runs):
-            assert_same_bits(host, four_lanes)
+        for host, narrow in zip(*runs):
+            assert_same_bits(host, narrow)
         assert runs[0][3].sum() > 100 and not np.array_equal(runs[0][0], source)
 
-    def test_embed_lines(self, kernel, portable):
+    def test_embed_lines(self, kernel, other):
         rng = np.random.default_rng(73)
-        for dim in (1, 7, 13, 17, 31, 100, 700):
+        for dim in (1, 7, 8, 13, 16, 17, 24, 31, 33, 100, 700):
             aligned = rng.standard_normal((300, dim)).astype(np.float32)
             raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
             raw[1 : 1 + aligned.nbytes] = aligned.view(np.uint8).ravel()
@@ -784,9 +833,9 @@ class TestWidthsAgree:
             ids = rng.integers(0, 200, size=int(counts.sum())).astype(np.int32)
             for source in (aligned, moved):
                 assert_same_bits(kernel.embed_lines(source, 200, 100, 3, ids, counts),
-                                 portable.embed_lines(source, 200, 100, 3, ids, counts))
+                                 other.embed_lines(source, 200, 100, 3, ids, counts))
 
-    def test_fill_uniform(self, kernel, portable):
+    def test_fill_uniform(self, kernel, other):
         lengths = (0, 1, 5, 7, 8, 9, 15, 16, 17, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003)
         for n in lengths:
             for delta in (0, 2**127 + 11):
@@ -794,10 +843,10 @@ class TestWidthsAgree:
                 bits.advance(delta)
                 host, four_lanes = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
                 kernel.fill_uniform(host, bits.state, -0.005, 0.005)
-                portable.fill_uniform(four_lanes, bits.state, -0.005, 0.005)
+                other.fill_uniform(four_lanes, bits.state, -0.005, 0.005)
                 assert_same_bits(host, four_lanes)
 
-    def test_format_rows(self, kernel, portable):
+    def test_format_rows(self, kernel, other):
         random = float32_bits(np.random.default_rng(405).integers(0, 2**32, size=200_000))
         embedding = embedding_range_values()
         batches = [
@@ -809,8 +858,18 @@ class TestWidthsAgree:
         for rows in batches:
             flags = np.arange(len(rows)) % 3 == 0
             for sep in (" ", "\t"):
-                assert row_text(kernel, rows, sep, flags) == row_text(portable, rows, sep, flags)
-                assert row_text(kernel, rows, sep) == row_text(portable, rows, sep)
+                assert_same_text(row_text(kernel, rows, sep, flags),
+                                 row_text(other, rows, sep, flags))
+                assert_same_text(row_text(kernel, rows, sep), row_text(other, rows, sep))
+
+
+class TestWidthsAgreeAvx2(TestWidthsAgree):
+    """The same checks against the x86-64-v3 build, whose row loops run
+    eight floats wide, so that every width runs on an AVX-512 host."""
+
+    @pytest.fixture
+    def other(self, avx2):
+        return avx2
 
 
 class TestText:

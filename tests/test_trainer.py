@@ -12,6 +12,7 @@ import pytest
 
 from sentvec.sampling import discard_keep_prob
 from sentvec.trainer import (
+    MAX_THREADS,
     PRESETS,
     ModelFormatError,
     TrainConfig,
@@ -60,6 +61,7 @@ class TestTrainConfig:
             ("min_count", 0),
             ("min_target_count", 0),
             ("threads", 0),
+            ("threads", 1025),
             ("dropout_k", -1),
             ("report_every", 0),
         ],
@@ -93,6 +95,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: 2**31}).validate()
         TrainConfig(**{field: 2**31 - 1}).validate()
+
+    def test_thread_count_bounded(self):
+        # validate() runs before any worker or init slab exists
+        TrainConfig(threads=MAX_THREADS).validate()
+        with pytest.raises(ValueError, match=f"^threads must be <= {MAX_THREADS}, got {10**23}$"):
+            TrainConfig(threads=10**23).validate()
 
     def test_bucketless_ngrams_rejected(self):
         with pytest.raises(ValueError):
