@@ -40,9 +40,11 @@
  *
  * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
  * splits corpus lines on the ASCII whitespace of str.split() and interns
- * their tokens (corpus.encode_corpus); sv_lookup_lines splits the ASCII
- * lines evaluation.embed_batch composes and looks their tokens up in a
- * table of the model's vocabulary.
+ * their tokens (corpus.encode_corpus); sv_lookup_lines splits every line
+ * evaluation.embed_batch composes and looks its tokens up in a table of
+ * every word of the model's vocabulary.  Neither knows the non-ASCII
+ * whitespace of str.split(): Python hands them a line with a byte >= 0x80
+ * as its str.split() tokens joined by spaces.
  *
  * Every float pointer an entry point takes must be 4-byte aligned, except
  * the source matrix of sv_embed_lines: a mapped model file places it at
@@ -1345,29 +1347,13 @@ static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
 }
 
 /* Intern the tokens of the lines of data[0:len), in order; a line ends at
- * '\n' or at len.  The lines that start at the n_replaced increasing offsets
- * replaced[] are split from texts[0:texts_len) instead, which holds their
- * texts in turn, each ended by '\n'.  Returns 0, or -1 when out of memory. */
-int sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t len,
-                    const int64_t *replaced, int64_t n_replaced, const unsigned char *texts,
-                    int64_t texts_len)
+ * '\n' or at len.  Returns 0, or -1 when out of memory. */
+int sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t len)
 {
-    int64_t r = 0, q = 0;
     for (int64_t p = 0; p < len;) {
         const unsigned char *newline = memchr(data + p, '\n', (size_t)(len - p));
         const int64_t end = newline != NULL ? newline - data : len;
-        int status;
-        if (r < n_replaced && replaced[r] == p) {
-            const int64_t left = texts_len > q ? texts_len - q : 0;
-            const unsigned char *text_end = memchr(texts + q, '\n', (size_t)left);
-            const int64_t stop = text_end != NULL ? text_end - texts : q + left;
-            status = encode_line(e, texts + q, stop - q);
-            q = stop + 1;
-            r++;
-        } else {
-            status = encode_line(e, data + p, end - p);
-        }
-        if (status != 0)
+        if (encode_line(e, data + p, end - p) != 0)
             return -1;
         p = end + 1;
     }

@@ -181,7 +181,7 @@ class Kernel:
         lib.sv_encoder_new.restype = _ptr
         lib.sv_encoder_free.argtypes = [_ptr]
         lib.sv_encoder_free.restype = None
-        lib.sv_encode_lines.argtypes = [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64]
+        lib.sv_encode_lines.argtypes = [_ptr, _ptr, _i64]
         lib.sv_encode_lines.restype = ctypes.c_int
         lib.sv_encoder_sizes.argtypes = [_ptr, _ptr]
         lib.sv_encoder_sizes.restype = None
@@ -429,7 +429,7 @@ class Kernel:
         return Encoder(self._lib)
 
     def lookup_table(self, words: list[str], values: np.ndarray) -> "LookupTable":
-        """A ``LookupTable`` that maps ``words[i]`` (distinct ASCII strings) to ``values[i]``."""
+        """A ``LookupTable`` that maps ``words[i]`` (distinct strings) to ``values[i]``."""
         return LookupTable(self._lib, words, values)
 
 
@@ -464,25 +464,18 @@ class Encoder:
             self._lib.sv_encoder_free(self._handle)
             self._handle = None
 
-    def encode_lines(self, data, stop: int, replaced: list[int], texts: list[str]) -> None:
+    def encode_lines(self, data, stop: int) -> None:
         """Intern the tokens of the lines of ``data[:stop]``, in order.
 
         A line ends at ``\\n`` or at ``stop``, and its tokens are the runs
         between ASCII whitespace bytes (``str.split``'s, ``\\x1c``-``\\x1f``
-        included).  The line that starts at ``replaced[i]`` (increasing
-        offsets) is split from ``texts[i]`` instead, which holds no
-        ``\\n``.
+        included); ``corpus`` hands over a line with other whitespace as its
+        ``str.split`` tokens joined by spaces.
         """
-        starts = np.array(replaced, dtype=np.int64)
-        if not 0 <= stop <= len(data) or len(starts) != len(texts):
-            raise ValueError(f"bad line range {stop} of {len(data)} bytes, or texts")
-        if len(starts) and (starts[0] < 0 or starts[-1] >= stop or np.any(np.diff(starts) <= 0)):
-            raise ValueError("replaced lines must start at increasing offsets within the lines")
-        blob = "".join([text + "\n" for text in texts]).encode("utf-8")
+        if not 0 <= stop <= len(data):
+            raise ValueError(f"bad line range {stop} of {len(data)} bytes")
         view, address = _address(data)
-        status = self._lib.sv_encode_lines(
-            self._handle, address, stop, starts.ctypes.data, len(starts), blob, len(blob)
-        )
+        status = self._lib.sv_encode_lines(self._handle, address, stop)
         del view
         if status != 0:
             raise MemoryError("native encoder ran out of memory or of int32 token ids")
@@ -508,13 +501,18 @@ class Encoder:
 
 
 class LookupTable:
-    """ASCII words and their values, looked up by the tokens of ASCII lines (``sv_table``)."""
+    """Words and their values, looked up by the tokens of lines (``sv_table``).
+
+    The table holds each word's UTF-8 bytes (a lone surrogate passes
+    through), so a token finds a word when their bytes are equal.
+    """
 
     def __init__(self, lib: ctypes.CDLL, words: list[str], values: np.ndarray) -> None:
         if values.shape != (len(words),):
             raise ValueError("need one value per word")
-        blob = "".join(words).encode("ascii")
-        ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+        encoded = [w.encode("utf-8", "surrogatepass") for w in words]
+        blob = b"".join(encoded)
+        ends = np.cumsum([len(w) for w in encoded], dtype=np.int64)
         self._lib = lib
         self._values = np.require(values, np.int64, "CA")
         self._handle = lib.sv_table_new(blob, ends.ctypes.data, len(words))

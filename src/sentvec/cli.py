@@ -160,6 +160,14 @@ def cmd_train(args) -> int:
     if args.report_every is not None:
         kwargs["report_every"] = args.report_every
     config = TrainConfig(**kwargs)
+    # both are first written after an epoch: a path that cannot take them would lose it
+    for flag, path in (("--output", args.output), ("--checkpoint", args.checkpoint)):
+        if path is not None:
+            parent = os.path.dirname(path) or "."
+            if not os.path.isdir(parent):
+                raise ValueError(f"{flag} {path}: {parent} is not a directory")
+            if os.path.isdir(path):
+                raise ValueError(f"{flag} {path} is a directory")
     model = train(args.input, config)
     save_model(model, args.output)
     stats = model.stats

@@ -5,10 +5,10 @@ accepted when the filename ends in ".gz").  Sentences are tokenized by
 splitting on Unicode whitespace; there is no internal sentence splitting.
 One pass gives both the vocabulary, whose frequent words get dense ids by
 descending count, and the corpus as CSR ids.  A corpus file is read in raw
-blocks, and the native kernel splits and interns its ASCII lines; the
-other lines, and every line when lowercasing, are decoded and split in
-Python.  Word n-grams are mapped to
-a fixed number of bucket rows through a deterministic 32-bit hash so that
+blocks, and the native kernel splits and interns every line; Python first
+rewrites a line with a byte >= 0x80, and every line when lowercasing, as its
+``str.split`` tokens joined by spaces.  Word n-grams are mapped to a fixed
+number of bucket rows through a deterministic 32-bit hash so that
 models remain portable across implementations.
 """
 
@@ -89,7 +89,7 @@ class Vocabulary:
     min_count: int
     min_target_count: int
     _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # the kernel's table of the ASCII words, built by the first ``embed_batch``
+    # the kernel's table of every word, built by the first ``embed_batch``
     _lookup: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -223,17 +223,16 @@ def _encode_natively(encoder, corpus: CorpusFile):
 def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, before: int) -> None:
     """Encode the lines of ``data[:stop]``, which follow line ``before`` of the corpus.
 
-    The kernel splits ASCII lines itself.  A line with a byte >= 0x80,
-    and every line when lowercasing, is decoded and split by
-    ``str.split``, which knows the non-ASCII whitespace too, and the
-    kernel interns its tokens joined by spaces in its place.
+    The kernel splits at ASCII whitespace only.  So a line with a byte
+    >= 0x80, and every line when lowercasing, is decoded and split by
+    ``str.split``, which knows the non-ASCII whitespace too, and its tokens
+    joined by spaces take its place in the bytes the kernel reads.
     """
-    starts, texts = [], []
     lowercase = corpus.lowercase
     if lowercase or not data.isascii():
         lines = bytes(data[:stop]).split(b"\n")
-        if not lines[-1]:
-            lines.pop()  # the piece after the last line end
+        if lines[-1]:
+            lines.append(b"")  # ends the last line: its rewrite may leave it empty
         start = 0
         for i, line in enumerate(lines):
             if lowercase or not line.isascii():
@@ -244,10 +243,11 @@ def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, befor
                     raw = data[start : start + len(line) + 1]
                     _decode_line(raw, corpus.path, before + 1 + i)
                     raise
-                starts.append(start)
-                texts.append(" ".join((text.lower() if lowercase else text).split()))
+                lines[i] = " ".join((text.lower() if lowercase else text).split()).encode()
             start += len(line) + 1
-    encoder.encode_lines(data, stop, starts, texts)
+        data = b"\n".join(lines)
+        stop = len(data)
+    encoder.encode_lines(data, stop)
 
 
 def build_vocab(

@@ -114,60 +114,47 @@ def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
     return np.array(found, dtype=np.int64), counts
 
 
-def _ascii_data(lines) -> bytes | None:
-    """``lines`` back to back as bytes when every one is ASCII, else None."""
-    try:
-        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
-    except TypeError:  # str and bytes lines mixed
-        data = b"".join([t.encode("utf-8", "surrogatepass") if isinstance(t, str) else t
-                         for t in lines])
-    if not data.isascii():
-        return None
-    return data.encode("ascii") if isinstance(data, str) else data
+def _kernel_line(vocab: Vocabulary, text) -> bytes:
+    """Line ``text`` as bytes in which the kernel finds ``_python_ids``' ids.
 
-
-def _kernel_ids(kernel, vocab: Vocabulary, lines, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``_token_ids`` of ASCII ``lines``, whose bytes back to back are ``data``, in the kernel."""
-    if vocab._lookup is None:
-        # ASCII tokens never match other words; ASCII lowercasing equals str.lower() on them
-        words = [w for w in vocab.word_index if w.isascii()]
-        ids = np.array([vocab.word_index[w] for w in words], dtype=np.int64)
-        vocab._lookup = kernel.lookup_table(words, ids)
-    return vocab._lookup.lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
+    An ASCII line stays as it is.  Any other is split by ``str.split``, and
+    each token the vocabulary lacks is ``str.lower()``ed, which leaves no
+    ASCII capital for the kernel's own case fold; the tokens are joined by
+    spaces, which the kernel splits at.
+    """
+    if text.isascii():
+        return text.encode("ascii") if isinstance(text, str) else text
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    index = vocab.word_index
+    text = " ".join([t if t in index else t.lower() for t in text.split()])
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
     """The vocabulary id of every token of ``lines`` (-1 when unknown) and each line's token count.
 
     Lines split on whitespace.  A token is looked up verbatim, then
-    lowercased.  The kernel splits and looks up ASCII lines, and the
-    rest go through ``str.split`` and the word index, with the same ids.
+    lowercased.  The kernel splits and looks up every line of the batch in
+    one call, after ``_kernel_line`` has rewritten any line that is not
+    all ASCII.
     """
     kernel = _kernel()
     if kernel is None:
         return _python_ids(vocab, lines)
-    data = _ascii_data(lines)
-    if data is not None:
-        return _kernel_ids(kernel, vocab, lines, data)
-    fast = [text.isascii() for text in lines]
-    parts = []
-    for ascii_ in (True, False):
-        which = np.array([i for i, flag in enumerate(fast) if flag == ascii_], dtype=np.int64)
-        subset = [lines[i] for i in which.tolist()]
-        ids, counts = (_kernel_ids(kernel, vocab, subset, _ascii_data(subset)) if ascii_
-                       else _python_ids(vocab, subset))
-        parts.append((which, ids, counts))
-    counts = np.zeros(len(lines), dtype=np.int64)
-    for which, _, part_counts in parts:
-        counts[which] = part_counts
-    starts = np.cumsum(counts) - counts
-    ids = np.empty(int(counts.sum()), dtype=np.int64)
-    for which, part_ids, part_counts in parts:
-        part_starts = np.cumsum(part_counts) - part_counts
-        ids[np.repeat(starts[which] - part_starts, part_counts) + np.arange(len(part_ids))] = (
-            part_ids
-        )
-    return ids, counts
+    try:
+        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
+    except TypeError:  # str and bytes lines mixed
+        data = None
+    if data is not None and data.isascii():
+        data = data.encode("ascii") if isinstance(data, str) else data
+    else:
+        lines = [_kernel_line(vocab, text) for text in lines]
+        data = b"".join(lines)
+    if vocab._lookup is None:
+        ids = np.array(list(vocab.word_index.values()), dtype=np.int64)
+        vocab._lookup = kernel.lookup_table(list(vocab.word_index), ids)
+    return vocab._lookup.lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
 
 
 def embed_batch(

@@ -125,6 +125,8 @@ class TrainConfig:
             raise ValueError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if self.dropout_k < 0:
             raise ValueError(f"dropout_k must be >= 0, got {self.dropout_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
 

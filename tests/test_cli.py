@@ -214,6 +214,47 @@ class TestTrainCommand:
         assert err.endswith(f"error: threads must be <= 1024, got {value}\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_negative_seed_fails_before_reading_the_corpus(
+        self, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("corpus read")
+
+        monkeypatch.setattr("sentvec.trainer.encode_corpus", no_reading)
+        out = tmp_path / "m.bin"
+        assert main(["train", "--input", corpus_path, "--output", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith("error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--output", "--checkpoint"])
+    @pytest.mark.parametrize("where", ["missing-parent", "file-parent", "directory"])
+    def test_unwritable_model_path_fails_before_reading_the_corpus(
+        self, flag, where, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("corpus read")
+
+        monkeypatch.setattr("sentvec.trainer.encode_corpus", no_reading)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        bad = {
+            "missing-parent": tmp_path / "nodir" / "m.bin",
+            "file-parent": tmp_path / "file" / "m.bin",
+            "directory": tmp_path / "dir",
+        }[where]
+        problem = " is" if where == "directory" else f": {bad.parent} is not"
+        paths = {"--output": tmp_path / "m.bin", "--checkpoint": tmp_path / "c.bin", flag: bad}
+        argv = ["train", "--input", corpus_path]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith(f"error: {flag} {bad}{problem} a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
     def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SENTVEC_THREADS", "abc")
         out = tmp_path / "flag.bin"

@@ -380,17 +380,28 @@ class TestNativeEncoding:
         b"\n\n",
         b"",
         b"a\x00b a\x00b c\nc a\x00b\n",
-    ], ids=["crlf", "empty-lines", "no-final-newline", "only-newlines", "empty", "nul"])
+        "a b\n\u3000".encode(),
+    ], ids=["crlf", "empty-lines", "no-final-newline", "only-newlines", "empty", "nul",
+            "blank-last-line"])
     @pytest.mark.parametrize("name", ["c.txt", "c.txt.gz"])
     def test_line_ends(self, kernel, without_kernel, tmp_path, data, name):
-        self.assert_same(kernel, without_kernel, self.write(tmp_path, data, name))
+        from sentvec.corpus import _encode_natively
+
+        path = self.write(tmp_path, data, name)
+        with kernel.encoder() as encoder:
+            lengths = _encode_natively(encoder, iter_corpus(str(path)))[1]
+        # every line counts, also a last one without its end that rewrites to nothing
+        assert lengths.tolist() == [len(tokens) for tokens in iter_corpus(str(path))]
+        self.assert_same(kernel, without_kernel, path)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_lines_straddle_blocks(self, kernel, without_kernel, tmp_path, monkeypatch, block):
         from sentvec import corpus
 
         monkeypatch.setattr(corpus, "_BLOCK_BYTES", block)
-        data = "aa bbb c\ncafé aa\n\nbbb  c aa c\r\nÄpfel c\nlast aa".encode()
+        # the U+3000 line's rewrite is shorter than it, and ASCII lines follow it
+        data = "aa bbb c\ncafé aa\n\na\u3000\u3000b\nc aa\nbbb a\nbbb  c aa c\r\nÄpfel c\nlast aa"
+        data = data.encode()
         self.assert_same(kernel, without_kernel, self.write(tmp_path, data))
 
     def test_non_ascii_lines_keep_first_occurrence_order(self, kernel, without_kernel, tmp_path):

@@ -752,9 +752,13 @@ class TestReadSimilarityTsv:
 
 
 class TestNativeLookup:
-    """``embed_batch`` with the kernel's lookup of ASCII lines against the Python lookup."""
+    """``embed_batch`` with the kernel's lookup against the Python lookup."""
 
-    WORDS = ["the", "cat", "sat", "on", "mat", "k", "i̇", "äpfel", "Dog", "a b", "x\x1cy"]
+    # "äpfelbäume" and "äpfelbäumen" share their first 8 UTF-8 bytes
+    WORDS = [
+        "the", "cat", "sat", "on", "mat", "k", "i̇", "äpfel", "Dog", "a b", "x\x1cy",
+        "äpfelbäume", "äpfelbäumen", "\udc80",
+    ]
     LINES = [
         "The cat SAT on the Mat",
         "unknown words only",
@@ -771,6 +775,10 @@ class TestNativeLookup:
         "the cat　sat mat",
         "a b x\x1cy",
         "cAt The MAT mAt the cat sat on",
+        "cat \udc80 the",  # a lone surrogate, which only a str line holds
+        # two non-ASCII spaces, the Kelvin sign, and "Dog", which str.lower() would lose
+        "The\u00a0CAT\u3000\u212a sAt Dog",
+        "ÄPFELBÄUME The",
     ]
 
     def model(self, order):
@@ -787,7 +795,8 @@ class TestNativeLookup:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_equals_the_python_lookup(self, kernel, without_kernel, order):
         model = self.model(order)
-        as_bytes = [line.encode() for line in self.LINES]
+        # a lone surrogate has no UTF-8 bytes: that line stays a str
+        as_bytes = [line if "\udc80" in line else line.encode() for line in self.LINES]
         mixed = [b if i % 2 else s for i, (s, b) in enumerate(zip(self.LINES, as_bytes))]
         cases = [self.LINES, as_bytes, mixed, self.LINES[:1], self.LINES[4:5]]
         native = [self.embedded(model, lines) for lines in cases]
@@ -800,7 +809,7 @@ class TestNativeLookup:
         flags = native[0][1]
         assert flags.tolist() == [
             False, True, True, True, False, False, False, False, False, False, False,
-            False, False, True, False,
+            False, False, True, False, False, False, False,
         ]
 
     def test_table_built_once_per_vocabulary(self, kernel):

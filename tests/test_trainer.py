@@ -64,6 +64,7 @@ class TestTrainConfig:
             ("threads", 1025),
             ("dropout_k", -1),
             ("report_every", 0),
+            ("seed", -1),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
