@@ -18,17 +18,18 @@ from .corpus import _decode_line
 from .evaluation import (
     OovStats,
     RowText,
+    SimilarityPairs,
     arora_weight,
     embed_batch,
     evaluate_similarity,
     norm_profile,
-    read_similarity_tsv,
 )
 from .trainer import (
     MAX_THREADS,
     PRESETS,
     ModelFormatError,
     TrainConfig,
+    check_model_path,
     export_text_vectors,
     load_model,
     save_model,
@@ -160,14 +161,9 @@ def cmd_train(args) -> int:
     if args.report_every is not None:
         kwargs["report_every"] = args.report_every
     config = TrainConfig(**kwargs)
-    # both are first written after an epoch: a path that cannot take them would lose it
     for flag, path in (("--output", args.output), ("--checkpoint", args.checkpoint)):
         if path is not None:
-            parent = os.path.dirname(path) or "."
-            if not os.path.isdir(parent):
-                raise ValueError(f"{flag} {path}: {parent} is not a directory")
-            if os.path.isdir(path):
-                raise ValueError(f"{flag} {path} is a directory")
+            check_model_path(path, flag)
     model = train(args.input, config)
     save_model(model, args.output)
     stats = model.stats
@@ -233,14 +229,14 @@ def cmd_embed(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     model = load_model(args.model)
-    records = read_similarity_tsv(args.dataset)
+    pairs = SimilarityPairs.read(args.dataset)
     stats = OovStats()
     try:
-        r, rho, n_used = evaluate_similarity(model, records, stats)
+        r, rho, n_used = evaluate_similarity(model, pairs, stats)
     finally:
         _log_oov(stats)
     print(f"pearson={r:.6f} spearman={rho:.6f} n={n_used} "
-          f"excluded={len(records) - n_used}")
+          f"excluded={len(pairs) - n_used}")
     return 0
 
 

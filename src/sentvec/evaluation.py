@@ -5,7 +5,10 @@ no masking, no subsampling) and always runs in batches through
 ``embed_batch``.  Similarity datasets are tab-separated
 ``score<TAB>sentence_a<TAB>sentence_b`` lines; predicted cosine
 similarities are correlated against the gold scores with Pearson's r and
-Spearman's rho.
+Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
+file: it checks and splits the whole file's bytes at once, and
+``evaluate_similarity`` scores its pairs from those bytes, with one
+lookup for both sides and no per-record Python objects on an ASCII file.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .trainer import TrainedModel
 
 __all__ = [
     "SimilarityRecord",
+    "SimilarityPairs",
     "OovStats",
     "embed_batch",
     "embed_sentence",
@@ -43,6 +47,119 @@ class SimilarityRecord:
     sentence_a: str
     sentence_b: str
     gold: float
+
+
+class SimilarityPairs:
+    """The labelled pairs of a similarity dataset as one buffer of text.
+
+    ``data`` holds three spans per record, back to back: span ``i`` is
+    ``data[ends[i - 1]:ends[i]]`` (from 0 for ``i = 0``).  Span ``3k``
+    holds record k's score, span ``3k + 1`` its sentence a and span
+    ``3k + 2`` its sentence b, each sentence after the tab before it; a
+    score span also holds the line ends before it.  To the lookup those
+    are whitespace.  ``gold`` holds the scores as float64.  ``data`` is
+    the bytes of a file (``read``) or a ``str`` (``of``).
+    """
+
+    __slots__ = ("data", "ends", "gold")
+
+    def __init__(self, data, ends: np.ndarray, gold: np.ndarray) -> None:
+        self.data, self.ends, self.gold = data, ends, gold
+
+    def __len__(self) -> int:
+        return len(self.gold)
+
+    @classmethod
+    def of(cls, records: list[SimilarityRecord]) -> "SimilarityPairs":
+        """The pairs of ``records``, in their order."""
+        texts = [
+            text for r in records for text in ("", "\t" + r.sentence_a, "\t" + r.sentence_b)
+        ]
+        ends = np.cumsum(list(map(len, texts)), dtype=np.int64)
+        return cls("".join(texts), ends, np.array([r.gold for r in records], dtype=np.float64))
+
+    @classmethod
+    def read(cls, path) -> "SimilarityPairs":
+        """Parse the ``score<TAB>sentence_a<TAB>sentence_b`` lines of file ``path``.
+
+        Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as ``bytes.splitlines``
+        splits them; empty lines are skipped but counted.  Every other line
+        must hold exactly two tabs and a finite score, and the file must be
+        UTF-8.  numpy finds the line ends and tabs of the whole file, one
+        decode checks its UTF-8 and ``float()`` parses each score.  The
+        first line that fails a check raises a ``ValueError`` citing
+        ``path`` and the line number, with the text a line-by-line reader
+        gives: an invalid UTF-8 line's byte offset and reason come from
+        decoding that line alone.
+        """
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # no multi-byte character holds \r or \n
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        line_ends = np.flatnonzero(buf == ord("\n"))
+        if data and data[-1] != ord("\n"):
+            line_ends = np.append(line_ends, len(data))
+        starts = np.concatenate([[0], line_ends + 1])[: len(line_ends)]
+        tabs = np.flatnonzero(buf == ord("\t"))
+        tab_counts = np.diff(np.searchsorted(tabs, line_ends), prepend=0)
+        filled = line_ends > starts
+        # the first line that fails a whole-file check, else the line count
+        bad = np.flatnonzero(filled & (tab_counts != 2))
+        first_bad = int(bad[0]) if len(bad) else len(line_ends)
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                # the line ends are ASCII, so the bad bytes start inside the first bad line
+                first_bad = min(first_bad, int(np.searchsorted(line_ends, err.start, "right")))
+
+        # every line before the first bad one is empty or a record with two tabs
+        lines = np.flatnonzero(filled[:first_bad])
+        tabs = tabs[: 2 * len(lines)].reshape(-1, 2)
+        scores = [data[a:b] for a, b in zip(starts[lines].tolist(), tabs[:, 0].tolist())]
+        try:
+            gold = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
+        except ValueError:
+            gold = None
+        if gold is None or not np.isfinite(gold).all():
+            gold = np.array([
+                _score(text, path, line + 1) for text, line in zip(scores, lines.tolist())
+            ], dtype=np.float64)
+        if first_bad < len(line_ends):
+            lineno = first_bad + 1
+            _decode_line(data[starts[first_bad] : line_ends[first_bad]], path, lineno)
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
+                f"got {tab_counts[first_bad] + 1}"
+            )
+        stop = int(line_ends[lines[-1]]) if len(lines) else 0
+        ends = np.column_stack([tabs, line_ends[lines]]).ravel()
+        return cls(data[:stop], ends, gold)
+
+    def records(self) -> list[SimilarityRecord]:
+        """The pairs as ``SimilarityRecord``s."""
+        data, bounds = self.data, self.ends.tolist()
+        # each side's text follows the tab its span starts with
+        sides = [
+            [data[start + 1 : end] for start, end in zip(bounds[side::3], bounds[side + 1 :: 3])]
+            for side in (0, 1)
+        ]
+        if isinstance(data, bytes):
+            sides = [[text.decode("utf-8") for text in texts] for texts in sides]
+        return [SimilarityRecord(*pair) for pair in zip(*sides, self.gold.tolist())]
+
+
+def _score(text: bytes, path, lineno: int) -> float:
+    """The score field ``text`` of line ``lineno``, as ``float()`` parses its ``str``."""
+    text = text.decode("utf-8")
+    try:
+        gold = float(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: line {lineno}: bad score {text!r}") from err
+    if not math.isfinite(gold):
+        raise ValueError(f"{path}: line {lineno}: non-finite score {text!r}")
+    return gold
 
 
 class OovStats:
@@ -151,10 +268,29 @@ def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
     else:
         lines = [_kernel_line(vocab, text) for text in lines]
         data = b"".join(lines)
+    return _table(vocab, kernel).lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
+
+
+def _table(vocab: Vocabulary, kernel):
+    """The kernel's lookup table of every word of ``vocab``, built on first use."""
     if vocab._lookup is None:
         ids = np.array(list(vocab.word_index.values()), dtype=np.int64)
         vocab._lookup = kernel.lookup_table(list(vocab.word_index), ids)
-    return vocab._lookup.lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
+    return vocab._lookup
+
+
+def _span_ids(vocab: Vocabulary, data, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_token_ids`` of the spans ``data[ends[i - 1]:ends[i]]`` of one ``str`` or bytes buffer.
+
+    An ASCII buffer goes to the kernel whole; any other is cut into its
+    spans, which ``_token_ids`` rewrites or looks up in Python.
+    """
+    kernel = _kernel()
+    if kernel is not None and data.isascii():
+        data = data.encode("ascii") if isinstance(data, str) else data
+        return _table(vocab, kernel).lookup(data, ends)
+    bounds = ends.tolist()
+    return _token_ids(vocab, [data[a:b] for a, b in zip([0, *bounds], bounds)])
 
 
 def embed_batch(
@@ -170,11 +306,16 @@ def embed_batch(
     in-vocabulary token gets the zero vector and its flag set.  ``stats``,
     when given, accumulates the batch's line and token counts.
     """
-    lines = list(lines)
-    ids, per_line = _token_ids(model.vocab, lines)
+    return _embed_ids(model, *_token_ids(model.vocab, list(lines)), stats)
+
+
+def _embed_ids(
+    model: TrainedModel, ids: np.ndarray, per_line: np.ndarray, stats: OovStats | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``embed_batch`` of lines given as their token ids (-1 unknown) and token counts."""
+    line_of_token = np.repeat(np.arange(len(per_line)), per_line)
     known_token = ids >= 0
-    line_of_token = np.repeat(np.arange(len(lines)), per_line)
-    known = np.bincount(line_of_token[known_token], minlength=len(lines))
+    known = np.bincount(line_of_token[known_token], minlength=len(per_line))
 
     flags = known == 0
     unigrams = ids[known_token]
@@ -287,27 +428,36 @@ def spearman(xs, ys) -> float:
 
 def evaluate_similarity(
     model: TrainedModel,
-    records: list[SimilarityRecord],
+    records: list[SimilarityRecord] | SimilarityPairs,
     stats: OovStats | None = None,
 ) -> tuple[float, float, int]:
     """Correlate predicted pair cosines against gold scores.
 
-    Records where either side has no in-vocabulary token are excluded (a
-    constant zero prediction would poison the correlation); the number of
-    used records is returned alongside (pearson, spearman).  A side whose
-    vector has zero norm scores cosine 0, as in ``cosine``.  ``stats``,
-    when given, accumulates the OOV counts of both sides.
+    ``records`` are ``SimilarityRecord``s or the ``SimilarityPairs`` of a
+    file; records are joined into the pairs' one buffer, so both score
+    alike.  One lookup finds the token ids of every span of the buffer,
+    and each side's lines are composed as ``embed_batch`` composes them,
+    in one call per side.  Records where either side has no
+    in-vocabulary token are excluded (a constant zero prediction would
+    poison the correlation); the number of used records is returned
+    alongside (pearson, spearman).  A side whose vector has zero norm
+    scores cosine 0, as in ``cosine``.  ``stats``, when given,
+    accumulates the OOV counts of side a, then of side b.
     """
-    va, oov_a = embed_batch(model, [record.sentence_a for record in records], stats)
-    vb, oov_b = embed_batch(model, [record.sentence_b for record in records], stats)
+    pairs = records if isinstance(records, SimilarityPairs) else SimilarityPairs.of(records)
+    ids, counts = _span_ids(model.vocab, pairs.data, pairs.ends)
+    # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b
+    span_of_token = np.repeat(np.arange(len(counts)) % 3, counts)
+    va, oov_a = _embed_ids(model, ids[span_of_token == 1], counts[1::3], stats)
+    vb, oov_b = _embed_ids(model, ids[span_of_token == 2], counts[2::3], stats)
     used = ~(oov_a | oov_b)
     n_used = int(used.sum())
     if n_used < 2:
         raise ValueError(
             f"need >=2 usable record pairs, got {n_used} "
-            f"({len(records) - n_used} excluded as out-of-vocabulary)"
+            f"({len(pairs) - n_used} excluded as out-of-vocabulary)"
         )
-    golds = np.array([record.gold for record in records], dtype=np.float64)[used]
+    golds = pairs.gold[used]
 
     def row_dots(x, y):
         # accumulated in float64 straight from the float32 rows: no float64 copies
@@ -387,30 +537,8 @@ def arora_weight(f_w: float, a: float) -> float:
 
 
 def read_similarity_tsv(path: str) -> list[SimilarityRecord]:
-    """Parse ``score<TAB>sentence_a<TAB>sentence_b`` lines; errors cite the line number."""
-    with open(path, "rb") as fh:
-        # split at \n, \r\n and \r as text mode does; no multi-byte character holds them
-        lines = fh.read().splitlines()
-    records: list[SimilarityRecord] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = _decode_line(raw, path, lineno)
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            gold = float(parts[0])
-        except ValueError as err:
-            raise ValueError(
-                f"{path}: line {lineno}: bad score {parts[0]!r}"
-            ) from err
-        if not math.isfinite(gold):
-            raise ValueError(
-                f"{path}: line {lineno}: non-finite score {parts[0]!r}"
-            )
-        records.append(SimilarityRecord(parts[1], parts[2], gold))
-    return records
+    """Parse ``score<TAB>sentence_a<TAB>sentence_b`` lines; errors cite the line number.
+
+    The records of ``SimilarityPairs.read(path)``, with its checks and errors.
+    """
+    return SimilarityPairs.read(path).records()

@@ -129,6 +129,22 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
+        if self.checkpoint_path:
+            check_model_path(self.checkpoint_path, "checkpoint_path")
+
+
+def check_model_path(path: str, name: str) -> None:
+    """Raise ``ValueError`` unless ``save_model`` can create ``path``.
+
+    A model is first written after an epoch, so a path in a missing
+    directory, or naming a directory, would lose that epoch; ``name`` is
+    the setting the path came from.
+    """
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{name} {path}: {parent} is not a directory")
+    if os.path.isdir(path):
+        raise ValueError(f"{name} {path} is a directory")
 
 
 # Shipped default hyperparameter presets, one per corpus/feature pairing.
@@ -430,7 +446,11 @@ def save_model(model: TrainedModel, path: str) -> None:
     """Write the binary model file atomically (temp file + rename)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as err:  # name the path given, not the temporary file
+        raise type(err)(err.errno, err.strerror, path) from err
+    try:
+        with fh:
             fh.write(
                 _HEADER.pack(
                     MAGIC,

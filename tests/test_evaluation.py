@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import logging
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.evaluation import (
     OovStats,
     RowText,
+    SimilarityPairs,
     SimilarityRecord,
     arora_weight,
     cosine,
@@ -357,6 +359,49 @@ class TestFormatDispatch:
         without_kernel()
         assert outputs() == native
         assert "pearson=" in native
+
+    def test_cli_eval_sim_equals_the_library(self, without_kernel, tmp_path, capsys, caplog):
+        from sentvec.cli import main
+        from sentvec.trainer import load_model, save_model
+
+        model, words = seeded_ngram_model(2, dim=20)
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        lines = seeded_lines(words, 400)
+        text = "".join(f"{i % 7 / 2}\t{a}\t{b}\n" for i, (a, b) in enumerate(zip(lines, lines[1:])))
+        plain = tmp_path / "pairs.tsv"
+        plain.write_text(text, encoding="utf-8")
+        # CRLF line ends, ideographic spaces, capitals that fold and accented unknown tokens
+        other = tmp_path / "pairs-crlf.tsv"
+        other.write_text(
+            text.replace(" w1", "\u3000W1").replace("w2 ", "w2é ").replace("\n", "\r\n"),
+            encoding="utf-8", newline="",
+        )
+        assert not other.read_bytes().isascii()
+
+        def outputs():
+            runs = []
+            for dataset in (plain, other):
+                caplog.clear()
+                with caplog.at_level(logging.INFO, logger="sentvec.cli"):
+                    assert main(["eval-sim", "--model", path, "--dataset", str(dataset)]) == 0
+                out = capsys.readouterr().out
+                records = read_similarity_tsv(str(dataset))
+                stats = OovStats()
+                r, rho, n = evaluate_similarity(load_model(path), records, stats)
+                assert out == (f"pearson={r:.6f} spearman={rho:.6f} n={n} "
+                               f"excluded={len(records) - n}\n")
+                assert caplog.messages[-1] == (
+                    f"embedded {stats.lines} lines, {stats.all_oov_lines} all-OOV, OOV token "
+                    f"rate {stats.oov_token_rate:.4f} ({stats.oov_tokens} of {stats.tokens} tokens)"
+                )
+                runs.append((out, caplog.messages[-1]))
+            return runs
+
+        native = outputs()
+        without_kernel()
+        assert outputs() == native
+        assert native[0] != native[1]
 
     @pytest.mark.parametrize("native", [True, False])
     def test_other_rows_rejected(self, request, without_kernel, native):
@@ -704,6 +749,45 @@ class TestAroraWeight:
                 arora_weight(1e-3, bad)
 
 
+SIM_WORDS = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "café"]
+
+
+def read_outcomes(tmp_path, files: list[bytes], without_kernel) -> list:
+    """Each file's path and ``read_similarity_tsv``'s records of it, or its error text.
+
+    Each file's pairs, read as bytes, and its records are also scored by
+    ``evaluate_similarity`` on a toy bigram model; the two must give the
+    same correlations and OOV counts, or the same error.  All of it must
+    be the same with the kernel and without.
+    """
+    source = np.random.default_rng(5).normal(size=(len(SIM_WORDS) + 7, 3))
+    model = toy_model(SIM_WORDS, source, word_ngrams=2, buckets=7)
+
+    def outcome(path):
+        try:
+            records = read_similarity_tsv(str(path))
+        except ValueError as err:
+            return str(err), None
+        scored = []
+        for pairs in (SimilarityPairs.read(str(path)), records):
+            stats = OovStats()
+            try:
+                scored.append(evaluate_similarity(model, pairs, stats))
+            except ValueError as err:
+                scored.append(str(err))
+            scored.append([getattr(stats, name) for name in OovStats.__slots__])
+        assert scored[:2] == scored[2:]
+        return records, scored[:2]
+
+    paths = [tmp_path / f"sim{i}.tsv" for i in range(len(files))]
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+    native = [outcome(path) for path in paths]
+    without_kernel()
+    assert [outcome(path) for path in paths] == native
+    return [(path, records) for path, (records, _) in zip(paths, native)]
+
+
 class TestReadSimilarityTsv:
     def test_parses_records(self, tmp_path):
         path = tmp_path / "sim.tsv"
@@ -714,11 +798,33 @@ class TestReadSimilarityTsv:
             SimilarityRecord("dog", "car", 1.0),
         ]
 
-    def test_malformed_line_cites_number(self, tmp_path):
+    def test_malformed_line_cites_number(self, tmp_path, without_kernel):
         path = tmp_path / "sim.tsv"
         path.write_text("3.5\ta\tb\nonly one field\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             read_similarity_tsv(str(path))
+        # the first bad line wins; on one line a UTF-8 error, then the fields, then the score
+        cases = [
+            (b"3.5\ta\tb\nonly one field\n", "line 2: expected 3 tab-separated fields, got 1"),
+            (b"1\ta\tb\n  \n", "line 2: expected 3 tab-separated fields, got 1"),
+            (b"1\ta\tb\r\x0b\r", "line 2: expected 3 tab-separated fields, got 1"),
+            (b"1\ta\n", "line 1: expected 3 tab-separated fields, got 2"),
+            (b"\n\r\n1\ta\tb\tc\r\n", "line 3: expected 3 tab-separated fields, got 4"),
+            (b"1\ta\tb\n2\tc\td", None),
+            (b"x\ta\tb\tc\n", "line 1: expected 3 tab-separated fields, got 4"),
+            (b"1\ta\tb\nx\ta\tb\n1\ta\n", "line 2: bad score 'x'"),
+            (b"1\ta\tb\ninf\ta\tb\n\xff\n", "line 2: non-finite score 'inf'"),
+            (b"1\ta\n\xff\n", "line 1: expected 3 tab-separated fields, got 2"),
+            (b"1\ta\tb\n\xff\ta\n", "line 2: invalid UTF-8 at byte offset 0: invalid start byte"),
+            ("1\ta\tb\n\n\u00e9\ta\tb\n".encode(), "line 3: bad score '\u00e9'"),
+            ("\u30001\ta\tb\n1 e\ta\tb\n".encode(), "line 2: bad score '1 e'"),
+        ]
+        found = read_outcomes(tmp_path, [data for data, _ in cases], without_kernel)
+        for (_, problem), (path, got) in zip(cases, found):
+            if problem is None:
+                assert [r.sentence_b for r in got] == ["b", "d"]
+            else:
+                assert got == f"{path}: {problem}"
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_cites_number(self, tmp_path, score):
@@ -727,13 +833,30 @@ class TestReadSimilarityTsv:
         with pytest.raises(ValueError, match=f"{path}: line 2: non-finite"):
             read_similarity_tsv(str(path))
 
-    def test_universal_newlines(self, tmp_path):
+    def test_universal_newlines(self, tmp_path, without_kernel):
         path = tmp_path / "sim.tsv"
         path.write_bytes(b"1\ta\tb\r\n2\tc\td\r\r3\te\tf\n4\tg\x0bh\ti")
         records = read_similarity_tsv(str(path))
         assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == [
             (1.0, "a", "b"), (2.0, "c", "d"), (3.0, "e", "f"), (4.0, "g\x0bh", "i"),
         ]
+        ab_cd = [(1.0, "a b", "c"), (2.0, "d", "e F")]
+        cases = [
+            (b"1\ta b\tc\r2\td\te F\r", ab_cd),  # lone \r
+            (b"1\ta b\tc\r\n2\td\te F\r\n", ab_cd),
+            (b"1\ta b\tc\r\n2\td\te F\n", ab_cd),
+            (b"\n1\ta b\tc\n\n\r\n\r2\td\te F\r\r\n\n", ab_cd),  # blank lines
+            (b"1\ta b\tc\n2\td\te F", ab_cd),  # no newline at the end
+            (b"1\ta\x0bb\tc\x1cd\n2\t\x1c\t\x0b\n3\ta\tb\n",
+             [(1.0, "a\x0bb", "c\x1cd"), (2.0, "\x1c", "\x0b"), (3.0, "a", "b")]),
+            ("0.5\tcafé\u3000a\tB\u3000é\r\n 1_0 \ta\tCAFÉ\n\u30001\tb\t\u3000\n".encode(),
+             [(0.5, "café\u3000a", "B\u3000é"), (10.0, "a", "CAFÉ"), (1.0, "b", "\u3000")]),
+            (b"", []),
+            (b"\r\n\n", []),
+        ]
+        found = read_outcomes(tmp_path, [data for data, _ in cases], without_kernel)
+        for (data, want), (_, records) in zip(cases, found):
+            assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == want, data
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_invalid_utf8_cites_line_and_offset(self, tmp_path, newline):

@@ -107,6 +107,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(word_ngrams=2, bucket_count=0).validate()
 
+    @pytest.mark.parametrize("where", ["missing-parent", "file-parent", "directory"])
+    def test_unwritable_checkpoint_path_rejected(self, where, tmp_path):
+        # validate() runs before the corpus is read: the first epoch is not lost
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        bad = {
+            "missing-parent": tmp_path / "nodir" / "ck.bin",
+            "file-parent": tmp_path / "file" / "ck.bin",
+            "directory": tmp_path / "dir",
+        }[where]
+        problem = " is" if where == "directory" else f": {bad.parent} is not"
+        with pytest.raises(ValueError) as err:
+            TrainConfig(checkpoint_path=str(bad)).validate()
+        assert str(err.value) == f"checkpoint_path {bad}{problem} a directory"
+        TrainConfig(checkpoint_path=str(tmp_path / "ck.bin")).validate()
+
 
 class TestPresets:
     def test_books_unigram_preset(self):
@@ -305,6 +321,11 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_missing_checkpoint_directory_fails_before_training(self, tiny_corpus, tmp_path):
+        config = quick_config(epochs=3, checkpoint_path=str(tmp_path / "nodir" / "ck.bin"))
+        with pytest.raises(ValueError, match="checkpoint_path .*nodir is not a directory"):
+            train(tiny_corpus, config)
+
     def test_checkpoint_written_each_epoch(self, tiny_corpus, tmp_path):
         ckpt = tmp_path / "ckpt.bin"
         config = quick_config(epochs=2, checkpoint_path=str(ckpt))
@@ -394,6 +415,15 @@ class TestSerialization:
         reloaded = load_model(str(path))
         np.testing.assert_array_equal(reloaded.matrices.source, second.matrices.source)
         assert not np.array_equal(first.matrices.source, second.matrices.source)
+
+    def test_unwritable_path_error_names_the_path(self, tiny_corpus, tmp_path):
+        model = train(tiny_corpus, quick_config(epochs=1))
+        path = str(tmp_path / "nodir" / "m.bin")
+        with pytest.raises(FileNotFoundError) as err:
+            save_model(model, path)
+        assert err.value.filename == path
+        assert ".tmp." not in str(err.value)
+        assert not (tmp_path / "nodir").exists()
 
     def test_file_size_matches_layout(self, tmp_path):
         # header is 48 bytes: 4s + u32 + u32 + u64 + u64 + u32 + f64 + u64
