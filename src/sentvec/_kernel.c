@@ -44,7 +44,10 @@
  * evaluation.embed_batch composes and looks its tokens up in a table of
  * every word of the model's vocabulary.  Neither knows the non-ASCII
  * whitespace of str.split(): Python hands them a line with a byte >= 0x80
- * as its str.split() tokens joined by spaces.
+ * as its str.split() tokens joined by spaces.  A vocabulary is passed as its
+ * words, each followed by '\n', and the end of each: sv_encoder_words writes
+ * the kept words of a corpus in that form, sv_vocab_words the words of a
+ * model file's records, and sv_table_new builds the lookup table from it.
  *
  * Every float pointer an entry point takes must be 4-byte aligned, except
  * the source matrix of sv_embed_lines: a mapped model file places it at
@@ -1217,14 +1220,20 @@ static void table_release(sv_table *t)
     free(t->ends);
 }
 
-/* 0 on success; on failure nothing stays allocated */
-static int table_init(sv_table *t)
+/* An empty table with room for strings strings of bytes bytes in all (at
+ * least INITIAL_ITEMS of each); 0 on success, and on failure nothing stays
+ * allocated */
+static int table_init(sv_table *t, int64_t strings, int64_t bytes)
 {
     memset(t, 0, sizeof *t);
-    t->bytes = malloc(INITIAL_ITEMS);
-    t->ends = malloc(sizeof(int64_t) * INITIAL_ITEMS);
-    t->bytes_cap = t->strings_cap = INITIAL_ITEMS;
-    if (t->bytes == NULL || t->ends == NULL || table_resize(t, TABLE_SLOTS) != 0) {
+    t->strings_cap = strings > INITIAL_ITEMS ? strings : INITIAL_ITEMS;
+    t->bytes_cap = bytes > INITIAL_ITEMS ? bytes : INITIAL_ITEMS;
+    int64_t slots = TABLE_SLOTS;
+    while (slots < 2 * strings)
+        slots *= 2;
+    t->bytes = malloc((size_t)t->bytes_cap);
+    t->ends = malloc(sizeof(int64_t) * (size_t)t->strings_cap);
+    if (t->bytes == NULL || t->ends == NULL || table_resize(t, slots) != 0) {
         table_release(t);
         return -1;
     }
@@ -1297,7 +1306,7 @@ sv_encoder *sv_encoder_new(void)
     sv_encoder *e = calloc(1, sizeof *e);
     if (e == NULL)
         return NULL;
-    if (table_init(&e->words) != 0) {
+    if (table_init(&e->words, 0, 0) != 0) {
         free(e);
         return NULL;
     }
@@ -1360,25 +1369,42 @@ int sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t len)
     return 0;
 }
 
-/* sizes = {tokens, lines, distinct tokens, their bytes} */
+/* sizes = {tokens, lines, distinct tokens} */
 void sv_encoder_sizes(const sv_encoder *e, int64_t *sizes)
 {
     sizes[0] = e->n_ids;
     sizes[1] = e->n_lines;
     sizes[2] = e->words.n_strings;
-    sizes[3] = e->words.n_bytes;
 }
 
 /* the token ids, valid until the encoder changes or is freed */
 const int32_t *sv_encoder_ids(const sv_encoder *e) { return e->ids; }
 
-/* copy out the other arrays sv_encoder_sizes counts: line lengths, and the
- * distinct tokens' bytes and ends */
-void sv_encoder_copy(const sv_encoder *e, int64_t *lengths, unsigned char *bytes, int64_t *ends)
+/* copy out the token count of every line */
+void sv_encoder_lengths(const sv_encoder *e, int64_t *lengths)
 {
     memcpy(lengths, e->lengths, sizeof *lengths * (size_t)e->n_lines);
-    memcpy(bytes, e->words.bytes, (size_t)e->words.n_bytes);
-    memcpy(ends, e->words.ends, sizeof *ends * (size_t)e->words.n_strings);
+}
+
+/* Write the distinct tokens of ids which[0..n) into bytes, each followed by
+ * '\n', and the end of each (at its '\n') into ends; returns the bytes they
+ * take.  With bytes NULL only the size is returned. */
+int64_t sv_encoder_words(const sv_encoder *e, const int64_t *which, int64_t n, unsigned char *bytes,
+                         int64_t *ends)
+{
+    const sv_table *t = &e->words;
+    int64_t q = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t id = which[i], start = id > 0 ? t->ends[id - 1] : 0;
+        const int64_t len = t->ends[id] - start;
+        if (bytes != NULL) {
+            memcpy(bytes + q, t->bytes + start, (size_t)len);
+            ends[i] = q + len;
+            bytes[q + len] = '\n';
+        }
+        q += len + 1;
+    }
+    return q;
 }
 
 void sv_table_free(sv_table *t)
@@ -1388,19 +1414,24 @@ void sv_table_free(sv_table *t)
     free(t);
 }
 
-/* The table of the n distinct strings data[ends[i - 1] (0 for i = 0) :
- * ends[i]], string i with id i; NULL when out of memory. */
-sv_table *sv_table_new(const unsigned char *data, const int64_t *ends, int64_t n)
+/* The table of the n strings of words, each followed by one separator byte:
+ * string i is words[ends[i - 1] + 1 (0 for i = 0) : ends[i]], with id i.
+ * NULL with *repeat = -1 when out of memory, or with *repeat = i when string i
+ * equals an earlier one. */
+sv_table *sv_table_new(const unsigned char *words, const int64_t *ends, int64_t n, int64_t *repeat)
 {
+    *repeat = -1;
     sv_table *t = malloc(sizeof *t);
     if (t == NULL)
         return NULL;
-    if (table_init(t) != 0) {
+    if (table_init(t, n, n ? ends[n - 1] + 1 - n : 0) != 0) {
         free(t);
         return NULL;
     }
-    for (int64_t i = 0, start = 0; i < n; start = ends[i++]) {
-        if (table_intern(t, data + start, ends[i] - start) < 0) {
+    for (int64_t i = 0, start = 0; i < n; start = ends[i++] + 1) {
+        const int64_t id = table_intern(t, words + start, ends[i] - start);
+        if (id != i) {
+            *repeat = id < 0 ? -1 : i;
             sv_table_free(t);
             return NULL;
         }
@@ -1410,11 +1441,11 @@ sv_table *sv_table_new(const unsigned char *data, const int64_t *ends, int64_t n
 
 /* Split the lines data[line_ends[i - 1] (0 for i = 0) : line_ends[i]] into
  * tokens as sv_encode_lines does, and look each one up in t: as it is, then
- * ASCII-lowercased when it holds a capital.  Writes values[id] of each token
+ * ASCII-lowercased when it holds a capital.  Writes the id of each token
  * found, -1 for the others, and each line's token count; returns the number
  * of tokens. */
-int64_t sv_lookup_lines(const sv_table *t, const int64_t *values, const unsigned char *data,
-                        const int64_t *line_ends, int64_t n_lines, int64_t *ids, int64_t *counts)
+int64_t sv_lookup_lines(const sv_table *t, const unsigned char *data, const int64_t *line_ends,
+                        int64_t n_lines, int64_t *ids, int64_t *counts)
 {
     int64_t n = 0;
     for (int64_t line = 0, p = 0; line < n_lines; line++) {
@@ -1431,10 +1462,54 @@ int64_t sv_lookup_lines(const sv_table *t, const int64_t *values, const unsigned
             int64_t id = table_find(t, data + p, q - p, 0);
             if (id < 0 && capital)
                 id = table_find(t, data + p, q - p, 1);
-            ids[n++] = id < 0 ? -1 : values[id];
+            ids[n++] = id;
             p = q;
         }
         counts[line] = n - first;
     }
     return n;
+}
+
+/* ---- model files ---- */
+
+/* The bytes that n vocabulary records of a model file, each a little-endian
+ * uint32 length, that many bytes of word and a uint64 count, take from the
+ * start of data[0:size], or -1 when they run past its end.  Reads the lengths
+ * only. */
+int64_t sv_vocab_span(const unsigned char *data, int64_t size, int64_t n)
+{
+    int64_t p = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (size - p < 12)
+            return -1;
+        p += 12 + (int64_t)load_word(data + p, 4, 0);
+        if (p > size)
+            return -1;
+    }
+    return p;
+}
+
+/* Copy the n records that sv_vocab_span measured at data: each word into
+ * words, followed by '\n', the end of each (at its '\n') into ends and its
+ * count into counts.  Returns 0, or 1 at a word that is empty or holds a byte
+ * of SPACE, which no tokenizer yields. */
+int sv_vocab_words(const unsigned char *data, int64_t n, unsigned char *words, int64_t *ends,
+                   int64_t *counts)
+{
+    for (int64_t i = 0, q = 0; i < n; i++) {
+        const int64_t len = (int64_t)load_word(data, 4, 0);
+        data += 4;
+        if (len == 0)
+            return 1;
+        for (int64_t j = 0; j < len; j++)
+            if (SPACE[data[j]])
+                return 1;
+        memcpy(words + q, data, (size_t)len);
+        q += len;
+        ends[i] = q;
+        words[q++] = '\n';
+        counts[i] = (int64_t)load_word(data + len, 8, 0);
+        data += len + 8;
+    }
+    return 0;
 }

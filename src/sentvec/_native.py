@@ -187,14 +187,20 @@ class Kernel:
         lib.sv_encoder_sizes.restype = None
         lib.sv_encoder_ids.argtypes = [_ptr]
         lib.sv_encoder_ids.restype = ctypes.POINTER(ctypes.c_int32)
-        lib.sv_encoder_copy.argtypes = [_ptr, _ptr, _ptr, _ptr]
-        lib.sv_encoder_copy.restype = None
-        lib.sv_table_new.argtypes = [_ptr, _ptr, _i64]
+        lib.sv_encoder_lengths.argtypes = [_ptr, _ptr]
+        lib.sv_encoder_lengths.restype = None
+        lib.sv_encoder_words.argtypes = [_ptr, _ptr, _i64, _ptr, _ptr]
+        lib.sv_encoder_words.restype = _i64
+        lib.sv_table_new.argtypes = [_ptr, _ptr, _i64, ctypes.POINTER(_i64)]
         lib.sv_table_new.restype = _ptr
         lib.sv_table_free.argtypes = [_ptr]
         lib.sv_table_free.restype = None
-        lib.sv_lookup_lines.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _ptr, _ptr]
+        lib.sv_lookup_lines.argtypes = [_ptr, _ptr, _ptr, _i64, _ptr, _ptr]
         lib.sv_lookup_lines.restype = _i64
+        lib.sv_vocab_span.argtypes = [_ptr, _i64, _i64]
+        lib.sv_vocab_span.restype = _i64
+        lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
+        lib.sv_vocab_words.restype = ctypes.c_int
 
     @staticmethod
     def model(
@@ -428,9 +434,37 @@ class Kernel:
         """An empty ``Encoder``; use it as a context manager, which frees it."""
         return Encoder(self._lib)
 
-    def lookup_table(self, words: list[str], values: np.ndarray) -> "LookupTable":
-        """A ``LookupTable`` that maps ``words[i]`` (distinct strings) to ``values[i]``."""
-        return LookupTable(self._lib, words, values)
+    def lookup_table(self, words: bytes, ends: np.ndarray) -> "LookupTable":
+        """A ``LookupTable`` of the words of ``Vocabulary.word_bytes`` form, word i with id i.
+
+        Raises ``ValueError`` when a word repeats an earlier one.
+        """
+        return LookupTable(self._lib, words, ends)
+
+    def vocabulary_records(
+        self, data: np.ndarray, n: int
+    ) -> tuple[bytes, np.ndarray, np.ndarray, int] | None:
+        """The ``n`` vocabulary records at the start of the uint8 array ``data``, in bulk.
+
+        A record is a uint32 length, that many bytes of word and a uint64
+        count, little-endian.  Returns the words in ``Vocabulary.word_bytes``
+        form, the int64 counts (a count of 2^63 or more reads negative) and
+        the bytes the records span.  Returns None when the records run past
+        the end of ``data`` or a word is empty or holds ASCII whitespace;
+        nothing is allocated before every record is known to fit.
+        """
+        address = _pointer(data, np.uint8, "data")
+        span = self._lib.sv_vocab_span(address, len(data), n)
+        if span < 0:
+            return None
+        words = np.empty(span - 11 * n, dtype=np.uint8)
+        ends = np.empty(n, dtype=np.int64)
+        counts = np.empty(n, dtype=np.int64)
+        if self._lib.sv_vocab_words(
+            address, n, words.ctypes.data, ends.ctypes.data, counts.ctypes.data
+        ):
+            return None
+        return words.tobytes(), ends, counts, span
 
 
 def _address(data) -> tuple[np.ndarray, int]:
@@ -480,48 +514,63 @@ class Encoder:
         if status != 0:
             raise MemoryError("native encoder ran out of memory or of int32 token ids")
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
+    def result(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The int32 id of every token, the int64 token count of every line,
-        and the distinct tokens' bytes back to back with the int64 end of each.
+        and the number of distinct tokens.
 
         The ids are a view of the encoder's own buffer: they are valid
-        until the encoder is closed or encodes more lines.  The rest are copies.
+        until the encoder is closed or encodes more lines.  The counts are a copy.
         """
-        sizes = np.empty(4, dtype=np.int64)
+        sizes = np.empty(3, dtype=np.int64)
         self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
-        n_ids, n_lines, n_words, n_bytes = sizes.tolist()
+        n_ids, n_lines, n_words = sizes.tolist()
         ids = np.ctypeslib.as_array(self._lib.sv_encoder_ids(self._handle), (n_ids,))
         lengths = np.empty(n_lines, dtype=np.int64)
-        words = np.empty(n_bytes, dtype=np.uint8)
-        ends = np.empty(n_words, dtype=np.int64)
-        self._lib.sv_encoder_copy(
-            self._handle, lengths.ctypes.data, words.ctypes.data, ends.ctypes.data
+        self._lib.sv_encoder_lengths(self._handle, lengths.ctypes.data)
+        return ids, lengths, n_words
+
+    def words(self, which: np.ndarray) -> tuple[bytes, np.ndarray]:
+        """The distinct tokens of ids ``which`` (int64), in that order, in
+        ``Vocabulary.word_bytes`` form: each followed by ``\\n``, with the end of each."""
+        sizes = np.empty(3, dtype=np.int64)
+        self._lib.sv_encoder_sizes(self._handle, sizes.ctypes.data)
+        if len(which) and (which.min() < 0 or which.max() >= sizes[2]):
+            raise ValueError("token id out of range")
+        address = _pointer(which, np.int64, "which")
+        words = np.empty(
+            self._lib.sv_encoder_words(self._handle, address, len(which), None, None),
+            dtype=np.uint8,
         )
-        return ids, lengths, words.tobytes(), ends
+        ends = np.empty(len(which), dtype=np.int64)
+        self._lib.sv_encoder_words(
+            self._handle, address, len(which), words.ctypes.data, ends.ctypes.data
+        )
+        return words.tobytes(), ends
 
 
 class LookupTable:
-    """Words and their values, looked up by the tokens of lines (``sv_table``).
+    """Words and their ids, looked up by the tokens of lines (``sv_table``).
 
-    The table holds each word's UTF-8 bytes (a lone surrogate passes
-    through), so a token finds a word when their bytes are equal.
+    A token finds a word when their bytes are equal.
     """
 
-    def __init__(self, lib: ctypes.CDLL, words: list[str], values: np.ndarray) -> None:
-        if values.shape != (len(words),):
-            raise ValueError("need one value per word")
-        encoded = [w.encode("utf-8", "surrogatepass") for w in words]
-        blob = b"".join(encoded)
-        ends = np.cumsum([len(w) for w in encoded], dtype=np.int64)
+    def __init__(self, lib: ctypes.CDLL, words: bytes, ends: np.ndarray) -> None:
+        n = len(ends)
+        if n and (ends[0] < 0 or ends[-1] + 1 != len(words) or np.any(np.diff(ends) < 1)):
+            raise ValueError("ends do not delimit the words")
+        repeat = _i64()
         self._lib = lib
-        self._values = np.require(values, np.int64, "CA")
-        self._handle = lib.sv_table_new(blob, ends.ctypes.data, len(words))
+        self._handle = lib.sv_table_new(
+            words, _pointer(ends, np.int64, "ends"), n, ctypes.byref(repeat)
+        )
         if not self._handle:
+            if repeat.value >= 0:
+                raise ValueError(f"word {repeat.value} repeats an earlier word")
             raise MemoryError("native lookup table could not be allocated")
         weakref.finalize(self, lib.sv_table_free, self._handle)
 
     def lookup(self, data, line_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The value of every token of the lines ``data[line_ends[i - 1]:line_ends[i]]``
+        """The id of every token of the lines ``data[line_ends[i - 1]:line_ends[i]]``
         (0 for the start of line 0), and each line's token count.
 
         Tokens split as in ``Encoder.encode_lines``; a token absent from the
@@ -536,7 +585,7 @@ class LookupTable:
         counts = np.empty(len(line_ends), dtype=np.int64)
         view, address = _address(data)
         n = self._lib.sv_lookup_lines(
-            self._handle, self._values.ctypes.data, address,
+            self._handle, address,
             _pointer(line_ends, np.int64, "line_ends"), len(line_ends), ids.ctypes.data,
             counts.ctypes.data,
         )

@@ -83,13 +83,7 @@ def _default_threads() -> int:
     return threads
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sentvec",
-        description="Train and query averaged-n-gram sentence embeddings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_train(sub) -> None:
     p_train = sub.add_parser("train", help="train a model from a text corpus")
     p_train.add_argument("--input", required=True,
                          help="corpus path, one sentence per line (.gz accepted)")
@@ -109,18 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"targets per loss report [default: {_DEFAULTS.report_every}]")
     p_train.set_defaults(func=cmd_train)
 
+
+def _add_embed(sub) -> None:
     p_embed = sub.add_parser("embed", help="embed stdin sentences, one per line")
     p_embed.add_argument("--model", required=True, help="trained model file")
     p_embed.add_argument("--oov-flag", action="store_true",
                          help="append a 0/1 column marking all-OOV lines [default: off]")
     p_embed.set_defaults(func=cmd_embed)
 
+
+def _add_eval_sim(sub) -> None:
     p_eval = sub.add_parser("eval-sim", help="similarity correlation on a TSV dataset")
     p_eval.add_argument("--model", required=True, help="trained model file")
     p_eval.add_argument("--dataset", required=True,
                         help="TSV file: score<TAB>sentence_a<TAB>sentence_b")
     p_eval.set_defaults(func=cmd_eval_sim)
 
+
+def _add_norm_profile(sub) -> None:
     p_norm = sub.add_parser("norm-profile",
                             help="per-word (log frequency, vector norm) table")
     p_norm.add_argument("--model", required=True, help="trained model file")
@@ -129,11 +129,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--output", default="-", help="output path [default: stdout]")
     p_norm.set_defaults(func=cmd_norm_profile)
 
+
+def _add_export_vec(sub) -> None:
     p_export = sub.add_parser("export-vec", help="write unigram vectors as text")
     p_export.add_argument("--model", required=True, help="trained model file")
     p_export.add_argument("--output", default="-", help="output path [default: stdout]")
     p_export.set_defaults(func=cmd_export_vec)
 
+
+# each subcommand's parser, added in this order
+_COMMANDS = {
+    "train": _add_train,
+    "embed": _add_embed,
+    "eval-sim": _add_eval_sim,
+    "norm-profile": _add_norm_profile,
+    "export-vec": _add_export_vec,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with ``command``, only that subcommand's parser is built.
+
+    Such a parser prints the full parser's usage, and parses and rejects a
+    command line that starts with ``command`` as the full parser does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sentvec",
+        description="Train and query averaged-n-gram sentence embeddings.",
+    )
+    # the full parser's choices, shown in the usage of one built for a single command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
@@ -269,7 +298,9 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that names a subcommand first needs only that subcommand's parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -19,7 +19,6 @@ import gzip
 import zlib
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Iterator
 
@@ -74,31 +73,101 @@ def tokenize(text: str | bytes, lowercase: bool = False) -> list[str]:
     return text.split()
 
 
-@dataclass
 class Vocabulary:
     """Word inventory with corpus counts and dense ids.
 
     Ids run 0..len-1 in descending count order (ties broken by first
     occurrence in the corpus), every kept word has count >= ``min_count``,
     and ``total_tokens`` is the number of kept token occurrences.
+
+    The words are held as one buffer (``word_bytes``) with an int64 count
+    array; ``encode_corpus`` and ``load_model`` build that form, and
+    ``save_model`` and the kernel's lookup table read it.  The list
+    ``words`` of (word, count) and the dict ``word_index`` are built from
+    it when first asked for.  The constructor takes those two instead.
     """
 
-    words: list[tuple[str, int]]
-    word_index: dict[str, int]
-    total_tokens: int
-    min_count: int
-    min_target_count: int
-    _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # the kernel's table of every word, built by the first ``embed_batch``
-    _lookup: object = field(default=None, repr=False, compare=False)
+    # a plain class: a dataclass generates and compiles methods at import
+    __slots__ = (
+        "total_tokens", "min_count", "min_target_count",
+        "_words", "_index", "_bytes", "_ends", "_counts", "_lookup",
+    )
+
+    def __init__(
+        self,
+        words: list[tuple[str, int]],
+        word_index: dict[str, int],
+        total_tokens: int,
+        min_count: int,
+        min_target_count: int,
+    ) -> None:
+        self.total_tokens = total_tokens
+        self.min_count = min_count
+        self.min_target_count = min_target_count
+        self._words, self._index = words, word_index
+        self._bytes = self._ends = self._counts = None
+        # the kernel's table of every word, from load_model or the first embed_batch
+        self._lookup = None
+
+    @classmethod
+    def from_bytes(
+        cls, words: bytes, ends: np.ndarray, counts: np.ndarray, total_tokens: int,
+        min_count: int, min_target_count: int, lookup=None,
+    ) -> "Vocabulary":
+        """The vocabulary of ``word_bytes``' form ``(words, ends)`` and its int64 ``counts``.
+
+        ``lookup`` is the kernel's table of the same words, when there is one.
+        """
+        vocab = cls(None, None, total_tokens, min_count, min_target_count)
+        vocab._bytes, vocab._ends, vocab._counts, vocab._lookup = words, ends, counts, lookup
+        return vocab
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._ends) if self._words is None else len(self._words)
+
+    def _fields(self) -> tuple:
+        return (self.words, self.word_index, self.total_tokens, self.min_count,
+                self.min_target_count)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"Vocabulary({len(self)} words, total_tokens={self.total_tokens}, "
+                f"min_count={self.min_count}, min_target_count={self.min_target_count})")
+
+    @property
+    def words(self) -> list[tuple[str, int]]:
+        """(word, count) of each id."""
+        if self._words is None:
+            # no word holds the separator: encode_corpus and load_model see to it
+            text = self._bytes.decode("utf-8", "surrogatepass")
+            self._words = list(zip(text.split("\n")[:-1], self._counts.tolist()))
+        return self._words
+
+    @property
+    def word_index(self) -> dict[str, int]:
+        """The id of each word."""
+        if self._index is None:
+            self._index = {w: i for i, (w, _) in enumerate(self.words)}
+        return self._index
+
+    def word_bytes(self) -> tuple[bytes, np.ndarray]:
+        """Every word's UTF-8 bytes followed by ``\\n``, back to back, and the int64 end of each.
+
+        Word i is ``words[ends[i - 1] + 1:ends[i]]`` (from 0 for i = 0).
+        A lone surrogate passes through.
+        """
+        if self._bytes is None:
+            self._bytes, self._ends = _word_bytes([w for w, _ in self._words])
+        return self._bytes, self._ends
 
     def counts(self) -> np.ndarray:
         """Per-id occurrence counts as an int64 vector."""
         if self._counts is None:
-            self._counts = np.array([c for _, c in self.words], dtype=np.int64)
+            self._counts = np.array([c for _, c in self._words], dtype=np.int64)
         return self._counts
 
     def frequencies(self) -> np.ndarray:
@@ -108,6 +177,13 @@ class Vocabulary:
     def target_eligible(self) -> np.ndarray:
         """Boolean mask of words usable as prediction targets."""
         return self.counts() >= self.min_target_count
+
+
+def _word_bytes(words: list[str]) -> tuple[bytes, np.ndarray]:
+    """``words`` in ``Vocabulary.word_bytes`` form."""
+    encoded = [w.encode("utf-8", "surrogatepass") for w in words]
+    ends = np.cumsum([len(w) + 1 for w in encoded], dtype=np.int64) - 1
+    return b"".join([w + b"\n" for w in encoded]), ends
 
 
 def encode_corpus(
@@ -136,9 +212,9 @@ def encode_corpus(
     with contextlib.ExitStack() as native:
         if kernel is not None:
             encoder = native.enter_context(kernel.encoder())
-            ids, lengths, n_words, surfaces = _encode_natively(encoder, sentences)
+            ids, lengths, n_words, word_bytes = _encode_natively(encoder, sentences)
         else:
-            ids, lengths, n_words, surfaces = _encode_in_python(sentences)
+            ids, lengths, n_words, word_bytes = _encode_in_python(sentences)
 
         if not n_words:
             raise ValueError("no tokens in corpus")
@@ -151,15 +227,12 @@ def encode_corpus(
         remap = np.full(n_words, -1, dtype=np.int32)
         remap[order] = np.arange(order.size, dtype=np.int32)
         ids = remap[ids]
+        words, ends = word_bytes(order)
     # the provisional ids are freed here, before the per-token masks below
 
-    kept = list(zip(surfaces(order.tolist()), counts[order].tolist()))
-    vocab = Vocabulary(
-        words=kept,
-        word_index={w: i for i, (w, _) in enumerate(kept)},
-        total_tokens=sum(c for _, c in kept),
-        min_count=min_count,
-        min_target_count=min_target_count,
+    kept = counts[order].astype(np.int64, copy=False)
+    vocab = Vocabulary.from_bytes(
+        words, ends, kept, int(kept.sum()), min_count, min_target_count
     )
     # only the dropped tokens are mapped to their sentences: no per-token sentence index
     oov_sentence = np.searchsorted(np.cumsum(lengths), np.flatnonzero(ids < 0), side="right")
@@ -171,7 +244,8 @@ def encode_corpus(
 
 
 def _encode_in_python(sentences: Iterable[list[str]]):
-    """Intern the tokens of ``sentences`` in a dict: token ids, line lengths, word count, surfaces."""
+    """Intern the tokens of ``sentences`` in a dict: token ids, line lengths, word count, and
+    a function of ids to those words in ``Vocabulary.word_bytes`` form."""
     # a token's first occurrence gives it the next provisional id
     index: defaultdict[str, int] = defaultdict(count().__next__)
     provisional = array("i")
@@ -181,18 +255,19 @@ def _encode_in_python(sentences: Iterable[list[str]]):
         lengths.append(len(tokens))
     words = list(index)
 
-    def surfaces(which):
-        return [words[i] for i in which]
+    def word_bytes(which):
+        return _word_bytes([words[i] for i in which.tolist()])
 
     # the arrays live as long as their views
     return (
         np.frombuffer(provisional, dtype=np.intc), np.frombuffer(lengths, dtype=np.int64),
-        len(words), surfaces,
+        len(words), word_bytes,
     )
 
 
 def _encode_natively(encoder, corpus: CorpusFile):
-    """Read ``corpus`` into a kernel ``Encoder``: token ids, line lengths, word count, surfaces.
+    """Read ``corpus`` into a kernel ``Encoder``: token ids, line lengths, word count, and
+    ``Encoder.words``.
 
     Blocks of ``_BLOCK_BYTES`` are split at ``\\n`` only, as iterating a
     binary file splits them, and a block's last, unfinished line waits for
@@ -211,13 +286,8 @@ def _encode_natively(encoder, corpus: CorpusFile):
                 del pending[:cut]
     if pending:
         _encode_lines(encoder, pending, len(pending), corpus, lines)
-    ids, lengths, words, ends = encoder.result()
-
-    def surfaces(which):
-        bounds = [0, *ends.tolist()]
-        return [words[bounds[i] : bounds[i + 1]].decode("utf-8") for i in which]
-
-    return ids, lengths, len(ends), surfaces
+    ids, lengths, n_words = encoder.result()
+    return ids, lengths, n_words, encoder.words
 
 
 def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, before: int) -> None:

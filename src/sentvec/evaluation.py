@@ -272,10 +272,9 @@ def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _table(vocab: Vocabulary, kernel):
-    """The kernel's lookup table of every word of ``vocab``, built on first use."""
+    """The kernel's lookup table of every word of ``vocab``: from ``load_model``, else built here."""
     if vocab._lookup is None:
-        ids = np.array(list(vocab.word_index.values()), dtype=np.int64)
-        vocab._lookup = kernel.lookup_table(list(vocab.word_index), ids)
+        vocab._lookup = kernel.lookup_table(*vocab.word_bytes())
     return vocab._lookup
 
 

@@ -13,6 +13,7 @@ import logging
 import math
 import mmap
 import os
+import re
 import struct
 import threading
 import time
@@ -22,6 +23,7 @@ import numpy as np
 
 from .corpus import (
     Vocabulary,
+    _kernel,
     encode_corpus,
     iter_corpus,
     sentence_ngrams,
@@ -463,11 +465,7 @@ def save_model(model: TrainedModel, path: str) -> None:
                     model.vocab.total_tokens,
                 )
             )
-            for word, count in model.vocab.words:
-                encoded = word.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<Q", count))
+            fh.write(_vocabulary_section(model.vocab))
             # the array's own buffer: no bytes copy of the matrix
             fh.write(np.ascontiguousarray(model.matrices.source, dtype="<f4"))
             fh.write(np.ascontiguousarray(model.matrices.target, dtype="<f4"))
@@ -476,6 +474,28 @@ def save_model(model: TrainedModel, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _vocabulary_section(vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary records of a model file, in one buffer: each word's byte
+    length as uint32, its UTF-8 bytes and its count as uint64, little-endian."""
+    words, ends = vocab.word_bytes()
+    if not words.isascii():
+        words.decode("utf-8")  # a lone surrogate has no UTF-8: raise, as encoding it would
+    n = len(ends)
+    fields = np.empty(n, dtype=[("length", "<u4"), ("count", "<u8")])  # packed: 12 bytes
+    fields["length"] = np.diff(ends, prepend=-1) - 1
+    fields["count"] = vocab.counts()
+    # each record is 4 length bytes, the word and 8 count bytes
+    pieces = np.column_stack([np.full(n, 4), fields["length"], np.full(n, 8)])
+    in_word = np.repeat(np.tile([False, True, False], n), pieces.ravel())
+    raw = np.frombuffer(words, dtype=np.uint8)
+    separator = np.zeros(len(raw), dtype=bool)
+    separator[ends] = True
+    section = np.empty(len(in_word), dtype=np.uint8)
+    section[in_word] = raw[~separator]
+    section[~in_word] = fields.view(np.uint8)
+    return section
 
 
 def _check_remaining(n: int, section: str, limit: int) -> None:
@@ -514,15 +534,107 @@ def _map_matrix(mapped, offset: int, rows: int, dim: int, section: str) -> np.nd
     return np.frombuffer(mapped, dtype="<f4", count=rows * dim, offset=offset).reshape(rows, dim)
 
 
+def _read_vocabulary(fh, vocab_size: int, total_tokens: int, size: int) -> Vocabulary:
+    """The vocabulary section at ``fh``'s position, record by record.
+
+    The reference reader, and the one used without the kernel: the first
+    record that fails a check is named in the ``ModelFormatError``.
+    ``size`` is the file's size.
+    """
+    words: list[tuple[str, int]] = []
+    word_index: dict[str, int] = {}
+    for wid in range(vocab_size):
+        (length,) = struct.unpack("<I", _read_exact(fh, 4, "vocabulary", size))
+        raw = _read_exact(fh, length, "vocabulary", size)
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary", size))
+        try:
+            surface = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ModelFormatError(
+                f"vocabulary section: word {wid} is not UTF-8 ({err.reason})"
+            ) from None
+        if word_index.setdefault(surface, wid) != wid:
+            raise ModelFormatError(
+                f"vocabulary section: word {wid} repeats word {word_index[surface]} "
+                f"({surface!r})"
+            )
+        if not 1 <= count < 2**63:
+            raise ModelFormatError(
+                f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
+            )
+        words.append((surface, count))
+    # no tokenizer yields an empty word or one holding whitespace, and the
+    # text formats (export-vec) would misread one; the joined words split
+    # back into themselves exactly when there is none
+    surfaces = [surface for surface, _ in words]
+    if " ".join(surfaces).split() != surfaces:
+        wid = next(i for i, w in enumerate(surfaces) if w.split() != [w])
+        raise ModelFormatError(
+            f"vocabulary section: word {wid} ({surfaces[wid]!r}) is empty or holds whitespace"
+        )
+    counted = sum(count for _, count in words)
+    if total_tokens != counted:
+        raise ModelFormatError(
+            f"inconsistent model header: total_tokens={total_tokens}, but the "
+            f"vocabulary counts sum to {counted}"
+        )
+    # wire format carries no thresholds; loaded models use the weakest ones
+    return Vocabulary(
+        words=words, word_index=word_index, total_tokens=total_tokens, min_count=1,
+        min_target_count=1,
+    )
+
+
+def _read_vocabulary_in_bulk(
+    kernel, mapped, vocab_size: int, total_tokens: int
+) -> tuple[Vocabulary, int] | None:
+    """The vocabulary section of the mapped file, through the kernel, and where it ends.
+
+    Every check of ``_read_vocabulary`` is made on whole buffers: the kernel
+    walks the records and rejects an empty word or one with ASCII
+    whitespace, one decode checks the UTF-8 of the words (each followed by
+    ``\\n``, so no sequence spans two), a search finds other whitespace,
+    numpy checks the counts and their exact sum, and the kernel's lookup
+    table, kept by the vocabulary, finds a repeated word.  Returns None when
+    a check fails, for ``_read_vocabulary`` to name the first bad record.
+    """
+    if vocab_size > INT32_MAX:  # the table's ids are int32
+        return None
+    data = np.frombuffer(mapped, dtype=np.uint8)[_HEADER.size :]
+    records = kernel.vocabulary_records(data, vocab_size)
+    if records is None:
+        return None
+    words, ends, counts, span = records
+    if not words.isascii():
+        try:
+            text = words.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if re.search(r"[^\S\x00-\x7f]", text):
+            return None
+    # each count is below 2^63, so the sums of its 32-bit halves are exact below 2^31 words
+    counted = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+    if counts.min(initial=1) < 1 or counted != total_tokens:
+        return None
+    try:
+        table = kernel.lookup_table(words, ends)
+    except ValueError:  # a repeated word
+        return None
+    vocab = Vocabulary.from_bytes(words, ends, counts, total_tokens, 1, 1, lookup=table)
+    return vocab, _HEADER.size + span
+
+
 def load_model(path: str) -> TrainedModel:
     """Read a model file back; matrices round-trip bit-exactly.
 
-    After every header and size check, the file is mapped copy-on-write
-    and the matrices are views of the mapping: a page is read when first
-    touched.  They stay writable, and writes never reach the file.
-    Replacing the file (as ``save_model`` does) leaves a loaded model
-    intact, but rewriting or truncating it in place while it is mapped
-    can kill the process with ``SIGBUS``.
+    After the header checks the file is mapped copy-on-write.  The native
+    kernel reads the vocabulary from the mapping in bulk; when a check
+    fails there, or without the kernel, the records are read one by one,
+    which names the first bad record.  The matrices are views of the
+    mapping: a page is read when first touched.  They stay writable, and
+    writes never reach the file.  Replacing the file (as ``save_model``
+    does) leaves a loaded model intact, but rewriting or truncating it in
+    place while it is mapped can kill the process with ``SIGBUS``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -543,52 +655,14 @@ def load_model(path: str) -> TrainedModel:
                 f"inconsistent model header: dim={dim}, order={order}, buckets={buckets} "
                 "(need dim >= 1, order >= 1, and buckets > 0 exactly when order >= 2)"
             )
-        words: list[tuple[str, int]] = []
-        word_index: dict[str, int] = {}
-        for wid in range(vocab_size):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, "vocabulary", size))
-            raw = _read_exact(fh, length, "vocabulary", size)
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary", size))
-            try:
-                surface = raw.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ModelFormatError(
-                    f"vocabulary section: word {wid} is not UTF-8 ({err.reason})"
-                ) from None
-            if word_index.setdefault(surface, wid) != wid:
-                raise ModelFormatError(
-                    f"vocabulary section: word {wid} repeats word {word_index[surface]} "
-                    f"({surface!r})"
-                )
-            if not 1 <= count < 2**63:
-                raise ModelFormatError(
-                    f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
-                )
-            words.append((surface, count))
-        # no tokenizer yields an empty word or one holding whitespace, and the
-        # text formats (export-vec) would misread one; the joined words split
-        # back into themselves exactly when there is none
-        surfaces = [surface for surface, _ in words]
-        if " ".join(surfaces).split() != surfaces:
-            wid = next(i for i, w in enumerate(surfaces) if w.split() != [w])
-            raise ModelFormatError(
-                f"vocabulary section: word {wid} ({surfaces[wid]!r}) is empty or holds whitespace"
-            )
-        counted = sum(count for _, count in words)
-        if total_tokens != counted:
-            raise ModelFormatError(
-                f"inconsistent model header: total_tokens={total_tokens}, but the "
-                f"vocabulary counts sum to {counted}"
-            )
-        # wire format carries no thresholds; loaded models use the weakest ones
-        vocab = Vocabulary(
-            words=words,
-            word_index=word_index,
-            total_tokens=total_tokens,
-            min_count=1,
-            min_target_count=1,
-        )
-        source_at = fh.tell()
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        kernel = _kernel()
+        read = None
+        if kernel is not None:
+            read = _read_vocabulary_in_bulk(kernel, mapped, vocab_size, total_tokens)
+        if read is None:
+            read = _read_vocabulary(fh, vocab_size, total_tokens, size), fh.tell()
+        vocab, source_at = read
         source_rows = vocab_size + buckets
         target_at = source_at + 4 * source_rows * dim
         end = target_at + 4 * vocab_size * dim
@@ -596,8 +670,6 @@ def load_model(path: str) -> TrainedModel:
         _check_remaining(end - target_at, "target matrix", size - target_at)
         if end != size:
             raise ModelFormatError(f"{size - end} trailing bytes after the target matrix")
-        # both matrices empty: nothing to map
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if end > source_at else b""
         source = _map_matrix(mapped, source_at, source_rows, dim, "source matrix")
         target = _map_matrix(mapped, target_at, vocab_size, dim, "target matrix")
     return TrainedModel(

@@ -590,3 +590,42 @@ class TestTopLevel:
         out = capsys.readouterr().out
         for sub in ("train", "embed", "eval-sim", "norm-profile", "export-vec"):
             assert sub in out
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "--help"] for name in
+          ("train", "embed", "eval-sim", "norm-profile", "export-vec")),
+        ["train", "--input", "corpus.txt"],
+        ["embed"],
+        ["eval-sim", "--model", "m.bin"],
+        ["norm-profile", "--output", "out.txt"],
+        ["export-vec"],
+        ["train", "--input", "c", "--output", "m", "--dim", "wide"],
+        ["train", "--input", "c", "--output", "m", "--preset", "nope"],
+        ["norm-profile", "--model", "m", "--a", "zz"],
+        ["embed", "--model", "m", "--bogus"],
+        ["export-vec", "--model", "m", "extra"],
+        ["bogus"],
+        ["bogus", "--help"],
+        [],
+        ["--help"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_single_command_parser_prints_as_the_full_one(self, argv, capsys, monkeypatch):
+        from sentvec import cli
+
+        full = cli.build_parser
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return full(command)
+
+        def outcome(call):
+            with pytest.raises(SystemExit) as exit_info:
+                call()
+            return exit_info.value.code, *capsys.readouterr()
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        got = outcome(lambda: main(argv))
+        # a known command first: only its parser is built
+        assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+        assert got == outcome(lambda: full().parse_args(argv))

@@ -894,10 +894,11 @@ class TestText:
     def encode(self, kernel, data, stop=None):
         with kernel.encoder() as encoder:
             encoder.encode_lines(data, len(data) if stop is None else stop)
-            ids, lengths, words, ends = encoder.result()
+            ids, lengths, n_words = encoder.result()
             ids = ids.tolist()  # a view of the encoder's buffer
-        bounds = [0, *ends.tolist()]
-        return ids, lengths.tolist(), [words[a:b] for a, b in zip(bounds, bounds[1:])]
+            words, ends = encoder.words(np.arange(n_words))
+        bounds = [-1, *ends.tolist()]
+        return ids, lengths.tolist(), [words[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
 
     def test_splits_as_str_split_on_ascii(self, kernel):
         rng = np.random.default_rng(71)
@@ -932,17 +933,18 @@ class TestText:
                 encoder.encode_lines(b"ab", -1)
 
     def test_lookup(self, kernel):
-        words = ["the", "cat", "Dog", "longer-than-eight", "k", ""]
-        values = np.array([10, 11, 12, 13, 14, 15], dtype=np.int64)
-        table = kernel.lookup_table(words, values)
+        words = b"the\ncat\nDog\nlonger-than-eight\nk\n\n"
+        table = kernel.lookup_table(words, np.array([3, 7, 11, 29, 31, 32]))
         lines = [b"the CAT dog Dog", b"", b"LONGER-than-EIGHT\x1ck zebra", b"K the\t"]
         ends = np.cumsum([len(line) for line in lines])
         ids, counts = table.lookup(b"".join(lines), ends)
         assert counts.tolist() == [4, 0, 3, 2]
-        assert ids.tolist() == [10, 11, -1, 12, 13, 14, -1, 14, 10]
+        assert ids.tolist() == [0, 1, -1, 2, 3, 4, -1, 4, 0]
+        with pytest.raises(ValueError, match="word 2 repeats"):
+            kernel.lookup_table(b"ab\nc\nab\n", np.array([2, 4, 7]))
 
     def test_lookup_checks_line_ends(self, kernel):
-        table = kernel.lookup_table(["a"], np.array([0]))
+        table = kernel.lookup_table(b"a\n", np.array([1]))
         with pytest.raises(ValueError, match="delimit"):
             table.lookup(b"a a", np.array([2], dtype=np.int64))
         with pytest.raises(ValueError, match="delimit"):

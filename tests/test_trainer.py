@@ -676,6 +676,201 @@ class TestSerialization:
         # both outcomes occur: bit flips inside the matrices still load
         assert outcomes["rejected"] > 300 and outcomes["loaded"] > 100, outcomes
 
+    def test_loaders_agree_on_mutated_files(self, kernel, without_kernel, tmp_path):
+        # the files of test_mutated_files_fail_cleanly_or_load_consistently
+        path = tmp_path / "m.bin"
+        save_model(small_bigram_model(), str(path))
+        files = list(mutated_files(path.read_bytes()))
+        native = [load_outcome(path, data) for data in files]
+        # every file that loads was read by the kernel's bulk reader
+        assert all(bulk for _, bulk in native if bulk is not None)
+        without_kernel()
+        assert [load_outcome(path, data)[0] for data in files] == [got for got, _ in native]
+        assert sum(isinstance(got, str) for got, _ in native) > 300
+
+    @pytest.mark.parametrize("words,counts,total,message", [
+        ([b"a", b"b\nc", b"d"], None, None, r"word 1 \('b\\nc'\) is empty or holds whitespace"),
+        # invalid in each record alone, valid when the two are joined
+        ([b"a", b"x\xc3", b"\xa9y"], None, None, r"word 1 is not UTF-8"),
+        (["café".encode(), "a\u3000b".encode()], None, None,
+         r"word 1 \('a\\u3000b'\) is empty or holds whitespace"),
+        (["café".encode(), b"b", "café".encode()], None, None, r"word 2 repeats word 0 \('café'\)"),
+        ([b"a", b"b", b"c"], [3, 0, 2], None, r"word 1 has count 0, outside"),
+        ([b"a", b"b", b"c"], [3, 1, 2**63], None, r"word 2 has count 9223372036854775808"),
+        # two faults: the earlier record is named
+        ([b"a", b"\xff", b"a"], None, None, r"word 1 is not UTF-8"),
+        ([b"a", b"b", b"a", b"c"], [1, 0, 1, 1], None, r"word 1 has count 0"),
+        ([b"a", b"b c", b""], None, None, r"word 1 \('b c'\) is empty"),
+        ([b"a", b"b"], None, 5, r"total_tokens=5, but the vocabulary counts sum to 2"),
+        # a sum that wraps around 2^64 to the claimed 0
+        ([b"a", b"b", b"c"], [2**63 - 1, 2**63 - 1, 2], 0, r"sum to 18446744073709551616"),
+        (["café".encode(), "日本".encode(), b"a"], None, None, None),
+    ], ids=[
+        "newline", "split-utf8", "u3000-after-non-ascii", "repeated-non-ascii", "count-0",
+        "count-2^63", "utf8-then-repeat", "count-then-repeat", "space-then-empty", "total",
+        "total-wraps", "valid-non-ascii",
+    ])
+    def test_loaders_agree_on_targeted_files(
+        self, kernel, without_kernel, tmp_path, words, counts, total, message
+    ):
+        path = tmp_path / "m.bin"
+        data = model_file(words, counts, total)
+        native, bulk = load_outcome(path, data)
+        without_kernel()
+        assert load_outcome(path, data)[0] == native
+        if message is None:
+            assert bulk and native[2] == [(w.decode(), 1) for w in words]
+        else:
+            assert re.search(message, native), native
+
+    # 2^31 - 1 words is the most the kernel's int32 ids take; a larger claim skips it
+    @pytest.mark.parametrize("claim", [2**40, 2**31 - 1])
+    def test_huge_vocabulary_claim_is_a_truncation(self, kernel, without_kernel, tmp_path, claim):
+        path = tmp_path / "m.bin"
+        data = model_file([b"a", b"b"], vocab_size=claim)[:-16]  # no matrix rows
+        data += b"\xff" * (1024 - len(data))  # word 2 claims 2^32 - 1 bytes
+        native, _ = load_outcome(path, data)
+        assert native == (
+            "truncated model file in vocabulary section: expected 4294967295 bytes, "
+            "at most 1024 remain"
+        )
+        without_kernel()
+        assert load_outcome(path, data)[0] == native
+
+    def test_vocabulary_is_read_in_bulk(self, kernel, tmp_path, monkeypatch):
+        from sentvec import trainer
+        from sentvec.evaluation import embed_batch
+
+        words = [(f"w{i}", 20_000 - i) for i in range(20_000)]
+        path = tmp_path / "m.bin"
+        save_model(model_of(words, dim=2), str(path))
+        sections = []
+        read_exact = trainer._read_exact
+
+        def counted(fh, n, section, limit):
+            sections.append(section)
+            return read_exact(fh, n, section, limit)
+
+        monkeypatch.setattr(trainer, "_read_exact", counted)
+        loaded = load_model(str(path))
+        assert sections == ["header"]
+        vocab = loaded.vocab
+        table = vocab._lookup
+        assert table is not None
+        embed_batch(loaded, ["w0 w19999 W7 unknown"])
+        assert vocab._lookup is table
+        assert vocab._words is None and vocab._index is None  # an ASCII batch builds neither
+        assert vocab.words == words and vocab.word_index["w19999"] == 19_999
+
+    @pytest.mark.parametrize("words", [
+        ["the", "cat", "sat", "on"],
+        ["café", "日本語", "a", "äpfel"],
+        [],
+        ["solo"],
+    ], ids=["ascii", "non-ascii", "empty", "one-word"])
+    def test_vocabulary_section_equals_per_word_records(self, tmp_path, words):
+        counted = list(zip(words, [2**63 - 1, 1, 7, 300]))
+        path = tmp_path / "m.bin"
+        save_model(model_of(counted, dim=3), str(path))
+        reference = b"".join(
+            struct.pack("<I", len(w.encode("utf-8"))) + w.encode("utf-8") + struct.pack("<Q", c)
+            for w, c in counted
+        )
+        data = path.read_bytes()
+        assert data[48 : 48 + len(reference)] == reference
+        assert len(data) == 48 + len(reference) + 2 * 4 * 3 * len(words)
+
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_load_then_save_reproduces_the_file(self, kernel, without_kernel, tmp_path, engine):
+        if engine == "numpy":
+            without_kernel()
+        unicode = model_of([("café", 3), ("日本", 2), ("a", 1)], dim=2)
+        for i, model in enumerate([small_bigram_model(), unicode, toy_model()]):
+            first, second = tmp_path / f"{i}.bin", tmp_path / f"{i}-again.bin"
+            save_model(model, str(first))
+            save_model(load_model(str(first)), str(second))
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_save_rejects_a_lone_surrogate(self, tmp_path):
+        with pytest.raises(UnicodeDecodeError):
+            save_model(model_of([("a\udc80", 1)], dim=2), str(tmp_path / "m.bin"))
+
+
+def model_of(words: list[tuple[str, int]], dim: int) -> TrainedModel:
+    """A unigram model of the (word, count) pairs ``words``, with random rows."""
+    from sentvec.corpus import Vocabulary
+    from sentvec.model import EmbeddingMatrices
+
+    vocab = Vocabulary(
+        words=words, word_index={w: i for i, (w, _) in enumerate(words)},
+        total_tokens=sum(c for _, c in words), min_count=1, min_target_count=1,
+    )
+    return TrainedModel(
+        vocab=vocab,
+        matrices=EmbeddingMatrices.initialize(len(words), 0, dim, np.random.default_rng(3)),
+        word_ngrams=1,
+        buckets=0,
+        subsample_t=1e-5,
+    )
+
+
+def model_file(words: list[bytes], counts=None, total=None, vocab_size=None) -> bytes:
+    """The bytes of a dim-1 unigram model file with these vocabulary records and zero rows."""
+    from sentvec.trainer import _HEADER
+
+    counts = [1] * len(words) if counts is None else counts
+    header = _HEADER.pack(
+        b"S2VM", 1, 1, len(words) if vocab_size is None else vocab_size, 0, 1, 1e-5,
+        sum(counts) if total is None else total,
+    )
+    records = b"".join(
+        struct.pack("<I", len(w)) + w + struct.pack("<Q", c) for w, c in zip(words, counts)
+    )
+    return header + records + bytes(8 * len(words))
+
+
+def load_outcome(path, data: bytes):
+    """``load_model`` of ``data`` written to ``path``: its ``ModelFormatError`` text, or
+    what it loaded; and whether the kernel's bulk reader read it (None for an error)."""
+    path.write_bytes(data)
+    try:
+        loaded = load_model(str(path))
+    except ModelFormatError as err:
+        return str(err), None
+    vocab, matrices = loaded.vocab, loaded.matrices
+    got = (
+        (matrices.dim, loaded.word_ngrams, loaded.buckets, loaded.subsample_t),
+        vocab.total_tokens, vocab.words, vocab.word_index, vocab.counts().tolist(),
+        matrices.source.tobytes(), matrices.target.tobytes(),
+    )
+    return got, vocab._lookup is not None
+
+
+def mutated_files(good: bytes):
+    """The mutations of ``good`` that test_mutated_files_fail_cleanly_or_load_consistently
+    makes, in its order: truncations, bit flips and header field changes."""
+    rng = np.random.default_rng(2024)
+    fields = {"dim": (8, "<I"), "vocab": (12, "<Q"), "buckets": (20, "<Q"),
+              "order": (28, "<I")}
+    for case in range(1_000):
+        data = bytearray(good)
+        kind = case % 3
+        if kind == 0:
+            data = data[: int(rng.integers(0, len(good)))]
+        elif kind == 1:
+            for _ in range(int(rng.integers(1, 4))):
+                bit = int(rng.integers(0, 8 * len(good)))
+                data[bit // 8] ^= 1 << (bit % 8)
+        else:
+            name = list(fields)[case // 3 % len(fields)]
+            offset, fmt = fields[name]
+            (value,) = struct.unpack_from(fmt, data, offset)
+            limit = 2**32 if fmt == "<I" else 2**64
+            value = int(rng.choice([0, 1, value - 1, value + 1, 2 * value,
+                                    int(rng.integers(0, 2**31)) * 7, limit - 1])) % limit
+            struct.pack_into(fmt, data, offset, value)
+        yield bytes(data)
+
 
 def toy_model() -> TrainedModel:
     from sentvec.corpus import build_vocab
