@@ -25,10 +25,11 @@
  * model.EmbeddingMatrices.initialize: numpy's PCG64 stream, turned into
  * float32 values exactly as Generator.uniform(...).astype(float32) does.
  *
- * sv_embed_lines composes sentence vectors for evaluation.embed_batch from
- * each line's word ids: it hashes the n-grams with the training step's own
- * ngram_row and takes the mean of the rows with sum_rows, which builds every
- * step's context mean.  sv_format_rows writes float32 rows as the %.6g text
+ * sv_embed_text composes sentence vectors for evaluation.embed_batch and
+ * evaluate_similarity straight from each line's text: it looks the line's
+ * tokens up, hashes the n-grams with the training step's own ngram_row and
+ * takes the mean of the rows with sum_rows, which builds every step's context
+ * mean.  sv_format_rows writes float32 rows as the %.6g text
  * of evaluation.RowText, which sentvec embed, export-vec and the pair
  * features print.  It scales each value by a power of ten in double; when
  * the result is clearly away from a rounding tie it builds the six digits
@@ -38,10 +39,10 @@
  * values the lanes do not cover to the one-value writer, so the bytes never
  * differ.
  *
- * A byte-string table (sv_table) serves both text paths.  sv_encode_lines
- * splits corpus lines on the ASCII whitespace of str.split() and interns
- * their tokens (corpus.encode_corpus); sv_lookup_lines splits every line
- * evaluation.embed_batch composes and looks its tokens up in a table of
+ * A byte-string table (sv_table) serves both text paths, and one token
+ * scanner splits their lines on the ASCII whitespace of str.split().
+ * sv_encode_lines interns the tokens of corpus lines (corpus.encode_corpus);
+ * sv_embed_text looks the tokens of the lines it composes up in a table of
  * every word of the model's vocabulary.  Neither knows the non-ASCII
  * whitespace of str.split(): Python hands them a line with a byte >= 0x80
  * as its str.split() tokens joined by spaces.  A vocabulary is passed as its
@@ -50,7 +51,7 @@
  * model file's records, and sv_table_new builds the lookup table from it.
  *
  * Every float pointer an entry point takes must be 4-byte aligned, except
- * the source matrix of sv_embed_lines: a mapped model file places it at
+ * the source matrix of sv_embed_text: a mapped model file places it at
  * any byte offset, so that entry reads it with memcpy loads only.
  */
 
@@ -734,44 +735,6 @@ void sv_fill_uniform(float *out, int64_t n, const uint64_t *state, double low, d
         out[i] = pcg_uniform(s[j], low, range);
 }
 
-/* ---- sentence composition ---- */
-
-/* The mean of each line's source rows.  Line i holds the counts[i] ids after
- * the earlier lines' in ids; its unigram rows, then the rows of its windows of
- * order 2..order in the order of sentence_ngrams, go into one row list whose
- * mean sum_rows writes, as the training step's context mean (a line with no
- * ids gets the zero vector).  source is byte-addressed (no alignment
- * assumed); out is an aligned n_lines x dim matrix.  Returns SV_OK, or
- * SV_NO_MEMORY when the row list cannot be allocated. */
-int sv_embed_lines(const char *source, int64_t dim, int64_t vocab_size, int64_t buckets,
-                   int32_t order, const int32_t *ids, const int64_t *counts, int64_t n_lines,
-                   float *out)
-{
-    int64_t max_len = 0;
-    for (int64_t line = 0; line < n_lines; line++)
-        max_len = counts[line] > max_len ? counts[line] : max_len;
-    int64_t *rows = malloc(sizeof(int64_t) * (size_t)(max_len + ngram_count(max_len, order) + 1));
-    if (!rows)
-        return SV_NO_MEMORY;
-    for (int64_t line = 0; line < n_lines; line++) {
-        float *const v = out + line * dim;
-        const int64_t len = counts[line];
-        int64_t n = 0;
-        for (; n < len; n++)
-            rows[n] = ids[n];
-        for (int32_t k = 2; k <= order; k++)
-            for (int64_t i = 0; i + k <= len; i++)
-                rows[n++] = ngram_row(ids + i, k, vocab_size, buckets);
-        if (n > 0)
-            sum_rows(v, source, rows, NULL, n, dim);
-        else
-            memset(v, 0, sizeof(float) * (size_t)dim);
-        ids += len;
-    }
-    free(rows);
-    return SV_OK;
-}
-
 /* ---- %.6g text ---- */
 
 /* bytes one %.6g value of a float32 takes at most, plus its separator:
@@ -1077,6 +1040,19 @@ static const unsigned char SPACE[256] = {
     [0x1c] = 1, [0x1d] = 1, [0x1e] = 1, [0x1f] = 1, [' '] = 1,
 };
 
+/* the start of the first token of s[p:len], with its end in *end; len when
+ * none is left */
+static inline int64_t next_token(const unsigned char *s, int64_t p, int64_t len, int64_t *end)
+{
+    while (p < len && SPACE[s[p]])
+        p++;
+    int64_t q = p;
+    while (q < len && !SPACE[s[q]])
+        q++;
+    *end = q;
+    return p;
+}
+
 #define BYTE_ONES 0x0101010101010101u
 #define HASH_MULTIPLIER 0x9e3779b97f4a7c15u
 
@@ -1323,16 +1299,9 @@ sv_encoder *sv_encoder_new(void)
 /* intern the whitespace-separated tokens of line s[0:len]; 0, or -1 when out of memory */
 static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
 {
-    int64_t count = 0;
-    for (int64_t i = 0; i < len;) {
-        if (SPACE[s[i]]) {
-            i++;
-            continue;
-        }
-        int64_t j = i + 1;
-        while (j < len && !SPACE[s[j]])
-            j++;
-        const int64_t id = table_intern(&e->words, s + i, j - i);
+    int64_t count = 0, end;
+    for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
+        const int64_t id = table_intern(&e->words, s + p, end - p);
         if (id < 0)
             return -1;
         if (e->n_ids == e->ids_cap) {
@@ -1343,7 +1312,6 @@ static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
         }
         e->ids[e->n_ids++] = (int32_t)id;
         count++;
-        i = j;
     }
     if (e->n_lines == e->lines_cap) {
         int64_t *lengths = grown(e->lengths, &e->lines_cap, e->n_lines + 1, sizeof *lengths);
@@ -1439,35 +1407,79 @@ sv_table *sv_table_new(const unsigned char *words, const int64_t *ends, int64_t 
     return t;
 }
 
-/* Split the lines data[line_ends[i - 1] (0 for i = 0) : line_ends[i]] into
- * tokens as sv_encode_lines does, and look each one up in t: as it is, then
- * ASCII-lowercased when it holds a capital.  Writes the id of each token
- * found, -1 for the others, and each line's token count; returns the number
- * of tokens. */
-int64_t sv_lookup_lines(const sv_table *t, const unsigned char *data, const int64_t *line_ends,
-                        int64_t n_lines, int64_t *ids, int64_t *counts)
+/* ---- sentence composition ---- */
+
+/* 1 when s[0:len] holds an ASCII capital */
+static inline int has_capital(const unsigned char *s, int64_t len)
 {
-    int64_t n = 0;
-    for (int64_t line = 0, p = 0; line < n_lines; line++) {
-        const int64_t end = line_ends[line], first = n;
-        while (p < end) {
-            if (SPACE[data[p]]) {
-                p++;
-                continue;
-            }
-            int64_t q = p;
-            int capital = 0;
-            for (; q < end && !SPACE[data[q]]; q++)
-                capital |= data[q] >= 'A' && data[q] <= 'Z';
-            int64_t id = table_find(t, data + p, q - p, 0);
-            if (id < 0 && capital)
-                id = table_find(t, data + p, q - p, 1);
-            ids[n++] = id;
-            p = q;
+    for (int64_t i = 0; i < len; i++)
+        if (s[i] >= 'A' && s[i] <= 'Z')
+            return 1;
+    return 0;
+}
+
+/* The mean of the source rows of each line of data: line i is
+ * data[starts[i]:ends[i]], and the spans may lie anywhere in data.  Its
+ * tokens split as in sv_encode_lines, and each is looked up in t as it is,
+ * then ASCII-lowercased when it holds a capital; a token t lacks is skipped.
+ * The known ids (t's ids are source's first rows), then the rows of the
+ * line's windows of order 2..order in the order of sentence_ngrams, go into
+ * one row list whose mean sum_rows writes to row i of out, as the training
+ * step's context mean (a line with no known token gets the zero vector), and
+ * known[i] is the number of known tokens.  source is byte-addressed (no
+ * alignment assumed); out is an aligned n_lines x dim matrix.  Returns the
+ * number of tokens of all lines, or -1 when the scratch lists cannot be
+ * allocated. */
+int64_t sv_embed_text(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
+                      int32_t order, const unsigned char *data, const int64_t *starts,
+                      const int64_t *ends, int64_t n_lines, float *out, int64_t *known)
+{
+    int64_t ids_cap = INITIAL_ITEMS, rows_cap = INITIAL_ITEMS;
+    int32_t *ids = malloc(sizeof *ids * (size_t)ids_cap);
+    int64_t *rows = malloc(sizeof *rows * (size_t)rows_cap);
+    int64_t tokens = ids != NULL && rows != NULL ? 0 : -1;
+    for (int64_t line = 0; line < n_lines && tokens >= 0; line++) {
+        const unsigned char *s = data + starts[line];
+        const int64_t len = ends[line] - starts[line];
+        /* a token takes a byte and, but for the line's last, a separator */
+        int32_t *more_ids = grown(ids, &ids_cap, (len + 1) / 2, sizeof *ids);
+        if (more_ids == NULL) {
+            tokens = -1;
+            break;
         }
-        counts[line] = n - first;
+        ids = more_ids;
+        int64_t n = 0, end;
+        for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
+            int64_t id = table_find(t, s + p, end - p, 0);
+            if (id < 0 && has_capital(s + p, end - p))
+                id = table_find(t, s + p, end - p, 1);
+            if (id >= 0)
+                ids[n++] = (int32_t)id;
+            tokens++;
+        }
+        /* no window is longer than the line, whatever order is asked for */
+        const int32_t top = n < order ? (int32_t)n : order;
+        int64_t *more_rows = grown(rows, &rows_cap, n + ngram_count(n, top), sizeof *rows);
+        if (more_rows == NULL) {
+            tokens = -1;
+            break;
+        }
+        rows = more_rows;
+        int64_t r = 0;
+        for (; r < n; r++)
+            rows[r] = ids[r];
+        for (int32_t k = 2; k <= top; k++)
+            for (int64_t i = 0; i + k <= n; i++)
+                rows[r++] = ngram_row(ids + i, k, t->n_strings, buckets);
+        known[line] = n;
+        if (r > 0)
+            sum_rows(out + line * dim, source, rows, NULL, r, dim);
+        else
+            memset(out + line * dim, 0, sizeof(float) * (size_t)dim);
     }
-    return n;
+    free(ids);
+    free(rows);
+    return tokens;
 }
 
 /* ---- model files ---- */

@@ -1,7 +1,7 @@
 """Build, cache and bind the native kernel (``_kernel.c``): init, training, text, composition.
 
 Inference hashes n-grams with the training step's own code:
-``Kernel.embed_lines`` composes each line from its word ids, and
+``Kernel.embed_text`` composes each line straight from its text, and
 ``Kernel.format_rows`` writes the ``%.6g`` text that ``evaluation.RowText``
 prints.
 
@@ -47,7 +47,7 @@ PORTABLE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 HOST_FLAGS = ("-march=native",) if platform.machine().lower() in ("x86_64", "amd64") else ()
 COMPILE_FLAGS = PORTABLE_FLAGS + HOST_FLAGS
 
-# status codes of sv_train_chunk, sv_draw_negatives and sv_embed_lines
+# status codes of sv_train_chunk and sv_draw_negatives
 _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
 
 # most bytes one %.6g float32 value and its separator take; G6_VALUE_BYTES in _kernel.c
@@ -167,10 +167,6 @@ class Kernel:
         lib.sv_format_lanes.restype = ctypes.c_int
         # the values format_rows writes per pass: 8 on an AVX-512F, -CD and -BW build, else 1
         self.format_lanes: int = lib.sv_format_lanes()
-        lib.sv_embed_lines.argtypes = [
-            _ptr, _i64, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _i64, _ptr
-        ]
-        lib.sv_embed_lines.restype = ctypes.c_int
         lib.sv_fill_uniform.argtypes = [_ptr, _i64, _ptr, ctypes.c_double, ctypes.c_double]
         lib.sv_fill_uniform.restype = None
         lib.sv_fill_lanes.argtypes = []
@@ -195,8 +191,10 @@ class Kernel:
         lib.sv_table_new.restype = _ptr
         lib.sv_table_free.argtypes = [_ptr]
         lib.sv_table_free.restype = None
-        lib.sv_lookup_lines.argtypes = [_ptr, _ptr, _ptr, _i64, _ptr, _ptr]
-        lib.sv_lookup_lines.restype = _i64
+        lib.sv_embed_text.argtypes = [
+            _ptr, _ptr, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _ptr, _i64, _ptr, _ptr
+        ]
+        lib.sv_embed_text.restype = _i64
         lib.sv_vocab_span.argtypes = [_ptr, _i64, _i64]
         lib.sv_vocab_span.restype = _i64
         lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
@@ -371,37 +369,49 @@ class Kernel:
         state = np.array(halves, dtype=np.uint64)
         self._lib.sv_fill_uniform(pointer, out.size, state.ctypes.data, low, high - low)
 
-    def embed_lines(
-        self, source: np.ndarray, vocab_size: int, buckets: int, order: int,
-        ids: np.ndarray, counts: np.ndarray,
-    ) -> np.ndarray:
-        """Float32 mean of each line's unigram and n-gram ``source`` rows; zero for none.
+    def embed_text(
+        self, table: "LookupTable", source: np.ndarray, buckets: int, order: int,
+        data, starts: np.ndarray, ends: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Float32 mean of the unigram and n-gram ``source`` rows of each line of ``data``.
 
-        Line i holds ``counts[i]`` of the int32 word ``ids``, after the
-        earlier lines'.  Its unigram rows, then the rows of its windows of
-        order 2..``order`` in ``corpus.sentence_ngrams``' order, are added in
-        order to a zero sum and divided by their count, as ``evaluation``'s
-        numpy fallback does.  ``source`` may sit at any byte offset.
+        Line i is ``data[starts[i]:ends[i]]`` of the bytes-like ``data``;
+        spans may lie anywhere in it.  Its tokens split as in
+        ``Encoder.encode_lines`` and are looked up in ``table``: as they are,
+        then ASCII-lowercased when they hold a capital; a token still absent
+        is skipped.  The known ids' rows, then the rows of the line's windows
+        of order 2..``order`` in ``corpus.sentence_ngrams``' order, are added
+        in order to a zero sum and divided by their count, as
+        ``evaluation``'s numpy fallback does; a line with no known token
+        gets zeros.  Returns the means, each line's known-token count and
+        the number of tokens of all lines.  ``source`` may sit at any byte
+        offset.
         """
         n_rows, dim = source.shape
-        if n_rows != vocab_size + buckets:
-            raise ValueError(f"source has {n_rows} rows, not {vocab_size} + {buckets} buckets")
+        if n_rows != table.size + buckets:
+            raise ValueError(f"source has {n_rows} rows, not {table.size} + {buckets} buckets")
         if order < 1 or (order >= 2 and buckets < 1):
             raise ValueError(f"invalid order={order} with buckets={buckets}")
-        if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != len(ids):
-            raise ValueError("counts must be non-negative and sum to the number of ids")
-        if len(ids) and (ids.min() < 0 or ids.max() >= vocab_size):
-            raise ValueError("word id out of range")
-        # no window is longer than the longest line; and ctypes would wrap an
-        # order past int32 silently, which would drop every n-gram
-        order = min(order, max(int(counts.max(initial=0)), 1))
-        out = np.empty((len(counts), dim), dtype=np.float32)
-        _check(self._lib.sv_embed_lines(
-            _pointer(source, np.float32, "source", byte_addressed=True), dim, vocab_size,
-            buckets, order, _pointer(ids, np.int32, "ids"), _pointer(counts, np.int64, "counts"),
-            len(counts), out.ctypes.data,
-        ))
-        return out
+        lengths = ends - starts if ends.ndim == 1 and starts.shape == ends.shape else None
+        if lengths is None or len(ends) and (
+            starts.min() < 0 or ends.max() > len(data) or lengths.min() < 0
+        ):
+            raise ValueError("spans do not lie within the data")
+        # a token takes a byte and a separator, so no window is longer than
+        # this; and ctypes would wrap an order past int32 silently
+        order = min(order, max((int(lengths.max(initial=0)) + 1) // 2, 1), 2**31 - 1)
+        out = np.empty((len(ends), dim), dtype=np.float32)
+        known = np.empty(len(ends), dtype=np.int64)
+        view, address = _address(data)
+        tokens = self._lib.sv_embed_text(
+            table._handle, _pointer(source, np.float32, "source", byte_addressed=True), dim,
+            buckets, order, address, _pointer(starts, np.int64, "starts"),
+            _pointer(ends, np.int64, "ends"), len(ends), out.ctypes.data, known.ctypes.data,
+        )
+        del view
+        if tokens < 0:
+            raise MemoryError("native kernel could not allocate its scratch space")
+        return out, known, tokens
 
     def format_rows(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None,
@@ -549,7 +559,8 @@ class Encoder:
 
 
 class LookupTable:
-    """Words and their ids, looked up by the tokens of lines (``sv_table``).
+    """The ``size`` words of a vocabulary and their ids (``sv_table``), which
+    ``Kernel.embed_text`` looks the tokens of lines up in.
 
     A token finds a word when their bytes are equal.
     """
@@ -559,7 +570,7 @@ class LookupTable:
         if n and (ends[0] < 0 or ends[-1] + 1 != len(words) or np.any(np.diff(ends) < 1)):
             raise ValueError("ends do not delimit the words")
         repeat = _i64()
-        self._lib = lib
+        self.size = n
         self._handle = lib.sv_table_new(
             words, _pointer(ends, np.int64, "ends"), n, ctypes.byref(repeat)
         )
@@ -568,29 +579,6 @@ class LookupTable:
                 raise ValueError(f"word {repeat.value} repeats an earlier word")
             raise MemoryError("native lookup table could not be allocated")
         weakref.finalize(self, lib.sv_table_free, self._handle)
-
-    def lookup(self, data, line_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The id of every token of the lines ``data[line_ends[i - 1]:line_ends[i]]``
-        (0 for the start of line 0), and each line's token count.
-
-        Tokens split as in ``Encoder.encode_lines``; a token absent from the
-        table is looked up ASCII-lowercased, and gets -1 when still absent.
-        """
-        if len(line_ends) and (
-            line_ends[0] < 0 or line_ends[-1] != len(data) or np.any(np.diff(line_ends) < 0)
-        ):
-            raise ValueError("line ends do not delimit the data")
-        # a token takes a byte and a separator, but the last of a line needs none
-        ids = np.empty(len(data) // 2 + len(line_ends), dtype=np.int64)
-        counts = np.empty(len(line_ends), dtype=np.int64)
-        view, address = _address(data)
-        n = self._lib.sv_lookup_lines(
-            self._handle, address,
-            _pointer(line_ends, np.int64, "line_ends"), len(line_ends), ids.ctypes.data,
-            counts.ctypes.data,
-        )
-        del view
-        return ids[:n], counts
 
 
 def _check(status: int) -> None:

@@ -8,19 +8,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import logging
 import math
 import os
 import sys
+
+import numpy as np
 
 from .corpus import _decode_line
 from .evaluation import (
     OovStats,
     RowText,
     SimilarityPairs,
+    _embed_spans,
     arora_weight,
-    embed_batch,
     evaluate_similarity,
     norm_profile,
 )
@@ -40,6 +41,8 @@ THREADS_ENV_VAR = "SENTVEC_THREADS"
 
 # stdin lines embedded and written per batch; embed streams its input
 _EMBED_CHUNK_LINES = 1024
+# most stdin bytes (or characters, from a text stdin) taken per read
+_STDIN_BLOCK = 1 << 20
 
 logger = logging.getLogger(__name__)
 
@@ -212,30 +215,54 @@ def _log_oov(stats: OovStats) -> None:
 
 
 def _stdin_batches():
-    """Stdin as lists of up to ``_EMBED_CHUNK_LINES`` lines, split at ``\\n``.
+    """Stdin as batches of up to ``_EMBED_CHUNK_LINES`` lines, split at ``\\n``.
 
-    Stdin's bytes are read when it has them: ASCII lines stay bytes, and
-    the others are decoded as UTF-8, which names the line and byte offset
-    of invalid input.  A text stdin without bytes gives ``str`` lines.
+    A batch is ``(data, starts, ends)``: its line i is
+    ``data[starts[i]:ends[i]]``.  Stdin's bytes are read when it has them,
+    a block at a time, and each batch is cut from the blocks at its
+    newline offsets, so no line becomes an object of its own.  A batch
+    that is not all ASCII is decoded as UTF-8, which names the line and
+    byte offset of invalid input.  A text stdin without bytes gives
+    ``str`` batches.
     """
     if sys.stdin is None:
         raise ValueError("no standard input to read sentences from (stdin is closed)")
-    source = getattr(sys.stdin, "buffer", None)
-    if source is None:
-        while chunk := list(itertools.islice(sys.stdin, _EMBED_CHUNK_LINES)):
-            yield [line.rstrip("\n") for line in chunk]
-        return
-    lineno = 0
-    while chunk := list(itertools.islice(source, _EMBED_CHUNK_LINES)):
-        data = b"".join(chunk)
-        lines = data.split(b"\n")[: len(chunk)]
-        if not data.isascii():
-            lines = [
-                line if line.isascii() else _decode_line(line, "stdin", lineno + i)
-                for i, line in enumerate(lines, start=1)
-            ]
-        lineno += len(lines)
-        yield lines
+    source = getattr(sys.stdin, "buffer", sys.stdin)
+    read = getattr(source, "read1", source.read)
+    size, lineno, pending, newlines = _EMBED_CHUNK_LINES, 0, [], 0
+    while True:
+        block = read(_STDIN_BLOCK)
+        pending.append(block)
+        newline = "\n" if isinstance(block, str) else b"\n"
+        newlines += block.count(newline)
+        if block and newlines < size:
+            continue
+        data = type(block)().join(pending)
+        if isinstance(data, str):  # from a text stdin
+            ends = np.cumsum([len(line) + 1 for line in data.split("\n")][:-1], dtype=np.int64) - 1
+        else:
+            ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        if not block and data and not data.endswith(newline):
+            ends = np.append(ends, len(data))  # the last line, which has no \n
+        starts = np.concatenate([[0], ends + 1])
+        done = len(ends) if not block else len(ends) // size * size
+        for first in range(0, done, size):
+            stop = min(first + size, done)
+            a = int(starts[first])
+            batch = data[a : int(starts[stop])]
+            line_starts, line_ends = starts[first:stop] - a, ends[first:stop] - a
+            if isinstance(batch, bytes) and not batch.isascii():
+                try:
+                    batch.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    # the line ends are ASCII, so the bad bytes lie inside one line
+                    i = int(np.searchsorted(line_ends, err.start, "right"))
+                    _decode_line(batch[line_starts[i] : line_ends[i]], "stdin", lineno + i + 1)
+            lineno += stop - first
+            yield batch, line_starts, line_ends
+        if not block:
+            return
+        pending, newlines = [data[int(starts[done]) :]], len(ends) - done
 
 
 def cmd_embed(args) -> int:
@@ -245,8 +272,8 @@ def cmd_embed(args) -> int:
     out = getattr(sys.stdout, "buffer", None)
     if out is not None:
         sys.stdout.flush()  # text written before goes first
-    for lines in _stdin_batches():
-        vectors, flags = embed_batch(model, lines, stats)
+    for data, starts, ends in _stdin_batches():
+        vectors, flags = _embed_spans(model, data, starts, ends, stats)
         rows = text(vectors, " ", flags if args.oov_flag else None)
         if out is not None:
             out.write(rows)

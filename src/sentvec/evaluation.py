@@ -8,7 +8,7 @@ similarities are correlated against the gold scores with Pearson's r and
 Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
 file: it checks and splits the whole file's bytes at once, and
 ``evaluate_similarity`` scores its pairs from those bytes, with one
-lookup for both sides and no per-record Python objects on an ASCII file.
+kernel call per side and no per-record Python objects on an ASCII file.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class SimilarityPairs:
     ``data[ends[i - 1]:ends[i]]`` (from 0 for ``i = 0``).  Span ``3k``
     holds record k's score, span ``3k + 1`` its sentence a and span
     ``3k + 2`` its sentence b, each sentence after the tab before it; a
-    score span also holds the line ends before it.  To the lookup those
+    score span also holds the line ends before it.  To the kernel those
     are whitespace.  ``gold`` holds the scores as float64.  ``data`` is
     the bytes of a file (``read``) or a ``str`` (``of``).
     """
@@ -95,7 +95,8 @@ class SimilarityPairs:
         with open(path, "rb") as fh:
             data = fh.read()
         # no multi-byte character holds \r or \n
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         buf = np.frombuffer(data, dtype=np.uint8)
         line_ends = np.flatnonzero(buf == ord("\n"))
         if data and data[-1] != ord("\n"):
@@ -184,18 +185,12 @@ def _compose(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray) -> np
 
     ``unigrams`` holds the known ids of all lines back to back, ``known``
     their count per line.  A line's rows are its unigrams, then its windows
-    of order 2, 3, ..., as in ``sentence_ngrams``.  The native kernel
-    composes float32 matrices; otherwise numpy adds each line's rows in
-    order to a zero sum, as the kernel does, and divides by their count:
-    the two agree bit for bit at every dimension.
+    of order 2, 3, ..., as in ``sentence_ngrams``.  numpy adds each line's
+    rows in order to a zero sum, as ``Kernel.embed_text`` does, and divides
+    by their count: the two agree bit for bit at every dimension.
     """
     source = model.matrices.source
     vocab_size, buckets = len(model.vocab), model.buckets
-    kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
-    if kernel is not None:
-        return kernel.embed_lines(
-            source, vocab_size, buckets, model.word_ngrams, unigrams.astype(np.int32), known
-        )
     offsets = np.concatenate([[0], np.cumsum(known)])
     lines = np.arange(len(known))
     parts, owners = [unigrams], [np.repeat(lines, known)]
@@ -218,7 +213,11 @@ def _compose(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray) -> np
 
 
 def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
-    """``_token_ids`` through ``str.split`` and the word index; the reference path."""
+    """The vocabulary id of every token of ``lines`` (-1 when unknown) and each line's token count.
+
+    Lines split on whitespace.  A token is looked up verbatim, then
+    lowercased.  The reference for the kernel's lookup.
+    """
     get = vocab.word_index.get
     line_tokens = [
         (text.decode("utf-8") if isinstance(text, bytes) else text).split() for text in lines
@@ -232,7 +231,7 @@ def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_line(vocab: Vocabulary, text) -> bytes:
-    """Line ``text`` as bytes in which the kernel finds ``_python_ids``' ids.
+    """Line ``text`` as bytes in which ``Kernel.embed_text`` finds ``_python_ids``' ids.
 
     An ASCII line stays as it is.  Any other is split by ``str.split``, and
     each token the vocabulary lacks is ``str.lower()``ed, which leaves no
@@ -248,29 +247,6 @@ def _kernel_line(vocab: Vocabulary, text) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def _token_ids(vocab: Vocabulary, lines: list) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary id of every token of ``lines`` (-1 when unknown) and each line's token count.
-
-    Lines split on whitespace.  A token is looked up verbatim, then
-    lowercased.  The kernel splits and looks up every line of the batch in
-    one call, after ``_kernel_line`` has rewritten any line that is not
-    all ASCII.
-    """
-    kernel = _kernel()
-    if kernel is None:
-        return _python_ids(vocab, lines)
-    try:
-        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
-    except TypeError:  # str and bytes lines mixed
-        data = None
-    if data is not None and data.isascii():
-        data = data.encode("ascii") if isinstance(data, str) else data
-    else:
-        lines = [_kernel_line(vocab, text) for text in lines]
-        data = b"".join(lines)
-    return _table(vocab, kernel).lookup(data, np.cumsum(list(map(len, lines)), dtype=np.int64))
-
-
 def _table(vocab: Vocabulary, kernel):
     """The kernel's lookup table of every word of ``vocab``: from ``load_model``, else built here."""
     if vocab._lookup is None:
@@ -278,18 +254,47 @@ def _table(vocab: Vocabulary, kernel):
     return vocab._lookup
 
 
-def _span_ids(vocab: Vocabulary, data, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_token_ids`` of the spans ``data[ends[i - 1]:ends[i]]`` of one ``str`` or bytes buffer.
+def _embed_spans(
+    model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray, stats: OovStats | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer.
 
-    An ASCII buffer goes to the kernel whole; any other is cut into its
-    spans, which ``_token_ids`` rewrites or looks up in Python.
+    The kernel splits, looks up and composes every line in one call: an
+    ASCII buffer goes to it whole, and any other is cut into its lines,
+    which ``_kernel_line`` rewrites.  Without it, ``_python_ids`` and
+    numpy's ``_compose`` are the reference path.
     """
-    kernel = _kernel()
-    if kernel is not None and data.isascii():
-        data = data.encode("ascii") if isinstance(data, str) else data
-        return _table(vocab, kernel).lookup(data, ends)
-    bounds = ends.tolist()
-    return _token_ids(vocab, [data[a:b] for a, b in zip([0, *bounds], bounds)])
+    source = model.matrices.source
+    kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
+    if kernel is None:
+        ids, counts = _python_ids(
+            model.vocab, [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        )
+        known_token = ids >= 0
+        line_of_token = np.repeat(np.arange(len(counts)), counts)
+        known = np.bincount(line_of_token[known_token], minlength=len(counts))
+        vectors, tokens = _compose(model, ids[known_token], known), len(ids)
+    else:
+        if not data.isascii():
+            bounds = zip(starts.tolist(), ends.tolist())
+            lines = [_kernel_line(model.vocab, data[a:b]) for a, b in bounds]
+            data = b"".join(lines)
+            lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+        elif isinstance(data, str):
+            data = data.encode("ascii")
+        vectors, known, tokens = kernel.embed_text(
+            _table(model.vocab, kernel), source, model.buckets, model.word_ngrams, data,
+            np.ascontiguousarray(starts), np.ascontiguousarray(ends),
+        )
+    flags = known == 0
+    if stats is not None:
+        stats.lines += len(known)
+        stats.all_oov_lines += int(flags.sum())
+        stats.tokens += tokens
+        stats.oov_tokens += tokens - int(known.sum())
+    return vectors, flags
 
 
 def embed_batch(
@@ -305,25 +310,15 @@ def embed_batch(
     in-vocabulary token gets the zero vector and its flag set.  ``stats``,
     when given, accumulates the batch's line and token counts.
     """
-    return _embed_ids(model, *_token_ids(model.vocab, list(lines)), stats)
-
-
-def _embed_ids(
-    model: TrainedModel, ids: np.ndarray, per_line: np.ndarray, stats: OovStats | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``embed_batch`` of lines given as their token ids (-1 unknown) and token counts."""
-    line_of_token = np.repeat(np.arange(len(per_line)), per_line)
-    known_token = ids >= 0
-    known = np.bincount(line_of_token[known_token], minlength=len(per_line))
-
-    flags = known == 0
-    unigrams = ids[known_token]
-    if stats is not None:
-        stats.lines += len(known)
-        stats.all_oov_lines += int(flags.sum())
-        stats.tokens += len(ids)
-        stats.oov_tokens += len(ids) - len(unigrams)
-    return _compose(model, unigrams, known), flags
+    lines = list(lines)
+    try:
+        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
+    except TypeError:  # str and bytes lines mixed
+        lines = [text if isinstance(text, str) else text.decode("utf-8") for text in lines]
+        data = "".join(lines)
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    ends = np.cumsum(lengths)
+    return _embed_spans(model, data, ends - lengths, ends, stats)
 
 
 def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
@@ -434,21 +429,19 @@ def evaluate_similarity(
 
     ``records`` are ``SimilarityRecord``s or the ``SimilarityPairs`` of a
     file; records are joined into the pairs' one buffer, so both score
-    alike.  One lookup finds the token ids of every span of the buffer,
-    and each side's lines are composed as ``embed_batch`` composes them,
-    in one call per side.  Records where either side has no
-    in-vocabulary token are excluded (a constant zero prediction would
-    poison the correlation); the number of used records is returned
-    alongside (pearson, spearman).  A side whose vector has zero norm
-    scores cosine 0, as in ``cosine``.  ``stats``, when given,
-    accumulates the OOV counts of side a, then of side b.
+    alike.  Each side's lines are composed as ``embed_batch`` composes
+    them, straight from their spans of that buffer, in one call per side.
+    Records where either side has no in-vocabulary token are excluded (a
+    constant zero prediction would poison the correlation); the number of
+    used records is returned alongside (pearson, spearman).  A side whose
+    vector has zero norm scores cosine 0, as in ``cosine``.  ``stats``,
+    when given, accumulates the OOV counts of side a, then of side b.
     """
     pairs = records if isinstance(records, SimilarityPairs) else SimilarityPairs.of(records)
-    ids, counts = _span_ids(model.vocab, pairs.data, pairs.ends)
     # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b
-    span_of_token = np.repeat(np.arange(len(counts)) % 3, counts)
-    va, oov_a = _embed_ids(model, ids[span_of_token == 1], counts[1::3], stats)
-    vb, oov_b = _embed_ids(model, ids[span_of_token == 2], counts[2::3], stats)
+    data, ends = pairs.data, pairs.ends
+    va, oov_a = _embed_spans(model, data, ends[0::3], ends[1::3], stats)
+    vb, oov_b = _embed_spans(model, data, ends[1::3], ends[2::3], stats)
     used = ~(oov_a | oov_b)
     n_used = int(used.sum())
     if n_used < 2:

@@ -3,6 +3,7 @@
 import ast
 import gzip
 import io
+import itertools
 import logging
 import os
 import struct
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import sentvec
+from sentvec import _native, evaluation
 from sentvec.cli import main
-from sentvec.evaluation import cosine, embed_sentence
+from sentvec.evaluation import RowText, cosine, embed_batch, embed_sentence
 from sentvec.trainer import load_model
 
 from conftest import two_topic_sentences, write_corpus
@@ -416,6 +418,66 @@ class TestEmbedStreams:
         # the batches before the bad line were written
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("native", [True, False])
+    def test_batches_and_blocks_print_the_same_bytes(
+        self, model_path, tmp_path, monkeypatch, request, without_kernel, native
+    ):
+        # a line's text does not depend on its batch, nor on the stdin reads it straddles
+        if native:
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        model = load_model(model_path)
+        rng = np.random.default_rng(31)
+        words = [w for w, _ in model.vocab.words] + ["zzz", "Qq"]
+        upper = {w: w.upper() for w in words}
+        many = "".join(
+            " \t"[int(rng.integers(2))].join(
+                upper[w] if rng.random() < 0.2 else w
+                for w in rng.choice(words, size=int(rng.integers(0, 12)))
+            ) + "\n"
+            for _ in range(3000)
+        )
+        for text in (EMBED_INPUT, many):
+            lines = text.split("\n")[: text.count("\n") + (not text.endswith("\n"))]
+            vectors, flags = embed_batch(model, lines)
+            want = bytes(RowText()(vectors, " ", flags))
+            source = tmp_path / "in.txt"
+            source.write_bytes(text.encode())
+            for chunk, block in itertools.product([1, 2, 3, 1024], [3, 1 << 20]):
+                monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", chunk)
+                monkeypatch.setattr("sentvec.cli._STDIN_BLOCK", block)
+                out = tmp_path / "out.txt"
+                with open(source, encoding="utf-8") as fin, open(out, "w") as fout:
+                    assert self.run_embed(model_path, fin, fout, monkeypatch) == 0
+                assert out.read_bytes() == want, (chunk, block)
+                if chunk in (3, 1024):  # a text stdin and stdout, read in characters
+                    printed = io.StringIO()
+                    stdin = io.StringIO(text, newline="\n")
+                    assert self.run_embed(model_path, stdin, printed, monkeypatch) == 0
+                    assert printed.getvalue().encode() == want, (chunk, block)
+
+    @pytest.mark.parametrize("block", [8, 40])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+    def test_invalid_utf8_in_a_later_block(
+        self, model_path, tmp_path, monkeypatch, capsys, chunk, block
+    ):
+        # a read can end inside a batch or hold lines of two batches
+        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", chunk)
+        monkeypatch.setattr("sentvec.cli._STDIN_BLOCK", block)
+        source = tmp_path / "in.txt"
+        source.write_bytes(
+            b"a0001 a0002\n" * 3 + "\u00e7a va\n".encode() + b"a0003\nok \xff a0001\nb0001\n"
+        )
+        out = tmp_path / "out.txt"
+        with open(source, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
+            assert self.run_embed(model_path, fin, fout, monkeypatch) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: stdin: line 6: invalid UTF-8 at byte offset 3: invalid start byte"
+        )
+        # every batch before the one holding the bad line was written
+        assert len(out.read_text().splitlines()) == 5 // chunk * chunk
+
     @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
     def test_invalid_utf8_exits_one_under_every_locale(self, model_path, locale):
         env = {
@@ -509,6 +571,55 @@ class TestEvalSimCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{dataset}: line 5001: invalid UTF-8 at byte offset 10: invalid start byte" in err
+
+    def test_same_line_with_and_without_the_kernel(
+        self, model_path, tmp_path, capsys, kernel, without_kernel
+    ):
+        model = load_model(model_path)
+        rng = np.random.default_rng(5)
+        words = [w for w, _ in model.vocab.words] + ["zzz"]
+        sides = [[" ".join(rng.choice(words, n)) for n in (4, 3)] for _ in range(300)]
+        text = "".join(f"{rng.random():.3f}\t{a}\t{b}\n" for a, b in sides)
+        plain, other = tmp_path / "plain.tsv", tmp_path / "other.tsv"
+        plain.write_text(text, encoding="utf-8")
+        # ideographic spaces before capitals that fold, and accented unknown tokens
+        other.write_text(text.replace(" a", "\u3000A").replace("b0", "B0\u00e9"), encoding="utf-8")
+
+        def outputs():
+            for dataset in (plain, other):
+                assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        native = outputs()
+        without_kernel()
+        assert outputs() == native
+        assert native[0] != native[1]
+
+    def test_one_kernel_call_per_side_and_per_batch(
+        self, model_path, tmp_path, monkeypatch, capsys, kernel
+    ):
+        calls = []
+        embed_text = _native.Kernel.embed_text
+
+        def counted(self, table, source, buckets, order, data, starts, ends):
+            calls.append(len(ends))
+            return embed_text(self, table, source, buckets, order, data, starts, ends)
+
+        def python_ids(*args):
+            raise AssertionError("the reference lookup ran")
+
+        monkeypatch.setattr(_native.Kernel, "embed_text", counted)
+        monkeypatch.setattr(evaluation, "_python_ids", python_ids)
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("".join(f"0.{i}\ta0001 a000{i}\tb000{i}\n" for i in range(1, 6)))
+        assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
+        assert calls == [5, 5]
+        calls.clear()
+        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
+        monkeypatch.setattr("sys.stdin", io.StringIO("a0001\nb0002 a0003\n\nzzz\na0002\n"))
+        assert main(["embed", "--model", model_path]) == 0
+        assert calls == [2, 2, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5
 
 
 class TestNormProfileCommand:

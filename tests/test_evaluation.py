@@ -291,7 +291,9 @@ class TestFormatDispatch:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_compose(self, kernel, without_kernel, dim):
-        # at dim 1 numpy's ``sum(axis=0)`` adds the single column pairwise
+        # the kernel composes lines from their text as numpy's ``_compose``
+        # does from their ids; at dim 1 numpy's ``sum(axis=0)`` adds the
+        # single column pairwise
         rng = np.random.default_rng(9)
         words = [f"w{i}" for i in range(300)]
         source = rng.standard_normal((350, dim)).astype(np.float32)
@@ -304,11 +306,14 @@ class TestFormatDispatch:
         models = [toy_model(words, source[:300], word_ngrams=1)] + [
             toy_model(words, source, word_ngrams=order, buckets=50) for order in (2, 3)
         ]
-        native = [evaluation._compose(model, unigrams, known) for model in models]
+        ends = np.cumsum(known)
+        lines = [" ".join(words[i] for i in unigrams[a:b]) for a, b in zip(ends - known, ends)]
+        native = [embed_batch(model, lines)[0] for model in models]
         without_kernel()
         for model, vectors in zip(models, native):
             fallback = evaluation._compose(model, unigrams, known)
             np.testing.assert_array_equal(vectors.view(np.uint32), fallback.view(np.uint32))
+            np.testing.assert_array_equal(embed_batch(model, lines)[0], fallback)
 
     def test_cli_embed_and_export(self, kernel, without_kernel, tmp_path, capsys, monkeypatch):
         from sentvec.cli import main
@@ -857,6 +862,36 @@ class TestReadSimilarityTsv:
         found = read_outcomes(tmp_path, [data for data, _ in cases], without_kernel)
         for (data, want), (_, records) in zip(cases, found):
             assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == want, data
+
+    def test_carriage_returns_read_as_line_feeds(self, tmp_path):
+        # a file without \r skips the rewrite; CRLF, lone-CR and mixed files
+        # give the records or the error of the same file with \n line ends
+        files = [
+            b"1\ta b\tc\n\n2\td\te F\n",
+            b"1\ta\tb\n2\tc\n3\te\tf\n",
+            b"1\ta\tb\n\nx\ta\tb\n",
+            b"1\ta\tb\n\n2\tc \xe2\x82\td\n",
+            "0.5\tcaf\u00e9\u3000a\tB\n\n1\tb\tc".encode(),
+        ]
+
+        def outcome(data):
+            path = tmp_path / "sim.tsv"
+            path.write_bytes(data)
+            try:
+                pairs = SimilarityPairs.read(str(path))
+            except ValueError as err:
+                return str(err)
+            return pairs.data, pairs.ends.tolist(), pairs.gold.tolist()
+
+        for data in files:
+            want = outcome(data)
+            lines = data.split(b"\n")
+            mixed = b"".join(
+                line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines[:-1])
+            ) + lines[-1]
+            for variant in (data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"), mixed):
+                got = outcome(variant)
+                assert got == want, variant
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_invalid_utf8_cites_line_and_offset(self, tmp_path, newline):

@@ -480,9 +480,12 @@ class TestCache:
         loaded = _native.load()
         monkeypatch.undo()
         rows = np.arange(12, dtype=np.float32).reshape(4, 3)
-        ids = np.array([0, 3, 1], dtype=np.int32)
-        means = loaded.embed_lines(rows, 4, 0, 1, ids, np.array([2, 0, 1]))
+        table = loaded.lookup_table(b"a\nb\nc\nd\n", np.array([1, 3, 5, 7]))
+        means, known, tokens = loaded.embed_text(
+            table, rows, 0, 1, b"a d\n\nb", np.array([0, 4, 5]), np.array([3, 4, 6])
+        )
         np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [0, 0, 0], [3, 4, 5]])
+        assert known.tolist() == [2, 0, 1] and tokens == 3
         # the other version's prune removed a new build after it was moved in
         left = [own.name] if window == "cached" else []
         assert [p.name for p in own.parent.iterdir()] == left
@@ -501,10 +504,60 @@ def line_sums(source, vocab_size, buckets, order, ids, counts):
     return out
 
 
+def vocab_words(n) -> list[bytes]:
+    """``n`` lowercase words of 2 to 16 bytes: some fit a table slot's eight-byte head, some not."""
+    return [b"w%d" % i + b"x" * (i % 13) for i in range(n)]
+
+
+def word_table(build, words):
+    """``build``'s lookup table of ``words``, word i with id i."""
+    ends = np.cumsum([len(word) + 1 for word in words], dtype=np.int64) - 1
+    return build.lookup_table(b"".join(word + b"\n" for word in words), ends)
+
+
+# str.split()'s ASCII whitespace but \n, alone and in runs
+SEPARATORS = [b" ", b"\t", b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" \t\x1c "]
+
+
+def text_spans(rng, words, ids, counts):
+    """Text whose line i holds, in order, the ``counts[i]`` next ``words[ids]``.
+
+    Some known words are capitalized, which the lookup folds back; unknown
+    tokens, some capitalized, sit between them, and random runs of
+    whitespace separate them all.  The lines lie in a shuffled order
+    between other known words.  Returns the text, each line's (start, end)
+    offsets, in line order, and the number of tokens of all lines.
+    """
+    lines, tokens, first = [], 0, 0
+    for count in counts.tolist():
+        line = []
+        for i in ids[first : first + count].tolist():
+            if rng.random() < 0.1:
+                line.append(b"%sq%d" % (b"Z" if rng.random() < 0.5 else b"z", rng.integers(99)))
+            line.append(words[i].upper() if rng.random() < 0.2 else words[i])
+        first += count
+        tokens += len(line)
+        seps = [SEPARATORS[k] for k in rng.integers(len(SEPARATORS), size=len(line) + 1)]
+        text = b"".join(sep + token for sep, token in zip(seps, line))
+        lines.append(text + seps[-1] if rng.random() < 0.3 else text)
+    data, starts, ends = words[1] + b" " + words[2], [0] * len(lines), [0] * len(lines)
+    for i in rng.permutation(len(lines)).tolist():
+        data += b"\n"
+        starts[i] = len(data)
+        data += lines[i]
+        ends[i] = len(data)
+        data += words[1] + b" " + words[2]
+    return data, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), tokens
+
+
 class TestEmbedLines:
+    """``Kernel.embed_text`` composes lines from their text as ``line_sums`` does from their ids."""
+
     def test_equals_numpy_sums_bit_for_bit(self, kernel):
         rng = np.random.default_rng(71)
         vocab_size = 400
+        words = vocab_words(vocab_size)
+        table = word_table(kernel, words)
         # 8, 16, 24 and 33 end on a vector block of some build, or one float past it
         for order, dim in itertools.product((1, 2, 3), (2, 3, 4, 7, 8, 16, 24, 33, 101)):
             buckets = 0 if order == 1 else 97
@@ -514,50 +567,102 @@ class TestEmbedLines:
             counts[:4] = [0, 1, 2, 30]  # empty, and shorter than the order
             ids = rng.integers(0, vocab_size, size=int(counts.sum())).astype(np.int32)
             ids[:33] = rng.integers(0, 50, size=33)  # lines of -0 unigram rows
+            data, starts, ends, tokens = text_spans(rng, words, ids, counts)
             for zero_buckets in (False, True):
                 if zero_buckets:
                     source[vocab_size:] = -0.0  # and of -0 n-gram rows
-                args = (source, vocab_size, buckets, order, ids, counts)
-                assert_same_bits(kernel.embed_lines(*args), line_sums(*args))
+                got, known, n_tokens = kernel.embed_text(
+                    table, source, buckets, order, data, starts, ends
+                )
+                assert_same_bits(got, line_sums(source, vocab_size, buckets, order, ids, counts))
+                assert known.tolist() == counts.tolist() and n_tokens == tokens
+
+    def test_empty_and_blank_spans(self, kernel):
+        words = vocab_words(5)
+        table = word_table(kernel, words)
+        source = np.arange(20, dtype=np.float32).reshape(5, 4) + 1
+        blank = b" \t\x1c\x1d\x1e\x1f\x0b\x0c\r "
+        data = blank + words[3] + b" zq"
+        word = len(blank) + len(words[3])
+        # empty, blank, all the blanks, the blank after the word, an unknown word, the word
+        starts = np.array([0, 3, 0, word, word + 1, len(blank)])
+        ends = np.array([0, 3, len(blank), word + 1, len(data), word])
+        vectors, known, tokens = kernel.embed_text(table, source, 0, 1, data, starts, ends)
+        assert known.tolist() == [0, 0, 0, 0, 0, 1] and tokens == 2
+        np.testing.assert_array_equal(vectors[:5], np.zeros((5, 4)))
+        np.testing.assert_array_equal(vectors[5], source[3])
 
     def test_byte_addressed_source(self, kernel):
         rng = np.random.default_rng(72)
+        words = vocab_words(30)
+        table = word_table(kernel, words)
         aligned = rng.standard_normal((40, 9)).astype(np.float32)
         ids, counts = rng.integers(0, 30, size=100).astype(np.int32), np.array([30, 0, 70])
+        data, starts, ends, _ = text_spans(rng, words, ids, counts)
         want = line_sums(aligned, 30, 10, 3, ids, counts)
         for shift in (1, 2, 3):
             raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
             raw[shift : shift + aligned.nbytes] = aligned.view(np.uint8).ravel()
             moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=shift).reshape(40, 9)
             assert not moved.flags.aligned
-            assert_same_bits(kernel.embed_lines(moved, 30, 10, 3, ids, counts), want)
+            got, _, _ = kernel.embed_text(table, moved, 10, 3, data, starts, ends)
+            assert_same_bits(got, want)
+
+    def test_order_past_int32_neither_wraps_nor_loops(self, kernel):
+        # a header may claim any order; an int32 argument would wrap 2^31 to
+        # -2^31 and 2^32 - 1 to -1, which would drop every n-gram, and a
+        # window loop run to the order for every line would take minutes here
+        rng = np.random.default_rng(74)
+        words = vocab_words(50)
+        table = word_table(kernel, words)
+        source = rng.standard_normal((50 + 13, 6)).astype(np.float32)
+        counts = np.array([0, 1, 5, 12, 2])
+        ids = rng.integers(0, 50, size=int(counts.sum())).astype(np.int32)
+        data, starts, ends, _ = text_spans(rng, words, ids, counts)
+        want = line_sums(source, 50, 13, 12, ids, counts)
+        # one span of 400,000 blanks and a word, and 50,000 spans of the word
+        data += b" " * 400_000 + words[7]
+        word = len(data) - len(words[7])
+        starts = np.concatenate([starts, [word - 400_000], np.full(50_000, word)])
+        ends = np.concatenate([ends, np.full(50_001, len(data))])
+        for order in (12, 13, 2**31, 2**32 - 1, 2**63 - 1):
+            started = time.perf_counter()
+            got, known, _ = kernel.embed_text(table, source, 13, order, data, starts, ends)
+            assert time.perf_counter() - started < 2.0
+            assert_same_bits(got[: len(counts)], want)
+            np.testing.assert_array_equal(got[len(counts) :], np.tile(source[7], (50_001, 1)))
+            assert known[len(counts) :].min() == 1
 
     def test_bad_arguments_rejected(self, kernel):
         source = np.ones((5, 4), dtype=np.float32)
+        table = word_table(kernel, [b"a", b"b", b"c"])
 
-        def embed(ids, counts, vocab_size=3, buckets=2, order=2, matrix=source):
-            ids = np.array(ids, dtype=np.int32)
-            return kernel.embed_lines(matrix, vocab_size, buckets, order, ids, np.array(counts))
+        def embed(starts, ends, buckets=2, order=2, matrix=source, data=b"a b c"):
+            spans = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+            return kernel.embed_text(table, matrix, buckets, order, data, *spans)
 
-        with pytest.raises(ValueError, match="out of range"):
-            embed([0, 3], [2])
-        with pytest.raises(ValueError, match="out of range"):
-            embed([-1], [1])
-        with pytest.raises(ValueError, match="sum to the number of ids"):
-            embed([0, 1], [1])
-        with pytest.raises(ValueError, match="non-negative"):
-            embed([0], [2, -1])
+        for starts, ends in [([0], [6]), ([-1], [1]), ([3], [2]), ([0, 1], [2]), ([[0]], [[1]])]:
+            with pytest.raises(ValueError, match="do not lie within the data"):
+                embed(starts, ends)
         with pytest.raises(ValueError, match="5 rows"):
-            embed([0], [1], vocab_size=2)
+            embed([0], [1], buckets=1)
         with pytest.raises(ValueError, match="invalid order"):
-            embed([0], [1], vocab_size=5, buckets=0)
+            embed([0], [1], buckets=0, matrix=source[:3])
         with pytest.raises(ValueError, match="invalid order"):
             embed([0], [1], order=0)
         with pytest.raises(ValueError, match="C-contiguous float32"):
             embed([0], [1], matrix=np.ones((5, 8), dtype=np.float32)[:, ::2])
-        with pytest.raises(ValueError, match="C-contiguous int32"):
-            kernel.embed_lines(source, 3, 2, 2, np.array([0]), np.array([1]))
-        np.testing.assert_array_equal(embed([], [0, 0]), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            kernel.embed_text(table, source, 2, 2, b"a", np.array([0]).astype(np.int32),
+                              np.array([1]).astype(np.int32))
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            kernel.embed_text(table, source, 2, 2, b"a b", np.array([0, 0, 0])[::2],
+                              np.array([1, 1, 3])[::2])
+        vectors, known, tokens = embed([], [])
+        assert vectors.shape == (0, 4) and known.shape == (0,) and tokens == 0
+        vectors, known, tokens = embed([0, 5, 1], [0, 5, 2])
+        np.testing.assert_array_equal(vectors, np.zeros((3, 4)))
+        assert known.tolist() == [0, 0, 0] and tokens == 0
 
     def test_misaligned_float_pointers_rejected(self, kernel):
         raw = np.zeros(4 * 12 + 2, dtype=np.uint8)
@@ -840,6 +945,8 @@ class TestWidthsAgree:
 
     def test_embed_lines(self, kernel, other):
         rng = np.random.default_rng(73)
+        words = vocab_words(200)
+        tables = [word_table(build, words) for build in (kernel, other)]
         for dim in (1, 7, 8, 13, 16, 17, 24, 31, 33, 100, 700):
             aligned = rng.standard_normal((300, dim)).astype(np.float32)
             raw = np.zeros(aligned.nbytes + 4, dtype=np.uint8)
@@ -847,9 +954,14 @@ class TestWidthsAgree:
             moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=1).reshape(300, dim)
             counts = rng.integers(0, 40, size=50)
             ids = rng.integers(0, 200, size=int(counts.sum())).astype(np.int32)
+            data, starts, ends, _ = text_spans(rng, words, ids, counts)
             for source in (aligned, moved):
-                assert_same_bits(kernel.embed_lines(source, 200, 100, 3, ids, counts),
-                                 other.embed_lines(source, 200, 100, 3, ids, counts))
+                host, narrow = (
+                    build.embed_text(table, source, 100, 3, data, starts, ends)
+                    for build, table in zip((kernel, other), tables)
+                )
+                assert_same_bits(host[0], narrow[0])
+                assert host[1].tolist() == narrow[1].tolist() == counts.tolist()
 
     def test_fill_uniform(self, kernel, other):
         lengths = (0, 1, 5, 7, 8, 9, 15, 16, 17, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003)
@@ -936,16 +1048,31 @@ class TestText:
         words = b"the\ncat\nDog\nlonger-than-eight\nk\n\n"
         table = kernel.lookup_table(words, np.array([3, 7, 11, 29, 31, 32]))
         lines = [b"the CAT dog Dog", b"", b"LONGER-than-EIGHT\x1ck zebra", b"K the\t"]
-        ends = np.cumsum([len(line) for line in lines])
-        ids, counts = table.lookup(b"".join(lines), ends)
-        assert counts.tolist() == [4, 0, 3, 2]
-        assert ids.tolist() == [0, 1, -1, 2, 3, 4, -1, 4, 0]
+        data = b"\n".join(lines)
+        # each line, then each token alone, whose one-hot row names its id
+        tokens = list(re.finditer(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]+", data))
+        line_ends = np.cumsum([len(line) + 1 for line in lines]) - 1
+        starts = np.concatenate([line_ends - [len(line) for line in lines],
+                                 [m.start() for m in tokens]])
+        ends = np.concatenate([line_ends, [m.end() for m in tokens]])
+        vectors, known, n = kernel.embed_text(table, np.eye(6, dtype=np.float32), 0, 1, data,
+                                              starts, ends)
+        assert known[:4].tolist() == [3, 0, 2, 2] and n == 18
+        ids = [int(v.argmax()) if k else -1 for v, k in zip(vectors[4:], known[4:])]
+        assert ids == [0, 1, -1, 2, 3, 4, -1, 4, 0]
         with pytest.raises(ValueError, match="word 2 repeats"):
             kernel.lookup_table(b"ab\nc\nab\n", np.array([2, 4, 7]))
 
     def test_lookup_checks_line_ends(self, kernel):
         table = kernel.lookup_table(b"a\n", np.array([1]))
-        with pytest.raises(ValueError, match="delimit"):
-            table.lookup(b"a a", np.array([2], dtype=np.int64))
-        with pytest.raises(ValueError, match="delimit"):
-            table.lookup(b"a a", np.array([2, 1, 3], dtype=np.int64))
+        source = np.ones((1, 2), dtype=np.float32)
+
+        def embed(starts, ends):
+            spans = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+            return kernel.embed_text(table, source, 0, 1, b"a a", *spans)
+
+        for starts, ends in [([0], [4]), ([0, 2], [2, 4]), ([2, 1], [2, 0]), ([0], [2, 3])]:
+            with pytest.raises(ValueError, match="do not lie within the data"):
+                embed(starts, ends)
+        # spans may overlap and come in any order
+        assert embed([2, 0, 1], [3, 3, 2])[1].tolist() == [1, 2, 0]
