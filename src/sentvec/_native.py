@@ -1,9 +1,7 @@
-"""Build, cache and bind the native kernel (``_kernel.c``): init, training, text, composition.
-
-Inference hashes n-grams with the training step's own code:
-``Kernel.embed_text`` composes each line straight from its text, and
-``Kernel.format_rows`` writes the ``%.6g`` text that ``evaluation.RowText``
-prints.
+"""The native kernel (``_kernel.c``), built, cached and bound here, and ``engine()``,
+the one place that picks it or the numpy reference engine (``_reference``).
+Inference hashes n-grams with the training step's own code: ``Kernel.embed_text``
+composes each line straight from its text.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags for the same CPU is
@@ -33,7 +31,8 @@ import numpy as np
 from .sampling import COIN_SCALE
 
 __all__ = [
-    "Encoder", "Kernel", "KernelUnavailable", "LookupTable", "library_path", "load", "rng_state",
+    "Encoder", "Kernel", "KernelUnavailable", "LookupTable", "engine", "library_path", "load",
+    "reference", "rng_state",
 ]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -199,6 +198,11 @@ class Kernel:
         lib.sv_vocab_span.restype = _i64
         lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
         lib.sv_vocab_words.restype = ctypes.c_int
+
+    @property
+    def label(self) -> str:
+        """How the trainer's init log line names this engine."""
+        return f"kernel, {self.fill_lanes} lanes"
 
     @staticmethod
     def model(
@@ -382,7 +386,7 @@ class Kernel:
         is skipped.  The known ids' rows, then the rows of the line's windows
         of order 2..``order`` in ``corpus.sentence_ngrams``' order, are added
         in order to a zero sum and divided by their count, as
-        ``evaluation``'s numpy fallback does; a line with no known token
+        the numpy reference engine does; a line with no known token
         gets zeros.  Returns the means, each line's known-token count and
         the number of tokens of all lines.  ``source`` may sit at any byte
         offset.
@@ -596,6 +600,9 @@ def rng_state(rng: np.random.Generator) -> np.ndarray:
     return state
 
 
+Kernel.rng_state = staticmethod(rng_state)  # a worker's state for ``train_chunk``
+
+
 def cpu_identity() -> str:
     """The instruction sets of the host CPU, as text.
 
@@ -698,3 +705,21 @@ def load() -> Kernel:
     if isinstance(outcome, KernelUnavailable):
         raise outcome
     return outcome
+
+
+def reference():
+    """The numpy reference engine (``_reference``), imported on first use."""
+    from . import _reference
+
+    return _reference
+
+
+def engine():
+    """The engine of every call site: the loaded ``Kernel``, or where it cannot be
+    built the numpy reference engine, which keeps the reason as ``unavailable``."""
+    try:
+        return load()
+    except KernelUnavailable as err:
+        fallback = reference()
+        fallback.unavailable = err
+        return fallback

@@ -17,9 +17,6 @@ from __future__ import annotations
 import contextlib
 import gzip
 import zlib
-from array import array
-from collections import defaultdict
-from itertools import count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,16 +44,6 @@ _U32 = 0xFFFFFFFF
 # threshold (128 KiB) come from the heap, so freeing them does not raise the
 # threshold and leave later large temporaries resident in the heap
 _BLOCK_BYTES = 1 << 16
-
-
-def _kernel():
-    """The native kernel, or None when it cannot be built here."""
-    from . import _native  # imported on first use: ``import sentvec`` stays light
-
-    try:
-        return _native.load()
-    except _native.KernelUnavailable:
-        return None
 
 
 def tokenize(text: str | bytes, lowercase: bool = False) -> list[str]:
@@ -106,7 +93,7 @@ class Vocabulary:
         self.min_target_count = min_target_count
         self._words, self._index = words, word_index
         self._bytes = self._ends = self._counts = None
-        # the kernel's table of every word, from load_model or the first embed_batch
+        # (engine, its lookup table of every word), from load_model or the first embed_batch
         self._lookup = None
 
     @classmethod
@@ -116,7 +103,7 @@ class Vocabulary:
     ) -> "Vocabulary":
         """The vocabulary of ``word_bytes``' form ``(words, ends)`` and its int64 ``counts``.
 
-        ``lookup`` is the kernel's table of the same words, when there is one.
+        ``lookup`` is an engine and its lookup table of the same words, when there is one.
         """
         vocab = cls(None, None, total_tokens, min_count, min_target_count)
         vocab._bytes, vocab._ends, vocab._counts, vocab._lookup = words, ends, counts, lookup
@@ -197,9 +184,9 @@ def encode_corpus(
     assigned in descending count order, ties broken by first occurrence.
     Sentence ``s`` of the result spans ``tokens[offsets[s]:offsets[s + 1]]``
     (int32 ids, int64 offsets); out-of-vocabulary tokens are skipped, and
-    sentences left with fewer than 2 known tokens are dropped.  A
-    ``CorpusFile`` (``iter_corpus``) is read by the native kernel when it
-    loads, with the same result.
+    sentences left with fewer than 2 known tokens are dropped.  The engine's
+    encoder reads a ``CorpusFile`` (``iter_corpus``) in raw blocks, the numpy
+    reference engine's interns token lists, and both give the same result.
 
     Raises ``ValueError`` for an empty corpus or invalid thresholds.
     """
@@ -208,13 +195,16 @@ def encode_corpus(
     if min_target_count < 1:
         raise ValueError(f"min_target_count must be >= 1, got {min_target_count}")
 
-    kernel = _kernel() if isinstance(sentences, CorpusFile) else None
-    with contextlib.ExitStack() as native:
-        if kernel is not None:
-            encoder = native.enter_context(kernel.encoder())
-            ids, lengths, n_words, word_bytes = _encode_natively(encoder, sentences)
-        else:
-            ids, lengths, n_words, word_bytes = _encode_in_python(sentences)
+    from . import _native  # imported on first use: ``import sentvec`` stays light
+
+    with contextlib.ExitStack() as stack:
+        if isinstance(sentences, CorpusFile):
+            encoder = stack.enter_context(_native.engine().encoder())
+            _encode_file(encoder, sentences)
+        else:  # only the reference engine takes token lists
+            encoder = _native.reference().encoder()
+            encoder.encode_tokens(sentences)
+        ids, lengths, n_words = encoder.result()
 
         if not n_words:
             raise ValueError("no tokens in corpus")
@@ -227,7 +217,7 @@ def encode_corpus(
         remap = np.full(n_words, -1, dtype=np.int32)
         remap[order] = np.arange(order.size, dtype=np.int32)
         ids = remap[ids]
-        words, ends = word_bytes(order)
+        words, ends = encoder.words(order)
     # the provisional ids are freed here, before the per-token masks below
 
     kept = counts[order].astype(np.int64, copy=False)
@@ -243,35 +233,12 @@ def encode_corpus(
     return vocab, tokens, offsets
 
 
-def _encode_in_python(sentences: Iterable[list[str]]):
-    """Intern the tokens of ``sentences`` in a dict: token ids, line lengths, word count, and
-    a function of ids to those words in ``Vocabulary.word_bytes`` form."""
-    # a token's first occurrence gives it the next provisional id
-    index: defaultdict[str, int] = defaultdict(count().__next__)
-    provisional = array("i")
-    lengths = array("q")
-    for tokens in sentences:
-        provisional.extend(map(index.__getitem__, tokens))
-        lengths.append(len(tokens))
-    words = list(index)
-
-    def word_bytes(which):
-        return _word_bytes([words[i] for i in which.tolist()])
-
-    # the arrays live as long as their views
-    return (
-        np.frombuffer(provisional, dtype=np.intc), np.frombuffer(lengths, dtype=np.int64),
-        len(words), word_bytes,
-    )
-
-
-def _encode_natively(encoder, corpus: CorpusFile):
-    """Read ``corpus`` into a kernel ``Encoder``: token ids, line lengths, word count, and
-    ``Encoder.words``.
+def _encode_file(encoder, corpus: CorpusFile) -> None:
+    """Read ``corpus`` into an engine's ``Encoder``.
 
     Blocks of ``_BLOCK_BYTES`` are split at ``\\n`` only, as iterating a
     binary file splits them, and a block's last, unfinished line waits for
-    the next block.  The ids are a view of the encoder's buffer.
+    the next block.
     """
     pending = bytearray()
     lines = 0
@@ -286,17 +253,15 @@ def _encode_natively(encoder, corpus: CorpusFile):
                 del pending[:cut]
     if pending:
         _encode_lines(encoder, pending, len(pending), corpus, lines)
-    ids, lengths, n_words = encoder.result()
-    return ids, lengths, n_words, encoder.words
 
 
 def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, before: int) -> None:
     """Encode the lines of ``data[:stop]``, which follow line ``before`` of the corpus.
 
-    The kernel splits at ASCII whitespace only.  So a line with a byte
+    The encoders split at ASCII whitespace only.  So a line with a byte
     >= 0x80, and every line when lowercasing, is decoded and split by
     ``str.split``, which knows the non-ASCII whitespace too, and its tokens
-    joined by spaces take its place in the bytes the kernel reads.
+    joined by spaces take its place in the bytes the encoder reads.
     """
     lowercase = corpus.lowercase
     if lowercase or not data.isascii():
@@ -441,6 +406,6 @@ def iter_corpus(path: str, lowercase: bool = False) -> CorpusFile:
 
     Decoding failures are raised as ``ValueError`` with the line number
     and byte offset of the first invalid byte.  ``encode_corpus`` reads
-    the returned ``CorpusFile`` in raw blocks through the native kernel.
+    the returned ``CorpusFile`` in raw blocks through the engine's encoder.
     """
     return CorpusFile(path, lowercase)

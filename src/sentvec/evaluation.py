@@ -13,13 +13,12 @@ kernel call per side and no per-record Python objects on an ASCII file.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary, _decode_line, _kernel, ngram_bucket_ids
+from .corpus import Vocabulary, _decode_line
 from .trainer import TrainedModel
 
 __all__ = [
@@ -180,63 +179,13 @@ class OovStats:
         return self.oov_tokens / self.tokens if self.tokens else 0.0
 
 
-def _compose(model: TrainedModel, unigrams: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Mean of each line's unigram and n-gram source rows; zero for a line with none.
-
-    ``unigrams`` holds the known ids of all lines back to back, ``known``
-    their count per line.  A line's rows are its unigrams, then its windows
-    of order 2, 3, ..., as in ``sentence_ngrams``.  numpy adds each line's
-    rows in order to a zero sum, as ``Kernel.embed_text`` does, and divides
-    by their count: the two agree bit for bit at every dimension.
-    """
-    source = model.matrices.source
-    vocab_size, buckets = len(model.vocab), model.buckets
-    offsets = np.concatenate([[0], np.cumsum(known)])
-    lines = np.arange(len(known))
-    parts, owners = [unigrams], [np.repeat(lines, known)]
-    # no line has a window longer than itself, whatever order the header claims
-    for k in range(2, min(model.word_ngrams, int(known.max(initial=0))) + 1):
-        parts.append(ngram_bucket_ids(unigrams, offsets, k, vocab_size, buckets))
-        owners.append(np.repeat(lines, np.maximum(known - (k - 1), 0)))
-    # a stable sort by line puts each line's rows together in the kernel's order
-    owners = np.concatenate(owners)
-    rows = np.concatenate(parts)[np.argsort(owners, kind="stable")]
-    ends = np.cumsum(np.bincount(owners, minlength=len(known))).tolist()
-    vectors = np.zeros((len(known), source.shape[1]), dtype=source.dtype)
-    for line, (a, b) in enumerate(zip([0, *ends], ends)):
-        if b > a:
-            # ``accumulate`` adds in row order (``sum`` adds a single column
-            # pairwise); ``+ 0.0`` is the kernel's zero start, which makes -0 +0
-            total = np.add.accumulate(source[rows[a:b]], axis=0)[-1] + 0.0
-            vectors[line] = total / (b - a)
-    return vectors
-
-
-def _python_ids(vocab: Vocabulary, lines) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary id of every token of ``lines`` (-1 when unknown) and each line's token count.
-
-    Lines split on whitespace.  A token is looked up verbatim, then
-    lowercased.  The reference for the kernel's lookup.
-    """
-    get = vocab.word_index.get
-    line_tokens = [
-        (text.decode("utf-8") if isinstance(text, bytes) else text).split() for text in lines
-    ]
-    flat = list(itertools.chain.from_iterable(line_tokens))
-    found = list(map(get, flat))
-    for i in [i for i, wid in enumerate(found) if wid is None]:
-        found[i] = get(flat[i].lower(), -1)
-    counts = np.array([len(tokens) for tokens in line_tokens], dtype=np.int64)
-    return np.array(found, dtype=np.int64), counts
-
-
 def _kernel_line(vocab: Vocabulary, text) -> bytes:
-    """Line ``text`` as bytes in which ``Kernel.embed_text`` finds ``_python_ids``' ids.
+    """Line ``text`` as bytes in which an engine's ``embed_text`` finds ``_python_ids``' ids.
 
     An ASCII line stays as it is.  Any other is split by ``str.split``, and
     each token the vocabulary lacks is ``str.lower()``ed, which leaves no
     ASCII capital for the kernel's own case fold; the tokens are joined by
-    spaces, which the kernel splits at.
+    spaces, which the engines split at.
     """
     if text.isascii():
         return text.encode("ascii") if isinstance(text, str) else text
@@ -247,11 +196,11 @@ def _kernel_line(vocab: Vocabulary, text) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def _table(vocab: Vocabulary, kernel):
-    """The kernel's lookup table of every word of ``vocab``: from ``load_model``, else built here."""
-    if vocab._lookup is None:
-        vocab._lookup = kernel.lookup_table(*vocab.word_bytes())
-    return vocab._lookup
+def _table(vocab: Vocabulary, engine):
+    """``engine``'s lookup table of ``vocab``'s words, cached beside the engine that built it."""
+    if vocab._lookup is None or vocab._lookup[0] is not engine:
+        vocab._lookup = engine, engine.lookup_table(*vocab.word_bytes())
+    return vocab._lookup[1]
 
 
 def _embed_spans(
@@ -259,35 +208,29 @@ def _embed_spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer.
 
-    The kernel splits, looks up and composes every line in one call: an
+    The engine splits, looks up and composes every line in one call: an
     ASCII buffer goes to it whole, and any other is cut into its lines,
-    which ``_kernel_line`` rewrites.  Without it, ``_python_ids`` and
-    numpy's ``_compose`` are the reference path.
+    which ``_kernel_line`` rewrites.  Source rows that are not C-contiguous
+    float32 take the numpy reference engine.
     """
+    from . import _native
+
     source = model.matrices.source
-    kernel = _kernel() if source.dtype == np.float32 and source.flags.c_contiguous else None
-    if kernel is None:
-        ids, counts = _python_ids(
-            model.vocab, [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-        )
-        known_token = ids >= 0
-        line_of_token = np.repeat(np.arange(len(counts)), counts)
-        known = np.bincount(line_of_token[known_token], minlength=len(counts))
-        vectors, tokens = _compose(model, ids[known_token], known), len(ids)
-    else:
-        if not data.isascii():
-            bounds = zip(starts.tolist(), ends.tolist())
-            lines = [_kernel_line(model.vocab, data[a:b]) for a, b in bounds]
-            data = b"".join(lines)
-            lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-            ends = np.cumsum(lengths)
-            starts = ends - lengths
-        elif isinstance(data, str):
-            data = data.encode("ascii")
-        vectors, known, tokens = kernel.embed_text(
-            _table(model.vocab, kernel), source, model.buckets, model.word_ngrams, data,
-            np.ascontiguousarray(starts), np.ascontiguousarray(ends),
-        )
+    kernel_rows = source.dtype == np.float32 and source.flags.c_contiguous
+    engine = _native.engine() if kernel_rows else _native.reference()
+    if not data.isascii():
+        bounds = zip(starts.tolist(), ends.tolist())
+        lines = [_kernel_line(model.vocab, data[a:b]) for a, b in bounds]
+        data = b"".join(lines)
+        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+    elif isinstance(data, str):
+        data = data.encode("ascii")
+    vectors, known, tokens = engine.embed_text(
+        _table(model.vocab, engine), source, model.buckets, model.word_ngrams, data,
+        np.ascontiguousarray(starts), np.ascontiguousarray(ends),
+    )
     flags = known == 0
     if stats is not None:
         stats.lines += len(known)
@@ -330,16 +273,6 @@ def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
     return vectors[0], bool(flags[0])
 
 
-def _python_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None) -> str:
-    line = sep.join(["%.6g"] * rows.shape[1])
-    values = rows.tolist()
-    if flags is not None:
-        line += " %d"
-        values = [row + [flag] for row, flag in zip(values, flags.tolist())]
-    line += "\n"
-    return "".join([line % tuple(row) for row in values])
-
-
 class RowText:
     """Text of float32 matrices as ASCII bytes, written into one buffer reused across calls."""
 
@@ -348,25 +281,26 @@ class RowText:
 
     def __call__(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
-    ) -> bytes | memoryview:
+    ) -> memoryview:
         """The text of ``rows``, one line per row: ``%.6g`` values joined by ``sep``.
 
         The rows must be float32, ``sep`` one ASCII character and
         ``flags``, when given, boolean: each line then ends in a space and
         the row's flag as 0/1.  The values are the same text as
-        ``format(x, ".6g")`` gives.  The native kernel writes the text when
-        it loads, as a view that the next call overwrites; otherwise, and as
-        the reference for the kernel, Python's ``%`` operator does.
+        ``format(x, ".6g")`` gives.  The engine's ``format_rows`` writes
+        it: the kernel into a buffer that the next call overwrites, the
+        numpy reference with Python's ``%`` operator.
         """
         if not (rows.dtype == np.float32 and len(sep) == 1 and sep.isascii()
                 and (flags is None or flags.dtype == np.bool_)):
             raise ValueError("row text needs float32 rows, a one-character ASCII "
                              f"separator and boolean flags; got {rows.dtype} and {sep!r}")
-        kernel = _kernel()
-        if kernel is None:
-            return _python_rows(rows, sep, flags).encode("ascii")
+        from . import _native
+
         # an aligned copy of rows a mapped model file left misaligned
-        text = kernel.format_rows(np.require(rows, requirements="CA"), sep, flags, self._buffer)
+        text = _native.engine().format_rows(
+            np.require(rows, requirements="CA"), sep, flags, self._buffer
+        )
         self._buffer = text.obj
         return text
 

@@ -75,7 +75,6 @@ class EmbeddingMatrices:
         dim: int,
         rng: np.random.Generator,
         workers: int = 1,
-        kernel=None,
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
@@ -85,11 +84,10 @@ class EmbeddingMatrices:
         into ``workers`` contiguous slabs, drawn on as many threads when
         there are several.  Each slab draws from a copy of ``rng`` advanced
         past the values before it: a double draw takes exactly one 64-bit
-        output, so the matrix is the same for any worker count.  A slab is
-        filled by ``kernel`` (a loaded ``_native.Kernel``), which steps
-        PCG64 and rounds as numpy does, or by numpy in blocks of float64
-        temporaries when ``kernel`` is None.  Other generators draw with
-        numpy on one thread.
+        output, so the matrix is the same for any worker count.  The
+        engine's ``fill_uniform`` fills a slab: the kernel steps PCG64 and
+        rounds as numpy does, and the numpy reference draws it in blocks of
+        float64 temporaries.  Other generators draw with numpy on one thread.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -98,8 +96,11 @@ class EmbeddingMatrices:
         source = np.empty((rows, dim), dtype=np.float32)
         bits = rng.bit_generator
         if not isinstance(bits, np.random.PCG64):
-            _fill_rows(source, bound, rng)
+            _fill_rows(source, -bound, bound, rng)
         else:
+            from . import _native
+
+            fill = _native.engine().fill_uniform
             state = bits.state
             slabs = [rows * w // workers for w in range(workers + 1)]
 
@@ -107,11 +108,7 @@ class EmbeddingMatrices:
                 copy = np.random.PCG64()
                 copy.state = state
                 copy.advance(slabs[w] * dim)
-                slab = source[slabs[w] : slabs[w + 1]]
-                if kernel is None:
-                    _fill_rows(slab, bound, np.random.Generator(copy))
-                else:
-                    kernel.fill_uniform(slab, copy.state, -bound, bound)
+                fill(source[slabs[w] : slabs[w + 1]], copy.state, -bound, bound)
 
             if workers == 1:
                 fill_slab(0)
@@ -135,13 +132,13 @@ class EmbeddingMatrices:
         )
 
 
-def _fill_rows(rows: np.ndarray, bound: float, rng: np.random.Generator) -> None:
-    """Draws ``rows`` in place in blocks of float64 temporaries."""
+def _fill_rows(rows: np.ndarray, low: float, high: float, rng: np.random.Generator) -> None:
+    """Draws ``rows`` uniform in [low, high) in place, in blocks of float64 temporaries."""
     n_rows, dim = rows.shape
     block = max(1, INIT_BLOCK_VALUES // dim)
     for first in range(0, n_rows, block):
         last = min(n_rows, first + block)
-        rows[first:last] = rng.uniform(-bound, bound, size=(last - first, dim))
+        rows[first:last] = rng.uniform(low, high, size=(last - first, dim))
 
 
 @dataclass

@@ -21,26 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (
-    Vocabulary,
-    _kernel,
-    encode_corpus,
-    iter_corpus,
-    sentence_ngrams,
-)
-from .model import (
-    EmbeddingMatrices,
-    apply_l1_after_step,
-    lr_schedule,
-    ngram_dropout,
-    train_step,
-)
-from .sampling import (
-    AliasTable,
-    build_negative_table,
-    discard_keep_prob,
-    sample_negatives,
-)
+from .corpus import Vocabulary, encode_corpus, iter_corpus
+from .model import EmbeddingMatrices
+from .sampling import build_negative_table, discard_keep_prob
 
 __all__ = [
     "TrainConfig",
@@ -199,28 +182,6 @@ class TrainedModel:
     stats: TrainingStats | None = field(default=None, compare=False)
 
 
-class _Progress:
-    """Shared processed-target counter; reads are lock-free.
-
-    The count lives in a one-element int64 array so that the native
-    kernel can advance it atomically from several threads.
-    """
-
-    __slots__ = ("counter", "_lock")
-
-    def __init__(self) -> None:
-        self.counter = np.zeros(1, dtype=np.int64)
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> int:
-        return int(self.counter[0])
-
-    def add(self, n: int) -> None:
-        with self._lock:
-            self.counter[0] += n
-
-
 class _LossReporter:
     """Aggregates step losses into fixed-size reporting windows."""
 
@@ -258,6 +219,15 @@ class _LossReporter:
                 self._count = 0
                 loss_sums, steps = loss_sums[close + 1 :], steps[close + 1 :]
 
+    def check(self, lr: float) -> None:
+        """Raise ``ValueError`` if a window so far, the open one too, has a non-finite loss."""
+        with self._lock:
+            means = self.window_means + ([self._sum / self._count] if self._count else [])
+        for window, mean in enumerate(means, start=1):
+            if not math.isfinite(mean):
+                raise ValueError(f"training diverged: loss window {window} has mean loss "
+                                 f"{mean} at lr {lr:g}; try a lower learning rate")
+
     def finalize(self) -> list[float]:
         with self._lock:
             if self._count:
@@ -272,71 +242,6 @@ class _LossReporter:
 _CHUNK_SENTENCES = 1024
 
 
-def _run_shard(
-    tokens: np.ndarray,
-    offsets: np.ndarray,
-    shard: np.ndarray,
-    keep_prob: np.ndarray,
-    eligible: np.ndarray,
-    table: AliasTable,
-    config: TrainConfig,
-    matrices: EmbeddingMatrices,
-    progress: _Progress,
-    reporter: _LossReporter,
-    rng: np.random.Generator,
-    total_expected: float,
-) -> None:
-    """The numpy training loop: the fallback when the native kernel is unavailable."""
-    base_lr = config.lr
-    n_neg = config.negatives
-    order = config.word_ngrams
-    vocab_size, buckets = len(matrices.target), len(matrices.source) - len(matrices.target)
-    tau = config.l1_tau
-    for si in shard:
-        ids = tokens[offsets[si] : offsets[si + 1]]
-        grams, spans = sentence_ngrams(ids, order, vocab_size, buckets)
-        gates = rng.random(len(ids))
-        positions = np.nonzero((gates < keep_prob[ids]) & eligible[ids])[0]
-        if len(positions) == 0:
-            continue
-        loss_sum = 0.0
-        done = 0
-        for pos in positions:
-            dropped = ngram_dropout(len(grams), config.dropout_k, rng)
-            negatives = sample_negatives(table, int(ids[pos]), n_neg, rng)
-            lr = lr_schedule(base_lr, progress.value / total_expected)
-            outcome = train_step(ids, grams, spans, int(pos), negatives, lr, matrices, dropped)
-            if outcome is None:
-                continue
-            if tau:
-                apply_l1_after_step(
-                    outcome, tau, lr, outcome.source_touch_count, matrices
-                )
-            loss_sum += outcome.loss
-            done += 1
-        progress.add(done)
-        reporter.add(np.array([loss_sum]), np.array([done]))
-
-
-def _run_shard_native(kernel, model, shard, rng_state, reporter) -> None:
-    """Train one shard in native chunks; the kernel advances the shared progress."""
-    for start in range(0, len(shard), _CHUNK_SENTENCES):
-        reporter.add(*kernel.train_chunk(
-            model, shard[start : start + _CHUNK_SENTENCES], rng_state
-        ))
-
-
-def _load_kernel():
-    """The native kernel, or None (with a warning) when it cannot be built."""
-    from . import _native
-
-    try:
-        return _native.load()
-    except _native.KernelUnavailable as err:
-        logger.warning("native kernel unavailable, training with numpy: %s", err)
-        return None
-
-
 def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     """Train a model over ``config.epochs`` shuffled passes of the corpus.
 
@@ -344,9 +249,9 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     shard per worker.  Each kept token position (Bernoulli gate with its
     word's keep probability, restricted to target-eligible words) yields
     one SGD step with freshly sampled n-gram dropout and negatives.  The
-    steps run in the native kernel, or in the numpy loop when the kernel
-    cannot be built.  With ``threads=1`` the run is bit-deterministic in
-    the seed.
+    steps run in the engine's ``train_chunk``.  With ``threads=1`` the run
+    is bit-deterministic in the seed.  A non-finite loss window stops the
+    run with a ``ValueError`` at the end of its epoch, before its checkpoint.
     """
     config.validate()
     started = time.perf_counter()
@@ -371,18 +276,19 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     total_expected = max(1.0, config.epochs * expected_per_epoch)
 
     table = build_negative_table(vocab)
-    kernel = _load_kernel()
+    from . import _native  # imported on first use: ``import sentvec`` stays light
+
+    engine = _native.engine()
     # distinct, stable RNG streams: [seed, 0] init, [seed, 1, w] workers, [seed, 2, e] shuffles
     init_rng = np.random.default_rng([config.seed, 0])
     init_started = time.perf_counter()
     matrices = EmbeddingMatrices.initialize(
-        len(vocab), buckets, config.dim, init_rng, workers=config.threads, kernel=kernel
+        len(vocab), buckets, config.dim, init_rng, workers=config.threads
     )
     logger.info(
         "initialized %d x %d source rows in %.0f ms (%s, %d slab%s)",
         len(vocab) + buckets, config.dim, 1e3 * (time.perf_counter() - init_started),
-        "numpy" if kernel is None else f"kernel, {kernel.fill_lanes} lanes", config.threads,
-        "" if config.threads == 1 else "s",
+        engine.label, config.threads, "" if config.threads == 1 else "s",
     )
     model = TrainedModel(
         vocab=vocab,
@@ -392,32 +298,24 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         subsample_t=config.subsample_t,
     )
 
-    progress = _Progress()
+    # processed targets, shared by the workers; the engine adds to it
+    progress = np.zeros(1, dtype=np.int64)
     reporter = _LossReporter(config.report_every)
-    worker_rngs = [
-        np.random.default_rng([config.seed, 1, w]) for w in range(config.threads)
+    run = engine.model(
+        matrices.source, matrices.target, config.word_ngrams, buckets, config.negatives,
+        l1_tau=config.l1_tau, dropout_k=config.dropout_k if config.word_ngrams >= 2 else 0,
+        base_lr=config.lr, total_expected=total_expected, tokens=tokens, offsets=offsets,
+        gate_prob=keep_prob * eligible, table=table, progress=progress,
+    )
+    worker_states = [
+        engine.rng_state(np.random.default_rng([config.seed, 1, w]))
+        for w in range(config.threads)
     ]
-    if kernel is not None:
-        from ._native import rng_state
 
-        native_model = kernel.model(
-            matrices.source, matrices.target, config.word_ngrams, buckets,
-            config.negatives, l1_tau=config.l1_tau,
-            dropout_k=config.dropout_k if config.word_ngrams >= 2 else 0,
-            base_lr=config.lr, total_expected=total_expected,
-            tokens=tokens, offsets=offsets, gate_prob=keep_prob * eligible,
-            table=table, progress=progress.counter,
-        )
-        worker_states = [rng_state(rng) for rng in worker_rngs]
-
-        def run_shard(w: int, shard: np.ndarray) -> None:
-            _run_shard_native(kernel, native_model, shard, worker_states[w], reporter)
-    else:
-        def run_shard(w: int, shard: np.ndarray) -> None:
-            _run_shard(
-                tokens, offsets, shard, keep_prob, eligible, table, config,
-                matrices, progress, reporter, worker_rngs[w], total_expected,
-            )
+    def run_shard(w: int, shard: np.ndarray) -> None:
+        for start in range(0, len(shard), _CHUNK_SENTENCES):
+            chunk = shard[start : start + _CHUNK_SENTENCES]
+            reporter.add(*engine.train_chunk(run, chunk, worker_states[w]))
 
     for epoch in range(config.epochs):
         perm = np.random.default_rng([config.seed, 2, epoch]).permutation(n_sentences)
@@ -432,13 +330,14 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
                 futures = [pool.submit(run_shard, w, shard) for w, shard in enumerate(shards)]
                 for future in futures:
                     future.result()
-        logger.info("epoch %d/%d done, %d targets", epoch + 1, config.epochs, progress.value)
+        logger.info("epoch %d/%d done, %d targets", epoch + 1, config.epochs, progress[0])
+        reporter.check(config.lr)
         if config.checkpoint_path:
             save_model(model, config.checkpoint_path)
 
     model.stats = TrainingStats(
         loss_windows=reporter.finalize(),
-        targets_processed=progress.value,
+        targets_processed=int(progress[0]),
         elapsed_seconds=time.perf_counter() - started,
     )
     return model
@@ -537,7 +436,7 @@ def _map_matrix(mapped, offset: int, rows: int, dim: int, section: str) -> np.nd
 def _read_vocabulary(fh, vocab_size: int, total_tokens: int, size: int) -> Vocabulary:
     """The vocabulary section at ``fh``'s position, record by record.
 
-    The reference reader, and the one used without the kernel: the first
+    The reference reader, and the numpy reference engine's: the first
     record that fails a check is named in the ``ModelFormatError``.
     ``size`` is the file's size.
     """
@@ -586,9 +485,9 @@ def _read_vocabulary(fh, vocab_size: int, total_tokens: int, size: int) -> Vocab
 
 
 def _read_vocabulary_in_bulk(
-    kernel, mapped, vocab_size: int, total_tokens: int
+    engine, mapped, vocab_size: int, total_tokens: int
 ) -> tuple[Vocabulary, int] | None:
-    """The vocabulary section of the mapped file, through the kernel, and where it ends.
+    """The vocabulary section of the mapped file, through the engine, and where it ends.
 
     Every check of ``_read_vocabulary`` is made on whole buffers: the kernel
     walks the records and rejects an empty word or one with ASCII
@@ -596,12 +495,13 @@ def _read_vocabulary_in_bulk(
     ``\\n``, so no sequence spans two), a search finds other whitespace,
     numpy checks the counts and their exact sum, and the kernel's lookup
     table, kept by the vocabulary, finds a repeated word.  Returns None when
-    a check fails, for ``_read_vocabulary`` to name the first bad record.
+    a check fails, or on the numpy reference engine, for ``_read_vocabulary``
+    to name the first bad record.
     """
     if vocab_size > INT32_MAX:  # the table's ids are int32
         return None
     data = np.frombuffer(mapped, dtype=np.uint8)[_HEADER.size :]
-    records = kernel.vocabulary_records(data, vocab_size)
+    records = engine.vocabulary_records(data, vocab_size)
     if records is None:
         return None
     words, ends, counts, span = records
@@ -617,10 +517,10 @@ def _read_vocabulary_in_bulk(
     if counts.min(initial=1) < 1 or counted != total_tokens:
         return None
     try:
-        table = kernel.lookup_table(words, ends)
+        table = engine.lookup_table(words, ends)
     except ValueError:  # a repeated word
         return None
-    vocab = Vocabulary.from_bytes(words, ends, counts, total_tokens, 1, 1, lookup=table)
+    vocab = Vocabulary.from_bytes(words, ends, counts, total_tokens, 1, 1, (engine, table))
     return vocab, _HEADER.size + span
 
 
@@ -629,8 +529,8 @@ def load_model(path: str) -> TrainedModel:
 
     After the header checks the file is mapped copy-on-write.  The native
     kernel reads the vocabulary from the mapping in bulk; when a check
-    fails there, or without the kernel, the records are read one by one,
-    which names the first bad record.  The matrices are views of the
+    fails there, or on the numpy reference engine, the records are read
+    one by one, which names the first bad record.  The matrices are views of the
     mapping: a page is read when first touched.  They stay writable, and
     writes never reach the file.  Replacing the file (as ``save_model``
     does) leaves a loaded model intact, but rewriting or truncating it in
@@ -656,10 +556,9 @@ def load_model(path: str) -> TrainedModel:
                 "(need dim >= 1, order >= 1, and buckets > 0 exactly when order >= 2)"
             )
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-        kernel = _kernel()
-        read = None
-        if kernel is not None:
-            read = _read_vocabulary_in_bulk(kernel, mapped, vocab_size, total_tokens)
+        from . import _native
+
+        read = _read_vocabulary_in_bulk(_native.engine(), mapped, vocab_size, total_tokens)
         if read is None:
             read = _read_vocabulary(fh, vocab_size, total_tokens, size), fh.tell()
         vocab, source_at = read

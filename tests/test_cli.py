@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sentvec
-from sentvec import _native, evaluation
+from sentvec import _native, _reference
 from sentvec.cli import main
 from sentvec.evaluation import RowText, cosine, embed_batch, embed_sentence
 from sentvec.trainer import load_model
@@ -85,6 +85,31 @@ class TestTrainCommand:
         assert code == 1
         assert "line 3: invalid UTF-8 at byte offset 4" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]
+
+    @pytest.mark.parametrize("lr", ["50", "1e308"])
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_divergence_is_named_and_writes_no_model(
+        self, corpus_path, tmp_path, capsys, caplog, request, without_kernel, engine, lr
+    ):
+        # rows that overflow make every later loss NaN; a model of them is no model
+        if engine == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+            code = main(["train", "--input", corpus_path, "--output", str(tmp_path / "m.bin"),
+                         "--checkpoint", str(tmp_path / "ck.bin"), "--dim", "16",
+                         "--min-count", "1", "--min-target-count", "1", "--epochs", "2",
+                         "--lr", lr])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: training diverged: loss window 1 has mean loss nan at lr {float(lr):g}; "
+            "try a lower learning rate\n"
+        )
+        # stopped at the end of the first epoch, before its checkpoint
+        epochs = [m.split(",")[0] for m in caplog.messages if m.startswith("epoch ")]
+        assert epochs == ["epoch 1/2 done"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
     @pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
@@ -609,7 +634,7 @@ class TestEvalSimCommand:
             raise AssertionError("the reference lookup ran")
 
         monkeypatch.setattr(_native.Kernel, "embed_text", counted)
-        monkeypatch.setattr(evaluation, "_python_ids", python_ids)
+        monkeypatch.setattr(_reference, "_python_ids", python_ids)
         dataset = tmp_path / "sim.tsv"
         dataset.write_text("".join(f"0.{i}\ta0001 a000{i}\tb000{i}\n" for i in range(1, 6)))
         assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
@@ -686,7 +711,9 @@ class TestTopLevel:
         )
         added = ast.literal_eval(proc.stdout)
         assert "sentvec.cli" in added
-        for name in ("sentvec._native", "ctypes", "concurrent.futures", "subprocess"):
+        for name in (
+            "sentvec._native", "sentvec._reference", "ctypes", "concurrent.futures", "subprocess"
+        ):
             assert name not in added, name
 
     def test_no_subcommand_is_usage_error(self):
@@ -740,3 +767,48 @@ class TestTopLevel:
         # a known command first: only its parser is built
         assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
         assert got == outcome(lambda: full().parse_args(argv))
+
+
+class TestWithoutACompiler:
+    def test_train_and_embed_equal_the_reference_engine_in_process(
+        self, corpus_path, tmp_path, monkeypatch, capsys, without_kernel
+    ):
+        # a real run where no kernel can be built: no compiler on PATH, no cached build
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        env = {
+            **os.environ, "PATH": str(empty), "XDG_CACHE_HOME": str(tmp_path / "cache"),
+            "PYTHONPATH": str(Path(sentvec.__file__).parents[1]),
+        }
+        train = ["train", "--input", corpus_path, "--dim", "8", "--min-count", "1",
+                 "--min-target-count", "1", "--epochs", "2", "--t", "1e-2", "--neg", "3",
+                 "--threads", "1"]
+        model = tmp_path / "model.bin"
+        trained = subprocess.run(
+            [sys.executable, "-m", "sentvec.cli", *train, "--output", str(model)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert trained.returncode == 0, trained.stderr
+        assert (
+            " WARNING native kernel unavailable, training with numpy: "
+            "no C compiler (gcc or cc) on PATH\n"
+        ) in trained.stderr
+        embedded = subprocess.run(
+            [sys.executable, "-m", "sentvec.cli", "embed", "--model", str(model), "--oov-flag"],
+            input=EMBED_INPUT.encode(), capture_output=True, env=env, check=False,
+        )
+        assert embedded.returncode == 0, embedded.stderr
+
+        without_kernel()
+        here = tmp_path / "here.bin"
+        assert main([*train, "--output", str(here)]) == 0
+        assert here.read_bytes() == model.read_bytes()
+        source, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        source.write_bytes(EMBED_INPUT.encode())
+        with open(source, "rb") as fin, open(out, "wb") as fout:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(fin, encoding="utf-8"))
+            monkeypatch.setattr("sys.stdout", io.TextIOWrapper(fout, encoding="utf-8"))
+            assert main(["embed", "--model", str(here), "--oov-flag"]) == 0
+            sys.stdout.flush()
+        assert out.read_bytes() == embedded.stdout
+        assert embedded.stdout.count(b"\n") == EMBED_INPUT.count("\n") + 1

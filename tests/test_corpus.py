@@ -324,30 +324,36 @@ SPLIT_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 class TestNativeEncoding:
-    """``encode_corpus`` of a corpus file: the kernel's reading against the Python path."""
+    """``encode_corpus`` of a corpus file on each engine against its ``tokenize`` lists."""
 
     @staticmethod
-    def both(kernel, without_kernel, path, min_count=1, lowercase=False):
-        """(kernel result, Python result), each an ``encode_corpus`` output or its ValueError."""
-        results = []
-        for native in (True, False):
-            if not native:
-                without_kernel()
+    def outcomes(kernel, without_kernel, path, min_count=1, lowercase=False):
+        """``encode_corpus`` of the corpus file on the kernel, then on the numpy reference
+        engine, then of its ``tokenize`` lists: each a result or its ValueError."""
+
+        def encoded(sentences):
             try:
-                results.append(encode_corpus(iter_corpus(str(path), lowercase), min_count, 1))
+                return encode_corpus(sentences(), min_count, 1)
             except ValueError as err:
-                results.append(err)
-        return results
+                return err
+
+        def corpus():
+            return iter_corpus(str(path), lowercase)
+
+        native = encoded(corpus)
+        without_kernel()
+        return native, encoded(corpus), encoded(lambda: list(corpus()))
 
     def assert_same(self, kernel, without_kernel, path, min_count=1, lowercase=False):
-        native, python = self.both(kernel, without_kernel, path, min_count, lowercase)
-        if isinstance(python, ValueError):
-            assert isinstance(native, ValueError) and str(native) == str(python)
-            return python
-        assert native[0] == python[0]
-        for got, want in zip(native[1:], python[1:]):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        *engines, python = self.outcomes(kernel, without_kernel, path, min_count, lowercase)
+        for got in engines:
+            if isinstance(python, ValueError):
+                assert isinstance(got, ValueError) and str(got) == str(python)
+                continue
+            assert got[0] == python[0]
+            for array, want in zip(got[1:], python[1:]):
+                assert array.dtype == want.dtype
+                np.testing.assert_array_equal(array, want)
         return python
 
     def write(self, tmp_path, data: bytes, name="c.txt"):
@@ -385,13 +391,16 @@ class TestNativeEncoding:
             "blank-last-line"])
     @pytest.mark.parametrize("name", ["c.txt", "c.txt.gz"])
     def test_line_ends(self, kernel, without_kernel, tmp_path, data, name):
-        from sentvec.corpus import _encode_natively
+        from sentvec import _native
+        from sentvec.corpus import _encode_file
 
         path = self.write(tmp_path, data, name)
-        with kernel.encoder() as encoder:
-            lengths = _encode_natively(encoder, iter_corpus(str(path)))[1]
-        # every line counts, also a last one without its end that rewrites to nothing
-        assert lengths.tolist() == [len(tokens) for tokens in iter_corpus(str(path))]
+        for engine in (kernel, _native.reference()):
+            with engine.encoder() as encoder:
+                _encode_file(encoder, iter_corpus(str(path)))
+                lengths = encoder.result()[1]
+            # every line counts, also a last one without its end that rewrites to nothing
+            assert lengths.tolist() == [len(tokens) for tokens in iter_corpus(str(path))]
         self.assert_same(kernel, without_kernel, path)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
@@ -438,9 +447,9 @@ class TestNativeEncoding:
 
         monkeypatch.setattr(corpus, "_BLOCK_BYTES", 5)
         path = self.write(tmp_path, data)
-        native, python = self.both(kernel, without_kernel, path, lowercase=lowercase)
+        *engines, python = self.outcomes(kernel, without_kernel, path, lowercase=lowercase)
         assert isinstance(python, ValueError)
-        assert str(native) == str(python)
+        assert [str(got) for got in engines] == [str(python)] * 2
         assert str(python).startswith(f"{path}: ") and where in str(python)
 
     def test_errors_match(self, kernel, without_kernel, tmp_path):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from sentvec import evaluation
+from sentvec import _reference, evaluation
 from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.evaluation import (
     OovStats,
@@ -311,7 +311,9 @@ class TestFormatDispatch:
         native = [embed_batch(model, lines)[0] for model in models]
         without_kernel()
         for model, vectors in zip(models, native):
-            fallback = evaluation._compose(model, unigrams, known)
+            fallback = _reference._compose(
+                model.matrices.source, model.buckets, model.word_ngrams, unigrams, known
+            )
             np.testing.assert_array_equal(vectors.view(np.uint32), fallback.view(np.uint32))
             np.testing.assert_array_equal(embed_batch(model, lines)[0], fallback)
 
@@ -969,6 +971,23 @@ class TestNativeLookup:
             False, True, True, True, False, False, False, False, False, False, False,
             False, False, True, False, False, False, False,
         ]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_equals_compose_of_the_raw_lines(self, request, without_kernel, engine, order):
+        # both engines read ``_kernel_line``'s rewrites; the oracle reads the raw lines
+        if engine == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        model = self.model(order)
+        unigrams, known, tokens = _reference._python_ids(model.vocab.word_index, self.LINES)
+        want = _reference._compose(model.matrices.source, model.buckets, order, unigrams, known)
+        vectors, flags, stats = self.embedded(model, self.LINES)
+        np.testing.assert_array_equal(vectors.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(flags, known == 0)
+        assert stats == [len(self.LINES), int((known == 0).sum()), tokens, tokens - len(unigrams)]
+        assert tokens == sum(len(line.split()) for line in self.LINES)
 
     def test_table_built_once_per_vocabulary(self, kernel):
         model = self.model(1)

@@ -1,5 +1,6 @@
 """The native training kernel against its numpy oracle, and the numpy fallback."""
 
+import inspect
 import itertools
 import logging
 import math
@@ -422,6 +423,70 @@ class TestBuild:
         assert kernel.fill_lanes == (8 if wide else 4)
         path = tmp_path / "kernel-portable.so"
         assert _native.Kernel(_native._build(path, _native.PORTABLE_FLAGS)).fill_lanes == 4
+
+
+# every module of the package but the one that picks the engine
+MODULES = [path for path in sorted(_native.SOURCE.parent.glob("*.py")) if path.name != "_native.py"]
+# and but the reference engine: the modules that call an engine
+CALL_SITES = [path for path in MODULES if path.name != "_reference.py"]
+# what only the reference engine takes: token lists
+REFERENCE_ONLY = {"encode_tokens"}
+
+
+def used(pattern: str) -> set[str]:
+    """The attribute names the call sites take from what ``pattern`` matches."""
+    return {
+        name for path in CALL_SITES
+        for name in re.findall(pattern + r"\.(\w+)", path.read_text())
+    }
+
+
+def parameters(function) -> list[tuple[str, object]]:
+    return [
+        (p.name, p.default) for p in inspect.signature(function).parameters.values()
+        if p.name != "self"
+    ]
+
+
+class TestEngines:
+    """The numpy reference engine has the ``Kernel`` interface the call sites use,
+    and only ``_native`` asks which engine loaded."""
+
+    def test_reference_has_the_kernel_signatures(self):
+        reference = _native.reference()
+        methods = used(r"\bengine\b(?:\(\))?")
+        assert methods >= {
+            "fill_uniform", "format_rows", "lookup_table", "embed_text", "encoder",
+            "vocabulary_records", "model", "train_chunk", "rng_state", "label",
+        }
+        for name in methods:
+            kernel_side = getattr(_native.Kernel, name)
+            if isinstance(kernel_side, property):
+                assert not callable(getattr(reference, name)), name
+            else:
+                assert parameters(getattr(reference, name)) == parameters(kernel_side), name
+        encoder = used(r"\bencoder\b")
+        assert encoder >= {"encode_lines", "result", "words"} | REFERENCE_ONLY
+        for name in encoder:
+            assert callable(getattr(reference.Encoder, name)), name
+            if name not in REFERENCE_ONLY:
+                kernel_side = getattr(_native.Encoder, name)
+                assert parameters(getattr(reference.Encoder, name)) == parameters(kernel_side)
+        for name in ("__enter__", "__exit__"):
+            assert hasattr(reference.Encoder, name)
+
+    @pytest.mark.parametrize("pattern", [
+        r"_native\.load\b", r"\bimport\b[^\n]*\bload\b", r"KernelUnavailable",
+        r"\b(kernel|engine) is (not )?None\b",
+    ])
+    def test_only_native_picks_the_engine(self, pattern):
+        for path in MODULES:
+            assert not re.search(pattern, path.read_text()), f"{path.name}: {pattern}"
+
+    def test_call_sites_take_the_reference_from_native(self):
+        # ``_native.reference()`` for the inputs the kernel does not take
+        for path in CALL_SITES:
+            assert not re.search(r"\b_reference\b", path.read_text()), path.name
 
 
 class TestCache:

@@ -47,12 +47,12 @@ SLAB_CASES = pytest.mark.parametrize(
 )
 
 
-def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel):
+def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers):
     rng, reference = np.random.default_rng(23), np.random.default_rng(23)
     # leave a buffered 32-bit half in both, which double draws must keep
     rng.integers(0, 9, dtype=np.int32)
     reference.integers(0, 9, dtype=np.int32)
-    matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers, kernel)
+    matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers)
     bound = 1.0 / (2.0 * dim)
     one_shot = reference.uniform(
         -bound, bound, size=(vocab_size + buckets, dim)
@@ -63,7 +63,8 @@ def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel):
 
 
 class TestInitialize:
-    def test_blocked_draw_equals_one_shot(self):
+    def test_blocked_draw_equals_one_shot(self, without_kernel):
+        without_kernel()  # the numpy reference draws in blocks
         vocab_size, buckets, dim = 6_000, 5_001, 100  # many blocks, a ragged last one
         assert (vocab_size + buckets) * dim > 3 * INIT_BLOCK_VALUES
         matrices = EmbeddingMatrices.initialize(
@@ -78,13 +79,14 @@ class TestInitialize:
         assert not matrices.target.any()
 
     @SLAB_CASES
-    def test_slabs_equal_one_shot(self, vocab_size, buckets, dim, workers):
-        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel=None)
+    def test_slabs_equal_one_shot(self, without_kernel, vocab_size, buckets, dim, workers):
+        without_kernel()
+        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers)
 
     # the same cases filled by the kernel; a sibling keeps the numpy cases' ids
     @SLAB_CASES
     def test_kernel_slabs_equal_one_shot(self, kernel, vocab_size, buckets, dim, workers):
-        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers, kernel=kernel)
+        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers)
 
     def test_generator_without_pcg64_draws_serially(self):
         matrices = EmbeddingMatrices.initialize(

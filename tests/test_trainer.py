@@ -374,6 +374,26 @@ class TestLossWindows:
         assert finals[len(windows):] == ([rest_sum / rest_count] if rest_count else [])
 
 
+    @pytest.mark.parametrize("loss_sums,steps,report_every,named", [
+        ([1.0, 2.0, np.inf, 0.5], [1, 1, 1, 1], 2, "window 2 has mean loss inf"),
+        ([1.0, np.nan], [1, 1], 10, "window 1 has mean loss nan"),  # the open window
+        ([np.nan, 1.0, np.inf], [1, 1, 1], 1, "window 1 has mean loss nan"),
+        ([0.0, 3.0, 1.5], [0, 2, 1], 1, None),
+        ([1e308, 1e308], [1, 1], 5, "window 1 has mean loss inf"),
+    ])
+    def test_check_names_the_first_window_that_is_not_finite(
+        self, loss_sums, steps, report_every, named
+    ):
+        from sentvec.trainer import _LossReporter
+
+        reporter = _LossReporter(report_every)
+        reporter.add(np.array(loss_sums), np.array(steps))
+        if named is None:
+            reporter.check(0.2)
+        else:
+            with pytest.raises(ValueError, match=rf"^training diverged: loss {named} at lr 0\.2;"):
+                reporter.check(0.2)
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tiny_corpus, tmp_path):
         model = train(tiny_corpus, quick_config(word_ngrams=2, bucket_count=64,
@@ -761,6 +781,34 @@ class TestSerialization:
         assert vocab._lookup is table
         assert vocab._words is None and vocab._index is None  # an ASCII batch builds neither
         assert vocab.words == words and vocab.word_index["w19999"] == 19_999
+
+    def test_a_cached_table_serves_only_its_own_engine(
+        self, kernel, without_kernel, monkeypatch, tmp_path
+    ):
+        # load_model on the kernel caches the kernel's table in the vocabulary;
+        # the other engine must build its own, and compose the same vectors
+        from sentvec import _native
+        from sentvec.evaluation import embed_batch
+
+        path = tmp_path / "m.bin"
+        save_model(model_of([("the", 9), ("Cat", 5), ("äpfel", 3), ("sat", 2)], dim=3), str(path))
+        lines = ["the cat SAT", "Äpfel the", "unknown", "cat\u3000sat Äpfel", ""]
+        loaded = load_model(str(path))
+        assert loaded.vocab._lookup[0] is kernel
+        native = embed_batch(loaded, lines)
+        without_kernel()
+        fallback = embed_batch(loaded, lines)
+        assert loaded.vocab._lookup[0] is _native.reference()
+        reloaded = load_model(str(path))
+        assert reloaded.vocab._lookup is None  # the reference reads the records one by one
+        embed_batch(reloaded, lines)
+        monkeypatch.undo()  # the kernel again, over the reference's cached table
+        again = embed_batch(reloaded, lines)
+        assert reloaded.vocab._lookup[0] is kernel
+        for vectors, flags in (fallback, again):
+            np.testing.assert_array_equal(vectors.view(np.uint32), native[0].view(np.uint32))
+            np.testing.assert_array_equal(flags, native[1])
+        assert native[1].tolist() == [False, False, True, False, True]
 
     @pytest.mark.parametrize("words", [
         ["the", "cat", "sat", "on"],
