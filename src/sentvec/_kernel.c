@@ -49,6 +49,11 @@
  * words, each followed by '\n', and the end of each: sv_encoder_words writes
  * the kept words of a corpus in that form, sv_vocab_words the words of a
  * model file's records, and sv_table_new builds the lookup table from it.
+ * Wherever eight bytes are readable from a token's start (to the end of its
+ * span in sv_embed_text, of the buffer in sv_encode_lines and sv_table_new),
+ * its first eight bytes come from one unaligned load masked to its length,
+ * and its hash, slot head, capital test and case fold are all computed from
+ * that word; a token nearer the end is read a byte at a time.
  *
  * Every float pointer an entry point takes must be 4-byte aligned, except
  * the source matrix of sv_embed_text: a mapped model file places it at
@@ -1056,8 +1061,15 @@ static inline int64_t next_token(const unsigned char *s, int64_t p, int64_t len,
 #define BYTE_ONES 0x0101010101010101u
 #define HASH_MULTIPLIER 0x9e3779b97f4a7c15u
 
-/* s[0:n], n <= 8, as the low bytes of a word; each ASCII capital lowercased
- * when fold, which only ASCII text may ask for */
+/* x with each ASCII capital byte lowercased, which only ASCII text may ask for */
+static inline uint64_t fold_ascii(uint64_t x)
+{
+    /* the high bit of each byte of these sums: byte >= 'A', byte > 'Z' */
+    const uint64_t from_a = x + (0x80 - 'A') * BYTE_ONES, past_z = x + (0x7f - 'Z') * BYTE_ONES;
+    return x | (from_a & ~past_z & 0x80 * BYTE_ONES) >> 2;
+}
+
+/* s[0:n], n <= 8, as the low bytes of a word; folded by fold_ascii when fold */
 static inline uint64_t load_word(const unsigned char *s, int64_t n, int fold)
 {
     uint64_t x = 0;
@@ -1066,21 +1078,42 @@ static inline uint64_t load_word(const unsigned char *s, int64_t n, int fold)
     else
         for (int64_t i = 0; i < n; i++)
             x |= (uint64_t)s[i] << (8 * i);
-    if (fold) {
-        /* the high bit of each byte of these sums: byte >= 'A', byte > 'Z' */
-        const uint64_t from_a = x + (0x80 - 'A') * BYTE_ONES, past_z = x + (0x7f - 'Z') * BYTE_ONES;
-        x |= (from_a & ~past_z & 0x80 * BYTE_ONES) >> 2;
-    }
-    return x;
+    return fold ? fold_ascii(x) : x;
 }
 
-/* a hash of s[0:len] (ASCII-lowercased when fold), eight bytes at a time,
- * mixed so that its low bits, which pick the slot, depend on all of it */
-static uint64_t hash_bytes(const unsigned char *s, int64_t len, int fold)
+/* The first min(len, 8) bytes of s[0:len] as the low bytes of a word: one
+ * unaligned load of eight bytes masked to len where room >= 8 bytes are
+ * readable at s, and load_word's bytes one at a time where fewer are. */
+static inline uint64_t token_head(const unsigned char *s, int64_t len, int64_t room)
 {
-    uint64_t h = (uint64_t)len * HASH_MULTIPLIER;
-    for (int64_t i = 0; i < len; i += 8) {
-        h = (h ^ load_word(s + i, len - i < 8 ? len - i : 8, fold)) * HASH_MULTIPLIER;
+    if (room < 8)
+        return load_word(s, len, 0);
+    uint64_t x;
+    memcpy(&x, s, sizeof x);
+    return len < 8 ? x & ~(~(uint64_t)0 << 8 * len) : x;
+}
+
+/* the high bit of each byte of x that is an ASCII capital */
+static inline uint64_t capitals(uint64_t x)
+{
+    /* bytes of at most 0x7f, so that no sum carries into the next byte */
+    const uint64_t low = x & 0x7f * BYTE_ONES;
+    return (low + (0x80 - 'A') * BYTE_ONES) & ~(low + (0x7f - 'Z') * BYTE_ONES) & ~x &
+           0x80 * BYTE_ONES;
+}
+
+/* A hash of the len >= 1 bytes s[0:len] (ASCII-lowercased when fold), eight
+ * bytes at a time, mixed so that its low bits, which pick the slot, depend on
+ * all of it.  head is token_head of s (folded when fold); room bytes are
+ * readable at s. */
+static uint64_t hash_token(const unsigned char *s, int64_t len, int64_t room, uint64_t head,
+                           int fold)
+{
+    uint64_t h = ((uint64_t)len * HASH_MULTIPLIER ^ head) * HASH_MULTIPLIER;
+    h ^= h >> 29;
+    for (int64_t i = 8; i < len; i += 8) {
+        const uint64_t x = token_head(s + i, len - i, room - i);
+        h = (h ^ (fold ? fold_ascii(x) : x)) * HASH_MULTIPLIER;
         h ^= h >> 29;
     }
     h *= 0xbf58476d1ce4e5b9u;
@@ -1129,10 +1162,10 @@ static void *grown(void *array, int64_t *cap, int64_t need, size_t size)
     return larger;
 }
 
-static inline sv_slot make_slot(const unsigned char *s, int64_t len, uint64_t hash, int fold)
+static inline sv_slot make_slot(uint64_t head, int64_t len, uint64_t hash)
 {
     const sv_slot slot = {
-        load_word(s, len < 8 ? len : 8, fold),
+        head,
         (uint32_t)(hash >> 40) << 8 | (uint32_t)(len < 255 ? len : 255),
         0,
     };
@@ -1176,11 +1209,13 @@ static int table_resize(sv_table *t, int64_t capacity)
     const uint64_t mask = (uint64_t)capacity - 1;
     for (int64_t id = 0; id < t->n_strings; id++) {
         const int64_t start = id > 0 ? t->ends[id - 1] : 0, len = t->ends[id] - start;
-        const uint64_t hash = hash_bytes(t->bytes + start, len, 0);
+        const int64_t room = t->n_bytes - start;
+        const uint64_t head = token_head(t->bytes + start, len, room);
+        const uint64_t hash = hash_token(t->bytes + start, len, room, head, 0);
         uint64_t i = hash & mask;
         while (slots[i].id1 != 0)
             i = (i + 1) & mask;
-        slots[i] = make_slot(t->bytes + start, len, hash, 0);
+        slots[i] = make_slot(head, len, hash);
         slots[i].id1 = (uint32_t)(id + 1);
     }
     free(t->slots);
@@ -1216,19 +1251,23 @@ static int table_init(sv_table *t, int64_t strings, int64_t bytes)
     return 0;
 }
 
-/* the id of s[0:len] (ASCII-lowercased first when fold), or -1 */
-static int64_t table_find(const sv_table *t, const unsigned char *s, int64_t len, int fold)
+/* the id of s[0:len] (ASCII-lowercased first when fold), or -1; head and
+ * room as for hash_token */
+static int64_t table_find(const sv_table *t, const unsigned char *s, int64_t len, int64_t room,
+                          uint64_t head, int fold)
 {
-    const uint64_t hash = hash_bytes(s, len, fold);
-    const sv_slot key = make_slot(s, len, hash, fold);
+    const uint64_t hash = hash_token(s, len, room, head, fold);
+    const sv_slot key = make_slot(head, len, hash);
     return (int64_t)t->slots[table_slot(t, s, len, hash, key, fold)].id1 - 1;
 }
 
-/* the id of s[0:len], added when new; -1 when out of memory or of int32 ids */
-static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len)
+/* the id of s[0:len], added when new; -1 when out of memory or of int32 ids.
+ * room >= len bytes are readable at s. */
+static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len, int64_t room)
 {
-    const uint64_t hash = hash_bytes(s, len, 0);
-    sv_slot key = make_slot(s, len, hash, 0);
+    const uint64_t head = token_head(s, len, room);
+    const uint64_t hash = hash_token(s, len, room, head, 0);
+    sv_slot key = make_slot(head, len, hash);
     uint64_t i = table_slot(t, s, len, hash, key, 0);
     if (t->slots[i].id1 != 0)
         return (int64_t)t->slots[i].id1 - 1;
@@ -1296,12 +1335,13 @@ sv_encoder *sv_encoder_new(void)
     return e;
 }
 
-/* intern the whitespace-separated tokens of line s[0:len]; 0, or -1 when out of memory */
-static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len)
+/* intern the whitespace-separated tokens of line s[0:len], where room >= len
+ * bytes are readable; 0, or -1 when out of memory */
+static int encode_line(sv_encoder *e, const unsigned char *s, int64_t len, int64_t room)
 {
     int64_t count = 0, end;
     for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
-        const int64_t id = table_intern(&e->words, s + p, end - p);
+        const int64_t id = table_intern(&e->words, s + p, end - p, room - p);
         if (id < 0)
             return -1;
         if (e->n_ids == e->ids_cap) {
@@ -1330,7 +1370,7 @@ int sv_encode_lines(sv_encoder *e, const unsigned char *data, int64_t len)
     for (int64_t p = 0; p < len;) {
         const unsigned char *newline = memchr(data + p, '\n', (size_t)(len - p));
         const int64_t end = newline != NULL ? newline - data : len;
-        if (encode_line(e, data + p, end - p) != 0)
+        if (encode_line(e, data + p, end - p, len - p) != 0)
             return -1;
         p = end + 1;
     }
@@ -1396,8 +1436,9 @@ sv_table *sv_table_new(const unsigned char *words, const int64_t *ends, int64_t 
         free(t);
         return NULL;
     }
+    const int64_t size = n ? ends[n - 1] + 1 : 0;
     for (int64_t i = 0, start = 0; i < n; start = ends[i++] + 1) {
-        const int64_t id = table_intern(t, words + start, ends[i] - start);
+        const int64_t id = table_intern(t, words + start, ends[i] - start, size - start);
         if (id != i) {
             *repeat = id < 0 ? -1 : i;
             sv_table_free(t);
@@ -1409,10 +1450,12 @@ sv_table *sv_table_new(const unsigned char *words, const int64_t *ends, int64_t 
 
 /* ---- sentence composition ---- */
 
-/* 1 when s[0:len] holds an ASCII capital */
-static inline int has_capital(const unsigned char *s, int64_t len)
+/* 1 when s[0:len] holds an ASCII capital; head is token_head of s */
+static inline int has_capital(const unsigned char *s, int64_t len, uint64_t head)
 {
-    for (int64_t i = 0; i < len; i++)
+    if (capitals(head))
+        return 1;
+    for (int64_t i = 8; i < len; i++)
         if (s[i] >= 'A' && s[i] <= 'Z')
             return 1;
     return 0;
@@ -1450,9 +1493,10 @@ int64_t sv_embed_text(const sv_table *t, const char *source, int64_t dim, int64_
         ids = more_ids;
         int64_t n = 0, end;
         for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
-            int64_t id = table_find(t, s + p, end - p, 0);
-            if (id < 0 && has_capital(s + p, end - p))
-                id = table_find(t, s + p, end - p, 1);
+            const uint64_t head = token_head(s + p, end - p, len - p);
+            int64_t id = table_find(t, s + p, end - p, len - p, head, 0);
+            if (id < 0 && has_capital(s + p, end - p, head))
+                id = table_find(t, s + p, end - p, len - p, fold_ascii(head), 1);
             if (id >= 0)
                 ids[n++] = (int32_t)id;
             tokens++;

@@ -155,25 +155,33 @@ def model(source, target, order, buckets, negatives, l1_tau=0.0, dropout_k=0, ba
 
 def train_chunk(model, sentences, rng_state) -> tuple[np.ndarray, np.ndarray]:
     """Train on the given sentence indices, one ``train_step`` per position the gate keeps;
-    returns per-sentence loss sums and steps, which join ``progress`` sentence by sentence."""
+    returns per-sentence loss sums and steps, which join ``progress`` sentence by sentence.
+
+    A diverging run overflows to inf and nan without numpy's warnings, as on
+    the kernel: the trainer names it by its loss."""
     m, rng = model, rng_state
     loss_sums, steps = np.zeros(len(sentences)), np.zeros(len(sentences), dtype=np.int64)
-    for i, si in enumerate(sentences):
-        ids = m.tokens[m.offsets[si] : m.offsets[si + 1]]
-        grams, spans = sentence_ngrams(ids, m.order, len(m.target), m.buckets)
-        loss_sum, done = 0.0, 0
-        for pos in np.flatnonzero(rng.random(len(ids)) < m.gate_prob[ids]):
-            dropped = ngram_dropout(len(grams), m.dropout_k, rng)
-            negatives = sample_negatives(m.table, int(ids[pos]), m.negatives, rng)
-            lr = lr_schedule(m.base_lr, int(m.progress[0]) / m.total_expected)
-            outcome = train_step(ids, grams, spans, int(pos), negatives, lr, m.matrices, dropped)
-            if outcome is None:
-                continue
-            if m.l1_tau:
-                apply_l1_after_step(outcome, m.l1_tau, lr, outcome.source_touch_count, m.matrices)
-            loss_sum += outcome.loss
-            done += 1
-        with m.lock:
-            m.progress[0] += done
-        loss_sums[i], steps[i] = loss_sum, done
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, si in enumerate(sentences):
+            ids = m.tokens[m.offsets[si] : m.offsets[si + 1]]
+            grams, spans = sentence_ngrams(ids, m.order, len(m.target), m.buckets)
+            loss_sum, done = 0.0, 0
+            for pos in np.flatnonzero(rng.random(len(ids)) < m.gate_prob[ids]):
+                dropped = ngram_dropout(len(grams), m.dropout_k, rng)
+                negatives = sample_negatives(m.table, int(ids[pos]), m.negatives, rng)
+                lr = lr_schedule(m.base_lr, int(m.progress[0]) / m.total_expected)
+                outcome = train_step(
+                    ids, grams, spans, int(pos), negatives, lr, m.matrices, dropped
+                )
+                if outcome is None:
+                    continue
+                if m.l1_tau:
+                    apply_l1_after_step(
+                        outcome, m.l1_tau, lr, outcome.source_touch_count, m.matrices
+                    )
+                loss_sum += outcome.loss
+                done += 1
+            with m.lock:
+                m.progress[0] += done
+            loss_sums[i], steps[i] = loss_sum, done
     return loss_sums, steps

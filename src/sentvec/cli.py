@@ -229,19 +229,20 @@ def _stdin_batches():
         raise ValueError("no standard input to read sentences from (stdin is closed)")
     source = getattr(sys.stdin, "buffer", sys.stdin)
     read = getattr(source, "read1", source.read)
-    size, lineno, pending, newlines = _EMBED_CHUNK_LINES, 0, [], 0
+    # the blocks not yet batched, and the offsets of their newlines once they are joined
+    size, lineno, pending, offsets, held, newlines = _EMBED_CHUNK_LINES, 0, [], [], 0, 0
     while True:
         block = read(_STDIN_BLOCK)
+        if isinstance(block, str):  # from a text stdin
+            newline, at = "\n", np.cumsum([len(line) + 1 for line in block.split("\n")])[:-1] - 1
+        else:
+            newline, at = b"\n", np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
         pending.append(block)
-        newline = "\n" if isinstance(block, str) else b"\n"
-        newlines += block.count(newline)
+        offsets.append(at + held)
+        held, newlines = held + len(block), newlines + len(at)
         if block and newlines < size:
             continue
-        data = type(block)().join(pending)
-        if isinstance(data, str):  # from a text stdin
-            ends = np.cumsum([len(line) + 1 for line in data.split("\n")][:-1], dtype=np.int64) - 1
-        else:
-            ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        data, ends = type(block)().join(pending), np.concatenate(offsets)
         if not block and data and not data.endswith(newline):
             ends = np.append(ends, len(data))  # the last line, which has no \n
         starts = np.concatenate([[0], ends + 1])
@@ -262,7 +263,9 @@ def _stdin_batches():
             yield batch, line_starts, line_ends
         if not block:
             return
-        pending, newlines = [data[int(starts[done]) :]], len(ends) - done
+        rest = int(starts[done])
+        pending, offsets, held = [data[rest:]], [ends[done:] - rest], len(data) - rest
+        newlines = len(ends) - done
 
 
 def cmd_embed(args) -> int:

@@ -8,7 +8,8 @@ similarities are correlated against the gold scores with Pearson's r and
 Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
 file: it checks and splits the whole file's bytes at once, and
 ``evaluate_similarity`` scores its pairs from those bytes, with one
-kernel call per side and no per-record Python objects on an ASCII file.
+kernel call per side per block of pairs and no per-record Python objects
+on an ASCII file.
 """
 
 from __future__ import annotations
@@ -203,13 +204,12 @@ def _table(vocab: Vocabulary, engine):
     return vocab._lookup[1]
 
 
-def _embed_spans(
-    model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray, stats: OovStats | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer.
+def _engine_text(model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The engine that composes the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes
+    buffer, its lookup table, and those lines as bytes it splits: ``(engine, table, data,
+    starts, ends)``.
 
-    The engine splits, looks up and composes every line in one call: an
-    ASCII buffer goes to it whole, and any other is cut into its lines,
+    An ASCII buffer goes to it whole, and any other is cut into its lines,
     which ``_kernel_line`` rewrites.  Source rows that are not C-contiguous
     float32 take the numpy reference engine.
     """
@@ -227,8 +227,20 @@ def _embed_spans(
         starts = ends - lengths
     elif isinstance(data, str):
         data = data.encode("ascii")
+    return engine, _table(model.vocab, engine), data, starts, ends
+
+
+def _embed_spans(
+    model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray, stats: OovStats | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer."""
+    return _compose_lines(model, *_engine_text(model, data, starts, ends), stats)
+
+
+def _compose_lines(model: TrainedModel, engine, table, data: bytes, starts, ends, stats):
+    """``embed_batch`` of lines of an ``_engine_text`` buffer, in one engine call."""
     vectors, known, tokens = engine.embed_text(
-        _table(model.vocab, engine), source, model.buckets, model.word_ngrams, data,
+        table, model.matrices.source, model.buckets, model.word_ngrams, data,
         np.ascontiguousarray(starts), np.ascontiguousarray(ends),
     )
     flags = known == 0
@@ -354,6 +366,11 @@ def spearman(xs, ys) -> float:
     return pearson(_midranks(xs), _midranks(ys))
 
 
+# pairs composed per engine call on each side; one block's two sides are the vectors
+# live at once
+_PAIR_BLOCK = 1024
+
+
 def evaluate_similarity(
     model: TrainedModel,
     records: list[SimilarityRecord] | SimilarityPairs,
@@ -364,38 +381,48 @@ def evaluate_similarity(
     ``records`` are ``SimilarityRecord``s or the ``SimilarityPairs`` of a
     file; records are joined into the pairs' one buffer, so both score
     alike.  Each side's lines are composed as ``embed_batch`` composes
-    them, straight from their spans of that buffer, in one call per side.
+    them, straight from their spans of that buffer, ``_PAIR_BLOCK`` pairs
+    per call per side; each block's row dots go into float64 arrays of
+    every pair before the next block is composed.
     Records where either side has no in-vocabulary token are excluded (a
     constant zero prediction would poison the correlation); the number of
     used records is returned alongside (pearson, spearman).  A side whose
     vector has zero norm scores cosine 0, as in ``cosine``.  ``stats``,
-    when given, accumulates the OOV counts of side a, then of side b.
+    when given, accumulates the OOV counts of both sides.
     """
     pairs = records if isinstance(records, SimilarityPairs) else SimilarityPairs.of(records)
-    # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b
-    data, ends = pairs.data, pairs.ends
-    va, oov_a = _embed_spans(model, data, ends[0::3], ends[1::3], stats)
-    vb, oov_b = _embed_spans(model, data, ends[1::3], ends[2::3], stats)
-    used = ~(oov_a | oov_b)
+    # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b;
+    # spans k and n + k below are record k's sides a and b
+    n, bounds = len(pairs), pairs.ends
+    engine, table, data, starts, ends = _engine_text(
+        model, pairs.data, np.concatenate([bounds[0::3], bounds[1::3]]),
+        np.concatenate([bounds[1::3], bounds[2::3]]),
+    )
+    # the a·a, b·b and a·b row dots, accumulated in float64 straight from the
+    # float32 rows: no float64 copies
+    dots, oov = np.empty((3, n)), np.empty((2, n), dtype=np.bool_)
+    for a in range(0, n, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, n)
+        va, oov[0, a:b] = _compose_lines(model, engine, table, data, starts[a:b], ends[a:b],
+                                         stats)
+        vb, oov[1, a:b] = _compose_lines(model, engine, table, data, starts[n + a : n + b],
+                                         ends[n + a : n + b], stats)
+        np.einsum("ij,ij->i", va, va, dtype=np.float64, out=dots[0, a:b])
+        np.einsum("ij,ij->i", vb, vb, dtype=np.float64, out=dots[1, a:b])
+        np.einsum("ij,ij->i", va, vb, dtype=np.float64, out=dots[2, a:b])
+        del va, vb  # freed before the next block's are made
+    used = ~(oov[0] | oov[1])
     n_used = int(used.sum())
     if n_used < 2:
         raise ValueError(
             f"need >=2 usable record pairs, got {n_used} "
-            f"({len(pairs) - n_used} excluded as out-of-vocabulary)"
+            f"({n - n_used} excluded as out-of-vocabulary)"
         )
     golds = pairs.gold[used]
-
-    def row_dots(x, y):
-        # accumulated in float64 straight from the float32 rows: no float64 copies
-        return np.einsum("ij,ij->i", x, y, dtype=np.float64)[used]
-
-    norm_a = np.sqrt(row_dots(va, va))
-    norm_b = np.sqrt(row_dots(vb, vb))
+    aa, bb, ab = dots[:, used]
+    norm_a, norm_b = np.sqrt(aa), np.sqrt(bb)
     preds = np.zeros(n_used)
-    np.divide(
-        row_dots(va, vb), norm_a * norm_b,
-        out=preds, where=(norm_a != 0.0) & (norm_b != 0.0),
-    )
+    np.divide(ab, norm_a * norm_b, out=preds, where=(norm_a != 0.0) & (norm_b != 0.0))
     return pearson(golds, preds), spearman(golds, preds), n_used
 
 

@@ -111,6 +111,36 @@ def small_corpus(tmp_path_factory):
     return write_corpus(path, sentences)
 
 
+# the ASCII bytes ``str.split`` splits on, and the kernel; ``bytes.split`` misses \x1c-\x1f
+SPLIT_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+def word_path_words() -> list[bytes]:
+    """Words of 1 to 17 bytes for the kernel's eight-byte token loads.
+
+    The ASCII ones are the prefixes of one alphabet, so that a load past a
+    token's end that is not masked off reads a longer known word; the others
+    have bytes >= 0x80 at their start or at their end.
+    """
+    alphabet = b"abcdefghijklmnopq"
+    return (
+        [alphabet[:n] for n in range(1, 18)]
+        + [("ä" + "b" * (n - 2)).encode() for n in range(2, 18)]
+        + [alphabet[: n - 2] + "é".encode() for n in range(2, 18)]
+    )
+
+
+def word_path_tokens(words: list[bytes]) -> list[bytes]:
+    """``words``, each with an ASCII capital at each of its byte positions and in capitals,
+    and unknown tokens: each word with a byte more and a capital before it."""
+    tokens = []
+    for word in words:
+        tokens.append(word)
+        tokens += [word[:i] + word[i : i + 1].upper() + word[i + 1 :] for i in range(len(word))]
+        tokens += [word.upper(), word + b"z", b"Z" + word]
+    return list(dict.fromkeys(tokens))
+
+
 @pytest.fixture(scope="session")
 def kernel():
     """The native kernel; skips the test where it cannot be built."""

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,16 +97,22 @@ class TestTrainCommand:
             request.getfixturevalue("kernel")
         else:
             without_kernel()
-        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+        # every warning is kept here, where a plain run prints it to stderr
+        with (caplog.at_level(logging.INFO, logger="sentvec.trainer"),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             code = main(["train", "--input", corpus_path, "--output", str(tmp_path / "m.bin"),
                          "--checkpoint", str(tmp_path / "ck.bin"), "--dim", "16",
                          "--min-count", "1", "--min-target-count", "1", "--epochs", "2",
                          "--lr", lr])
         assert code == 1
-        assert capsys.readouterr().err == (
+        err = capsys.readouterr().err
+        assert err == (
             f"error: training diverged: loss window 1 has mean loss nan at lr {float(lr):g}; "
             "try a lower learning rate\n"
         )
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         # stopped at the end of the first epoch, before its checkpoint
         epochs = [m.split(",")[0] for m in caplog.messages if m.startswith("epoch ")]
         assert epochs == ["epoch 1/2 done"]

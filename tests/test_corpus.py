@@ -16,7 +16,7 @@ from sentvec.corpus import (
     tokenize,
 )
 
-from conftest import zipf_topic_sentences
+from conftest import SPLIT_WHITESPACE, word_path_tokens, word_path_words, zipf_topic_sentences
 
 
 class TestTokenize:
@@ -319,17 +319,15 @@ class TestIterCorpus:
             list(iter_corpus(str(path)))
 
 
-# the ASCII bytes ``str.split`` splits on; ``bytes.split`` misses \x1c-\x1f
-SPLIT_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-
-
 class TestNativeEncoding:
     """``encode_corpus`` of a corpus file on each engine against its ``tokenize`` lists."""
 
     @staticmethod
     def outcomes(kernel, without_kernel, path, min_count=1, lowercase=False):
         """``encode_corpus`` of the corpus file on the kernel, then on the numpy reference
-        engine, then of its ``tokenize`` lists: each a result or its ValueError."""
+        engine, then of its ``tokenize`` lists: each a result or its ValueError.  The
+        kernel is back in place when it returns."""
+        from sentvec import _native
 
         def encoded(sentences):
             try:
@@ -340,9 +338,13 @@ class TestNativeEncoding:
         def corpus():
             return iter_corpus(str(path), lowercase)
 
-        native = encoded(corpus)
+        native, load = encoded(corpus), _native.load
         without_kernel()
-        return native, encoded(corpus), encoded(lambda: list(corpus()))
+        try:
+            reference = encoded(corpus)
+        finally:
+            _native.load = load
+        return native, reference, encoded(lambda: list(corpus()))
 
     def assert_same(self, kernel, without_kernel, path, min_count=1, lowercase=False):
         *engines, python = self.outcomes(kernel, without_kernel, path, min_count, lowercase)
@@ -451,6 +453,24 @@ class TestNativeEncoding:
         assert isinstance(python, ValueError)
         assert [str(got) for got in engines] == [str(python)] * 2
         assert str(python).startswith(f"{path}: ") and where in str(python)
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    @pytest.mark.parametrize("block", [7, 16, 1 << 16])
+    def test_word_path_boundaries(
+        self, kernel, without_kernel, tmp_path, monkeypatch, block, lowercase
+    ):
+        # tokens of 1 to 17 bytes end lines, blocks and the file, after every whitespace byte
+        from sentvec import corpus
+
+        monkeypatch.setattr(corpus, "_BLOCK_BYTES", block)
+        tokens = word_path_tokens(word_path_words())
+        seps = [bytes([SPLIT_WHITESPACE[i % 10]]) for i in range(len(tokens))]
+        lines = [a + sep + b for a, b, sep in zip(tokens, tokens[1:], seps)]
+        data = b"\n".join(lines + tokens[::-1])
+        vocab, _, _ = self.assert_same(
+            kernel, without_kernel, self.write(tmp_path, data), lowercase=lowercase
+        )
+        assert len(vocab) == len({t.decode().lower() if lowercase else t for t in tokens})
 
     def test_errors_match(self, kernel, without_kernel, tmp_path):
         self.assert_same(kernel, without_kernel, self.write(tmp_path, b" \n\t\n"))

@@ -375,7 +375,8 @@ class TestFormatDispatch:
         path = str(tmp_path / "m.bin")
         save_model(model, path)
         lines = seeded_lines(words, 400)
-        text = "".join(f"{i % 7 / 2}\t{a}\t{b}\n" for i, (a, b) in enumerate(zip(lines, lines[1:])))
+        pairs = enumerate(zip(lines, lines[1:]))
+        text = "".join(f"{i % 7 / 2}\t{a}\t{b}\n" for i, (a, b) in pairs)
         plain = tmp_path / "pairs.tsv"
         plain.write_text(text, encoding="utf-8")
         # CRLF line ends, ideographic spaces, capitals that fold and accented unknown tokens
@@ -621,6 +622,72 @@ class TestEvaluateSimilarity:
         r, _, n_used = evaluate_similarity(model, records)
         assert n_used == 4
         assert r == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSimilarityBlocks:
+    """``eval-sim`` composes ``_PAIR_BLOCK`` pairs per engine call on each side; every block
+    size prints what one block of all the pairs prints, on both engines."""
+
+    @pytest.fixture(scope="class")
+    def model_file(self, tmp_path_factory):
+        from sentvec.trainer import save_model
+
+        model, words = seeded_ngram_model(2, dim=8)
+        path = tmp_path_factory.mktemp("blocks") / "m.bin"
+        save_model(model, str(path))
+        return str(path), words
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_every_block_size_prints_the_same(
+        self, kernel, without_kernel, model_file, tmp_path, capsys, caplog, monkeypatch, n
+    ):
+        from sentvec import _native
+        from sentvec.cli import main
+
+        path, words = model_file
+        lines = seeded_lines(words, n, seed=n)[: n + 1]
+        # all-OOV sides at the block edges: pair k reads lines k and k + 1
+        for k in (0, 1, 2, 3, 1022, 1023, 1024, 1025, 2047, 2048, n - 1, n):
+            lines[min(k, n)] = "zzz qqq"
+        pairs = enumerate(zip(lines, lines[1:]))
+        text = "".join(f"{i % 7 / 2}\t{a}\t{b}\n" for i, (a, b) in pairs)
+        plain, other = tmp_path / "pairs.tsv", tmp_path / "pairs-crlf.tsv"
+        plain.write_text(text, encoding="utf-8")
+        other.write_text(
+            text.replace(" w1", "\u3000W1").replace("w2 ", "w2é ").replace("\n", "\r\n"),
+            encoding="utf-8", newline="",
+        )
+        calls = []
+
+        def counting(embed_text):
+            def counted(*args):
+                calls.append(len(args[-1]))  # the span ends
+                return embed_text(*args)
+            return counted
+
+        monkeypatch.setattr(_native.Kernel, "embed_text", counting(_native.Kernel.embed_text))
+        monkeypatch.setattr(_reference, "embed_text", counting(_reference.embed_text))
+
+        def printed(dataset, block):
+            monkeypatch.setattr(evaluation, "_PAIR_BLOCK", block)
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="sentvec.cli"):
+                assert main(["eval-sim", "--model", path, "--dataset", str(dataset)]) == 0
+            assert max(calls) <= block and sum(calls) == 2 * n
+            return capsys.readouterr().out, caplog.messages[-1]
+
+        runs = []
+        for engine in ("kernel", "numpy"):
+            if engine == "numpy":
+                without_kernel()
+            for dataset in (plain, other):
+                one_block = printed(dataset, n)
+                assert len(calls) == 2
+                for block in (1, 2, 3, 1024):
+                    assert printed(dataset, block) == one_block, (engine, dataset.name, block)
+                runs.append(one_block)
+        assert runs[:2] == runs[2:] and runs[0] != runs[1]
 
 
 class TestPairFeatures:

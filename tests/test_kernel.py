@@ -26,7 +26,13 @@ from sentvec.sampling import (
 )
 from sentvec.trainer import TrainConfig, save_model, train
 
-from conftest import write_corpus, zipf_topic_sentences
+from conftest import (
+    SPLIT_WHITESPACE,
+    word_path_tokens,
+    word_path_words,
+    write_corpus,
+    zipf_topic_sentences,
+)
 
 
 def make_vocab(counts):
@@ -1141,3 +1147,88 @@ class TestText:
                 embed(starts, ends)
         # spans may overlap and come in any order
         assert embed([2, 0, 1], [3, 3, 2])[1].tolist() == [1, 2, 0]
+
+
+class TestWordPath:
+    """Tokens of 1 to 17 bytes, which the kernel loads eight bytes at a time where eight
+    bytes are left, against the numpy reference engine and ``str.split`` lookups."""
+
+    WORDS = word_path_words()
+    ALPHABET = WORDS[16]  # the 17-byte word whose prefixes the other ASCII words are
+
+    def expected_ids(self, tokens) -> list[int]:
+        """Each token's id: verbatim, else ``str.lower()``ed, else -1."""
+        index = {word.decode(): i for i, word in enumerate(self.WORDS)}
+        texts = [token.decode() if isinstance(token, bytes) else token for token in tokens]
+        return [index.get(text, index.get(text.lower(), -1)) for text in texts]
+
+    def embedded(self, kernel, data, starts, ends) -> list[int]:
+        """Each span's id by its one-hot mean (-1 when it knows no token), once the kernel
+        and the numpy reference engine agree bit for bit."""
+        from sentvec import _reference
+
+        source = np.eye(len(self.WORDS), dtype=np.float32)
+        spans = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+        got = kernel.embed_text(word_table(kernel, self.WORDS), source, 0, 1, data, *spans)
+        want = _reference.embed_text(
+            word_table(_reference, self.WORDS), source, 0, 1, data, *spans
+        )
+        assert_same_bits(got[0], want[0])
+        assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
+        return [int(v.argmax()) if k else -1 for v, k in zip(got[0], got[1])]
+
+    def test_embed_text_at_span_ends(self, kernel):
+        tokens = word_path_tokens(self.WORDS)
+        data, starts, ends = b"", [], []
+        for token, space in itertools.product(tokens, SPLIT_WHITESPACE):
+            sep = bytes([space])
+            # the token ends its span, and the bytes after it spell a longer known word
+            starts.append(len(data))
+            data += sep + token
+            ends.append(len(data))
+            data += self.ALPHABET[len(token) :] if self.ALPHABET.startswith(token) else b"ab"
+            # the token before a separator and a known word of eight bytes
+            starts.append(len(data))
+            data += token + sep + self.ALPHABET[:8]
+            ends.append(len(data))
+        ids = self.embedded(kernel, data, starts, ends)
+        assert ids[0::2] == [i for i in self.expected_ids(tokens) for _ in SPLIT_WHITESPACE]
+
+    def test_embed_text_at_the_buffer_end(self, kernel):
+        tokens = word_path_tokens(self.WORDS)
+        for i, token in enumerate(tokens):
+            data = self.ALPHABET[:8] + bytes([SPLIT_WHITESPACE[i % 10]]) + token
+            # the whole line, then the token alone
+            ids = self.embedded(kernel, data, [0, len(data) - len(token)], [len(data)] * 2)
+            assert ids[1] == self.expected_ids([token])[0], token
+
+    def test_load_model(self, kernel, without_kernel, tmp_path):
+        from sentvec.evaluation import embed_batch
+        from sentvec.trainer import TrainedModel, load_model
+
+        words = [word.decode() for word in self.WORDS]
+        n = len(words)
+        vocab = Vocabulary(words=[(w, 10) for w in words],
+                           word_index={w: i for i, w in enumerate(words)},
+                           total_tokens=10 * n, min_count=1, min_target_count=1)
+        matrices = EmbeddingMatrices(source=np.eye(n, dtype=np.float32),
+                                     target=np.zeros((n, n), dtype=np.float32), dim=n)
+        path = str(tmp_path / "m.bin")
+        save_model(TrainedModel(vocab=vocab, matrices=matrices, word_ngrams=1, buckets=0,
+                                subsample_t=1e-5), path)
+        # one token a line, in one batch and each alone, where it ends the buffer
+        lines = [token.decode() for token in word_path_tokens(self.WORDS)]
+        want = self.expected_ids(lines)
+
+        def ids(model, lines):
+            vectors, flags = embed_batch(model, lines)
+            return [-1 if flag else int(v.argmax()) for v, flag in zip(vectors, flags)]
+
+        for engine in ("kernel", "numpy"):
+            if engine == "numpy":
+                without_kernel()
+            model = load_model(path)
+            assert model.vocab.words == vocab.words
+            assert ids(model, lines) == want
+            assert [ids(model, [line])[0] for line in lines] == want
+
