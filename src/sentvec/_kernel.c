@@ -29,7 +29,9 @@
  * evaluate_similarity straight from each line's text: it looks the line's
  * tokens up, hashes the n-grams with the training step's own ngram_row and
  * takes the mean of the rows with sum_rows, which builds every step's context
- * mean.  sv_format_rows writes float32 rows as the %.6g text
+ * mean.  sv_pair_dots composes the two sides of each similarity pair the same
+ * way, one pair at a time into scratch, and returns only their three dots in
+ * double.  sv_format_rows writes float32 rows as the %.6g text
  * of evaluation.RowText, which sentvec embed, export-vec and the pair
  * features print.  It scales each value by a power of ten in double; when
  * the result is clearly away from a rounding tie it builds the six digits
@@ -1461,68 +1463,189 @@ static inline int has_capital(const unsigned char *s, int64_t len, uint64_t head
     return 0;
 }
 
-/* The mean of the source rows of each line of data: line i is
- * data[starts[i]:ends[i]], and the spans may lie anywhere in data.  Its
+/* The known ids of the line being composed and its row list, grown as lines
+ * need: the scratch of sv_embed_text and sv_pair_dots */
+typedef struct {
+    int32_t *ids;
+    int64_t *rows;
+    int64_t ids_cap, rows_cap;
+} compose_scratch;
+
+/* 0 on success, and on failure nothing stays allocated */
+static int scratch_init(compose_scratch *w)
+{
+    w->ids_cap = w->rows_cap = INITIAL_ITEMS;
+    w->ids = malloc(sizeof *w->ids * (size_t)w->ids_cap);
+    w->rows = malloc(sizeof *w->rows * (size_t)w->rows_cap);
+    if (w->ids != NULL && w->rows != NULL)
+        return 0;
+    free(w->ids);
+    free(w->rows);
+    return -1;
+}
+
+static void scratch_free(compose_scratch *w)
+{
+    free(w->ids);
+    free(w->rows);
+}
+
+/* The mean of the source rows of line s[0:len], written to y[0:dim].  Its
  * tokens split as in sv_encode_lines, and each is looked up in t as it is,
  * then ASCII-lowercased when it holds a capital; a token t lacks is skipped.
  * The known ids (t's ids are source's first rows), then the rows of the
  * line's windows of order 2..order in the order of sentence_ngrams, go into
- * one row list whose mean sum_rows writes to row i of out, as the training
- * step's context mean (a line with no known token gets the zero vector), and
- * known[i] is the number of known tokens.  source is byte-addressed (no
- * alignment assumed); out is an aligned n_lines x dim matrix.  Returns the
- * number of tokens of all lines, or -1 when the scratch lists cannot be
- * allocated. */
+ * one row list whose mean sum_rows writes, as the training step's context
+ * mean; a line with no known token gets the zero vector.  Adds the line's
+ * tokens to *tokens and returns its known-token count, or -1 when the
+ * scratch lists cannot grow. */
+static int64_t compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
+                            int32_t order, const unsigned char *s, int64_t len,
+                            compose_scratch *w, float *y, int64_t *tokens)
+{
+    /* a token takes a byte and, but for the line's last, a separator */
+    int32_t *ids = grown(w->ids, &w->ids_cap, (len + 1) / 2, sizeof *ids);
+    if (ids == NULL)
+        return -1;
+    w->ids = ids;
+    int64_t n = 0, end;
+    for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
+        const uint64_t head = token_head(s + p, end - p, len - p);
+        int64_t id = table_find(t, s + p, end - p, len - p, head, 0);
+        if (id < 0 && has_capital(s + p, end - p, head))
+            id = table_find(t, s + p, end - p, len - p, fold_ascii(head), 1);
+        if (id >= 0)
+            ids[n++] = (int32_t)id;
+        ++*tokens;
+    }
+    /* no window is longer than the line, whatever order is asked for */
+    const int32_t top = n < order ? (int32_t)n : order;
+    int64_t *rows = grown(w->rows, &w->rows_cap, n + ngram_count(n, top), sizeof *rows);
+    if (rows == NULL)
+        return -1;
+    w->rows = rows;
+    int64_t r = 0;
+    for (; r < n; r++)
+        rows[r] = ids[r];
+    for (int32_t k = 2; k <= top; k++)
+        for (int64_t i = 0; i + k <= n; i++)
+            rows[r++] = ngram_row(ids + i, k, t->n_strings, buckets);
+    if (r > 0)
+        sum_rows(y, source, rows, NULL, r, dim);
+    else
+        memset(y, 0, sizeof(float) * (size_t)dim);
+    return n;
+}
+
+/* compose_line of each line of data into row i of out: line i is
+ * data[starts[i]:ends[i]], and the spans may lie anywhere in data; known[i]
+ * is its known-token count.  source is byte-addressed (no alignment
+ * assumed); out is an aligned n_lines x dim matrix.  Returns the number of
+ * tokens of all lines, or -1 when the scratch lists cannot be allocated. */
 int64_t sv_embed_text(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
                       int32_t order, const unsigned char *data, const int64_t *starts,
                       const int64_t *ends, int64_t n_lines, float *out, int64_t *known)
 {
-    int64_t ids_cap = INITIAL_ITEMS, rows_cap = INITIAL_ITEMS;
-    int32_t *ids = malloc(sizeof *ids * (size_t)ids_cap);
-    int64_t *rows = malloc(sizeof *rows * (size_t)rows_cap);
-    int64_t tokens = ids != NULL && rows != NULL ? 0 : -1;
+    compose_scratch w;
+    if (scratch_init(&w))
+        return -1;
+    int64_t tokens = 0;
     for (int64_t line = 0; line < n_lines && tokens >= 0; line++) {
-        const unsigned char *s = data + starts[line];
-        const int64_t len = ends[line] - starts[line];
-        /* a token takes a byte and, but for the line's last, a separator */
-        int32_t *more_ids = grown(ids, &ids_cap, (len + 1) / 2, sizeof *ids);
-        if (more_ids == NULL) {
+        known[line] = compose_line(t, source, dim, buckets, order, data + starts[line],
+                                   ends[line] - starts[line], &w, out + line * dim, &tokens);
+        if (known[line] < 0)
             tokens = -1;
-            break;
-        }
-        ids = more_ids;
-        int64_t n = 0, end;
-        for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
-            const uint64_t head = token_head(s + p, end - p, len - p);
-            int64_t id = table_find(t, s + p, end - p, len - p, head, 0);
-            if (id < 0 && has_capital(s + p, end - p, head))
-                id = table_find(t, s + p, end - p, len - p, fold_ascii(head), 1);
-            if (id >= 0)
-                ids[n++] = (int32_t)id;
-            tokens++;
-        }
-        /* no window is longer than the line, whatever order is asked for */
-        const int32_t top = n < order ? (int32_t)n : order;
-        int64_t *more_rows = grown(rows, &rows_cap, n + ngram_count(n, top), sizeof *rows);
-        if (more_rows == NULL) {
-            tokens = -1;
-            break;
-        }
-        rows = more_rows;
-        int64_t r = 0;
-        for (; r < n; r++)
-            rows[r] = ids[r];
-        for (int32_t k = 2; k <= top; k++)
-            for (int64_t i = 0; i + k <= n; i++)
-                rows[r++] = ngram_row(ids + i, k, t->n_strings, buckets);
-        known[line] = n;
-        if (r > 0)
-            sum_rows(out + line * dim, source, rows, NULL, r, dim);
-        else
-            memset(out + line * dim, 0, sizeof(float) * (size_t)dim);
     }
-    free(ids);
-    free(rows);
+    scratch_free(&w);
+    return tokens;
+}
+
+/* Doubles of one vector register (8 under AVX-512F, 4 under AVX, else 2), and
+ * as many floats, which convert to one such vector */
+#if defined(__AVX512F__)
+#define VD 8
+#elif defined(__AVX__)
+#define VD 4
+#else
+#define VD 2
+#endif
+typedef double vd __attribute__((vector_size(8 * VD)));
+typedef float vdf __attribute__((vector_size(4 * VD)));
+
+static inline vd load_double(const float *p)
+{
+    vdf x;
+    memcpy(&x, p, sizeof x);
+    return __builtin_convertvector(x, vd);
+}
+
+/* dots[0:3] = a.a, b.b and a.b of the float32 rows a and b, in double.  Each
+ * product is exact; lane k of a dot adds the products of elements i = k mod 8
+ * in order to +0, and the lanes are summed in one fixed tree, ((0 + 1) +
+ * (2 + 3)) + ((4 + 5) + (6 + 7)), so every width gives the same bits. */
+static void row_dots(const float *a, const float *b, int64_t n, double *dots)
+{
+    vd aa[8 / VD] = {{0.0}}, bb[8 / VD] = {{0.0}}, ab[8 / VD] = {{0.0}};
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8 / VD; j++) {
+            const vd x = load_double(a + i + j * VD), y = load_double(b + i + j * VD);
+            aa[j] += x * x;
+            bb[j] += y * y;
+            ab[j] += x * y;
+        }
+    double lanes[3][8];
+    memcpy(lanes[0], aa, sizeof aa);
+    memcpy(lanes[1], bb, sizeof bb);
+    memcpy(lanes[2], ab, sizeof ab);
+    for (int k = 0; i < n; i++, k++) {
+        const double x = a[i], y = b[i];
+        lanes[0][k] += x * x;
+        lanes[1][k] += y * y;
+        lanes[2][k] += x * y;
+    }
+    for (int d = 0; d < 3; d++) {
+        const double *l = lanes[d];
+        dots[d] = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+    }
+}
+
+/* The similarity dots of n_pairs pairs of lines of data, with no vector
+ * stored but the pair's own two: pair k's side a is line k and its side b
+ * line n_pairs + k, where line i is data[starts[i]:ends[i]].  compose_line
+ * writes side a, then side b, into a dim-sized scratch vector each, and
+ * row_dots writes their a.a, b.b and a.b to dots[k], dots[n_pairs + k] and
+ * dots[2 * n_pairs + k]; known[i] is line i's known-token count.  Returns
+ * the number of tokens of all lines, or -1 when the scratch cannot be
+ * allocated. */
+int64_t sv_pair_dots(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
+                     int32_t order, const unsigned char *data, const int64_t *starts,
+                     const int64_t *ends, int64_t n_pairs, double *dots, int64_t *known)
+{
+    compose_scratch w;
+    float *sides = malloc(sizeof *sides * 2 * (size_t)dim);
+    if (sides == NULL || scratch_init(&w)) {
+        free(sides);
+        return -1;
+    }
+    int64_t tokens = 0;
+    for (int64_t a = 0, b = n_pairs; a < n_pairs; a++, b++) {
+        known[a] = compose_line(t, source, dim, buckets, order, data + starts[a],
+                                ends[a] - starts[a], &w, sides, &tokens);
+        known[b] = known[a] < 0 ? -1
+                                : compose_line(t, source, dim, buckets, order, data + starts[b],
+                                               ends[b] - starts[b], &w, sides + dim, &tokens);
+        if (known[b] < 0) {
+            tokens = -1;
+            break;
+        }
+        double d[3];
+        row_dots(sides, sides + dim, dim, d);
+        for (int j = 0; j < 3; j++)
+            dots[j * n_pairs + a] = d[j];
+    }
+    scratch_free(&w);
+    free(sides);
     return tokens;
 }
 

@@ -1,7 +1,8 @@
 """The native kernel (``_kernel.c``), built, cached and bound here, and ``engine()``,
 the one place that picks it or the numpy reference engine (``_reference``).
 Inference hashes n-grams with the training step's own code: ``Kernel.embed_text``
-composes each line straight from its text.
+composes each line straight from its text, and ``Kernel.pair_dots`` the two sides
+of each similarity pair.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags for the same CPU is
@@ -194,6 +195,8 @@ class Kernel:
             _ptr, _ptr, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _ptr, _i64, _ptr, _ptr
         ]
         lib.sv_embed_text.restype = _i64
+        lib.sv_pair_dots.argtypes = lib.sv_embed_text.argtypes
+        lib.sv_pair_dots.restype = _i64
         lib.sv_vocab_span.argtypes = [_ptr, _i64, _i64]
         lib.sv_vocab_span.restype = _i64
         lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
@@ -391,6 +394,38 @@ class Kernel:
         the number of tokens of all lines.  ``source`` may sit at any byte
         offset.
         """
+        out = np.empty((len(ends), source.shape[1]), dtype=np.float32)
+        return self._text_call(
+            self._lib.sv_embed_text, table, source, buckets, order, data, starts, ends,
+            len(ends), out,
+        )
+
+    def pair_dots(
+        self, table: "LookupTable", source: np.ndarray, buckets: int, order: int,
+        data, starts: np.ndarray, ends: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The similarity dots of ``n = len(ends) // 2`` pairs of lines of ``data``.
+
+        Pair k's sides a and b are lines k and n + k, each composed as
+        ``embed_text`` composes it, one pair at a time into scratch, so no
+        (n, dim) array is made.  Returns the float64 (3, n) a·a, b·b and a·b
+        of each pair, each line's known-token count and the number of tokens
+        of all lines.  A dot adds its exact float64 products into eight
+        partial sums by element index mod 8, in order from +0, and sums
+        those as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).
+        """
+        if len(ends) % 2:
+            raise ValueError(f"{len(ends)} spans are not pairs of lines")
+        out = np.empty((3, len(ends) // 2))
+        return self._text_call(
+            self._lib.sv_pair_dots, table, source, buckets, order, data, starts, ends,
+            len(ends) // 2, out,
+        )
+
+    @staticmethod
+    def _text_call(entry, table, source, buckets, order, data, starts, ends, count, out):
+        """``entry``'s ``out``, known-token counts and token total, after checking its
+        arguments: ``embed_text`` and ``pair_dots`` take the same."""
         n_rows, dim = source.shape
         if n_rows != table.size + buckets:
             raise ValueError(f"source has {n_rows} rows, not {table.size} + {buckets} buckets")
@@ -404,13 +439,12 @@ class Kernel:
         # a token takes a byte and a separator, so no window is longer than
         # this; and ctypes would wrap an order past int32 silently
         order = min(order, max((int(lengths.max(initial=0)) + 1) // 2, 1), 2**31 - 1)
-        out = np.empty((len(ends), dim), dtype=np.float32)
         known = np.empty(len(ends), dtype=np.int64)
         view, address = _address(data)
-        tokens = self._lib.sv_embed_text(
+        tokens = entry(
             table._handle, _pointer(source, np.float32, "source", byte_addressed=True), dim,
             buckets, order, address, _pointer(starts, np.int64, "starts"),
-            _pointer(ends, np.int64, "ends"), len(ends), out.ctypes.data, known.ctypes.data,
+            _pointer(ends, np.int64, "ends"), count, out.ctypes.data, known.ctypes.data,
         )
         del view
         if tokens < 0:

@@ -94,6 +94,43 @@ def embed_text(table, source, buckets, order, data, starts, ends):
     return _compose(source, buckets, order, unigrams, known), known, tokens
 
 
+# pairs composed per ``embed_text`` call in ``pair_dots``; one block's vectors are the
+# vectors live at once
+_PAIR_BLOCK = 1024
+
+
+def pair_dots(table, source, buckets, order, data, starts, ends):
+    """The kernel's dots of pairs k (sides: lines k and n + k), from ``embed_text`` of
+    ``_PAIR_BLOCK`` pairs at a time."""
+    n = len(ends) // 2
+    dots, known, tokens = np.empty((3, n)), np.empty(2 * n, dtype=np.int64), 0
+    for a in range(0, n, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, n)
+        lines = np.r_[a:b, n + a : n + b]
+        vectors, known[lines], count = embed_text(
+            table, source, buckets, order, data, starts[lines], ends[lines]
+        )
+        dots[:, a:b] = _row_dots(vectors[: b - a], vectors[b - a :])
+        tokens += count
+    return dots, known, tokens
+
+
+def _row_dots(va, vb) -> np.ndarray:
+    """The (3, n) a·a, b·b and a·b of the float32 rows ``va`` and ``vb`` as the kernel sums
+    them: exact float64 products, eight partial sums by element index mod 8 added in order
+    from +0 (zero padding adds nothing), then ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))."""
+    n, dim = va.shape
+    x, y = np.zeros((2, n, -(-dim // 8), 8))
+    x.reshape(n, -1)[:, :dim], y.reshape(n, -1)[:, :dim] = va, vb
+    lanes = np.zeros((3, n, 8))
+    for j in range(x.shape[1]):
+        lanes[0] += x[:, j] * x[:, j]
+        lanes[1] += y[:, j] * y[:, j]
+        lanes[2] += x[:, j] * y[:, j]
+    s = [lanes[..., k] for k in range(8)]
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+
 def vocabulary_records(data, n) -> None:
     """None: ``load_model`` reads the records one by one on this engine."""
     return None

@@ -8,8 +8,8 @@ similarities are correlated against the gold scores with Pearson's r and
 Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
 file: it checks and splits the whole file's bytes at once, and
 ``evaluate_similarity`` scores its pairs from those bytes, with one
-kernel call per side per block of pairs and no per-record Python objects
-on an ASCII file.
+engine call for the whole file and no per-record Python objects on an
+ASCII file.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ class SimilarityRecord:
     gold: float
 
 
+# bytes of a similarity file compared per numpy call when ``SimilarityPairs.read`` scans it
+_SCAN_BLOCK = 1 << 16
+
+
 class SimilarityPairs:
     """The labelled pairs of a similarity dataset as one buffer of text.
 
@@ -85,8 +89,9 @@ class SimilarityPairs:
         Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as ``bytes.splitlines``
         splits them; empty lines are skipped but counted.  Every other line
         must hold exactly two tabs and a finite score, and the file must be
-        UTF-8.  numpy finds the line ends and tabs of the whole file, one
-        decode checks its UTF-8 and ``float()`` parses each score.  The
+        UTF-8.  numpy finds the line ends and tabs of the whole file in one
+        pass, one decode checks its UTF-8 and ``float()`` parses each score,
+        split from one buffer of all the score fields.  The
         first line that fails a check raises a ``ValueError`` citing
         ``path`` and the line number, with the text a line-by-line reader
         gives: an invalid UTF-8 line's byte offset and reason come from
@@ -98,11 +103,18 @@ class SimilarityPairs:
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         buf = np.frombuffer(data, dtype=np.uint8)
-        line_ends = np.flatnonzero(buf == ord("\n"))
+        # the tabs and line ends, and any other byte below them, in one pass over
+        # blocks whose temporaries the heap reuses (a whole-file one faults in
+        # fresh pages on every read); the range has a block even for no bytes
+        marks = np.concatenate([
+            np.flatnonzero(buf[a : a + _SCAN_BLOCK] <= ord("\n")) + a
+            for a in range(0, len(buf) + 1, _SCAN_BLOCK)
+        ])
+        kinds = buf[marks]
+        line_ends, tabs = marks[kinds == ord("\n")], marks[kinds == ord("\t")]
         if data and data[-1] != ord("\n"):
             line_ends = np.append(line_ends, len(data))
         starts = np.concatenate([[0], line_ends + 1])[: len(line_ends)]
-        tabs = np.flatnonzero(buf == ord("\t"))
         tab_counts = np.diff(np.searchsorted(tabs, line_ends), prepend=0)
         filled = line_ends > starts
         # the first line that fails a whole-file check, else the line count
@@ -118,7 +130,10 @@ class SimilarityPairs:
         # every line before the first bad one is empty or a record with two tabs
         lines = np.flatnonzero(filled[:first_bad])
         tabs = tabs[: 2 * len(lines)].reshape(-1, 2)
-        scores = [data[a:b] for a, b in zip(starts[lines].tolist(), tabs[:, 0].tolist())]
+        # each score field with the tab after it, gathered into one buffer and split there
+        lengths = tabs[:, 0] + 1 - starts[lines]
+        at = np.arange(int(lengths.sum())) + np.repeat(tabs[:, 0] + 1 - np.cumsum(lengths), lengths)
+        scores = buf[at].tobytes().split(b"\t")[:-1]
         try:
             gold = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
         except ValueError:
@@ -134,9 +149,8 @@ class SimilarityPairs:
                 f"{path}: line {lineno}: expected 3 tab-separated fields, "
                 f"got {tab_counts[first_bad] + 1}"
             )
-        stop = int(line_ends[lines[-1]]) if len(lines) else 0
         ends = np.column_stack([tabs, line_ends[lines]]).ravel()
-        return cls(data[:stop], ends, gold)
+        return cls(data, ends, gold)
 
     def records(self) -> list[SimilarityRecord]:
         """The pairs as ``SimilarityRecord``s."""
@@ -233,23 +247,26 @@ def _engine_text(model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray
 def _embed_spans(
     model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray, stats: OovStats | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer."""
-    return _compose_lines(model, *_engine_text(model, data, starts, ends), stats)
-
-
-def _compose_lines(model: TrainedModel, engine, table, data: bytes, starts, ends, stats):
-    """``embed_batch`` of lines of an ``_engine_text`` buffer, in one engine call."""
+    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer,
+    in one engine call."""
+    engine, table, data, starts, ends = _engine_text(model, data, starts, ends)
     vectors, known, tokens = engine.embed_text(
         table, model.matrices.source, model.buckets, model.word_ngrams, data,
         np.ascontiguousarray(starts), np.ascontiguousarray(ends),
     )
+    return vectors, _all_oov(known, tokens, stats)
+
+
+def _all_oov(known: np.ndarray, tokens: int, stats: OovStats | None) -> np.ndarray:
+    """Each line's all-OOV flag from its known-token count; ``stats``, when given,
+    accumulates the lines' counts, ``tokens`` the number of all their tokens."""
     flags = known == 0
     if stats is not None:
         stats.lines += len(known)
         stats.all_oov_lines += int(flags.sum())
         stats.tokens += tokens
         stats.oov_tokens += tokens - int(known.sum())
-    return vectors, flags
+    return flags
 
 
 def embed_batch(
@@ -366,11 +383,6 @@ def spearman(xs, ys) -> float:
     return pearson(_midranks(xs), _midranks(ys))
 
 
-# pairs composed per engine call on each side; one block's two sides are the vectors
-# live at once
-_PAIR_BLOCK = 1024
-
-
 def evaluate_similarity(
     model: TrainedModel,
     records: list[SimilarityRecord] | SimilarityPairs,
@@ -380,15 +392,17 @@ def evaluate_similarity(
 
     ``records`` are ``SimilarityRecord``s or the ``SimilarityPairs`` of a
     file; records are joined into the pairs' one buffer, so both score
-    alike.  Each side's lines are composed as ``embed_batch`` composes
-    them, straight from their spans of that buffer, ``_PAIR_BLOCK`` pairs
-    per call per side; each block's row dots go into float64 arrays of
-    every pair before the next block is composed.
+    alike.  Each side's line is composed as ``embed_batch`` composes it,
+    straight from its span of that buffer, and one engine call returns
+    the float64 a·a, b·b and a·b of every pair (``pair_dots``): the kernel
+    holds no vector but the pair's own two.
     Records where either side has no in-vocabulary token are excluded (a
     constant zero prediction would poison the correlation); the number of
     used records is returned alongside (pearson, spearman).  A side whose
-    vector has zero norm scores cosine 0, as in ``cosine``.  ``stats``,
-    when given, accumulates the OOV counts of both sides.
+    vector has zero norm scores cosine 0, as in ``cosine``.  A
+    ``ValueError`` names the gold scores or the predicted cosines when
+    all of the used pairs' are equal.  ``stats``, when given, accumulates
+    the OOV counts of both sides.
     """
     pairs = records if isinstance(records, SimilarityPairs) else SimilarityPairs.of(records)
     # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b;
@@ -398,19 +412,10 @@ def evaluate_similarity(
         model, pairs.data, np.concatenate([bounds[0::3], bounds[1::3]]),
         np.concatenate([bounds[1::3], bounds[2::3]]),
     )
-    # the a·a, b·b and a·b row dots, accumulated in float64 straight from the
-    # float32 rows: no float64 copies
-    dots, oov = np.empty((3, n)), np.empty((2, n), dtype=np.bool_)
-    for a in range(0, n, _PAIR_BLOCK):
-        b = min(a + _PAIR_BLOCK, n)
-        va, oov[0, a:b] = _compose_lines(model, engine, table, data, starts[a:b], ends[a:b],
-                                         stats)
-        vb, oov[1, a:b] = _compose_lines(model, engine, table, data, starts[n + a : n + b],
-                                         ends[n + a : n + b], stats)
-        np.einsum("ij,ij->i", va, va, dtype=np.float64, out=dots[0, a:b])
-        np.einsum("ij,ij->i", vb, vb, dtype=np.float64, out=dots[1, a:b])
-        np.einsum("ij,ij->i", va, vb, dtype=np.float64, out=dots[2, a:b])
-        del va, vb  # freed before the next block's are made
+    dots, known, tokens = engine.pair_dots(
+        table, model.matrices.source, model.buckets, model.word_ngrams, data, starts, ends
+    )
+    oov = _all_oov(known, tokens, stats).reshape(2, n)
     used = ~(oov[0] | oov[1])
     n_used = int(used.sum())
     if n_used < 2:
@@ -423,6 +428,12 @@ def evaluate_similarity(
     norm_a, norm_b = np.sqrt(aa), np.sqrt(bb)
     preds = np.zeros(n_used)
     np.divide(ab, norm_a * norm_b, out=preds, where=(norm_a != 0.0) & (norm_b != 0.0))
+    for name, values in (("gold score", golds), ("predicted cosine", preds)):
+        if np.ptp(values) == 0.0:
+            raise ValueError(
+                f"zero variance: all {n_used} used pairs have the same {name} "
+                f"({values[0]:.6g}); correlation undefined"
+            )
     return pearson(golds, preds), spearman(golds, preds), n_used
 
 

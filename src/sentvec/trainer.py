@@ -198,14 +198,16 @@ class _LossReporter:
         A window closes at the first sentence that brings its step count
         to ``report_every``, and the next one starts after it.  Losses add
         up in sentence order (``cumsum``, not the pairwise ``sum``), so the
-        means equal those of adding one sentence at a time.
+        means equal those of adding one sentence at a time.  A diverging
+        run's sums overflow to inf without numpy's warning: ``check`` names it.
         """
         with self._lock:
             while len(steps):
                 counts = self._count + np.cumsum(steps)
                 close = int(np.searchsorted(counts, self.report_every))
                 taken = slice(0, close + 1)
-                sums = np.cumsum(np.concatenate([[self._sum], loss_sums[taken]]))
+                with np.errstate(over="ignore"):
+                    sums = np.cumsum(np.concatenate([[self._sum], loss_sums[taken]]))
                 self._sum, self._count = float(sums[-1]), int(counts[taken][-1])
                 if close == len(steps):
                     return

@@ -587,6 +587,31 @@ class TestEvalSimCommand:
         assert code == 1
         assert ">=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constant", ["gold", "cosine"])
+    def test_zero_variance_names_its_column(
+        self, model_path, tmp_path, capsys, kernel, without_kernel, constant
+    ):
+        # 50 pairs all scored 1, or 50 pairs of the same two sides; an
+        # all-OOV pair is excluded from the used count
+        if constant == "gold":
+            rows = [(1, f"a000{i % 9 + 1} b000{i % 7 + 1}", f"b000{i % 5 + 1}") for i in range(50)]
+        else:
+            rows = [(i / 50, "a0001 b0002", "a0003") for i in range(50)]
+        rows.append((0.5, "zzz", "a0001"))
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("".join(f"{g}\t{a}\t{b}\n" for g, a, b in rows), encoding="utf-8")
+        want = (
+            "error: zero variance: all 50 used pairs have the same gold score (1); "
+            "correlation undefined" if constant == "gold" else
+            "error: zero variance: all 50 used pairs have the same predicted cosine "
+        )
+        for engine in ("kernel", "numpy"):
+            if engine == "numpy":
+                without_kernel()
+            assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+            assert len(errors) == 1 and errors[0].startswith(want), (engine, errors)
+
     def test_malformed_line_cites_number(self, model_path, tmp_path, capsys):
         dataset = tmp_path / "sim.tsv"
         dataset.write_text("0.5\ta\tb\nbroken line\n", encoding="utf-8")
@@ -630,27 +655,32 @@ class TestEvalSimCommand:
     def test_one_kernel_call_per_side_and_per_batch(
         self, model_path, tmp_path, monkeypatch, capsys, kernel
     ):
+        # eval-sim scores every pair in one pair_dots call, embed composes a batch per call
         calls = []
-        embed_text = _native.Kernel.embed_text
 
-        def counted(self, table, source, buckets, order, data, starts, ends):
-            calls.append(len(ends))
-            return embed_text(self, table, source, buckets, order, data, starts, ends)
+        def counting(name):
+            entry = getattr(_native.Kernel, name)
+
+            def counted(self, table, source, buckets, order, data, starts, ends):
+                calls.append((name, len(ends)))
+                return entry(self, table, source, buckets, order, data, starts, ends)
+            return counted
 
         def python_ids(*args):
             raise AssertionError("the reference lookup ran")
 
-        monkeypatch.setattr(_native.Kernel, "embed_text", counted)
+        for name in ("embed_text", "pair_dots"):
+            monkeypatch.setattr(_native.Kernel, name, counting(name))
         monkeypatch.setattr(_reference, "_python_ids", python_ids)
         dataset = tmp_path / "sim.tsv"
         dataset.write_text("".join(f"0.{i}\ta0001 a000{i}\tb000{i}\n" for i in range(1, 6)))
         assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
-        assert calls == [5, 5]
+        assert calls == [("pair_dots", 10)]
         calls.clear()
         monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
         monkeypatch.setattr("sys.stdin", io.StringIO("a0001\nb0002 a0003\n\nzzz\na0002\n"))
         assert main(["embed", "--model", model_path]) == 0
-        assert calls == [2, 2, 1]
+        assert calls == [("embed_text", 2), ("embed_text", 2), ("embed_text", 1)]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5
 
 

@@ -625,8 +625,9 @@ class TestEvaluateSimilarity:
 
 
 class TestSimilarityBlocks:
-    """``eval-sim`` composes ``_PAIR_BLOCK`` pairs per engine call on each side; every block
-    size prints what one block of all the pairs prints, on both engines."""
+    """``eval-sim`` scores every pair in one ``pair_dots`` call; the kernel composes one pair
+    at a time and the numpy reference engine ``_PAIR_BLOCK`` pairs per ``embed_text`` call,
+    and every block size prints what the kernel prints."""
 
     @pytest.fixture(scope="class")
     def model_file(self, tmp_path_factory):
@@ -659,35 +660,34 @@ class TestSimilarityBlocks:
         )
         calls = []
 
-        def counting(embed_text):
+        def counting(name, entry):
             def counted(*args):
-                calls.append(len(args[-1]))  # the span ends
-                return embed_text(*args)
+                calls.append((name, len(args[-1])))  # the span ends
+                return entry(*args)
             return counted
 
-        monkeypatch.setattr(_native.Kernel, "embed_text", counting(_native.Kernel.embed_text))
-        monkeypatch.setattr(_reference, "embed_text", counting(_reference.embed_text))
+        for engine in (_native.Kernel, _reference):
+            for name in ("embed_text", "pair_dots"):
+                monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
 
-        def printed(dataset, block):
-            monkeypatch.setattr(evaluation, "_PAIR_BLOCK", block)
+        def printed(dataset):
             calls.clear()
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="sentvec.cli"):
                 assert main(["eval-sim", "--model", path, "--dataset", str(dataset)]) == 0
-            assert max(calls) <= block and sum(calls) == 2 * n
             return capsys.readouterr().out, caplog.messages[-1]
 
-        runs = []
-        for engine in ("kernel", "numpy"):
-            if engine == "numpy":
-                without_kernel()
-            for dataset in (plain, other):
-                one_block = printed(dataset, n)
-                assert len(calls) == 2
-                for block in (1, 2, 3, 1024):
-                    assert printed(dataset, block) == one_block, (engine, dataset.name, block)
-                runs.append(one_block)
-        assert runs[:2] == runs[2:] and runs[0] != runs[1]
+        runs = [printed(dataset) for dataset in (plain, other)]
+        assert calls == [("pair_dots", 2 * n)]
+        without_kernel()
+        for block in (1, 2, 3, 1024, n):
+            monkeypatch.setattr(_reference, "_PAIR_BLOCK", block)
+            for dataset, want in zip((plain, other), runs):
+                assert printed(dataset) == want, (dataset.name, block)
+                composed = [length for name, length in calls[1:]]
+                assert calls[0] == ("pair_dots", 2 * n) and sum(composed) == 2 * n
+                assert max(composed) == 2 * min(block, n)
+        assert runs[0] != runs[1]
 
 
 class TestPairFeatures:
@@ -976,6 +976,33 @@ class TestReadSimilarityTsv:
         path.write_text("x\ta\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             read_similarity_tsv(str(path))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_every_scan_block_reads_alike(self, tmp_path, monkeypatch, block):
+        # tabs, line ends and control bytes at every offset of a block
+        files = [
+            b"1\ta b\tc\n\n2\td\te F\n\x01\x08\t\x00\t\x02\n",
+            b"1\ta\tb\r\n2\tc\td\r\r3\te\tf\n4\tg\x0bh\ti",
+            b"1\ta\tb\n" * 30 + b"2\ta\n",
+            b"1\ta\tb\n\n2\tc \xe2\x82\td\n",
+            "0.5\tcaf\u00e9\u3000a\tB\n\n 1_0 \tb\tc".encode(),
+            b"",
+            b"\t\t\n" * 5,
+        ]
+
+        def outcome(data):
+            path = tmp_path / "sim.tsv"
+            path.write_bytes(data)
+            try:
+                pairs = SimilarityPairs.read(str(path))
+            except ValueError as err:
+                return str(err)
+            return pairs.data, pairs.ends.tolist(), pairs.gold.tolist()
+
+        wants = [outcome(data) for data in files]
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        assert [outcome(data) for data in files] == wants
+        assert sum(isinstance(want, str) for want in wants) == 4
 
 
 class TestNativeLookup:

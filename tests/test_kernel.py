@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from sentvec import _native
+from sentvec import _native, _reference, evaluation
 from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.model import EmbeddingMatrices, apply_l1_after_step, train_step
 from sentvec.sampling import (
@@ -24,7 +24,7 @@ from sentvec.sampling import (
     discard_keep_prob,
     negative_prob,
 )
-from sentvec.trainer import TrainConfig, save_model, train
+from sentvec.trainer import TrainConfig, TrainedModel, save_model, train
 
 from conftest import (
     SPLIT_WHITESPACE,
@@ -743,6 +743,150 @@ class TestEmbedLines:
         target = np.frombuffer(raw, "<f4", count=8, offset=2).reshape(2, 4)
         with pytest.raises(ValueError, match="not aligned"):
             kernel.model(rows, target, order=2, buckets=1, negatives=1)
+
+
+def pair_lines(rng, words, n_pairs):
+    """The text of ``n_pairs`` pairs' sides, pair k's side a at line k and its side b at line
+    ``n_pairs + k``, with each line's (start, end) offsets.
+
+    Lines hold ``words``, some capitalized, and unknown tokens, split by
+    runs of whitespace; some lines are empty, blank or all unknown.
+    """
+    lines = []
+    for _ in range(2 * n_pairs):
+        kind, tokens = rng.random(), []
+        for _ in range(0 if kind < 0.1 else int(rng.integers(1, 25))):
+            roll, word = rng.random(), words[int(rng.integers(len(words)))]
+            if kind < 0.2 or roll < 0.1:
+                tokens.append(b"zq%d" % rng.integers(99))
+            else:
+                tokens.append(word.upper() if roll < 0.3 else word)
+        seps = [SEPARATORS[k] for k in rng.integers(len(SEPARATORS), size=len(tokens) + 1)]
+        lines.append(b"".join(sep + token for sep, token in zip(seps, tokens)) + seps[-1])
+    lengths = np.array([len(line) for line in lines], dtype=np.int64)
+    ends = np.cumsum(lengths + 1) - 1
+    return b"\n".join(lines), ends - lengths, ends
+
+
+def exact_dots(vectors: np.ndarray) -> np.ndarray:
+    """The (3, n) a·a, b·b and a·b of the halves of ``vectors``, each summed exactly."""
+    va, vb = np.split(vectors.astype(np.float64), 2)
+    pairs = (va, va), (vb, vb), (va, vb)
+    return np.array([[math.fsum(row) for row in x * y] for x, y in pairs])
+
+
+class TestPairDots:
+    """``Kernel.pair_dots`` gives the numpy reference engine's dots, known-token counts and
+    token total bit for bit, and holds no vector of every pair."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_the_reference_bit_for_bit(self, kernel, order):
+        rng = np.random.default_rng(80 + order)
+        words = vocab_words(300)
+        tables = word_table(kernel, words), word_table(_reference, words)
+        data, starts, ends = pair_lines(rng, words, 40)
+        buckets = 0 if order == 1 else 97
+        # every tail of the lanes and of each build's vector width, and the presets' dims
+        for dim in [*range(1, 21), 100, 700]:
+            source = rng.standard_normal((300 + buckets, dim)).astype(np.float32)
+            got, want = (
+                build.pair_dots(table, source, buckets, order, data, starts, ends)
+                for build, table in zip((kernel, _reference), tables)
+            )
+            assert_same_bits(got[0], want[0])
+            assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
+            vectors, known, tokens = kernel.embed_text(
+                tables[0], source, buckets, order, data, starts, ends
+            )
+            assert got[1].tolist() == known.tolist() and got[2] == tokens
+            # a sum of 8 lanes of dim / 8 exact products each, rounded at every add
+            bound = 1e-15 * dim * exact_dots(np.abs(vectors))
+            assert (np.abs(got[0] - exact_dots(vectors)) <= bound).all()
+        assert (known == 0).sum() > 8 and (known > 0).sum() > 50
+
+    def test_non_ascii_pairs_rewritten_for_the_engines(self, kernel):
+        words = ["cat", "café", "Dog", "äpfel", "the", "i̇", "a", "été"]
+        vocab = Vocabulary(
+            words=[(w, 5) for w in words], word_index={w: i for i, w in enumerate(words)},
+            total_tokens=5 * len(words), min_count=1, min_target_count=1,
+        )
+        source = np.random.default_rng(84).standard_normal((len(words) + 31, 11))
+        model = TrainedModel(
+            vocab=vocab, word_ngrams=2, buckets=31, subsample_t=1e-5,
+            matrices=EmbeddingMatrices(source=source.astype(np.float32),
+                                       target=np.zeros((len(words), 11), np.float32), dim=11),
+        )
+        sides = ["CAFÉ\u3000the Cat", "İ cat", "ÄPFEL the\u2003dog", "Été a", "zzé", "", "the"]
+        records = [
+            evaluation.SimilarityRecord(a, b, 0.5) for a in sides for b in reversed(sides)
+        ]
+        pairs = evaluation.SimilarityPairs.of(records)
+        bounds = pairs.ends
+        _, _, data, starts, ends = evaluation._engine_text(
+            model, pairs.data, np.concatenate([bounds[0::3], bounds[1::3]]),
+            np.concatenate([bounds[1::3], bounds[2::3]]),
+        )
+        got, want = (
+            build.pair_dots(evaluation._table(vocab, build), model.matrices.source, 31, 2,
+                            data, starts, ends)
+            for build in (kernel, _reference)
+        )
+        assert_same_bits(got[0], want[0])
+        assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
+        assert 0 < (got[1] == 0).sum() < len(got[1])
+
+    def test_reference_blocks_give_the_same_bits(self, kernel, monkeypatch):
+        rng = np.random.default_rng(85)
+        words = vocab_words(100)
+        tables = word_table(kernel, words), word_table(_reference, words)
+        data, starts, ends = pair_lines(rng, words, 1100)
+        source = rng.standard_normal((100 + 53, 13)).astype(np.float32)
+        want = kernel.pair_dots(tables[0], source, 53, 2, data, starts, ends)
+        for block in (1, 2, 3, 1024):
+            monkeypatch.setattr(_reference, "_PAIR_BLOCK", block)
+            got = _reference.pair_dots(tables[1], source, 53, 2, data, starts, ends)
+            assert_same_bits(got[0], want[0])
+            assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
+
+    def test_no_vector_of_every_pair(self, kernel, tmp_path):
+        # the kernel path's arrays grow with the pairs, not with their dim: at
+        # dim 700 a vector of each pair's side would take 350 eight-byte
+        # values, and two sides' of every pair 700 per pair
+        import tracemalloc
+
+        rng = np.random.default_rng(86)
+        words = [f"w{i}" for i in range(200)]
+
+        def peak(n_pairs, dim):
+            vocab = Vocabulary(
+                words=[(w, 5) for w in words], word_index={w: i for i, w in enumerate(words)},
+                total_tokens=5 * len(words), min_count=1, min_target_count=1,
+            )
+            source = rng.standard_normal((200 + 101, dim)).astype(np.float32)
+            model = TrainedModel(
+                vocab=vocab, word_ngrams=2, buckets=101, subsample_t=1e-5,
+                matrices=EmbeddingMatrices(
+                    source=source, target=np.zeros((200, dim), np.float32), dim=dim),
+            )
+            sides = [" ".join(rng.choice(words, 12)) for _ in range(2 * n_pairs)]
+            path = tmp_path / "pairs.tsv"
+            path.write_text("".join(
+                f"{rng.random():.3f}\t{a}\t{b}\n"
+                for a, b in zip(sides[:n_pairs], sides[n_pairs:])
+            ))
+            pairs = evaluation.SimilarityPairs.read(path)
+            evaluation.evaluate_similarity(model, pairs)  # builds the lookup table
+            tracemalloc.start()
+            try:
+                evaluation.evaluate_similarity(model, pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2000
+        wide, twice, narrow = peak(n, 700), peak(2 * n, 700), peak(2 * n, 7)
+        assert twice - wide <= 64 * 8 * n
+        assert abs(twice - narrow) <= 4096
 
 
 def g6(values) -> list[str]:

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,17 @@ class TestLossWindows:
         else:
             with pytest.raises(ValueError, match=rf"^training diverged: loss {named} at lr 0\.2;"):
                 reporter.check(0.2)
+
+    def test_overflowing_window_sums_warn_nothing(self):
+        # the named error is all a caller sees of a run whose loss sums overflow
+        from sentvec.trainer import _LossReporter
+
+        reporter = _LossReporter(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reporter.add(np.array([1e308, 1e308]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="^training diverged: loss window 1 has mean loss inf"):
+            reporter.check(0.2)
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tiny_corpus, tmp_path):
