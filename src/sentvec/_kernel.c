@@ -1498,10 +1498,11 @@ static void scratch_free(compose_scratch *w)
  * one row list whose mean sum_rows writes, as the training step's context
  * mean; a line with no known token gets the zero vector.  Adds the line's
  * tokens to *tokens and returns its known-token count, or -1 when the
- * scratch lists cannot grow. */
-static int64_t compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
-                            int32_t order, const unsigned char *s, int64_t len,
-                            compose_scratch *w, float *y, int64_t *tokens)
+ * scratch lists cannot grow.  Inlined into both callers: a call per line
+ * made sv_embed_text about 4% slower on 12-token lines at dim 100. */
+static inline __attribute__((always_inline)) int64_t
+compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets, int32_t order,
+             const unsigned char *s, int64_t len, compose_scratch *w, float *y, int64_t *tokens)
 {
     /* a token takes a byte and, but for the line's last, a separator */
     int32_t *ids = grown(w->ids, &w->ids_cap, (len + 1) / 2, sizeof *ids);
