@@ -848,6 +848,18 @@ class TestPairDots:
             assert_same_bits(got[0], want[0])
             assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
 
+    def test_bad_arguments_rejected(self, kernel):
+        source = np.ones((5, 4), dtype=np.float32)
+        table = word_table(kernel, [b"a", b"b", b"c"])
+        spans = np.array([0, 2, 4], dtype=np.int64), np.array([1, 3, 5], dtype=np.int64)
+        with pytest.raises(ValueError, match="3 spans are not pairs of lines"):
+            kernel.pair_dots(table, source, 2, 2, b"a b c", *spans)
+        with pytest.raises(ValueError, match="do not lie within the data"):
+            kernel.pair_dots(table, source, 2, 2, b"a b", spans[0][:2], spans[1][:2] + 3)
+        pairs = (s[:2] for s in spans)
+        dots, known, tokens = kernel.pair_dots(table, source, 2, 2, b"a b c", *pairs)
+        assert dots.tolist() == [[4.0], [4.0], [4.0]] and known.tolist() == [1, 1] and tokens == 2
+
     def test_no_vector_of_every_pair(self, kernel, tmp_path):
         # the kernel path's arrays grow with the pairs, not with their dim: at
         # dim 700 a vector of each pair's side would take 350 eight-byte
