@@ -25,21 +25,22 @@
  * model.EmbeddingMatrices.initialize: numpy's PCG64 stream, turned into
  * float32 values exactly as Generator.uniform(...).astype(float32) does.
  *
- * sv_embed_text composes sentence vectors for evaluation.embed_batch and
- * evaluate_similarity straight from each line's text: it looks the line's
- * tokens up, hashes the n-grams with the training step's own ngram_row and
- * takes the mean of the rows with sum_rows, which builds every step's context
- * mean.  sv_pair_dots composes the two sides of each similarity pair the same
- * way, one pair at a time into scratch, and returns only their three dots in
- * double.  sv_format_rows writes float32 rows as the %.6g text
- * of evaluation.RowText, which sentvec embed, export-vec and the pair
- * features print.  It scales each value by a power of ten in double; when
- * the result is clearly away from a rounding tie it builds the six digits
- * in one 64-bit word and stores whole 8-byte words, moving on by the text's
- * true length, and otherwise it calls snprintf, which rounds exactly.  Under
- * AVX-512 it takes those steps for eight values at once and leaves the
- * values the lanes do not cover to the one-value writer, so the bytes never
- * differ.
+ * sv_embed_text composes sentence vectors for evaluation.embed_batch
+ * straight from each line's text: it looks the line's tokens up, hashes the
+ * n-grams with the training step's own ngram_row and takes the mean of the
+ * rows with sum_rows, which builds every step's context mean.  sv_pair_dots
+ * composes the two sides of each similarity pair the same way, one pair at a
+ * time into scratch, and returns only their three dots in double, and
+ * sv_embed_rows composes each line of sentvec embed into scratch and writes
+ * only its text.  sv_format_rows writes float32 rows as the %.6g text of
+ * evaluation.RowText, which export-vec and the pair features print; put_row
+ * writes each row of both.  It scales each value by a power of ten in
+ * double; when the result is clearly away from a rounding tie it builds the
+ * six digits in one 64-bit word and stores whole 8-byte words, moving on by
+ * the text's true length, and otherwise it calls snprintf, which rounds
+ * exactly.  Under AVX-512 it takes those steps for eight values at once, a
+ * row's last ones under a load mask, and leaves the values the lanes cannot
+ * write to the one-value writer, so the bytes never differ.
  *
  * A byte-string table (sv_table) serves both text paths, and one token
  * scanner splits their lines on the ASCII whitespace of str.split().
@@ -886,7 +887,7 @@ static char *put_g6(char *p, float x)
 
 static inline __m512i splat(int64_t c) { return _mm512_set1_epi64(c); }
 
-/* The texts of x[0:8] as put_g6 writes them, as words: lane i of lo, hi and
+/* The texts of the values xf as put_g6 writes them, as words: lane i of lo, hi and
  * bytes holds text i's first 8 and next 4 bytes and its length.  The lanes
  * take the steps of g6_digits and put_g6 in double and 64-bit integer lanes
  * for |x| in [2^-16, 2^17), where one product by 10^(5-e), e in [-5, 4],
@@ -895,9 +896,8 @@ static inline __m512i splat(int64_t c) { return _mm512_set1_epi64(c); }
  * included), near a rounding tie, or takes the exponent form (below 1e-4).
  * The variable shifts give 0 for counts past 63, so those lanes need no
  * clamping. */
-static inline unsigned g6_lanes(const float *x, uint64_t *lo, uint64_t *hi, uint64_t *bytes)
+static inline unsigned g6_lanes(__m256 xf, uint64_t *lo, uint64_t *hi, uint64_t *bytes)
 {
-    const __m256 xf = _mm256_loadu_ps(x);
     const __m512i bits = _mm512_cvtepu32_epi64(_mm256_castps_si256(xf));
     const __m512d a = _mm512_abs_pd(_mm512_cvtps_pd(xf));
     /* b = field - 127 and e = floor(b log10(2)) of g6_digits, from the float's
@@ -972,18 +972,25 @@ static inline unsigned g6_lanes(const float *x, uint64_t *lo, uint64_t *hi, uint
 /* the values of a block of put_g6_lanes: a multiple of 8 */
 #define G6_BLOCK 64
 
-/* x[0:n] (n a multiple of 8) as put_g6 writes them, each followed by sep;
- * returns the end.  The words of a block's texts come first, from a loop
- * with no call, which keeps its constants in registers; then each text is
- * stored in turn, 8 and 4 bytes from where it starts. */
+/* x[0:n] as put_g6 writes them, each followed by sep; returns the end.  The
+ * words of a block's texts come first, from a loop with no call, which keeps
+ * its constants in registers; then each text is stored in turn, 8 and 4
+ * bytes from where it starts.  A pass over fewer than eight values loads
+ * them under a mask, which reads nothing past x[n - 1], and its other lanes
+ * hold zeros that nothing stores. */
 static char *put_g6_lanes(char *p, const float *x, int64_t n, char sep)
 {
     uint64_t lo[G6_BLOCK], hi[G6_BLOCK], bytes[G6_BLOCK];
     for (int64_t start = 0; start < n; start += G6_BLOCK) {
         const int m = n - start < G6_BLOCK ? (int)(n - start) : G6_BLOCK;
         uint64_t fast = 0;
-        for (int g = 0; g < m; g += 8)
-            fast |= (uint64_t)g6_lanes(x + start + g, lo + g, hi + g, bytes + g) << g;
+        for (int g = 0; g < m; g += 8) {
+            const float *v = x + start + g;
+            const __m256 xf = m - g >= 8 ? _mm256_loadu_ps(v)
+                                         : _mm512_castps512_ps256(_mm512_maskz_loadu_ps(
+                                               (__mmask16)((1u << (m - g)) - 1), v));
+            fast |= (uint64_t)g6_lanes(xf, lo + g, hi + g, bytes + g) << g;
+        }
         for (int i = 0; i < m; i++) {
             if (fast >> i & 1) {
                 store_le(p, lo[i], 8);
@@ -1006,11 +1013,33 @@ static char *put_g6_lanes(char *p, const float *x, int64_t n, char sep)
 /* The values sv_format_rows writes per pass: 8, or 1 where put_g6 writes each. */
 int sv_format_lanes(void) { return G6_LANES; }
 
-/* The text of rows[0:n_rows] (n_rows x dim, row-major), one line per row:
- * %.6g values joined by sep, then, when flags is not NULL, a space and the
- * row's flag as 0 or 1.  Returns the bytes written, or -1 when a row might
- * not fit in the capacity left (each takes at most G6_VALUE_BYTES * dim + 3).
- * Each value is followed by sep, and the row's last one is overwritten. */
+/* The text of one row: row[0:dim] as %.6g values joined by sep, then, when
+ * flag is 0 or 1 (not -1), a space and the flag, then a newline; returns its
+ * end.  It takes at most G6_VALUE_BYTES * dim + 3 bytes and stores none past
+ * them.  Each value is followed by sep, and the row's last one is
+ * overwritten. */
+static inline char *put_row(char *p, const float *row, int64_t dim, char sep, int flag)
+{
+#if G6_LANES == 8
+    p = put_g6_lanes(p, row, dim, sep);
+#else
+    for (int64_t j = 0; j < dim; j++) {
+        p = put_g6(p, row[j]);
+        *p++ = sep;
+    }
+#endif
+    p -= dim > 0;
+    if (flag >= 0) {
+        *p++ = ' ';
+        *p++ = (char)('0' + flag);
+    }
+    *p++ = '\n';
+    return p;
+}
+
+/* The text of rows[0:n_rows] (n_rows x dim, row-major), one put_row line per
+ * row, with the row's flag (0 or 1) when flags is not NULL.  Returns the
+ * bytes written, or -1 when a row might not fit in the capacity left. */
 int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
                        const uint8_t *flags, char *out, int64_t capacity)
 {
@@ -1018,22 +1047,7 @@ int64_t sv_format_rows(const float *rows, int64_t n_rows, int64_t dim, char sep,
     for (int64_t r = 0; r < n_rows; r++) {
         if (capacity - (p - out) < G6_VALUE_BYTES * dim + 3)
             return -1;
-        const float *row = rows + r * dim;
-        int64_t j = 0;
-#if G6_LANES == 8
-        j = dim - dim % 8;
-        p = put_g6_lanes(p, row, j, sep);
-#endif
-        for (; j < dim; j++) {
-            p = put_g6(p, row[j]);
-            *p++ = sep;
-        }
-        p -= dim > 0;
-        if (flags != NULL) {
-            *p++ = ' ';
-            *p++ = flags[r] ? '1' : '0';
-        }
-        *p++ = '\n';
+        p = put_row(p, rows + r * dim, dim, sep, flags == NULL ? -1 : flags[r] != 0);
     }
     return p - out;
 }
@@ -1558,6 +1572,46 @@ int64_t sv_embed_text(const sv_table *t, const char *source, int64_t dim, int64_
             tokens = -1;
     }
     scratch_free(&w);
+    return tokens;
+}
+
+/* The embed text of lines of data, composed and written one line at a time
+ * with no vector stored but the line's own: compose_line writes line i
+ * (data[starts[i]:ends[i]]) into one dim-sized scratch vector, as
+ * sv_embed_text composes it, and put_row appends that vector's text to out,
+ * as sv_format_rows writes it with sep ' ' and, when flags is nonzero, the
+ * flag known[i] == 0.  Stops before the first line whose text might not fit
+ * in the capacity left (G6_VALUE_BYTES * dim + 3 bytes).  known[i] is line
+ * i's known-token count, done[0] the lines written and done[1] their bytes.
+ * Returns the number of tokens of those lines, or -1 when the scratch cannot
+ * be allocated. */
+int64_t sv_embed_rows(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
+                      int32_t order, const unsigned char *data, const int64_t *starts,
+                      const int64_t *ends, int64_t n_lines, char *out, int64_t *known,
+                      int64_t capacity, int32_t flags, int64_t *done)
+{
+    compose_scratch w;
+    float *y = malloc(sizeof *y * (size_t)dim);
+    done[0] = done[1] = 0;
+    if (y == NULL || scratch_init(&w)) {
+        free(y);
+        return -1;
+    }
+    int64_t tokens = 0, line = 0;
+    char *p = out;
+    for (; line < n_lines && capacity - (p - out) >= G6_VALUE_BYTES * dim + 3; line++) {
+        known[line] = compose_line(t, source, dim, buckets, order, data + starts[line],
+                                   ends[line] - starts[line], &w, y, &tokens);
+        if (known[line] < 0) {
+            tokens = -1;
+            break;
+        }
+        p = put_row(p, y, dim, ' ', flags ? known[line] == 0 : -1);
+    }
+    done[0] = line;
+    done[1] = p - out;
+    scratch_free(&w);
+    free(y);
     return tokens;
 }
 

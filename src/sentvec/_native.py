@@ -1,8 +1,9 @@
 """The native kernel (``_kernel.c``), built, cached and bound here, and ``engine()``,
 the one place that picks it or the numpy reference engine (``_reference``).
 Inference hashes n-grams with the training step's own code: ``Kernel.embed_text``
-composes each line straight from its text, and ``Kernel.pair_dots`` the two sides
-of each similarity pair.
+composes each line straight from its text, ``Kernel.pair_dots`` the two sides
+of each similarity pair, and ``Kernel.embed_rows`` each line of ``sentvec embed``
+straight into its text.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags for the same CPU is
@@ -25,6 +26,7 @@ import os
 import platform
 import threading
 import weakref
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +199,8 @@ class Kernel:
         lib.sv_embed_text.restype = _i64
         lib.sv_pair_dots.argtypes = lib.sv_embed_text.argtypes
         lib.sv_pair_dots.restype = _i64
+        lib.sv_embed_rows.argtypes = [*lib.sv_embed_text.argtypes, _i64, ctypes.c_int32, _ptr]
+        lib.sv_embed_rows.restype = _i64
         lib.sv_vocab_span.argtypes = [_ptr, _i64, _i64]
         lib.sv_vocab_span.restype = _i64
         lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
@@ -422,10 +426,66 @@ class Kernel:
             len(ends) // 2, out,
         )
 
+    def embed_rows(
+        self, table: "LookupTable", source: np.ndarray, buckets: int, order: int,
+        data, starts: np.ndarray, ends: np.ndarray, oov_flag: bool, out: np.ndarray,
+    ) -> Iterator[tuple[int, np.ndarray, int]]:
+        """``sentvec embed``'s text of the lines of ``data``, one filled uint8 array ``out``
+        at a time.
+
+        Each line is composed as ``embed_text`` composes it, one line at a
+        time into scratch, so no (n, dim) array is made, and its text is
+        appended to ``out`` as ``format_rows`` writes its row with separator
+        ``" "`` and, when ``oov_flag`` is set, its all-OOV flag.  A kernel
+        call stops before the first line whose text might not fit in what is
+        left of ``out`` (``_VALUE_BYTES * dim + 3`` bytes), and ``out`` must
+        hold one such line.  Yields, for each call, the bytes of text at the
+        start of ``out``, which the next call overwrites, the known-token
+        counts of its lines and the number of their tokens.  The arguments are
+        checked once, before the first call.
+        """
+        worst = _VALUE_BYTES * source.shape[1] + 3
+        if len(ends) and len(out) < worst:
+            raise ValueError(f"text buffer of {len(out)} bytes holds no {worst}-byte row")
+        view, args = self._text_args(table, source, buckets, order, data, starts, ends)
+        *head, starts_at, ends_at = args
+        known, done = np.empty(len(ends), dtype=np.int64), np.zeros(2, dtype=np.int64)
+        # addresses taken once: each ``.ctypes`` costs about a microsecond
+        text, known_at = _pointer(out, np.uint8, "out"), known.ctypes.data
+        done_at = done.ctypes.data
+        first = 0
+        while first < len(ends):
+            at = 8 * first  # the offset of line first in the int64 arrays
+            tokens = self._lib.sv_embed_rows(
+                *head, starts_at + at, ends_at + at, len(ends) - first, text, known_at + at,
+                len(out), bool(oov_flag), done_at,
+            )
+            if tokens < 0:
+                raise MemoryError("native kernel could not allocate its scratch space")
+            lines, size = done.tolist()
+            if lines == 0:  # out holds a worst-case line, so a call writes at least one
+                raise RuntimeError("native embed text wrote no line")
+            yield size, known[first : first + lines], tokens
+            first += lines
+        del view
+
     @staticmethod
     def _text_call(entry, table, source, buckets, order, data, starts, ends, count, out):
         """``entry``'s ``out``, known-token counts and token total, after checking its
         arguments: ``embed_text`` and ``pair_dots`` take the same."""
+        view, args = Kernel._text_args(table, source, buckets, order, data, starts, ends)
+        known = np.empty(len(ends), dtype=np.int64)
+        tokens = entry(*args, count, out.ctypes.data, known.ctypes.data)
+        del view
+        if tokens < 0:
+            raise MemoryError("native kernel could not allocate its scratch space")
+        return out, known, tokens
+
+    @staticmethod
+    def _text_args(table, source, buckets, order, data, starts, ends) -> tuple[np.ndarray, list]:
+        """The first eight arguments of ``sv_embed_text``, ``sv_pair_dots`` and
+        ``sv_embed_rows`` after checking them, and a view of ``data`` to keep while they
+        are used."""
         n_rows, dim = source.shape
         if n_rows != table.size + buckets:
             raise ValueError(f"source has {n_rows} rows, not {table.size} + {buckets} buckets")
@@ -439,17 +499,12 @@ class Kernel:
         # a token takes a byte and a separator, so no window is longer than
         # this; and ctypes would wrap an order past int32 silently
         order = min(order, max((int(lengths.max(initial=0)) + 1) // 2, 1), 2**31 - 1)
-        known = np.empty(len(ends), dtype=np.int64)
         view, address = _address(data)
-        tokens = entry(
+        return view, [
             table._handle, _pointer(source, np.float32, "source", byte_addressed=True), dim,
             buckets, order, address, _pointer(starts, np.int64, "starts"),
-            _pointer(ends, np.int64, "ends"), count, out.ctypes.data, known.ctypes.data,
-        )
-        del view
-        if tokens < 0:
-            raise MemoryError("native kernel could not allocate its scratch space")
-        return out, known, tokens
+            _pointer(ends, np.int64, "ends"),
+        ]
 
     def format_rows(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None,

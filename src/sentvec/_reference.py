@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._native import _VALUE_BYTES
 from .corpus import _word_bytes, ngram_bucket_ids, sentence_ngrams
 from .model import EmbeddingMatrices, _fill_rows, apply_l1_after_step, lr_schedule
 from .model import ngram_dropout, train_step
@@ -92,6 +93,33 @@ def embed_text(table, source, buckets, order, data, starts, ends):
     lines = [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     unigrams, known, tokens = _python_ids(table, lines)
     return _compose(source, buckets, order, unigrams, known), known, tokens
+
+
+def embed_rows(table, source, buckets, order, data, starts, ends, oov_flag, out):
+    """The kernel's ``embed_rows``: for each fill of ``out``, ``format_rows`` of the
+    ``embed_text`` means of the lines that fit, with each line's all-OOV flag when
+    ``oov_flag`` is set.
+
+    Each pass of a fill takes the lines whose text fits whatever its length,
+    and the text of the ones before may leave room for more, so a fill ends
+    where the kernel's call does: before the first line with fewer than
+    ``_VALUE_BYTES * dim + 3`` bytes left.
+    """
+    worst = _VALUE_BYTES * source.shape[1] + 3
+    if len(ends) and len(out) < worst:
+        raise ValueError(f"text buffer of {len(out)} bytes holds no {worst}-byte row")
+    known, done = np.empty(len(ends), dtype=np.int64), 0
+    while done < len(ends):
+        first, size, tokens = done, 0, 0
+        while (fit := min((len(out) - size) // worst, len(ends) - done)) > 0:
+            lines = slice(done, done + fit)
+            vectors, known[lines], count = embed_text(
+                table, source, buckets, order, data, starts[lines], ends[lines]
+            )
+            text = format_rows(vectors, " ", known[lines] == 0 if oov_flag else None)
+            out[size : size + len(text)] = np.frombuffer(text, dtype=np.uint8)
+            done, size, tokens = done + fit, size + len(text), tokens + count
+        yield size, known[first:done], tokens
 
 
 # pairs composed per ``embed_text`` call in ``pair_dots``; one block's vectors are the

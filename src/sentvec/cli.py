@@ -18,9 +18,9 @@ import numpy as np
 from .corpus import _decode_line
 from .evaluation import (
     OovStats,
-    RowText,
     SimilarityPairs,
-    _embed_spans,
+    _all_oov,
+    _engine_text,
     arora_weight,
     evaluate_similarity,
     norm_profile,
@@ -41,6 +41,9 @@ THREADS_ENV_VAR = "SENTVEC_THREADS"
 
 # stdin lines embedded and written per batch; embed streams its input
 _EMBED_CHUNK_LINES = 1024
+# bytes of embed's text buffer, which each kernel call fills with whole lines;
+# raised to one line's worst case at a dim too large for it
+_EMBED_TEXT_BYTES = 1 << 18
 # most stdin bytes (or characters, from a text stdin) taken per read
 _STDIN_BLOCK = 1 << 20
 
@@ -269,19 +272,28 @@ def _stdin_batches():
 
 
 def cmd_embed(args) -> int:
+    from . import _native
+
     model = load_model(args.model)
+    source = model.matrices.source
     stats = OovStats()
-    text = RowText()
+    text = np.empty(max(_EMBED_TEXT_BYTES, _native._VALUE_BYTES * source.shape[1] + 3),
+                    dtype=np.uint8)
+    view = memoryview(text)
     out = getattr(sys.stdout, "buffer", None)
     if out is not None:
         sys.stdout.flush()  # text written before goes first
-    for data, starts, ends in _stdin_batches():
-        vectors, flags = _embed_spans(model, data, starts, ends, stats)
-        rows = text(vectors, " ", flags if args.oov_flag else None)
-        if out is not None:
-            out.write(rows)
-        else:
-            sys.stdout.write(str(rows, "ascii"))
+    for batch in _stdin_batches():
+        engine, table, data, starts, ends = _engine_text(model, *batch)
+        for size, known, tokens in engine.embed_rows(
+            table, source, model.buckets, model.word_ngrams, data, starts, ends,
+            args.oov_flag, text,
+        ):
+            _all_oov(known, tokens, stats)
+            if out is not None:
+                out.write(view[:size])
+            else:
+                sys.stdout.write(str(view[:size], "ascii"))
     _log_oov(stats)
     return 0
 

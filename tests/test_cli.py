@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 import sentvec
-from sentvec import _native, _reference
+from sentvec import _native, _reference, cli
 from sentvec.cli import main
 from sentvec.evaluation import RowText, cosine, embed_batch, embed_sentence
-from sentvec.trainer import load_model
+from sentvec.corpus import Vocabulary
+from sentvec.model import EmbeddingMatrices
+from sentvec.trainer import TrainedModel, load_model, save_model
 
 from conftest import two_topic_sentences, write_corpus
 
@@ -476,18 +478,57 @@ class TestEmbedStreams:
             want = bytes(RowText()(vectors, " ", flags))
             source = tmp_path / "in.txt"
             source.write_bytes(text.encode())
-            for chunk, block in itertools.product([1, 2, 3, 1024], [3, 1 << 20]):
+            # a text buffer of 1 byte grows to one line's worst case
+            for chunk, block, buffer in itertools.product(
+                [1, 2, 3, 1024], [3, 1 << 20], [1, cli._EMBED_TEXT_BYTES]
+            ):
                 monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", chunk)
                 monkeypatch.setattr("sentvec.cli._STDIN_BLOCK", block)
+                monkeypatch.setattr("sentvec.cli._EMBED_TEXT_BYTES", buffer)
                 out = tmp_path / "out.txt"
                 with open(source, encoding="utf-8") as fin, open(out, "w") as fout:
                     assert self.run_embed(model_path, fin, fout, monkeypatch) == 0
-                assert out.read_bytes() == want, (chunk, block)
+                assert out.read_bytes() == want, (chunk, block, buffer)
                 if chunk in (3, 1024):  # a text stdin and stdout, read in characters
                     printed = io.StringIO()
                     stdin = io.StringIO(text, newline="\n")
                     assert self.run_embed(model_path, stdin, printed, monkeypatch) == 0
-                    assert printed.getvalue().encode() == want, (chunk, block)
+                    assert printed.getvalue().encode() == want, (chunk, block, buffer)
+
+    def test_memory_does_not_grow_with_the_batch(self, tmp_path, monkeypatch, kernel):
+        # one batch of all the lines: their text and int64 offsets grow with them, but no
+        # (n, dim) vector array (2,800 bytes a line at dim 700) nor a text buffer sized
+        # for their worst case (9,103 bytes a line)
+        import tracemalloc
+
+        rng = np.random.default_rng(34)
+        words = [f"w{i}" for i in range(200)]
+        vocab = Vocabulary(
+            words=[(w, 5) for w in words], word_index={w: i for i, w in enumerate(words)},
+            total_tokens=5 * len(words), min_count=1, min_target_count=1,
+        )
+        source = rng.standard_normal((200 + 101, 700)).astype(np.float32)
+        model = tmp_path / "model.bin"
+        save_model(TrainedModel(
+            vocab=vocab, word_ngrams=2, buckets=101, subsample_t=1e-5,
+            matrices=EmbeddingMatrices(source, np.zeros((200, 700), np.float32), 700),
+        ), str(model))
+        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 1 << 20)
+
+        def peak(n_lines):
+            lines = "".join(" ".join(rng.choice(words, 3)) + "\n" for _ in range(n_lines))
+            (tmp_path / "in.txt").write_text(lines)
+            with open(tmp_path / "in.txt", encoding="utf-8") as fin, \
+                    open(tmp_path / "out.txt", "w", encoding="utf-8") as fout:
+                tracemalloc.start()
+                try:
+                    assert self.run_embed(str(model), fin, fout, monkeypatch) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(16)  # the lookup table's first build
+        assert peak(4096) - peak(1024) <= 3072 * 8 * 12
 
     @pytest.mark.parametrize("block", [8, 40])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
@@ -655,21 +696,22 @@ class TestEvalSimCommand:
     def test_one_kernel_call_per_side_and_per_batch(
         self, model_path, tmp_path, monkeypatch, capsys, kernel
     ):
-        # eval-sim scores every pair in one pair_dots call, embed composes a batch per call
+        # eval-sim scores every pair in one pair_dots call, and embed writes the text of a
+        # batch through one embed_rows call, with no embed_text call
         calls = []
 
         def counting(name):
             entry = getattr(_native.Kernel, name)
 
-            def counted(self, table, source, buckets, order, data, starts, ends):
+            def counted(self, table, source, buckets, order, data, starts, ends, *more):
                 calls.append((name, len(ends)))
-                return entry(self, table, source, buckets, order, data, starts, ends)
+                return entry(self, table, source, buckets, order, data, starts, ends, *more)
             return counted
 
         def python_ids(*args):
             raise AssertionError("the reference lookup ran")
 
-        for name in ("embed_text", "pair_dots"):
+        for name in ("embed_text", "pair_dots", "embed_rows"):
             monkeypatch.setattr(_native.Kernel, name, counting(name))
         monkeypatch.setattr(_reference, "_python_ids", python_ids)
         dataset = tmp_path / "sim.tsv"
@@ -680,7 +722,7 @@ class TestEvalSimCommand:
         monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
         monkeypatch.setattr("sys.stdin", io.StringIO("a0001\nb0002 a0003\n\nzzz\na0002\n"))
         assert main(["embed", "--model", model_path]) == 0
-        assert calls == [("embed_text", 2), ("embed_text", 2), ("embed_text", 1)]
+        assert calls == [("embed_rows", 2), ("embed_rows", 2), ("embed_rows", 1)]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5
 
 

@@ -414,7 +414,7 @@ class TestBuild:
         definitions = re.findall(
             r"^(?!static\b)[\w *]*?\b(sv_\w+)\(([^)]*)\)\s*\{", _native.SOURCE.read_text(), re.M
         )
-        assert len(definitions) >= 19
+        assert len(definitions) >= 20
         lib = _native.Kernel(_native._build(tmp_path / "kernel.so", _native.PORTABLE_FLAGS))._lib
         for name, params in definitions:
             argtypes = getattr(lib, name).argtypes
@@ -462,7 +462,7 @@ class TestEngines:
         reference = _native.reference()
         methods = used(r"\bengine\b(?:\(\))?")
         assert methods >= {
-            "fill_uniform", "format_rows", "lookup_table", "embed_text", "encoder",
+            "fill_uniform", "format_rows", "lookup_table", "embed_text", "embed_rows", "encoder",
             "vocabulary_records", "model", "train_chunk", "rng_state", "label",
         }
         for name in methods:
@@ -480,6 +480,14 @@ class TestEngines:
                 assert parameters(getattr(reference.Encoder, name)) == parameters(kernel_side)
         for name in ("__enter__", "__exit__"):
             assert hasattr(reference.Encoder, name)
+
+    def test_embed_rows_takes_the_kernel_arguments(self, kernel):
+        # sv_embed_text's arguments, then the buffer's capacity, the flag column
+        # and the lines and bytes done
+        match = re.search(r"\bsv_embed_rows\(([^)]*)\)\s*\{", _native.SOURCE.read_text())
+        assert match is not None
+        assert len(match.group(1).split(",")) == len(kernel._lib.sv_embed_rows.argtypes) == 14
+        assert parameters(_reference.embed_rows) == parameters(_native.Kernel.embed_rows)
 
     @pytest.mark.parametrize("pattern", [
         r"_native\.load\b", r"\bimport\b[^\n]*\bload\b", r"KernelUnavailable",
@@ -901,6 +909,151 @@ class TestPairDots:
         assert abs(twice - narrow) <= 4096
 
 
+def embed_fills(build, table, source, buckets, order, data, starts, ends, oov_flag, out):
+    """Each fill of ``out`` that ``build.embed_rows`` yields: its text, its lines' known-token
+    counts and their token total."""
+    return [
+        (bytes(out[:size]), known.tolist(), tokens)
+        for size, known, tokens in build.embed_rows(
+            table, source, buckets, order, data, starts, ends, oov_flag, out
+        )
+    ]
+
+
+def assert_same_fills(got, want) -> None:
+    assert [(len(text), known, tokens) for text, known, tokens in got] == [
+        (len(text), known, tokens) for text, known, tokens in want
+    ]
+    assert_same_text(b"".join(f[0] for f in got).decode(), b"".join(f[0] for f in want).decode())
+
+
+class TestEmbedRows:
+    """``Kernel.embed_rows`` writes the numpy reference engine's fills byte for byte, their
+    text is ``format_rows`` of ``embed_text``, and each fill ends where the next line's
+    worst case no longer fits."""
+
+    @pytest.mark.parametrize("oov_flag", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_the_reference(self, kernel, order, oov_flag):
+        rng = np.random.default_rng(90 + order)
+        words = vocab_words(300)
+        tables = word_table(kernel, words), word_table(_reference, words)
+        # empty, blank and all-unknown lines, and capitalized words
+        data, starts, ends = pair_lines(rng, words, 40)
+        buckets = 0 if order == 1 else 97
+        # every tail of the lanes and of each build's vector width, and the presets' dims
+        for dim in [*range(1, 21), 100, 700]:
+            source = random_rows(rng, 300 + buckets, dim)
+            vectors, known, tokens = kernel.embed_text(
+                tables[0], source, buckets, order, data, starts, ends
+            )
+            want = row_text(kernel, vectors, " ", known == 0 if oov_flag else None)
+            worst = _native._VALUE_BYTES * dim + 3
+            for capacity in (3 * worst, 1 << 18):
+                got, ref = (
+                    embed_fills(build, table, source, buckets, order, data, starts, ends,
+                                oov_flag, np.empty(capacity, dtype=np.uint8))
+                    for build, table in zip((kernel, _reference), tables)
+                )
+                assert_same_fills(got, ref)
+                assert_same_text(b"".join(f[0] for f in got).decode(), want)
+                assert [k for f in got for k in f[1]] == known.tolist()
+                assert sum(f[2] for f in got) == tokens
+        assert (known == 0).sum() > 4 and (known > 0).sum() > 50
+
+    @pytest.mark.parametrize("oov_flag", [False, True])
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 17, 100, 700])
+    def test_fills_stop_before_the_worst_case_no_longer_fits(self, kernel, dim, oov_flag):
+        # one-word lines whose rows are the longest texts, and the one whose word
+        # stores reach furthest past its text (see test_text_stays_within_capacity)
+        worst_values = np.array([-1.17549e-38, -123457, -0.000123457, -1.23457e-05],
+                                dtype=np.float32)
+        source = np.stack([np.roll(np.resize(worst_values, dim), i) for i in range(4)])
+        source[3] = worst_values[0]
+        words = vocab_words(4)
+        tables = word_table(kernel, words), word_table(_reference, words)
+        lines = [words[i % 4] for i in range(13)] + [b"", b"zq", words[0] + b" " + words[3]]
+        data = b"\n".join(lines)
+        ends = np.cumsum([len(line) + 1 for line in lines], dtype=np.int64) - 1
+        starts = ends - [len(line) for line in lines]
+        worst = _native._VALUE_BYTES * dim + 3
+        want = embed_fills(kernel, tables[0], source, 0, 1, data, starts, ends, oov_flag,
+                           np.empty(1 << 20, dtype=np.uint8))
+        assert len(want) == 1
+        for rows, less in itertools.product((1, 2, 3), (0, 1)):
+            capacity = rows * worst - less
+            canary = np.arange(capacity + 64, dtype=np.int64).astype(np.uint8)
+            buffer = canary.copy()
+            fills = [
+                embed_fills(build, table, source, 0, 1, data, starts, ends, oov_flag,
+                            buffer[:capacity])
+                for build, table in zip((kernel, _reference), tables)
+            ] if capacity >= worst else []
+            for build, table in zip((kernel, _reference), tables):
+                if capacity < worst:
+                    with pytest.raises(ValueError, match="holds no"):
+                        embed_fills(build, table, source, 0, 1, data, starts, ends, oov_flag,
+                                    buffer[:capacity])
+            if not fills:
+                continue
+            got, ref = fills
+            np.testing.assert_array_equal(buffer[capacity:], canary[capacity:])
+            assert_same_fills(got, ref)
+            assert_same_fills([(b"".join(f[0] for f in got), want[0][1], want[0][2])], want)
+            for text, known, _ in got[:-1]:
+                # the fill took every line whose worst case fit after it
+                assert len(text) <= capacity < len(text) + worst
+                assert len(known) >= rows - less
+
+    def test_non_ascii_lines_rewritten_for_the_engines(self, kernel):
+        words = ["cat", "café", "Dog", "äpfel", "the", "i̇", "a", "été"]
+        vocab = Vocabulary(
+            words=[(w, 5) for w in words], word_index={w: i for i, w in enumerate(words)},
+            total_tokens=5 * len(words), min_count=1, min_target_count=1,
+        )
+        source = np.random.default_rng(87).standard_normal((len(words) + 31, 11))
+        model = TrainedModel(
+            vocab=vocab, word_ngrams=2, buckets=31, subsample_t=1e-5,
+            matrices=EmbeddingMatrices(source=source.astype(np.float32),
+                                       target=np.zeros((len(words), 11), np.float32), dim=11),
+        )
+        lines = ["CAFÉ\u3000the Cat", "İ cat", "ÄPFEL the\u2003dog", "Été a", "zzé", "",
+                 "the", " \u00a0 "]
+        vectors, flags = evaluation.embed_batch(model, lines)
+        want = str(kernel.format_rows(vectors, " ", flags), "ascii")
+        text = "".join(line + "\n" for line in lines)
+        lengths = np.array([len(line) for line in lines], dtype=np.int64)
+        ends = np.cumsum(lengths + 1) - 1
+        _, _, data, starts, ends = evaluation._engine_text(model, text, ends - lengths, ends)
+        got, ref = (
+            embed_fills(build, evaluation._table(vocab, build), model.matrices.source, 31, 2,
+                        data, starts, ends, True, np.empty(2 * 146, dtype=np.uint8))
+            for build in (kernel, _reference)
+        )
+        assert_same_fills(got, ref)
+        assert_same_text(b"".join(f[0] for f in got).decode(), want)
+        assert 1 < len(got) < len(lines)
+
+    def test_bad_arguments_rejected(self, kernel):
+        source = np.ones((5, 4), dtype=np.float32)
+        worst = _native._VALUE_BYTES * 4 + 3
+        for build in (_reference, kernel):  # fills() calls the kernel after the loop
+            table = word_table(build, [b"a", b"b", b"c"])
+            spans = np.array([0, 2], dtype=np.int64), np.array([1, 3], dtype=np.int64)
+
+            def fills(*spans, out=np.empty(worst, dtype=np.uint8), data=b"a b"):
+                return embed_fills(build, table, source, 2, 2, data, *spans, False, out)
+
+            with pytest.raises(ValueError, match=f"text buffer of {worst - 1} bytes"):
+                fills(*spans, out=np.empty(worst - 1, dtype=np.uint8))
+            assert fills(spans[0][:0], spans[1][:0], out=np.empty(0, dtype=np.uint8)) == []
+            assert fills(*spans) == [(b"1 1 1 1\n", [1], 1), (b"1 1 1 1\n", [1], 1)]
+        with pytest.raises(ValueError, match="do not lie within the data"):
+            fills(spans[0], spans[1] + 1)
+        with pytest.raises(ValueError, match="C-contiguous uint8"):
+            fills(*spans, out=np.empty(worst, dtype=np.int8))
+
+
 def g6(values) -> list[str]:
     return [format(float(x), ".6g") for x in values]
 
@@ -1189,6 +1342,20 @@ class TestWidthsAgree:
                 )
                 assert_same_bits(host[0], narrow[0])
                 assert host[1].tolist() == narrow[1].tolist() == counts.tolist()
+
+    def test_embed_rows(self, kernel, other):
+        rng = np.random.default_rng(75)
+        words = vocab_words(200)
+        tables = [word_table(build, words) for build in (kernel, other)]
+        data, starts, ends = pair_lines(rng, words, 30)
+        for dim in (1, 7, 8, 9, 15, 16, 17, 100, 700):
+            source = random_rows(rng, 200 + 97, dim)
+            out = np.empty(2 * (_native._VALUE_BYTES * dim + 3), dtype=np.uint8)
+            host, narrow = (
+                embed_fills(build, table, source, 97, 2, data, starts, ends, True, out)
+                for build, table in zip((kernel, other), tables)
+            )
+            assert_same_fills(host, narrow)
 
     def test_fill_uniform(self, kernel, other):
         lengths = (0, 1, 5, 7, 8, 9, 15, 16, 17, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003)
