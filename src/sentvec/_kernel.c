@@ -42,6 +42,11 @@
  * row's last ones under a load mask, and leaves the values the lanes cannot
  * write to the one-value writer, so the bytes never differ.
  *
+ * sv_pair_fields splits the lines of a similarity file
+ * (evaluation.SimilarityPairs.read) in one memchr walk: the two tabs and the
+ * end of each line, and each plain-decimal score read as one exact division;
+ * Python parses the other scores with float().
+ *
  * A byte-string table (sv_table) serves both text paths, and one token
  * scanner splits their lines on the ASCII whitespace of str.split().
  * sv_encode_lines interns the tokens of corpus lines (corpus.encode_corpus);
@@ -1278,11 +1283,10 @@ static int64_t table_find(const sv_table *t, const unsigned char *s, int64_t len
 }
 
 /* the id of s[0:len], added when new; -1 when out of memory or of int32 ids.
- * room >= len bytes are readable at s. */
-static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len, int64_t room)
+ * head and hash are token_head and hash_token of s. */
+static int64_t table_insert(sv_table *t, const unsigned char *s, int64_t len, uint64_t head,
+                            uint64_t hash)
 {
-    const uint64_t head = token_head(s, len, room);
-    const uint64_t hash = hash_token(s, len, room, head, 0);
     sv_slot key = make_slot(head, len, hash);
     uint64_t i = table_slot(t, s, len, hash, key, 0);
     if (t->slots[i].id1 != 0)
@@ -1308,6 +1312,13 @@ static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len, in
     key.id1 = (uint32_t)(t->n_strings + 1);
     t->slots[i] = key;
     return t->n_strings++;
+}
+
+/* table_insert of s[0:len], where room >= len bytes are readable at s */
+static int64_t table_intern(sv_table *t, const unsigned char *s, int64_t len, int64_t room)
+{
+    const uint64_t head = token_head(s, len, room);
+    return table_insert(t, s, len, head, hash_token(s, len, room, head, 0));
 }
 
 /* A corpus being read: its distinct tokens, each token's id, each line's length. */
@@ -1431,6 +1442,11 @@ int64_t sv_encoder_words(const sv_encoder *e, const int64_t *which, int64_t n, u
     return q;
 }
 
+/* how many words ahead sv_table_new prefetches a slot (8, 12 and 16 built a
+ * 1M-word table alike), and its ring of hashes, a power of two above that */
+#define TABLE_AHEAD 12
+#define TABLE_RING 16
+
 void sv_table_free(sv_table *t)
 {
     if (t != NULL)
@@ -1453,8 +1469,22 @@ sv_table *sv_table_new(const unsigned char *words, const int64_t *ends, int64_t 
         return NULL;
     }
     const int64_t size = n ? ends[n - 1] + 1 : 0;
-    for (int64_t i = 0, start = 0; i < n; start = ends[i++] + 1) {
-        const int64_t id = table_intern(t, words + start, ends[i] - start, size - start);
+    /* each insert into a large table misses the cache on a random slot, so word
+     * i + TABLE_AHEAD is hashed, and its slot prefetched, while word i goes in;
+     * the hashes wait in a ring */
+    uint64_t heads[TABLE_RING], hashes[TABLE_RING];
+    const uint64_t mask = (uint64_t)t->capacity - 1;
+    for (int64_t i = 0, start = 0, next = 0, next_start = 0; i < n; start = ends[i++] + 1) {
+        for (; next < n && next <= i + TABLE_AHEAD; next_start = ends[next++] + 1) {
+            const int64_t len = ends[next] - next_start, room = size - next_start;
+            const uint64_t head = token_head(words + next_start, len, room);
+            const uint64_t hash = hash_token(words + next_start, len, room, head, 0);
+            heads[next % TABLE_RING] = head;
+            hashes[next % TABLE_RING] = hash;
+            __builtin_prefetch(t->slots + (hash & mask), 1);
+        }
+        const int64_t id = table_insert(t, words + start, ends[i] - start, heads[i % TABLE_RING],
+                                        hashes[i % TABLE_RING]);
         if (id != i) {
             *repeat = id < 0 ? -1 : i;
             sv_table_free(t);
@@ -1702,6 +1732,94 @@ int64_t sv_pair_dots(const sv_table *t, const char *source, int64_t dim, int64_t
     scratch_free(&w);
     free(sides);
     return tokens;
+}
+
+/* ---- similarity files ---- */
+
+/* 1 when the score s[0:len] is a plain decimal, [+-]digits[.digits] with 1
+ * to 15 digits in all, with its value in *value; else 0.  The value is
+ * +-m / 10^f for the digits m and the f of them after the point: both are
+ * exact doubles (POW10), so one division rounds the decimal to its nearest double,
+ * as float() does. */
+static int plain_decimal(const unsigned char *s, int64_t len, double *value)
+{
+    const int negative = len > 0 && s[0] == '-';
+    int64_t i = len > 0 && (s[0] == '-' || s[0] == '+');
+    int64_t m = 0, digits = 0, point = -1;
+    /* a 16th digit already fails, so m stays below 10^16 */
+    for (; i < len && digits <= 15; i++) {
+        if (s[i] >= '0' && s[i] <= '9') {
+            m = 10 * m + (s[i] - '0');
+            digits++;
+        } else if (s[i] == '.' && point < 0 && digits > 0) {
+            point = digits;
+        } else {
+            return 0;
+        }
+    }
+    if (i < len || digits == 0 || digits > 15 || point == digits)
+        return 0;
+    const double v = (double)m / POW10[point < 0 ? 0 : digits - point];
+    *value = negative ? -v : v;
+    return 1;
+}
+
+/* The records of a similarity file, the bytes data[0:len] whose lines end
+ * at '\n'.  With ends NULL, returns the number of lines, which bounds the
+ * records, and writes nothing.  Otherwise walks the lines with memchr, which
+ * finds each line end, and the tabs after the line's first tab, once each.
+ * Empty lines are skipped but counted; every other line is a record until
+ * the first that does not hold exactly two tabs.  Record k's two tabs and
+ * its line end go to ends[3k], ends[3k + 1] and ends[3k + 2], its line index
+ * to lines[k], and its score, the bytes before its first tab, to gold[k]
+ * with flags[k] = 0 when plain_decimal reads it, else 0.0 with flags[k] = 1.
+ * bad[0] and bad[1] are the first line without two tabs' index and start,
+ * or -1 and -1.  Returns the number of records. */
+int64_t sv_pair_fields(const unsigned char *data, int64_t len, int64_t *ends, int64_t *lines,
+                       double *gold, uint8_t *flags, int64_t *bad)
+{
+    const unsigned char *p = data, *stop = data + len;
+    if (ends == NULL) {
+        int64_t count = len > 0 && stop[-1] != '\n';
+        for (; (p = memchr(p, '\n', (size_t)(stop - p))) != NULL; p++)
+            count++;
+        return count;
+    }
+    int64_t n = 0;
+    bad[0] = bad[1] = -1;
+    /* the first tab at or after p, or stop */
+    const unsigned char *tab = memchr(p, '\t', (size_t)len);
+    tab = tab ? tab : stop;
+    for (int64_t line = 0; p < stop; line++, p++) {
+        const unsigned char *end = memchr(p, '\n', (size_t)(stop - p));
+        end = end ? end : stop;
+        if (end == p)
+            continue;
+        const unsigned char *a = tab, *b = stop;
+        if (a < end) {
+            b = memchr(a + 1, '\t', (size_t)(stop - a - 1));
+            b = b ? b : stop;
+        }
+        if (b < end) {
+            tab = memchr(b + 1, '\t', (size_t)(stop - b - 1));
+            tab = tab ? tab : stop;
+        }
+        if (b >= end || tab < end) {
+            bad[0] = line;
+            bad[1] = p - data;
+            return n;
+        }
+        ends[3 * n] = a - data;
+        ends[3 * n + 1] = b - data;
+        ends[3 * n + 2] = end - data;
+        lines[n] = line;
+        flags[n] = !plain_decimal(p, a - p, gold + n);
+        if (flags[n])
+            gold[n] = 0.0;
+        n++;
+        p = end;
+    }
+    return n;
 }
 
 /* ---- model files ---- */

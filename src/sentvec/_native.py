@@ -3,7 +3,7 @@ the one place that picks it or the numpy reference engine (``_reference``).
 Inference hashes n-grams with the training step's own code: ``Kernel.embed_text``
 composes each line straight from its text, ``Kernel.pair_dots`` the two sides
 of each similarity pair, and ``Kernel.embed_rows`` each line of ``sentvec embed``
-straight into its text.
+straight into its text; ``Kernel.pair_fields`` splits a similarity file's lines.
 
 The first ``load()`` in a process compiles the kernel with the local C
 compiler, unless a build of the same source and flags for the same CPU is
@@ -201,6 +201,8 @@ class Kernel:
         lib.sv_pair_dots.restype = _i64
         lib.sv_embed_rows.argtypes = [*lib.sv_embed_text.argtypes, _i64, ctypes.c_int32, _ptr]
         lib.sv_embed_rows.restype = _i64
+        lib.sv_pair_fields.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]
+        lib.sv_pair_fields.restype = _i64
         lib.sv_vocab_span.argtypes = [_ptr, _i64, _i64]
         lib.sv_vocab_span.restype = _i64
         lib.sv_vocab_words.argtypes = [_ptr, _i64, _ptr, _ptr, _ptr]
@@ -505,6 +507,34 @@ class Kernel:
             buckets, order, address, _pointer(starts, np.int64, "starts"),
             _pointer(ends, np.int64, "ends"),
         ]
+
+    def pair_fields(self, data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """The records of the similarity file ``data``, bytes whose lines end at ``\\n``.
+
+        Empty lines are skipped but counted; every other line is a record
+        until the first that does not hold exactly two tabs.  Returns the
+        int64 ``(3 * n,)`` offsets of each record's two tabs and line end,
+        its int64 line index, its float64 score, and a bool flag set where
+        the score is not a plain decimal (``[+-]digits[.digits]``, 1 to 15
+        digits), which reads 0.0 and is for ``float()`` to parse; then the
+        index and start of that first bad line, or -1 and -1.  A plain
+        decimal's score is the double ``float()`` gives.  The arrays are
+        sized by the file's line count, which one memchr pass counts first.
+        """
+        view, address = _address(data)
+        n_lines = self._lib.sv_pair_fields(address, len(data), None, None, None, None, None)
+        ends = np.empty(3 * n_lines, dtype=np.int64)
+        lines = np.empty(n_lines, dtype=np.int64)
+        gold = np.empty(n_lines, dtype=np.float64)
+        flags = np.empty(n_lines, dtype=np.bool_)
+        bad = np.empty(2, dtype=np.int64)
+        n = self._lib.sv_pair_fields(
+            address, len(data), ends.ctypes.data, lines.ctypes.data, gold.ctypes.data,
+            flags.ctypes.data, bad.ctypes.data,
+        )
+        del view
+        bad_line, bad_start = bad.tolist()
+        return ends[: 3 * n], lines[:n], gold[:n], flags[:n], bad_line, bad_start
 
     def format_rows(
         self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 import threading
 from array import array
 from collections import defaultdict
@@ -157,6 +158,47 @@ def _row_dots(va, vb) -> np.ndarray:
         lanes[2] += x[:, j] * y[:, j]
     s = [lanes[..., k] for k in range(8)]
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+
+# bytes of a similarity file compared per numpy call when ``pair_fields`` scans it
+_SCAN_BLOCK = 1 << 16
+
+# a score the kernel reads itself; ``pair_fields`` also counts its digits
+_PLAIN_DECIMAL = re.compile(rb"[+-]?[0-9]+(?:\.[0-9]+)?")
+
+
+def pair_fields(data):
+    """The kernel's records of the similarity file ``data``, from one numpy scan of its tabs
+    and line ends; each plain-decimal score is parsed by ``float()``."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # the tabs and line ends, and any other byte below them, in one pass over
+    # blocks whose temporaries the heap reuses; the range has a block even for no bytes
+    marks = np.concatenate([
+        np.flatnonzero(buf[a : a + _SCAN_BLOCK] <= ord("\n")) + a
+        for a in range(0, len(buf) + 1, _SCAN_BLOCK)
+    ])
+    kinds = buf[marks]
+    line_ends, tabs = marks[kinds == ord("\n")], marks[kinds == ord("\t")]
+    if data and data[-1] != ord("\n"):
+        line_ends = np.append(line_ends, len(data))
+    starts = np.concatenate([[0], line_ends + 1])[: len(line_ends)]
+    tab_counts = np.diff(np.searchsorted(tabs, line_ends), prepend=0)
+    filled = line_ends > starts
+    bad = np.flatnonzero(filled & (tab_counts != 2))
+    first_bad = int(bad[0]) if len(bad) else len(line_ends)
+    # every line before the first bad one is empty or a record with two tabs
+    lines = np.flatnonzero(filled[:first_bad])
+    tabs = tabs[: 2 * len(lines)].reshape(-1, 2)
+    scores = [data[a:b] for a, b in zip(starts[lines].tolist(), tabs[:, 0].tolist())]
+    plain = [
+        _PLAIN_DECIMAL.fullmatch(text) is not None
+        and len(text) - text.startswith((b"+", b"-")) - (b"." in text) <= 15
+        for text in scores
+    ]
+    gold = np.array([float(t) if p else 0.0 for t, p in zip(scores, plain)], dtype=np.float64)
+    ends = np.column_stack([tabs, line_ends[lines]]).ravel()
+    bad_line, bad_start = (first_bad, int(starts[first_bad])) if len(bad) else (-1, -1)
+    return ends, lines, gold, ~np.array(plain, dtype=np.bool_), bad_line, bad_start
 
 
 def vocabulary_records(data, n) -> None:

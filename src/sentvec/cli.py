@@ -285,15 +285,19 @@ def cmd_embed(args) -> int:
         sys.stdout.flush()  # text written before goes first
     for batch in _stdin_batches():
         engine, table, data, starts, ends = _engine_text(model, *batch)
-        for size, known, tokens in engine.embed_rows(
+        known, tokens = [], 0
+        for size, fill_known, fill_tokens in engine.embed_rows(
             table, source, model.buckets, model.word_ngrams, data, starts, ends,
             args.oov_flag, text,
         ):
-            _all_oov(known, tokens, stats)
+            known.append(fill_known)
+            tokens += fill_tokens
             if out is not None:
                 out.write(view[:size])
             else:
                 sys.stdout.write(str(view[:size], "ascii"))
+        # one count per batch: a fill holds as few as 34 lines at dim 700
+        _all_oov(np.concatenate(known), tokens, stats)
     _log_oov(stats)
     return 0
 

@@ -6,10 +6,10 @@ no masking, no subsampling) and always runs in batches through
 ``score<TAB>sentence_a<TAB>sentence_b`` lines; predicted cosine
 similarities are correlated against the gold scores with Pearson's r and
 Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
-file: it checks and splits the whole file's bytes at once, and
-``evaluate_similarity`` scores its pairs from those bytes, with one
-engine call for the whole file and no per-record Python objects on an
-ASCII file.
+file: it splits the whole file's bytes and parses its plain-decimal
+scores in one engine call, and ``evaluate_similarity`` scores its pairs
+from those bytes in one more, with no per-record Python objects on an
+ASCII file of plain-decimal scores.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class SimilarityRecord:
     gold: float
 
 
-# bytes of a similarity file compared per numpy call when ``SimilarityPairs.read`` scans it
-_SCAN_BLOCK = 1 << 16
-
-
 class SimilarityPairs:
     """The labelled pairs of a similarity dataset as one buffer of text.
 
@@ -89,67 +85,43 @@ class SimilarityPairs:
         Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as ``bytes.splitlines``
         splits them; empty lines are skipped but counted.  Every other line
         must hold exactly two tabs and a finite score, and the file must be
-        UTF-8.  numpy finds the line ends and tabs of the whole file in one
-        pass, one decode checks its UTF-8 and ``float()`` parses each score,
-        split from one buffer of all the score fields.  The
-        first line that fails a check raises a ``ValueError`` citing
-        ``path`` and the line number, with the text a line-by-line reader
-        gives: an invalid UTF-8 line's byte offset and reason come from
-        decoding that line alone.
+        UTF-8.  One engine call (``pair_fields``) finds the tabs and line ends
+        of the whole file and parses each plain-decimal score, one decode
+        checks its UTF-8, and ``float()`` parses each other score.  The first
+        line that fails a check raises a ``ValueError`` citing ``path`` and
+        the line number, with the text a line-by-line reader gives: an
+        invalid UTF-8 line's byte offset and reason come from decoding that
+        line alone.
         """
+        from . import _native
+
         with open(path, "rb") as fh:
             data = fh.read()
         # no multi-byte character holds \r or \n
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        buf = np.frombuffer(data, dtype=np.uint8)
-        # the tabs and line ends, and any other byte below them, in one pass over
-        # blocks whose temporaries the heap reuses (a whole-file one faults in
-        # fresh pages on every read); the range has a block even for no bytes
-        marks = np.concatenate([
-            np.flatnonzero(buf[a : a + _SCAN_BLOCK] <= ord("\n")) + a
-            for a in range(0, len(buf) + 1, _SCAN_BLOCK)
-        ])
-        kinds = buf[marks]
-        line_ends, tabs = marks[kinds == ord("\n")], marks[kinds == ord("\t")]
-        if data and data[-1] != ord("\n"):
-            line_ends = np.append(line_ends, len(data))
-        starts = np.concatenate([[0], line_ends + 1])[: len(line_ends)]
-        tab_counts = np.diff(np.searchsorted(tabs, line_ends), prepend=0)
-        filled = line_ends > starts
-        # the first line that fails a whole-file check, else the line count
-        bad = np.flatnonzero(filled & (tab_counts != 2))
-        first_bad = int(bad[0]) if len(bad) else len(line_ends)
+        ends, lines, gold, flags, bad_line, bad_start = _native.engine().pair_fields(data)
         if not data.isascii():
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as err:
-                # the line ends are ASCII, so the bad bytes start inside the first bad line
-                first_bad = min(first_bad, int(np.searchsorted(line_ends, err.start, "right")))
-
-        # every line before the first bad one is empty or a record with two tabs
-        lines = np.flatnonzero(filled[:first_bad])
-        tabs = tabs[: 2 * len(lines)].reshape(-1, 2)
-        # each score field with the tab after it, gathered into one buffer and split there
-        lengths = tabs[:, 0] + 1 - starts[lines]
-        at = np.arange(int(lengths.sum())) + np.repeat(tabs[:, 0] + 1 - np.cumsum(lengths), lengths)
-        scores = buf[at].tobytes().split(b"\t")[:-1]
-        try:
-            gold = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
-        except ValueError:
-            gold = None
-        if gold is None or not np.isfinite(gold).all():
-            gold = np.array([
-                _score(text, path, line + 1) for text, line in zip(scores, lines.tolist())
-            ], dtype=np.float64)
-        if first_bad < len(line_ends):
-            lineno = first_bad + 1
-            _decode_line(data[starts[first_bad] : line_ends[first_bad]], path, lineno)
+                # the line ends are ASCII, so the bad bytes start inside record k's
+                # line, or else inside the first bad line
+                k = int(np.searchsorted(ends[2::3], err.start))
+                if k < len(lines):
+                    bad_line, bad_start = int(lines[k]), _line_start(data, ends[3 * k])
+                    ends, lines, gold, flags = ends[: 3 * k], lines[:k], gold[:k], flags[:k]
+        for k in np.flatnonzero(flags).tolist():
+            tab = int(ends[3 * k])
+            gold[k] = _score(data[_line_start(data, tab) : tab], path, int(lines[k]) + 1)
+        if bad_line >= 0:
+            line_end = data.find(b"\n", bad_start)
+            line = data[bad_start : len(data) if line_end < 0 else line_end]
+            _decode_line(line, path, bad_line + 1)
+            fields = line.count(b"\t") + 1
             raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {tab_counts[first_bad] + 1}"
+                f"{path}: line {bad_line + 1}: expected 3 tab-separated fields, got {fields}"
             )
-        ends = np.column_stack([tabs, line_ends[lines]]).ravel()
         return cls(data, ends, gold)
 
     def records(self) -> list[SimilarityRecord]:
@@ -163,6 +135,11 @@ class SimilarityPairs:
         if isinstance(data, bytes):
             sides = [[text.decode("utf-8") for text in texts] for texts in sides]
         return [SimilarityRecord(*pair) for pair in zip(*sides, self.gold.tolist())]
+
+
+def _line_start(data: bytes, at) -> int:
+    """The offset at which the line of ``data`` holding offset ``at`` starts."""
+    return data.rfind(b"\n", 0, int(at)) + 1
 
 
 def _score(text: bytes, path, lineno: int) -> float:
@@ -367,8 +344,13 @@ def pearson(xs, ys) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; ties receive the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
+    # a tie's rank is the same in any order, so any sort gives the stable sort's ranks;
+    # but NaN, which sorts last, never ties, so its indices go back into their order
+    order = np.argsort(values)
     sorted_vals = values[order]
+    if len(values) and np.isnan(sorted_vals[-1]):
+        nans = int(np.isnan(sorted_vals).sum())
+        order[-nans:] = np.sort(order[-nans:])
     # first sorted position of every run of equal values, then the end
     bounds = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1], [True]]))
     first, stop = bounds[:-1], bounds[1:]

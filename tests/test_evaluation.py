@@ -4,6 +4,7 @@ import dataclasses
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -550,11 +551,39 @@ class TestSpearman:
             np.array([7.0]),
             np.array([]),
         ]
+        # heavy ties, +-0.0 and NaN, in any order and at lengths past the sorts' small-array paths
+        pool = np.array([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0, np.nan, -np.nan])
+        cases += [pool[rng.integers(len(pool), size=n)] for n in (2, 17, 65, 300, 4001)]
         for values in cases:
             np.testing.assert_array_equal(
                 evaluation._midranks(values).view(np.uint64),
                 loop_midranks(values).view(np.uint64),
             )
+
+    def test_spearman_equals_the_stable_sort(self):
+        # the benchmark's shapes: 0/1 gold scores against cosines with exact ties
+        def stable_spearman(xs, ys):
+            def ranks(values):
+                order = np.argsort(values, kind="stable")
+                sorted_vals = values[order]
+                bounds = np.flatnonzero(
+                    np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1], [True]])
+                )
+                first, stop = bounds[:-1], bounds[1:]
+                out = np.empty(len(values))
+                out[order] = np.repeat((first + stop - 1) / 2.0 + 1.0, stop - first)
+                return out
+
+            return pearson(ranks(xs), ranks(ys))
+
+        rng = np.random.default_rng(2604)
+        for n in (600, 2000, 4000):
+            gold = rng.integers(0, 2, size=n).astype(np.float64)
+            preds = rng.uniform(-1.0, 1.0, size=n)
+            preds[rng.random(n) < 0.05] = 0.0
+            preds[rng.random(n) < 0.05] = 1.0
+            got, want = spearman(gold, preds), stable_spearman(gold, preds)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 class TestEvaluateSimilarity:
@@ -977,9 +1006,26 @@ class TestReadSimilarityTsv:
         with pytest.raises(ValueError, match="line 1"):
             read_similarity_tsv(str(path))
 
+    def test_plain_decimals_make_no_object_per_record(self, tmp_path, kernel):
+        # the kernel's arrays take 41 bytes a line: three offsets, a line index, a score
+        # and a flag; a bytes object per score would take about 40 more
+        path = tmp_path / "sim.tsv"
+        n = 20_000
+        path.write_text("".join(f"{i % 5}.{i % 7}\tw{i} a\tb w{i}\n" for i in range(n)))
+        SimilarityPairs.read(str(path))
+        tracemalloc.start()
+        try:
+            pairs = SimilarityPairs.read(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == n
+        assert peak - len(pairs.data) < 48 * n
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-    def test_every_scan_block_reads_alike(self, tmp_path, monkeypatch, block):
-        # tabs, line ends and control bytes at every offset of a block
+    def test_every_scan_block_reads_alike(self, tmp_path, monkeypatch, without_kernel, block):
+        # tabs, line ends and control bytes at every offset of a block of the
+        # reference engine's scan, which reads as the default engine does
         files = [
             b"1\ta b\tc\n\n2\td\te F\n\x01\x08\t\x00\t\x02\n",
             b"1\ta\tb\r\n2\tc\td\r\r3\te\tf\n4\tg\x0bh\ti",
@@ -1000,7 +1046,8 @@ class TestReadSimilarityTsv:
             return pairs.data, pairs.ends.tolist(), pairs.gold.tolist()
 
         wants = [outcome(data) for data in files]
-        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        without_kernel()
+        monkeypatch.setattr(_reference, "_SCAN_BLOCK", block)
         assert [outcome(data) for data in files] == wants
         assert sum(isinstance(want, str) for want in wants) == 4
 

@@ -1054,6 +1054,108 @@ class TestEmbedRows:
             fills(*spans, out=np.empty(worst, dtype=np.int8))
 
 
+# scores of every kind: plain decimals, which the kernel reads, and the ones left to float()
+FIELD_SCORES = [
+    b"0", b"1", b"0.5", b"+1", b"-0", b"-0.0", b"007", b"3.25", b"-12.5", b".5", b"5.", b"1e3",
+    b" 1", b"1 ", b"1_0", b"nan", b"inf", b"", b"+", b"-", b"1.2.3", b"--1", b"0x10", b"\xc3\xa9",
+    b"\x011", b"\r1", b"123456789012345", b"12345678.9012345", b"1234567890123456",
+    b"0.123456789012345", b"000000000000001", b"0000000000000001",
+]
+# sentence bytes: tabs and line ends come from the line's layout
+FIELD_BYTES = [b"a", b"B", b" ", b"\x00", b"\x0b", b"\x1c", b"\r", "\u00e9".encode(), "\u3000".encode()]
+
+
+def fuzzed_pair_file(rng, n_lines: int, bad_rate: float) -> bytes:
+    """A similarity file of mostly good lines, with empty, blank and control-byte lines, every
+    kind of score, lines of 0 to 4 tabs at ``bad_rate``, and ends of \\n, \\r\\n and \\r."""
+    lines = []
+    for _ in range(n_lines):
+        kind = rng.random()
+        if kind < 0.05:
+            lines.append(b"")
+        elif kind < 0.08:
+            lines.append(b" \x0b " if rng.random() < 0.5 else b"\x0c")
+        else:
+            score = FIELD_SCORES[rng.integers(len(FIELD_SCORES))] if rng.random() < 0.5 else (
+                b"%d.%d" % (rng.integers(0, 10**6), rng.integers(0, 10**6))
+            )
+            tabs = int(rng.integers(0, 5)) if rng.random() < bad_rate else 2
+            fields = [
+                b"".join(FIELD_BYTES[i] for i in rng.integers(len(FIELD_BYTES), size=rng.integers(0, 12)))
+                for _ in range(tabs)
+            ]
+            lines.append(b"\t".join([score, *fields]))
+    ends = [(b"\n", b"\r\n", b"\r")[i] for i in rng.integers(3, size=n_lines)]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    return data[:-1] if rng.random() < 0.5 else data  # with and without the last line end
+
+
+def pair_fields(build, data) -> tuple:
+    """``build.pair_fields`` of ``data`` with its gold as bits, every array as a list."""
+    ends, lines, gold, flags, bad_line, bad_start = build.pair_fields(data)
+    assert ends.dtype == lines.dtype == np.int64 and gold.dtype == np.float64
+    assert flags.dtype == np.bool_
+    return (ends.tolist(), lines.tolist(), gold.view(np.uint64).tolist(), flags.tolist(),
+            bad_line, bad_start)
+
+
+class TestPairFields:
+    """``Kernel.pair_fields`` against the numpy reference engine's scan, and its plain-decimal
+    scores against ``float()``."""
+
+    def test_fuzzed_files_match_the_reference(self, kernel):
+        rng = np.random.default_rng(2601)
+        bad_lines = 0
+        for case in range(300):
+            data = fuzzed_pair_file(rng, int(rng.integers(0, 60)), (0.0, 0.02, 0.3)[case % 3])
+            # as read (every line end a \n), and raw, where \r is a byte like any other
+            for text in (data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), data):
+                got = pair_fields(kernel, text)
+                assert got == pair_fields(_reference, text), text
+                bad_lines += got[4] >= 0
+        assert bad_lines > 100
+
+    def test_scores_and_lines(self, kernel):
+        data = b"\n1.5\ta\tb\n\n-0\tc\td\n.5\t\t\n1\tx\n2\ta\tb\n"
+        for build in (kernel, _reference):
+            ends, lines, gold, flags, bad_line, bad_start = build.pair_fields(data)
+            assert ends.tolist() == [4, 6, 8, 12, 14, 16, 19, 20, 21]
+            assert lines.tolist() == [1, 3, 4]
+            assert gold.tolist() == [1.5, 0.0, 0.0] and math.copysign(1.0, gold[1]) == -1.0
+            assert flags.tolist() == [False, False, True]
+            assert (bad_line, bad_start) == (5, 22)
+            assert pair_fields(build, b"") == ([], [], [], [], -1, -1)
+            one = np.array([1.0]).view(np.uint64).tolist()
+            assert pair_fields(build, b"1\ta\tb") == ([1, 3, 5], [0], one, [False], -1, -1)
+            assert pair_fields(build, b"\t\t\t\n") == ([], [], [], [], 0, 0)
+
+    def test_plain_decimals_equal_float(self, kernel):
+        # 0 to 15 digits after the point, signs and leading zeros; more than 15 digits in
+        # all is left to float()
+        rng = np.random.default_rng(2602)
+        n = 120_000
+        fraction = rng.integers(0, 16, size=n)
+        whole = rng.integers(1, np.maximum(15 - fraction, 1) + 1)
+        digits = rng.integers(0, 10, size=(n, 32)).astype(np.uint8) + ord("0")
+        digits[rng.random(n) < 0.3, 0] = ord("0")  # leading zeros
+        signs = np.array([b"", b"+", b"-"])[rng.integers(0, 3, size=n)]
+        scores = [
+            sign + row[:w].tobytes() + (b"." + row[16 : 16 + f].tobytes() if f else b"")
+            for sign, row, w, f in zip(signs.tolist(), digits, whole.tolist(), fraction.tolist())
+        ]
+        scores += [b"0.1", b"0.3", b"2.675", b"999999999999999", b"99999999999999.9",
+                   b"0.00000000000001", b"-0", b"+0.0", b"1.000000000000000"]
+        data = b"".join(score + b"\ta\tb\n" for score in scores)
+        _, _, gold, flags, bad_line, _ = kernel.pair_fields(data)
+        assert bad_line == -1 and len(gold) == len(scores)
+        total = [len(s) - s.startswith((b"+", b"-")) - (b"." in s) for s in scores]
+        assert flags.tolist() == [t > 15 for t in total]
+        plain = ~flags
+        assert plain.sum() > 100_000
+        want = np.array([float(s) for s in scores])
+        np.testing.assert_array_equal(gold[plain].view(np.uint64), want[plain].view(np.uint64))
+
+
 def g6(values) -> list[str]:
     return [format(float(x), ".6g") for x in values]
 
@@ -1357,6 +1459,12 @@ class TestWidthsAgree:
             )
             assert_same_fills(host, narrow)
 
+    def test_pair_fields(self, kernel, other):
+        rng = np.random.default_rng(2603)
+        for case in range(60):
+            data = fuzzed_pair_file(rng, int(rng.integers(0, 80)), (0.0, 0.05)[case % 2])
+            assert pair_fields(kernel, data) == pair_fields(other, data)
+
     def test_fill_uniform(self, kernel, other):
         lengths = (0, 1, 5, 7, 8, 9, 15, 16, 17, 4_003, 4_004, 4_005, 4_006, 4_007, 100_003)
         for n in lengths:
@@ -1456,6 +1564,26 @@ class TestText:
         assert ids == [0, 1, -1, 2, 3, 4, -1, 4, 0]
         with pytest.raises(ValueError, match="word 2 repeats"):
             kernel.lookup_table(b"ab\nc\nab\n", np.array([2, 4, 7]))
+
+    def test_lookup_of_many_words(self, kernel):
+        # the build hashes words ahead of their inserts; every id and repeat stays in place
+        rng = np.random.default_rng(2605)
+        words = list(dict.fromkeys(
+            bytes(rng.integers(97, 123, size=rng.integers(1, 20)).astype(np.uint8))
+            for _ in range(3_000)
+        ))
+        ends = np.cumsum([len(w) + 1 for w in words]) - 1
+        table = kernel.lookup_table(b"".join(w + b"\n" for w in words), ends)
+        source = np.arange(len(words), dtype=np.float32).reshape(-1, 1)
+        vectors, known, _ = kernel.embed_text(table, source, 0, 1, b"\n".join(words),
+                                              ends - [len(w) for w in words], ends)
+        assert known.tolist() == [1] * len(words)
+        assert vectors[:, 0].tolist() == list(range(len(words)))
+        for first, again in [(0, 1), (5, 17), (100, 112), (100, 113), (7, 2_500)]:
+            repeated = words[:again] + [words[first]]
+            ends = np.cumsum([len(w) + 1 for w in repeated]) - 1
+            with pytest.raises(ValueError, match=f"word {again} repeats"):
+                kernel.lookup_table(b"".join(w + b"\n" for w in repeated), ends)
 
     def test_lookup_checks_line_ends(self, kernel):
         table = kernel.lookup_table(b"a\n", np.array([1]))
