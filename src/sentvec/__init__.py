@@ -17,7 +17,7 @@ from .corpus import (
 )
 from .evaluation import (
     OovStats,
-    SimilarityRecord,
+    SimilarityPairs,
     arora_weight,
     cosine,
     embed_batch,
@@ -26,7 +26,6 @@ from .evaluation import (
     norm_profile,
     pair_features,
     pearson,
-    read_similarity_tsv,
     spearman,
     write_pair_features,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "ModelFormatError",
     "OovStats",
     "PRESETS",
-    "SimilarityRecord",
+    "SimilarityPairs",
     "StepOutcome",
     "TrainConfig",
     "TrainedModel",
@@ -99,7 +98,6 @@ __all__ = [
     "norm_profile",
     "pair_features",
     "pearson",
-    "read_similarity_tsv",
     "sample_negatives",
     "save_model",
     "sentence_ngrams",

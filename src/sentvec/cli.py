@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import math
 import os
@@ -30,6 +29,7 @@ from .trainer import (
     PRESETS,
     ModelFormatError,
     TrainConfig,
+    _text_output,
     check_model_path,
     export_text_vectors,
     load_model,
@@ -172,15 +172,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def cmd_train(args) -> int:
     kwargs = {}
     if args.preset:
@@ -320,7 +311,7 @@ def cmd_norm_profile(args) -> int:
     profile = norm_profile(model)
     if args.a is not None:
         arora_weight(1.0, args.a)  # a bad --a fails before --output is created
-    with _open_out(args.output) as fh:
+    with _text_output(sys.stdout if args.output == "-" else args.output) as fh:
         for log_freq, norm in profile:
             line = f"{log_freq:.6g} {norm:.6g}"
             if args.a is not None:
@@ -330,11 +321,7 @@ def cmd_norm_profile(args) -> int:
 
 
 def cmd_export_vec(args) -> int:
-    model = load_model(args.model)
-    if args.output == "-":
-        export_text_vectors(model, sys.stdout)
-    else:
-        export_text_vectors(model, args.output)
+    export_text_vectors(load_model(args.model), sys.stdout if args.output == "-" else args.output)
     return 0
 
 

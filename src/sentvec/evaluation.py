@@ -9,21 +9,20 @@ Spearman's rho.  ``SimilarityPairs.read`` is the one reader of such a
 file: it splits the whole file's bytes and parses its plain-decimal
 scores in one engine call, and ``evaluate_similarity`` scores its pairs
 from those bytes in one more, with no per-record Python objects on an
-ASCII file of plain-decimal scores.
+ASCII file of plain-decimal scores.  ``write_pair_features`` composes
+the same sides' spans into |u−v| and u·v classifier features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Vocabulary, _decode_line
-from .trainer import TrainedModel
+from .trainer import TrainedModel, _text_output
 
 __all__ = [
-    "SimilarityRecord",
     "SimilarityPairs",
     "OovStats",
     "embed_batch",
@@ -34,49 +33,30 @@ __all__ = [
     "spearman",
     "evaluate_similarity",
     "pair_features",
+    "write_pair_features",
     "norm_profile",
     "arora_weight",
-    "read_similarity_tsv",
 ]
 
 
-@dataclass
-class SimilarityRecord:
-    """One labelled sentence pair from a similarity dataset."""
-
-    sentence_a: str
-    sentence_b: str
-    gold: float
-
-
 class SimilarityPairs:
-    """The labelled pairs of a similarity dataset as one buffer of text.
+    """The labelled pairs of a similarity dataset, as the bytes of its file.
 
     ``data`` holds three spans per record, back to back: span ``i`` is
     ``data[ends[i - 1]:ends[i]]`` (from 0 for ``i = 0``).  Span ``3k``
     holds record k's score, span ``3k + 1`` its sentence a and span
     ``3k + 2`` its sentence b, each sentence after the tab before it; a
     score span also holds the line ends before it.  To the kernel those
-    are whitespace.  ``gold`` holds the scores as float64.  ``data`` is
-    the bytes of a file (``read``) or a ``str`` (``of``).
+    are whitespace.  ``gold`` holds the scores as float64.
     """
 
     __slots__ = ("data", "ends", "gold")
 
-    def __init__(self, data, ends: np.ndarray, gold: np.ndarray) -> None:
+    def __init__(self, data: bytes, ends: np.ndarray, gold: np.ndarray) -> None:
         self.data, self.ends, self.gold = data, ends, gold
 
     def __len__(self) -> int:
         return len(self.gold)
-
-    @classmethod
-    def of(cls, records: list[SimilarityRecord]) -> "SimilarityPairs":
-        """The pairs of ``records``, in their order."""
-        texts = [
-            text for r in records for text in ("", "\t" + r.sentence_a, "\t" + r.sentence_b)
-        ]
-        ends = np.cumsum(list(map(len, texts)), dtype=np.int64)
-        return cls("".join(texts), ends, np.array([r.gold for r in records], dtype=np.float64))
 
     @classmethod
     def read(cls, path) -> "SimilarityPairs":
@@ -124,17 +104,12 @@ class SimilarityPairs:
             )
         return cls(data, ends, gold)
 
-    def records(self) -> list[SimilarityRecord]:
-        """The pairs as ``SimilarityRecord``s."""
-        data, bounds = self.data, self.ends.tolist()
-        # each side's text follows the tab its span starts with
-        sides = [
-            [data[start + 1 : end] for start, end in zip(bounds[side::3], bounds[side + 1 :: 3])]
-            for side in (0, 1)
-        ]
-        if isinstance(data, bytes):
-            sides = [[text.decode("utf-8") for text in texts] for texts in sides]
-        return [SimilarityRecord(*pair) for pair in zip(*sides, self.gold.tolist())]
+    def side_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (starts, ends) of the 2n sides: record k's side a is span k, its side b
+        span n + k, each from the tab before its text."""
+        bounds = self.ends
+        return (np.concatenate([bounds[0::3], bounds[1::3]]),
+                np.concatenate([bounds[1::3], bounds[2::3]]))
 
 
 def _line_start(data: bytes, at) -> int:
@@ -366,18 +341,14 @@ def spearman(xs, ys) -> float:
 
 
 def evaluate_similarity(
-    model: TrainedModel,
-    records: list[SimilarityRecord] | SimilarityPairs,
-    stats: OovStats | None = None,
+    model: TrainedModel, pairs: SimilarityPairs, stats: OovStats | None = None
 ) -> tuple[float, float, int]:
     """Correlate predicted pair cosines against gold scores.
 
-    ``records`` are ``SimilarityRecord``s or the ``SimilarityPairs`` of a
-    file; records are joined into the pairs' one buffer, so both score
-    alike.  Each side's line is composed as ``embed_batch`` composes it,
-    straight from its span of that buffer, and one engine call returns
-    the float64 a·a, b·b and a·b of every pair (``pair_dots``): the kernel
-    holds no vector but the pair's own two.
+    Each side's line is composed as ``embed_batch`` composes it, straight
+    from its span of the ``pairs``' bytes (``side_spans``), and one engine
+    call returns the float64 a·a, b·b and a·b of every pair
+    (``pair_dots``): the kernel holds no vector but the pair's own two.
     Records where either side has no in-vocabulary token are excluded (a
     constant zero prediction would poison the correlation); the number of
     used records is returned alongside (pearson, spearman).  A side whose
@@ -386,14 +357,8 @@ def evaluate_similarity(
     all of the used pairs' are equal.  ``stats``, when given, accumulates
     the OOV counts of both sides.
     """
-    pairs = records if isinstance(records, SimilarityPairs) else SimilarityPairs.of(records)
-    # span 3k is record k's score, 3k + 1 its side a and 3k + 2 its side b;
-    # spans k and n + k below are record k's sides a and b
-    n, bounds = len(pairs), pairs.ends
-    engine, table, data, starts, ends = _engine_text(
-        model, pairs.data, np.concatenate([bounds[0::3], bounds[1::3]]),
-        np.concatenate([bounds[1::3], bounds[2::3]]),
-    )
+    n = len(pairs)
+    engine, table, data, starts, ends = _engine_text(model, pairs.data, *pairs.side_spans())
     dots, known, tokens = engine.pair_dots(
         table, model.matrices.source, model.buckets, model.word_ngrams, data, starts, ends
     )
@@ -435,33 +400,24 @@ def pair_features(v1, v2) -> np.ndarray:
 _PAIR_CHUNK_VALUES = 1 << 16
 
 
-def write_pair_features(
-    model: TrainedModel,
-    records: list[SimilarityRecord],
-    destination,
-) -> int:
+def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination) -> int:
     """Write one TSV row of 2*dim floats per record, for external classifiers.
 
-    Every record produces a row (an all-OOV side contributes the zero
-    vector); returns the number of rows written.  ``destination`` is a
-    path or an open text file.
+    Both sides of every pair are composed as ``embed_batch`` composes
+    them, in one engine call on their spans of the ``pairs``' bytes
+    (``side_spans``).  Every record produces a row (an all-OOV side
+    contributes the zero vector); returns the number of rows written.
+    ``destination`` is a path or an open text file.
     """
-    va, _ = embed_batch(model, [record.sentence_a for record in records])
-    vb, _ = embed_batch(model, [record.sentence_b for record in records])
-    features = pair_features(va, vb)
+    n = len(pairs)
+    vectors, _ = _embed_spans(model, pairs.data, *pairs.side_spans(), None)
+    features = pair_features(vectors[:n], vectors[n:])
     step = max(1, _PAIR_CHUNK_VALUES // max(1, features.shape[1]))
     text = RowText()  # one buffer for every chunk
-
-    def _write(fh) -> None:
-        for start in range(0, len(features), step):
+    with _text_output(destination) as fh:
+        for start in range(0, n, step):
             fh.write(str(text(features[start : start + step], "\t"), "ascii"))
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            _write(fh)
-    return len(records)
+    return n
 
 
 def norm_profile(model: TrainedModel) -> np.ndarray:
@@ -480,11 +436,3 @@ def arora_weight(f_w: float, a: float) -> float:
     if not 0 < a < math.inf:
         raise ValueError(f"weighting parameter must be finite and > 0, got {a}")
     return a / (a + f_w)
-
-
-def read_similarity_tsv(path: str) -> list[SimilarityRecord]:
-    """Parse ``score<TAB>sentence_a<TAB>sentence_b`` lines; errors cite the line number.
-
-    The records of ``SimilarityPairs.read(path)``, with its checks and errors.
-    """
-    return SimilarityPairs.read(path).records()

@@ -9,6 +9,7 @@ interop with word-vector tooling.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import mmap
@@ -582,6 +583,17 @@ def load_model(path: str) -> TrainedModel:
     )
 
 
+@contextlib.contextmanager
+def _text_output(destination):
+    """``destination`` as a text file to write: itself when it has ``write``, else
+    that path opened as UTF-8 and closed on exit."""
+    if hasattr(destination, "write"):
+        yield destination
+    else:
+        with open(destination, "w", encoding="utf-8") as fh:
+            yield fh
+
+
 # vocabulary rows formatted per write, which bounds the text held at once
 _EXPORT_CHUNK_ROWS = 1024
 
@@ -597,8 +609,7 @@ def export_text_vectors(model: TrainedModel, destination) -> None:
     words = model.vocab.words
     rows = model.matrices.source[: len(words)]
     text = RowText()  # one buffer for every chunk
-
-    def _write(fh) -> None:
+    with _text_output(destination) as fh:
         fh.write(f"{len(words)} {model.matrices.dim}\n")
         for start in range(0, len(words), _EXPORT_CHUNK_ROWS):
             stop = start + _EXPORT_CHUNK_ROWS
@@ -606,9 +617,3 @@ def export_text_vectors(model: TrainedModel, destination) -> None:
             fh.write("".join(
                 [f"{word} {line}" for (word, _), line in zip(words[start:stop], lines)]
             ))
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            _write(fh)

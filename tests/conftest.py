@@ -13,6 +13,17 @@ def write_corpus(path, sentences) -> str:
     return str(path)
 
 
+def write_pairs(path, rows):
+    """``SimilarityPairs.read`` of a pair file at ``path`` of ``rows`` (sentence a,
+    sentence b, gold); each gold is written as ``repr(float)``, which reads back exactly."""
+    from sentvec.evaluation import SimilarityPairs
+
+    path.write_text(
+        "".join(f"{float(gold)!r}\t{a}\t{b}\n" for a, b, gold in rows), encoding="utf-8"
+    )
+    return SimilarityPairs.read(str(path))
+
+
 def two_topic_sentences(
     n_sentences: int,
     words_per_topic: int = 500,

@@ -15,7 +15,6 @@ from sentvec.evaluation import (
     OovStats,
     RowText,
     SimilarityPairs,
-    SimilarityRecord,
     arora_weight,
     cosine,
     embed_batch,
@@ -24,12 +23,13 @@ from sentvec.evaluation import (
     norm_profile,
     pair_features,
     pearson,
-    read_similarity_tsv,
     spearman,
     write_pair_features,
 )
 from sentvec.model import EmbeddingMatrices
 from sentvec.trainer import TrainedModel
+
+from conftest import write_pairs
 
 
 def toy_model(words, source, target=None, word_ngrams=1, buckets=0):
@@ -395,11 +395,11 @@ class TestFormatDispatch:
                 with caplog.at_level(logging.INFO, logger="sentvec.cli"):
                     assert main(["eval-sim", "--model", path, "--dataset", str(dataset)]) == 0
                 out = capsys.readouterr().out
-                records = read_similarity_tsv(str(dataset))
+                pairs = SimilarityPairs.read(str(dataset))
                 stats = OovStats()
-                r, rho, n = evaluate_similarity(load_model(path), records, stats)
+                r, rho, n = evaluate_similarity(load_model(path), pairs, stats)
                 assert out == (f"pearson={r:.6f} spearman={rho:.6f} n={n} "
-                               f"excluded={len(records) - n}\n")
+                               f"excluded={len(pairs) - n}\n")
                 assert caplog.messages[-1] == (
                     f"embedded {stats.lines} lines, {stats.all_oov_lines} all-OOV, OOV token "
                     f"rate {stats.oov_token_rate:.4f} ({stats.oov_tokens} of {stats.tokens} tokens)"
@@ -587,7 +587,7 @@ class TestSpearman:
 
 
 class TestEvaluateSimilarity:
-    def test_identity_task_is_perfect(self):
+    def test_identity_task_is_perfect(self, tmp_path):
         model = toy_model(
             ["a", "b", "c", "d"],
             [[1.0, 0.0], [0.8, 0.6], [0.0, 1.0], [-0.6, 0.8]],
@@ -597,36 +597,36 @@ class TestEvaluateSimilarity:
         for left, right in pairs:
             va, _ = embed_sentence(model, left)
             vb, _ = embed_sentence(model, right)
-            records.append(SimilarityRecord(left, right, cosine(va, vb)))
-        r, rho, n_used = evaluate_similarity(model, records)
+            records.append((left, right, cosine(va, vb)))
+        r, rho, n_used = evaluate_similarity(model, write_pairs(tmp_path / "sim.tsv", records))
         assert n_used == len(records)
         assert r == pytest.approx(1.0, abs=1e-12)
         assert rho == pytest.approx(1.0, abs=1e-12)
 
-    def test_oov_records_excluded_and_counted(self):
+    def test_oov_records_excluded_and_counted(self, tmp_path):
         model = toy_model(
             ["a", "b", "c"], [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
         )
-        records = [
-            SimilarityRecord("a b", "c", 0.4),
-            SimilarityRecord("zzz", "a", 0.5),  # left side OOV
-            SimilarityRecord("b", "a c", 0.9),
-            SimilarityRecord("c", "qqq", 0.1),  # right side OOV
-            SimilarityRecord("a", "b", 0.7),
-        ]
-        _, _, n_used = evaluate_similarity(model, records)
+        pairs = write_pairs(tmp_path / "sim.tsv", [
+            ("a b", "c", 0.4),
+            ("zzz", "a", 0.5),  # left side OOV
+            ("b", "a c", 0.9),
+            ("c", "qqq", 0.1),  # right side OOV
+            ("a", "b", 0.7),
+        ])
+        _, _, n_used = evaluate_similarity(model, pairs)
         assert n_used == 3
 
-    def test_fewer_than_two_usable_errors(self):
+    def test_fewer_than_two_usable_errors(self, tmp_path):
         model = toy_model(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
-        records = [
-            SimilarityRecord("a", "b", 1.0),
-            SimilarityRecord("zzz", "b", 1.0),
-        ]
+        pairs = write_pairs(tmp_path / "sim.tsv", [
+            ("a", "b", 1.0),
+            ("zzz", "b", 1.0),
+        ])
         with pytest.raises(ValueError, match=">=2"):
-            evaluate_similarity(model, records)
+            evaluate_similarity(model, pairs)
 
-    def test_shuffled_gold_uncorrelated(self):
+    def test_shuffled_gold_uncorrelated(self, tmp_path):
         rng = np.random.default_rng(53)
         words = [f"w{i}" for i in range(60)]
         model = toy_model(words, rng.normal(size=(60, 8)))
@@ -634,21 +634,21 @@ class TestEvaluateSimilarity:
         for _ in range(1000):
             left = " ".join(rng.choice(words, size=4))
             right = " ".join(rng.choice(words, size=4))
-            records.append(SimilarityRecord(left, right, float(rng.normal())))
-        r, _, _ = evaluate_similarity(model, records)
+            records.append((left, right, float(rng.normal())))
+        r, _, _ = evaluate_similarity(model, write_pairs(tmp_path / "sim.tsv", records))
         assert abs(r) < 0.1
 
 
-    def test_zero_norm_known_vector_scores_zero(self):
+    def test_zero_norm_known_vector_scores_zero(self, tmp_path):
         # "z" is in the vocabulary but its row is zero: cosine 0, not nan
         model = toy_model(["a", "b", "z"], [[1.0, 0.0], [0.6, 0.8], [0.0, 0.0]])
-        records = [
-            SimilarityRecord("a", "b", 0.6),
-            SimilarityRecord("z", "a", 0.0),
-            SimilarityRecord("a", "a", 1.0),
-            SimilarityRecord("b", "z z", 0.0),
-        ]
-        r, _, n_used = evaluate_similarity(model, records)
+        pairs = write_pairs(tmp_path / "sim.tsv", [
+            ("a", "b", 0.6),
+            ("z", "a", 0.0),
+            ("a", "a", 1.0),
+            ("b", "z z", 0.0),
+        ])
+        r, _, n_used = evaluate_similarity(model, pairs)
         assert n_used == 4
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -743,13 +743,13 @@ class TestPairFeatures:
 class TestWritePairFeatures:
     def test_row_per_record_with_2h_fields(self, tmp_path):
         model = toy_model(["a", "b", "c"], [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        records = [
-            SimilarityRecord("a b", "c", 0.4),
-            SimilarityRecord("zzz", "a", 0.5),  # OOV side becomes the zero vector
-            SimilarityRecord("b", "a c", 0.9),
-        ]
+        pairs = write_pairs(tmp_path / "sim.tsv", [
+            ("a b", "c", 0.4),
+            ("zzz", "a", 0.5),  # OOV side becomes the zero vector
+            ("b", "a c", 0.9),
+        ])
         path = tmp_path / "features.tsv"
-        written = write_pair_features(model, records, str(path))
+        written = write_pair_features(model, pairs, str(path))
         assert written == 3
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
@@ -758,13 +758,13 @@ class TestWritePairFeatures:
     def test_values_match_pair_features(self, tmp_path):
         model = toy_model(["a", "b"], [[1.0, -2.0], [3.0, 1.0]])
         path = tmp_path / "features.tsv"
-        write_pair_features(model, [SimilarityRecord("a", "b", 0.0)], str(path))
+        write_pair_features(model, write_pairs(tmp_path / "sim.tsv", [("a", "b", 0.0)]), str(path))
         row = [float(x) for x in path.read_text().split("\t")]
         va, _ = embed_sentence(model, "a")
         vb, _ = embed_sentence(model, "b")
         np.testing.assert_allclose(row, pair_features(va, vb), rtol=1e-5)
 
-    def test_dim_700_text_equals_per_value_format(self):
+    def test_dim_700_text_equals_per_value_format(self, tmp_path):
         class Recorder:
             def __init__(self):
                 self.writes = []
@@ -777,13 +777,14 @@ class TestWritePairFeatures:
         source = rng.standard_normal((40, 700)) * 10.0 ** rng.integers(-20, 15, size=(40, 700))
         model = toy_model(words, source)
         records = [
-            SimilarityRecord(" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
+            (" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
             for _ in range(120)
-        ] + [SimilarityRecord("zzz", "w1", 0.0)]
+        ] + [("zzz", "w1", 0.0)]
         out = Recorder()
-        assert write_pair_features(model, records, out) == len(records)
-        va, _ = embed_batch(model, [r.sentence_a for r in records])
-        vb, _ = embed_batch(model, [r.sentence_b for r in records])
+        pairs = write_pairs(tmp_path / "sim.tsv", records)
+        assert write_pair_features(model, pairs, out) == len(records)
+        va, _ = embed_batch(model, [a for a, _, _ in records])
+        vb, _ = embed_batch(model, [b for _, b, _ in records])
         expected = "".join(
             "\t".join(format(float(x), ".6g") for x in row) + "\n"
             for row in pair_features(va, vb)
@@ -791,7 +792,7 @@ class TestWritePairFeatures:
         assert len(out.writes) > 1
         assert "".join(out.writes) == expected
 
-    def test_chunks_share_one_text_buffer(self, kernel, monkeypatch):
+    def test_chunks_share_one_text_buffer(self, kernel, monkeypatch, tmp_path):
         from sentvec import _native
 
         rng = np.random.default_rng(71)
@@ -799,9 +800,10 @@ class TestWritePairFeatures:
         source = rng.standard_normal((30, 100)) * 10.0 ** rng.integers(-8, 4, size=(30, 100))
         model = toy_model(words, source)
         records = [
-            SimilarityRecord(" ".join(rng.choice(words, 4)), " ".join(rng.choice(words, 2)), 0.0)
+            (" ".join(rng.choice(words, 4)), " ".join(rng.choice(words, 2)), 0.0)
             for _ in range(1_000)
         ]
+        pairs = write_pairs(tmp_path / "sim.tsv", records)
         buffers = []
         format_rows = _native.Kernel.format_rows
 
@@ -812,9 +814,9 @@ class TestWritePairFeatures:
 
         monkeypatch.setattr(_native.Kernel, "format_rows", recording)
         out = io.StringIO()
-        assert write_pair_features(model, records, out) == len(records)
-        va, _ = embed_batch(model, [r.sentence_a for r in records])
-        vb, _ = embed_batch(model, [r.sentence_b for r in records])
+        assert write_pair_features(model, pairs, out) == len(records)
+        va, _ = embed_batch(model, [a for a, _, _ in records])
+        vb, _ = embed_batch(model, [b for _, b, _ in records])
         expected = "".join(
             "\t".join(format(float(x), ".6g") for x in row) + "\n"
             for row in pair_features(va, vb)
@@ -823,6 +825,41 @@ class TestWritePairFeatures:
         # 200-value rows: 327 to a chunk
         assert len(buffers) == 4 and buffers[0][0] is None
         assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_sides_composed_from_the_file_as_embed_batch_composes_them(
+        self, request, without_kernel, tmp_path, engine, order
+    ):
+        if engine == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        words = ["cat", "café", "Dog", "äpfel", "the", "a", "été"]
+        buckets = 31 if order > 1 else 0
+        source = np.random.default_rng(72 + order).normal(size=(len(words) + buckets, 9))
+        model = toy_model(words, source, word_ngrams=order, buckets=buckets)
+        # ideographic and em spaces, capitals that fold, accented unknown tokens
+        rows = [
+            ("CAFÉ\u3000the Cat", "ÄPFEL the\u2003dog"),
+            ("", "the cat"),  # an empty side
+            ("zzé qqq", "Été a"),  # an all-OOV side
+            ("İ cat", "a\u3000b c"),
+            ("the the cat", "Dog dog DOG"),
+        ]
+        path = tmp_path / "sim.tsv"
+        path.write_bytes("".join(f"0.5\t{a}\t{b}\r\n" for a, b in rows).encode())
+        out = io.StringIO()
+        assert write_pair_features(model, SimilarityPairs.read(str(path)), out) == len(rows)
+        va, flags_a = embed_batch(model, [a for a, _ in rows])
+        vb, flags_b = embed_batch(model, [b for _, b in rows])
+        assert flags_a.tolist() == [False, True, True, False, False]
+        assert not flags_b.any()
+        expected = "".join(
+            "\t".join(format(float(x), ".6g") for x in row) + "\n"
+            for row in pair_features(va, vb)
+        )
+        assert out.getvalue() == expected
 
 
 class TestNormProfile:
@@ -855,32 +892,37 @@ class TestAroraWeight:
 SIM_WORDS = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "café"]
 
 
-def read_outcomes(tmp_path, files: list[bytes], without_kernel) -> list:
-    """Each file's path and ``read_similarity_tsv``'s records of it, or its error text.
+def pair_texts(pairs) -> list[tuple[float, str, str]]:
+    """Each record's (gold, sentence a, sentence b), its sides cut from ``side_spans``."""
+    starts, ends = pairs.side_spans()
+    # each side's text follows the tab its span starts with
+    sides = [pairs.data[a + 1 : b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
+    n = len(pairs)
+    return list(zip(pairs.gold.tolist(), sides[:n], sides[n:]))
 
-    Each file's pairs, read as bytes, and its records are also scored by
-    ``evaluate_similarity`` on a toy bigram model; the two must give the
-    same correlations and OOV counts, or the same error.  All of it must
-    be the same with the kernel and without.
+
+def read_outcomes(tmp_path, files: list[bytes], without_kernel) -> list:
+    """Each file's path and the ``pair_texts`` of ``SimilarityPairs.read`` of it, or its
+    error text.
+
+    Each file's pairs are also scored by ``evaluate_similarity`` on a toy
+    bigram model, to its correlations and OOV counts or its error.  All of
+    it must be the same with the kernel and without.
     """
     source = np.random.default_rng(5).normal(size=(len(SIM_WORDS) + 7, 3))
     model = toy_model(SIM_WORDS, source, word_ngrams=2, buckets=7)
 
     def outcome(path):
         try:
-            records = read_similarity_tsv(str(path))
+            pairs = SimilarityPairs.read(str(path))
         except ValueError as err:
             return str(err), None
-        scored = []
-        for pairs in (SimilarityPairs.read(str(path)), records):
-            stats = OovStats()
-            try:
-                scored.append(evaluate_similarity(model, pairs, stats))
-            except ValueError as err:
-                scored.append(str(err))
-            scored.append([getattr(stats, name) for name in OovStats.__slots__])
-        assert scored[:2] == scored[2:]
-        return records, scored[:2]
+        stats = OovStats()
+        try:
+            scored = evaluate_similarity(model, pairs, stats)
+        except ValueError as err:
+            scored = str(err)
+        return pair_texts(pairs), [scored, [getattr(stats, name) for name in OovStats.__slots__]]
 
     paths = [tmp_path / f"sim{i}.tsv" for i in range(len(files))]
     for path, data in zip(paths, files):
@@ -895,17 +937,16 @@ class TestReadSimilarityTsv:
     def test_parses_records(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("3.5\tthe cat\ta cat\n1.0\tdog\tcar\n", encoding="utf-8")
-        records = read_similarity_tsv(str(path))
-        assert records == [
-            SimilarityRecord("the cat", "a cat", 3.5),
-            SimilarityRecord("dog", "car", 1.0),
+        assert pair_texts(SimilarityPairs.read(str(path))) == [
+            (3.5, "the cat", "a cat"),
+            (1.0, "dog", "car"),
         ]
 
     def test_malformed_line_cites_number(self, tmp_path, without_kernel):
         path = tmp_path / "sim.tsv"
         path.write_text("3.5\ta\tb\nonly one field\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
-            read_similarity_tsv(str(path))
+            SimilarityPairs.read(str(path))
         # the first bad line wins; on one line a UTF-8 error, then the fields, then the score
         cases = [
             (b"3.5\ta\tb\nonly one field\n", "line 2: expected 3 tab-separated fields, got 1"),
@@ -925,7 +966,7 @@ class TestReadSimilarityTsv:
         found = read_outcomes(tmp_path, [data for data, _ in cases], without_kernel)
         for (_, problem), (path, got) in zip(cases, found):
             if problem is None:
-                assert [r.sentence_b for r in got] == ["b", "d"]
+                assert [b for _, _, b in got] == ["b", "d"]
             else:
                 assert got == f"{path}: {problem}"
 
@@ -934,13 +975,12 @@ class TestReadSimilarityTsv:
         path = tmp_path / "sim.tsv"
         path.write_text(f"0.5\ta\tb\n{score}\ta\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}: line 2: non-finite"):
-            read_similarity_tsv(str(path))
+            SimilarityPairs.read(str(path))
 
     def test_universal_newlines(self, tmp_path, without_kernel):
         path = tmp_path / "sim.tsv"
         path.write_bytes(b"1\ta\tb\r\n2\tc\td\r\r3\te\tf\n4\tg\x0bh\ti")
-        records = read_similarity_tsv(str(path))
-        assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == [
+        assert pair_texts(SimilarityPairs.read(str(path))) == [
             (1.0, "a", "b"), (2.0, "c", "d"), (3.0, "e", "f"), (4.0, "g\x0bh", "i"),
         ]
         ab_cd = [(1.0, "a b", "c"), (2.0, "d", "e F")]
@@ -959,7 +999,7 @@ class TestReadSimilarityTsv:
         ]
         found = read_outcomes(tmp_path, [data for data, _ in cases], without_kernel)
         for (data, want), (_, records) in zip(cases, found):
-            assert [(r.gold, r.sentence_a, r.sentence_b) for r in records] == want, data
+            assert records == want, data
 
     def test_carriage_returns_read_as_line_feeds(self, tmp_path):
         # a file without \r skips the rewrite; CRLF, lone-CR and mixed files
@@ -998,13 +1038,13 @@ class TestReadSimilarityTsv:
         with pytest.raises(ValueError, match=(
             f"{path}: line 3: invalid UTF-8 at byte offset 4: invalid continuation byte"
         )):
-            read_similarity_tsv(str(path))
+            SimilarityPairs.read(str(path))
 
     def test_bad_score_cites_number(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("x\ta\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
-            read_similarity_tsv(str(path))
+            SimilarityPairs.read(str(path))
 
     def test_plain_decimals_make_no_object_per_record(self, tmp_path, kernel):
         # the kernel's arrays take 41 bytes a line: three offsets, a line index, a score

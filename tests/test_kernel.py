@@ -31,6 +31,7 @@ from conftest import (
     word_path_tokens,
     word_path_words,
     write_corpus,
+    write_pairs,
     zipf_topic_sentences,
 )
 
@@ -812,7 +813,7 @@ class TestPairDots:
             assert (np.abs(got[0] - exact_dots(vectors)) <= bound).all()
         assert (known == 0).sum() > 8 and (known > 0).sum() > 50
 
-    def test_non_ascii_pairs_rewritten_for_the_engines(self, kernel):
+    def test_non_ascii_pairs_rewritten_for_the_engines(self, kernel, tmp_path):
         words = ["cat", "café", "Dog", "äpfel", "the", "i̇", "a", "été"]
         vocab = Vocabulary(
             words=[(w, 5) for w in words], word_index={w: i for i, w in enumerate(words)},
@@ -825,15 +826,10 @@ class TestPairDots:
                                        target=np.zeros((len(words), 11), np.float32), dim=11),
         )
         sides = ["CAFÉ\u3000the Cat", "İ cat", "ÄPFEL the\u2003dog", "Été a", "zzé", "", "the"]
-        records = [
-            evaluation.SimilarityRecord(a, b, 0.5) for a in sides for b in reversed(sides)
-        ]
-        pairs = evaluation.SimilarityPairs.of(records)
-        bounds = pairs.ends
-        _, _, data, starts, ends = evaluation._engine_text(
-            model, pairs.data, np.concatenate([bounds[0::3], bounds[1::3]]),
-            np.concatenate([bounds[1::3], bounds[2::3]]),
+        pairs = write_pairs(
+            tmp_path / "sim.tsv", [(a, b, 0.5) for a in sides for b in reversed(sides)]
         )
+        _, _, data, starts, ends = evaluation._engine_text(model, pairs.data, *pairs.side_spans())
         got, want = (
             build.pair_dots(evaluation._table(vocab, build), model.matrices.source, 31, 2,
                             data, starts, ends)
