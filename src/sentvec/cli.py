@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .corpus import _decode_line
+from .corpus import _check_utf8, _line_blocks, _line_spans
 from .evaluation import (
     OovStats,
     SimilarityPairs,
@@ -39,13 +39,9 @@ from .trainer import (
 
 THREADS_ENV_VAR = "SENTVEC_THREADS"
 
-# stdin lines embedded and written per batch; embed streams its input
-_EMBED_CHUNK_LINES = 1024
 # bytes of embed's text buffer, which each kernel call fills with whole lines;
 # raised to one line's worst case at a dim too large for it
 _EMBED_TEXT_BYTES = 1 << 18
-# most stdin bytes (or characters, from a text stdin) taken per read
-_STDIN_BLOCK = 1 << 20
 
 logger = logging.getLogger(__name__)
 
@@ -208,60 +204,6 @@ def _log_oov(stats: OovStats) -> None:
     )
 
 
-def _stdin_batches():
-    """Stdin as batches of up to ``_EMBED_CHUNK_LINES`` lines, split at ``\\n``.
-
-    A batch is ``(data, starts, ends)``: its line i is
-    ``data[starts[i]:ends[i]]``.  Stdin's bytes are read when it has them,
-    a block at a time, and each batch is cut from the blocks at its
-    newline offsets, so no line becomes an object of its own.  A batch
-    that is not all ASCII is decoded as UTF-8, which names the line and
-    byte offset of invalid input.  A text stdin without bytes gives
-    ``str`` batches.
-    """
-    if sys.stdin is None:
-        raise ValueError("no standard input to read sentences from (stdin is closed)")
-    source = getattr(sys.stdin, "buffer", sys.stdin)
-    read = getattr(source, "read1", source.read)
-    # the blocks not yet batched, and the offsets of their newlines once they are joined
-    size, lineno, pending, offsets, held, newlines = _EMBED_CHUNK_LINES, 0, [], [], 0, 0
-    while True:
-        block = read(_STDIN_BLOCK)
-        if isinstance(block, str):  # from a text stdin
-            newline, at = "\n", np.cumsum([len(line) + 1 for line in block.split("\n")])[:-1] - 1
-        else:
-            newline, at = b"\n", np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        pending.append(block)
-        offsets.append(at + held)
-        held, newlines = held + len(block), newlines + len(at)
-        if block and newlines < size:
-            continue
-        data, ends = type(block)().join(pending), np.concatenate(offsets)
-        if not block and data and not data.endswith(newline):
-            ends = np.append(ends, len(data))  # the last line, which has no \n
-        starts = np.concatenate([[0], ends + 1])
-        done = len(ends) if not block else len(ends) // size * size
-        for first in range(0, done, size):
-            stop = min(first + size, done)
-            a = int(starts[first])
-            batch = data[a : int(starts[stop])]
-            line_starts, line_ends = starts[first:stop] - a, ends[first:stop] - a
-            if isinstance(batch, bytes) and not batch.isascii():
-                try:
-                    batch.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    # the line ends are ASCII, so the bad bytes lie inside one line
-                    i = int(np.searchsorted(line_ends, err.start, "right"))
-                    _decode_line(batch[line_starts[i] : line_ends[i]], "stdin", lineno + i + 1)
-            lineno += stop - first
-            yield batch, line_starts, line_ends
-        if not block:
-            return
-        rest = int(starts[done])
-        pending, offsets, held = [data[rest:]], [ends[done:] - rest], len(data) - rest
-        newlines = len(ends) - done
-
-
 def cmd_embed(args) -> int:
     from . import _native
 
@@ -274,8 +216,17 @@ def cmd_embed(args) -> int:
     out = getattr(sys.stdout, "buffer", None)
     if out is not None:
         sys.stdout.flush()  # text written before goes first
-    for batch in _stdin_batches():
-        engine, table, data, starts, ends = _engine_text(model, *batch)
+    if sys.stdin is None:
+        raise ValueError("no standard input to read sentences from (stdin is closed)")
+    # stdin's bytes when it has them; the str of a text stdin holds no invalid UTF-8
+    stdin = getattr(sys.stdin, "buffer", None)
+    lines = 0
+    for block in _line_blocks(sys.stdin if stdin is None else stdin):
+        if stdin is not None:
+            _check_utf8(block, "stdin", lines)
+        starts, ends = _line_spans(block)
+        lines += len(ends)
+        engine, table, data, starts, ends = _engine_text(model, block, starts, ends)
         known, tokens = [], 0
         for size, fill_known, fill_tokens in engine.embed_rows(
             table, source, model.buckets, model.word_ngrams, data, starts, ends,
@@ -287,7 +238,7 @@ def cmd_embed(args) -> int:
                 out.write(view[:size])
             else:
                 sys.stdout.write(str(view[:size], "ascii"))
-        # one count per batch: a fill holds as few as 34 lines at dim 700
+        # one count per block: a fill holds as few as 34 lines at dim 700
         _all_oov(np.concatenate(known), tokens, stats)
     _log_oov(stats)
     return 0

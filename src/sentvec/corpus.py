@@ -4,12 +4,14 @@ A corpus is newline-delimited UTF-8 text, one sentence per line (gzip
 accepted when the filename ends in ".gz").  Sentences are tokenized by
 splitting on Unicode whitespace; there is no internal sentence splitting.
 One pass gives both the vocabulary, whose frequent words get dense ids by
-descending count, and the corpus as CSR ids.  A corpus file is read in raw
-blocks, and the native kernel splits and interns every line; Python first
-rewrites a line with a byte >= 0x80, and every line when lowercasing, as its
-``str.split`` tokens joined by spaces.  Word n-grams are mapped to a fixed
-number of bucket rows through a deterministic 32-bit hash so that
-models remain portable across implementations.
+descending count, and the corpus as CSR ids.  A corpus file is read in
+blocks of whole lines, and the native kernel splits and interns every line;
+Python first rewrites a line with a byte >= 0x80, and every line when
+lowercasing, as its ``str.split`` tokens joined by spaces.  ``embed``'s stdin
+takes the same block reader, UTF-8 check and rewrite; similarity files and
+``embed_batch`` lines take the check or the rewrite too.  Word n-grams are
+mapped to a fixed number of bucket rows through a deterministic 32-bit hash
+so that models remain portable across implementations.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ FNV_PRIME = 16777619
 NGRAM_CHAIN_MULTIPLIER = 116049371
 _U32 = 0xFFFFFFFF
 
-# bytes read from a corpus file at a time: blocks below glibc's default mmap
-# threshold (128 KiB) come from the heap, so freeing them does not raise the
-# threshold and leave later large temporaries resident in the heap
+# bytes read at a time from a corpus file or embed's stdin, and decoded at a time by
+# the UTF-8 check: blocks below glibc's default mmap threshold (128 KiB) come from
+# the heap, so freeing them does not raise the threshold and leave later large
+# temporaries resident in the heap
 _BLOCK_BYTES = 1 << 16
 
 
@@ -234,55 +237,115 @@ def encode_corpus(
 
 
 def _encode_file(encoder, corpus: CorpusFile) -> None:
-    """Read ``corpus`` into an engine's ``Encoder``.
-
-    Blocks of ``_BLOCK_BYTES`` are split at ``\\n`` only, as iterating a
-    binary file splits them, and a block's last, unfinished line waits for
-    the next block.
-    """
-    pending = bytearray()
+    """Read ``corpus`` into an engine's ``Encoder``, a block of whole lines at a time."""
+    tokens = (lambda text: text.lower().split()) if corpus.lowercase else str.split
     lines = 0
     with corpus.open() as handle, _gzip_errors(corpus.path):
-        while block := handle.read(_BLOCK_BYTES):
-            pending += block
-            cut = block.rfind(b"\n") + 1
-            if cut:
-                cut += len(pending) - len(block)
-                _encode_lines(encoder, pending, cut, corpus, lines)
-                lines += pending.count(b"\n", 0, cut)
-                del pending[:cut]
-    if pending:
-        _encode_lines(encoder, pending, len(pending), corpus, lines)
+        for block in _line_blocks(handle):
+            # the message of a line with its end, as iterating the file reads it
+            _check_utf8(block, corpus.path, lines, keep_end=True)
+            lines += block.count(b"\n")
+            if corpus.lowercase or not block.isascii():
+                if not block.endswith(b"\n"):
+                    block += b"\n"  # ends the last line: its rewrite may leave it empty
+                block = _rewrite_lines(block, *_line_spans(block), tokens, corpus.lowercase)[0]
+            encoder.encode_lines(block, len(block))
 
 
-def _encode_lines(encoder, data: bytearray, stop: int, corpus: CorpusFile, before: int) -> None:
-    """Encode the lines of ``data[:stop]``, which follow line ``before`` of the corpus.
+def _line_blocks(stream) -> Iterator[bytes]:
+    """The bytes of ``stream`` in blocks of whole lines: every block but the last ends at ``\\n``.
 
-    The encoders split at ASCII whitespace only.  So a line with a byte
-    >= 0x80, and every line when lowercasing, is decoded and split by
-    ``str.split``, which knows the non-ASCII whitespace too, and its tokens
-    joined by spaces take its place in the bytes the encoder reads.
+    A block holds the lines that end within one read of up to
+    ``_BLOCK_BYTES`` (``read1`` where the stream has it, so a pipe's lines
+    go on as they come), from the start of the first, which earlier reads
+    may hold.  A text stream's ``str`` is encoded as UTF-8, a lone
+    surrogate passed through.
     """
-    lowercase = corpus.lowercase
-    if lowercase or not data.isascii():
-        lines = bytes(data[:stop]).split(b"\n")
-        if lines[-1]:
-            lines.append(b"")  # ends the last line: its rewrite may leave it empty
-        start = 0
-        for i, line in enumerate(lines):
-            if lowercase or not line.isascii():
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    # the message of the line with its end, as iterating the file reads it
-                    raw = data[start : start + len(line) + 1]
-                    _decode_line(raw, corpus.path, before + 1 + i)
-                    raise
-                lines[i] = " ".join((text.lower() if lowercase else text).split()).encode()
-            start += len(line) + 1
-        data = b"\n".join(lines)
-        stop = len(data)
-    encoder.encode_lines(data, stop)
+    read = getattr(stream, "read1", stream.read)
+    pending = []  # the reads since the last line end
+    while chunk := read(_BLOCK_BYTES):
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8", "surrogatepass")
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]] if cut < len(chunk) else []
+        else:
+            pending.append(chunk)
+    if rest := b"".join(pending):
+        yield rest
+
+
+def _line_spans(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 (starts, ends) of the lines of ``data``, which end at ``\\n`` or at its end."""
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    return np.concatenate([[0], ends + 1])[: len(ends)], ends
+
+
+def _check_utf8(data: bytes, path, before: int, keep_end: bool = False) -> None:
+    """Raise ``_decode_line``'s ``ValueError`` for the first line of ``data`` that is not UTF-8.
+
+    ``data`` holds lines that end at ``\\n`` and follow line ``before`` of
+    file ``path``.  It is decoded in pieces of whole lines of about
+    ``_BLOCK_BYTES``, whose ``str`` the heap reuses; the line a decode fails
+    in is then decoded alone, with its ``\\n`` when ``keep_end`` is set, for
+    the byte offset and reason a line-by-line reader gives.
+    """
+    if data.isascii():
+        return
+    view, at = memoryview(data), 0
+    while at < len(data):
+        stop = data.find(b"\n", at + _BLOCK_BYTES) + 1 or len(data)
+        try:
+            str(view[at:stop], "utf-8")
+        except UnicodeDecodeError as err:
+            # the line ends are ASCII, so the bad bytes lie inside one line
+            bad = at + err.start
+            start = data.rfind(b"\n", 0, bad) + 1
+            end = data.find(b"\n", bad)
+            end = len(data) if end < 0 else end + keep_end
+            _decode_line(data[start:end], path, before + data.count(b"\n", 0, start) + 1)
+        at = stop
+
+
+def _rewrite_lines(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, tokens, every: bool = False
+) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The lines ``data[starts[i]:ends[i]]`` as bytes the engines split: ``(data, starts, ends)``.
+
+    The engines split at ASCII whitespace only.  So each line with a byte
+    >= 0x80, or every line when ``every`` is set, is decoded (a lone
+    surrogate passes) and replaced by the ``tokens`` it gives, joined by
+    spaces; one numpy pass finds those lines.  The rewrites are spliced
+    into one buffer with the bytes around them, so ``\\n``-separated lines
+    stay so.  The spans must not overlap.
+    """
+    if every:
+        chosen = np.arange(len(ends))
+    elif data.isascii():
+        return data, starts, ends
+    else:
+        high = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) >= 0x80)
+        chosen = np.flatnonzero(np.searchsorted(high, starts) < np.searchsorted(high, ends))
+    chosen = chosen[np.argsort(starts[chosen], kind="stable")]  # in the order of data
+    # the pieces are views: the join is the one copy of data
+    view, pieces, lengths, at = memoryview(data), [], [], 0
+    for a, b in zip(starts[chosen].tolist(), ends[chosen].tolist()):
+        text = " ".join(tokens(str(view[a:b], "utf-8", "surrogatepass")))
+        pieces += (view[at:a], text.encode("utf-8", "surrogatepass"))
+        lengths.append(len(pieces[-1]))
+        at = b
+    pieces.append(view[at:])
+    # each span moves by what the rewritten spans before it grew
+    lengths = np.array(lengths, dtype=np.int64)
+    growth = np.cumsum(lengths - (ends[chosen] - starts[chosen]))
+    shift = np.concatenate([[0], growth])[np.searchsorted(ends[chosen], starts, "right")]
+    starts, ends = starts + shift, ends + shift
+    ends[chosen] = starts[chosen] + lengths
+    return b"".join(pieces), starts, ends
 
 
 def build_vocab(

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .corpus import Vocabulary, _decode_line
+from .corpus import Vocabulary, _check_utf8, _rewrite_lines
 from .trainer import TrainedModel, _text_output
 
 __all__ = [
@@ -66,12 +66,11 @@ class SimilarityPairs:
         splits them; empty lines are skipped but counted.  Every other line
         must hold exactly two tabs and a finite score, and the file must be
         UTF-8.  One engine call (``pair_fields``) finds the tabs and line ends
-        of the whole file and parses each plain-decimal score, one decode
-        checks its UTF-8, and ``float()`` parses each other score.  The first
-        line that fails a check raises a ``ValueError`` citing ``path`` and
-        the line number, with the text a line-by-line reader gives: an
-        invalid UTF-8 line's byte offset and reason come from decoding that
-        line alone.
+        of the whole file and parses each plain-decimal score, ``float()``
+        parses each other score, and ``corpus._check_utf8`` checks the UTF-8
+        of the lines up to the first bad one.  The first line that fails a
+        check raises a ``ValueError`` citing ``path`` and the line number,
+        with the text a line-by-line reader gives.
         """
         from . import _native
 
@@ -81,24 +80,20 @@ class SimilarityPairs:
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         ends, lines, gold, flags, bad_line, bad_start = _native.engine().pair_fields(data)
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                # the line ends are ASCII, so the bad bytes start inside record k's
-                # line, or else inside the first bad line
-                k = int(np.searchsorted(ends[2::3], err.start))
-                if k < len(lines):
-                    bad_line, bad_start = int(lines[k]), _line_start(data, ends[3 * k])
-                    ends, lines, gold, flags = ends[: 3 * k], lines[:k], gold[:k], flags[:k]
         for k in np.flatnonzero(flags).tolist():
             tab = int(ends[3 * k])
-            gold[k] = _score(data[_line_start(data, tab) : tab], path, int(lines[k]) + 1)
+            try:
+                gold[k] = _score(data[_line_start(data, tab) : tab], path, int(lines[k]) + 1)
+            except ValueError:
+                # an invalid UTF-8 line up to record k's goes first
+                _check_utf8(data[: ends[3 * k + 2]], path, 0)
+                raise
+        # the UTF-8 of the records and of the first bad line; what follows it is not read
+        line_end = data.find(b"\n", bad_start) if bad_line >= 0 else -1
+        stop = len(data) if line_end < 0 else line_end
+        _check_utf8(data[:stop], path, 0)
         if bad_line >= 0:
-            line_end = data.find(b"\n", bad_start)
-            line = data[bad_start : len(data) if line_end < 0 else line_end]
-            _decode_line(line, path, bad_line + 1)
-            fields = line.count(b"\t") + 1
+            fields = data.count(b"\t", bad_start, stop) + 1
             raise ValueError(
                 f"{path}: line {bad_line + 1}: expected 3 tab-separated fields, got {fields}"
             )
@@ -146,23 +141,6 @@ class OovStats:
         return self.oov_tokens / self.tokens if self.tokens else 0.0
 
 
-def _kernel_line(vocab: Vocabulary, text) -> bytes:
-    """Line ``text`` as bytes in which an engine's ``embed_text`` finds ``_python_ids``' ids.
-
-    An ASCII line stays as it is.  Any other is split by ``str.split``, and
-    each token the vocabulary lacks is ``str.lower()``ed, which leaves no
-    ASCII capital for the kernel's own case fold; the tokens are joined by
-    spaces, which the engines split at.
-    """
-    if text.isascii():
-        return text.encode("ascii") if isinstance(text, str) else text
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    index = vocab.word_index
-    text = " ".join([t if t in index else t.lower() for t in text.split()])
-    return text.encode("utf-8", "surrogatepass")
-
-
 def _table(vocab: Vocabulary, engine):
     """``engine``'s lookup table of ``vocab``'s words, cached beside the engine that built it."""
     if vocab._lookup is None or vocab._lookup[0] is not engine:
@@ -170,43 +148,35 @@ def _table(vocab: Vocabulary, engine):
     return vocab._lookup[1]
 
 
-def _engine_text(model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """The engine that composes the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes
-    buffer, its lookup table, and those lines as bytes it splits: ``(engine, table, data,
-    starts, ends)``.
+def _engine_text(model: TrainedModel, data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The engine that composes the lines ``data[starts[i]:ends[i]]``, its lookup table, and
+    those lines as bytes it splits: ``(engine, table, data, starts, ends)``.
 
-    An ASCII buffer goes to it whole, and any other is cut into its lines,
-    which ``_kernel_line`` rewrites.  Source rows that are not C-contiguous
-    float32 take the numpy reference engine.
+    ``corpus._rewrite_lines`` rewrites each line with a byte >= 0x80 as its
+    ``str.split`` tokens, each non-ASCII one that the vocabulary lacks
+    ``str.lower()``ed, which leaves no ASCII capital for the kernel's own
+    case fold.  An ASCII token stays as it is: the kernel folds it as
+    ``str.lower()`` would.  Source rows that are not C-contiguous float32
+    take the numpy reference engine.
     """
     from . import _native
 
     source = model.matrices.source
     kernel_rows = source.dtype == np.float32 and source.flags.c_contiguous
     engine = _native.engine() if kernel_rows else _native.reference()
-    if not data.isascii():
-        bounds = zip(starts.tolist(), ends.tolist())
-        lines = [_kernel_line(model.vocab, data[a:b]) for a, b in bounds]
-        data = b"".join(lines)
-        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-    elif isinstance(data, str):
-        data = data.encode("ascii")
+
+    def token(t: str) -> str:
+        if t.isascii():
+            return t
+        lower = t.lower()
+        # only a token that lowering changes needs the vocabulary's dict
+        return t if lower == t or t in model.vocab.word_index else lower
+
+    def tokens(text: str) -> list[str]:
+        return list(map(token, text.split()))
+
+    data, starts, ends = _rewrite_lines(data, starts, ends, tokens)
     return engine, _table(model.vocab, engine), data, starts, ends
-
-
-def _embed_spans(
-    model: TrainedModel, data, starts: np.ndarray, ends: np.ndarray, stats: OovStats | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``embed_batch`` of the lines ``data[starts[i]:ends[i]]`` of one ``str`` or bytes buffer,
-    in one engine call."""
-    engine, table, data, starts, ends = _engine_text(model, data, starts, ends)
-    vectors, known, tokens = engine.embed_text(
-        table, model.matrices.source, model.buckets, model.word_ngrams, data,
-        np.ascontiguousarray(starts), np.ascontiguousarray(ends),
-    )
-    return vectors, _all_oov(known, tokens, stats)
 
 
 def _all_oov(known: np.ndarray, tokens: int, stats: OovStats | None) -> np.ndarray:
@@ -226,7 +196,8 @@ def embed_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compose the embeddings of many lines; returns (vectors, all_oov flags).
 
-    Each line, a ``str`` or UTF-8 ``bytes``, is split on whitespace.
+    Each line, a ``str`` or UTF-8 ``bytes``, is split on whitespace; a
+    ``str`` line is encoded as UTF-8 first, a lone surrogate passed through.
     Tokens are looked up verbatim, then lowercased as a fallback, and
     skipped when still unknown.  A line's vector is the mean of its
     unigram rows and of the bucket rows of its n-grams of order
@@ -234,15 +205,17 @@ def embed_batch(
     in-vocabulary token gets the zero vector and its flag set.  ``stats``,
     when given, accumulates the batch's line and token counts.
     """
-    lines = list(lines)
-    try:
-        data = ("" if lines and isinstance(lines[0], str) else b"").join(lines)
-    except TypeError:  # str and bytes lines mixed
-        lines = [text if isinstance(text, str) else text.decode("utf-8") for text in lines]
-        data = "".join(lines)
+    lines = [
+        text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+        for text in lines
+    ]
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     ends = np.cumsum(lengths)
-    return _embed_spans(model, data, ends - lengths, ends, stats)
+    engine, table, data, starts, ends = _engine_text(model, b"".join(lines), ends - lengths, ends)
+    vectors, known, tokens = engine.embed_text(
+        table, model.matrices.source, model.buckets, model.word_ngrams, data, starts, ends
+    )
+    return vectors, _all_oov(known, tokens, stats)
 
 
 def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
@@ -404,19 +377,24 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
     """Write one TSV row of 2*dim floats per record, for external classifiers.
 
     Both sides of every pair are composed as ``embed_batch`` composes
-    them, in one engine call on their spans of the ``pairs``' bytes
-    (``side_spans``).  Every record produces a row (an all-OOV side
-    contributes the zero vector); returns the number of rows written.
-    ``destination`` is a path or an open text file.
+    them, from their spans of the ``pairs``' bytes (``side_spans``), one
+    chunk of ``_PAIR_CHUNK_VALUES`` feature values at a time, so the memory
+    held does not grow with the pairs.  Every record produces a row (an
+    all-OOV side contributes the zero vector); returns the number of rows
+    written.  ``destination`` is a path or an open text file.
     """
-    n = len(pairs)
-    vectors, _ = _embed_spans(model, pairs.data, *pairs.side_spans(), None)
-    features = pair_features(vectors[:n], vectors[n:])
-    step = max(1, _PAIR_CHUNK_VALUES // max(1, features.shape[1]))
+    n, source = len(pairs), model.matrices.source
+    engine, table, data, starts, ends = _engine_text(model, pairs.data, *pairs.side_spans())
+    step = max(1, _PAIR_CHUNK_VALUES // max(1, 2 * source.shape[1]))
     text = RowText()  # one buffer for every chunk
     with _text_output(destination) as fh:
-        for start in range(0, n, step):
-            fh.write(str(text(features[start : start + step], "\t"), "ascii"))
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            sides = np.r_[a:b, n + a : n + b]
+            vectors = engine.embed_text(
+                table, source, model.buckets, model.word_ngrams, data, starts[sides], ends[sides]
+            )[0]
+            fh.write(str(text(pair_features(vectors[: b - a], vectors[b - a :]), "\t"), "ascii"))
     return n
 
 

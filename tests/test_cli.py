@@ -359,7 +359,7 @@ class TestEmbedCommand:
             monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
             assert main(["embed", "--model", model_path, "--oov-flag"]) == 0
             separate.append(capsys.readouterr().out)
-        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 3)
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", 8)  # blocks of one to four lines
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         assert main(["embed", "--model", model_path, "--oov-flag"]) == 0
         assert capsys.readouterr().out == "".join(separate)
@@ -439,7 +439,7 @@ class TestEmbedStreams:
         assert printed.count(b"\n") == EMBED_INPUT.count("\n") + 2
 
     def test_invalid_utf8_names_the_line(self, model_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", 16)  # lines 1-2, then 3-4
         source = tmp_path / "in.txt"
         source.write_bytes("a0001\nb0002\nça va\n".encode() + b"ok \xff a0001\n")
         out = tmp_path / "out.txt"
@@ -449,14 +449,14 @@ class TestEmbedStreams:
         assert capsys.readouterr().err.strip() == (
             "error: stdin: line 4: invalid UTF-8 at byte offset 3: invalid start byte"
         )
-        # the batches before the bad line were written
+        # the block before the bad line's was written
         assert len(out.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("native", [True, False])
     def test_batches_and_blocks_print_the_same_bytes(
         self, model_path, tmp_path, monkeypatch, request, without_kernel, native
     ):
-        # a line's text does not depend on its batch, nor on the stdin reads it straddles
+        # a line's text does not depend on its block, nor on the text buffer's fills
         if native:
             request.getfixturevalue("kernel")
         else:
@@ -479,24 +479,21 @@ class TestEmbedStreams:
             source = tmp_path / "in.txt"
             source.write_bytes(text.encode())
             # a text buffer of 1 byte grows to one line's worst case
-            for chunk, block, buffer in itertools.product(
-                [1, 2, 3, 1024], [3, 1 << 20], [1, cli._EMBED_TEXT_BYTES]
-            ):
-                monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", chunk)
-                monkeypatch.setattr("sentvec.cli._STDIN_BLOCK", block)
+            for block, buffer in itertools.product([3, 1 << 16], [1, cli._EMBED_TEXT_BYTES]):
+                monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", block)
                 monkeypatch.setattr("sentvec.cli._EMBED_TEXT_BYTES", buffer)
                 out = tmp_path / "out.txt"
                 with open(source, encoding="utf-8") as fin, open(out, "w") as fout:
                     assert self.run_embed(model_path, fin, fout, monkeypatch) == 0
-                assert out.read_bytes() == want, (chunk, block, buffer)
-                if chunk in (3, 1024):  # a text stdin and stdout, read in characters
-                    printed = io.StringIO()
-                    stdin = io.StringIO(text, newline="\n")
-                    assert self.run_embed(model_path, stdin, printed, monkeypatch) == 0
-                    assert printed.getvalue().encode() == want, (chunk, block, buffer)
+                assert out.read_bytes() == want, (block, buffer)
+                # a text stdin and stdout, read in characters
+                printed = io.StringIO()
+                stdin = io.StringIO(text, newline="\n")
+                assert self.run_embed(model_path, stdin, printed, monkeypatch) == 0
+                assert printed.getvalue().encode() == want, (block, buffer)
 
     def test_memory_does_not_grow_with_the_batch(self, tmp_path, monkeypatch, kernel):
-        # one batch of all the lines: their text and int64 offsets grow with them, but no
+        # one block of all the lines: their text and int64 offsets grow with them, but no
         # (n, dim) vector array (2,800 bytes a line at dim 700) nor a text buffer sized
         # for their worst case (9,103 bytes a line)
         import tracemalloc
@@ -513,7 +510,7 @@ class TestEmbedStreams:
             vocab=vocab, word_ngrams=2, buckets=101, subsample_t=1e-5,
             matrices=EmbeddingMatrices(source, np.zeros((200, 700), np.float32), 700),
         ), str(model))
-        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 1 << 20)
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", 1 << 20)
 
         def peak(n_lines):
             lines = "".join(" ".join(rng.choice(words, 3)) + "\n" for _ in range(n_lines))
@@ -531,25 +528,26 @@ class TestEmbedStreams:
         assert peak(4096) - peak(1024) <= 3072 * 8 * 12
 
     @pytest.mark.parametrize("block", [8, 40])
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("lead", [1, 2, 3, 1024])
     def test_invalid_utf8_in_a_later_block(
-        self, model_path, tmp_path, monkeypatch, capsys, chunk, block
+        self, model_path, tmp_path, monkeypatch, capsys, lead, block
     ):
-        # a read can end inside a batch or hold lines of two batches
-        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", chunk)
-        monkeypatch.setattr("sentvec.cli._STDIN_BLOCK", block)
+        # a read can end inside a line or hold the ends of many; ``lead`` lines come first
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", block)
+        good = b"a0001 a0002\n" * lead + "\u00e7a va\n".encode() + b"a0003\n"
         source = tmp_path / "in.txt"
-        source.write_bytes(
-            b"a0001 a0002\n" * 3 + "\u00e7a va\n".encode() + b"a0003\nok \xff a0001\nb0001\n"
-        )
+        source.write_bytes(good + b"ok \xff a0001\nb0001\n")
         out = tmp_path / "out.txt"
         with open(source, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
             assert self.run_embed(model_path, fin, fout, monkeypatch) == 1
         assert capsys.readouterr().err.strip() == (
-            "error: stdin: line 6: invalid UTF-8 at byte offset 3: invalid start byte"
+            f"error: stdin: line {lead + 3}: invalid UTF-8 at byte offset 3: invalid start byte"
         )
-        # every batch before the one holding the bad line was written
-        assert len(out.read_text().splitlines()) == 5 // chunk * chunk
+        # a block holds the lines that end in one read: every line that ends in a read
+        # before the one holding the bad line's end was written
+        bad_end = len(good) + len(b"ok \xff a0001")
+        written = good.count(b"\n", 0, bad_end // block * block)
+        assert len(out.read_text().splitlines()) == written
 
     @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
     def test_invalid_utf8_exits_one_under_every_locale(self, model_path, locale):
@@ -719,12 +717,86 @@ class TestEvalSimCommand:
         assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
         assert calls == [("pair_dots", 10)]
         calls.clear()
-        monkeypatch.setattr("sentvec.cli._EMBED_CHUNK_LINES", 2)
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", 8)
         monkeypatch.setattr("sys.stdin", io.StringIO("a0001\nb0002 a0003\n\nzzz\na0002\n"))
         assert main(["embed", "--model", model_path]) == 0
-        assert calls == [("embed_rows", 2), ("embed_rows", 2), ("embed_rows", 1)]
+        # the blocks end in reads of 8 characters: lines 1, 2-4 and 5
+        assert calls == [("embed_rows", 1), ("embed_rows", 3), ("embed_rows", 1)]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5
 
+
+class TestOnlyNonAsciiLinesRewritten:
+    """Python rewrites only the lines and sides that hold a byte >= 0x80."""
+
+    @staticmethod
+    def lines(n):
+        # every fourth line has a non-ASCII token or space; the rest are ASCII
+        rng = np.random.default_rng(47)
+        odd = ["caf\u00e9", "A0003\u3000b0002", "\u00c9T\u00c9", "a0001\u00a0A0002"]
+        lines = []
+        for i in range(n):
+            words = [f"{'ab'[i % 2]}{int(rng.integers(50)):04d}" for _ in range(3)]
+            if i % 4 == 0:
+                words[1] = odd[i // 4 % len(odd)]
+            lines.append(" ".join(words))
+        return lines
+
+    def test_outputs_equal_the_reference_engine_and_only_non_ascii_lines_are_rewritten(
+        self, model_path, tmp_path, monkeypatch, capsys, kernel, without_kernel
+    ):
+        from sentvec import evaluation
+        from sentvec.evaluation import SimilarityPairs, write_pair_features
+
+        seen = []
+        rewrite = evaluation._rewrite_lines
+
+        def counting(data, starts, ends, tokens, every=False):
+            def counted(text):
+                seen.append(text)
+                return tokens(text)
+            return rewrite(data, starts, ends, counted, every)
+
+        monkeypatch.setattr(evaluation, "_rewrite_lines", counting)
+        # blocks of about four lines, each with one non-ASCII line
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", 64)
+        lines = self.lines(40)
+        odd = [line for line in lines if not line.isascii()]
+        stdin = tmp_path / "in.txt"
+        stdin.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("".join(
+            f"0.{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(zip(lines[::2], lines[1::2]))
+        ), encoding="utf-8")
+        features = tmp_path / "features.tsv"
+        model = load_model(model_path)
+
+        def outputs():
+            got = {}
+            seen.clear()
+            with open(stdin, encoding="utf-8") as fin:
+                monkeypatch.setattr("sys.stdin", fin)
+                assert main(["embed", "--model", model_path, "--oov-flag"]) == 0
+            got["embed"] = capsys.readouterr().out
+            assert seen == odd
+            seen.clear()
+            assert main(["eval-sim", "--model", model_path, "--dataset", str(dataset)]) == 0
+            got["eval-sim"] = capsys.readouterr().out
+            # a side's span starts at the tab before it
+            assert seen == ["\t" + line for line in odd]
+            seen.clear()
+            vectors, flags = embed_batch(model, lines)
+            got["embed_batch"] = vectors.tobytes(), flags.tolist()
+            assert seen == odd
+            seen.clear()
+            write_pair_features(model, SimilarityPairs.read(str(dataset)), str(features))
+            got["features"] = features.read_bytes()
+            assert seen == ["\t" + line for line in odd]
+            return got
+
+        native = outputs()
+        without_kernel()
+        assert outputs() == native
+        assert native["embed"].count("\n") == len(lines)
 
 class TestNormProfileCommand:
     def test_row_count_equals_vocab(self, model_path, capsys):

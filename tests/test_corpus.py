@@ -479,3 +479,90 @@ class TestNativeEncoding:
     def test_iterating_a_corpus_file_twice_reads_it_twice(self, tmp_path):
         corpus = iter_corpus(str(self.write(tmp_path, b"a b\nc\n")))
         assert list(corpus) == list(corpus) == [["a", "b"], ["c"]]
+
+
+class TestLineBlocks:
+    """``_line_blocks`` cuts a stream into whole lines, ``_rewrite_lines`` rewrites some."""
+
+    # empty lines, a character of two bytes, and one of four, which reads can split
+    TEXT = "a b\n\ncafé au lait\nx\n\n\n\U0001f600 smile\nlast one"
+
+    class Reads:
+        """A text stream whose reads return at most ``size`` characters."""
+
+        def __init__(self, data, size):
+            self.data, self.size, self.at = data, size, 0
+
+        def read(self, n):
+            chunk = self.data[self.at : self.at + min(n, self.size)]
+            self.at += len(chunk)
+            return chunk
+
+    class BinaryReads(Reads):
+        """A binary stream with ``read1``, which is the read that must be used."""
+
+        def read1(self, n):
+            return super().read(n)
+
+        def read(self, n):
+            raise AssertionError("read1 was not used")
+
+    @pytest.mark.parametrize("kind", ["bytes", "str"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 65536])
+    def test_reads_give_the_lines(self, size, final_newline, kind):
+        from sentvec.corpus import _line_blocks
+
+        text = self.TEXT + "\n" * final_newline
+        data = text.encode()
+        stream = self.BinaryReads(data, size) if kind == "bytes" else self.Reads(text, size)
+        blocks = list(_line_blocks(stream))
+        assert all(isinstance(block, bytes) and block for block in blocks)
+        assert all(block.endswith(b"\n") for block in blocks[:-1])
+        assert b"".join(blocks).split(b"\n") == data.split(b"\n")
+        if size == 65536:  # one read: its whole lines, then the unfinished last line
+            cut = data.rfind(b"\n") + 1
+            assert blocks == [block for block in (data[:cut], data[cut:]) if block]
+        elif size == 1:  # a read of one byte ends at most one line
+            assert len(blocks) == data.count(b"\n") + (not final_newline)
+
+    def test_a_text_stream_keeps_a_lone_surrogate(self):
+        from sentvec.corpus import _line_blocks
+
+        blocks = list(_line_blocks(self.Reads("a \udc80\nb", 2)))
+        assert blocks == [b"a \xed\xb2\x80\n", b"b"]
+
+    def test_nothing_to_read_gives_no_block(self):
+        from sentvec.corpus import _line_blocks
+
+        assert list(_line_blocks(self.BinaryReads(b"", 7))) == []
+
+    def test_rewrite_splices_only_the_lines_with_high_bytes(self):
+        from sentvec.corpus import _line_spans, _rewrite_lines
+
+        data = "ab  c\ncafé　x\n\nd E f\nplain".encode()
+        starts, ends = _line_spans(data)
+        seen = []
+
+        def tokens(text):
+            seen.append(text)
+            return text.split()
+
+        got, new_starts, new_ends = _rewrite_lines(data, starts, ends, tokens)
+        assert seen == ["café　x", "d E f"]
+        assert got == "ab  c\ncafé x\n\nd E f\nplain".encode()
+        assert [got[a:b] for a, b in zip(new_starts, new_ends)] == got.split(b"\n")
+        # spans in any order, touching as a pair file's sides do
+        order = np.array([4, 1, 3, 0, 2])
+        again, new_starts, new_ends = _rewrite_lines(data, starts[order], ends[order], str.split)
+        assert again == got
+        assert [again[a:b] for a, b in zip(new_starts, new_ends)] == [
+            got.split(b"\n")[i] for i in order
+        ]
+        lowered, new_starts, new_ends = _rewrite_lines(
+            data, starts, ends, lambda text: text.lower().split(), every=True
+        )
+        assert lowered == "ab c\ncafé x\n\nd e f\nplain".encode()
+        assert [lowered[a:b] for a, b in zip(new_starts, new_ends)] == lowered.split(b"\n")
+        ascii_only = b"a b\nc"
+        assert _rewrite_lines(ascii_only, *_line_spans(ascii_only), tokens)[0] is ascii_only

@@ -826,6 +826,30 @@ class TestWritePairFeatures:
         assert len(buffers) == 4 and buffers[0][0] is None
         assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
 
+    def test_memory_does_not_grow_with_the_pairs(self, tmp_path, kernel):
+        # the sides' int64 spans grow with the pairs, but no (n, dim) vector or feature
+        # array (5,600 and 5,600 bytes a pair at dim 700)
+        rng = np.random.default_rng(72)
+        words = [f"w{i}" for i in range(200)]
+        source = rng.standard_normal((200 + 101, 700)).astype(np.float32)
+        model = toy_model(words, source, word_ngrams=2, buckets=101)
+
+        def peak(n_pairs):
+            pairs = write_pairs(tmp_path / "sim.tsv", [
+                (" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.5)
+                for _ in range(n_pairs)
+            ])
+            with open(tmp_path / "features.tsv", "w", encoding="utf-8") as out:
+                tracemalloc.start()
+                try:
+                    assert write_pair_features(model, pairs, out) == n_pairs
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(16)  # the lookup table's first build
+        assert peak(4096) - peak(1024) <= 3072 * 8 * 12
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("engine", ["kernel", "numpy"])
     def test_sides_composed_from_the_file_as_embed_batch_composes_them(
@@ -1039,6 +1063,28 @@ class TestReadSimilarityTsv:
             f"{path}: line 3: invalid UTF-8 at byte offset 4: invalid continuation byte"
         )):
             SimilarityPairs.read(str(path))
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    def test_first_failing_line_wins(self, tmp_path, monkeypatch, block):
+        # the UTF-8 check decodes pieces of about ``block`` bytes; a bad score, a bad
+        # field count and invalid UTF-8 are each raised for the first line they fail
+        monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", block)
+        ok, bad_utf8, bad_score, bad_fields = b"1\ta\tb\n", b"2\tc \xff\td\n", b"x\ta\tb\n", b"3\n"
+        utf8 = "invalid UTF-8 at byte offset 4: invalid start byte"
+        cases = [
+            (ok * 3 + bad_utf8 + bad_score, f"line 4: {utf8}"),
+            (ok * 3 + bad_score + bad_utf8, "line 4: bad score 'x'"),
+            (ok + b"\xff\ta\tb\n" + bad_score, "line 2: invalid UTF-8 at byte offset 0"),
+            (ok * 2 + bad_utf8 + bad_fields, f"line 3: {utf8}"),
+            (ok * 2 + bad_fields + bad_utf8, "line 3: expected 3 tab-separated fields, got 1"),
+            (ok * 2 + b"\xff\n" + ok, "line 3: invalid UTF-8 at byte offset 0"),
+        ]
+        path = tmp_path / "sim.tsv"
+        for data, message in cases:
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as err:
+                SimilarityPairs.read(str(path))
+            assert str(err.value).startswith(f"{path}: {message}"), data
 
     def test_bad_score_cites_number(self, tmp_path):
         path = tmp_path / "sim.tsv"

@@ -1017,8 +1017,8 @@ class TestEmbedRows:
                  "the", " \u00a0 "]
         vectors, flags = evaluation.embed_batch(model, lines)
         want = str(kernel.format_rows(vectors, " ", flags), "ascii")
-        text = "".join(line + "\n" for line in lines)
-        lengths = np.array([len(line) for line in lines], dtype=np.int64)
+        text = "".join(line + "\n" for line in lines).encode()
+        lengths = np.array([len(line.encode()) for line in lines], dtype=np.int64)
         ends = np.cumsum(lengths + 1) - 1
         _, _, data, starts, ends = evaluation._engine_text(model, text, ends - lengths, ends)
         got, ref = (
