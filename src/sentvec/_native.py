@@ -55,6 +55,10 @@ _OK, _ONLY_TARGET, _NO_MEMORY = 0, 1, 2
 # most bytes one %.6g float32 value and its separator take; G6_VALUE_BYTES in _kernel.c
 _VALUE_BYTES = 13
 
+# bytes of the one text buffer that float rows print through: embed's fills,
+# export-vec's and the pair features'
+_TEXT_BYTES = 1 << 18
+
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
 
@@ -446,9 +450,7 @@ class Kernel:
         counts of its lines and the number of their tokens.  The arguments are
         checked once, before the first call.
         """
-        worst = _VALUE_BYTES * source.shape[1] + 3
-        if len(ends) and len(out) < worst:
-            raise ValueError(f"text buffer of {len(out)} bytes holds no {worst}-byte row")
+        check_room(out, min(len(ends), 1), source.shape[1])
         view, args = self._text_args(table, source, buckets, order, data, starts, ends)
         *head, starts_at, ends_at = args
         known, done = np.empty(len(ends), dtype=np.int64), np.zeros(2, dtype=np.int64)
@@ -537,25 +539,18 @@ class Kernel:
         return ends[: 3 * n], lines[:n], gold[:n], flags[:n], bad_line, bad_start
 
     def format_rows(
-        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None,
-        out: np.ndarray | None = None,
+        self, rows: np.ndarray, sep: str, flags: np.ndarray | None, out: np.ndarray
     ) -> memoryview:
-        """``evaluation.RowText``'s text of float32 ``rows``, written into the uint8 array ``out``.
+        """The text of ``rows``, written at the start of the uint8 array ``out``; returns the
+        text, a view of ``out``.
 
-        A new buffer replaces ``out`` when it is None or too small for
-        the worst case of this shape; the returned view is the text, and
-        its ``obj`` is the buffer, to pass as ``out`` next time.
+        Each row is one line of ``%.6g`` values, the text ``format(x, ".6g")``
+        gives, joined by ``sep``; with ``flags`` each line then ends in a
+        space and the row's flag as 0/1.  ``check_rows`` checks the arguments.
         """
-        n_rows, dim = rows.shape
-        if flags is not None and flags.shape != (n_rows,):
-            raise ValueError(f"flags has shape {flags.shape}, expected ({n_rows},)")
-        if len(sep) != 1 or not sep.isascii():
-            raise ValueError(f"separator must be one ASCII character, got {sep!r}")
-        capacity = n_rows * (_VALUE_BYTES * dim + 3)
-        if out is None or len(out) < capacity:
-            out = np.empty(capacity, dtype=np.uint8)
+        check_rows(rows, sep, flags, out)
         n = self._lib.sv_format_rows(
-            _pointer(rows, np.float32, "rows"), n_rows, dim, sep.encode(),
+            _pointer(rows, np.float32, "rows"), *rows.shape, sep.encode(),
             None if flags is None else _pointer(flags, np.bool_, "flags"),
             _pointer(out, np.uint8, "out"), len(out),
         )
@@ -598,6 +593,45 @@ class Kernel:
         ):
             return None
         return words.tobytes(), ends, counts, span
+
+
+def check_rows(rows: np.ndarray, sep: str, flags: np.ndarray | None, out: np.ndarray) -> None:
+    """Raise ``ValueError`` unless both engines' ``format_rows`` can write ``rows`` into ``out``.
+
+    The rows must be 2-D float32, ``sep`` one ASCII character and
+    ``flags`` None or boolean, one per row, and ``out`` must hold every
+    row's worst case (``check_room``).
+    """
+    if not (rows.ndim == 2 and rows.dtype == np.float32 and len(sep) == 1 and sep.isascii()
+            and (flags is None or flags.dtype == np.bool_ and flags.shape == rows.shape[:1])):
+        got = "no flags" if flags is None else f"{flags.dtype} flags of shape {flags.shape}"
+        raise ValueError("row text needs 2-D float32 rows, a one-character ASCII separator and "
+                         f"boolean flags, one per row; got {rows.dtype} rows of shape "
+                         f"{rows.shape}, {sep!r} and {got}")
+    check_room(out, len(rows), rows.shape[1])
+
+
+def check_room(out: np.ndarray, n_rows: int, dim: int) -> int:
+    """The most bytes one row of ``dim`` values takes as text, ``_VALUE_BYTES * dim + 3``,
+    after checking that the text buffer ``out`` holds ``n_rows`` such rows."""
+    row = _VALUE_BYTES * dim + 3
+    if n_rows * row > len(out):
+        raise ValueError(f"text buffer of {len(out)} bytes holds no {n_rows} rows of {row} bytes")
+    return row
+
+
+def text_buffer(dim: int) -> np.ndarray:
+    """A text buffer for rows of ``dim`` values: ``_TEXT_BYTES``, or one row's worst case
+    where that is longer (dim 20,165 and up)."""
+    return np.empty(max(_TEXT_BYTES, _VALUE_BYTES * dim + 3), dtype=np.uint8)
+
+
+def check_source(source: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``source``, rows that inference reads, is C-contiguous
+    float32, as ``train`` and ``load_model`` make it; the message names its dtype."""
+    if source.dtype != np.float32 or not source.flags.c_contiguous:
+        layout = "C-contiguous" if source.flags.c_contiguous else "non-contiguous"
+        raise ValueError(f"source rows must be C-contiguous float32, got {layout} {source.dtype}")
 
 
 def _address(data) -> tuple[np.ndarray, int]:

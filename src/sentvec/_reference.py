@@ -1,6 +1,6 @@
 """The numpy reference engine: ``_native.engine()`` where the kernel cannot be built, the
-engine of token lists and of rows that are not C-contiguous float32, and the kernel's
-test oracle.  Each function takes the parameters of the ``Kernel`` method of its name."""
+engine of token lists, and the kernel's test oracle.  Each function takes the parameters
+of the ``Kernel`` method of its name."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._native import _VALUE_BYTES
-from .corpus import _word_bytes, ngram_bucket_ids, sentence_ngrams
+from ._native import check_room, check_rows
+from .corpus import _bad_word, _word_bytes, ngram_bucket_ids, sentence_ngrams
 from .model import EmbeddingMatrices, _fill_rows, apply_l1_after_step, lr_schedule
 from .model import ngram_dropout, train_step
 from .sampling import sample_negatives
@@ -33,13 +33,15 @@ def fill_uniform(out, pcg64_state, low, high) -> None:
     _fill_rows(out, low, high, np.random.Generator(bits))
 
 
-def format_rows(rows, sep, flags=None, out=None) -> memoryview:
-    """The kernel's text of ``rows``, by Python's ``%`` operator; ``out`` is not used."""
+def format_rows(rows, sep, flags, out) -> memoryview:
+    """The kernel's text of ``rows``, by Python's ``%`` operator, written into ``out``."""
+    check_rows(rows, sep, flags, out)
     line = sep.join(["%.6g"] * rows.shape[1]) + ("\n" if flags is None else " %d\n")
-    values = rows.tolist()
-    if flags is not None:
-        values = [row + [flag] for row, flag in zip(values, flags.tolist())]
-    return memoryview("".join([line % tuple(row) for row in values]).encode("ascii"))
+    # a float32 column of flags: exactly 0.0 or 1.0, which "%d" prints as 0 or 1
+    values = (rows if flags is None else np.column_stack([rows, flags])).tolist()
+    text = "".join([line % tuple(row) for row in values]).encode("ascii")
+    out[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return memoryview(out)[: len(text)]
 
 
 def lookup_table(words, ends) -> dict[str, int]:
@@ -106,9 +108,7 @@ def embed_rows(table, source, buckets, order, data, starts, ends, oov_flag, out)
     where the kernel's call does: before the first line with fewer than
     ``_VALUE_BYTES * dim + 3`` bytes left.
     """
-    worst = _VALUE_BYTES * source.shape[1] + 3
-    if len(ends) and len(out) < worst:
-        raise ValueError(f"text buffer of {len(out)} bytes holds no {worst}-byte row")
+    worst = check_room(out, min(len(ends), 1), source.shape[1])
     known, done = np.empty(len(ends), dtype=np.int64), 0
     while done < len(ends):
         first, size, tokens = done, 0, 0
@@ -117,9 +117,9 @@ def embed_rows(table, source, buckets, order, data, starts, ends, oov_flag, out)
             vectors, known[lines], count = embed_text(
                 table, source, buckets, order, data, starts[lines], ends[lines]
             )
-            text = format_rows(vectors, " ", known[lines] == 0 if oov_flag else None)
-            out[size : size + len(text)] = np.frombuffer(text, dtype=np.uint8)
-            done, size, tokens = done + fit, size + len(text), tokens + count
+            flags = known[lines] == 0 if oov_flag else None
+            size += len(format_rows(vectors, " ", flags, out[size:]))
+            done, tokens = done + fit, tokens + count
         yield size, known[first:done], tokens
 
 
@@ -238,9 +238,16 @@ class Encoder:
         return ids, np.frombuffer(self._lengths, dtype=np.int64), len(self._index)
 
     def words(self, which) -> tuple[bytes, np.ndarray]:
-        """The distinct tokens of ids ``which``, in order, in ``Vocabulary.word_bytes`` form."""
-        words = list(self._index)
-        return _word_bytes([words[i] for i in which.tolist()])
+        """The distinct tokens of ids ``which``, in order, in ``Vocabulary.word_bytes`` form.
+
+        Raises ``ValueError`` for one that is empty or holds whitespace, which
+        only token lists can hold and ``load_model`` rejects.
+        """
+        kept = list(map(list(self._index).__getitem__, which.tolist()))
+        if (bad := _bad_word(kept)) >= 0:
+            raise ValueError(f"word {kept[bad]!r} is empty or holds whitespace, "
+                             "which a model file cannot hold")
+        return _word_bytes(kept)
 
 
 encoder = Encoder

@@ -39,10 +39,6 @@ from .trainer import (
 
 THREADS_ENV_VAR = "SENTVEC_THREADS"
 
-# bytes of embed's text buffer, which each kernel call fills with whole lines;
-# raised to one line's worst case at a dim too large for it
-_EMBED_TEXT_BYTES = 1 << 18
-
 logger = logging.getLogger(__name__)
 
 _DEFAULTS = TrainConfig()
@@ -210,9 +206,7 @@ def cmd_embed(args) -> int:
     model = load_model(args.model)
     source = model.matrices.source
     stats = OovStats()
-    text = np.empty(max(_EMBED_TEXT_BYTES, _native._VALUE_BYTES * source.shape[1] + 3),
-                    dtype=np.uint8)
-    view = memoryview(text)
+    text = _native.text_buffer(source.shape[1])  # each kernel call fills it with whole lines
     out = getattr(sys.stdout, "buffer", None)
     if out is not None:
         sys.stdout.flush()  # text written before goes first
@@ -235,9 +229,9 @@ def cmd_embed(args) -> int:
             known.append(fill_known)
             tokens += fill_tokens
             if out is not None:
-                out.write(view[:size])
+                out.write(text[:size])
             else:
-                sys.stdout.write(str(view[:size], "ascii"))
+                sys.stdout.write(str(text[:size], "ascii"))
         # one count per block: a fill holds as few as 34 lines at dim 700
         _all_oov(np.concatenate(known), tokens, stats)
     _log_oov(stats)

@@ -176,6 +176,18 @@ def _word_bytes(words: list[str]) -> tuple[bytes, np.ndarray]:
     return b"".join([w + b"\n" for w in encoded]), ends
 
 
+def _bad_word(words: list[str]) -> int:
+    """The index of the first of ``words`` that is empty or holds whitespace, or -1.
+
+    No tokenizer yields such a word, and the text formats (export-vec) would
+    misread one; the joined words split back into themselves exactly when
+    there is none.
+    """
+    if " ".join(words).split() == words:
+        return -1
+    return next(i for i, w in enumerate(words) if w.split() != [w])
+
+
 def encode_corpus(
     sentences: Iterable[list[str]],
     min_count: int,
@@ -191,7 +203,8 @@ def encode_corpus(
     encoder reads a ``CorpusFile`` (``iter_corpus``) in raw blocks, the numpy
     reference engine's interns token lists, and both give the same result.
 
-    Raises ``ValueError`` for an empty corpus or invalid thresholds.
+    Raises ``ValueError`` for an empty corpus, invalid thresholds, or a kept
+    word of token lists that is empty or holds whitespace.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")

@@ -20,14 +20,13 @@ import math
 import numpy as np
 
 from .corpus import Vocabulary, _check_utf8, _rewrite_lines
-from .trainer import TrainedModel, _text_output
+from .trainer import TrainedModel, _row_fills, _text_output
 
 __all__ = [
     "SimilarityPairs",
     "OovStats",
     "embed_batch",
     "embed_sentence",
-    "RowText",
     "cosine",
     "pearson",
     "spearman",
@@ -157,13 +156,12 @@ def _engine_text(model: TrainedModel, data: bytes, starts: np.ndarray, ends: np.
     ``str.lower()``ed, which leaves no ASCII capital for the kernel's own
     case fold.  An ASCII token stays as it is: the kernel folds it as
     ``str.lower()`` would.  Source rows that are not C-contiguous float32
-    take the numpy reference engine.
+    raise ``_native.check_source``'s ``ValueError``, on either engine.
     """
     from . import _native
 
-    source = model.matrices.source
-    kernel_rows = source.dtype == np.float32 and source.flags.c_contiguous
-    engine = _native.engine() if kernel_rows else _native.reference()
+    _native.check_source(model.matrices.source)
+    engine = _native.engine()
 
     def token(t: str) -> str:
         if t.isascii():
@@ -225,38 +223,6 @@ def embed_sentence(model: TrainedModel, text: str) -> tuple[np.ndarray, bool]:
     """
     vectors, flags = embed_batch(model, [text])
     return vectors[0], bool(flags[0])
-
-
-class RowText:
-    """Text of float32 matrices as ASCII bytes, written into one buffer reused across calls."""
-
-    def __init__(self) -> None:
-        self._buffer = None
-
-    def __call__(
-        self, rows: np.ndarray, sep: str, flags: np.ndarray | None = None
-    ) -> memoryview:
-        """The text of ``rows``, one line per row: ``%.6g`` values joined by ``sep``.
-
-        The rows must be float32, ``sep`` one ASCII character and
-        ``flags``, when given, boolean: each line then ends in a space and
-        the row's flag as 0/1.  The values are the same text as
-        ``format(x, ".6g")`` gives.  The engine's ``format_rows`` writes
-        it: the kernel into a buffer that the next call overwrites, the
-        numpy reference with Python's ``%`` operator.
-        """
-        if not (rows.dtype == np.float32 and len(sep) == 1 and sep.isascii()
-                and (flags is None or flags.dtype == np.bool_)):
-            raise ValueError("row text needs float32 rows, a one-character ASCII "
-                             f"separator and boolean flags; got {rows.dtype} and {sep!r}")
-        from . import _native
-
-        # an aligned copy of rows a mapped model file left misaligned
-        text = _native.engine().format_rows(
-            np.require(rows, requirements="CA"), sep, flags, self._buffer
-        )
-        self._buffer = text.obj
-        return text
 
 
 def cosine(u, v) -> float:
@@ -369,24 +335,23 @@ def pair_features(v1, v2) -> np.ndarray:
     return np.concatenate([np.abs(v1 - v2), v1 * v2], axis=-1)
 
 
-# feature values formatted per write, which bounds the text held at once
-_PAIR_CHUNK_VALUES = 1 << 16
-
-
 def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination) -> int:
     """Write one TSV row of 2*dim floats per record, for external classifiers.
 
     Both sides of every pair are composed as ``embed_batch`` composes
-    them, from their spans of the ``pairs``' bytes (``side_spans``), one
-    chunk of ``_PAIR_CHUNK_VALUES`` feature values at a time, so the memory
-    held does not grow with the pairs.  Every record produces a row (an
-    all-OOV side contributes the zero vector); returns the number of rows
-    written.  ``destination`` is a path or an open text file.
+    them, from their spans of the ``pairs``' bytes (``side_spans``), as many
+    pairs per engine call as have float32 features of the text buffer's
+    size (65,536 values), and printed through that one buffer, so the
+    memory held does not grow with the pairs.  Every record produces a row
+    (an all-OOV side contributes the zero vector); returns the number of
+    rows written.  ``destination`` is a path or an open text file.
     """
+    from . import _native
+
     n, source = len(pairs), model.matrices.source
     engine, table, data, starts, ends = _engine_text(model, pairs.data, *pairs.side_spans())
-    step = max(1, _PAIR_CHUNK_VALUES // max(1, 2 * source.shape[1]))
-    text = RowText()  # one buffer for every chunk
+    step = max(1, _native._TEXT_BYTES // (8 * source.shape[1]))
+    out = _native.text_buffer(2 * source.shape[1]) if n else None
     with _text_output(destination) as fh:
         for a in range(0, n, step):
             b = min(a + step, n)
@@ -394,7 +359,9 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
             vectors = engine.embed_text(
                 table, source, model.buckets, model.word_ngrams, data, starts[sides], ends[sides]
             )[0]
-            fh.write(str(text(pair_features(vectors[: b - a], vectors[b - a :]), "\t"), "ascii"))
+            features = pair_features(vectors[: b - a], vectors[b - a :])
+            for _, text in _row_fills(features, "\t", out):
+                fh.write(text)
     return n
 
 

@@ -111,6 +111,9 @@ class EmbeddingMatrices:
                 fill(source[slabs[w] : slabs[w + 1]], copy.state, -bound, bound)
 
             if workers == 1:
+                # inline for the reason ``trainer.train`` runs one thread inline: the
+                # import of concurrent.futures (3.5-8.7 ms) would cost a short train
+                # several percent
                 fill_slab(0)
             else:
                 from concurrent.futures import ThreadPoolExecutor

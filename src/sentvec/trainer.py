@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocabulary, encode_corpus, iter_corpus
+from .corpus import Vocabulary, _bad_word, encode_corpus, iter_corpus
 from .model import EmbeddingMatrices
 from .sampling import build_negative_table, discard_keep_prob
 
@@ -325,6 +325,10 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         bounds = np.linspace(0, n_sentences, config.threads + 1).astype(np.int64)
         shards = [perm[bounds[w] : bounds[w + 1]] for w in range(config.threads)]
         if config.threads == 1:
+            # inline, with no pool: importing concurrent.futures takes 3.5-8.7 ms
+            # (python -X importtime, 2-vCPU x86-64), and a whole train of the
+            # benchmark's train-uni-1t 40-60 ms, so a pool of one would cost
+            # train_tokens_per_s several percent
             run_shard(0, shards[0])
         else:
             from concurrent.futures import ThreadPoolExecutor
@@ -465,12 +469,8 @@ def _read_vocabulary(fh, vocab_size: int, total_tokens: int, size: int) -> Vocab
                 f"vocabulary section: word {wid} has count {count}, outside [1, 2^63)"
             )
         words.append((surface, count))
-    # no tokenizer yields an empty word or one holding whitespace, and the
-    # text formats (export-vec) would misread one; the joined words split
-    # back into themselves exactly when there is none
     surfaces = [surface for surface, _ in words]
-    if " ".join(surfaces).split() != surfaces:
-        wid = next(i for i, w in enumerate(surfaces) if w.split() != [w])
+    if (wid := _bad_word(surfaces)) >= 0:
         raise ModelFormatError(
             f"vocabulary section: word {wid} ({surfaces[wid]!r}) is empty or holds whitespace"
         )
@@ -594,26 +594,32 @@ def _text_output(destination):
             yield fh
 
 
-# vocabulary rows formatted per write, which bounds the text held at once
-_EXPORT_CHUNK_ROWS = 1024
+def _row_fills(rows: np.ndarray, sep: str, out: np.ndarray):
+    """The engine's ``format_rows`` text of the float32 ``rows``, joined by ``sep``, as many
+    rows as the text buffer ``out`` holds at a time: yields each fill's rows and text."""
+    from . import _native
+
+    engine, step = _native.engine(), len(out) // _native.check_room(out, 1, rows.shape[1])
+    for start in range(0, len(rows), step):
+        fill = slice(start, start + step)
+        # an aligned copy of rows a mapped model file left misaligned
+        text = engine.format_rows(np.require(rows[fill], requirements="CA"), sep, None, out)
+        yield fill, str(text, "ascii")
 
 
 def export_text_vectors(model: TrainedModel, destination) -> None:
     """Write unigram source vectors as text: "<count> <dim>" header, then one word per line.
 
     ``destination`` is a path or an open text file; floats carry 6
-    significant digits.
+    significant digits.  The rows print through one text buffer.
     """
-    from .evaluation import RowText  # evaluation imports this module
+    from . import _native
 
-    words = model.vocab.words
-    rows = model.matrices.source[: len(words)]
-    text = RowText()  # one buffer for every chunk
+    words, source, dim = model.vocab.words, model.matrices.source, model.matrices.dim
+    _native.check_source(source)
     with _text_output(destination) as fh:
-        fh.write(f"{len(words)} {model.matrices.dim}\n")
-        for start in range(0, len(words), _EXPORT_CHUNK_ROWS):
-            stop = start + _EXPORT_CHUNK_ROWS
-            lines = str(text(rows[start:stop], " "), "ascii").splitlines(True)
-            fh.write("".join(
-                [f"{word} {line}" for (word, _), line in zip(words[start:stop], lines)]
-            ))
+        fh.write(f"{len(words)} {dim}\n")
+        if words:  # a model without words allocates no text buffer
+            for fill, text in _row_fills(source[: len(words)], " ", _native.text_buffer(dim)):
+                lines = zip(words[fill], text.splitlines(True))
+                fh.write("".join([f"{word} {line}" for (word, _), line in lines]))

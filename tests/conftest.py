@@ -24,6 +24,16 @@ def write_pairs(path, rows):
     return SimilarityPairs.read(str(path))
 
 
+def row_text(build, rows, sep=" ", flags=None) -> str:
+    """``build.format_rows``' text of ``rows``, written into a buffer of their worst case;
+    ``build`` is an engine, or None for the one ``_native.engine()`` picks."""
+    from sentvec import _native
+
+    build = _native.engine() if build is None else build
+    out = np.empty(len(rows) * (_native._VALUE_BYTES * rows.shape[1] + 3), dtype=np.uint8)
+    return str(build.format_rows(rows, sep, flags, out), "ascii")
+
+
 def two_topic_sentences(
     n_sentences: int,
     words_per_topic: int = 500,

@@ -18,12 +18,12 @@ import pytest
 import sentvec
 from sentvec import _native, _reference, cli
 from sentvec.cli import main
-from sentvec.evaluation import RowText, cosine, embed_batch, embed_sentence
+from sentvec.evaluation import cosine, embed_batch, embed_sentence
 from sentvec.corpus import Vocabulary
 from sentvec.model import EmbeddingMatrices
 from sentvec.trainer import TrainedModel, load_model, save_model
 
-from conftest import two_topic_sentences, write_corpus
+from conftest import row_text, two_topic_sentences, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -475,13 +475,13 @@ class TestEmbedStreams:
         for text in (EMBED_INPUT, many):
             lines = text.split("\n")[: text.count("\n") + (not text.endswith("\n"))]
             vectors, flags = embed_batch(model, lines)
-            want = bytes(RowText()(vectors, " ", flags))
+            want = row_text(None, vectors, " ", flags).encode()
             source = tmp_path / "in.txt"
             source.write_bytes(text.encode())
             # a text buffer of 1 byte grows to one line's worst case
-            for block, buffer in itertools.product([3, 1 << 16], [1, cli._EMBED_TEXT_BYTES]):
+            for block, buffer in itertools.product([3, 1 << 16], [1, _native._TEXT_BYTES]):
                 monkeypatch.setattr("sentvec.corpus._BLOCK_BYTES", block)
-                monkeypatch.setattr("sentvec.cli._EMBED_TEXT_BYTES", buffer)
+                monkeypatch.setattr("sentvec._native._TEXT_BYTES", buffer)
                 out = tmp_path / "out.txt"
                 with open(source, encoding="utf-8") as fin, open(out, "w") as fout:
                     assert self.run_embed(model_path, fin, fout, monkeypatch) == 0
@@ -846,6 +846,22 @@ class TestExportVecCommand:
         code = main(["export-vec", "--model", model_path, "--output", str(out)])
         assert code == 0
         assert out.read_text(encoding="utf-8").splitlines()[0].endswith(" 12")
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_no_text_buffer_without_words(
+        self, tmp_path, capsys, request, without_kernel, native
+    ):
+        # a header-only model of dim 2^32 - 1: a text buffer of its row would take 52 GiB
+        from sentvec.trainer import _HEADER
+
+        if native:
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        path = tmp_path / "empty.bin"
+        path.write_bytes(_HEADER.pack(b"S2VM", 1, 2**32 - 1, 0, 0, 1, 1e-5, 0))
+        assert main(["export-vec", "--model", str(path)]) == 0
+        assert capsys.readouterr().out == f"0 {2**32 - 1}\n"
 
 
 class TestTopLevel:

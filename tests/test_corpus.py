@@ -1,6 +1,7 @@
 """Tokenization, vocabulary construction, and n-gram hashing."""
 
 import gzip
+import re
 from collections import Counter
 
 import numpy as np
@@ -97,6 +98,32 @@ class TestBuildVocab:
             build_vocab([["a"]], min_count=0, min_target_count=1)
         with pytest.raises(ValueError):
             build_vocab([["a"]], min_count=1, min_target_count=0)
+
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    @pytest.mark.parametrize("word", ["a b", "", "x\u3000y", "a\nb"])
+    def test_words_a_model_file_cannot_hold(
+        self, request, without_kernel, tmp_path, engine, word
+    ):
+        # load_model's word rule, on the kept words: a dropped one is not checked
+        from sentvec.trainer import TrainedModel, load_model, save_model
+        from sentvec.model import EmbeddingMatrices
+
+        if engine == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        with pytest.raises(ValueError, match=f"^word {re.escape(repr(word))} is empty or holds "
+                                             "whitespace, which a model file cannot hold$"):
+            build_vocab([["c", word, "c"]], 1, 1)
+        vocab = build_vocab([["c", word, "c"]], 2, 1)
+        assert vocab.words == [("c", 2)]
+        matrices = EmbeddingMatrices(
+            source=np.ones((1, 2), np.float32), target=np.ones((1, 2), np.float32), dim=2
+        )
+        model = TrainedModel(vocab=vocab, matrices=matrices, word_ngrams=1, buckets=0,
+                             subsample_t=1e-5)
+        save_model(model, str(tmp_path / "m.bin"))
+        assert load_model(str(tmp_path / "m.bin")).vocab.words == [("c", 2)]
 
 
 def two_pass_oracle(sentences, min_count):

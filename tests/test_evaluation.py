@@ -4,6 +4,7 @@ import dataclasses
 import io
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from sentvec import _reference, evaluation
 from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
 from sentvec.evaluation import (
     OovStats,
-    RowText,
     SimilarityPairs,
     arora_weight,
     cosine,
@@ -29,6 +29,7 @@ from sentvec.evaluation import (
 from sentvec.model import EmbeddingMatrices
 from sentvec.trainer import TrainedModel
 
+from conftest import row_text as engine_row_text
 from conftest import write_pairs
 
 
@@ -257,7 +258,7 @@ class TestEmbedBatch:
 
 
 def row_text(rows, sep, flags=None) -> str:
-    return str(RowText()(rows, sep, flags), "ascii")
+    return engine_row_text(None, rows, sep, flags)
 
 
 class TestFormatRows:
@@ -418,17 +419,32 @@ class TestFormatDispatch:
             request.getfixturevalue("kernel")
         else:
             without_kernel()
+        from sentvec import _native
+
         rows = np.array([[0.1234565, -2.5]], dtype=np.float32)
-        text = RowText()
+        out = _native.text_buffer(2)
+
+        def text(rows, sep, flags=None, out=out):
+            return _native.engine().format_rows(rows, sep, flags, out)
+
         with pytest.raises(ValueError, match="float32 rows"):
             text(rows.astype(np.float64), " ")
+        with pytest.raises(ValueError, match="2-D float32 rows"):
+            text(rows[0], " ")
         with pytest.raises(ValueError, match="one-character ASCII"):
             text(rows, ", ")
         with pytest.raises(ValueError, match="one-character ASCII"):
             text(rows, "\u00a0")
         with pytest.raises(ValueError, match="boolean flags"):
             text(rows, " ", np.array([2]))
+        with pytest.raises(ValueError, match="boolean flags, one per row"):
+            text(rows, " ", np.array([True, False]))
+        # a row of two values takes at most 2 * 13 + 3 bytes
+        with pytest.raises(ValueError, match="^text buffer of 28 bytes holds no 1 rows of 29"):
+            text(rows, " ", out=out[:28])
         assert bytes(text(rows, " ")) == b"0.123457 -2.5\n"
+        assert text(rows, " ", np.array([True]), out[:29]).obj.base is out
+        assert bytes(out[:16]) == b"0.123457 -2.5 1\n"  # written in the caller's buffer
 
 
 class TestCosine:
@@ -804,15 +820,20 @@ class TestWritePairFeatures:
             for _ in range(1_000)
         ]
         pairs = write_pairs(tmp_path / "sim.tsv", records)
-        buffers = []
-        format_rows = _native.Kernel.format_rows
+        buffers, composed = [], []
+        format_rows, embed_text = _native.Kernel.format_rows, _native.Kernel.embed_text
 
         def recording(self, rows, sep, flags, out):
             text = format_rows(self, rows, sep, flags, out)
             buffers.append((out, text.obj))
             return text
 
+        def composing(self, table, source, buckets, order, data, starts, ends):
+            composed.append(len(ends) // 2)
+            return embed_text(self, table, source, buckets, order, data, starts, ends)
+
         monkeypatch.setattr(_native.Kernel, "format_rows", recording)
+        monkeypatch.setattr(_native.Kernel, "embed_text", composing)
         out = io.StringIO()
         assert write_pair_features(model, pairs, out) == len(records)
         va, _ = embed_batch(model, [a for a, _, _ in records])
@@ -822,9 +843,11 @@ class TestWritePairFeatures:
             for row in pair_features(va, vb)
         )
         assert out.getvalue() == expected
-        # 200-value rows: 327 to a chunk
-        assert len(buffers) == 4 and buffers[0][0] is None
-        assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
+        # 200-value rows: 327 pairs to an engine call, printed 100 rows to a fill
+        # of the 256 KiB buffer (2,603 bytes a row at most)
+        assert composed[:4] == [327, 327, 327, 19]
+        assert len(buffers) == 4 + 4 + 4 + 1 and len(buffers[0][0]) == 1 << 18
+        assert all(given is buffers[0][0] and made is given for given, made in buffers)
 
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, kernel):
         # the sides' int64 spans grow with the pairs, but no (n, dim) vector or feature
@@ -884,6 +907,83 @@ class TestWritePairFeatures:
             for row in pair_features(va, vb)
         )
         assert out.getvalue() == expected
+
+
+class TestOneTextBuffer:
+    """``export-vec`` and the pair features print float rows through ``_native``'s one text
+    buffer, and inference takes only C-contiguous float32 source rows, on both engines."""
+
+    @pytest.fixture(params=["kernel", "numpy"])
+    def engine(self, request, without_kernel):
+        if request.param == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            without_kernel()
+        return request.param
+
+    @pytest.mark.parametrize("dim", [3, 700])
+    def test_fills_print_the_same_bytes(self, engine, tmp_path, monkeypatch, capsys, dim):
+        from sentvec import _native
+        from sentvec.cli import main
+        from sentvec.trainer import load_model, save_model
+
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(90)]
+        source = rng.standard_normal((90, dim)) * 10.0 ** rng.integers(-9, 9, size=(90, dim))
+        path = str(tmp_path / "m.bin")
+        save_model(toy_model(words, source), path)
+        records = [
+            (" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
+            for _ in range(70)
+        ] + [("zzz", "w1", 0.0)]
+        pairs = write_pairs(tmp_path / "sim.tsv", records)
+
+        def printed():
+            assert main(["export-vec", "--model", path]) == 0
+            features = io.StringIO()
+            assert write_pair_features(load_model(path), pairs, features) == len(records)
+            return capsys.readouterr().out, features.getvalue()
+
+        vectors, features = printed()
+        # a buffer of 1 byte is raised to one worst-case row: a row a fill
+        monkeypatch.setattr(_native, "_TEXT_BYTES", 1)
+        assert printed() == (vectors, features)
+        rows = np.asarray(source, dtype=np.float32)
+        assert vectors == f"90 {dim}\n" + "".join(
+            f"{word} " + " ".join(format(float(x), ".6g") for x in row) + "\n"
+            for word, row in zip(words, rows)
+        )
+        va, _ = embed_batch(load_model(path), [a for a, _, _ in records])
+        vb, _ = embed_batch(load_model(path), [b for _, b, _ in records])
+        assert features == "".join(
+            "\t".join(format(float(x), ".6g") for x in row) + "\n"
+            for row in pair_features(va, vb)
+        )
+
+    @pytest.mark.parametrize("rows", ["C-contiguous float64", "non-contiguous float32"])
+    def test_other_source_rows_rejected(self, engine, tmp_path, rows):
+        from sentvec.trainer import export_text_vectors
+
+        source = np.arange(12.0).reshape(3, 4)
+        model = toy_model(["a", "b", "c"], source)
+        if rows.endswith("float64"):
+            model.matrices.source = source
+        else:
+            model.matrices.source = np.repeat(model.matrices.source, 2, axis=1)[:, ::2]
+        message = re.escape(f"source rows must be C-contiguous float32, got {rows}")
+        pairs = write_pairs(tmp_path / "sim.tsv", [("a b", "c", 0.0), ("b", "c a", 1.0)])
+        calls = [
+            lambda: embed_batch(model, ["a b", "c"]),
+            lambda: evaluate_similarity(model, pairs),
+            lambda: write_pair_features(model, pairs, str(tmp_path / "features.tsv")),
+            lambda: export_text_vectors(model, str(tmp_path / "vectors.txt")),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+        # rejected before the outputs are opened
+        assert not (tmp_path / "features.tsv").exists()
+        assert not (tmp_path / "vectors.txt").exists()
 
 
 class TestNormProfile:

@@ -1,5 +1,6 @@
 """The native training kernel against its numpy oracle, and the numpy fallback."""
 
+import ast
 import inspect
 import itertools
 import logging
@@ -28,6 +29,7 @@ from sentvec.trainer import TrainConfig, TrainedModel, save_model, train
 
 from conftest import (
     SPLIT_WHITESPACE,
+    row_text,
     word_path_tokens,
     word_path_words,
     write_corpus,
@@ -498,6 +500,25 @@ class TestEngines:
         for path in MODULES:
             assert not re.search(pattern, path.read_text()), f"{path.name}: {pattern}"
 
+    def test_only_the_engine_choice_and_token_lists_take_the_reference(self):
+        # so no dispatch by the rows' dtype or layout can come back
+        callers = set()
+        for path in sorted(_native.SOURCE.parent.glob("*.py")):
+            for function in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and "reference" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                    ):
+                        callers.add((path.name, function.name))
+        assert callers == {("_native.py", "engine"), ("corpus.py", "encode_corpus")}
+        # and in encode_corpus only its token-list branch
+        source = (_native.SOURCE.parent / "corpus.py").read_text()
+        assert source.count("reference()") == 1
+        assert "else:  # only the reference engine takes token lists\n" \
+            "            encoder = _native.reference().encoder()" in source
+
     def test_call_sites_take_the_reference_from_native(self):
         # ``_native.reference()`` for the inputs the kernel does not take
         for path in CALL_SITES:
@@ -748,7 +769,7 @@ class TestEmbedLines:
         raw = np.zeros(4 * 12 + 2, dtype=np.uint8)
         rows = np.frombuffer(raw, "<f4", count=12, offset=2).reshape(3, 4)
         with pytest.raises(ValueError, match="not aligned"):
-            kernel.format_rows(rows, " ")
+            kernel.format_rows(rows, " ", None, _native.text_buffer(4))
         target = np.frombuffer(raw, "<f4", count=8, offset=2).reshape(2, 4)
         with pytest.raises(ValueError, match="not aligned"):
             kernel.model(rows, target, order=2, buckets=1, negatives=1)
@@ -1016,7 +1037,7 @@ class TestEmbedRows:
         lines = ["CAFÉ\u3000the Cat", "İ cat", "ÄPFEL the\u2003dog", "Été a", "zzé", "",
                  "the", " \u00a0 "]
         vectors, flags = evaluation.embed_batch(model, lines)
-        want = str(kernel.format_rows(vectors, " ", flags), "ascii")
+        want = row_text(kernel, vectors, " ", flags)
         text = "".join(line + "\n" for line in lines).encode()
         lengths = np.array([len(line.encode()) for line in lines], dtype=np.int64)
         ends = np.cumsum(lengths + 1) - 1
@@ -1230,10 +1251,6 @@ def random_rows(rng, n_rows, dim) -> np.ndarray:
     return rows.astype(np.float32)
 
 
-def row_text(build, rows, sep=" ", flags=None) -> str:
-    return str(build.format_rows(rows, sep, flags), "ascii")
-
-
 def expected_text(rows, sep=" ", flags=None) -> str:
     return "".join(
         sep.join(g6(row)) + ("" if flags is None else f" {int(flags[i])}") + "\n"
@@ -1333,14 +1350,20 @@ class TestFormatRows:
 
     def test_bad_arguments_rejected(self, kernel):
         rows = np.ones((4, 6), dtype=np.float32)
+        out = np.empty(4 * (_native._VALUE_BYTES * 6 + 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="C-contiguous float32"):
-            kernel.format_rows(rows[:, ::2], " ")
-        with pytest.raises(ValueError, match="C-contiguous float32"):
-            kernel.format_rows(rows.astype(np.float64), " ")
-        with pytest.raises(ValueError, match="flags has shape"):
-            kernel.format_rows(rows, " ", np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError, match="one ASCII character"):
-            kernel.format_rows(rows, ", ")
+            kernel.format_rows(rows[:, ::2], " ", None, out)
+        with pytest.raises(ValueError, match="2-D float32 rows.*float64 rows"):
+            kernel.format_rows(rows.astype(np.float64), " ", None, out)
+        with pytest.raises(ValueError, match=r"one per row; .* bool flags of shape \(3,\)"):
+            kernel.format_rows(rows, " ", np.zeros(3, dtype=bool), out)
+        with pytest.raises(ValueError, match="one-character ASCII separator"):
+            kernel.format_rows(rows, ", ", None, out)
+        with pytest.raises(ValueError, match=f"buffer of {len(out) - 1} bytes holds no 4 rows"):
+            kernel.format_rows(rows, " ", None, out[:-1])
+        with pytest.raises(ValueError, match="C-contiguous uint8"):
+            kernel.format_rows(rows, " ", None, out.view(np.int8))
+        assert row_text(kernel, np.ones((1, 2), np.float32)) == "1 1\n"
 
 
 # the x86-64-v3 build: AVX2 and FMA, so eight-float row loops, and no AVX-512

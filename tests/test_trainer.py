@@ -1060,6 +1060,8 @@ class TestExportTextVectors:
             return text
 
         monkeypatch.setattr(_native.Kernel, "format_rows", recording)
+        # a 4 KiB buffer: 97 rows a fill at dim 3, and one worst-case row at dim 700
+        monkeypatch.setattr(_native, "_TEXT_BYTES", 1 << 12)
         out = io.StringIO()
         export_text_vectors(model, out)
         expected = [f"{n_words} {dim}"] + [
@@ -1067,8 +1069,10 @@ class TestExportTextVectors:
             for wid, (word, _) in enumerate(vocab.words)
         ]
         assert out.getvalue() == "\n".join(expected) + "\n"
-        assert len(buffers) == -(-n_words // 1024) and buffers[0][0] is None
-        assert all(given is buffers[0][1] and made is given for given, made in buffers[1:])
+        per_fill = max(1, 4096 // (13 * dim + 3))
+        assert len(buffers) == -(-n_words // per_fill) > 1
+        assert len(buffers[0][0]) == max(4096, 13 * dim + 3)
+        assert all(given is buffers[0][0] and made is given for given, made in buffers)
 
     def test_reparse_within_relative_tolerance(self, tiny_corpus, tmp_path):
         model = train(tiny_corpus, quick_config())
