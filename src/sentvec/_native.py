@@ -214,7 +214,7 @@ class Kernel:
 
     @property
     def label(self) -> str:
-        """How the trainer's init log line names this engine."""
+        """How the init log line names this engine."""
         return f"kernel, {self.fill_lanes} lanes"
 
     @staticmethod

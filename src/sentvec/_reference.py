@@ -22,12 +22,12 @@ from .sampling import sample_negatives
 
 logger = logging.getLogger(__name__)
 
-label = "numpy"  # how the trainer's init log line names this engine
+label = "numpy"  # how the init log line names this engine
 unavailable = None  # why the kernel is not loaded; ``_native.engine()`` sets it
 
 
 def fill_uniform(out, pcg64_state, low, high) -> None:
-    """Fill the rows ``out`` as a PCG64 in ``pcg64_state`` draws ``uniform(low, high)``."""
+    """Fill ``out`` as a PCG64 in ``pcg64_state`` draws ``uniform(low, high)``."""
     bits = np.random.PCG64()
     bits.state = pcg64_state
     _fill_rows(out, low, high, np.random.Generator(bits))

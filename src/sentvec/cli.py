@@ -91,7 +91,8 @@ def _add_train(sub) -> None:
     for flag, _, ftype, helptext in _TRAIN_FLAGS:
         p_train.add_argument(flag, type=ftype, default=None, help=helptext)
     p_train.add_argument("--threads", type=int, default=None,
-                         help=f"worker threads, at most {MAX_THREADS} "
+                         help=f"training threads, at most {MAX_THREADS}; the initial draw "
+                              "uses every CPU of the affinity mask "
                               f"[default: ${THREADS_ENV_VAR} or {_DEFAULTS.threads}]")
     p_train.add_argument("--lowercase", action="store_true",
                          help="lowercase all tokens [default: off]")

@@ -10,7 +10,11 @@ followed by an L1 proximal (soft-thresholding) step.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,13 @@ __all__ = [
     "apply_l1_after_step",
 ]
 
-# float64 draws per block when initializing source rows (2 MiB of temporaries)
+logger = logging.getLogger(__name__)
+
+# values per piece of the initial source rows that one worker fills at a time
+# (4 MiB of float32): a paper-shaped matrix of 1.4G values has 1,335 pieces
+INIT_PIECE_VALUES = 1 << 20
+
+# float64 draws per block of the numpy draw (2 MiB of temporaries)
 INIT_BLOCK_VALUES = 1 << 18
 
 # relative learning-rate floor; keeps late updates alive when the shared
@@ -69,58 +79,51 @@ class EmbeddingMatrices:
 
     @classmethod
     def initialize(
-        cls,
-        vocab_size: int,
-        buckets: int,
-        dim: int,
-        rng: np.random.Generator,
-        workers: int = 1,
+        cls, vocab_size: int, buckets: int, dim: int, rng: np.random.Generator
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
         The values equal one ``rng.uniform`` draw of the whole matrix cast
         to float32, and ``rng`` ends in the state that draw leaves.  With a
-        PCG64 generator (``np.random.default_rng``'s), the rows are split
-        into ``workers`` contiguous slabs, drawn on as many threads when
-        there are several.  Each slab draws from a copy of ``rng`` advanced
-        past the values before it: a double draw takes exactly one 64-bit
-        output, so the matrix is the same for any worker count.  The
-        engine's ``fill_uniform`` fills a slab: the kernel steps PCG64 and
-        rounds as numpy does, and the numpy reference draws it in blocks of
-        float64 temporaries.  Other generators draw with numpy on one thread.
+        PCG64 generator (``np.random.default_rng``'s), the matrix is filled
+        in pieces of ``INIT_PIECE_VALUES`` values, which one worker per CPU
+        of the process's affinity mask, at most one per piece, takes from a
+        shared iterator; each worker pins itself to its CPU.  Each piece
+        draws from a copy of ``rng`` advanced past the values before it: a
+        double draw takes exactly one 64-bit output, so the matrix is the
+        same for any CPU count.  The engine's ``fill_uniform`` fills a
+        piece: the kernel steps PCG64 and rounds as numpy does, and the
+        numpy reference draws it in blocks of float64 temporaries.  Other
+        generators draw with numpy on the calling thread.  Logs the time,
+        the workers, the pieces and how many workers were pinned.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        started = time.perf_counter()
         bound = 1.0 / (2.0 * dim)
         rows = vocab_size + buckets
         source = np.empty((rows, dim), dtype=np.float32)
         bits = rng.bit_generator
         if not isinstance(bits, np.random.PCG64):
             _fill_rows(source, -bound, bound, rng)
+            label, pieces, workers, pinned = "numpy", 1, 1, 0
         else:
             from . import _native
 
-            fill = _native.engine().fill_uniform
-            state = bits.state
-            slabs = [rows * w // workers for w in range(workers + 1)]
+            engine = _native.engine()
+            label, state, flat = engine.label, bits.state, source.reshape(-1)
+            firsts = range(0, flat.size, INIT_PIECE_VALUES)
+            shared = iter(firsts)
+            cpus = _cpus()
+            pieces, workers = len(firsts), max(1, min(len(cpus), len(firsts)))
 
-            def fill_slab(w: int) -> None:
+            def fill_pieces(w: int) -> None:
                 copy = np.random.PCG64()
-                copy.state = state
-                copy.advance(slabs[w] * dim)
-                fill(source[slabs[w] : slabs[w + 1]], copy.state, -bound, bound)
+                for first in shared:  # next() of a range iterator holds the GIL
+                    copy.state = state
+                    copy.advance(first)
+                    piece = flat[first : first + INIT_PIECE_VALUES]
+                    engine.fill_uniform(piece, copy.state, -bound, bound)
 
-            if workers == 1:
-                # inline for the reason ``trainer.train`` runs one thread inline: the
-                # import of concurrent.futures (3.5-8.7 ms) would cost a short train
-                # several percent
-                fill_slab(0)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                # the kernel, and numpy's ``uniform`` and float32 cast, release the GIL
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(fill_slab, range(workers)))
+            pinned = run_workers(fill_pieces, workers, cpus)
             bits.advance(rows * dim)
             # advance() drops a buffered 32-bit half, which double draws keep
             bits.state = {
@@ -128,6 +131,11 @@ class EmbeddingMatrices:
                 "has_uint32": state["has_uint32"],
                 "uinteger": state["uinteger"],
             }
+        logger.info(
+            "initialized %d x %d source rows in %.0f ms (%s, %s on %s, %d pinned)",
+            rows, dim, 1e3 * (time.perf_counter() - started), label,
+            _count(pieces, "piece"), _count(workers, "worker"), pinned,
+        )
         return cls(
             source=source,
             target=np.zeros((vocab_size, dim), dtype=np.float32),
@@ -135,13 +143,68 @@ class EmbeddingMatrices:
         )
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def run_workers(work, workers: int, cpus: list[int] | None = None) -> int:
+    """Run ``work(w)`` for each worker ``w`` below ``workers`` and re-raise the first error.
+
+    One worker runs on the calling thread; more run on as many new threads,
+    and with ``cpus`` worker w first pins its thread to ``cpus[w]``, running
+    unpinned where the OS refuses or has no pinning.  The caller's own
+    affinity never changes.  Returns how many workers were pinned.  Plain
+    threads, not ``concurrent.futures``, whose import takes 3.5-8.7 ms
+    (``python -X importtime``, 2-vCPU x86-64): a whole ``train`` of the
+    benchmark's ``train-uni-1t`` takes 40-60 ms.
+    """
+    if workers == 1:
+        work(0)
+        return 0
+    pinned = [False] * workers
+    errors: list[BaseException | None] = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            if cpus is not None:
+                try:
+                    os.sched_setaffinity(threading.get_native_id(), {cpus[w]})
+                    pinned[w] = True
+                except (AttributeError, OSError):
+                    pass
+            work(w)
+        except BaseException as err:  # re-raised on the calling thread
+            errors[w] = err
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return sum(pinned)
+
+
 def _fill_rows(rows: np.ndarray, low: float, high: float, rng: np.random.Generator) -> None:
-    """Draws ``rows`` uniform in [low, high) in place, in blocks of float64 temporaries."""
-    n_rows, dim = rows.shape
-    block = max(1, INIT_BLOCK_VALUES // dim)
-    for first in range(0, n_rows, block):
-        last = min(n_rows, first + block)
-        rows[first:last] = rng.uniform(low, high, size=(last - first, dim))
+    """Draws the C-contiguous ``rows`` uniform in [low, high) in place, in blocks of
+    ``INIT_BLOCK_VALUES`` float64 temporaries."""
+    flat = rows.reshape(-1)
+    for first in range(0, flat.size, INIT_BLOCK_VALUES):
+        block = flat[first : first + INIT_BLOCK_VALUES]
+        block[:] = rng.uniform(low, high, size=len(block))
 
 
 @dataclass

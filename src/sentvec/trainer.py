@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary, _bad_word, encode_corpus, iter_corpus
-from .model import EmbeddingMatrices
+from .model import EmbeddingMatrices, run_workers
 from .sampling import build_negative_table, discard_keep_prob
 
 __all__ = [
@@ -43,9 +43,9 @@ logger = logging.getLogger(__name__)
 MAGIC = b"S2VM"
 FORMAT_VERSION = 1
 INT32_MAX = 2**31 - 1
-# most worker threads a run takes, well above any CPU count this code targets:
-# each worker is one OS thread with its own slab of the initial matrix, so a
-# mistyped count would otherwise start thousands of threads or hang listing slabs
+# most training threads a run takes, well above any CPU count this code
+# targets: each worker is one OS thread, so a mistyped count would otherwise
+# start thousands of threads
 MAX_THREADS = 1024
 _HEADER = struct.Struct("<4sIIQQIdQ")  # magic, version, dim, |V|, buckets, order, t, tokens
 
@@ -282,17 +282,10 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     from . import _native  # imported on first use: ``import sentvec`` stays light
 
     engine = _native.engine()
-    # distinct, stable RNG streams: [seed, 0] init, [seed, 1, w] workers, [seed, 2, e] shuffles
+    # distinct, stable RNG streams: [seed, 0] init, [seed, 1, w] workers, [seed, 2, e] shuffles;
+    # the init draws on every CPU of the affinity mask, whatever ``threads`` is
     init_rng = np.random.default_rng([config.seed, 0])
-    init_started = time.perf_counter()
-    matrices = EmbeddingMatrices.initialize(
-        len(vocab), buckets, config.dim, init_rng, workers=config.threads
-    )
-    logger.info(
-        "initialized %d x %d source rows in %.0f ms (%s, %d slab%s)",
-        len(vocab) + buckets, config.dim, 1e3 * (time.perf_counter() - init_started),
-        engine.label, config.threads, "" if config.threads == 1 else "s",
-    )
+    matrices = EmbeddingMatrices.initialize(len(vocab), buckets, config.dim, init_rng)
     model = TrainedModel(
         vocab=vocab,
         matrices=matrices,
@@ -315,7 +308,9 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         for w in range(config.threads)
     ]
 
-    def run_shard(w: int, shard: np.ndarray) -> None:
+    def run_shard(w: int) -> None:
+        # worker w's contiguous shard of this epoch's order
+        shard = perm[bounds[w] : bounds[w + 1]]
         for start in range(0, len(shard), _CHUNK_SENTENCES):
             chunk = shard[start : start + _CHUNK_SENTENCES]
             reporter.add(*engine.train_chunk(run, chunk, worker_states[w]))
@@ -323,20 +318,10 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
     for epoch in range(config.epochs):
         perm = np.random.default_rng([config.seed, 2, epoch]).permutation(n_sentences)
         bounds = np.linspace(0, n_sentences, config.threads + 1).astype(np.int64)
-        shards = [perm[bounds[w] : bounds[w + 1]] for w in range(config.threads)]
-        if config.threads == 1:
-            # inline, with no pool: importing concurrent.futures takes 3.5-8.7 ms
-            # (python -X importtime, 2-vCPU x86-64), and a whole train of the
-            # benchmark's train-uni-1t 40-60 ms, so a pool of one would cost
-            # train_tokens_per_s several percent
-            run_shard(0, shards[0])
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                futures = [pool.submit(run_shard, w, shard) for w, shard in enumerate(shards)]
-                for future in futures:
-                    future.result()
+        # unpinned, unlike the init's workers: on the 2-vCPU x86-64 host one set of
+        # runs timed the train-bi-2t epoch slower with pinned workers (a median 22.8
+        # against 18.9 ms) and two later sets faster (22.7 against 25.7, 23.7 against 28.6)
+        run_workers(run_shard, config.threads)
         logger.info("epoch %d/%d done, %d targets", epoch + 1, config.epochs, progress[0])
         reporter.check(config.lr)
         if config.checkpoint_path:

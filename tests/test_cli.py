@@ -291,6 +291,28 @@ class TestTrainCommand:
         assert err.endswith(f"error: {flag} {bad}{problem} a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_worker_memory_error_is_one_error_line(
+        self, corpus_path, tmp_path, capsys, monkeypatch, request, without_kernel, engine
+    ):
+        from sentvec import _native, _reference
+
+        def exhausted(*args):
+            raise MemoryError()
+
+        if engine == "kernel":
+            request.getfixturevalue("kernel")
+            monkeypatch.setattr(_native.Kernel, "train_chunk", exhausted)
+        else:
+            without_kernel()
+            monkeypatch.setattr(_reference, "train_chunk", exhausted)
+        code = main(["train", "--input", corpus_path, "--output", str(tmp_path / "m.bin"),
+                     "--threads", "2", "--dim", "8", "--min-count", "1",
+                     "--min-target-count", "1", "--epochs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SENTVEC_THREADS", "abc")
         out = tmp_path / "flag.bin"

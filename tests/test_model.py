@@ -1,10 +1,15 @@
 """Loss, the masked context, the SGD step, dropout, schedule, and the L1 operator."""
 
+import errno
+import logging
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from sentvec import model
 from sentvec.corpus import sentence_ngrams
 from sentvec.model import (
     INIT_BLOCK_VALUES,
@@ -31,28 +36,44 @@ def matrices_of(source, target):
     return EmbeddingMatrices(source=source, target=target, dim=source.shape[1])
 
 
-SLAB_CASES = pytest.mark.parametrize(
-    "vocab_size,buckets,dim,workers",
+PIECE_CASES = pytest.mark.parametrize(
+    "vocab_size,buckets,dim,cpus",
     [
-        (*shape, workers)
+        (*shape, cpus)
         for shape in [
             (6_000, 5_001, 100),
-            (2, 1, 3),  # fewer rows than workers
+            (2, 1, 3),  # fewer values than CPUs
             (0, 0, 4),
             (3, 2, 1),
-            (3, 2, INIT_BLOCK_VALUES + 5),  # one row per block
+            (3, 2, INIT_BLOCK_VALUES + 5),  # a row longer than a block
         ]
-        for workers in [1, 2, 3, 4, 7]
+        for cpus in [1, 2, 3, 4, 7]
     ],
 )
 
 
-def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers):
+@pytest.fixture(params=["kernel", "numpy"])
+def fill_engine(request, without_kernel):
+    """Each engine's ``fill_uniform`` in turn; the kernel's case skips where it cannot be built."""
+    if request.param == "numpy":
+        without_kernel()
+    else:
+        request.getfixturevalue("kernel")
+    return request.param
+
+
+def affinity_mask(monkeypatch, cpus):
+    """Make ``os.sched_getaffinity`` report the CPUs ``cpus``; pinning a thread to one
+    this host lacks fails, and that worker runs unpinned."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def check_pieces_equal_one_shot(vocab_size, buckets, dim):
     rng, reference = np.random.default_rng(23), np.random.default_rng(23)
     # leave a buffered 32-bit half in both, which double draws must keep
     rng.integers(0, 9, dtype=np.int32)
     reference.integers(0, 9, dtype=np.int32)
-    matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng, workers)
+    matrices = EmbeddingMatrices.initialize(vocab_size, buckets, dim, rng)
     bound = 1.0 / (2.0 * dim)
     one_shot = reference.uniform(
         -bound, bound, size=(vocab_size + buckets, dim)
@@ -60,6 +81,27 @@ def check_slabs_equal_one_shot(vocab_size, buckets, dim, workers):
     assert matrices.source.tobytes() == one_shot.tobytes()
     assert rng.bit_generator.state == reference.bit_generator.state
     np.testing.assert_array_equal(rng.random(5), reference.random(5))
+
+
+def check_piece_case(monkeypatch, vocab_size, buckets, dim, cpus):
+    """``cpus`` CPUs in the mask, and pieces sized so that each CPU gets about two."""
+    affinity_mask(monkeypatch, range(cpus))
+    piece = (vocab_size + buckets) * dim // (2 * cpus) + 1
+    monkeypatch.setattr(model, "INIT_PIECE_VALUES", piece)
+    check_pieces_equal_one_shot(vocab_size, buckets, dim)
+
+
+def counted_threads(monkeypatch):
+    """The threads started from now on, as a list that grows as they start."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 class TestInitialize:
@@ -78,28 +120,84 @@ class TestInitialize:
         np.testing.assert_array_equal(matrices.source, one_shot)
         assert not matrices.target.any()
 
-    @SLAB_CASES
-    def test_slabs_equal_one_shot(self, without_kernel, vocab_size, buckets, dim, workers):
+    @PIECE_CASES
+    def test_slabs_equal_one_shot(
+        self, without_kernel, monkeypatch, vocab_size, buckets, dim, cpus
+    ):
         without_kernel()
-        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers)
+        check_piece_case(monkeypatch, vocab_size, buckets, dim, cpus)
 
     # the same cases filled by the kernel; a sibling keeps the numpy cases' ids
-    @SLAB_CASES
-    def test_kernel_slabs_equal_one_shot(self, kernel, vocab_size, buckets, dim, workers):
-        check_slabs_equal_one_shot(vocab_size, buckets, dim, workers)
+    @PIECE_CASES
+    def test_kernel_slabs_equal_one_shot(
+        self, kernel, monkeypatch, vocab_size, buckets, dim, cpus
+    ):
+        check_piece_case(monkeypatch, vocab_size, buckets, dim, cpus)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, {1, 3}], ids=["0", "0,1,2", "1,3"])
+    def test_any_affinity_mask_equals_one_shot(self, fill_engine, monkeypatch, cpus):
+        affinity_mask(monkeypatch, cpus)
+        monkeypatch.setattr(model, "INIT_PIECE_VALUES", 1_000)
+        started = counted_threads(monkeypatch)
+        check_pieces_equal_one_shot(20, 31, 100)  # 6 pieces, the last of 100 values
+        assert len(started) == (0 if len(cpus) == 1 else len(cpus))
+
+    @pytest.mark.parametrize("pinning", ["refused", "missing"])
+    def test_unpinned_workers_equal_one_shot(self, fill_engine, monkeypatch, caplog, pinning):
+        if pinning == "missing":  # as on an OS without affinity calls: os.cpu_count() CPUs
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            def refuse(pid, cpus):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+            affinity_mask(monkeypatch, {0, 1})
+        monkeypatch.setattr(model, "INIT_PIECE_VALUES", 999)
+        with caplog.at_level(logging.INFO, logger="sentvec.model"):
+            check_pieces_equal_one_shot(7, 6, 301)  # 4 pieces, the last of 916 values
+        assert caplog.records[-1].getMessage().endswith("4 pieces on 2 workers, 0 pinned)")
+
+    def test_more_pieces_than_workers(self, fill_engine, monkeypatch, caplog):
+        workers = len(os.sched_getaffinity(0))  # each pinned to its CPU of the real mask
+        monkeypatch.setattr(model, "INIT_PIECE_VALUES", 4_099)
+        started = counted_threads(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="sentvec.model"):
+            check_pieces_equal_one_shot(50, 77, 700)  # 22 pieces, the last of 2,821 values
+        assert len(started) == (0 if workers == 1 else workers)
+        expected = (f"22 pieces on {workers} workers, {workers} pinned)" if workers > 1
+                    else "22 pieces on 1 worker, 0 pinned)")
+        assert caplog.records[-1].getMessage().endswith(expected)
+
+    def test_one_piece_filled_without_a_thread(self, fill_engine, monkeypatch):
+        affinity_mask(monkeypatch, {0, 1, 2, 3})
+        started = counted_threads(monkeypatch)
+        # train-uni-1t's shape: 2,500 words at dim 100, 250k values
+        check_pieces_equal_one_shot(2_500, 0, 100)
+        assert started == []
+
+    def test_callers_affinity_unchanged(self, fill_engine):
+        before = os.sched_getaffinity(0)
+        EmbeddingMatrices.initialize(3_000, 0, 700, np.random.default_rng(5))  # 3 pieces
+        assert os.sched_getaffinity(0) == before
+
+    def test_worker_errors_reach_the_caller(self):
+        def work(w):
+            if w == 1:
+                raise MemoryError()
+
+        with pytest.raises(MemoryError):
+            model.run_workers(work, 3)
 
     def test_generator_without_pcg64_draws_serially(self):
         matrices = EmbeddingMatrices.initialize(
-            40, 9, 5, np.random.Generator(np.random.Philox(4)), workers=3
+            40, 9, 5, np.random.Generator(np.random.Philox(4))
         )
         one_shot = np.random.Generator(np.random.Philox(4)).uniform(
             -0.1, 0.1, size=(49, 5)
         ).astype(np.float32)
         assert matrices.source.tobytes() == one_shot.tobytes()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            EmbeddingMatrices.initialize(2, 0, 3, np.random.default_rng(0), workers=0)
 
 
 class TestLogisticLoss:

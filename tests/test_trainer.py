@@ -99,7 +99,7 @@ class TestTrainConfig:
         TrainConfig(**{field: 2**31 - 1}).validate()
 
     def test_thread_count_bounded(self):
-        # validate() runs before any worker or init slab exists
+        # validate() runs before any worker or init piece exists
         TrainConfig(threads=MAX_THREADS).validate()
         with pytest.raises(ValueError, match=f"^threads must be <= {MAX_THREADS}, got {10**23}$"):
             TrainConfig(threads=10**23).validate()
@@ -209,19 +209,26 @@ class TestTrain:
         assert np.all(np.isfinite(model.matrices.source))
         assert model.stats.targets_processed > 0
 
-    def test_initial_rows_drawn_on_the_training_threads(self, tiny_corpus, monkeypatch):
-        from sentvec import trainer
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_initial_rows_drawn_on_every_cpu(self, tiny_corpus, monkeypatch, caplog, threads):
+        # the init takes one worker per CPU of the mask whatever ``threads`` is, and
+        # neither it nor the training threads change the caller's affinity
+        from sentvec import model as model_module
 
-        real_initialize = trainer.EmbeddingMatrices.initialize
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("workers"))
-            return real_initialize(*args, **kwargs)
-
-        monkeypatch.setattr(trainer.EmbeddingMatrices, "initialize", spy)
-        train(tiny_corpus, quick_config(threads=2, epochs=1))
-        assert calls == [2]
+        cpus = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(model_module, "INIT_PIECE_VALUES", 100)
+        with caplog.at_level(logging.INFO, logger="sentvec.model"):
+            trained = train(tiny_corpus, quick_config(threads=threads, epochs=1))
+        assert os.sched_getaffinity(0) == set(cpus)
+        pieces = -(-trained.matrices.source.size // 100)
+        assert pieces > len(cpus)
+        workers = f"{len(cpus)} workers, {len(cpus)}" if len(cpus) > 1 else "1 worker, 0"
+        [init] = [m for m in caplog.messages if m.startswith("initialized")]
+        assert init.endswith(f"{pieces} pieces on {workers} pinned)")
+        if threads == 1:  # one worker on the calling thread draws the same rows
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpus[0]})
+            inline = train(tiny_corpus, quick_config(threads=1, epochs=1))
+            assert inline.matrices.source.tobytes() == trained.matrices.source.tobytes()
 
     def test_l1_run_produces_exact_zeros(self, small_corpus):
         dense = train(small_corpus, quick_config(seed=3))
@@ -261,20 +268,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="no trainable sentences"):
             train(str(path), quick_config(min_count=2))
 
-    @pytest.mark.parametrize("threads,slabs", [(1, "1 slab"), (2, "2 slabs")])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("engine", ["kernel", "numpy"])
     def test_init_logs_its_time_and_engine(
-        self, tiny_corpus, request, without_kernel, caplog, engine, threads, slabs
+        self, tiny_corpus, request, without_kernel, caplog, engine, threads
     ):
         if engine == "numpy":
             without_kernel()
             label = engine
         else:
             label = f"kernel, {request.getfixturevalue('kernel').fill_lanes} lanes"
-        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+        with caplog.at_level(logging.INFO, logger="sentvec.model"):
             model = train(tiny_corpus, quick_config(threads=threads, word_ngrams=2, bucket_count=64))
         rows, dim = model.matrices.source.shape
-        pattern = rf"initialized {rows} x {dim} source rows in \d+ ms \({label}, {slabs}\)"
+        # a matrix of one piece is filled on the calling thread, at any thread count
+        pattern = (rf"initialized {rows} x {dim} source rows in \d+ ms "
+                   rf"\({label}, 1 piece on 1 worker, 0 pinned\)")
         assert [r for r in caplog.records if re.fullmatch(pattern, r.getMessage())]
 
     @pytest.mark.parametrize("engine", ["kernel", "fallback"])
