@@ -29,24 +29,12 @@ from .evaluation import (
     spearman,
     write_pair_features,
 )
-from .model import (
-    EmbeddingMatrices,
-    StepOutcome,
-    apply_l1_after_step,
-    l1_prox,
-    logistic_loss,
-    lr_schedule,
-    masked_context,
-    ngram_dropout,
-    sigmoid,
-    train_step,
-)
+from .model import EmbeddingMatrices
 from .sampling import (
     AliasTable,
     build_negative_table,
     discard_keep_prob,
     negative_prob,
-    sample_negatives,
 )
 from .trainer import (
     PRESETS,
@@ -69,12 +57,10 @@ __all__ = [
     "OovStats",
     "PRESETS",
     "SimilarityPairs",
-    "StepOutcome",
     "TrainConfig",
     "TrainedModel",
     "TrainingStats",
     "Vocabulary",
-    "apply_l1_after_step",
     "arora_weight",
     "build_negative_table",
     "build_vocab",
@@ -86,25 +72,17 @@ __all__ = [
     "evaluate_similarity",
     "export_text_vectors",
     "iter_corpus",
-    "l1_prox",
     "load_model",
-    "logistic_loss",
-    "lr_schedule",
-    "masked_context",
     "negative_prob",
     "ngram_bucket_ids",
-    "ngram_dropout",
     "ngram_hash",
     "norm_profile",
     "pair_features",
     "pearson",
-    "sample_negatives",
     "save_model",
     "sentence_ngrams",
-    "sigmoid",
     "spearman",
     "tokenize",
     "train",
-    "train_step",
     "write_pair_features",
 ]

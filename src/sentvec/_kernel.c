@@ -3,12 +3,12 @@
  *
  * One call of sv_train_chunk trains on a run of sentences of a flat CSR
  * corpus (int32 unigram ids plus int64 sentence offsets).  It does, per
- * sentence, what the numpy reference loop in trainer.py does: hash the
- * n-gram windows, draw the subsampling gate of every token, and for each
- * kept target draw a fresh n-gram dropout and negatives, read the learning
- * rate from the shared progress counter, and take one SGD step on the
- * masked context.  The step mirrors model.train_step (and the L1 prox of
- * model.apply_l1_after_step), which tests use as its oracle.
+ * sentence, what the numpy reference's train_chunk (_reference.py) does:
+ * hash the n-gram windows, draw the subsampling gate of every token, and for
+ * each kept target draw a fresh n-gram dropout and negatives, read the
+ * learning rate from the shared progress counter, and take one SGD step on
+ * the masked context.  The step mirrors _reference.train_step (and the L1
+ * prox of _reference.apply_l1_after_step), which tests use as its oracle.
  *
  * The step's row loops run one vector width per build: 16 floats where the
  * build targets AVX-512F, 8 where it targets AVX and 4 otherwise, then
@@ -79,7 +79,7 @@
 #define FNV_PRIME 16777619u
 #define NGRAM_CHAIN_MULTIPLIER 116049371u
 
-/* must equal sentvec.model.LR_FLOOR_FRACTION */
+/* must equal sentvec._reference.LR_FLOOR_FRACTION */
 #define LR_FLOOR_FRACTION 1e-5
 
 /* 2^ALIAS_COIN_BITS must equal sentvec.sampling.COIN_SCALE */
@@ -215,7 +215,7 @@ static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, i
 }
 
 /* Feature list with the target at pos held out, in the order of
- * model.masked_context; n-grams flagged in dropped (may be NULL) are left out. */
+ * _reference.masked_context; n-grams flagged in dropped (may be NULL) are left out. */
 static int64_t masked_context(const int32_t *ids, int64_t len, int64_t pos, const int64_t *grams,
                               const int32_t *first, const int32_t *last, int64_t n_grams,
                               const uint8_t *dropped, int64_t *ctx)
@@ -478,7 +478,7 @@ static int workspace_alloc(workspace *w, const sv_model *m, int64_t max_len)
 /* One step on a non-empty context against scored[0] (the target) and the
  * negatives scored[1:]; returns the loss in 64-bit.  Duplicate rows in
  * either list receive one update per occurrence, and every gradient uses
- * the pre-update target rows, as in model.train_step. */
+ * the pre-update target rows, as in _reference.train_step. */
 static double sgd_step(const sv_model *m, const int64_t *ctx, int64_t n_ctx, const int64_t *scored,
                        int64_t n_scored, double lr, workspace *w)
 {

@@ -1,24 +1,26 @@
 """The numpy reference engine: ``_native.engine()`` where the kernel cannot be built, the
-engine of token lists, and the kernel's test oracle.  Each function takes the parameters
-of the ``Kernel`` method of its name."""
+engine of token lists, and the kernel's test oracle.  Each engine function takes the
+parameters of the ``Kernel`` method of its name.  The per-step oracle that ``train_chunk``
+runs, from the negative draw to the L1 step, is here too, and nowhere else."""
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import re
 import threading
 from array import array
 from collections import defaultdict
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from ._native import check_room, check_rows
 from .corpus import _bad_word, _word_bytes, ngram_bucket_ids, sentence_ngrams
-from .model import EmbeddingMatrices, _fill_rows, apply_l1_after_step, lr_schedule
-from .model import ngram_dropout, train_step
-from .sampling import sample_negatives
+from .model import EmbeddingMatrices, _fill_rows
+from .sampling import COIN_SCALE, AliasTable
 
 logger = logging.getLogger(__name__)
 
@@ -251,6 +253,219 @@ class Encoder:
 
 
 encoder = Encoder
+
+
+# the per-step oracle: one SGD step per (sentence, target) pair, its negative draws,
+# n-gram dropout, learning rate and L1 step, which ``train_chunk`` runs and the kernel mirrors
+
+# relative learning-rate floor; keeps late updates alive when the shared
+# progress counter overshoots in parallel runs
+LR_FLOOR_FRACTION = 1e-5
+
+
+def logistic_loss(x):
+    """Binary logistic loss log(1 + exp(-x)), numerically stable for any x.
+
+    Evaluates log1p(exp(-|x|)) + max(-x, 0), which equals log1p(exp(-x))
+    for x >= 0 and -x + log1p(exp(x)) otherwise, without overflow.
+    Accepts scalars or arrays.
+    """
+    x = np.asarray(x)
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(-x, 0.0)
+
+
+def sigmoid(x):
+    """Logistic function, overflow-safe on both tails."""
+    x = np.asarray(x)
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+@dataclass
+class StepOutcome:
+    """Instrumentation of one SGD step.
+
+    The touched-row lists are duplicate-free; the touch counts include
+    multiplicity (one per feature occurrence / scored term) and therefore
+    measure the per-step floating-point work.
+    """
+
+    loss: float
+    touched_source_rows: list[int]
+    touched_target_rows: list[int]
+    source_touch_count: int
+    target_touch_count: int
+
+
+def masked_context(ids, grams, spans, pos: int, dropped=None) -> np.ndarray:
+    """Source rows of a sentence with the target at ``pos`` held out.
+
+    ``grams`` and ``spans`` are the sentence's n-grams as
+    ``corpus.sentence_ngrams`` returns them.  Drops the unigram occurrence
+    at ``pos`` (other occurrences of the same word stay), every n-gram
+    whose span covers ``pos`` and every n-gram flagged in ``dropped``.
+    """
+    ids = np.asarray(ids)
+    keep = (spans[:, 0] > pos) | (spans[:, 1] < pos)
+    if dropped is not None:
+        keep &= dropped == 0
+    return np.concatenate([ids[:pos], ids[pos + 1 :], grams[keep]])
+
+
+def train_step(
+    ids,
+    grams,
+    spans,
+    pos: int,
+    negatives,
+    lr: float,
+    matrices: EmbeddingMatrices,
+    dropped=None,
+) -> StepOutcome | None:
+    """One SGD step on a single (sentence, target) pair.
+
+    The sentence is given as in ``masked_context``.  Scores the target
+    and each negative against the masked sentence vector v.  With
+    g = sigmoid(score) - label, each scored target row receives
+    ``u -= lr * g * v`` and every source row in the masked context
+    receives ``v_row -= lr * grad_v / context_size`` where ``grad_v``
+    accumulates g-weighted pre-update target rows.
+
+    Returns None when the masked context is empty (a skipped step, as for
+    one-token sentences), otherwise the loss and touched rows.  The loss
+    is accumulated in 64-bit regardless of the parameter dtype.
+    """
+    context = masked_context(ids, grams, spans, pos, dropped)
+    if len(context) == 0:
+        return None
+    source, target_mat = matrices.source, matrices.target
+
+    ctx_rows = source[context]
+    v = ctx_rows.mean(axis=0)
+
+    scored = np.empty(1 + len(negatives), dtype=np.int64)
+    scored[0] = ids[pos]
+    scored[1:] = negatives
+    u_rows = target_mat[scored]
+    scores = u_rows @ v
+
+    coeff = sigmoid(scores)
+    coeff[0] -= 1.0
+
+    signed = -scores.astype(np.float64)
+    signed[0] = -signed[0]
+    loss = math.fsum(logistic_loss(signed))
+
+    grad_v = coeff @ u_rows  # pre-update target rows
+
+    uniq_scored = np.unique(scored)
+    step = (lr * coeff)[:, np.newaxis] * v
+    if len(uniq_scored) == len(scored):
+        target_mat[scored] -= step
+    else:
+        # duplicate negatives each contribute their own gradient term
+        np.subtract.at(target_mat, scored, step)
+
+    uniq_context = np.unique(context)
+    delta = (lr / len(context)) * grad_v
+    if len(uniq_context) == len(context):
+        source[context] -= delta
+    else:
+        # repeated words in the context are updated once per occurrence
+        np.subtract.at(source, context, delta[np.newaxis, :])
+
+    return StepOutcome(
+        loss=loss,
+        touched_source_rows=uniq_context.tolist(),
+        touched_target_rows=uniq_scored.tolist(),
+        source_touch_count=len(context),
+        target_touch_count=len(scored),
+    )
+
+
+def ngram_dropout(n_grams: int, k: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Flags dropping min(k, ``n_grams``) n-grams uniformly without replacement.
+
+    Returns a uint8 mask over the n-grams (1 = dropped), as the kernel
+    takes it, or None when there is nothing to drop.
+    """
+    if k < 0:
+        raise ValueError(f"dropout count must be >= 0, got {k}")
+    if k == 0 or n_grams == 0:
+        return None
+    dropped = np.zeros(n_grams, dtype=np.uint8)
+    dropped[rng.choice(n_grams, size=min(k, n_grams), replace=False)] = 1
+    return dropped
+
+
+def lr_schedule(base_lr: float, progress: float) -> float:
+    """Linearly decaying learning rate with a small floor.
+
+    ``progress`` is the fraction of expected target updates already
+    processed, clamped into [0, 1]; the rate never drops below
+    ``1e-5 * base_lr``.
+    """
+    progress = min(1.0, max(0.0, progress))
+    return max(base_lr * (1.0 - progress), LR_FLOOR_FRACTION * base_lr)
+
+
+def l1_prox(x, threshold: float):
+    """Elementwise soft-thresholding sign(x) * max(|x| - threshold, 0)."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    x = np.asarray(x)
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+
+
+def apply_l1_after_step(
+    outcome: StepOutcome,
+    tau: float,
+    lr: float,
+    context_size: int,
+    matrices: EmbeddingMatrices,
+) -> None:
+    """Proximal L1 step on the rows touched by one SGD step, in place.
+
+    Source rows are thresholded with ``tau * lr / context_size`` and
+    target rows with ``tau * lr``.  A ``tau`` of zero is a no-op.
+    """
+    if tau == 0.0:
+        return
+    src = outcome.touched_source_rows
+    tgt = outcome.touched_target_rows
+    source, target = matrices.source, matrices.target
+    source[src] = l1_prox(source[src], tau * lr / context_size)
+    target[tgt] = l1_prox(target[tgt], tau * lr)
+
+
+def _draw(table: AliasTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    columns = rng.integers(0, table.size, size=count)
+    coins = rng.integers(0, COIN_SCALE, size=count)
+    return np.where(
+        coins < table.threshold[columns], table.entries[columns], table.alias[columns]
+    )
+
+
+def sample_negatives(
+    table: AliasTable,
+    target: int,
+    count: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``count`` negative word ids from the alias table, excluding the target.
+
+    Collisions with the target are rejected and redrawn; duplicates among
+    the negatives are permitted.  Raises ``ValueError`` if the table holds
+    nothing but the target.
+    """
+    if table.size == 1 and table.entries[0] == target:
+        raise ValueError("negative table contains only the target word")
+    out = _draw(table, count, rng)
+    retry = np.nonzero(out == target)[0]
+    while retry.size:
+        out[retry] = _draw(table, retry.size, rng)
+        retry = retry[out[retry] == target]
+    return out
 
 
 def rng_state(rng: np.random.Generator) -> np.random.Generator:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .corpus import Vocabulary, _check_utf8, _rewrite_lines
-from .trainer import TrainedModel, _row_fills, _text_output
+from .trainer import TrainedModel, _byte_output, _row_fills
 
 __all__ = [
     "SimilarityPairs",
@@ -341,10 +341,11 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
     Both sides of every pair are composed as ``embed_batch`` composes
     them, from their spans of the ``pairs``' bytes (``side_spans``), as many
     pairs per engine call as have float32 features of the text buffer's
-    size (65,536 values), and printed through that one buffer, so the
-    memory held does not grow with the pairs.  Every record produces a row
-    (an all-OOV side contributes the zero vector); returns the number of
-    rows written.  ``destination`` is a path or an open text file.
+    size (65,536 values), and printed through that one buffer, whose bytes
+    each fill writes out as they are, so the memory held does not grow with
+    the pairs.  Every record produces a row (an all-OOV side contributes the
+    zero vector); returns the number of rows written.  ``destination`` is a
+    path or an open text file.
     """
     from . import _native
 
@@ -352,7 +353,7 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
     engine, table, data, starts, ends = _engine_text(model, pairs.data, *pairs.side_spans())
     step = max(1, _native._TEXT_BYTES // (8 * source.shape[1]))
     out = _native.text_buffer(2 * source.shape[1]) if n else None
-    with _text_output(destination) as fh:
+    with _byte_output(destination) as write:
         for a in range(0, n, step):
             b = min(a + step, n)
             sides = np.r_[a:b, n + a : n + b]
@@ -361,7 +362,7 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
             )[0]
             features = pair_features(vectors[: b - a], vectors[b - a :])
             for _, text in _row_fills(features, "\t", out):
-                fh.write(text)
+                write(text)
     return n
 
 

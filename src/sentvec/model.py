@@ -1,17 +1,14 @@
-"""Parameter matrices, the masked context, and the per-target SGD step.
+"""Parameter matrices, their initial draw, and the worker-thread helper.
 
-A sentence vector is the arithmetic mean of the source rows of its
-feature list (unigrams plus hashed n-grams, duplicates counted).  One
-training step scores the held-out target word and a handful of sampled
-negatives against the masked sentence vector under the binary logistic
-loss, then applies plain SGD updates to the touched rows, optionally
-followed by an L1 proximal (soft-thresholding) step.
+Source rows hold the unigram vectors, then the hashed n-gram buckets;
+target rows score the held-out word and its negatives.  The engine's
+``train_chunk`` trains them in place; the numpy per-step oracle it
+mirrors lives in the numpy reference engine.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 import threading
 import time
@@ -19,18 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EmbeddingMatrices",
-    "StepOutcome",
-    "logistic_loss",
-    "sigmoid",
-    "masked_context",
-    "train_step",
-    "ngram_dropout",
-    "lr_schedule",
-    "l1_prox",
-    "apply_l1_after_step",
-]
+__all__ = ["EmbeddingMatrices"]
 
 logger = logging.getLogger(__name__)
 
@@ -40,29 +26,6 @@ INIT_PIECE_VALUES = 1 << 20
 
 # float64 draws per block of the numpy draw (2 MiB of temporaries)
 INIT_BLOCK_VALUES = 1 << 18
-
-# relative learning-rate floor; keeps late updates alive when the shared
-# progress counter overshoots in parallel runs
-LR_FLOOR_FRACTION = 1e-5
-
-
-def logistic_loss(x):
-    """Binary logistic loss log(1 + exp(-x)), numerically stable for any x.
-
-    Evaluates log1p(exp(-|x|)) + max(-x, 0), which equals log1p(exp(-x))
-    for x >= 0 and -x + log1p(exp(x)) otherwise, without overflow.
-    Accepts scalars or arrays.
-    """
-    x = np.asarray(x)
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(-x, 0.0)
-
-
-def sigmoid(x):
-    """Logistic function, overflow-safe on both tails."""
-    x = np.asarray(x)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
 
 @dataclass
 class EmbeddingMatrices:
@@ -205,160 +168,3 @@ def _fill_rows(rows: np.ndarray, low: float, high: float, rng: np.random.Generat
     for first in range(0, flat.size, INIT_BLOCK_VALUES):
         block = flat[first : first + INIT_BLOCK_VALUES]
         block[:] = rng.uniform(low, high, size=len(block))
-
-
-@dataclass
-class StepOutcome:
-    """Instrumentation of one SGD step.
-
-    The touched-row lists are duplicate-free; the touch counts include
-    multiplicity (one per feature occurrence / scored term) and therefore
-    measure the per-step floating-point work.
-    """
-
-    loss: float
-    touched_source_rows: list[int]
-    touched_target_rows: list[int]
-    source_touch_count: int
-    target_touch_count: int
-
-
-def masked_context(ids, grams, spans, pos: int, dropped=None) -> np.ndarray:
-    """Source rows of a sentence with the target at ``pos`` held out.
-
-    ``grams`` and ``spans`` are the sentence's n-grams as
-    ``corpus.sentence_ngrams`` returns them.  Drops the unigram occurrence
-    at ``pos`` (other occurrences of the same word stay), every n-gram
-    whose span covers ``pos`` and every n-gram flagged in ``dropped``.
-    """
-    ids = np.asarray(ids)
-    keep = (spans[:, 0] > pos) | (spans[:, 1] < pos)
-    if dropped is not None:
-        keep &= dropped == 0
-    return np.concatenate([ids[:pos], ids[pos + 1 :], grams[keep]])
-
-
-def train_step(
-    ids,
-    grams,
-    spans,
-    pos: int,
-    negatives,
-    lr: float,
-    matrices: EmbeddingMatrices,
-    dropped=None,
-) -> StepOutcome | None:
-    """One SGD step on a single (sentence, target) pair.
-
-    The sentence is given as in ``masked_context``.  Scores the target
-    and each negative against the masked sentence vector v.  With
-    g = sigmoid(score) - label, each scored target row receives
-    ``u -= lr * g * v`` and every source row in the masked context
-    receives ``v_row -= lr * grad_v / context_size`` where ``grad_v``
-    accumulates g-weighted pre-update target rows.
-
-    Returns None when the masked context is empty (a skipped step, as for
-    one-token sentences), otherwise the loss and touched rows.  The loss
-    is accumulated in 64-bit regardless of the parameter dtype.
-    """
-    context = masked_context(ids, grams, spans, pos, dropped)
-    if len(context) == 0:
-        return None
-    source, target_mat = matrices.source, matrices.target
-
-    ctx_rows = source[context]
-    v = ctx_rows.mean(axis=0)
-
-    scored = np.empty(1 + len(negatives), dtype=np.int64)
-    scored[0] = ids[pos]
-    scored[1:] = negatives
-    u_rows = target_mat[scored]
-    scores = u_rows @ v
-
-    coeff = sigmoid(scores)
-    coeff[0] -= 1.0
-
-    signed = -scores.astype(np.float64)
-    signed[0] = -signed[0]
-    loss = math.fsum(logistic_loss(signed))
-
-    grad_v = coeff @ u_rows  # pre-update target rows
-
-    uniq_scored = np.unique(scored)
-    step = (lr * coeff)[:, np.newaxis] * v
-    if len(uniq_scored) == len(scored):
-        target_mat[scored] -= step
-    else:
-        # duplicate negatives each contribute their own gradient term
-        np.subtract.at(target_mat, scored, step)
-
-    uniq_context = np.unique(context)
-    delta = (lr / len(context)) * grad_v
-    if len(uniq_context) == len(context):
-        source[context] -= delta
-    else:
-        # repeated words in the context are updated once per occurrence
-        np.subtract.at(source, context, delta[np.newaxis, :])
-
-    return StepOutcome(
-        loss=loss,
-        touched_source_rows=uniq_context.tolist(),
-        touched_target_rows=uniq_scored.tolist(),
-        source_touch_count=len(context),
-        target_touch_count=len(scored),
-    )
-
-
-def ngram_dropout(n_grams: int, k: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Flags dropping min(k, ``n_grams``) n-grams uniformly without replacement.
-
-    Returns a uint8 mask over the n-grams (1 = dropped), as the kernel
-    takes it, or None when there is nothing to drop.
-    """
-    if k < 0:
-        raise ValueError(f"dropout count must be >= 0, got {k}")
-    if k == 0 or n_grams == 0:
-        return None
-    dropped = np.zeros(n_grams, dtype=np.uint8)
-    dropped[rng.choice(n_grams, size=min(k, n_grams), replace=False)] = 1
-    return dropped
-
-
-def lr_schedule(base_lr: float, progress: float) -> float:
-    """Linearly decaying learning rate with a small floor.
-
-    ``progress`` is the fraction of expected target updates already
-    processed, clamped into [0, 1]; the rate never drops below
-    ``1e-5 * base_lr``.
-    """
-    progress = min(1.0, max(0.0, progress))
-    return max(base_lr * (1.0 - progress), LR_FLOOR_FRACTION * base_lr)
-
-
-def l1_prox(x, threshold: float):
-    """Elementwise soft-thresholding sign(x) * max(|x| - threshold, 0)."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    x = np.asarray(x)
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
-
-
-def apply_l1_after_step(
-    outcome: StepOutcome,
-    tau: float,
-    lr: float,
-    context_size: int,
-    matrices: EmbeddingMatrices,
-) -> None:
-    """Proximal L1 step on the rows touched by one SGD step, in place.
-
-    Source rows are thresholded with ``tau * lr / context_size`` and
-    target rows with ``tau * lr``.  A ``tau`` of zero is a no-op.
-    """
-    if tau == 0.0:
-        return
-    src = outcome.touched_source_rows
-    tgt = outcome.touched_target_rows
-    source, target = matrices.source, matrices.target
-    source[src] = l1_prox(source[src], tau * lr / context_size)
-    target[tgt] = l1_prox(target[tgt], tau * lr)

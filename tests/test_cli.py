@@ -313,6 +313,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_matrices_larger_than_free_memory_are_one_error_line(
+        self, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        from sentvec import trainer
+
+        monkeypatch.setattr(trainer, "_free_memory", lambda: 1_000)
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", corpus_path, "--output", str(out), "--dim", "8",
+                     "--word-ngrams", "2", "--buckets", "64", "--min-count", "1",
+                     "--min-target-count", "1", "--epochs", "1"])
+        assert code == 1
+        vocab = 100  # two topics of 50 words, each seen
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the source and target matrices need {(2 * vocab + 64) * 8 * 4:,} bytes, "
+            f"({vocab} + 64 + {vocab}) rows of 8 float32 values, set by --buckets 64 and "
+            "--dim 8; 1,000 bytes are available\n"
+        )
+        assert not out.exists()
+
     def test_threads_flag_skips_the_env(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SENTVEC_THREADS", "abc")
         out = tmp_path / "flag.bin"

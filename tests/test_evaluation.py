@@ -960,6 +960,39 @@ class TestOneTextBuffer:
             for row in pair_features(va, vb)
         )
 
+    def test_bytes_land_between_the_texts_of_an_open_file(self, engine, tmp_path):
+        # each fill's bytes go to the file's binary layer after the text written before
+        from sentvec.trainer import export_text_vectors
+
+        rng = np.random.default_rng(5)
+        words = ["été", "İx", *(f"w{i}" for i in range(300))]
+        model = toy_model(words, rng.standard_normal((len(words), 100)))
+        pairs = write_pairs(tmp_path / "sim.tsv", [
+            (" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
+            for _ in range(400)
+        ])
+        for write in (
+            lambda out: export_text_vectors(model, out),
+            lambda out: write_pair_features(model, pairs, out),
+        ):
+            write(str(tmp_path / "alone.txt"))
+            with open(tmp_path / "open.txt", "w", encoding="utf-8") as fh:
+                fh.write("before\n")
+                write(fh)
+                fh.write("after\n")
+            alone = (tmp_path / "alone.txt").read_bytes()
+            assert alone.count(b"\n") > 300
+            assert (tmp_path / "open.txt").read_bytes() == b"before\n" + alone + b"after\n"
+
+    def test_a_lone_surrogate_word_is_not_exported(self, engine, tmp_path):
+        # it has no UTF-8 bytes: the export raises after the header, as encoding it did
+        from sentvec.trainer import export_text_vectors
+
+        path = tmp_path / "vectors.txt"
+        with pytest.raises(UnicodeError):
+            export_text_vectors(toy_model(["a", "b\udc80"], np.ones((2, 3))), str(path))
+        assert path.read_bytes() == b"2 3\n"
+
     @pytest.mark.parametrize("rows", ["C-contiguous float64", "non-contiguous float32"])
     def test_other_source_rows_rejected(self, engine, tmp_path, rows):
         from sentvec.trainer import export_text_vectors

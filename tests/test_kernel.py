@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from sentvec import _native, _reference, evaluation
+from sentvec._reference import apply_l1_after_step, train_step
 from sentvec.corpus import Vocabulary, ngram_hash, sentence_ngrams
-from sentvec.model import EmbeddingMatrices, apply_l1_after_step, train_step
+from sentvec.model import EmbeddingMatrices
 from sentvec.sampling import (
     COIN_SCALE,
     AliasTable,

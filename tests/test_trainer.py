@@ -230,6 +230,20 @@ class TestTrain:
             inline = train(tiny_corpus, quick_config(threads=1, epochs=1))
             assert inline.matrices.source.tobytes() == trained.matrices.source.tobytes()
 
+    def test_long_sentences_named(self, tmp_path, caplog):
+        # a subsampling rate this low keeps almost no target, so the long line's
+        # steps, quadratic in its length, cost next to nothing
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(50)]
+        lines = [" ".join(rng.choice(words, 8)) for _ in range(200)]
+        lines[50] = " ".join(rng.choice(words, 1_024))  # as long as a line may be
+        lines[100] = " ".join(rng.choice(words, 20_000))
+        path = tmp_path / "long.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+            train(str(path), quick_config(dim=4, epochs=1, subsample_t=1e-12))
+        assert "longest sentence 20000 tokens, 1 longer than 1024" in caplog.messages
+
     def test_l1_run_produces_exact_zeros(self, small_corpus):
         dense = train(small_corpus, quick_config(seed=3))
         sparse = train(small_corpus, quick_config(seed=3, l1_tau=0.01))
@@ -344,6 +358,56 @@ class TestTrain:
         np.testing.assert_array_equal(
             restored.matrices.source, model.matrices.source
         )
+
+
+class TestMemoryCheck:
+    """The matrices' bytes against what ``_free_memory`` reads; the files it reads are
+    patched, so no test needs or allocates a large matrix."""
+
+    MEMINFO = "MemTotal:  8000000 kB\nMemFree:  100 kB\nMemAvailable:    5000 kB\n"
+
+    @pytest.mark.parametrize("files,free", [
+        ({"/proc/meminfo": MEMINFO}, 5000 << 10),
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/box\n",
+          "/sys/fs/cgroup/box/memory.max": "9000\n",
+          "/sys/fs/cgroup/box/memory.current": "1000\n"}, 8000),
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/box\n",
+          "/sys/fs/cgroup/box/memory.max": "max\n",
+          "/sys/fs/cgroup/box/memory.current": "1000\n"}, 5000 << 10),
+        ({"/proc/self/cgroup": "4:memory:/v1\n0::/\n", "/sys/fs/cgroup/memory.max": "900\n",
+          "/sys/fs/cgroup/memory.current": "1000\n"}, 0),
+        ({"/proc/self/cgroup": "4:memory:/v1\n", "/proc/meminfo": MEMINFO}, 5000 << 10),
+        ({"/proc/meminfo": "MemTotal:  8000000 kB\n"}, None),
+        ({}, None),
+    ], ids=["meminfo", "cgroup-limit", "cgroup-no-limit", "cgroup-over", "cgroup-v1", "no-field",
+            "nothing"])
+    def test_free_memory(self, monkeypatch, files, free):
+        from sentvec import trainer
+
+        monkeypatch.setattr(trainer, "_read_text", files.get)
+        assert trainer._free_memory() == free
+
+    def test_checked_before_the_matrices_are_drawn(self, tiny_corpus, monkeypatch):
+        from sentvec import trainer
+        from sentvec.model import EmbeddingMatrices
+
+        config = quick_config(word_ngrams=2, bucket_count=64, epochs=1)
+        monkeypatch.setattr(trainer, "_free_memory", lambda: None)  # no check
+        vocab = len(train(tiny_corpus, config).vocab)
+        need = (2 * vocab + 64) * 16 * 4
+        monkeypatch.setattr(trainer, "_free_memory", lambda: need)
+        assert len(train(tiny_corpus, config).vocab) == vocab
+
+        def drawn(*args):
+            raise AssertionError("the matrices were drawn")
+
+        monkeypatch.setattr(trainer, "_free_memory", lambda: need - 1)
+        monkeypatch.setattr(EmbeddingMatrices, "initialize", drawn)
+        message = (rf"^the source and target matrices need {need:,} bytes, \({vocab} \+ 64 "
+                   rf"\+ {vocab}\) rows of 16 float32 values, set by --buckets 64 and --dim 16; "
+                   rf"{need - 1:,} bytes are available$")
+        with pytest.raises(ValueError, match=message):
+            train(tiny_corpus, config)
 
 
 class TestLossWindows:
