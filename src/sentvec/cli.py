@@ -29,7 +29,7 @@ from .trainer import (
     PRESETS,
     ModelFormatError,
     TrainConfig,
-    _text_output,
+    _byte_output,
     check_model_path,
     export_text_vectors,
     load_model,
@@ -208,33 +208,28 @@ def cmd_embed(args) -> int:
     source = model.matrices.source
     stats = OovStats()
     text = _native.text_buffer(source.shape[1])  # each kernel call fills it with whole lines
-    out = getattr(sys.stdout, "buffer", None)
-    if out is not None:
-        sys.stdout.flush()  # text written before goes first
     if sys.stdin is None:
         raise ValueError("no standard input to read sentences from (stdin is closed)")
     # stdin's bytes when it has them; the str of a text stdin holds no invalid UTF-8
     stdin = getattr(sys.stdin, "buffer", None)
     lines = 0
-    for block in _line_blocks(sys.stdin if stdin is None else stdin):
-        if stdin is not None:
-            _check_utf8(block, "stdin", lines)
-        starts, ends = _line_spans(block)
-        lines += len(ends)
-        engine, table, data, starts, ends = _engine_text(model, block, starts, ends)
-        known, tokens = [], 0
-        for size, fill_known, fill_tokens in engine.embed_rows(
-            table, source, model.buckets, model.word_ngrams, data, starts, ends,
-            args.oov_flag, text,
-        ):
-            known.append(fill_known)
-            tokens += fill_tokens
-            if out is not None:
-                out.write(text[:size])
-            else:
-                sys.stdout.write(str(text[:size], "ascii"))
-        # one count per block: a fill holds as few as 34 lines at dim 700
-        _all_oov(np.concatenate(known), tokens, stats)
+    with _byte_output(sys.stdout) as write:
+        for block in _line_blocks(sys.stdin if stdin is None else stdin):
+            if stdin is not None:
+                _check_utf8(block, "stdin", lines)
+            starts, ends = _line_spans(block)
+            lines += len(ends)
+            engine, table, data, starts, ends = _engine_text(model, block, starts, ends)
+            known, tokens = [], 0
+            for size, fill_known, fill_tokens in engine.embed_rows(
+                table, source, model.buckets, model.word_ngrams, data, starts, ends,
+                args.oov_flag, text,
+            ):
+                known.append(fill_known)
+                tokens += fill_tokens
+                write(text[:size])
+            # one count per block: a fill holds as few as 34 lines at dim 700
+            _all_oov(np.concatenate(known), tokens, stats)
     _log_oov(stats)
     return 0
 
@@ -257,12 +252,12 @@ def cmd_norm_profile(args) -> int:
     profile = norm_profile(model)
     if args.a is not None:
         arora_weight(1.0, args.a)  # a bad --a fails before --output is created
-    with _text_output(sys.stdout if args.output == "-" else args.output) as fh:
+    with _byte_output(sys.stdout if args.output == "-" else args.output) as write:
         for log_freq, norm in profile:
             line = f"{log_freq:.6g} {norm:.6g}"
             if args.a is not None:
                 line += f" {arora_weight(math.exp(log_freq), args.a):.6g}"
-            fh.write(line + "\n")
+            write(f"{line}\n".encode())
     return 0
 
 

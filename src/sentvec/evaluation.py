@@ -345,7 +345,8 @@ def write_pair_features(model: TrainedModel, pairs: SimilarityPairs, destination
     each fill writes out as they are, so the memory held does not grow with
     the pairs.  Every record produces a row (an all-OOV side contributes the
     zero vector); returns the number of rows written.  ``destination`` is a
-    path or an open text file.
+    path or an open text file; lines end in ``\\n``, written to a UTF-8 text
+    file's binary layer.
     """
     from . import _native
 

@@ -9,7 +9,9 @@ interop with word-vector tooling.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import itertools
 import logging
 import math
 import mmap
@@ -355,20 +357,26 @@ def _read_text(path: str) -> str | None:
 
 
 def _free_memory() -> int | None:
-    """Bytes the process can still take: the smaller of ``MemAvailable`` in
-    ``/proc/meminfo`` and, where its cgroup v2 sets ``memory.max``, that limit
-    less ``memory.current``.  None where neither can be read."""
+    """Bytes the process can still take: the smallest of ``MemAvailable`` in
+    ``/proc/meminfo`` and, for its cgroup v2 and each ancestor that sets ``memory.max``,
+    that limit less ``memory.current``, where the group's page cache (``active_file``
+    and ``inactive_file`` in ``memory.stat``, such as the corpus just read) counts as
+    free, as ``MemAvailable`` counts it.  None where none of them can be read."""
     free = []
     meminfo = re.search(r"^MemAvailable:\s+(\d+) kB$", _read_text("/proc/meminfo") or "", re.M)
     if meminfo:
         free.append(int(meminfo[1]) << 10)
     group = re.search(r"^0::(/.*)$", _read_text("/proc/self/cgroup") or "", re.M)
-    if group:
-        folder = "/sys/fs/cgroup" + group[1].rstrip("/")
+    path = group[1].rstrip("/") if group else None  # "" for the root group
+    while path is not None:  # the group itself, then each ancestor
+        folder = "/sys/fs/cgroup" + path
+        path = path.rpartition("/")[0] if path else None
         limit = (_read_text(folder + "/memory.max") or "").strip()
         used = (_read_text(folder + "/memory.current") or "").strip()
         if limit.isdigit() and used.isdigit():  # "max" where no limit is set
-            free.append(max(0, int(limit) - int(used)))
+            stat = _read_text(folder + "/memory.stat") or ""
+            cache = sum(map(int, re.findall(r"^(?:in)?active_file (\d+)$", stat, re.M)))
+            free.append(max(0, int(limit) - int(used) + cache))
     return min(free, default=None)
 
 
@@ -620,25 +628,17 @@ def load_model(path: str) -> TrainedModel:
 
 
 @contextlib.contextmanager
-def _text_output(destination):
-    """``destination`` as a text file to write: itself when it has ``write``, else
-    that path opened as UTF-8 and closed on exit."""
-    if hasattr(destination, "write"):
-        yield destination
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-@contextlib.contextmanager
 def _byte_output(destination):
     """A ``write`` of UTF-8 bytes to ``destination``: that path opened ``"wb"`` and closed
-    on exit, or an open text file's binary layer after a flush of the text before, as
-    ``embed`` writes; a text file without one, such as ``io.StringIO``, takes their text."""
+    on exit, or an open UTF-8 text file's binary layer after a flush of the text before;
+    any other text file, such as ``io.StringIO`` or a Latin-1 file, takes their text.
+    Through the binary layer a line ends in ``\\n`` whatever the file's ``newline``."""
     if not hasattr(destination, "write"):
         with open(destination, "wb") as fh:
             yield fh.write
-    elif (binary := getattr(destination, "buffer", None)) is not None:
+        return
+    binary, encoding = getattr(destination, "buffer", None), getattr(destination, "encoding", None)
+    if binary is not None and encoding and codecs.lookup(encoding).name == "utf-8":
         destination.flush()
         yield binary.write
     else:
@@ -661,9 +661,10 @@ def _row_fills(rows: np.ndarray, sep: str, out: np.ndarray):
 def export_text_vectors(model: TrainedModel, destination) -> None:
     """Write unigram source vectors as text: "<count> <dim>" header, then one word per line.
 
-    ``destination`` is a path or an open text file; floats carry 6
-    significant digits.  The rows print through one text buffer, and each
-    fill's lines go out behind their words in one write of bytes.
+    ``destination`` is a path or an open text file; lines end in ``\\n``, and
+    floats carry 6 significant digits.  The rows print through one text
+    buffer, and each fill's lines go out behind their words in one write of
+    bytes, to a UTF-8 text file's binary layer.
     """
     from . import _native
 
@@ -672,16 +673,10 @@ def export_text_vectors(model: TrainedModel, destination) -> None:
     with _byte_output(destination) as write:
         write(b"%d %d\n" % (n, dim))
         if n:  # a model without words allocates no text buffer
-            names, ends = model.vocab.word_bytes()
+            names = model.vocab.word_bytes()[0]
             if not names.isascii():
                 names.decode("utf-8")  # a lone surrogate has no UTF-8: raise, as encoding it would
-            # each word followed by a space, and where each starts: no word holds whitespace
-            names, starts = names.replace(b"\n", b" "), np.concatenate([[0], ends + 1])
+            prefixes = [word + b" " for word in names.split(b"\n")[:-1]]
             for fill, text in _row_fills(source[:n], " ", _native.text_buffer(dim)):
-                words = starts[fill.start : fill.stop + 1].tolist()
-                line_ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
-                lines = [0, *(line_ends + 1).tolist()]
-                pieces = [b""] * (2 * len(words) - 2)
-                pieces[::2] = [names[a:b] for a, b in zip(words, words[1:])]
-                pieces[1::2] = [text[a:b] for a, b in zip(lines, lines[1:])]
-                write(b"".join(pieces))
+                lines = bytes(text).splitlines(True)
+                write(b"".join(itertools.chain.from_iterable(zip(prefixes[fill], lines))))

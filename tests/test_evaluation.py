@@ -960,12 +960,14 @@ class TestOneTextBuffer:
             for row in pair_features(va, vb)
         )
 
-    def test_bytes_land_between_the_texts_of_an_open_file(self, engine, tmp_path):
-        # each fill's bytes go to the file's binary layer after the text written before
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16"])
+    def test_bytes_land_between_the_texts_of_an_open_file(self, engine, tmp_path, encoding):
+        # each fill's bytes go to a UTF-8 file's binary layer after the text written before;
+        # a file of another encoding takes their text through its own
         from sentvec.trainer import export_text_vectors
 
         rng = np.random.default_rng(5)
-        words = ["été", "İx", *(f"w{i}" for i in range(300))]
+        words = ["été", "ñx", *(f"w{i}" for i in range(300))]
         model = toy_model(words, rng.standard_normal((len(words), 100)))
         pairs = write_pairs(tmp_path / "sim.tsv", [
             (" ".join(rng.choice(words, 3)), " ".join(rng.choice(words, 2)), 0.0)
@@ -976,13 +978,15 @@ class TestOneTextBuffer:
             lambda out: write_pair_features(model, pairs, out),
         ):
             write(str(tmp_path / "alone.txt"))
-            with open(tmp_path / "open.txt", "w", encoding="utf-8") as fh:
+            with open(tmp_path / "open.txt", "w", encoding=encoding) as fh:
                 fh.write("before\n")
                 write(fh)
                 fh.write("after\n")
-            alone = (tmp_path / "alone.txt").read_bytes()
-            assert alone.count(b"\n") > 300
-            assert (tmp_path / "open.txt").read_bytes() == b"before\n" + alone + b"after\n"
+            alone = (tmp_path / "alone.txt").read_text(encoding="utf-8")
+            assert alone.count("\n") > 300
+            assert (tmp_path / "open.txt").read_bytes() == (
+                "before\n" + alone + "after\n"
+            ).encode(encoding)
 
     def test_a_lone_surrogate_word_is_not_exported(self, engine, tmp_path):
         # it has no UTF-8 bytes: the export raises after the header, as encoding it did

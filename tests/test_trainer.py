@@ -376,16 +376,47 @@ class TestMemoryCheck:
           "/sys/fs/cgroup/box/memory.current": "1000\n"}, 5000 << 10),
         ({"/proc/self/cgroup": "4:memory:/v1\n0::/\n", "/sys/fs/cgroup/memory.max": "900\n",
           "/sys/fs/cgroup/memory.current": "1000\n"}, 0),
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/box\n",
+          "/sys/fs/cgroup/box/memory.max": "9000\n",
+          "/sys/fs/cgroup/box/memory.current": "8500\n",
+          "/sys/fs/cgroup/box/memory.stat":
+              "anon 400\nfile 8100\nactive_file 3000\ninactive_file 5000\nshmem 100\n"}, 8500),
+        ({"/proc/self/cgroup": "0::/box/job/\n", "/sys/fs/cgroup/box/job/memory.max": "max\n",
+          "/sys/fs/cgroup/box/job/memory.current": "500\n",
+          "/sys/fs/cgroup/box/memory.max": "9000\n",
+          "/sys/fs/cgroup/box/memory.current": "1000\n"}, 8000),
+        ({"/proc/self/cgroup": "0::/box/job\n", "/sys/fs/cgroup/box/job/memory.max": "6000\n",
+          "/sys/fs/cgroup/box/job/memory.current": "2000\n",
+          "/sys/fs/cgroup/box/memory.max": "9000\n",
+          "/sys/fs/cgroup/box/memory.current": "1000\n",
+          "/sys/fs/cgroup/memory.max": "3000\n", "/sys/fs/cgroup/memory.current": "0\n"}, 3000),
         ({"/proc/self/cgroup": "4:memory:/v1\n", "/proc/meminfo": MEMINFO}, 5000 << 10),
         ({"/proc/meminfo": "MemTotal:  8000000 kB\n"}, None),
         ({}, None),
-    ], ids=["meminfo", "cgroup-limit", "cgroup-no-limit", "cgroup-over", "cgroup-v1", "no-field",
-            "nothing"])
+    ], ids=["meminfo", "cgroup-limit", "cgroup-no-limit", "cgroup-over", "cgroup-page-cache",
+            "ancestor-limit", "tightest-ancestor", "cgroup-v1", "no-field", "nothing"])
     def test_free_memory(self, monkeypatch, files, free):
         from sentvec import trainer
 
         monkeypatch.setattr(trainer, "_read_text", files.get)
         assert trainer._free_memory() == free
+
+    def test_page_cache_counts_as_free(self, monkeypatch):
+        """A cgroup near its limit only through the page cache, as after reading a corpus
+        about as large as the limit, still takes the matrices."""
+        from sentvec import trainer
+
+        need = (2 * 100 + 50) * 8 * 4
+        stat = "/sys/fs/cgroup/box/memory.stat"
+        files = {"/proc/self/cgroup": "0::/box\n",
+                 "/sys/fs/cgroup/box/memory.max": f"{need + 1000}\n",
+                 "/sys/fs/cgroup/box/memory.current": f"{need}\n",
+                 stat: f"anon 1000\nactive_file 2000\ninactive_file {need - 3000}\n"}
+        monkeypatch.setattr(trainer, "_read_text", files.get)
+        trainer._check_memory(100, 50, 8)
+        files[stat] = "anon 1000\nactive_file 0\ninactive_file 0\n"
+        with pytest.raises(ValueError, match=r"; 1,000 bytes are available$"):
+            trainer._check_memory(100, 50, 8)
 
     def test_checked_before_the_matrices_are_drawn(self, tiny_corpus, monkeypatch):
         from sentvec import trainer
