@@ -32,15 +32,16 @@
  * composes the two sides of each similarity pair the same way, one pair at a
  * time into scratch, and returns only their three dots in double, and
  * sv_embed_rows composes each line of sentvec embed into scratch and writes
- * only its text.  sv_format_rows writes float32 rows as the %.6g text of
- * evaluation.RowText, which export-vec and the pair features print; put_row
- * writes each row of both.  It scales each value by a power of ten in
- * double; when the result is clearly away from a rounding tie it builds the
- * six digits in one 64-bit word and stores whole 8-byte words, moving on by
- * the text's true length, and otherwise it calls snprintf, which rounds
- * exactly.  Under AVX-512 it takes those steps for eight values at once, a
- * row's last ones under a load mask, and leaves the values the lanes cannot
- * write to the one-value writer, so the bytes never differ.
+ * only its text.  sv_format_rows writes float32 rows as %.6g text for its
+ * two callers, export-vec (trainer.export_text_vectors) and the pair
+ * features (evaluation.write_pair_features); put_row writes each row of
+ * both.  It scales each value by a power of ten in double; when the result
+ * is clearly away from a rounding tie it builds the six digits in one 64-bit
+ * word and stores whole 8-byte words, moving on by the text's true length,
+ * and otherwise it calls snprintf, which rounds exactly.  Under AVX-512 it
+ * takes those steps for eight values at once, a row's last ones under a load
+ * mask, and leaves the values the lanes cannot write to the one-value
+ * writer, so the bytes never differ.
  *
  * sv_pair_fields splits the lines of a similarity file
  * (evaluation.SimilarityPairs.read) in one memchr walk: the two tabs and the

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._native import check_room, check_rows
 from .corpus import _bad_word, _word_bytes, ngram_bucket_ids, sentence_ngrams
-from .model import EmbeddingMatrices, _fill_rows
+from .model import EmbeddingMatrices
 from .sampling import COIN_SCALE, AliasTable
 
 logger = logging.getLogger(__name__)
@@ -27,12 +27,19 @@ logger = logging.getLogger(__name__)
 label = "numpy"  # how the init log line names this engine
 unavailable = None  # why the kernel is not loaded; ``_native.engine()`` sets it
 
+# float64 draws per block of ``fill_uniform`` (2 MiB of temporaries)
+INIT_BLOCK_VALUES = 1 << 18
+
 
 def fill_uniform(out, pcg64_state, low, high) -> None:
-    """Fill ``out`` as a PCG64 in ``pcg64_state`` draws ``uniform(low, high)``."""
+    """Fill the C-contiguous ``out`` as a PCG64 in ``pcg64_state`` draws ``uniform(low, high)``,
+    in blocks of ``INIT_BLOCK_VALUES`` float64 temporaries."""
     bits = np.random.PCG64()
     bits.state = pcg64_state
-    _fill_rows(out, low, high, np.random.Generator(bits))
+    rng, flat = np.random.Generator(bits), out.reshape(-1)
+    for first in range(0, flat.size, INIT_BLOCK_VALUES):
+        block = flat[first : first + INIT_BLOCK_VALUES]
+        block[:] = rng.uniform(low, high, size=len(block))
 
 
 def format_rows(rows, sep, flags, out) -> memoryview:

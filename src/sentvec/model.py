@@ -24,8 +24,6 @@ logger = logging.getLogger(__name__)
 # (4 MiB of float32): a paper-shaped matrix of 1.4G values has 1,335 pieces
 INIT_PIECE_VALUES = 1 << 20
 
-# float64 draws per block of the numpy draw (2 MiB of temporaries)
-INIT_BLOCK_VALUES = 1 << 18
 
 @dataclass
 class EmbeddingMatrices:
@@ -46,54 +44,57 @@ class EmbeddingMatrices:
     ) -> "EmbeddingMatrices":
         """Source rows uniform in [-1/(2*dim), 1/(2*dim)], target rows zero.
 
-        The values equal one ``rng.uniform`` draw of the whole matrix cast
-        to float32, and ``rng`` ends in the state that draw leaves.  With a
-        PCG64 generator (``np.random.default_rng``'s), the matrix is filled
-        in pieces of ``INIT_PIECE_VALUES`` values, which one worker per CPU
-        of the process's affinity mask, at most one per piece, takes from a
-        shared iterator; each worker pins itself to its CPU.  Each piece
-        draws from a copy of ``rng`` advanced past the values before it: a
-        double draw takes exactly one 64-bit output, so the matrix is the
-        same for any CPU count.  The engine's ``fill_uniform`` fills a
-        piece: the kernel steps PCG64 and rounds as numpy does, and the
-        numpy reference draws it in blocks of float64 temporaries.  Other
-        generators draw with numpy on the calling thread.  Logs the time,
-        the workers, the pieces and how many workers were pinned.
+        ``rng`` must be a PCG64 generator (``np.random.default_rng``'s); any
+        other bit generator raises ``ValueError`` before the matrix is
+        allocated, and its caller builds ``EmbeddingMatrices(source=...,
+        target=..., dim=...)`` from its own draw.  The values equal one
+        ``rng.uniform`` draw of the whole matrix cast to float32, and ``rng``
+        ends in the state that draw leaves.  The matrix is filled in pieces
+        of ``INIT_PIECE_VALUES`` values, which one worker per CPU of the
+        process's affinity mask, at most one per piece, takes from a shared
+        iterator; each worker pins itself to its CPU.  Each piece draws from
+        a copy of ``rng`` advanced past the values before it: a double draw
+        takes exactly one 64-bit output, so the matrix is the same for any
+        CPU count.  The engine's ``fill_uniform`` fills a piece: the kernel
+        steps PCG64 and rounds as numpy does, and the numpy reference draws
+        it in blocks of float64 temporaries.  Logs the time, the workers,
+        the pieces and how many workers were pinned.
         """
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise ValueError(
+                f"initialize draws with PCG64, not {type(bits).__name__}; build"
+                " EmbeddingMatrices(source=..., target=..., dim=...) from your own draw"
+            )
         started = time.perf_counter()
+        from . import _native
+
         bound = 1.0 / (2.0 * dim)
         rows = vocab_size + buckets
         source = np.empty((rows, dim), dtype=np.float32)
-        bits = rng.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            _fill_rows(source, -bound, bound, rng)
-            label, pieces, workers, pinned = "numpy", 1, 1, 0
-        else:
-            from . import _native
+        engine = _native.engine()
+        label, state, flat = engine.label, bits.state, source.reshape(-1)
+        firsts = range(0, flat.size, INIT_PIECE_VALUES)
+        shared = iter(firsts)
+        cpus = _cpus()
+        pieces, workers = len(firsts), max(1, min(len(cpus), len(firsts)))
 
-            engine = _native.engine()
-            label, state, flat = engine.label, bits.state, source.reshape(-1)
-            firsts = range(0, flat.size, INIT_PIECE_VALUES)
-            shared = iter(firsts)
-            cpus = _cpus()
-            pieces, workers = len(firsts), max(1, min(len(cpus), len(firsts)))
+        def fill_pieces(w: int) -> None:
+            copy = np.random.PCG64()
+            for first in shared:  # next() of a range iterator holds the GIL
+                copy.state = state
+                copy.advance(first)
+                piece = flat[first : first + INIT_PIECE_VALUES]
+                engine.fill_uniform(piece, copy.state, -bound, bound)
 
-            def fill_pieces(w: int) -> None:
-                copy = np.random.PCG64()
-                for first in shared:  # next() of a range iterator holds the GIL
-                    copy.state = state
-                    copy.advance(first)
-                    piece = flat[first : first + INIT_PIECE_VALUES]
-                    engine.fill_uniform(piece, copy.state, -bound, bound)
-
-            pinned = run_workers(fill_pieces, workers, cpus)
-            bits.advance(rows * dim)
-            # advance() drops a buffered 32-bit half, which double draws keep
-            bits.state = {
-                **bits.state,
-                "has_uint32": state["has_uint32"],
-                "uinteger": state["uinteger"],
-            }
+        pinned = run_workers(fill_pieces, workers, cpus)
+        bits.advance(rows * dim)
+        # advance() drops a buffered 32-bit half, which double draws keep
+        bits.state = {
+            **bits.state,
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
+        }
         logger.info(
             "initialized %d x %d source rows in %.0f ms (%s, %s on %s, %d pinned)",
             rows, dim, 1e3 * (time.perf_counter() - started), label,
@@ -159,12 +160,3 @@ def run_workers(work, workers: int, cpus: list[int] | None = None) -> int:
         if err is not None:
             raise err
     return sum(pinned)
-
-
-def _fill_rows(rows: np.ndarray, low: float, high: float, rng: np.random.Generator) -> None:
-    """Draws the C-contiguous ``rows`` uniform in [low, high) in place, in blocks of
-    ``INIT_BLOCK_VALUES`` float64 temporaries."""
-    flat = rows.reshape(-1)
-    for first in range(0, flat.size, INIT_BLOCK_VALUES):
-        block = flat[first : first + INIT_BLOCK_VALUES]
-        block[:] = rng.uniform(low, high, size=len(block))

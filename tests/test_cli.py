@@ -6,6 +6,7 @@ import io
 import itertools
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -88,6 +89,25 @@ class TestTrainCommand:
         assert code == 1
         assert "line 3: invalid UTF-8 at byte offset 4" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_report_every_sets_the_loss_window(self, corpus_path, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
+            code = main(["train", "--input", corpus_path, "--output", str(tmp_path / "m.bin"),
+                         "--dim", "8", "--min-count", "1", "--min-target-count", "1",
+                         "--epochs", "2", "--t", "1e-2", "--report-every", "50"])
+        assert code == 0
+        windows = [re.fullmatch(r"window \d+: mean loss \S+ over (\d+) targets", m)
+                   for m in caplog.messages]
+        targets = [int(w[1]) for w in windows if w]
+        assert len(targets) > 1 and min(targets) >= 50
+
+    def test_report_every_below_one_fails_before_training(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        code = main(["train", "--input", corpus_path, "--output", str(out),
+                     "--report-every", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.endswith("error: report_every must be >= 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("lr", ["50", "1e308"])
     @pytest.mark.parametrize("engine", ["kernel", "numpy"])

@@ -282,6 +282,90 @@ class TestFillUniform:
         assert not out.any()
 
 
+def bound_model(kernel, **overrides):
+    """``kernel.model`` of two words, three buckets and two bigram sentences, with
+    ``overrides`` in place of its arguments."""
+    args = dict(
+        source=np.zeros((5, 4), np.float32), target=np.zeros((2, 4), np.float32),
+        order=2, buckets=3, negatives=1, tokens=np.array([0, 1, 1], np.int32),
+        offsets=np.array([0, 1, 3]), gate_prob=np.ones(2),
+        table=build_negative_table(make_vocab({"a": 3, "b": 2})),
+        progress=np.zeros(1, np.int64),
+    )
+    args.update(overrides)
+    return kernel.model(**args)
+
+
+class TestPointerChecks:
+    """Each check that stops a bad array before its pointer reaches the kernel."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(source=np.zeros((4, 4), np.float32)),
+         r"source shape \(4, 4\) does not match target \(2, 4\) plus 3 buckets"),
+        (dict(order=0), "invalid order=0, buckets=3, negatives=1"),
+        (dict(order=1), "invalid order=1, buckets=3, negatives=1"),
+        (dict(source=np.zeros((2, 4), np.float32), buckets=0),
+         "invalid order=2, buckets=0, negatives=1"),
+        (dict(negatives=0), "invalid order=2, buckets=3, negatives=0"),
+        (dict(offsets=np.array([0, 1, 4])), "offsets do not delimit the token array"),
+        (dict(offsets=np.array([1, 1, 3])), "offsets do not delimit the token array"),
+        (dict(offsets=np.array([0, 2, 1, 3])), "offsets do not delimit the token array"),
+        (dict(tokens=np.array([0, 2, 1], np.int32)), "token id out of range"),
+        (dict(tokens=np.array([0, -1, 1], np.int32)), "token id out of range"),
+        (dict(gate_prob=np.ones(3)), "gate_prob or progress has the wrong shape"),
+        (dict(progress=np.zeros(2, np.int64)), "gate_prob or progress has the wrong shape"),
+    ])
+    def test_model(self, kernel, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            bound_model(kernel, **overrides)
+
+    @pytest.mark.parametrize("sentences", [[2], [-1], [0, 1, 2]])
+    def test_train_chunk_sentence_index(self, kernel, sentences):
+        progress = np.zeros(1, np.int64)
+        model = bound_model(kernel, progress=progress)
+        with pytest.raises(ValueError, match="sentence index out of range"):
+            kernel.train_chunk(model, np.array(sentences, np.int64), state(0))
+        assert progress[0] == 0
+
+    def test_sentence_ngrams_without_buckets(self, kernel):
+        with pytest.raises(ValueError, match="buckets must be >= 1 when n-gram order >= 2"):
+            kernel.sentence_ngrams(np.array([0, 1], np.int32), 2, 2, 0)
+
+    @pytest.mark.parametrize("ids,pos,negatives,dropped,message", [
+        ([0, 1, 1], 3, [0], None, "position or negative count out of range"),
+        ([0, 1, 1], -1, [0], None, "position or negative count out of range"),
+        ([0, 1, 1], 0, [0, 1], None, "position or negative count out of range"),
+        ([0, 2, 1], 0, [0], None, "ids out of range"),
+        ([0, 1, -1], 0, [0], None, "ids out of range"),
+        ([0, 1, 1], 0, [2], None, "negatives out of range"),
+        ([0, 1, 1], 0, [-1], None, "negatives out of range"),
+        ([0, 1, 1], 0, [1], [0, 0, 0], "dropped mask needs 2 entries"),
+        ([0, 1, 1], 0, [1], [0], "dropped mask needs 2 entries"),
+    ])
+    def test_step(self, kernel, ids, pos, negatives, dropped, message):
+        mask = None if dropped is None else np.array(dropped, np.uint8)
+        with pytest.raises(ValueError, match=message):
+            kernel.step(bound_model(kernel), np.array(ids, np.int32), pos,
+                        np.array(negatives, np.int64), 0.1, mask)
+
+    @pytest.mark.parametrize("ids", [[0, 3], [-1, 0]])
+    def test_gate_positions_token_id(self, kernel, ids):
+        with pytest.raises(ValueError, match="token id out of range"):
+            kernel.gate_positions(np.array(ids, np.int32), np.ones(3), state(1))
+
+    @pytest.mark.parametrize("which", [[2], [0, -1]])
+    def test_encoder_words_id(self, kernel, which):
+        with kernel.encoder() as encoder:
+            encoder.encode_lines(b"a b\n", 4)
+            with pytest.raises(ValueError, match="token id out of range"):
+                encoder.words(np.array(which, np.int64))
+
+    @pytest.mark.parametrize("ends", [[2, 3], [-1, 4], [4, 4]])
+    def test_lookup_table_ends(self, kernel, ends):
+        with pytest.raises(ValueError, match="ends do not delimit the words"):
+            kernel.lookup_table(b"ab\nc\n", np.array(ends, np.int64))
+
+
 def quick_config(**overrides):
     base = dict(
         dim=16, min_count=1, min_target_count=1, lr=0.2, epochs=2,
@@ -320,6 +404,26 @@ class TestTraining:
         assert native.stats.loss_windows[0] == pytest.approx(
             fallback.stats.loss_windows[0], rel=0.02
         )
+
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_one_token_sentence_takes_no_step(self, request, engine):
+        build = request.getfixturevalue("kernel") if engine == "kernel" else _reference
+        source = np.random.default_rng(8).uniform(-1, 1, size=(2, 4)).astype(np.float32)
+        target = np.random.default_rng(9).uniform(-1, 1, size=(2, 4)).astype(np.float32)
+        run = [source.copy(), target.copy()]
+        progress = np.zeros(1, dtype=np.int64)
+        model = build.model(
+            *run, 1, 0, 1, l1_tau=1e-3, base_lr=0.1, tokens=np.array([0], np.int32),
+            offsets=np.array([0, 1]), gate_prob=np.ones(2),
+            table=build_negative_table(make_vocab({"a": 3, "b": 2})), progress=progress,
+        )
+        # the gate keeps the token, whose context is empty
+        loss_sums, steps = build.train_chunk(
+            model, np.array([0], np.int64), build.rng_state(np.random.default_rng(3))
+        )
+        assert loss_sums.tolist() == [0.0] and steps.tolist() == [0]
+        assert progress[0] == 0
+        assert run[0].tobytes() == source.tobytes() and run[1].tobytes() == target.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_single_eligible_word_raises(self, tmp_path, threads):

@@ -5,12 +5,14 @@ import logging
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sentvec import model
 from sentvec._reference import (
+    INIT_BLOCK_VALUES,
     apply_l1_after_step,
     l1_prox,
     logistic_loss,
@@ -21,7 +23,7 @@ from sentvec._reference import (
     train_step,
 )
 from sentvec.corpus import sentence_ngrams
-from sentvec.model import INIT_BLOCK_VALUES, EmbeddingMatrices
+from sentvec.model import EmbeddingMatrices
 
 
 def sentence_of(ids, order=1, vocab_size=100, buckets=64):
@@ -189,14 +191,18 @@ class TestInitialize:
         with pytest.raises(MemoryError):
             model.run_workers(work, 3)
 
-    def test_generator_without_pcg64_draws_serially(self):
-        matrices = EmbeddingMatrices.initialize(
-            40, 9, 5, np.random.Generator(np.random.Philox(4))
-        )
-        one_shot = np.random.Generator(np.random.Philox(4)).uniform(
-            -0.1, 0.1, size=(49, 5)
-        ).astype(np.float32)
-        assert matrices.source.tobytes() == one_shot.tobytes()
+    def test_generator_without_pcg64_raises_before_the_matrix(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="PCG64, not Philox"):
+                # 1M rows of dim 10: a 40 MB source, were it allocated
+                EmbeddingMatrices.initialize(
+                    1_000_000, 0, 10, np.random.Generator(np.random.Philox(4))
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLogisticLoss:

@@ -251,6 +251,12 @@ class TestTrain:
         sparse_zeros = (sparse.matrices.source == 0.0).mean()
         assert sparse_zeros > dense_zeros
 
+    # the same run on the numpy engine; the test above keeps its id and runs the kernel
+    # where it builds
+    def test_l1_run_produces_exact_zeros_without_kernel(self, small_corpus, without_kernel):
+        without_kernel()
+        self.test_l1_run_produces_exact_zeros(small_corpus)
+
     def test_targets_processed_tracks_expectation(self, small_corpus):
         config = quick_config(epochs=4, subsample_t=1e-2)
         model = train(small_corpus, config)
