@@ -26,22 +26,26 @@
  * float32 values exactly as Generator.uniform(...).astype(float32) does.
  *
  * sv_embed_text composes sentence vectors for evaluation.embed_batch
- * straight from each line's text: it looks the line's tokens up, hashes the
- * n-grams with the training step's own ngram_row and takes the mean of the
- * rows with sum_rows, which builds every step's context mean.  sv_pair_dots
- * composes the two sides of each similarity pair the same way, one pair at a
- * time into scratch, and returns only their three dots in double, and
- * sv_embed_rows composes each line of sentvec embed into scratch and writes
- * only its text.  sv_format_rows writes float32 rows as %.6g text for its
- * two callers, export-vec (trainer.export_text_vectors) and the pair
- * features (evaluation.write_pair_features); put_row writes each row of
- * both.  It scales each value by a power of ten in double; when the result
- * is clearly away from a rounding tie it builds the six digits in one 64-bit
- * word and stores whole 8-byte words, moving on by the text's true length,
- * and otherwise it calls snprintf, which rounds exactly.  Under AVX-512 it
- * takes those steps for eight values at once, a row's last ones under a load
- * mask, and leaves the values the lanes cannot write to the one-value
- * writer, so the bytes never differ.
+ * straight from each line's text: it looks the line's tokens up, and its rows
+ * are the training step's feature list with nothing held out, from the
+ * step's own sentence_ngrams and masked_context, whose mean sum_rows takes as
+ * it takes every step's context mean.  sv_pair_dots composes the two sides of
+ * each similarity pair the same way, one pair at a time, and returns only
+ * their three dots in double, and sv_embed_rows composes each line of sentvec
+ * embed and writes only its text.  All three compose in the training step's
+ * workspace, sized once per call for the call's longest line, so a
+ * composition call can fail only before its first line.
+ *
+ * sv_format_rows writes float32 rows as %.6g text for its two callers,
+ * export-vec (trainer.export_text_vectors) and the pair features
+ * (evaluation.write_pair_features); put_row writes each row of both.  It
+ * scales each value by a power of ten in double; when the result is clearly
+ * away from a rounding tie it builds the six digits in one 64-bit word and
+ * stores whole 8-byte words, moving on by the text's true length, and
+ * otherwise it calls snprintf, which rounds exactly.  Under AVX-512 it takes
+ * those steps for eight values at once, a row's last ones under a load mask,
+ * and leaves the values the lanes cannot write to the one-value writer, so
+ * the bytes never differ.
  *
  * sv_pair_fields splits the lines of a similarity file
  * (evaluation.SimilarityPairs.read) in one memchr walk: the two tabs and the
@@ -199,9 +203,12 @@ static inline int64_t ngram_row(const int32_t *ids, int32_t k, int64_t vocab_siz
 }
 
 /* Hashed n-gram rows of one sentence with their inclusive token spans, in
- * the order of corpus.sentence_ngrams: by order, then by window start. */
-static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, int64_t vocab_size,
-                               int64_t buckets, int64_t *grams, int32_t *first, int32_t *last)
+ * the order of corpus.sentence_ngrams: by order, then by window start.  It
+ * and masked_context are inline: compose_line runs both once per line, and
+ * calls made sv_pair_dots about 5% slower on the benchmark's pairs. */
+static inline int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order,
+                                      int64_t vocab_size, int64_t buckets, int64_t *grams,
+                                      int32_t *first, int32_t *last)
 {
     int64_t n = 0;
     for (int32_t k = 2; k <= order; k++) {
@@ -217,9 +224,10 @@ static int64_t sentence_ngrams(const int32_t *ids, int64_t len, int32_t order, i
 
 /* Feature list with the target at pos held out, in the order of
  * _reference.masked_context; n-grams flagged in dropped (may be NULL) are left out. */
-static int64_t masked_context(const int32_t *ids, int64_t len, int64_t pos, const int64_t *grams,
-                              const int32_t *first, const int32_t *last, int64_t n_grams,
-                              const uint8_t *dropped, int64_t *ctx)
+static inline int64_t masked_context(const int32_t *ids, int64_t len, int64_t pos,
+                                     const int64_t *grams, const int32_t *first,
+                                     const int32_t *last, int64_t n_grams, const uint8_t *dropped,
+                                     int64_t *ctx)
 {
     int64_t n = 0;
     for (int64_t i = 0; i < len; i++)
@@ -423,42 +431,47 @@ static void l1_prox_rows(float *matrix, int32_t dim, int64_t *rows, int64_t n, d
     }
 }
 
-/* Scratch space for sentences of up to max_len tokens. */
+/* Scratch space for lines of up to max_len tokens: a training step's lists,
+ * or a composed line's ids, row list and vectors. */
 typedef struct {
     int64_t *positions; /* max_len: gated target positions */
     int64_t *grams;     /* max_grams: n-gram rows */
     int64_t *perm;      /* max_grams: dropout permutation */
-    int64_t *ctx;       /* max_len + max_grams: masked context */
+    int64_t *ctx;       /* max_len + max_grams: masked context, or a line's row list */
     int64_t *scored;    /* 1 + negatives: target, then negatives */
     int64_t *rows;      /* max(context, 1 + negatives), for the L1 dedupe */
+    int32_t *ids;       /* max_len: the known ids of a line being composed */
     int32_t *first;     /* max_grams: n-gram span starts */
     int32_t *last;      /* max_grams: n-gram span ends */
     uint8_t *dropped;   /* max_grams: dropout flags, all zero between targets */
-    float *v;           /* dim */
-    float *grad;        /* dim */
+    float *v;           /* dim: the context mean, or a composed vector */
+    float *grad;        /* dim: the gradient, or a pair's second composed vector */
     float *coeff;       /* 1 + negatives */
 } workspace;
 
 static void workspace_free(workspace *w)
 {
     free(w->positions);
-    free(w->first);
+    free(w->ids);
     free(w->dropped);
     free(w->v);
 }
 
-/* 0 on success; on failure nothing stays allocated */
-static int workspace_alloc(workspace *w, const sv_model *m, int64_t max_len)
+/* The scratch of lines of up to max_len tokens with windows of order 2..order
+ * and steps that score 1 + negatives rows; 0 on success, and on failure
+ * nothing stays allocated */
+static int workspace_alloc(workspace *w, int64_t dim, int32_t order, int32_t negatives,
+                           int64_t max_len)
 {
-    const int64_t max_grams = ngram_count(max_len, m->order);
+    const int64_t max_grams = ngram_count(max_len, order);
     const int64_t max_ctx = max_len + max_grams;
-    const int64_t n_scored = 1 + (int64_t)m->negatives;
+    const int64_t n_scored = 1 + (int64_t)negatives;
     const int64_t max_rows = max_ctx > n_scored ? max_ctx : n_scored;
     w->positions = malloc(sizeof(int64_t) * (size_t)(max_len + 2 * max_grams + max_ctx + n_scored + max_rows + 1));
-    w->first = malloc(sizeof(int32_t) * (size_t)(2 * max_grams + 1));
+    w->ids = malloc(sizeof(int32_t) * (size_t)(max_len + 2 * max_grams + 1));
     w->dropped = calloc((size_t)max_grams + 1, 1);
-    w->v = malloc(sizeof(float) * (size_t)(2 * m->dim + n_scored));
-    if (!w->positions || !w->first || !w->dropped || !w->v) {
+    w->v = malloc(sizeof(float) * (size_t)(2 * dim + n_scored));
+    if (!w->positions || !w->ids || !w->dropped || !w->v) {
         workspace_free(w);
         return -1;
     }
@@ -467,9 +480,10 @@ static int workspace_alloc(workspace *w, const sv_model *m, int64_t max_len)
     w->ctx = w->perm + max_grams;
     w->scored = w->ctx + max_ctx;
     w->rows = w->scored + n_scored;
+    w->first = w->ids + max_len;
     w->last = w->first + max_grams;
-    w->grad = w->v + m->dim;
-    w->coeff = w->grad + m->dim;
+    w->grad = w->v + dim;
+    w->coeff = w->grad + dim;
     return 0;
 }
 
@@ -553,7 +567,7 @@ int sv_train_chunk(const sv_model *m, const int64_t *sentences, int64_t n, uint6
         max_len = len > max_len ? len : max_len;
     }
     workspace w;
-    if (workspace_alloc(&w, m, max_len) != 0)
+    if (workspace_alloc(&w, m->dim, m->order, m->negatives, max_len) != 0)
         return SV_NO_MEMORY;
     const int64_t n_scored = 1 + (int64_t)m->negatives;
 
@@ -617,7 +631,7 @@ int sv_step(const sv_model *m, const int32_t *ids, int64_t len, int64_t pos, con
             const int64_t *negatives, double lr, double *loss)
 {
     workspace w;
-    if (workspace_alloc(&w, m, len) != 0)
+    if (workspace_alloc(&w, m->dim, m->order, m->negatives, len) != 0)
         return -1;
     const int64_t n_grams = sentence_ngrams(ids, len, m->order, m->vocab_size, m->buckets,
                                             w.grams, w.first, w.last);
@@ -1508,52 +1522,21 @@ static inline int has_capital(const unsigned char *s, int64_t len, uint64_t head
     return 0;
 }
 
-/* The known ids of the line being composed and its row list, grown as lines
- * need: the scratch of sv_embed_text and sv_pair_dots */
-typedef struct {
-    int32_t *ids;
-    int64_t *rows;
-    int64_t ids_cap, rows_cap;
-} compose_scratch;
-
-/* 0 on success, and on failure nothing stays allocated */
-static int scratch_init(compose_scratch *w)
-{
-    w->ids_cap = w->rows_cap = INITIAL_ITEMS;
-    w->ids = malloc(sizeof *w->ids * (size_t)w->ids_cap);
-    w->rows = malloc(sizeof *w->rows * (size_t)w->rows_cap);
-    if (w->ids != NULL && w->rows != NULL)
-        return 0;
-    free(w->ids);
-    free(w->rows);
-    return -1;
-}
-
-static void scratch_free(compose_scratch *w)
-{
-    free(w->ids);
-    free(w->rows);
-}
-
 /* The mean of the source rows of line s[0:len], written to y[0:dim].  Its
  * tokens split as in sv_encode_lines, and each is looked up in t as it is,
  * then ASCII-lowercased when it holds a capital; a token t lacks is skipped.
- * The known ids (t's ids are source's first rows), then the rows of the
- * line's windows of order 2..order in the order of sentence_ngrams, go into
- * one row list whose mean sum_rows writes, as the training step's context
- * mean; a line with no known token gets the zero vector.  Adds the line's
- * tokens to *tokens and returns its known-token count, or -1 when the
- * scratch lists cannot grow.  Inlined into both callers: a call per line
+ * The row list is the training step's: sentence_ngrams hashes the windows of
+ * the known ids (t's ids are source's first rows), and masked_context lists
+ * the ids, then those rows, with nothing held out; sum_rows writes their mean,
+ * as the step's context mean.  A line with no known token gets the zero
+ * vector.  w holds the line's tokens: at most (len + 1) / 2, as a token takes
+ * a byte and, but for the line's last, a separator.  Adds the line's tokens to
+ * *tokens and returns its known-token count.  Inlined into every caller: a call per line
  * made sv_embed_text about 4% slower on 12-token lines at dim 100. */
 static inline __attribute__((always_inline)) int64_t
 compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets, int32_t order,
-             const unsigned char *s, int64_t len, compose_scratch *w, float *y, int64_t *tokens)
+             const unsigned char *s, int64_t len, workspace *w, float *y, int64_t *tokens)
 {
-    /* a token takes a byte and, but for the line's last, a separator */
-    int32_t *ids = grown(w->ids, &w->ids_cap, (len + 1) / 2, sizeof *ids);
-    if (ids == NULL)
-        return -1;
-    w->ids = ids;
     int64_t n = 0, end;
     for (int64_t p = next_token(s, 0, len, &end); p < len; p = next_token(s, end, len, &end)) {
         const uint64_t head = token_head(s + p, end - p, len - p);
@@ -1561,23 +1544,17 @@ compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets
         if (id < 0 && has_capital(s + p, end - p, head))
             id = table_find(t, s + p, end - p, len - p, fold_ascii(head), 1);
         if (id >= 0)
-            ids[n++] = (int32_t)id;
+            w->ids[n++] = (int32_t)id;
         ++*tokens;
     }
     /* no window is longer than the line, whatever order is asked for */
     const int32_t top = n < order ? (int32_t)n : order;
-    int64_t *rows = grown(w->rows, &w->rows_cap, n + ngram_count(n, top), sizeof *rows);
-    if (rows == NULL)
-        return -1;
-    w->rows = rows;
-    int64_t r = 0;
-    for (; r < n; r++)
-        rows[r] = ids[r];
-    for (int32_t k = 2; k <= top; k++)
-        for (int64_t i = 0; i + k <= n; i++)
-            rows[r++] = ngram_row(ids + i, k, t->n_strings, buckets);
+    const int64_t n_grams = sentence_ngrams(w->ids, n, top, t->n_strings, buckets, w->grams,
+                                            w->first, w->last);
+    const int64_t r = masked_context(w->ids, n, -1, w->grams, w->first, w->last, n_grams, NULL,
+                                     w->ctx);
     if (r > 0)
-        sum_rows(y, source, rows, NULL, r, dim);
+        sum_rows(y, source, w->ctx, NULL, r, dim);
     else
         memset(y, 0, sizeof(float) * (size_t)dim);
     return n;
@@ -1585,64 +1562,54 @@ compose_line(const sv_table *t, const char *source, int64_t dim, int64_t buckets
 
 /* compose_line of each line of data into row i of out: line i is
  * data[starts[i]:ends[i]], and the spans may lie anywhere in data; known[i]
- * is its known-token count.  source is byte-addressed (no alignment
- * assumed); out is an aligned n_lines x dim matrix.  Returns the number of
- * tokens of all lines, or -1 when the scratch lists cannot be allocated. */
+ * is its known-token count.  No line holds more than max_len tokens.
+ * source is byte-addressed (no alignment assumed); out is an aligned
+ * n_lines x dim matrix.  Returns the number of tokens of all lines, or -1,
+ * before the first line, when the workspace cannot be allocated. */
 int64_t sv_embed_text(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
-                      int32_t order, const unsigned char *data, const int64_t *starts,
-                      const int64_t *ends, int64_t n_lines, float *out, int64_t *known)
+                      int32_t order, int64_t max_len, const unsigned char *data,
+                      const int64_t *starts, const int64_t *ends, int64_t n_lines, float *out,
+                      int64_t *known)
 {
-    compose_scratch w;
-    if (scratch_init(&w))
+    workspace w;
+    if (workspace_alloc(&w, dim, order, 0, max_len) != 0)
         return -1;
     int64_t tokens = 0;
-    for (int64_t line = 0; line < n_lines && tokens >= 0; line++) {
+    for (int64_t line = 0; line < n_lines; line++)
         known[line] = compose_line(t, source, dim, buckets, order, data + starts[line],
                                    ends[line] - starts[line], &w, out + line * dim, &tokens);
-        if (known[line] < 0)
-            tokens = -1;
-    }
-    scratch_free(&w);
+    workspace_free(&w);
     return tokens;
 }
 
 /* The embed text of lines of data, composed and written one line at a time
  * with no vector stored but the line's own: compose_line writes line i
- * (data[starts[i]:ends[i]]) into one dim-sized scratch vector, as
- * sv_embed_text composes it, and put_row appends that vector's text to out,
- * as sv_format_rows writes it with sep ' ' and, when flags is nonzero, the
- * flag known[i] == 0.  Stops before the first line whose text might not fit
- * in the capacity left (G6_VALUE_BYTES * dim + 3 bytes).  known[i] is line
- * i's known-token count, done[0] the lines written and done[1] their bytes.
- * Returns the number of tokens of those lines, or -1 when the scratch cannot
- * be allocated. */
+ * (data[starts[i]:ends[i]]) into the workspace's vector, as sv_embed_text
+ * composes it, and put_row appends that vector's text to out, as
+ * sv_format_rows writes it with sep ' ' and, when flags is nonzero, the flag
+ * known[i] == 0.  Stops before the first line whose text might not fit in the
+ * capacity left (G6_VALUE_BYTES * dim + 3 bytes).  known[i] is line i's
+ * known-token count, done[0] the lines written and done[1] their bytes.
+ * Returns the number of tokens of those lines, or -1 as sv_embed_text does. */
 int64_t sv_embed_rows(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
-                      int32_t order, const unsigned char *data, const int64_t *starts,
-                      const int64_t *ends, int64_t n_lines, char *out, int64_t *known,
-                      int64_t capacity, int32_t flags, int64_t *done)
+                      int32_t order, int64_t max_len, const unsigned char *data,
+                      const int64_t *starts, const int64_t *ends, int64_t n_lines, char *out,
+                      int64_t *known, int64_t capacity, int32_t flags, int64_t *done)
 {
-    compose_scratch w;
-    float *y = malloc(sizeof *y * (size_t)dim);
+    workspace w;
     done[0] = done[1] = 0;
-    if (y == NULL || scratch_init(&w)) {
-        free(y);
+    if (workspace_alloc(&w, dim, order, 0, max_len) != 0)
         return -1;
-    }
     int64_t tokens = 0, line = 0;
     char *p = out;
     for (; line < n_lines && capacity - (p - out) >= G6_VALUE_BYTES * dim + 3; line++) {
         known[line] = compose_line(t, source, dim, buckets, order, data + starts[line],
-                                   ends[line] - starts[line], &w, y, &tokens);
-        if (known[line] < 0) {
-            tokens = -1;
-            break;
-        }
-        p = put_row(p, y, dim, ' ', flags ? known[line] == 0 : -1);
+                                   ends[line] - starts[line], &w, w.v, &tokens);
+        p = put_row(p, w.v, dim, ' ', flags ? known[line] == 0 : -1);
     }
     done[0] = line;
     done[1] = p - out;
-    scratch_free(&w);
-    free(y);
+    workspace_free(&w);
     return tokens;
 }
 
@@ -1699,39 +1666,30 @@ static void row_dots(const float *a, const float *b, int64_t n, double *dots)
 /* The similarity dots of n_pairs pairs of lines of data, with no vector
  * stored but the pair's own two: pair k's side a is line k and its side b
  * line n_pairs + k, where line i is data[starts[i]:ends[i]].  compose_line
- * writes side a, then side b, into a dim-sized scratch vector each, and
- * row_dots writes their a.a, b.b and a.b to dots[k], dots[n_pairs + k] and
+ * writes side a, then side b, into the workspace's two vectors, and row_dots
+ * writes their a.a, b.b and a.b to dots[k], dots[n_pairs + k] and
  * dots[2 * n_pairs + k]; known[i] is line i's known-token count.  Returns
- * the number of tokens of all lines, or -1 when the scratch cannot be
- * allocated. */
+ * the number of tokens of all lines, or -1 as sv_embed_text does. */
 int64_t sv_pair_dots(const sv_table *t, const char *source, int64_t dim, int64_t buckets,
-                     int32_t order, const unsigned char *data, const int64_t *starts,
-                     const int64_t *ends, int64_t n_pairs, double *dots, int64_t *known)
+                     int32_t order, int64_t max_len, const unsigned char *data,
+                     const int64_t *starts, const int64_t *ends, int64_t n_pairs, double *dots,
+                     int64_t *known)
 {
-    compose_scratch w;
-    float *sides = malloc(sizeof *sides * 2 * (size_t)dim);
-    if (sides == NULL || scratch_init(&w)) {
-        free(sides);
+    workspace w;
+    if (workspace_alloc(&w, dim, order, 0, max_len) != 0)
         return -1;
-    }
     int64_t tokens = 0;
     for (int64_t a = 0, b = n_pairs; a < n_pairs; a++, b++) {
         known[a] = compose_line(t, source, dim, buckets, order, data + starts[a],
-                                ends[a] - starts[a], &w, sides, &tokens);
-        known[b] = known[a] < 0 ? -1
-                                : compose_line(t, source, dim, buckets, order, data + starts[b],
-                                               ends[b] - starts[b], &w, sides + dim, &tokens);
-        if (known[b] < 0) {
-            tokens = -1;
-            break;
-        }
+                                ends[a] - starts[a], &w, w.v, &tokens);
+        known[b] = compose_line(t, source, dim, buckets, order, data + starts[b],
+                                ends[b] - starts[b], &w, w.grad, &tokens);
         double d[3];
-        row_dots(sides, sides + dim, dim, d);
+        row_dots(w.v, w.grad, dim, d);
         for (int j = 0; j < 3; j++)
             dots[j * n_pairs + a] = d[j];
     }
-    scratch_free(&w);
-    free(sides);
+    workspace_free(&w);
     return tokens;
 }
 

@@ -59,6 +59,12 @@ _VALUE_BYTES = 13
 # export-vec's and the pair features'
 _TEXT_BYTES = 1 << 18
 
+# the composition calls size their workspace for the windows of the call's longest
+# line, which its bytes bound: past this many windows (a long line at a high order),
+# the lines' tokens are counted instead
+_WINDOW_BOUND = 1 << 20
+_SPLIT_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
 
@@ -198,7 +204,7 @@ class Kernel:
         lib.sv_table_free.argtypes = [_ptr]
         lib.sv_table_free.restype = None
         lib.sv_embed_text.argtypes = [
-            _ptr, _ptr, _i64, _i64, ctypes.c_int32, _ptr, _ptr, _ptr, _i64, _ptr, _ptr
+            _ptr, _ptr, _i64, _i64, ctypes.c_int32, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr
         ]
         lib.sv_embed_text.restype = _i64
         lib.sv_pair_dots.argtypes = lib.sv_embed_text.argtypes
@@ -417,7 +423,7 @@ class Kernel:
         """The similarity dots of ``n = len(ends) // 2`` pairs of lines of ``data``.
 
         Pair k's sides a and b are lines k and n + k, each composed as
-        ``embed_text`` composes it, one pair at a time into scratch, so no
+        ``embed_text`` composes it, one pair at a time, so no
         (n, dim) array is made.  Returns the float64 (3, n) a·a, b·b and a·b
         of each pair, each line's known-token count and the number of tokens
         of all lines.  A dot adds its exact float64 products into eight
@@ -440,7 +446,7 @@ class Kernel:
         at a time.
 
         Each line is composed as ``embed_text`` composes it, one line at a
-        time into scratch, so no (n, dim) array is made, and its text is
+        time, so no (n, dim) array is made, and its text is
         appended to ``out`` as ``format_rows`` writes its row with separator
         ``" "`` and, when ``oov_flag`` is set, its all-OOV flag.  A kernel
         call stops before the first line whose text might not fit in what is
@@ -487,7 +493,7 @@ class Kernel:
 
     @staticmethod
     def _text_args(table, source, buckets, order, data, starts, ends) -> tuple[np.ndarray, list]:
-        """The first eight arguments of ``sv_embed_text``, ``sv_pair_dots`` and
+        """The first nine arguments of ``sv_embed_text``, ``sv_pair_dots`` and
         ``sv_embed_rows`` after checking them, and a view of ``data`` to keep while they
         are used."""
         n_rows, dim = source.shape
@@ -500,13 +506,17 @@ class Kernel:
             starts.min() < 0 or ends.max() > len(data) or lengths.min() < 0
         ):
             raise ValueError("spans do not lie within the data")
-        # a token takes a byte and a separator, so no window is longer than
-        # this; and ctypes would wrap an order past int32 silently
-        order = min(order, max((int(lengths.max(initial=0)) + 1) // 2, 1), 2**31 - 1)
         view, address = _address(data)
+        # a token takes a byte and a separator, so no line holds more tokens, and
+        # no window is longer, than this; ctypes would wrap an order past int32 silently
+        most = max((int(lengths.max(initial=0)) + 1) // 2, 1)
+        order = min(order, most, 2**31 - 1)
+        if most * (order - 1) > _WINDOW_BOUND:
+            most = max(_most_tokens(view, starts, ends), 1)
+            order = min(order, most)
         return view, [
             table._handle, _pointer(source, np.float32, "source", byte_addressed=True), dim,
-            buckets, order, address, _pointer(starts, np.int64, "starts"),
+            buckets, order, most, address, _pointer(starts, np.int64, "starts"),
             _pointer(ends, np.int64, "ends"),
         ]
 
@@ -632,6 +642,16 @@ def check_source(source: np.ndarray) -> None:
     if source.dtype != np.float32 or not source.flags.c_contiguous:
         layout = "C-contiguous" if source.flags.c_contiguous else "non-contiguous"
         raise ValueError(f"source rows must be C-contiguous float32, got {layout} {source.dtype}")
+
+
+def _most_tokens(view: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int:
+    """The most tokens any span ``view[starts[i]:ends[i]]`` holds, split as the kernel splits
+    lines: ``bytes.split()`` splits on the ASCII whitespace of ``str.split()`` but 0x1c-0x1f."""
+    return max(
+        (len(view[a:b].tobytes().translate(_SPLIT_SPACE).split())
+         for a, b in zip(starts.tolist(), ends.tolist())),
+        default=0,
+    )
 
 
 def _address(data) -> tuple[np.ndarray, int]:

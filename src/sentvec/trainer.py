@@ -49,9 +49,9 @@ INT32_MAX = 2**31 - 1
 # targets: each worker is one OS thread, so a mistyped count would otherwise
 # start thousands of threads
 MAX_THREADS = 1024
-# tokens past which ``train`` counts a sentence as long: fastText cuts its
-# unsupervised lines at this many (``MAX_LINE_SIZE``), and a sentence's steps
-# cost its length squared in source-row passes
+# most tokens ``train`` steps through as one sentence: fastText and sent2vec cut
+# their unsupervised lines at this many (``MAX_LINE_SIZE``), and a sentence's
+# steps cost its length squared in source-row passes
 LONG_SENTENCE_TOKENS = 1024
 _HEADER = struct.Struct("<4sIIQQIdQ")  # magic, version, dim, |V|, buckets, order, t, tokens
 
@@ -279,10 +279,18 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         len(vocab), vocab.total_tokens, n_sentences,
     )
     lengths = np.diff(offsets)
+    n_long = np.count_nonzero(lengths > LONG_SENTENCE_TOKENS)
     logger.info(
         "longest sentence %d tokens, %d longer than %d",
-        lengths.max(), np.count_nonzero(lengths > LONG_SENTENCE_TOKENS), LONG_SENTENCE_TOKENS,
+        lengths.max(), n_long, LONG_SENTENCE_TOKENS,
     )
+    if n_long:
+        tokens, offsets = _cut_sentences(tokens, offsets)
+        logger.info(
+            "cut %d sentences into %d pieces of at most %d tokens",
+            n_long, len(offsets) - 1 - (n_sentences - n_long), LONG_SENTENCE_TOKENS,
+        )
+        n_sentences = len(offsets) - 1
     _check_memory(len(vocab), buckets, config.dim)
 
     keep_prob = discard_keep_prob(vocab.frequencies(), config.subsample_t)
@@ -345,6 +353,21 @@ def train(corpus_path: str, config: TrainConfig) -> TrainedModel:
         elapsed_seconds=time.perf_counter() - started,
     )
     return model
+
+
+def _cut_sentences(tokens: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR corpus with each sentence cut into consecutive pieces of at most
+    ``LONG_SENTENCE_TOKENS`` tokens, so that steps cost linear time in a line's length.
+
+    A last piece of one token is dropped, as ``encode_corpus`` drops a sentence
+    of fewer than 2 known tokens.
+    """
+    lengths = np.diff(offsets)
+    pieces = -(-lengths // LONG_SENTENCE_TOKENS)
+    sizes = np.full(int(pieces.sum()), LONG_SENTENCE_TOKENS, dtype=np.int64)
+    sizes[np.cumsum(pieces) - 1] = lengths - (pieces - 1) * LONG_SENTENCE_TOKENS
+    starts = np.cumsum(sizes) - sizes
+    return np.delete(tokens, starts[sizes < 2]), np.concatenate([[0], np.cumsum(sizes[sizes >= 2])])
 
 
 def _read_text(path: str) -> str | None:

@@ -594,7 +594,7 @@ class TestEngines:
         # and the lines and bytes done
         match = re.search(r"\bsv_embed_rows\(([^)]*)\)\s*\{", _native.SOURCE.read_text())
         assert match is not None
-        assert len(match.group(1).split(",")) == len(kernel._lib.sv_embed_rows.argtypes) == 14
+        assert len(match.group(1).split(",")) == len(kernel._lib.sv_embed_rows.argtypes) == 15
         assert parameters(_reference.embed_rows) == parameters(_native.Kernel.embed_rows)
 
     @pytest.mark.parametrize("pattern", [
@@ -770,7 +770,8 @@ class TestEmbedLines:
             source = rng.standard_normal((vocab_size + buckets, dim)).astype(np.float32)
             source[:50] = -0.0
             counts = rng.integers(0, 40, size=60)
-            counts[:4] = [0, 1, 2, 30]  # empty, and shorter than the order
+            # empty, shorter than the order, and 20,000 tokens, which size the call's workspace
+            counts[:6] = [0, 1, 2, 3, 30, 20_000]
             ids = rng.integers(0, vocab_size, size=int(counts.sum())).astype(np.int32)
             ids[:33] = rng.integers(0, 50, size=33)  # lines of -0 unigram rows
             data, starts, ends, tokens = text_spans(rng, words, ids, counts)
@@ -880,15 +881,26 @@ class TestEmbedLines:
             kernel.model(rows, target, order=2, buckets=1, negatives=1)
 
 
+def edge_lines(words) -> list[bytes]:
+    """An empty line, an all-unknown one, lines of 1, 2 and 3 known words (n-grams shorter
+    than the order), and a line of 20,000 known words."""
+    long_line = np.random.default_rng(79).integers(len(words), size=20_000).tolist()
+    return [
+        b"", b" zq1\tZQ2 ", words[0], words[1] + b" zq3 " + words[2].upper(),
+        b" ".join(words[3:6]), b" ".join(words[i] for i in long_line),
+    ]
+
+
 def pair_lines(rng, words, n_pairs):
     """The text of ``n_pairs`` pairs' sides, pair k's side a at line k and its side b at line
     ``n_pairs + k``, with each line's (start, end) offsets.
 
     Lines hold ``words``, some capitalized, and unknown tokens, split by
-    runs of whitespace; some lines are empty, blank or all unknown.
+    runs of whitespace; some lines are empty, blank or all unknown, and the
+    first sides are ``edge_lines``.
     """
-    lines = []
-    for _ in range(2 * n_pairs):
+    lines = edge_lines(words)
+    for _ in range(2 * n_pairs - len(lines)):
         kind, tokens = rng.random(), []
         for _ in range(0 if kind < 0.1 else int(rng.integers(1, 25))):
             roll, word = rng.random(), words[int(rng.integers(len(words)))]
@@ -1559,6 +1571,7 @@ class TestWidthsAgree:
             raw[1 : 1 + aligned.nbytes] = aligned.view(np.uint8).ravel()
             moved = np.frombuffer(raw, "<f4", count=aligned.size, offset=1).reshape(300, dim)
             counts = rng.integers(0, 40, size=50)
+            counts[:5] = [0, 1, 2, 3, 20_000]
             ids = rng.integers(0, 200, size=int(counts.sum())).astype(np.int32)
             data, starts, ends, _ = text_spans(rng, words, ids, counts)
             for source in (aligned, moved):
@@ -1649,6 +1662,12 @@ class TestText:
         flat = [t.encode() for line in tokens for t in line]
         assert [words[i] for i in ids] == flat
         assert words == list(dict.fromkeys(flat))  # ids in first-occurrence order
+        # and _native._most_tokens, which sizes composition at high orders, counts alike
+        ends = np.cumsum([len(line) + 1 for line in lines]) - 1
+        starts = ends - [len(line) for line in lines]
+        view = np.frombuffer(data, dtype=np.uint8)
+        assert [_native._most_tokens(view, starts[i : i + 1], ends[i : i + 1])
+                for i in range(len(lines))] == lengths
 
     def test_lines_end_at_newline_or_stop(self, kernel):
         assert self.encode(kernel, b"a b\n\nc")[1] == [2, 0, 1]

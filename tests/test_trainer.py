@@ -11,8 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sentvec.corpus import encode_corpus, iter_corpus
 from sentvec.sampling import discard_keep_prob
 from sentvec.trainer import (
+    LONG_SENTENCE_TOKENS,
     MAX_THREADS,
     PRESETS,
     ModelFormatError,
@@ -20,6 +22,7 @@ from sentvec.trainer import (
     TrainedModel,
     export_text_vectors,
     load_model,
+    _cut_sentences,
     save_model,
     train,
 )
@@ -243,6 +246,33 @@ class TestTrain:
         with caplog.at_level(logging.INFO, logger="sentvec.trainer"):
             train(str(path), quick_config(dim=4, epochs=1, subsample_t=1e-12))
         assert "longest sentence 20000 tokens, 1 longer than 1024" in caplog.messages
+        assert "cut 1 sentences into 20 pieces of at most 1024 tokens" in caplog.messages
+        # the pieces train takes: the long line's 20,000 tokens in order, 1,024 at most each
+        _, tokens, offsets = encode_corpus(iter_corpus(str(path)), 5, 5)
+        cut, cut_offsets = _cut_sentences(tokens, offsets)
+        assert np.diff(cut_offsets).max() == LONG_SENTENCE_TOKENS
+        np.testing.assert_array_equal(cut, tokens)
+        assert cut_offsets[100:121].tolist() == [
+            offsets[100] + i * LONG_SENTENCE_TOKENS for i in range(20)
+        ] + [offsets[101]]
+
+    @pytest.mark.parametrize("lengths,pieces", [
+        ([2, 1024, 3], [2, 1024, 3]),
+        ([1025, 2], [1024, 2]),  # a last piece of one token is dropped
+        ([2048, 1026, 3], [1024, 1024, 1024, 2, 3]),
+        ([2049], [1024, 1024]),
+    ])
+    def test_sentences_cut_into_pieces(self, lengths, pieces):
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        tokens = np.arange(offsets[-1], dtype=np.int32)
+        cut, cut_offsets = _cut_sentences(tokens, offsets)
+        assert np.diff(cut_offsets).tolist() == pieces
+        assert cut.dtype == np.int32 and cut_offsets.dtype == np.int64
+        # the dropped tokens are the last of their sentences, one per dropped piece
+        dropped = np.setdiff1d(tokens, cut)
+        assert len(dropped) == sum(lengths) - sum(pieces)
+        assert set(dropped.tolist()) <= set((offsets[1:] - 1).tolist())
+        np.testing.assert_array_equal(cut, np.setdiff1d(tokens, dropped))
 
     def test_l1_run_produces_exact_zeros(self, small_corpus):
         dense = train(small_corpus, quick_config(seed=3))
