@@ -434,16 +434,16 @@ static void l1_prox_rows(float *matrix, int32_t dim, int64_t *rows, int64_t n, d
 /* Scratch space for lines of up to max_len tokens: a training step's lists,
  * or a composed line's ids, row list and vectors. */
 typedef struct {
-    int64_t *positions; /* max_len: gated target positions */
+    int64_t *positions; /* max_len in a step: gated target positions */
     int64_t *grams;     /* max_grams: n-gram rows */
-    int64_t *perm;      /* max_grams: dropout permutation */
+    int64_t *perm;      /* max_grams in a step: dropout permutation */
     int64_t *ctx;       /* max_len + max_grams: masked context, or a line's row list */
     int64_t *scored;    /* 1 + negatives: target, then negatives */
-    int64_t *rows;      /* max(context, 1 + negatives), for the L1 dedupe */
+    int64_t *rows;      /* max(context, 1 + negatives) in a step, for the L1 dedupe */
     int32_t *ids;       /* max_len: the known ids of a line being composed */
     int32_t *first;     /* max_grams: n-gram span starts */
     int32_t *last;      /* max_grams: n-gram span ends */
-    uint8_t *dropped;   /* max_grams: dropout flags, all zero between targets */
+    uint8_t *dropped;   /* max_grams in a step, else NULL: dropout flags, zero between targets */
     float *v;           /* dim: the context mean, or a composed vector */
     float *grad;        /* dim: the gradient, or a pair's second composed vector */
     float *coeff;       /* 1 + negatives */
@@ -459,7 +459,8 @@ static void workspace_free(workspace *w)
 
 /* The scratch of lines of up to max_len tokens with windows of order 2..order
  * and steps that score 1 + negatives rows; 0 on success, and on failure
- * nothing stays allocated */
+ * nothing stays allocated.  Composition (negatives = 0) gets no gated
+ * positions, dropout permutation, L1 rows or dropout flags. */
 static int workspace_alloc(workspace *w, int64_t dim, int32_t order, int32_t negatives,
                            int64_t max_len)
 {
@@ -467,17 +468,19 @@ static int workspace_alloc(workspace *w, int64_t dim, int32_t order, int32_t neg
     const int64_t max_ctx = max_len + max_grams;
     const int64_t n_scored = 1 + (int64_t)negatives;
     const int64_t max_rows = max_ctx > n_scored ? max_ctx : n_scored;
-    w->positions = malloc(sizeof(int64_t) * (size_t)(max_len + 2 * max_grams + max_ctx + n_scored + max_rows + 1));
+    const int64_t step = negatives > 0; /* 0 for composition: no list of a step alone */
+    const int64_t n_i64 = step * (max_len + max_grams + max_rows) + max_grams + max_ctx + n_scored;
+    w->positions = malloc(sizeof(int64_t) * (size_t)(n_i64 + 1));
     w->ids = malloc(sizeof(int32_t) * (size_t)(max_len + 2 * max_grams + 1));
-    w->dropped = calloc((size_t)max_grams + 1, 1);
+    w->dropped = step ? calloc((size_t)max_grams + 1, 1) : NULL;
     w->v = malloc(sizeof(float) * (size_t)(2 * dim + n_scored));
-    if (!w->positions || !w->ids || !w->dropped || !w->v) {
+    if (!w->positions || !w->ids || (step && !w->dropped) || !w->v) {
         workspace_free(w);
         return -1;
     }
-    w->grams = w->positions + max_len;
+    w->grams = w->positions + step * max_len;
     w->perm = w->grams + max_grams;
-    w->ctx = w->perm + max_grams;
+    w->ctx = w->perm + step * max_grams;
     w->scored = w->ctx + max_ctx;
     w->rows = w->scored + n_scored;
     w->first = w->ids + max_len;

@@ -10,11 +10,11 @@ compiler, unless a build of the same source and flags for the same CPU is
 already cached under ``${XDG_CACHE_HOME:-~/.cache}/sentvec/``, and opens it with
 ``ctypes``.  The shared object is written and opened in a temporary
 directory and then moved into place with ``os.replace``, so concurrent
-builders never expose a half-written file.  Once its own build is open,
-``load()`` deletes the cached builds of other sources, flags and CPUs; a
-process that has one of them open keeps its mapping.  ``ctypes`` releases the
-interpreter lock for every call, which lets worker threads train in
-parallel.
+builders never expose a half-written file.  The cache keeps one build per
+source, flags and CPU (about 46 KB each): versions and machines that share it
+each keep their own, nothing here deletes another's, and the directory can be
+emptied at any time.  ``ctypes`` releases the interpreter lock for every
+call, which lets worker threads train in parallel.
 """
 
 from __future__ import annotations
@@ -805,14 +805,20 @@ def library_path() -> Path:
     return Path(cache) / "sentvec" / f"kernel-{digest.hexdigest()[:32]}.so"
 
 
+def c_compiler() -> str | None:
+    """The C compiler a build runs: ``gcc`` or else ``cc`` on ``PATH``, or None."""
+    import shutil
+
+    return shutil.which("gcc") or shutil.which("cc")
+
+
 def _build(path: Path, flags: tuple[str, ...] = COMPILE_FLAGS) -> ctypes.CDLL:
     """Compile the kernel to ``path`` and return the library, opened before it is moved there."""
     # only a build needs these; a cached kernel costs ``import ctypes`` alone
-    import shutil
     import subprocess
     import tempfile
 
-    compiler = shutil.which("gcc") or shutil.which("cc")
+    compiler = c_compiler()
     if compiler is None:
         raise KernelUnavailable("no C compiler (gcc or cc) on PATH")
     try:
@@ -827,7 +833,7 @@ def _build(path: Path, flags: tuple[str, ...] = COMPILE_FLAGS) -> ctypes.CDLL:
                 raise KernelUnavailable(
                     f"{compiler} exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
                 )
-            # open first: another version's pruning may delete ``path`` at any time
+            # open first: the cache may be emptied, and ``path`` gone, at any time
             lib = ctypes.CDLL(str(built))
             os.replace(built, path)
     except OSError as err:
@@ -842,18 +848,8 @@ def _open(path: Path) -> ctypes.CDLL:
     except OSError as err:
         if path.is_file():
             raise KernelUnavailable(f"cannot load {path}: {err}") from err
-    # never built, or removed by another version's pruning since
+    # never built, or removed since, as by a user emptying the cache
     return _build(path)
-
-
-def _prune(keep: Path) -> None:
-    """Delete the cached builds of other kernel sources, flags and CPUs."""
-    for stale in keep.parent.glob("kernel-*.so"):
-        if stale.name != keep.name:
-            try:
-                stale.unlink()
-            except OSError:  # already gone, or not ours to delete
-                pass
 
 
 _lock = threading.Lock()
@@ -871,7 +867,6 @@ def load() -> Kernel:
                     _loaded.append(Kernel(lib))
                 except AttributeError as err:
                     raise KernelUnavailable(f"cannot load {path}: {err}") from err
-                _prune(path)
             except KernelUnavailable as err:
                 _loaded.append(err)
         outcome = _loaded[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import io
 import itertools
 import logging
 import math
@@ -653,12 +654,23 @@ def load_model(path: str) -> TrainedModel:
 @contextlib.contextmanager
 def _byte_output(destination):
     """A ``write`` of UTF-8 bytes to ``destination``: that path opened ``"wb"`` and closed
-    on exit, or an open UTF-8 text file's binary layer after a flush of the text before;
-    any other text file, such as ``io.StringIO`` or a Latin-1 file, takes their text.
-    Through the binary layer a line ends in ``\\n`` whatever the file's ``newline``."""
+    on exit, an open binary file (``io.RawIOBase`` or ``io.BufferedIOBase``, such as
+    ``open(path, "wb")`` or ``io.BytesIO``) as they are, or an open UTF-8 text file's binary
+    layer after a flush of the text before; any other text file, such as ``io.StringIO``
+    or a Latin-1 file, takes their text.  Through the binary layer a line ends in
+    ``\\n`` whatever the file's ``newline``."""
     if not hasattr(destination, "write"):
         with open(destination, "wb") as fh:
             yield fh.write
+        return
+    if isinstance(destination, (io.RawIOBase, io.BufferedIOBase)):
+
+        def write(data):
+            view = memoryview(data)
+            while view:  # a raw file may take fewer bytes than a write hands it
+                view = view[destination.write(view) :]
+
+        yield write
         return
     binary, encoding = getattr(destination, "buffer", None), getattr(destination, "encoding", None)
     if binary is not None and encoding and codecs.lookup(encoding).name == "utf-8":
@@ -684,10 +696,11 @@ def _row_fills(rows: np.ndarray, sep: str, out: np.ndarray):
 def export_text_vectors(model: TrainedModel, destination) -> None:
     """Write unigram source vectors as text: "<count> <dim>" header, then one word per line.
 
-    ``destination`` is a path or an open text file; lines end in ``\\n``, and
-    floats carry 6 significant digits.  The rows print through one text
-    buffer, and each fill's lines go out behind their words in one write of
-    bytes, to a UTF-8 text file's binary layer.
+    ``destination`` is a path, an open text file or an open binary file; lines
+    end in ``\\n``, and floats carry 6 significant digits.  The rows print
+    through one text buffer, and each fill's lines go out behind their words
+    in one write of bytes, to a binary file as they are and to a UTF-8 text
+    file's binary layer.
     """
     from . import _native
 

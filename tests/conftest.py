@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 
+def pytest_report_header(config):
+    """The kernel build the run takes, whether it is cached, and the compiler a build
+    would run; compiles and loads nothing."""
+    from sentvec import _native
+
+    path = _native.library_path()
+    cached = "cached" if path.is_file() else "not cached"
+    return f"sentvec kernel: {path} ({cached}), C compiler: {_native.c_compiler() or 'none'}"
+
+
 def write_corpus(path, sentences) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         for sent in sentences:

@@ -960,10 +960,11 @@ class TestOneTextBuffer:
             for row in pair_features(va, vb)
         )
 
-    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16"])
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16", "binary", "BytesIO"])
     def test_bytes_land_between_the_texts_of_an_open_file(self, engine, tmp_path, encoding):
-        # each fill's bytes go to a UTF-8 file's binary layer after the text written before;
-        # a file of another encoding takes their text through its own
+        # each fill's bytes go to a UTF-8 file's binary layer after the text written before,
+        # and to a binary file as they are; a file of another encoding takes their text
+        # through its own
         from sentvec.trainer import export_text_vectors
 
         rng = np.random.default_rng(5)
@@ -978,15 +979,25 @@ class TestOneTextBuffer:
             lambda out: write_pair_features(model, pairs, out),
         ):
             write(str(tmp_path / "alone.txt"))
-            with open(tmp_path / "open.txt", "w", encoding=encoding) as fh:
-                fh.write("before\n")
+            alone = (tmp_path / "alone.txt").read_bytes()
+            assert alone.count(b"\n") > 300
+            if encoding == "BytesIO":
+                out = io.BytesIO()
+                out.write(b"before\n")
+                write(out)
+                out.write(b"after\n")
+                assert out.getvalue() == b"before\n" + alone + b"after\n"
+                continue
+            binary = encoding == "binary"
+            with open(tmp_path / "open.txt", "wb" if binary else "w",
+                      encoding=None if binary else encoding) as fh:
+                fh.write(b"before\n" if binary else "before\n")
                 write(fh)
-                fh.write("after\n")
-            alone = (tmp_path / "alone.txt").read_text(encoding="utf-8")
-            assert alone.count("\n") > 300
+                fh.write(b"after\n" if binary else "after\n")
             assert (tmp_path / "open.txt").read_bytes() == (
-                "before\n" + alone + "after\n"
-            ).encode(encoding)
+                b"before\n" + alone + b"after\n" if binary
+                else ("before\n" + alone.decode("utf-8") + "after\n").encode(encoding)
+            )
 
     def test_a_lone_surrogate_word_is_not_exported(self, engine, tmp_path):
         # it has no UTF-8 bytes: the export raises after the header, as encoding it did

@@ -631,7 +631,7 @@ class TestEngines:
 
 
 class TestCache:
-    """``load`` deletes other versions' builds, and survives their deleting its own."""
+    """``load`` leaves other versions' builds, and survives its own being deleted."""
 
     def seeded_cache(self, kernel, monkeypatch, tmp_path, names):
         """A cache under ``tmp_path`` holding the current build under ``names``."""
@@ -644,24 +644,26 @@ class TestCache:
             shutil.copyfile(built, own.with_name(name.format(own=own.name)))
         return own
 
-    def test_load_prunes_other_builds(self, kernel, monkeypatch, tmp_path):
+    def test_load_leaves_other_builds(self, kernel, monkeypatch, tmp_path):
         names = ["{own}", "kernel-0123.so", "kernel-4567.so", "notes.so"]
         own = self.seeded_cache(kernel, monkeypatch, tmp_path, names)
         _native.load()
-        assert sorted(p.name for p in own.parent.iterdir()) == sorted([own.name, "notes.so"])
+        assert sorted(p.name for p in own.parent.iterdir()) == sorted(
+            name.format(own=own.name) for name in names
+        )
 
     @pytest.mark.parametrize("window", ["cached", "built"])
-    def test_load_racing_another_versions_prune(self, kernel, monkeypatch, tmp_path, window):
-        # another version's load, in a thread, prunes this version's build
-        # just before this load opens it (a cached build) or just after it is
-        # moved into place (a new build)
+    def test_load_racing_a_user_emptying_the_cache(self, kernel, monkeypatch, tmp_path, window):
+        # a user, in a thread, deletes this version's build just before this
+        # load opens it (a cached build) or just after it is moved into place
+        # (a new build)
         other = "kernel-0123.so"
         own = self.seeded_cache(
             kernel, monkeypatch, tmp_path, [other, "{own}"] if window == "cached" else [other]
         )
 
-        def other_version_prunes():
-            worker = threading.Thread(target=_native._prune, args=(own.with_name(other),))
+        def user_deletes_the_build():
+            worker = threading.Thread(target=own.unlink)
             worker.start()
             worker.join(timeout=30)
             assert not worker.is_alive()
@@ -671,7 +673,7 @@ class TestCache:
 
             def cdll(name, *args, **kwargs):
                 if name == str(own):
-                    other_version_prunes()
+                    user_deletes_the_build()
                 return real_cdll(name, *args, **kwargs)
 
             monkeypatch.setattr(_native.ctypes, "CDLL", cdll)
@@ -680,7 +682,7 @@ class TestCache:
 
             def replace(src, dst):
                 real_replace(src, dst)
-                other_version_prunes()
+                user_deletes_the_build()
 
             monkeypatch.setattr(_native.os, "replace", replace)
         loaded = _native.load()
@@ -692,9 +694,9 @@ class TestCache:
         )
         np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [0, 0, 0], [3, 4, 5]])
         assert known.tolist() == [2, 0, 1] and tokens == 3
-        # the other version's prune removed a new build after it was moved in
-        left = [own.name] if window == "cached" else []
-        assert [p.name for p in own.parent.iterdir()] == left
+        # the cached build was rebuilt after its deletion; a new one was deleted after its move
+        left = [other, own.name] if window == "cached" else [other]
+        assert sorted(p.name for p in own.parent.iterdir()) == sorted(left)
 
 
 def line_sums(source, vocab_size, buckets, order, ids, counts):

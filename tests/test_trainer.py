@@ -27,7 +27,7 @@ from sentvec.trainer import (
     train,
 )
 
-from conftest import two_topic_sentences
+from conftest import two_topic_sentences, write_corpus, zipf_topic_sentences
 
 
 def quick_config(**overrides) -> TrainConfig:
@@ -255,6 +255,32 @@ class TestTrain:
         assert cut_offsets[100:121].tolist() == [
             offsets[100] + i * LONG_SENTENCE_TOKENS for i in range(20)
         ] + [offsets[101]]
+
+    def test_a_long_line_stays_linear(self, kernel, tmp_path, caplog):
+        # a 20,000-token line trains in pieces of at most 1,024 tokens, so its epoch
+        # beside 10,000 other sentences stays within a few times that of the same
+        # tokens in lines of 12: 4.1-5.2 times in 22 runs of this setup on a 2-vCPU
+        # x86-64 host, and 65-73 times with the line left whole, whose steps are
+        # quadratic in its length
+        other = zipf_topic_sentences(10_000, vocab_size=800, n_function=30, n_topics=8, seed=23)
+        rng = np.random.default_rng(13)
+        line = rng.choice(sorted({word for sent in other for word in sent}), 20_000).tolist()
+        long_path = write_corpus(tmp_path / "long.txt", other + [line])
+        short_path = write_corpus(
+            tmp_path / "short.txt", other + [line[i : i + 12] for i in range(0, len(line), 12)]
+        )
+
+        def epoch_s(path):
+            # from the init's record to the epoch's, as the trainer logs them
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="sentvec"):
+                train(path, quick_config(epochs=1))
+            times = {r.getMessage().split()[0]: r.created for r in caplog.records}
+            return times["epoch"] - times["initialized"]
+
+        long_s = min(epoch_s(long_path) for _ in range(3))
+        short_s = min(epoch_s(short_path) for _ in range(3))
+        assert long_s <= 8 * short_s, (long_s, short_s)
 
     @pytest.mark.parametrize("lengths,pieces", [
         ([2, 1024, 3], [2, 1024, 3]),
